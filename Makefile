@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify build vet test test-race chaos crash bench bench-ablation bench-smoke bench-snapshot bench-compare bench-gate server-smoke outofcore-smoke ci
+.PHONY: verify build vet test test-race chaos crash bench bench-ablation bench-smoke bench-snapshot bench-compare bench-gate repo-bench-smoke server-smoke outofcore-smoke loc ci
 
 ## verify: the tier-1 gate — build, vet, the full test suite, and the race
 ## detector over the parallel kernels (partitioned builds, parallel probes,
@@ -77,6 +77,13 @@ bench-compare:
 bench-gate:
 	./scripts/bench_gate.sh
 
+## repo-bench-smoke: the repo benchmark's own tests (bench/ is a module of
+## its own, so `go test ./...` at the root never reaches it): every
+## BENCHMARK.json workload runs for about a second and the output is checked
+## against the declared metric and workload names.
+repo-bench-smoke:
+	cd bench && $(GO) test ./...
+
 ## server-smoke: end-to-end proof of the concurrent query service — start
 ## moaserve, drive the closed-loop load generator at it over HTTP, require
 ## zero hard errors and a clean SIGTERM drain (the CI server job).
@@ -91,9 +98,17 @@ server-smoke:
 outofcore-smoke:
 	./scripts/outofcore_smoke.sh
 
+## loc: the two size counts simplification PRs quote — non-test Go lines
+## outside bench/ (on a gofmt-clean tree) and per-kind fixed-width column
+## switch arms in non-test code.
+loc:
+	@gofmt -l . | sed 's/^/not gofmt-clean: /'
+	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@printf 'per-kind column arms: '; grep -rn 'case \*\(bat\.\)\?\(OID\|Int\|Flt\|Chr\|Bit\|Date\)Col' --include=*.go internal | grep -v _test | wc -l
+
 ## ci: everything the CI workflow runs, reproducible without pushing.
 ## bench-gate stays advisory here too (the workflow runs it with
 ## continue-on-error): a red gate on a different host class is a prompt
 ## to re-measure, not a failure.
-ci: verify chaos crash bench-smoke server-smoke outofcore-smoke
+ci: verify chaos crash bench-smoke repo-bench-smoke server-smoke outofcore-smoke
 	-./scripts/bench_gate.sh

@@ -841,10 +841,11 @@ func BenchmarkServerThroughput(b *testing.B) {
 			for k, v := range benchEnv {
 				scratch[k] = v
 			}
-			if _, err := mil.Run(ctx, prep.Prog, scratch); err != nil {
+			scope, _, err := mil.Exec(ctx, prep.Prog, scratch)
+			if err != nil {
 				return err
 			}
-			_, err := moa.Materialize(scratch, prep.Struct)
+			_, err = moa.Materialize(scope, prep.Struct)
 			return err
 		})
 	})

@@ -57,7 +57,7 @@ func main() {
 	env, _ := tpcd.Load(gen)
 	ctx := mil.NewCtx(nil, mil.Options{Pager: storage.NewPager(4096, 0), Pipeline: *pipeline})
 
-	traces, err := mil.Run(ctx, prog, env)
+	scope, traces, err := mil.Exec(ctx, prog, env)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -71,7 +71,7 @@ func main() {
 		float64(ctx.IntermBytes)/(1<<20), float64(ctx.PeakBytes)/(1<<20))
 
 	for _, name := range prog.Keep {
-		b, ok := env[name]
+		b, ok := scope.Lookup(name)
 		if !ok {
 			continue
 		}

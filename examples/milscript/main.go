@@ -40,7 +40,7 @@ LOSS     := {sum}(losses)
 		log.Fatal(err)
 	}
 	ctx := mil.NewCtx(nil, mil.Options{Pager: storage.NewPager(4096, 0)})
-	traces, err := mil.Run(ctx, prog, env)
+	scope, traces, err := mil.Exec(ctx, prog, env)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,7 +48,7 @@ LOSS     := {sum}(losses)
 	for _, tr := range traces {
 		fmt.Println(tr)
 	}
-	year, loss := env["YEAR"], env["LOSS"]
+	year, loss := scope.Vars["YEAR"], scope.Vars["LOSS"]
 	fmt.Println("\nloss per year:")
 	for i := 0; i < loss.Len(); i++ {
 		for j := 0; j < year.Len(); j++ {

@@ -1,9 +1,17 @@
 package bat
 
 import (
+	"unsafe"
+
 	"repro/internal/storage"
 )
 
+// A BAT column has one of three physical layouts (paper Fig. 2 and Section
+// 5.2, footnote 2): void — a dense oid sequence occupying no storage;
+// fixed-width — BUN entries holding the values themselves, one FixedCol
+// instantiation per kind; and string — BUN entries holding byte-indices
+// into an extra character heap.
+//
 // Columns are transient (heap 0, never faulting) until Persist assigns them
 // a real heap id: only the loader persists columns, so fault accounting
 // covers exactly the base data, matching the paper's measurements on
@@ -11,7 +19,9 @@ import (
 
 // Column is one side (head or tail) of a BAT: a typed, dense array of
 // values. Concrete implementations expose their backing slices for the
-// operators' fast paths; Get is the generic boxed accessor.
+// operators' fast paths; Get is the generic boxed accessor. The interface
+// is sealed: VoidCol, FixedCol[T] and StrCol are its only implementations,
+// so a type switch over them (with the six FixedCol aliases) is exhaustive.
 type Column interface {
 	// Kind reports the column's atomic type.
 	Kind() Kind
@@ -39,6 +49,15 @@ type Column interface {
 	// Persist assigns the column a persistent heap id so that accesses to
 	// it are fault-accounted. Idempotent; transient columns never fault.
 	Persist()
+
+	// The per-layout halves of SliceView, Gather, UnshareColumn and RowRep.
+	// Being unexported they also seal the interface.
+	sliceView(lo, n int) Column
+	gather(perm []int) Column
+	gather32(perm []int32) Column
+	isView() bool
+	unshare() Column
+	keyRepAt(i int32) uint64
 }
 
 // ---------------------------------------------------------------------------
@@ -78,262 +97,230 @@ func (c *VoidCol) TouchAll(p *storage.Tracker) {}
 // ByteSize implements Column.
 func (c *VoidCol) ByteSize() int64 { return 0 }
 
-// ---------------------------------------------------------------------------
-// fixed-width columns
+// OwnedBytes implements Column; void columns occupy no storage.
+func (c *VoidCol) OwnedBytes() int64 { return 0 }
 
-// OIDCol is a column of object identifiers.
-type OIDCol struct {
-	V    []OID
+// Persist implements Column; void columns occupy no storage.
+func (c *VoidCol) Persist() {}
+
+// A view of a void column is itself a void column: a slice of a dense
+// sequence is dense.
+func (c *VoidCol) sliceView(lo, n int) Column { return NewVoid(c.Seq+OID(lo), n) }
+
+func (c *VoidCol) gather(perm []int) Column     { return NewOIDCol(gatherSeq(c.Seq, perm)) }
+func (c *VoidCol) gather32(perm []int32) Column { return NewOIDCol(gatherSeq(c.Seq, perm)) }
+func (c *VoidCol) isView() bool                 { return false }
+func (c *VoidCol) unshare() Column              { return c }
+func (c *VoidCol) keyRepAt(i int32) uint64      { return uint64(c.Seq) + uint64(i) }
+
+func gatherSeq[I int | int32](seq OID, perm []I) []OID {
+	out := make([]OID, len(perm))
+	for i, p := range perm {
+		out[i] = seq + OID(p)
+	}
+	return out
+}
+
+// ---------------------------------------------------------------------------
+// fixed-width columns: the BUN heap holds the values themselves (Fig. 2).
+
+// Fixed enumerates the element types of the fixed-width layout, one per
+// fixed-width Kind.
+type Fixed interface {
+	OID | int64 | float64 | byte | bool | int32
+}
+
+// FixedCol is a column of fixed-width values stored inline: the one
+// physical layout behind every kind but void and str. Operators reach the
+// backing slice through the per-kind aliases below, so their typed loops
+// index c.V directly.
+type FixedCol[T Fixed] struct {
+	V    []T
 	heap storage.HeapID
 	off  int            // heap entry offset of V[0] (non-zero for views)
 	view bool           // shares another column's backing (see SliceView)
 	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
 }
+
+// The six fixed-width kinds. OIDCol holds object identifiers, IntCol
+// integers, FltCol floats, ChrCol single characters, BitCol booleans and
+// DateCol instants stored as days since 1970-01-01.
+type (
+	OIDCol  = FixedCol[OID]
+	IntCol  = FixedCol[int64]
+	FltCol  = FixedCol[float64]
+	ChrCol  = FixedCol[byte]
+	BitCol  = FixedCol[bool]
+	DateCol = FixedCol[int32]
+)
 
 // NewOIDCol wraps a slice of oids as a column.
 func NewOIDCol(v []OID) *OIDCol { return &OIDCol{V: v} }
 
-// Kind implements Column.
-func (c *OIDCol) Kind() Kind { return KOID }
-
-// Len implements Column.
-func (c *OIDCol) Len() int { return len(c.V) }
-
-// Get implements Column.
-func (c *OIDCol) Get(i int) Value { return O(c.V[i]) }
-
-// Heap implements Column.
-func (c *OIDCol) Heap() storage.HeapID { return c.heap }
-
-// TouchAt implements Column.
-func (c *OIDCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*4) }
-
-// TouchRange implements Column; the span is also forwarded to the mapping
-// hint (WillNeed) when the column is heap-backed.
-func (c *OIDCol) TouchRange(p *storage.Tracker, i, n int) {
-	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i)*4, int64(n)*4)
-	p.TouchRange(c.heap, int64(c.off+i)*4, int64(n)*4)
-}
-
-// TouchAll implements Column; a full scan advises Sequential instead of
-// WillNeed so the pager reads ahead and drops pages behind the cursor.
-func (c *OIDCol) TouchAll(p *storage.Tracker) {
-	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off)*4, int64(len(c.V))*4)
-	p.TouchRange(c.heap, int64(c.off)*4, int64(len(c.V))*4)
-}
-
-// ByteSize implements Column.
-func (c *OIDCol) ByteSize() int64 { return int64(len(c.V)) * 4 }
-
-// IntCol is a column of integers.
-type IntCol struct {
-	V    []int64
-	heap storage.HeapID
-	off  int            // heap entry offset of V[0] (non-zero for views)
-	view bool           // shares another column's backing (see SliceView)
-	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
-}
-
 // NewIntCol wraps a slice of integers as a column.
 func NewIntCol(v []int64) *IntCol { return &IntCol{V: v} }
-
-// Kind implements Column.
-func (c *IntCol) Kind() Kind { return KInt }
-
-// Len implements Column.
-func (c *IntCol) Len() int { return len(c.V) }
-
-// Get implements Column.
-func (c *IntCol) Get(i int) Value { return I(c.V[i]) }
-
-// Heap implements Column.
-func (c *IntCol) Heap() storage.HeapID { return c.heap }
-
-// TouchAt implements Column; entries are 8 bytes wide, matching ByteSize.
-func (c *IntCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*8) }
-
-// TouchRange implements Column; heap-backed columns advise WillNeed.
-func (c *IntCol) TouchRange(p *storage.Tracker, i, n int) {
-	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i)*8, int64(n)*8)
-	p.TouchRange(c.heap, int64(c.off+i)*8, int64(n)*8)
-}
-
-// TouchAll implements Column; full scans advise Sequential.
-func (c *IntCol) TouchAll(p *storage.Tracker) {
-	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off)*8, int64(len(c.V))*8)
-	p.TouchRange(c.heap, int64(c.off)*8, int64(len(c.V))*8)
-}
-
-// ByteSize implements Column.
-func (c *IntCol) ByteSize() int64 { return int64(len(c.V)) * 8 }
-
-// FltCol is a column of floats.
-type FltCol struct {
-	V    []float64
-	heap storage.HeapID
-	off  int            // heap entry offset of V[0] (non-zero for views)
-	view bool           // shares another column's backing (see SliceView)
-	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
-}
 
 // NewFltCol wraps a slice of floats as a column.
 func NewFltCol(v []float64) *FltCol { return &FltCol{V: v} }
 
-// Kind implements Column.
-func (c *FltCol) Kind() Kind { return KFlt }
-
-// Len implements Column.
-func (c *FltCol) Len() int { return len(c.V) }
-
-// Get implements Column.
-func (c *FltCol) Get(i int) Value { return F(c.V[i]) }
-
-// Heap implements Column.
-func (c *FltCol) Heap() storage.HeapID { return c.heap }
-
-// TouchAt implements Column.
-func (c *FltCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*8) }
-
-// TouchRange implements Column; heap-backed columns advise WillNeed.
-func (c *FltCol) TouchRange(p *storage.Tracker, i, n int) {
-	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i)*8, int64(n)*8)
-	p.TouchRange(c.heap, int64(c.off+i)*8, int64(n)*8)
-}
-
-// TouchAll implements Column; full scans advise Sequential.
-func (c *FltCol) TouchAll(p *storage.Tracker) {
-	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off)*8, int64(len(c.V))*8)
-	p.TouchRange(c.heap, int64(c.off)*8, int64(len(c.V))*8)
-}
-
-// ByteSize implements Column.
-func (c *FltCol) ByteSize() int64 { return int64(len(c.V)) * 8 }
-
-// ChrCol is a column of single characters.
-type ChrCol struct {
-	V    []byte
-	heap storage.HeapID
-	off  int            // heap entry offset of V[0] (non-zero for views)
-	view bool           // shares another column's backing (see SliceView)
-	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
-}
-
 // NewChrCol wraps a byte slice as a character column.
 func NewChrCol(v []byte) *ChrCol { return &ChrCol{V: v} }
-
-// Kind implements Column.
-func (c *ChrCol) Kind() Kind { return KChr }
-
-// Len implements Column.
-func (c *ChrCol) Len() int { return len(c.V) }
-
-// Get implements Column.
-func (c *ChrCol) Get(i int) Value { return C(c.V[i]) }
-
-// Heap implements Column.
-func (c *ChrCol) Heap() storage.HeapID { return c.heap }
-
-// TouchAt implements Column.
-func (c *ChrCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)) }
-
-// TouchRange implements Column; heap-backed columns advise WillNeed.
-func (c *ChrCol) TouchRange(p *storage.Tracker, i, n int) {
-	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i), int64(n))
-	p.TouchRange(c.heap, int64(c.off+i), int64(n))
-}
-
-// TouchAll implements Column; full scans advise Sequential.
-func (c *ChrCol) TouchAll(p *storage.Tracker) {
-	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off), int64(len(c.V)))
-	p.TouchRange(c.heap, int64(c.off), int64(len(c.V)))
-}
-
-// ByteSize implements Column.
-func (c *ChrCol) ByteSize() int64 { return int64(len(c.V)) }
-
-// BitCol is a column of booleans.
-type BitCol struct {
-	V    []bool
-	heap storage.HeapID
-	off  int            // heap entry offset of V[0] (non-zero for views)
-	view bool           // shares another column's backing (see SliceView)
-	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
-}
 
 // NewBitCol wraps a bool slice as a column.
 func NewBitCol(v []bool) *BitCol { return &BitCol{V: v} }
 
-// Kind implements Column.
-func (c *BitCol) Kind() Kind { return KBit }
-
-// Len implements Column.
-func (c *BitCol) Len() int { return len(c.V) }
-
-// Get implements Column.
-func (c *BitCol) Get(i int) Value { return B(c.V[i]) }
-
-// Heap implements Column.
-func (c *BitCol) Heap() storage.HeapID { return c.heap }
-
-// TouchAt implements Column.
-func (c *BitCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)) }
-
-// TouchRange implements Column; heap-backed columns advise WillNeed.
-func (c *BitCol) TouchRange(p *storage.Tracker, i, n int) {
-	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i), int64(n))
-	p.TouchRange(c.heap, int64(c.off+i), int64(n))
-}
-
-// TouchAll implements Column; full scans advise Sequential.
-func (c *BitCol) TouchAll(p *storage.Tracker) {
-	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off), int64(len(c.V)))
-	p.TouchRange(c.heap, int64(c.off), int64(len(c.V)))
-}
-
-// ByteSize implements Column.
-func (c *BitCol) ByteSize() int64 { return int64(len(c.V)) }
-
-// DateCol is a column of instants stored as days since 1970-01-01.
-type DateCol struct {
-	V    []int32
-	heap storage.HeapID
-	off  int            // heap entry offset of V[0] (non-zero for views)
-	view bool           // shares another column's backing (see SliceView)
-	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
-}
-
 // NewDateCol wraps a slice of day numbers as a date column.
 func NewDateCol(v []int32) *DateCol { return &DateCol{V: v} }
 
-// Kind implements Column.
-func (c *DateCol) Kind() Kind { return KDate }
-
-// Len implements Column.
-func (c *DateCol) Len() int { return len(c.V) }
-
-// Get implements Column.
-func (c *DateCol) Get(i int) Value { return D(c.V[i]) }
-
-// Heap implements Column.
-func (c *DateCol) Heap() storage.HeapID { return c.heap }
-
-// TouchAt implements Column.
-func (c *DateCol) TouchAt(p *storage.Tracker, i int) { p.Touch(c.heap, int64(c.off+i)*4) }
-
-// TouchRange implements Column; heap-backed columns advise WillNeed.
-func (c *DateCol) TouchRange(p *storage.Tracker, i, n int) {
-	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i)*4, int64(n)*4)
-	p.TouchRange(c.heap, int64(c.off+i)*4, int64(n)*4)
+// width is the entry stride in bytes; every touch offset and ByteSize
+// derive from it, so accounting cannot disagree with the element type.
+func (c *FixedCol[T]) width() int64 {
+	var z T
+	return int64(unsafe.Sizeof(z))
 }
 
-// TouchAll implements Column; full scans advise Sequential.
-func (c *DateCol) TouchAll(p *storage.Tracker) {
-	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off)*4, int64(len(c.V))*4)
-	p.TouchRange(c.heap, int64(c.off)*4, int64(len(c.V))*4)
+// Kind implements Column: the kind is a function of the element type.
+func (c *FixedCol[T]) Kind() Kind {
+	var z T
+	switch any(z).(type) {
+	case OID:
+		return KOID
+	case int64:
+		return KInt
+	case float64:
+		return KFlt
+	case byte:
+		return KChr
+	case bool:
+		return KBit
+	default:
+		return KDate
+	}
+}
+
+// Len implements Column.
+func (c *FixedCol[T]) Len() int { return len(c.V) }
+
+// Get implements Column. The switch is over the static element type, so
+// each instantiation compiles down to its own arm; assembling the Value in
+// one composite literal keeps the boxed result in registers.
+func (c *FixedCol[T]) Get(i int) Value {
+	var (
+		k Kind
+		n int64
+		f float64
+	)
+	switch x := any(c.V[i]).(type) {
+	case OID:
+		k, n = KOID, int64(x)
+	case int64:
+		k, n = KInt, x
+	case float64:
+		k, f = KFlt, x
+	case byte:
+		k, n = KChr, int64(x)
+	case bool:
+		k = KBit
+		if x {
+			n = 1
+		}
+	case int32:
+		k, n = KDate, int64(x)
+	}
+	return Value{K: k, I: n, F: f}
+}
+
+// Heap implements Column.
+func (c *FixedCol[T]) Heap() storage.HeapID { return c.heap }
+
+// TouchAt implements Column.
+func (c *FixedCol[T]) TouchAt(p *storage.Tracker, i int) {
+	p.Touch(c.heap, int64(c.off+i)*c.width())
+}
+
+// TouchRange implements Column; the span is also forwarded to the mapping
+// hint (WillNeed) when the column is heap-backed.
+func (c *FixedCol[T]) TouchRange(p *storage.Tracker, i, n int) {
+	w := c.width()
+	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i)*w, int64(n)*w)
+	p.TouchRange(c.heap, int64(c.off+i)*w, int64(n)*w)
+}
+
+// TouchAll implements Column; a full scan advises Sequential instead of
+// WillNeed so the pager reads ahead and drops pages behind the cursor.
+func (c *FixedCol[T]) TouchAll(p *storage.Tracker) {
+	w := c.width()
+	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off)*w, int64(len(c.V))*w)
+	p.TouchRange(c.heap, int64(c.off)*w, int64(len(c.V))*w)
 }
 
 // ByteSize implements Column.
-func (c *DateCol) ByteSize() int64 { return int64(len(c.V)) * 4 }
+func (c *FixedCol[T]) ByteSize() int64 { return int64(len(c.V)) * c.width() }
+
+// OwnedBytes implements Column: a view shares its operand's backing, so it
+// owns nothing; a materialized column owns its full ByteSize.
+func (c *FixedCol[T]) OwnedBytes() int64 {
+	if c.view {
+		return 0
+	}
+	return c.ByteSize()
+}
+
+// Persist implements Column.
+func (c *FixedCol[T]) Persist() {
+	if c.heap == 0 {
+		c.heap = storage.NextHeapID()
+	}
+}
+
+func (c *FixedCol[T]) sliceView(lo, n int) Column {
+	return &FixedCol[T]{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
+}
+
+func (c *FixedCol[T]) gather(perm []int) Column     { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
+func (c *FixedCol[T]) gather32(perm []int32) Column { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
+func (c *FixedCol[T]) isView() bool                 { return c.view }
+
+// unshare copies a view into a transient column (no heap id): the pager
+// charged the view's accesses already, and the copy is intermediate state,
+// not base data.
+func (c *FixedCol[T]) unshare() Column {
+	if !c.view {
+		return c
+	}
+	return &FixedCol[T]{V: append([]T(nil), c.V...)}
+}
+
+// keyRepAt is the key representation of entry i (see kernel.go): the value
+// itself for the exact kinds, the bit pattern for floats.
+func (c *FixedCol[T]) keyRepAt(i int32) uint64 {
+	switch x := any(c.V[i]).(type) {
+	case OID:
+		return uint64(x)
+	case int64:
+		return uint64(x)
+	case int32:
+		return uint64(x)
+	case byte:
+		return uint64(x)
+	case bool:
+		if x {
+			return 1
+		}
+		return 0
+	case float64:
+		return fltKeyRep(x)
+	}
+	panic("unreachable")
+}
+
+func gatherElems[T Fixed, I int | int32](v []T, perm []I) []T {
+	out := make([]T, len(perm))
+	for i, p := range perm {
+		out[i] = v[p]
+	}
+	return out
+}
 
 // ---------------------------------------------------------------------------
 // strings: offsets into a shared character heap (paper Fig. 2: BUNs contain
@@ -421,6 +408,59 @@ func (c *StrCol) touchRange(p *storage.Tracker, i, n int, a storage.Advice) {
 // ByteSize implements Column.
 func (c *StrCol) ByteSize() int64 { return int64(len(c.Off))*4 + int64(len(c.Chars)) }
 
+// OwnedBytes implements Column; see FixedCol.OwnedBytes.
+func (c *StrCol) OwnedBytes() int64 {
+	if c.view {
+		return 0
+	}
+	return c.ByteSize()
+}
+
+// Persist implements Column; it persists both the offset and character
+// heaps.
+func (c *StrCol) Persist() {
+	if c.heap == 0 {
+		c.heap = storage.NextHeapID()
+	}
+	if c.charHeap == 0 {
+		c.charHeap = storage.NextHeapID()
+	}
+}
+
+func (c *StrCol) sliceView(lo, n int) Column {
+	return &StrCol{Off: c.Off[lo : lo+n+1], Chars: c.Chars,
+		heap: c.heap, charHeap: c.charHeap, off: c.off + lo, view: true,
+		hint: c.hint, charHint: c.charHint}
+}
+
+func (c *StrCol) gather(perm []int) Column     { return NewStrColFromStrings(gatherStrings(c, perm)) }
+func (c *StrCol) gather32(perm []int32) Column { return NewStrColFromStrings(gatherStrings(c, perm)) }
+func (c *StrCol) isView() bool                 { return c.view }
+
+// unshare rebuilds the character heap from the referenced substrings only,
+// so a 10-row view over a megabyte heap compacts to the bytes of those 10
+// strings.
+func (c *StrCol) unshare() Column {
+	if !c.view {
+		return c
+	}
+	out := make([]string, c.Len())
+	for i := range out {
+		out[i] = c.At(i)
+	}
+	return NewStrColFromStrings(out)
+}
+
+func (c *StrCol) keyRepAt(i int32) uint64 { return hashString(c.At(int(i))) }
+
+func gatherStrings[I int | int32](c *StrCol, perm []I) []string {
+	out := make([]string, len(perm))
+	for i, p := range perm {
+		out[i] = c.At(int(p))
+	}
+	return out
+}
+
 // ---------------------------------------------------------------------------
 
 // FromValues builds a column of the given kind from boxed values; it is the
@@ -504,233 +544,35 @@ func PositionRun[I int | int32 | OID](pos []I) (int, bool) {
 // SliceView returns a zero-copy view of rows [lo, lo+n) of col: the view
 // shares col's backing storage — legal because BAT-algebra operations never
 // change their operands after construction — and keeps fault accounting
-// anchored at the original heap offsets. A view of a void column is itself a
-// void column (a slice of a dense sequence is dense).
+// anchored at the original heap offsets.
 //
 // Lifetime note: a view pins its operand's whole backing array (and a
 // string view the whole character heap) for as long as it is retained, so a
 // tiny long-lived result can hold a large operand in memory. Callers that
 // retain small results past their operand's life should materialize them
 // (see ROADMAP: view-aware accounting / materialize-on-retain).
-func SliceView(col Column, lo, n int) Column {
-	switch c := col.(type) {
-	case *VoidCol:
-		return NewVoid(c.Seq+OID(lo), n)
-	case *OIDCol:
-		return &OIDCol{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
-	case *IntCol:
-		return &IntCol{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
-	case *FltCol:
-		return &FltCol{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
-	case *ChrCol:
-		return &ChrCol{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
-	case *BitCol:
-		return &BitCol{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
-	case *DateCol:
-		return &DateCol{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
-	case *StrCol:
-		return &StrCol{Off: c.Off[lo : lo+n+1], Chars: c.Chars,
-			heap: c.heap, charHeap: c.charHeap, off: c.off + lo, view: true,
-			hint: c.hint, charHint: c.charHint}
-	}
-	// boxed fallback: no backing to share, materialize
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = col.Get(lo + i)
-	}
-	return FromValues(col.Kind(), out)
-}
+func SliceView(col Column, lo, n int) Column { return col.sliceView(lo, n) }
 
 // Gather builds the column col[perm[0]], col[perm[1]], ... It is the
 // positional-fetch primitive underlying sorts, joins and the datavector
 // semijoin. When perm is a contiguous run the result is a zero-copy
 // SliceView instead of a materialized copy.
-func Gather(col Column, perm []int) Column { return gatherInto(col, perm) }
+func Gather(col Column, perm []int) Column { return GatherAny(col, perm) }
 
 // Gather32 is Gather over the int32 position buffers the typed kernels
 // produce, saving the widening copy.
-func Gather32(col Column, perm []int32) Column { return gatherInto(col, perm) }
+func Gather32(col Column, perm []int32) Column { return GatherAny(col, perm) }
 
-// GatherAny is the generic entry point for callers that are themselves
-// generic over the position width.
-func GatherAny[I int | int32](col Column, perm []I) Column { return gatherInto(col, perm) }
-
-func gatherInto[I int | int32](col Column, perm []I) Column {
+// GatherAny is Gather for callers that are themselves generic over the
+// position width.
+func GatherAny[I int | int32](col Column, perm []I) Column {
 	if lo, ok := PositionRun(perm); ok {
 		return SliceView(col, lo, len(perm))
 	}
-	switch c := col.(type) {
-	case *VoidCol:
-		out := make([]OID, len(perm))
-		for i, p := range perm {
-			out[i] = c.Seq + OID(p)
-		}
-		return NewOIDCol(out)
-	case *OIDCol:
-		out := make([]OID, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return NewOIDCol(out)
-	case *IntCol:
-		out := make([]int64, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return NewIntCol(out)
-	case *FltCol:
-		out := make([]float64, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return NewFltCol(out)
-	case *ChrCol:
-		out := make([]byte, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return NewChrCol(out)
-	case *BitCol:
-		out := make([]bool, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return NewBitCol(out)
-	case *DateCol:
-		out := make([]int32, len(perm))
-		for i, p := range perm {
-			out[i] = c.V[p]
-		}
-		return NewDateCol(out)
-	case *StrCol:
-		out := make([]string, len(perm))
-		for i, p := range perm {
-			out[i] = c.At(int(p))
-		}
-		return NewStrColFromStrings(out)
+	// Methods cannot be generic over the position width, so each layout
+	// carries one gather per width.
+	if p32, ok := any(perm).([]int32); ok {
+		return col.gather32(p32)
 	}
-	out := make([]Value, len(perm))
-	for i, p := range perm {
-		out[i] = col.Get(int(p))
-	}
-	return FromValues(col.Kind(), out)
-}
-
-// OwnedBytes implementations: a view shares its operand's backing, so it
-// owns nothing; every materialized column owns its full ByteSize. Void
-// columns occupy no storage either way.
-
-// OwnedBytes implements Column.
-func (c *VoidCol) OwnedBytes() int64 { return 0 }
-
-// OwnedBytes implements Column.
-func (c *OIDCol) OwnedBytes() int64 {
-	if c.view {
-		return 0
-	}
-	return c.ByteSize()
-}
-
-// OwnedBytes implements Column.
-func (c *IntCol) OwnedBytes() int64 {
-	if c.view {
-		return 0
-	}
-	return c.ByteSize()
-}
-
-// OwnedBytes implements Column.
-func (c *FltCol) OwnedBytes() int64 {
-	if c.view {
-		return 0
-	}
-	return c.ByteSize()
-}
-
-// OwnedBytes implements Column.
-func (c *ChrCol) OwnedBytes() int64 {
-	if c.view {
-		return 0
-	}
-	return c.ByteSize()
-}
-
-// OwnedBytes implements Column.
-func (c *BitCol) OwnedBytes() int64 {
-	if c.view {
-		return 0
-	}
-	return c.ByteSize()
-}
-
-// OwnedBytes implements Column.
-func (c *DateCol) OwnedBytes() int64 {
-	if c.view {
-		return 0
-	}
-	return c.ByteSize()
-}
-
-// OwnedBytes implements Column.
-func (c *StrCol) OwnedBytes() int64 {
-	if c.view {
-		return 0
-	}
-	return c.ByteSize()
-}
-
-// Persist implements Column; void columns occupy no storage.
-func (c *VoidCol) Persist() {}
-
-// Persist implements Column.
-func (c *OIDCol) Persist() {
-	if c.heap == 0 {
-		c.heap = storage.NextHeapID()
-	}
-}
-
-// Persist implements Column.
-func (c *IntCol) Persist() {
-	if c.heap == 0 {
-		c.heap = storage.NextHeapID()
-	}
-}
-
-// Persist implements Column.
-func (c *FltCol) Persist() {
-	if c.heap == 0 {
-		c.heap = storage.NextHeapID()
-	}
-}
-
-// Persist implements Column.
-func (c *ChrCol) Persist() {
-	if c.heap == 0 {
-		c.heap = storage.NextHeapID()
-	}
-}
-
-// Persist implements Column.
-func (c *BitCol) Persist() {
-	if c.heap == 0 {
-		c.heap = storage.NextHeapID()
-	}
-}
-
-// Persist implements Column.
-func (c *DateCol) Persist() {
-	if c.heap == 0 {
-		c.heap = storage.NextHeapID()
-	}
-}
-
-// Persist implements Column; it persists both the offset and character
-// heaps.
-func (c *StrCol) Persist() {
-	if c.heap == 0 {
-		c.heap = storage.NextHeapID()
-	}
-	if c.charHeap == 0 {
-		c.charHeap = storage.NextHeapID()
-	}
+	return col.gather(any(perm).([]int))
 }

@@ -1,0 +1,282 @@
+package bat
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/storage"
+)
+
+// layoutCase is one column kind of the three physical layouts: the six
+// FixedCol instantiations, StrCol and VoidCol.
+type layoutCase struct {
+	kind  Kind
+	width int64 // BUN entry stride in bytes; 0 for void
+	col   Column
+	want  func(i int) Value
+	// transient is the column Gather and UnshareColumn materialize into:
+	// the same layout, except that void entries materialize as oids.
+	transient Kind
+}
+
+const layoutRows = 64
+
+func layoutCases() []layoutCase {
+	oids := make([]OID, layoutRows)
+	ints := make([]int64, layoutRows)
+	flts := make([]float64, layoutRows)
+	chrs := make([]byte, layoutRows)
+	bits := make([]bool, layoutRows)
+	dates := make([]int32, layoutRows)
+	strs := make([]string, layoutRows)
+	for i := range oids {
+		oids[i] = OID(3 * i)
+		ints[i] = int64(-7 * i)
+		flts[i] = float64(i) / 2
+		chrs[i] = byte('a' + i%26)
+		bits[i] = i%3 == 0
+		dates[i] = int32(9000 + i)
+		strs[i] = fmt.Sprintf("s%03d", i)
+	}
+	return []layoutCase{
+		{KOID, 4, NewOIDCol(oids), func(i int) Value { return O(oids[i]) }, KOID},
+		{KInt, 8, NewIntCol(ints), func(i int) Value { return I(ints[i]) }, KInt},
+		{KFlt, 8, NewFltCol(flts), func(i int) Value { return F(flts[i]) }, KFlt},
+		{KChr, 1, NewChrCol(chrs), func(i int) Value { return C(chrs[i]) }, KChr},
+		{KBit, 1, NewBitCol(bits), func(i int) Value { return B(bits[i]) }, KBit},
+		{KDate, 4, NewDateCol(dates), func(i int) Value { return D(dates[i]) }, KDate},
+		{KStr, 4, NewStrColFromStrings(strs), func(i int) Value { return S(strs[i]) }, KStr},
+		{KVoid, 0, NewVoid(100, layoutRows), func(i int) Value { return O(OID(100 + i)) }, KOID},
+	}
+}
+
+// bytePager is a pager with one page per byte, so a touched span is visible
+// byte for byte: re-touching it hits, touching just outside it faults.
+func bytePager() *storage.Tracker { return storage.NewPager(1, 0).NewTracker() }
+
+// assertSpan checks that exactly bytes [off, off+n) of heap are resident in
+// p's pool.
+func assertSpan(t *testing.T, label string, p *storage.Tracker, heap storage.HeapID, off, n int64) {
+	t.Helper()
+	if got := int64(p.Pool().Resident()); got != n {
+		t.Fatalf("%s: %d bytes touched, want %d", label, got, n)
+	}
+	before := p.Faults()
+	p.TouchRange(heap, off, n)
+	if p.Faults() != before {
+		t.Fatalf("%s: touched span is not [%d,%d)", label, off, off+n)
+	}
+}
+
+func assertValues(t *testing.T, label string, got Column, want func(i int) Value, at func(i int) int, n int) {
+	t.Helper()
+	if got.Len() != n {
+		t.Fatalf("%s: len %d, want %d", label, got.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		if got.Get(i) != want(at(i)) {
+			t.Fatalf("%s: [%d] = %s, want %s", label, i, got.Get(i), want(at(i)))
+		}
+	}
+}
+
+// TestColumnLayouts pins, for every kind, the behaviour the three layouts
+// share: boxing, touch accounting at the element's own stride (base column
+// and offset view), view vs owned accounting, persistence, gather and
+// unshare.
+func TestColumnLayouts(t *testing.T) {
+	const lo, vn = 5, 20 // the view covers rows [5, 25)
+	ident := func(i int) int { return i }
+	for _, tc := range layoutCases() {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			col := tc.col
+			if col.Kind() != tc.kind {
+				t.Fatalf("kind = %s", col.Kind())
+			}
+			assertValues(t, "base", col, tc.want, ident, layoutRows)
+
+			// Persist: transient until asked, then idempotent.
+			if col.Heap() != 0 {
+				t.Fatal("fresh column already has a heap id")
+			}
+			col.Persist()
+			heap := col.Heap()
+			col.Persist()
+			if col.Heap() != heap || (heap == 0) != (tc.kind == KVoid) {
+				t.Fatalf("heap id %d, then %d after a second Persist", heap, col.Heap())
+			}
+
+			view := SliceView(col, lo, vn)
+			if view.Kind() != tc.kind || view.Heap() != heap {
+				t.Fatalf("view kind %s heap %d, want %s %d", view.Kind(), view.Heap(), tc.kind, heap)
+			}
+			assertValues(t, "view", view, tc.want, func(i int) int { return lo + i }, vn)
+
+			// OwnedBytes: a view owns nothing, a base column its ByteSize.
+			if col.OwnedBytes() != col.ByteSize() || view.OwnedBytes() != 0 {
+				t.Fatalf("owned bytes: base %d of %d, view %d", col.OwnedBytes(), col.ByteSize(), view.OwnedBytes())
+			}
+			if tc.kind != KStr && (col.ByteSize() != layoutRows*tc.width || view.ByteSize() != vn*tc.width) {
+				t.Fatalf("byte sizes %d/%d at width %d", col.ByteSize(), view.ByteSize(), tc.width)
+			}
+
+			// Touch spans, in bytes of the BUN heap. base is the heap entry
+			// offset of the touched column's row 0; a string touches one
+			// extra offset entry per span (its end) plus its characters.
+			for _, side := range []struct {
+				name string
+				c    Column
+				base int64
+			}{{"base", col, 0}, {"view", view, lo}} {
+				w, c := tc.width, side.c
+				extra := int64(0)
+				if tc.kind == KStr {
+					extra = 1
+				}
+				p := bytePager()
+				c.TouchAt(p, 3)
+				if tc.kind == KStr {
+					// one offset byte-page plus the 4 characters of "sNNN"
+					if got := p.Pool().Resident(); got != 1+4 {
+						t.Fatalf("%s TouchAt: %d bytes touched, want 5", side.name, got)
+					}
+				} else if w > 0 {
+					assertSpan(t, side.name+" TouchAt", p, heap, (side.base+3)*w, 1)
+				}
+				spans := []struct {
+					name string
+					i, n int64
+					do   func(p *storage.Tracker)
+				}{
+					{"TouchRange", 2, 7, func(p *storage.Tracker) { c.TouchRange(p, 2, 7) }},
+					{"TouchAll", 0, int64(c.Len()), func(p *storage.Tracker) { c.TouchAll(p) }},
+				}
+				for _, sp := range spans {
+					p := bytePager()
+					sp.do(p)
+					label := side.name + " " + sp.name
+					switch {
+					case tc.kind == KVoid:
+						if p.Faults() != 0 {
+							t.Fatalf("%s: void column faulted", label)
+						}
+					case tc.kind == KStr:
+						sc := c.(*StrCol)
+						chars := int64(sc.Off[sp.i+sp.n] - sc.Off[sp.i])
+						if got := int64(p.Pool().Resident()); got != (sp.n+1)*4+chars {
+							t.Fatalf("%s: %d bytes touched, want %d", label, got, (sp.n+1)*4+chars)
+						}
+						before := p.Faults()
+						p.TouchRange(heap, (side.base+sp.i)*4, (sp.n+extra)*4)
+						p.TouchRange(sc.charHeap, int64(sc.Off[sp.i]), chars)
+						if p.Faults() != before {
+							t.Fatalf("%s: spans not anchored at heap offset %d", label, side.base+sp.i)
+						}
+					default:
+						assertSpan(t, label, p, heap, (side.base+sp.i)*w, sp.n*w)
+					}
+				}
+			}
+
+			// Gather: a contiguous run is a view, anything else a transient
+			// copy; both position widths agree.
+			run, run32 := []int{7, 8, 9, 10}, []int32{7, 8, 9, 10}
+			mix, mix32 := []int{9, 2, 2, 40}, []int32{9, 2, 2, 40}
+			for _, g := range []struct {
+				name string
+				got  Column
+				perm []int
+			}{
+				{"Gather run", Gather(col, run), run},
+				{"Gather32 run", Gather32(col, run32), run},
+				{"Gather copy", Gather(col, mix), mix},
+				{"Gather32 copy", Gather32(col, mix32), mix},
+			} {
+				assertValues(t, g.name, g.got, tc.want, func(i int) int { return g.perm[i] }, len(g.perm))
+				isRun := g.perm[0] == 7
+				switch {
+				case isRun && (g.got.Kind() != tc.kind || g.got.OwnedBytes() != 0 || g.got.Heap() != heap):
+					t.Fatalf("%s: not a view of the operand (%s, owns %d, heap %d)", g.name, g.got.Kind(), g.got.OwnedBytes(), g.got.Heap())
+				case !isRun && (g.got.Kind() != tc.transient || g.got.isView() || g.got.Heap() != 0 ||
+					g.got.OwnedBytes() != g.got.ByteSize()):
+					t.Fatalf("%s: not a transient copy (%s, view %v, heap %d)", g.name, g.got.Kind(), g.got.isView(), g.got.Heap())
+				}
+			}
+
+			// UnshareColumn: identity on an owning column, a compact
+			// transient copy of a view (void views own nothing to begin with).
+			if UnshareColumn(col) != col {
+				t.Fatal("unshare copied a column that owns its backing")
+			}
+			un := UnshareColumn(view)
+			assertValues(t, "unshare", un, tc.want, func(i int) int { return lo + i }, vn)
+			if tc.kind == KVoid {
+				if un != view {
+					t.Fatal("unshare copied a void view")
+				}
+			} else if un == view || un.isView() || un.Heap() != 0 || un.OwnedBytes() != un.ByteSize() {
+				t.Fatalf("unshare of a view: view %v, heap %d, owns %d of %d", un.isView(), un.Heap(), un.OwnedBytes(), un.ByteSize())
+			}
+			if tc.kind == KStr && un.ByteSize() != (vn+1)*4+vn*4 {
+				t.Fatalf("unshared string view kept %d bytes, want the %d of its own rows", un.ByteSize(), (vn+1)*4+vn*4)
+			}
+
+			// The per-row key rep is the vector fill's, bit for bit.
+			rowRep, _ := RowRep(col)
+			for i, want := range NewKeyRep(col).Rep {
+				if got := rowRep(int32(i)); got != want {
+					t.Fatalf("RowRep(%d) = %#x, NewKeyRep gives %#x", i, got, want)
+				}
+			}
+
+			// Boxing never allocates, for any kind.
+			for _, c := range []Column{col, view} {
+				if a := testing.AllocsPerRun(100, func() { sinkValue = c.Get(7) }); a != 0 {
+					t.Fatalf("Get allocates %.0f times per call", a)
+				}
+			}
+		})
+	}
+}
+
+var sinkValue Value
+
+// recHint records the advice a column forwards to its mapping.
+type recHint struct {
+	advice []storage.Advice
+	spans  [][2]int64
+}
+
+func (h *recHint) Advise(a storage.Advice, off, n int64) {
+	h.advice = append(h.advice, a)
+	h.spans = append(h.spans, [2]int64{off, n})
+}
+
+// TestMappedColHintSpans: a heap-backed column is born persistent and
+// forwards its touch spans, in bytes at the element stride and anchored at
+// the view offset, as WillNeed (ranges) and Sequential (full scans).
+func TestMappedColHintSpans(t *testing.T) {
+	const n = 1 << 17 // large enough that every kind's spans pass HintMinBytes
+	check := func(name string, c Column, h *recHint, w int64) {
+		t.Helper()
+		if c.Heap() == 0 {
+			t.Fatalf("%s: mapped column is not persistent", name)
+		}
+		v := SliceView(c, 1000, n-1000)
+		v.TouchRange(nil, 10, n/2)
+		v.TouchAll(nil)
+		c.TouchAt(nil, 5) // single entries never advise
+		want := [][2]int64{{1010 * w, int64(n/2) * w}, {1000 * w, int64(n-1000) * w}}
+		if len(h.spans) != 2 || h.spans[0] != want[0] || h.spans[1] != want[1] ||
+			h.advice[0] != storage.AdviceWillNeed || h.advice[1] != storage.AdviceSequential {
+			t.Fatalf("%s: advised %v %v, want %v [WillNeed Sequential]", name, h.spans, h.advice, want)
+		}
+	}
+	hints := make([]recHint, 6)
+	check("oid", NewMappedCol(make([]OID, n), &hints[0]), &hints[0], 4)
+	check("int", NewMappedCol(make([]int64, n), &hints[1]), &hints[1], 8)
+	check("flt", NewMappedCol(make([]float64, n), &hints[2]), &hints[2], 8)
+	check("chr", NewMappedCol(make([]byte, n), &hints[3]), &hints[3], 1)
+	check("bit", NewMappedCol(make([]bool, n), &hints[4]), &hints[4], 1)
+	check("date", NewMappedCol(make([]int32, n), &hints[5]), &hints[5], 4)
+}

@@ -206,34 +206,50 @@ func (dv *Datavector) DropLookups() {
 	dv.mu.Unlock()
 }
 
+// SortedPerm returns the stable permutation that orders col's rows
+// ascending, or descending when desc; ties keep row order either way. It is
+// the one sort primitive behind SortOnTail and MIL's sort operator.
+func SortedPerm(col Column, desc bool) []int {
+	perm := make([]int, col.Len())
+	for i := range perm {
+		perm[i] = i
+	}
+	var less func(i, j int) bool
+	switch c := col.(type) {
+	case *OIDCol:
+		less = permLess(c.V, perm)
+	case *IntCol:
+		less = permLess(c.V, perm)
+	case *FltCol:
+		less = permLess(c.V, perm)
+	case *DateCol:
+		less = permLess(c.V, perm)
+	case *ChrCol:
+		less = permLess(c.V, perm)
+	case *StrCol:
+		less = func(i, j int) bool { return c.At(perm[i]) < c.At(perm[j]) }
+	default: // void and bit columns order by their boxed values
+		less = func(i, j int) bool { return Less(col.Get(perm[i]), col.Get(perm[j])) }
+	}
+	if desc {
+		asc := less
+		less = func(i, j int) bool { return asc(j, i) }
+	}
+	sort.SliceStable(perm, less)
+	return perm
+}
+
+func permLess[E orderedElem](v []E, perm []int) func(i, j int) bool {
+	return func(i, j int) bool { return v[perm[i]] < v[perm[j]] }
+}
+
 // SortOnTail returns a copy of b reordered ascending on tail values — the
 // physical layout Section 5.2 prescribes for all attribute BATs ("store all
 // attributes ordered on tail"). Accelerators of b are not inherited; attach
 // a datavector built from the oid-ordered original to preserve oid→value
 // access.
 func SortOnTail(b *BAT) *BAT {
-	n := b.Len()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	t := b.T
-	switch c := t.(type) {
-	case *IntCol:
-		sort.SliceStable(perm, func(i, j int) bool { return c.V[perm[i]] < c.V[perm[j]] })
-	case *FltCol:
-		sort.SliceStable(perm, func(i, j int) bool { return c.V[perm[i]] < c.V[perm[j]] })
-	case *OIDCol:
-		sort.SliceStable(perm, func(i, j int) bool { return c.V[perm[i]] < c.V[perm[j]] })
-	case *DateCol:
-		sort.SliceStable(perm, func(i, j int) bool { return c.V[perm[i]] < c.V[perm[j]] })
-	case *ChrCol:
-		sort.SliceStable(perm, func(i, j int) bool { return c.V[perm[i]] < c.V[perm[j]] })
-	case *StrCol:
-		sort.SliceStable(perm, func(i, j int) bool { return c.At(perm[i]) < c.At(perm[j]) })
-	default:
-		sort.SliceStable(perm, func(i, j int) bool { return Less(t.Get(perm[i]), t.Get(perm[j])) })
-	}
+	perm := SortedPerm(b.T, false)
 	nb := New(b.Name, Gather(b.H, perm), Gather(b.T, perm), 0)
 	nb.Props |= TOrdered
 	if b.Props.Has(HKey) {

@@ -1,9 +1,6 @@
 package bat
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // HashIndex is a persistent hash-table search accelerator on one column
 // (Fig. 2 shows such an accelerator heap attached to a BAT). The layout is
@@ -23,7 +20,7 @@ import (
 // construction: bucket entries are ascending either way.
 //
 // Dense (void) columns need no arrays at all: the position of an oid is
-// arithmetic. Columns without a typed backing fall back to a boxed map.
+// arithmetic.
 type HashIndex struct {
 	col   Column
 	exact bool // rep equality ⇔ value equality on the indexed column
@@ -39,11 +36,8 @@ type HashIndex struct {
 	mask      uint32
 
 	card     int
-	cardOK   bool      // card computed (eagerly for dense/boxed, lazily otherwise)
+	cardOK   bool      // card computed (eagerly for dense, lazily otherwise)
 	cardOnce sync.Once // synchronizes the lazy computation across sessions
-
-	// boxed fallback for columns without typed backing slices
-	boxed map[Value][]int32
 }
 
 // hashEnt is one clustered accelerator entry. Rep and position share a
@@ -143,21 +137,11 @@ func buildHashIndexRadix(col Column, partitions int, s Sched) *HashIndex {
 	if workers < 1 {
 		workers = 1
 	}
-	exact, typed := repExactness(col)
-	if !typed {
-		n := col.Len()
-		m := make(map[Value][]int32, n)
-		for i := 0; i < n; i++ {
-			v := col.Get(i)
-			m[v] = append(m[v], int32(i))
-		}
-		return &HashIndex{col: col, boxed: m, card: len(m), cardOK: true}
-	}
 	n := col.Len()
 	sz := nextPow2(max(n, 1))
 	h := &HashIndex{
 		col:       col,
-		exact:     exact,
+		exact:     repExact(col),
 		bucketOff: make([]int32, sz+1),
 		ents:      make([]hashEnt, n),
 		mask:      uint32(sz - 1),
@@ -185,15 +169,13 @@ func buildHashIndexRadix(col Column, partitions int, s Sched) *HashIndex {
 		case *ChrCol:
 			buildClusteredFixed(h, c.V)
 		default:
-			rep, _ := NewKeyRep(col)
-			h.buildPartition(scattered{P: 1, off: []int32{0, int32(n)}, reps: rep.Rep},
+			h.buildPartition(scattered{P: 1, off: []int32{0, int32(n)}, reps: NewKeyRep(col).Rep},
 				0, 0, make([]int32, sz))
 		}
 		h.bucketOff[sz] = int32(n)
 		return h
 	}
-	rep, _ := NewKeyRepP(col, workers)
-	sc := scatterByHash(rep.Rep, p, h.mask, log2(sz)-log2(p), workers)
+	sc := scatterByHash(NewKeyRepP(col, workers).Rep, p, h.mask, log2(sz)-log2(p), workers)
 	nb := sz >> log2(p) // buckets per partition
 	// Hot-partition splitting: a skewed key distribution (the extreme being
 	// all-one-key) can scatter most rows into one partition, and a whole
@@ -360,12 +342,13 @@ func (h *HashIndex) buildPartition(sc scattered, pi int, bLo int32, counts []int
 // Card() call — the frequent build sides (unique heads) never ask.
 func (h *HashIndex) computeCard() int {
 	card := 0
+	eq := KeyRep{col: h.col} // settles inexact rep matches between indexed rows
 	for b := 0; b <= int(h.mask); b++ {
 		s, e := h.bucketOff[b], h.bucketOff[b+1]
 		for k := s; k < e; k++ {
 			dup := false
 			for k2 := k - 1; k2 >= s; k2-- {
-				if h.ents[k2].rep == h.ents[k].rep && (h.exact || h.keyEqualRows(h.ents[k2].pos, h.ents[k].pos)) {
+				if h.ents[k2].rep == h.ents[k].rep && (h.exact || eq.KeyEqual(h.ents[k2].pos, h.ents[k].pos)) {
 					dup = true
 					break
 				}
@@ -376,17 +359,6 @@ func (h *HashIndex) computeCard() int {
 		}
 	}
 	return card
-}
-
-// keyEqualRows settles an inexact rep match between two indexed rows.
-func (h *HashIndex) keyEqualRows(a, b int32) bool {
-	switch c := h.col.(type) {
-	case *FltCol:
-		return c.V[a] == c.V[b]
-	case *StrCol:
-		return c.At(int(a)) == c.At(int(b))
-	}
-	return h.col.Get(int(a)) == h.col.Get(int(b))
 }
 
 // Card reports the number of distinct values (computed on first use for
@@ -409,24 +381,14 @@ func (h *HashIndex) ensureCard() {
 // space; ok is false when the kind cannot occur in the column (map-key
 // semantics: a probe of a different kind never matches).
 func (h *HashIndex) repOfValue(v Value) (uint64, bool) {
-	switch h.col.(type) {
-	case *FltCol:
-		if v.K != KFlt {
-			return 0, false
-		}
-		f := v.F
-		if f == 0 {
-			f = 0
-		}
-		return math.Float64bits(f), true
-	case *StrCol:
-		if v.K != KStr {
-			return 0, false
-		}
-		return hashString(v.S), true
-	}
 	if v.K != normKind(h.col.Kind()) {
 		return 0, false
+	}
+	switch v.K {
+	case KFlt:
+		return fltKeyRep(v.F), true
+	case KStr:
+		return hashString(v.S), true
 	}
 	return uint64(v.I), true
 }
@@ -439,9 +401,6 @@ func (h *HashIndex) bucketRange(x uint64) (int32, int32) {
 
 // Lookup returns the positions at which v occurs, in ascending order, or nil.
 func (h *HashIndex) Lookup(v Value) []int32 {
-	if h.boxed != nil {
-		return h.boxed[v]
-	}
 	if h.dense {
 		if v.K != KOID {
 			return nil
@@ -474,12 +433,6 @@ func (h *HashIndex) Lookup(v Value) []int32 {
 // allocating; ok is false when v does not occur. It is the probe for
 // callers that resolve one id at a time (the structure-function resolvers).
 func (h *HashIndex) Lookup1(v Value) (int32, bool) {
-	if h.boxed != nil {
-		if pos := h.boxed[v]; len(pos) > 0 {
-			return pos[0], true
-		}
-		return 0, false
-	}
 	if h.dense {
 		if v.K != KOID {
 			return 0, false
@@ -508,15 +461,7 @@ func (h *HashIndex) Lookup1(v Value) (int32, bool) {
 }
 
 // valueEqualAt settles an inexact rep match of boxed v against position j.
-func (h *HashIndex) valueEqualAt(v Value, j int32) bool {
-	switch c := h.col.(type) {
-	case *FltCol:
-		return c.V[j] == v.F
-	case *StrCol:
-		return c.At(int(j)) == v.S
-	}
-	return h.col.Get(int(j)) == v
-}
+func (h *HashIndex) valueEqualAt(v Value, j int32) bool { return h.col.Get(int(j)) == v }
 
 // Probe is a prepared probe column. For the exact fixed-width kinds the key
 // reps are computed inline from the column's backing slice — no per-probe
@@ -541,9 +486,6 @@ type Probe struct {
 // the probe column's kind cannot match the indexed column (the caller then
 // takes the boxed Lookup path, which preserves map-key semantics).
 func (h *HashIndex) NewProbe(probe Column) (Probe, bool) {
-	if h.boxed != nil {
-		return Probe{}, false
-	}
 	if normKind(probe.Kind()) != normKind(h.col.Kind()) {
 		return Probe{}, false
 	}
@@ -559,12 +501,8 @@ func (h *HashIndex) NewProbe(probe Column) (Probe, bool) {
 	case *ChrCol:
 		return Probe{chrV: c.V}, true
 	}
-	rep, ok := NewKeyRep(probe)
-	if !ok {
-		return Probe{}, false
-	}
-	p := Probe{rep: rep}
-	if !h.dense && !(rep.Exact && h.exact) {
+	p := Probe{rep: NewKeyRep(probe)}
+	if !h.dense && !(p.rep.Exact && h.exact) {
 		p.eq = crossEq(probe, h.col)
 	}
 	return p, true

@@ -36,79 +36,11 @@ func adviseSpan(h storage.Hinter, a storage.Advice, off, n int64) {
 	h.Advise(a, off, n)
 }
 
-// Hint attaches a mapping hint to a column in place (nil detaches). Used
-// by the heap loader after wrapping mapped slices; prefer the NewMapped*
-// constructors where possible.
-func Hint(col Column, h storage.Hinter) {
-	switch c := col.(type) {
-	case *OIDCol:
-		c.hint = h
-	case *IntCol:
-		c.hint = h
-	case *FltCol:
-		c.hint = h
-	case *ChrCol:
-		c.hint = h
-	case *BitCol:
-		c.hint = h
-	case *DateCol:
-		c.hint = h
-	case *StrCol:
-		c.hint = h
-	}
-}
-
-// NewMappedOIDCol wraps a mapped oid slice as a persistent, hint-routing
-// column.
-func NewMappedOIDCol(v []OID, h storage.Hinter) *OIDCol {
-	c := NewOIDCol(v)
+// NewMappedCol wraps a mapped slice as a persistent, hint-routing
+// fixed-width column.
+func NewMappedCol[T Fixed](v []T, h storage.Hinter) *FixedCol[T] {
+	c := &FixedCol[T]{V: v, hint: h}
 	c.Persist()
-	c.hint = h
-	return c
-}
-
-// NewMappedIntCol wraps a mapped int slice as a persistent, hint-routing
-// column.
-func NewMappedIntCol(v []int64, h storage.Hinter) *IntCol {
-	c := NewIntCol(v)
-	c.Persist()
-	c.hint = h
-	return c
-}
-
-// NewMappedFltCol wraps a mapped float slice as a persistent, hint-routing
-// column.
-func NewMappedFltCol(v []float64, h storage.Hinter) *FltCol {
-	c := NewFltCol(v)
-	c.Persist()
-	c.hint = h
-	return c
-}
-
-// NewMappedChrCol wraps a mapped byte slice as a persistent, hint-routing
-// column.
-func NewMappedChrCol(v []byte, h storage.Hinter) *ChrCol {
-	c := NewChrCol(v)
-	c.Persist()
-	c.hint = h
-	return c
-}
-
-// NewMappedBitCol wraps a mapped bool slice as a persistent, hint-routing
-// column.
-func NewMappedBitCol(v []bool, h storage.Hinter) *BitCol {
-	c := NewBitCol(v)
-	c.Persist()
-	c.hint = h
-	return c
-}
-
-// NewMappedDateCol wraps a mapped day-number slice as a persistent,
-// hint-routing column.
-func NewMappedDateCol(v []int32, h storage.Hinter) *DateCol {
-	c := NewDateCol(v)
-	c.Persist()
-	c.hint = h
 	return c
 }
 
@@ -116,9 +48,7 @@ func NewMappedDateCol(v []int32, h storage.Hinter) *DateCol {
 // a mapped character heap (the paper's variable-size atom layout, Fig. 2).
 // offHint advises the offset file, charHint the character file.
 func NewMappedStrCol(off []uint32, chars string, offHint, charHint storage.Hinter) *StrCol {
-	c := &StrCol{Off: off, Chars: chars}
+	c := &StrCol{Off: off, Chars: chars, hint: offHint, charHint: charHint}
 	c.Persist()
-	c.hint = offHint
-	c.charHint = charHint
 	return c
 }

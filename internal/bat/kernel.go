@@ -57,18 +57,13 @@ type KeyRep struct {
 	col   Column
 }
 
-// NewKeyRep builds the key representation of col. It reports false for
-// column implementations without a typed backing (none in this package).
-func NewKeyRep(c Column) (KeyRep, bool) { return NewKeyRepP(c, 1) }
+// NewKeyRep builds the key representation of col.
+func NewKeyRep(c Column) KeyRep { return NewKeyRepP(c, 1) }
 
 // NewKeyRepP builds the key representation of col, filling the rep vector on
 // up to workers goroutines (the fill is embarrassingly parallel; every
 // worker count yields the identical vector).
-func NewKeyRepP(c Column, workers int) (KeyRep, bool) {
-	exact, ok := repExactness(c)
-	if !ok {
-		return KeyRep{}, false
-	}
+func NewKeyRepP(c Column, workers int) KeyRep {
 	n := c.Len()
 	rep := make([]uint64, n)
 	if workers <= 1 || n < radixBuildMinRows {
@@ -79,22 +74,27 @@ func NewKeyRepP(c Column, workers int) (KeyRep, bool) {
 			fillKeyReps(c, rep, bounds[w][0], bounds[w][1])
 		})
 	}
-	return KeyRep{Rep: rep, Exact: exact, col: c}, true
+	return KeyRep{Rep: rep, Exact: repExact(c), col: c}
 }
 
-// repExactness reports whether rep equality is conclusive for col's kind,
-// and whether the kind has a key representation at all.
-func repExactness(c Column) (exact, ok bool) {
-	switch c.(type) {
-	case *VoidCol, *OIDCol, *IntCol, *DateCol, *ChrCol, *BitCol:
-		return true, true
-	case *FltCol, *StrCol:
-		return false, true
+// repExact reports whether rep equality is conclusive for col's kind:
+// floats (NaN, signed zero) and strings (hashed) need the verifier.
+func repExact(c Column) bool {
+	k := c.Kind()
+	return k != KFlt && k != KStr
+}
+
+// fltKeyRep is the key rep of a float: its bit pattern, with -0 and +0
+// folded into one key.
+func fltKeyRep(v float64) uint64 {
+	if v == 0 {
+		v = 0
 	}
-	return false, false
+	return math.Float64bits(v)
 }
 
-// fillKeyReps computes rep[i] for rows [lo, hi) of c.
+// fillKeyReps computes rep[i] = c.keyRepAt(i) for rows [lo, hi) of c as a
+// direct loop over the layout's backing, without a dynamic call per row.
 func fillKeyReps(c Column, rep []uint64, lo, hi int) {
 	switch cc := c.(type) {
 	case *VoidCol:
@@ -102,91 +102,45 @@ func fillKeyReps(c Column, rep []uint64, lo, hi int) {
 			rep[i] = uint64(cc.Seq) + uint64(i)
 		}
 	case *OIDCol:
-		for i := lo; i < hi; i++ {
-			rep[i] = uint64(cc.V[i])
-		}
+		fillFixedReps(cc.V, rep, lo, hi)
 	case *IntCol:
-		for i := lo; i < hi; i++ {
-			rep[i] = uint64(cc.V[i])
-		}
+		fillFixedReps(cc.V, rep, lo, hi)
 	case *DateCol:
-		for i := lo; i < hi; i++ {
-			rep[i] = uint64(cc.V[i])
-		}
+		fillFixedReps(cc.V, rep, lo, hi)
 	case *ChrCol:
-		for i := lo; i < hi; i++ {
-			rep[i] = uint64(cc.V[i])
-		}
-	case *BitCol:
-		for i := lo; i < hi; i++ {
-			if cc.V[i] {
-				rep[i] = 1
-			} else {
-				rep[i] = 0
-			}
-		}
+		fillFixedReps(cc.V, rep, lo, hi)
 	case *FltCol:
 		for i := lo; i < hi; i++ {
-			v := cc.V[i]
-			if v == 0 {
-				v = 0 // -0 and +0 are one key
-			}
-			rep[i] = math.Float64bits(v)
+			rep[i] = fltKeyRep(cc.V[i])
 		}
 	case *StrCol:
 		for i := lo; i < hi; i++ {
 			rep[i] = hashString(cc.At(i))
 		}
+	default: // *BitCol, never a hot key
+		for i := lo; i < hi; i++ {
+			rep[i] = c.keyRepAt(int32(i))
+		}
+	}
+}
+
+func fillFixedReps[E fixedElem](v []E, rep []uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		rep[i] = uint64(v[i])
 	}
 }
 
 // RowRep returns a per-row key-rep accessor over c — the vector-granular
 // counterpart of NewKeyRep: rep(i) equals NewKeyRep(c).Rep[i] bit for bit,
 // without materializing the O(n) vector. eq settles rep collisions and is
-// nil when rep equality is conclusive; ok is false for column
-// implementations without a key representation (none in this package).
-func RowRep(c Column) (rep func(i int32) uint64, eq KeyEq, ok bool) {
-	exact, ok := repExactness(c)
-	if !ok {
-		return nil, nil, false
-	}
-	if !exact {
+// nil when rep equality is conclusive.
+func RowRep(c Column) (rep func(i int32) uint64, eq KeyEq) {
+	if !repExact(c) {
 		// KeyEqual on inexact kinds reads the column directly; no Rep
 		// vector is needed.
 		eq = KeyRep{Exact: false, col: c}
 	}
-	switch cc := c.(type) {
-	case *VoidCol:
-		rep = func(i int32) uint64 { return uint64(cc.Seq) + uint64(i) }
-	case *OIDCol:
-		rep = func(i int32) uint64 { return uint64(cc.V[i]) }
-	case *IntCol:
-		rep = func(i int32) uint64 { return uint64(cc.V[i]) }
-	case *DateCol:
-		rep = func(i int32) uint64 { return uint64(cc.V[i]) }
-	case *ChrCol:
-		rep = func(i int32) uint64 { return uint64(cc.V[i]) }
-	case *BitCol:
-		rep = func(i int32) uint64 {
-			if cc.V[i] {
-				return 1
-			}
-			return 0
-		}
-	case *FltCol:
-		rep = func(i int32) uint64 {
-			v := cc.V[i]
-			if v == 0 {
-				v = 0 // -0 and +0 are one key
-			}
-			return math.Float64bits(v)
-		}
-	case *StrCol:
-		rep = func(i int32) uint64 { return hashString(cc.At(int(i))) }
-	default:
-		return nil, nil, false
-	}
-	return rep, eq, true
+	return c.keyRepAt, eq
 }
 
 // KeyEqual implements KeyEq on a single column under map-key semantics.
@@ -194,13 +148,12 @@ func (k KeyRep) KeyEqual(a, b int32) bool {
 	if k.Exact {
 		return k.Rep[a] == k.Rep[b]
 	}
-	switch c := k.col.(type) {
-	case *FltCol:
+	// The inexact kinds are exactly floats and strings (repExact).
+	if c, ok := k.col.(*FltCol); ok {
 		return c.V[a] == c.V[b]
-	case *StrCol:
-		return c.At(int(a)) == c.At(int(b))
 	}
-	return k.col.Get(int(a)) == k.col.Get(int(b))
+	c := k.col.(*StrCol)
+	return c.At(int(a)) == c.At(int(b))
 }
 
 // Verifier returns k as a KeyEq, or nil when rep equality is conclusive.
@@ -229,19 +182,14 @@ func normKind(k Kind) Kind {
 }
 
 // crossEq returns a verifier of value equality between row i of a and row j
-// of b (columns of the same kind), or nil when rep equality is conclusive.
+// of b, two columns of the same inexact kind (float or string).
 func crossEq(a, b Column) func(i, j int32) bool {
-	switch ca := a.(type) {
-	case *FltCol:
-		if cb, ok := b.(*FltCol); ok {
-			return func(i, j int32) bool { return ca.V[i] == cb.V[j] }
-		}
-	case *StrCol:
-		if cb, ok := b.(*StrCol); ok {
-			return func(i, j int32) bool { return ca.At(int(i)) == cb.At(int(j)) }
-		}
+	if ca, ok := a.(*FltCol); ok {
+		cb := b.(*FltCol)
+		return func(i, j int32) bool { return ca.V[i] == cb.V[j] }
 	}
-	return func(i, j int32) bool { return a.Get(int(i)) == b.Get(int(j)) }
+	ca, cb := a.(*StrCol), b.(*StrCol)
+	return func(i, j int32) bool { return ca.At(int(i)) == cb.At(int(j)) }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,11 +253,15 @@ func (g *Grouper) Slot(rep uint64, row int32, eq KeyEq) (int32, bool) {
 
 // ---------------------------------------------------------------------------
 // Merge-join kernel: unboxed two-cursor merge of a sorted tail against a
-// sorted head, one generic instantiation per fixed-width element type.
+// sorted head, one generic instantiation per ordered element type.
 
-func mergeJoinTyped[E interface {
-	~uint8 | ~int32 | ~uint32 | ~int64 | ~float64
-}](lt, rh []E, lpos, rpos []int32) ([]int32, []int32) {
+// orderedElem are the fixed-width element types with a native order: all
+// of Fixed but bool.
+type orderedElem interface {
+	OID | int64 | float64 | byte | int32
+}
+
+func mergeJoinTyped[E orderedElem](lt, rh []E, lpos, rpos []int32) ([]int32, []int32) {
 	i, j := 0, 0
 	nl, nr := len(lt), len(rh)
 	for i < nl && j < nr {
@@ -330,6 +282,16 @@ func mergeJoinTyped[E interface {
 	return lpos, rpos
 }
 
+// mergeJoinFixed runs the typed merge when rh has a's element type.
+func mergeJoinFixed[E orderedElem](a *FixedCol[E], rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
+	b, ok := rh.(*FixedCol[E])
+	if !ok {
+		return lpos, rpos, false
+	}
+	lpos, rpos = mergeJoinTyped(a.V, b.V, lpos, rpos)
+	return lpos, rpos, true
+}
+
 // MergeJoinPositions merges the (ascending) column lt against the
 // (ascending) column rh, appending every matching position pair to
 // lpos/rpos in left order. It reports false when the column pair has no
@@ -337,30 +299,15 @@ func mergeJoinTyped[E interface {
 func MergeJoinPositions(lt, rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
 	switch a := lt.(type) {
 	case *OIDCol:
-		if b, ok := rh.(*OIDCol); ok {
-			lpos, rpos = mergeJoinTyped(a.V, b.V, lpos, rpos)
-			return lpos, rpos, true
-		}
+		return mergeJoinFixed(a, rh, lpos, rpos)
 	case *IntCol:
-		if b, ok := rh.(*IntCol); ok {
-			lpos, rpos = mergeJoinTyped(a.V, b.V, lpos, rpos)
-			return lpos, rpos, true
-		}
+		return mergeJoinFixed(a, rh, lpos, rpos)
 	case *FltCol:
-		if b, ok := rh.(*FltCol); ok {
-			lpos, rpos = mergeJoinTyped(a.V, b.V, lpos, rpos)
-			return lpos, rpos, true
-		}
+		return mergeJoinFixed(a, rh, lpos, rpos)
 	case *DateCol:
-		if b, ok := rh.(*DateCol); ok {
-			lpos, rpos = mergeJoinTyped(a.V, b.V, lpos, rpos)
-			return lpos, rpos, true
-		}
+		return mergeJoinFixed(a, rh, lpos, rpos)
 	case *ChrCol:
-		if b, ok := rh.(*ChrCol); ok {
-			lpos, rpos = mergeJoinTyped(a.V, b.V, lpos, rpos)
-			return lpos, rpos, true
-		}
+		return mergeJoinFixed(a, rh, lpos, rpos)
 	case *StrCol:
 		if b, ok := rh.(*StrCol); ok {
 			i, j := 0, 0

@@ -176,14 +176,82 @@ func TestHashIndexJoinRangeParity(t *testing.T) {
 	}
 }
 
+// TestHashIndexVectorKernelParity drives the selection-vector entry points
+// directly: over any ascending position list, FilterPositions and
+// JoinPositions must emit exactly what FilterRange and JoinRange emit for
+// the same rows probed one at a time — for the inline-rep kinds (oid, int,
+// date, chr, void probes), the rep-vector kinds (flt, str, bit), bucket and
+// dense indexes, semijoin and anti-semijoin polarity.
+func TestHashIndexVectorKernelParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	type pair struct {
+		name         string
+		build, probe Column
+	}
+	var pairs []pair
+	for _, n := range []int{0, 1, 300} { // 300 rows span more than one probeBlock
+		builds := kernelTestColumns(rng, n, false)
+		probes := kernelTestColumns(rng, n+7, false)
+		for kind, col := range builds {
+			pairs = append(pairs, pair{fmt.Sprintf("%s/n=%d", kind, n), col, probes[kind]})
+		}
+		// dense accelerators (void build side), probed by oid and void columns
+		pairs = append(pairs,
+			pair{fmt.Sprintf("dense-oid/n=%d", n), NewVoid(3, n), probes[KOID]},
+			pair{fmt.Sprintf("dense-void/n=%d", n), NewVoid(3, n), NewVoid(0, n+7)},
+			pair{fmt.Sprintf("void-probe/n=%d", n), builds[KOID], NewVoid(0, n+7)})
+	}
+	for _, pc := range pairs {
+		idx := BuildHashIndex(pc.build)
+		pr, ok := idx.NewProbe(pc.probe)
+		if !ok {
+			t.Fatalf("%s: no typed probe", pc.name)
+		}
+		m := pc.probe.Len()
+		all := make([]int32, m)
+		var some []int32
+		for i := range all {
+			all[i] = int32(i)
+			if rng.Intn(3) > 0 {
+				some = append(some, int32(i))
+			}
+		}
+		for _, sel := range [][]int32{nil, all, some} {
+			for _, want := range []bool{true, false} {
+				var ref []int32
+				for _, i := range sel {
+					ref = idx.FilterRange(pr, int(i), int(i)+1, want, ref)
+				}
+				got := idx.FilterPositions(pr, sel, want, nil)
+				if fmt.Sprint(got) != fmt.Sprint(ref) {
+					t.Fatalf("%s: FilterPositions(want=%v) = %v, FilterRange gives %v", pc.name, want, got, ref)
+				}
+				if vec := idx.FilterVec(pr, Vector{Lo: 0, Hi: m, Sel: sel}, want, nil); sel != nil && fmt.Sprint(vec) != fmt.Sprint(ref) {
+					t.Fatalf("%s: FilterVec(want=%v) = %v, want %v", pc.name, want, vec, ref)
+				}
+			}
+			var refL, refR []int32
+			for _, i := range sel {
+				refL, refR = idx.JoinRange(pr, int(i), int(i)+1, refL, refR)
+			}
+			gotL, gotR := idx.JoinPositions(pr, sel, nil, nil)
+			if fmt.Sprint(gotL, gotR) != fmt.Sprint(refL, refR) {
+				t.Fatalf("%s: JoinPositions = %v/%v, JoinRange gives %v/%v", pc.name, gotL, gotR, refL, refR)
+			}
+		}
+		// a full selection is the range probe
+		hits := idx.FilterRange(pr, 0, m, true, nil)
+		if got := idx.FilterPositions(pr, all, true, nil); fmt.Sprint(got) != fmt.Sprint(hits) {
+			t.Fatalf("%s: full selection %v != range %v", pc.name, got, hits)
+		}
+	}
+}
+
 // TestKeyRepSemantics pins the map-key equality semantics of the reps.
 func TestKeyRepSemantics(t *testing.T) {
 	nan := math.NaN()
 	col := NewFltCol([]float64{0, math.Copysign(0, -1), nan, nan, 1})
-	kr, ok := NewKeyRep(col)
-	if !ok {
-		t.Fatal("no rep for float column")
-	}
+	kr := NewKeyRep(col)
 	if kr.Exact {
 		t.Fatal("float reps must be inexact")
 	}
@@ -201,7 +269,7 @@ func TestKeyRepSemantics(t *testing.T) {
 // TestGrouperFirstOccurrenceOrder: slots are dense and handed out in first
 // occurrence order, with collision verification on composite keys.
 func TestGrouperFirstOccurrenceOrder(t *testing.T) {
-	a, _ := NewKeyRep(NewIntCol([]int64{5, 3, 5, 9, 3}))
+	a := NewKeyRep(NewIntCol([]int64{5, 3, 5, 9, 3}))
 	g := NewGrouper(5)
 	var slots []int32
 	for i := 0; i < 5; i++ {

@@ -6,81 +6,13 @@ package bat
 // — for as long as it lives. Unshare produces an equivalent BAT whose
 // columns own exactly their logical extent, cutting that tie.
 
-// viewColumn reports whether col shares another column's backing storage.
-func viewColumn(col Column) bool {
-	switch c := col.(type) {
-	case *OIDCol:
-		return c.view
-	case *IntCol:
-		return c.view
-	case *FltCol:
-		return c.view
-	case *ChrCol:
-		return c.view
-	case *BitCol:
-		return c.view
-	case *DateCol:
-		return c.view
-	case *StrCol:
-		return c.view
-	}
-	return false
-}
-
 // UnshareColumn returns col itself when it owns its backing, or a compact
-// materialized copy when it is a view. String copies rebuild the character
-// heap from the referenced substrings only, so a 10-row view over a
-// megabyte heap compacts to the bytes of those 10 strings. Copies are
-// transient (no heap id): the pager charged the view's accesses already,
-// and the copy is intermediate state, not base data.
-func UnshareColumn(col Column) Column {
-	switch c := col.(type) {
-	case *OIDCol:
-		if !c.view {
-			return col
-		}
-		return NewOIDCol(append([]OID(nil), c.V...))
-	case *IntCol:
-		if !c.view {
-			return col
-		}
-		return NewIntCol(append([]int64(nil), c.V...))
-	case *FltCol:
-		if !c.view {
-			return col
-		}
-		return NewFltCol(append([]float64(nil), c.V...))
-	case *ChrCol:
-		if !c.view {
-			return col
-		}
-		return NewChrCol(append([]byte(nil), c.V...))
-	case *BitCol:
-		if !c.view {
-			return col
-		}
-		return NewBitCol(append([]bool(nil), c.V...))
-	case *DateCol:
-		if !c.view {
-			return col
-		}
-		return NewDateCol(append([]int32(nil), c.V...))
-	case *StrCol:
-		if !c.view {
-			return col
-		}
-		out := make([]string, c.Len())
-		for i := range out {
-			out[i] = c.At(i)
-		}
-		return NewStrColFromStrings(out)
-	}
-	return col
-}
+// materialized copy when it is a view.
+func UnshareColumn(col Column) Column { return col.unshare() }
 
 // Shared reports whether either of b's columns is a zero-copy view — i.e.
 // whether retaining b pins backing storage beyond its own logical extent.
-func (b *BAT) Shared() bool { return viewColumn(b.H) || viewColumn(b.T) }
+func (b *BAT) Shared() bool { return b.H.isView() || b.T.isView() }
 
 // Unshare returns b itself when both columns own their backing, or a new
 // BAT with each view column replaced by a compact copy. Properties carry
@@ -90,5 +22,5 @@ func (b *BAT) Unshare() *BAT {
 	if !b.Shared() {
 		return b
 	}
-	return New(b.Name, UnshareColumn(b.H), UnshareColumn(b.T), b.Props)
+	return New(b.Name, b.H.unshare(), b.T.unshare(), b.Props)
 }

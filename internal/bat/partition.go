@@ -198,15 +198,9 @@ func BuildGroupSlotsPartitionedSched(rep []uint64, eq KeyEq, s Sched) *GroupSlot
 	return buildGroupsPartitioned(rep, eq, s, true)
 }
 
-// BuildGroupFirstRowsPartitioned is the dedup-only variant: it returns just
-// the first-occurrence rows (ascending), skipping the per-row slot vector
-// and the rank-remap pass that consumers like Unique never read.
-func BuildGroupFirstRowsPartitioned(rep []uint64, eq KeyEq, workers int) []int32 {
-	return buildGroupsPartitioned(rep, eq, Sched{Workers: workers}, false).First
-}
-
-// BuildGroupFirstRowsPartitionedSched is the dedup-only variant under an
-// explicit work schedule.
+// BuildGroupFirstRowsPartitionedSched is the dedup-only variant: it returns
+// just the first-occurrence rows (ascending), skipping the per-row slot
+// vector and the rank-remap pass that consumers like Unique never read.
 func BuildGroupFirstRowsPartitionedSched(rep []uint64, eq KeyEq, s Sched) []int32 {
 	return buildGroupsPartitioned(rep, eq, s, false).First
 }

@@ -188,10 +188,7 @@ func TestBuildGroupSlotsPartitionedParity(t *testing.T) {
 	for _, n := range []int{0, 1, 37, 128, 2048} {
 		for _, allDup := range []bool{false, true} {
 			for kind, col := range kernelTestColumns(rng, n, allDup) {
-				kr, ok := NewKeyRep(col)
-				if !ok {
-					t.Fatalf("%s: no key rep", kind)
-				}
+				kr := NewKeyRep(col)
 				wantSlots, wantFirst := refGroupSlots(kr.Rep, kr.Verifier())
 				for _, sched := range []Sched{{Workers: 1}, {Workers: 3}, {Workers: 8}, {Workers: 8, Static: true}} {
 					gs := BuildGroupSlotsPartitionedSched(kr.Rep, kr.Verifier(), sched)
@@ -235,7 +232,7 @@ func TestBuildGroupSlotsPartitionedParity(t *testing.T) {
 func TestBuildGroupSlotsNaN(t *testing.T) {
 	nan := math.NaN()
 	col := NewFltCol([]float64{nan, 1, nan, 1, nan})
-	kr, _ := NewKeyRep(col)
+	kr := NewKeyRep(col)
 	for _, workers := range []int{1, 4} {
 		gs := BuildGroupSlotsPartitioned(kr.Rep, kr.Verifier(), workers)
 		want := []int32{0, 1, 2, 1, 3}

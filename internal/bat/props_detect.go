@@ -1,6 +1,6 @@
 package bat
 
-import "math"
+import "strings"
 
 // Run-time property re-detection (Section 5.1's "properties are maintained
 // by the kernel" taken one step further): many kernels produce results whose
@@ -55,113 +55,71 @@ func (b *BAT) DetectTailProps() Props {
 // accelerator whose cardinality equals the BAT length).
 func (b *BAT) NoteHeadKey() { b.detected.Or(uint32(HKey)) }
 
-// NoteTailKey records externally proven tail uniqueness.
-func (b *BAT) NoteTailKey() { b.detected.Or(uint32(TKey)) }
-
 // detectColProps scans one column and reports what holds, expressed in
 // head-side bits (HOrdered/HKey/HDense); callers working on a tail Swap()
 // the result. Keyness is only claimed when it falls out of the order scan
 // for free (strict ascent); duplicate detection on unordered data would
 // need a hash and is left to the accelerator path.
 func detectColProps(col Column) Props {
-	n := col.Len()
-	if n <= 1 {
-		p := HOrdered | HKey
-		if _, ok := col.(*OIDCol); ok {
-			p |= HDense
-		}
-		return p
-	}
 	switch c := col.(type) {
 	case *VoidCol:
 		return HDense | HOrdered | HKey
 	case *OIDCol:
-		strict, dense := true, true
-		for i := 1; i < n; i++ {
-			d := int64(c.V[i]) - int64(c.V[i-1])
-			if d < 0 {
-				return 0
-			}
-			if d == 0 {
-				strict = false
-			}
-			if d != 1 {
-				dense = false
-			}
+		p := scanAscending(c.V)
+		// A strictly ascending oid run is dense iff it spans exactly its
+		// length (one row counts as dense).
+		if n := len(c.V); p.Has(HKey) && (n == 0 || int(c.V[n-1]-c.V[0]) == n-1) {
+			p |= HDense
 		}
-		return orderedProps(strict, dense)
+		return p
 	case *IntCol:
-		return scanOrdered(n, func(i int) int64 {
-			if c.V[i] < c.V[i-1] {
-				return -1
-			} else if c.V[i] == c.V[i-1] {
-				return 0
-			}
-			return 1
-		})
+		return scanAscending(c.V)
 	case *DateCol:
-		return scanOrdered(n, func(i int) int64 {
-			if c.V[i] < c.V[i-1] {
-				return -1
-			} else if c.V[i] == c.V[i-1] {
-				return 0
-			}
-			return 1
-		})
+		return scanAscending(c.V)
 	case *ChrCol:
-		return scanOrdered(n, func(i int) int64 {
-			if c.V[i] < c.V[i-1] {
-				return -1
-			} else if c.V[i] == c.V[i-1] {
-				return 0
-			}
-			return 1
-		})
+		return scanAscending(c.V)
 	case *FltCol:
-		// NaN has no place in a total order; its presence voids the claim.
-		if math.IsNaN(c.V[0]) {
-			return 0
-		}
-		return scanOrdered(n, func(i int) int64 {
-			if math.IsNaN(c.V[i]) || c.V[i] < c.V[i-1] {
-				return -1
-			} else if c.V[i] == c.V[i-1] {
-				return 0
-			}
-			return 1
-		})
+		return scanAscending(c.V)
 	case *StrCol:
-		return scanOrdered(n, func(i int) int64 {
-			a, b := c.At(i-1), c.At(i)
-			if b < a {
+		return scanOrdered(c.Len(), func(i int) int { return strings.Compare(c.At(i), c.At(i-1)) })
+	default: // *BitCol: false orders before true
+		b := col.(*BitCol).V
+		return scanOrdered(len(b), func(i int) int {
+			switch {
+			case b[i-1] && !b[i]:
 				return -1
-			} else if b == a {
+			case b[i-1] == b[i]:
 				return 0
 			}
 			return 1
-		})
-	case *BitCol:
-		strict := true
-		for i := 1; i < n; i++ {
-			if c.V[i-1] && !c.V[i] {
-				return 0
-			}
-			if c.V[i-1] == c.V[i] {
-				strict = false
-			}
-		}
-		return orderedProps(strict, false)
-	default:
-		return scanOrdered(n, func(i int) int64 {
-			return int64(Compare(col.Get(i-1), col.Get(i))) * -1
 		})
 	}
 }
 
-// scanOrdered drives the inversion scan: cmp(i) reports the sign of
-// element i relative to its predecessor (-1 = inversion, 0 = equal,
-// 1 = ascent).
-func scanOrdered(n int, cmp func(i int) int64) Props {
+// scanAscending is the inversion scan over a natively ordered backing
+// slice. NaN has no place in a total order; its presence voids the claim —
+// v[i-1] <= v[i] is false with a NaN on either side, and a lone NaN fails
+// the reflexive check.
+func scanAscending[E orderedElem](v []E) Props {
+	if len(v) == 1 && v[0] != v[0] {
+		return 0
+	}
+	strict := true
+	for i := 1; i < len(v); i++ {
+		if !(v[i-1] <= v[i]) {
+			return 0
+		}
+		if v[i-1] == v[i] {
+			strict = false
+		}
+	}
+	return orderedProps(strict)
+}
+
+// scanOrdered drives the inversion scan for the layouts without a native
+// slice order: cmp(i) reports the sign of element i relative to its
+// predecessor (-1 = inversion, 0 = equal, 1 = ascent).
+func scanOrdered(n int, cmp func(i int) int) Props {
 	strict := true
 	for i := 1; i < n; i++ {
 		switch c := cmp(i); {
@@ -171,16 +129,12 @@ func scanOrdered(n int, cmp func(i int) int64) Props {
 			strict = false
 		}
 	}
-	return orderedProps(strict, false)
+	return orderedProps(strict)
 }
 
-func orderedProps(strict, dense bool) Props {
-	p := HOrdered
+func orderedProps(strict bool) Props {
 	if strict {
-		p |= HKey
+		return HOrdered | HKey
 	}
-	if dense {
-		p |= HDense | HKey
-	}
-	return p
+	return HOrdered
 }

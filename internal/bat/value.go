@@ -52,25 +52,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Width reports the per-entry byte width used for page-fault accounting.
-// Strings report the width of their offset entry; their character data is
-// accounted against the string heap separately.
-func (k Kind) Width() int {
-	switch k {
-	case KVoid:
-		return 0
-	case KOID, KInt, KDate:
-		return 4
-	case KFlt:
-		return 8
-	case KStr:
-		return 4
-	case KChr, KBit:
-		return 1
-	}
-	return 4
-}
-
 // Value is a boxed atomic value. It is a comparable struct so that it can be
 // used directly as a hash key by the hash-based operators.
 type Value struct {

@@ -32,9 +32,6 @@ func (v Vector) Rows() int {
 	return v.Hi - v.Lo
 }
 
-// Contiguous reports whether the vector is a plain window with no selection.
-func (v Vector) Contiguous() bool { return v.Sel == nil }
-
 // Touch attributes the vector's reads of column c to tracker p: one
 // TouchRange span for a contiguous window (the same spans full-column scans
 // report), per-position touches for a selection.

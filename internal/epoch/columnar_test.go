@@ -44,7 +44,7 @@ func crashLoadEnv(dir string) (mil.Env, error) {
 		return nil, os.ErrNotExist
 	}
 	vals := heapfile.View[int64](m)
-	col := bat.NewMappedIntCol(vals, m)
+	col := bat.NewMappedCol(vals, m)
 	b := bat.New("data", bat.NewVoid(0, len(vals)), col, 0)
 	return mil.Env{"data": b}, nil
 }

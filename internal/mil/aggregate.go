@@ -103,10 +103,10 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	b.T.TouchAll(p)
 	n := b.Len()
 	k := workersFor(ctx, n)
-	hr, ok := bat.NewKeyRepP(b.H, k)
-	if n == 0 || !ok {
+	if n == 0 {
 		return aggrBoxed(ctx, fn, b)
 	}
+	hr := bat.NewKeyRepP(b.H, k)
 	eq := hr.Verifier()
 	if b.Props.Has(bat.HOrdered) {
 		ctx.chose("ordered-aggr")
@@ -487,8 +487,8 @@ func (a *aggPart) minmaxCol(fn string, kind bat.Kind) bat.Column {
 	panic("mil: typed min/max over kind " + kind.String())
 }
 
-// aggrBoxed is the boxed reference implementation (also the fallback for
-// empty inputs and columns without typed backing).
+// aggrBoxed is the boxed reference implementation (it also serves empty
+// inputs).
 func aggrBoxed(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	if b.Props.Has(bat.HOrdered) {
 		return aggrOrderedBoxed(ctx, fn, b)

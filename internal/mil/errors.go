@@ -28,7 +28,7 @@ import (
 //     min/max over a kind the typed scan never selects (aggregate.go:411 —
 //     the boxed fallback handles str/bit/oid), MustDate on bad literals
 //     (value.go:124 — compiled-in literals only). If one fires during a
-//     served query, the per-statement recovery boundary in RunScope
+//     served query, the per-statement recovery boundary in runScope
 //     converts it into a *PanicError (op trace + stack attached) rather
 //     than letting it unwind the process; the engine wraps that as a typed
 //     internal error and the server quarantines the offending cached plan.

@@ -5,9 +5,9 @@ import (
 )
 
 // Unique implements AB.unique: it removes duplicate BUNs, keeping first
-// occurrences, so order properties of the operand are preserved. The typed
-// path dedupes composite (head, tail) key reps through the bucket+link
-// grouper; the boxed map path remains as fallback (and parity reference).
+// occurrences, so order properties of the operand are preserved. It dedupes
+// composite (head, tail) key reps through the bucket+link grouper;
+// uniqueBoxed is the parity reference.
 func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	ctx.chose("hash-unique")
 	p := ctx.pager()
@@ -15,11 +15,8 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	b.T.TouchAll(p)
 	n := b.Len()
 	k := workersFor(ctx, n)
-	hr, ok1 := bat.NewKeyRepP(b.H, k)
-	tr, ok2 := bat.NewKeyRepP(b.T, k)
-	if !ok1 || !ok2 {
-		return uniqueBoxed(ctx, b)
-	}
+	hr := bat.NewKeyRepP(b.H, k)
+	tr := bat.NewKeyRepP(b.T, k)
 	eq := bat.PairEq{A: hr, B: tr} // Mix keys always need verifying
 	if k > 1 {
 		// Partitioned dedup: the first-occurrence rows of the partitioned
@@ -81,20 +78,17 @@ func GroupUnary(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	n := b.Len()
 	out := make([]bat.OID, n)
 	k := workersFor(ctx, n)
-	if tr, ok := bat.NewKeyRepP(b.T, k); ok {
-		eq := tr.Verifier()
-		if k > 1 {
-			gs := bat.BuildGroupSlotsPartitionedSched(tr.Rep, eq, ctx.sched(n))
-			slotsToOIDs(ctx, gs.Slots, out)
-		} else {
-			g := bat.NewGrouper(n)
-			for i := 0; i < n; i++ {
-				s, _ := g.Slot(tr.Rep[i], int32(i), eq)
-				out[i] = bat.OID(s)
-			}
-		}
+	tr := bat.NewKeyRepP(b.T, k)
+	eq := tr.Verifier()
+	if k > 1 {
+		gs := bat.BuildGroupSlotsPartitionedSched(tr.Rep, eq, ctx.sched(n))
+		slotsToOIDs(ctx, gs.Slots, out)
 	} else {
-		groupTailsBoxed(b, out)
+		g := bat.NewGrouper(n)
+		for i := 0; i < n; i++ {
+			s, _ := g.Slot(tr.Rep[i], int32(i), eq)
+			out[i] = bat.OID(s)
+		}
 	}
 	res := bat.New(b.Name+".grp", b.H, bat.NewOIDCol(out), b.Props&(bat.HOrdered|bat.HKey))
 	res.SyncWith(b)
@@ -110,7 +104,8 @@ func slotsToOIDs(ctx *Ctx, slots []int32, out []bat.OID) {
 	})
 }
 
-// groupTailsBoxed assigns group oids per distinct boxed tail value.
+// groupTailsBoxed assigns group oids per distinct boxed tail value; it is
+// GroupUnary's parity reference.
 func groupTailsBoxed(b *bat.BAT, out []bat.OID) {
 	ids := make(map[bat.Value]bat.OID, b.Len())
 	var next bat.OID
@@ -142,9 +137,9 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	out := make([]bat.OID, n)
 
 	k := workersFor(ctx, n)
-	gr, ok1 := bat.NewKeyRepP(g.T, k)
-	br, ok2 := bat.NewKeyRepP(b.T, k)
-	if bat.Synced(g, b) && ok1 && ok2 {
+	if bat.Synced(g, b) {
+		gr := bat.NewKeyRepP(g.T, k)
+		br := bat.NewKeyRepP(b.T, k)
 		eq := bat.PairEq{A: gr, B: br}
 		if k > 1 {
 			gs := bat.BuildGroupSlotsPartitionedSched(mixedReps(ctx, gr, br, n), eq, ctx.sched(n))

@@ -191,23 +191,23 @@ func syncJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 	return out, true
 }
 
+// denseSeq returns the first oid of r's dense head: the base that turns a
+// fetch-join probe into a positional index.
+func denseSeq(r *bat.BAT) bat.OID {
+	if h, ok := r.H.(*bat.VoidCol); ok {
+		return h.Seq
+	}
+	if r.Len() > 0 {
+		return r.H.Get(0).OID()
+	}
+	return 0
+}
+
 func fetchJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	ctx.chose("fetch-join")
 	p := ctx.pager()
 	l.T.TouchAll(p)
-	var seq bat.OID
-	switch h := r.H.(type) {
-	case *bat.VoidCol:
-		seq = h.Seq
-	case *bat.OIDCol:
-		if len(h.V) > 0 {
-			seq = h.V[0]
-		}
-	default:
-		if r.Len() > 0 {
-			seq = r.H.Get(0).OID()
-		}
-	}
+	seq := denseSeq(r)
 	n := r.Len()
 	nl := l.Len()
 	lpos := make([]int32, 0, nl)

@@ -34,7 +34,7 @@ func TestValidateStmtUserErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		prog := &Program{Stmts: []Stmt{tc.stmt}, Keep: []string{"x"}}
-		_, err := Run(nil, prog, env)
+		_, _, err := Exec(nil, prog, env)
 		var ue *UserError
 		if !errors.As(err, &ue) {
 			t.Errorf("%s: got %v, want *UserError", tc.name, err)
@@ -54,7 +54,7 @@ func TestExecHookPanicContained(t *testing.T) {
 	})
 	defer SetExecHook(nil)
 
-	_, err := Run(nil, q13Program(), buildQ13Env())
+	_, _, err := Exec(nil, q13Program(), buildQ13Env())
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *PanicError", err)
@@ -78,7 +78,7 @@ func TestCancelAtOperatorBoundary(t *testing.T) {
 	defer SetExecHook(nil)
 
 	ctx := &Ctx{Context: qctx}
-	_, err := Run(ctx, q13Program(), buildQ13Env())
+	_, _, err := Exec(ctx, q13Program(), buildQ13Env())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -96,7 +96,7 @@ func TestCancelStopsParallelDispatch(t *testing.T) {
 	cancel() // already dead when the first operator dispatches
 
 	ctx := &Ctx{Context: qctx, Workers: 4}
-	_, err := Run(ctx, q13Program(), buildQ13Env())
+	_, _, err := Exec(ctx, q13Program(), buildQ13Env())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

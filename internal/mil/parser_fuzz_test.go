@@ -58,7 +58,7 @@ func TestRunReportsMissingVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, prog, Env{}); err == nil {
+	if _, _, err := Exec(nil, prog, Env{}); err == nil {
 		t.Fatal("expected undefined-variable error")
 	}
 }

@@ -33,12 +33,12 @@ func TestParseFig10ScriptRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := buildQ13Env()
-	if _, err := Run(nil, prog, env); err != nil {
+	scope, _, err := Exec(nil, prog, buildQ13Env())
+	if err != nil {
 		t.Fatalf("run: %v\n%s", err, prog)
 	}
 	// Same expected result as TestQ13ProgramEndToEnd: 1994->180, 1995->730.
-	year, loss := env["YEAR"], env["LOSS"]
+	year, loss := scope.Vars["YEAR"], scope.Vars["LOSS"]
 	if year == nil || loss == nil {
 		t.Fatalf("results missing; keep = %v", prog.Keep)
 	}
@@ -74,15 +74,15 @@ func TestParseRoundTripThroughPrinter(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reparse of printer output: %v\n%s", err, printed)
 	}
-	env1 := buildQ13Env()
-	env2 := buildQ13Env()
-	if _, err := Run(nil, prog, env1); err != nil {
+	s1, _, err := Exec(nil, prog, buildQ13Env())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(nil, prog2, env2); err != nil {
+	s2, _, err := Exec(nil, prog2, buildQ13Env())
+	if err != nil {
 		t.Fatal(err)
 	}
-	l1, l2 := env1["LOSS"], env2["LOSS"]
+	l1, l2 := s1.Vars["LOSS"], s2.Vars["LOSS"]
 	if l1.Len() != l2.Len() {
 		t.Fatalf("results differ after round trip: %d vs %d", l1.Len(), l2.Len())
 	}

@@ -379,18 +379,7 @@ func buildChainPlan(p *Program, ch pchain, scope *Scope) (*pplan, bool) {
 				j.fetch = r.Props.Has(bat.HDense)
 			}
 			if j.fetch {
-				switch h := r.H.(type) {
-				case *bat.VoidCol:
-					j.seq = h.Seq
-				case *bat.OIDCol:
-					if len(h.V) > 0 {
-						j.seq = h.V[0]
-					}
-				default:
-					if r.Len() > 0 {
-						j.seq = r.H.Get(0).OID()
-					}
-				}
+				j.seq = denseSeq(r)
 			}
 			pl.join = &pstage{stmt: k, join: j}
 			pl.name += ".join"
@@ -406,9 +395,6 @@ func buildChainPlan(p *Program, ch pchain, scope *Scope) (*pplan, bool) {
 			}
 			pl.aggTail = tail
 			if s.Op == OpAggr {
-				if _, _, ok := bat.RowRep(b.H); !ok {
-					return nil, false
-				}
 				pl.term = termAggr
 			} else {
 				pl.term = termScalar
@@ -779,7 +765,7 @@ func (pl *pplan) aggrTerminal(ctx *Ctx, hrows, trows []int32) (*bat.BAT, error) 
 		}
 		return out, nil
 	}
-	rep, eq, _ := bat.RowRep(headCol) // availability checked at plan time
+	rep, eq := bat.RowRep(headCol)
 	g := bat.NewGrouper(len(hrows))
 	a := &aggPart{g: g}
 	slot := func(hr int32) (int32, bool) { return g.Slot(rep(hr), hr, eq) }

@@ -212,27 +212,6 @@ func Exec(ctx *Ctx, p *Program, env EnvReader) (*Scope, []StmtTrace, error) {
 	return scope, traces, err
 }
 
-// Run executes the program against env, materializing every statement's
-// result under its Dst name. Names already bound in env are treated as base
-// data: never released or accounted. It is a compatibility wrapper over
-// Exec — execution happens in a private Vars level and the surviving
-// bindings are merged back into env.
-func Run(ctx *Ctx, p *Program, env Env) ([]StmtTrace, error) {
-	scope, traces, err := Exec(ctx, p, env)
-	for k, v := range scope.Vars {
-		env[k] = v
-	}
-	return traces, err
-}
-
-// RunScope executes the program inside a caller-provided scope.
-//
-// Deprecated: use Exec, which owns scope construction; RunScope remains for
-// callers that pre-bind Vars before execution.
-func RunScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
-	return runScope(ctx, p, scope)
-}
-
 // runScope executes the program inside a two-level scope: base BATs resolve
 // through scope.Base (shared, read-only), every result lands in scope.Vars.
 // It performs simple liveness analysis: a non-kept intermediate is released

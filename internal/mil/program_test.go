@@ -70,17 +70,17 @@ func q13Program() *Program {
 func TestQ13ProgramEndToEnd(t *testing.T) {
 	env := buildQ13Env()
 	ctx := &Ctx{Pager: storage.NewPager(4096, 0)}
-	traces, err := Run(ctx, q13Program(), env)
+	scope, traces, err := Exec(ctx, q13Program(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(traces) != 17 {
 		t.Fatalf("traces = %d", len(traces))
 	}
-	year := env["YEAR"]
-	loss := env["LOSS"]
+	year := scope.Vars["YEAR"]
+	loss := scope.Vars["LOSS"]
 	if year == nil || loss == nil {
-		t.Fatal("kept results missing from env")
+		t.Fatal("kept results missing from scope")
 	}
 	// Expected: clerk#88 has orders 1 (1994) and 3 (1995); returned items:
 	// item1 (order1, 200*0.9=180), item4 (order3, 500*0.5=250),
@@ -115,17 +115,13 @@ func almost(a, b float64) bool { return a > b-1e-6 && a < b+1e-6 }
 func TestRunLivenessReleasesIntermediates(t *testing.T) {
 	env := buildQ13Env()
 	ctx := &Ctx{}
-	_, err := Run(ctx, q13Program(), env)
+	scope, _, err := Exec(ctx, q13Program(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only kept vars and base BATs may remain.
-	for name := range env {
-		switch name {
-		case "YEAR", "LOSS",
-			"Order_clerk", "Order_orderdate", "Item_order",
-			"Item_returnflag", "Item_extendedprice", "Item_discount":
-		default:
+	// Only kept vars may remain bound.
+	for name := range scope.Vars {
+		if name != "YEAR" && name != "LOSS" {
 			t.Errorf("intermediate %q not released", name)
 		}
 	}
@@ -139,7 +135,7 @@ func TestRunDatavectorReuseVisibleInTrace(t *testing.T) {
 	// would replace it with a full scan. The algo assertions below double
 	// as that no-pessimization guard.
 	ctx := &Ctx{Pager: storage.NewPager(64, 0)} // tiny pages to force faults
-	traces, err := Run(ctx, q13Program(), env)
+	_, traces, err := Exec(ctx, q13Program(), env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +156,7 @@ func TestRunErrorOnUndefinedVariable(t *testing.T) {
 	prog := &Program{Stmts: []Stmt{
 		{Dst: "x", Op: OpUnique, Args: []StmtArg{VarArg("missing")}},
 	}}
-	if _, err := Run(nil, prog, Env{}); err == nil {
+	if _, _, err := Exec(nil, prog, Env{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -170,7 +166,7 @@ func TestRunErrorOnUnknownOp(t *testing.T) {
 	prog := &Program{Stmts: []Stmt{
 		{Dst: "x", Op: "frobnicate", Args: []StmtArg{VarArg("a")}},
 	}}
-	if _, err := Run(nil, prog, env); err == nil {
+	if _, _, err := Exec(nil, prog, env); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -187,10 +183,11 @@ func TestScalarVarBroadcast(t *testing.T) {
 		},
 		Keep: []string{"share"},
 	}
-	if _, err := Run(nil, prog, env); err != nil {
+	scope, _, err := Exec(nil, prog, env)
+	if err != nil {
 		t.Fatal(err)
 	}
-	share := env["share"]
+	share := scope.Vars["share"]
 	want := []float64{10.0 / 60, 20.0 / 60, 30.0 / 60}
 	for i, w := range want {
 		if got := share.TailValue(i).F; !almost(got, w) {

@@ -2,6 +2,7 @@ package mil
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"testing"
 
@@ -148,6 +149,17 @@ func TestRedetectedPropsAreSound(t *testing.T) {
 		nb := bat.New(b.Name, b.H, b.T, b.KnownProps())
 		if err := nb.CheckProps(); err != nil {
 			t.Errorf("%s: re-detected properties are unsound: %v", b.Name, err)
+		}
+	}
+	// NaN has no place in a total order, so a tail holding one supports no
+	// order or key claim — whatever its length or the NaN's position (the
+	// one-row column used to slip past the check).
+	nan := math.NaN()
+	for _, tail := range [][]float64{{nan}, {nan, 1}, {1, nan}, {1, nan, 2}} {
+		heads := []bat.OID{1, 2, 3}[:len(tail)]
+		b := bat.New("nan", bat.NewOIDCol(heads), bat.NewFltCol(tail), 0)
+		if p := b.DetectTailProps(); p&(bat.TOrdered|bat.TKey|bat.TDense) != 0 {
+			t.Errorf("tail %v: detection claims %s", tail, p)
 		}
 	}
 }

@@ -27,7 +27,7 @@ func runSlice(t *testing.T, rows, n int) (*bat.BAT, *Ctx) {
 		Keep:  []string{"t"},
 	}
 	scope := NewScope(retainEnv(rows), len(p.Stmts))
-	if _, err := RunScope(ctx, p, scope); err != nil {
+	if _, err := runScope(ctx, p, scope); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	out := scope.Vars["t"]

@@ -107,20 +107,7 @@ func selectScan(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *b
 	n := b.Len()
 	switch t := b.T.(type) {
 	case *bat.IntCol:
-		loI, hiI, ok := intBounds(lo, hi, loIncl, hiIncl)
-		if ok {
-			pos = parallelCollect(ctx, n, func(from, to int) []int {
-				var p []int
-				for i := from; i < to; i++ {
-					if t.V[i] >= loI && t.V[i] <= hiI {
-						p = append(p, i)
-					}
-				}
-				return p
-			})
-		} else {
-			pos = scanGeneric(b, lo, hi, loIncl, hiIncl)
-		}
+		pos = scanClosed(ctx, b, t.V, lo, hi, loIncl, hiIncl)
 	case *bat.FltCol:
 		pos = parallelCollect(ctx, n, func(from, to int) []int {
 			var p []int
@@ -142,20 +129,7 @@ func selectScan(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *b
 			return p
 		})
 	case *bat.OIDCol:
-		loO, hiO, ok := oidBounds(lo, hi, loIncl, hiIncl)
-		if ok {
-			pos = parallelCollect(ctx, n, func(from, to int) []int {
-				var p []int
-				for i := from; i < to; i++ {
-					if v := int64(t.V[i]); v >= loO && v <= hiO {
-						p = append(p, i)
-					}
-				}
-				return p
-			})
-		} else {
-			pos = scanGeneric(b, lo, hi, loIncl, hiIncl)
-		}
+		pos = scanClosed(ctx, b, t.V, lo, hi, loIncl, hiIncl)
 	case *bat.StrCol:
 		loS, hiS, ok := strBounds(lo, hi)
 		if ok {
@@ -224,13 +198,42 @@ func scanGeneric(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) []int {
 	return pos
 }
 
-// intBounds converts optional boxed bounds into closed int64 bounds, when
-// both sides are int-typed (or absent).
-func intBounds(lo, hi *bat.Value, loIncl, hiIncl bool) (int64, int64, bool) {
+// scanClosed is the scan select over an integer-valued tail (int or oid):
+// with bounds of the tail's own kind it compares unboxed against closed
+// int64 bounds.
+func scanClosed[E int64 | bat.OID](ctx *Ctx, b *bat.BAT, v []E, lo, hi *bat.Value, loIncl, hiIncl bool) []int {
+	loI, hiI, ok := closedBounds(b.T.Kind(), lo, hi, loIncl, hiIncl)
+	if !ok {
+		return scanGeneric(b, lo, hi, loIncl, hiIncl)
+	}
+	return parallelCollect(ctx, len(v), func(from, to int) []int {
+		var p []int
+		for i := from; i < to; i++ {
+			if x := int64(v[i]); x >= loI && x <= hiI {
+				p = append(p, i)
+			}
+		}
+		return p
+	})
+}
+
+// closedPred is scanClosed's per-row predicate, or nil when a bound is not
+// of kind k.
+func closedPred[E int64 | bat.OID](k bat.Kind, v []E, lo, hi *bat.Value, loIncl, hiIncl bool) func(int32) bool {
+	loI, hiI, ok := closedBounds(k, lo, hi, loIncl, hiIncl)
+	if !ok {
+		return nil
+	}
+	return func(i int32) bool { x := int64(v[i]); return x >= loI && x <= hiI }
+}
+
+// closedBounds converts optional boxed bounds into closed int64 bounds, when
+// both sides are of kind k (or absent).
+func closedBounds(k bat.Kind, lo, hi *bat.Value, loIncl, hiIncl bool) (int64, int64, bool) {
 	loI := int64(-1 << 62)
 	hiI := int64(1<<62 - 1)
 	if lo != nil {
-		if lo.K != bat.KInt {
+		if lo.K != k {
 			return 0, 0, false
 		}
 		loI = lo.I
@@ -239,7 +242,7 @@ func intBounds(lo, hi *bat.Value, loIncl, hiIncl bool) (int64, int64, bool) {
 		}
 	}
 	if hi != nil {
-		if hi.K != bat.KInt {
+		if hi.K != k {
 			return 0, 0, false
 		}
 		hiI = hi.I
@@ -248,32 +251,6 @@ func intBounds(lo, hi *bat.Value, loIncl, hiIncl bool) (int64, int64, bool) {
 		}
 	}
 	return loI, hiI, true
-}
-
-// oidBounds converts optional boxed bounds into closed int64 bounds, when
-// both sides are oid-typed (or absent).
-func oidBounds(lo, hi *bat.Value, loIncl, hiIncl bool) (int64, int64, bool) {
-	loO := int64(-1 << 62)
-	hiO := int64(1<<62 - 1)
-	if lo != nil {
-		if lo.K != bat.KOID {
-			return 0, 0, false
-		}
-		loO = lo.I
-		if !loIncl {
-			loO++
-		}
-	}
-	if hi != nil {
-		if hi.K != bat.KOID {
-			return 0, 0, false
-		}
-		hiO = hi.I
-		if !hiIncl {
-			hiO--
-		}
-	}
-	return loO, hiO, true
 }
 
 // strBounds validates optional boxed bounds as string-typed (or absent).
@@ -332,12 +309,12 @@ func binSearchRun(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) (int, int)
 func tailPred(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) func(int32) bool {
 	switch t := b.T.(type) {
 	case *bat.IntCol:
-		if loI, hiI, ok := intBounds(lo, hi, loIncl, hiIncl); ok {
-			return func(i int32) bool { v := t.V[i]; return v >= loI && v <= hiI }
+		if pred := closedPred(bat.KInt, t.V, lo, hi, loIncl, hiIncl); pred != nil {
+			return pred
 		}
 	case *bat.OIDCol:
-		if loO, hiO, ok := oidBounds(lo, hi, loIncl, hiIncl); ok {
-			return func(i int32) bool { v := int64(t.V[i]); return v >= loO && v <= hiO }
+		if pred := closedPred(bat.KOID, t.V, lo, hi, loIncl, hiIncl); pred != nil {
+			return pred
 		}
 	case *bat.StrCol:
 		if loS, hiS, ok := strBounds(lo, hi); ok {

@@ -1,10 +1,6 @@
 package mil
 
-import (
-	"sort"
-
-	"repro/internal/bat"
-)
+import "repro/internal/bat"
 
 // The MOA set operations work on sets of identified values, so the BAT-level
 // set operations match elements on their identifier — the head column
@@ -94,40 +90,11 @@ func SortTail(ctx *Ctx, b *bat.BAT, desc bool) *bat.BAT {
 	p := ctx.pager()
 	b.T.TouchAll(p)
 	b.H.TouchAll(p)
-	n := b.Len()
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	valueLess := tailLess(b.T)
-	less := func(i, j int) bool { return valueLess(perm[i], perm[j]) }
-	if desc {
-		less = func(i, j int) bool { return valueLess(perm[j], perm[i]) }
-	}
-	sort.SliceStable(perm, less)
+	perm := bat.SortedPerm(b.T, desc)
 	out := bat.New(b.Name+".sort", bat.Gather(b.H, perm), bat.Gather(b.T, perm), 0)
 	if !desc {
 		out.Props |= bat.TOrdered
 	}
 	out.Props |= b.Props & (bat.HKey | bat.TKey)
 	return out
-}
-
-func tailLess(t bat.Column) func(i, j int) bool {
-	switch c := t.(type) {
-	case *bat.IntCol:
-		return func(i, j int) bool { return c.V[i] < c.V[j] }
-	case *bat.FltCol:
-		return func(i, j int) bool { return c.V[i] < c.V[j] }
-	case *bat.OIDCol:
-		return func(i, j int) bool { return c.V[i] < c.V[j] }
-	case *bat.DateCol:
-		return func(i, j int) bool { return c.V[i] < c.V[j] }
-	case *bat.ChrCol:
-		return func(i, j int) bool { return c.V[i] < c.V[j] }
-	case *bat.StrCol:
-		return func(i, j int) bool { return c.At(i) < c.At(j) }
-	default:
-		return func(i, j int) bool { return bat.Less(t.Get(i), t.Get(j)) }
-	}
 }

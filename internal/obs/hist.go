@@ -129,7 +129,7 @@ func (s HistSnapshot) Quantile(q float64) time.Duration {
 			return BucketBound(i)
 		}
 	}
-	return BucketBound(HistBuckets - 1) * 2
+	return BucketBound(HistBuckets-1) * 2
 }
 
 // Mean reports the arithmetic mean of all observations (exact — the sum is

@@ -16,10 +16,10 @@ func TestBucketOf(t *testing.T) {
 	}{
 		{-5, 0},
 		{0, 0},
-		{1, 0},  // le 2^0 = 1ns
-		{2, 1},  // le 2^1
-		{3, 2},  // le 2^2
-		{4, 2},  // exact power: own bound
+		{1, 0}, // le 2^0 = 1ns
+		{2, 1}, // le 2^1
+		{3, 2}, // le 2^2
+		{4, 2}, // exact power: own bound
 		{5, 3},
 		{1024, 10},
 		{1025, 11},

@@ -26,10 +26,11 @@ func run(t *testing.T, env mil.Env, src string) (*moa.SetVal, *Result) {
 		t.Fatalf("translate: %v", err)
 	}
 	ctx := &mil.Ctx{}
-	if _, err := mil.Run(ctx, res.Prog, env); err != nil {
+	scope, _, err := mil.Exec(ctx, res.Prog, env)
+	if err != nil {
 		t.Fatalf("run: %v\nprogram:\n%s", err, res.Prog)
 	}
-	out, err := moa.Materialize(env, res.Struct)
+	out, err := moa.Materialize(scope, res.Struct)
 	if err != nil {
 		t.Fatalf("materialize: %v\nstruct: %s", err, res.Struct.Render())
 	}

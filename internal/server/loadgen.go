@@ -57,14 +57,14 @@ type LoadConfig struct {
 
 // LoadReport summarizes a load-generation run.
 type LoadReport struct {
-	Clients       int
-	Elapsed       time.Duration
-	Queries       int64 // completed successfully
-	Errors        int64 // hard failures
-	Shed          int64 // overload refusals
-	Retries       int64 // re-issues after a refusal (== shed unless the run ended first)
-	Timeouts      int64 // queries stopped by deadline expiry
-	Canceled      int64 // queries stopped by cancellation
+	Clients   int
+	Elapsed   time.Duration
+	Queries   int64  // completed successfully
+	Errors    int64  // hard failures
+	Shed      int64  // overload refusals
+	Retries   int64  // re-issues after a refusal (== shed unless the run ended first)
+	Timeouts  int64  // queries stopped by deadline expiry
+	Canceled  int64  // queries stopped by cancellation
 	Ingests   int64  // ingests published (each one is an epoch swap)
 	LastEpoch uint64 // highest epoch id observed across all clients
 	QPS       float64

@@ -57,27 +57,6 @@ type heapMeta struct {
 
 const heapSchema = "tpcd-env/v1"
 
-func tailKindOf(c bat.Column) (string, error) {
-	switch c.(type) {
-	case *bat.OIDCol:
-		return "oid", nil
-	case *bat.IntCol:
-		return "int", nil
-	case *bat.FltCol:
-		return "flt", nil
-	case *bat.ChrCol:
-		return "chr", nil
-	case *bat.BitCol:
-		return "bit", nil
-	case *bat.DateCol:
-		return "date", nil
-	case *bat.StrCol:
-		return "str", nil
-	default:
-		return "", fmt.Errorf("unsupported column %T", c)
-	}
-}
-
 // classifyEntry derives the checkpoint shape of one env BAT.
 func classifyEntry(name string, b *bat.BAT) (heapEntry, error) {
 	if dv := b.Datavector(); dv != nil {
@@ -85,11 +64,10 @@ func classifyEntry(name string, b *bat.BAT) (heapEntry, error) {
 		if !dense {
 			return heapEntry{}, fmt.Errorf("heapstore: %s: sparse datavector extents are not checkpointable", name)
 		}
-		tk, err := tailKindOf(b.T)
-		if err != nil {
-			return heapEntry{}, fmt.Errorf("heapstore: %s: %w", name, err)
+		if b.T.Kind() == bat.KVoid {
+			return heapEntry{}, fmt.Errorf("heapstore: %s: void attr tails are not checkpointable", name)
 		}
-		e := heapEntry{Name: name, Kind: "attr", Rows: b.Len(), Tail: tk,
+		e := heapEntry{Name: name, Kind: "attr", Rows: b.Len(), Tail: b.T.Kind().String(),
 			Props: uint16(b.Props), DVBase: uint32(base)}
 		switch h := b.H.(type) {
 		case *bat.VoidCol:
@@ -265,17 +243,17 @@ func mappedColumn(s *heapfile.Store, base, kind string) (bat.Column, error) {
 	}
 	switch kind {
 	case "oid":
-		return bat.NewMappedOIDCol(heapfile.View[bat.OID](m), m), nil
+		return bat.NewMappedCol(heapfile.View[bat.OID](m), m), nil
 	case "int":
-		return bat.NewMappedIntCol(heapfile.View[int64](m), m), nil
+		return bat.NewMappedCol(heapfile.View[int64](m), m), nil
 	case "flt":
-		return bat.NewMappedFltCol(heapfile.View[float64](m), m), nil
+		return bat.NewMappedCol(heapfile.View[float64](m), m), nil
 	case "chr":
-		return bat.NewMappedChrCol(m.Bytes(), m), nil
+		return bat.NewMappedCol(m.Bytes(), m), nil
 	case "bit":
-		return bat.NewMappedBitCol(heapfile.View[bool](m), m), nil
+		return bat.NewMappedCol(heapfile.View[bool](m), m), nil
 	case "date":
-		return bat.NewMappedDateCol(heapfile.View[int32](m), m), nil
+		return bat.NewMappedCol(heapfile.View[int32](m), m), nil
 	case "str":
 		mc := s.Mapping(base + ".chars")
 		if mc == nil {
@@ -287,95 +265,25 @@ func mappedColumn(s *heapfile.Store, base, kind string) (bat.Column, error) {
 	}
 }
 
-// rebuildDatavector inverts the tail sort: scatter each (head oid, tail
-// value) back to extent position head-base, rebuilding the oid-ordered
-// vector the bulk loader fed to NewDenseDatavector. Deterministic, so the
-// accelerator matches the sim path bit-for-bit.
+// rebuildDatavector inverts the tail sort: gather the tail through the
+// inverse of the head permutation (extent position head-base ← row),
+// rebuilding the oid-ordered vector the bulk loader fed to
+// NewDenseDatavector. Deterministic, so the accelerator matches the sim path
+// bit-for-bit.
 func rebuildDatavector(base bat.OID, headAt func(int) bat.OID, tail bat.Column, rows int) (*bat.Datavector, error) {
-	pos := func(i int) (int, error) {
+	inv := make([]int32, rows)
+	for i := 0; i < rows; i++ {
 		o := headAt(i)
 		p := int(o) - int(base)
 		if p < 0 || p >= rows {
-			return 0, fmt.Errorf("heapstore: head oid %d outside dense extent [%d,%d)", o, base, int(base)+rows)
+			return nil, fmt.Errorf("heapstore: head oid %d outside dense extent [%d,%d)", o, base, int(base)+rows)
 		}
-		return p, nil
+		inv[p] = int32(i)
 	}
-	var vec bat.Column
-	switch t := tail.(type) {
-	case *bat.OIDCol:
-		v := make([]bat.OID, rows)
-		for i := 0; i < rows; i++ {
-			p, err := pos(i)
-			if err != nil {
-				return nil, err
-			}
-			v[p] = t.V[i]
-		}
-		vec = bat.NewOIDCol(v)
-	case *bat.IntCol:
-		v := make([]int64, rows)
-		for i := 0; i < rows; i++ {
-			p, err := pos(i)
-			if err != nil {
-				return nil, err
-			}
-			v[p] = t.V[i]
-		}
-		vec = bat.NewIntCol(v)
-	case *bat.FltCol:
-		v := make([]float64, rows)
-		for i := 0; i < rows; i++ {
-			p, err := pos(i)
-			if err != nil {
-				return nil, err
-			}
-			v[p] = t.V[i]
-		}
-		vec = bat.NewFltCol(v)
-	case *bat.ChrCol:
-		v := make([]byte, rows)
-		for i := 0; i < rows; i++ {
-			p, err := pos(i)
-			if err != nil {
-				return nil, err
-			}
-			v[p] = t.V[i]
-		}
-		vec = bat.NewChrCol(v)
-	case *bat.BitCol:
-		v := make([]bool, rows)
-		for i := 0; i < rows; i++ {
-			p, err := pos(i)
-			if err != nil {
-				return nil, err
-			}
-			v[p] = t.V[i]
-		}
-		vec = bat.NewBitCol(v)
-	case *bat.DateCol:
-		v := make([]int32, rows)
-		for i := 0; i < rows; i++ {
-			p, err := pos(i)
-			if err != nil {
-				return nil, err
-			}
-			v[p] = t.V[i]
-		}
-		vec = bat.NewDateCol(v)
-	case *bat.StrCol:
-		v := make([]string, rows)
-		for i := 0; i < rows; i++ {
-			p, err := pos(i)
-			if err != nil {
-				return nil, err
-			}
-			v[p] = t.At(i)
-		}
-		vec = bat.NewStrColFromStrings(v)
-	default:
-		return nil, fmt.Errorf("heapstore: unsupported datavector tail %T", tail)
-	}
-	return bat.NewDenseDatavector(base, vec), nil
+	// An identity permutation gathers as a view of the mapped tail; the
+	// vector must own its storage (and its own heap id once persisted), as
+	// the bulk loader's does.
+	return bat.NewDenseDatavector(base, bat.UnshareColumn(bat.Gather32(tail, inv))), nil
 }
 
 // loadEnvHeap maps a checkpoint directory back into a served env. The
