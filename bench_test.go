@@ -952,6 +952,68 @@ func BenchmarkPagerConcurrent(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationTouch: what one gather's page-touch accounting costs —
+// the ablation for taking it off the per-tuple path. 100k positions over an
+// 8-byte column (196 pages) on a warm unbounded pool, the serving regime;
+// one op is the whole list, ns/touch is the per-position cost.
+//
+// sorted|random × per-row: one Tracker.Touch per position, the former
+// protocol (and what the n-ary baseline still does) — a pool visit each.
+// sorted|random × batch: Tracker.TouchPositions — folded to one pool visit
+// per distinct page, so the random LOOKUP order of the datavector semijoin
+// costs what a sorted selection does.
+// nil-batch: the same call on a nil tracker, accounting off (-pages=-1) —
+// must stay at 0 allocs/op and a few ns per *call*.
+func BenchmarkAblationTouch(b *testing.B) {
+	const n, width = 100_000, 8
+	sorted := make([]int32, n)
+	for i := range sorted {
+		sorted[i] = int32(i)
+	}
+	random := append([]int32(nil), sorted...)
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { random[i], random[j] = random[j], random[i] })
+
+	pool := storage.NewPager(4096, 0)
+	h := pool.NewHeap()
+	pool.TouchRange(h, 0, n*width) // warm: every touch below is a hit
+	perTouch := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/touch")
+	}
+	for _, order := range []struct {
+		name string
+		pos  []int32
+	}{{"sorted", sorted}, {"random", random}} {
+		b.Run(order.name+"/per-row", func(b *testing.B) {
+			b.ReportAllocs()
+			tr := pool.NewTracker()
+			for i := 0; i < b.N; i++ {
+				for _, p := range order.pos {
+					tr.Touch(h, int64(p)*width)
+				}
+			}
+			perTouch(b)
+		})
+		b.Run(order.name+"/batch", func(b *testing.B) {
+			b.ReportAllocs()
+			tr := pool.NewTracker()
+			for i := 0; i < b.N; i++ {
+				tr.TouchPositions(h, 0, width, order.pos)
+			}
+			if got := tr.Hits(); got != uint64(b.N)*n {
+				b.Fatalf("batch counted %d touches, want %d", got, uint64(b.N)*n)
+			}
+			perTouch(b)
+		})
+	}
+	b.Run("nil-batch", func(b *testing.B) {
+		b.ReportAllocs()
+		var tr *storage.Tracker
+		for i := 0; i < b.N; i++ {
+			tr.TouchPositions(h, 0, width, random)
+		}
+	})
+}
+
 // BenchmarkAblationStorage quantifies the out-of-core storage tentpole:
 // the cost of bringing a database online (sim rebuilds columns in anonymous
 // memory from the WAL/snapshot; mmap maps heap-file checkpoints and

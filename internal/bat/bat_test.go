@@ -106,7 +106,7 @@ func TestVoidColumn(t *testing.T) {
 	// Void columns never fault.
 	p := storage.NewPager(4096, 0).NewTracker()
 	v.TouchAll(p)
-	v.TouchAt(p, 3)
+	v.TouchPositions(p, []int32{3})
 	if p.Faults() != 0 {
 		t.Errorf("void faulted %d times", p.Faults())
 	}
@@ -254,13 +254,13 @@ func TestSortOnTail(t *testing.T) {
 
 func TestDatavectorProbeDense(t *testing.T) {
 	dv := NewDenseDatavector(100, NewIntCol([]int64{7, 8, 9}))
-	if pos, ok := dv.Probe(nil, 101); !ok || pos != 1 {
+	if pos, ok := dv.Probe(101); !ok || pos != 1 {
 		t.Fatalf("probe(101) = %d,%v", pos, ok)
 	}
-	if _, ok := dv.Probe(nil, 99); ok {
+	if _, ok := dv.Probe(99); ok {
 		t.Fatal("probe below base must miss")
 	}
-	if _, ok := dv.Probe(nil, 103); ok {
+	if _, ok := dv.Probe(103); ok {
 		t.Fatal("probe past end must miss")
 	}
 	if dv.OIDAt(2) != 102 {
@@ -271,17 +271,55 @@ func TestDatavectorProbeDense(t *testing.T) {
 func TestDatavectorProbeSparse(t *testing.T) {
 	dv := NewDatavector([]OID{3, 7, 11, 19}, NewIntCol([]int64{1, 2, 3, 4}))
 	for i, oid := range []OID{3, 7, 11, 19} {
-		if pos, ok := dv.Probe(nil, oid); !ok || pos != i {
+		if pos, ok := dv.Probe(oid); !ok || pos != i {
 			t.Fatalf("probe(%d) = %d,%v, want %d", oid, pos, ok, i)
 		}
 	}
 	for _, oid := range []OID{0, 4, 12, 25} {
-		if _, ok := dv.Probe(nil, oid); ok {
+		if _, ok := dv.Probe(oid); ok {
 			t.Fatalf("probe(%d) must miss", oid)
 		}
 	}
 	if dv.OIDAt(1) != 7 {
 		t.Fatalf("OIDAt(1) = %d", dv.OIDAt(1))
+	}
+}
+
+// TestDatavectorProbeTouchesOnlyExtentEntries: a probe pass charges each
+// binary search the extent entry it ended on, and only an entry that
+// exists. The extent here fills its 4 KB page exactly, so a touch of "entry
+// 1024" — where the search for an oid above every extent oid ends — would
+// show as a phantom second page.
+func TestDatavectorProbeTouchesOnlyExtentEntries(t *testing.T) {
+	extent := make([]OID, 1024)
+	for i := range extent {
+		extent[i] = OID(2 * i)
+	}
+	dv := NewDatavector(extent, NewVoid(0, len(extent)))
+	probe := func(p *storage.Tracker, oids ...OID) (hits []int) {
+		dv.ProbeEach(p, len(oids), func(i int) OID { return oids[i] }, func(_, pos int) { hits = append(hits, pos) })
+		return hits
+	}
+
+	p := storage.NewPager(4096, 0).NewTracker()
+	if hits := probe(p, 5000); hits != nil {
+		t.Fatalf("probe above the extent hit %v", hits)
+	}
+	if p.Faults()+p.Hits() != 0 || p.Pool().Resident() != 0 {
+		t.Fatalf("out-of-range probe charged %d touches, %d pages resident; want none",
+			p.Faults()+p.Hits(), p.Pool().Resident())
+	}
+	// A hit on the last entry, a miss ending on entry 2, and the
+	// out-of-range probe again: two touches, one page.
+	if hits := probe(p, 2046, 3, 5000); len(hits) != 1 || hits[0] != 1023 {
+		t.Fatalf("probe hits = %v, want [1023]", hits)
+	}
+	if p.Faults()+p.Hits() != 2 || p.Pool().Resident() != 1 {
+		t.Fatalf("three probes charged %d touches, %d pages resident; want 2 and 1",
+			p.Faults()+p.Hits(), p.Pool().Resident())
+	}
+	if hits := probe(nil, 2046, 3, 5000); len(hits) != 1 {
+		t.Fatalf("untracked probe hits = %v", hits)
 	}
 }
 
@@ -314,7 +352,7 @@ func TestAttachDatavector(t *testing.T) {
 	}
 	// The vector preserves oid order: probe 103 must give "Peter".
 	dv := s.Datavector()
-	pos, ok := dv.Probe(nil, 103)
+	pos, ok := dv.Probe(103)
 	if !ok {
 		t.Fatal("probe(103) missed")
 	}

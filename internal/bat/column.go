@@ -31,8 +31,11 @@ type Column interface {
 	Get(i int) Value
 	// Heap identifies the column's BUN heap for fault accounting.
 	Heap() storage.HeapID
-	// TouchAt records a random access to entry i against the pager.
-	TouchAt(p *storage.Tracker, i int)
+	// TouchPositions records one random access per element of pos, in order,
+	// against the pager: the reads a Gather32 of those positions performs.
+	// The whole list reaches the pager as one batch, which visits the pool
+	// once per run of same-page touches instead of once per row.
+	TouchPositions(p *storage.Tracker, pos []int32)
 	// TouchRange records a sequential access to entries [i, i+n) against the
 	// pager, accounting one page span instead of n single touches.
 	TouchRange(p *storage.Tracker, i, n int)
@@ -85,8 +88,8 @@ func (c *VoidCol) Get(i int) Value { return O(c.Seq + OID(i)) }
 // Heap implements Column; void columns occupy no storage.
 func (c *VoidCol) Heap() storage.HeapID { return 0 }
 
-// TouchAt implements Column; void columns never fault.
-func (c *VoidCol) TouchAt(p *storage.Tracker, i int) {}
+// TouchPositions implements Column; void columns never fault.
+func (c *VoidCol) TouchPositions(p *storage.Tracker, pos []int32) {}
 
 // TouchRange implements Column; void columns never fault.
 func (c *VoidCol) TouchRange(p *storage.Tracker, i, n int) {}
@@ -233,9 +236,10 @@ func (c *FixedCol[T]) Get(i int) Value {
 // Heap implements Column.
 func (c *FixedCol[T]) Heap() storage.HeapID { return c.heap }
 
-// TouchAt implements Column.
-func (c *FixedCol[T]) TouchAt(p *storage.Tracker, i int) {
-	p.Touch(c.heap, int64(c.off+i)*c.width())
+// TouchPositions implements Column. Position touches never advise: the MMU
+// demand-pages single entries anyway.
+func (c *FixedCol[T]) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchPositions(c.heap, int64(c.off), c.width(), pos)
 }
 
 // TouchRange implements Column; the span is also forwarded to the mapping
@@ -371,14 +375,12 @@ func (c *StrCol) Get(i int) Value { return S(c.At(i)) }
 // Heap implements Column.
 func (c *StrCol) Heap() storage.HeapID { return c.heap }
 
-// TouchAt implements Column; it touches both the offset entry and the
-// character bytes.
-func (c *StrCol) TouchAt(p *storage.Tracker, i int) {
-	p.Touch(c.heap, int64(c.off+i)*4)
-	lo, hi := int64(c.Off[i]), int64(c.Off[i+1])
-	if hi > lo {
-		p.TouchRange(c.charHeap, lo, hi-lo)
-	}
+// TouchPositions implements Column; it touches the offset entries, then the
+// character bytes they delimit — heap at a time, the order a gather reads
+// them in.
+func (c *StrCol) TouchPositions(p *storage.Tracker, pos []int32) {
+	p.TouchPositions(c.heap, int64(c.off), 4, pos)
+	p.TouchSpans(c.charHeap, c.Off, pos)
 }
 
 // TouchRange implements Column; the character span is contiguous because
@@ -396,6 +398,9 @@ func (c *StrCol) TouchAll(p *storage.Tracker) {
 }
 
 func (c *StrCol) touchRange(p *storage.Tracker, i, n int, a storage.Advice) {
+	if n == 0 {
+		return // an empty range reads no offset entry, not even the closing one
+	}
 	adviseSpan(c.hint, a, int64(c.off+i)*4, int64(n+1)*4)
 	p.TouchRange(c.heap, int64(c.off+i)*4, int64(n+1)*4)
 	lo, hi := int64(c.Off[i]), int64(c.Off[i+n])

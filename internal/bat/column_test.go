@@ -134,14 +134,14 @@ func TestColumnLayouts(t *testing.T) {
 					extra = 1
 				}
 				p := bytePager()
-				c.TouchAt(p, 3)
+				c.TouchPositions(p, []int32{3})
 				if tc.kind == KStr {
 					// one offset byte-page plus the 4 characters of "sNNN"
 					if got := p.Pool().Resident(); got != 1+4 {
-						t.Fatalf("%s TouchAt: %d bytes touched, want 5", side.name, got)
+						t.Fatalf("%s TouchPositions: %d bytes touched, want 5", side.name, got)
 					}
 				} else if w > 0 {
-					assertSpan(t, side.name+" TouchAt", p, heap, (side.base+3)*w, 1)
+					assertSpan(t, side.name+" TouchPositions", p, heap, (side.base+3)*w, 1)
 				}
 				spans := []struct {
 					name string
@@ -175,6 +175,41 @@ func TestColumnLayouts(t *testing.T) {
 					default:
 						assertSpan(t, label, p, heap, (side.base+sp.i)*w, sp.n*w)
 					}
+				}
+			}
+
+			// Reading nothing costs nothing, in every layout: an empty range
+			// (an empty vector window, TouchAll of an empty column) and an
+			// empty position list touch no page and advise no span.
+			for _, c := range []Column{col, view, SliceView(col, lo, 0)} {
+				p := bytePager()
+				c.TouchRange(p, 2, 0)
+				c.TouchPositions(p, nil)
+				c.TouchPositions(p, []int32{})
+				if c.Len() == 0 {
+					c.TouchAll(p)
+				}
+				if p.Faults()+p.Hits() != 0 || p.Pool().Resident() != 0 {
+					t.Fatalf("empty touches of a %d-row column charged %d touches, %d bytes resident",
+						c.Len(), p.Faults()+p.Hits(), p.Pool().Resident())
+				}
+			}
+
+			// A multi-row TouchPositions is the per-row sequence: the same
+			// bytes resident, one touch per position for the fixed widths.
+			if tc.kind != KVoid {
+				p := bytePager()
+				view.TouchPositions(p, []int32{5, 1, 5, 9})
+				one := bytePager()
+				for _, i := range []int32{5, 1, 5, 9} {
+					view.TouchPositions(one, []int32{i})
+				}
+				if p.Pool().Resident() != one.Pool().Resident() || p.Faults() != one.Faults() || p.Hits() != one.Hits() {
+					t.Fatalf("TouchPositions batch %d resident %d+%d, row at a time %d resident %d+%d",
+						p.Pool().Resident(), p.Faults(), p.Hits(), one.Pool().Resident(), one.Faults(), one.Hits())
+				}
+				if tc.kind != KStr && p.Faults()+p.Hits() != 4 {
+					t.Fatalf("4 positions counted as %d touches", p.Faults()+p.Hits())
 				}
 			}
 
@@ -265,7 +300,7 @@ func TestMappedColHintSpans(t *testing.T) {
 		v := SliceView(c, 1000, n-1000)
 		v.TouchRange(nil, 10, n/2)
 		v.TouchAll(nil)
-		c.TouchAt(nil, 5) // single entries never advise
+		c.TouchPositions(nil, []int32{5}) // single entries never advise
 		want := [][2]int64{{1010 * w, int64(n/2) * w}, {1000 * w, int64(n-1000) * w}}
 		if len(h.spans) != 2 || h.spans[0] != want[0] || h.spans[1] != want[1] ||
 			h.advice[0] != storage.AdviceWillNeed || h.advice[1] != storage.AdviceSequential {

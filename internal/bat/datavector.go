@@ -89,8 +89,9 @@ func (dv *Datavector) ByteSize() int64 {
 
 // Probe locates oid x in the extent, returning its position and whether it
 // exists. It is "probedlookup(EXTENT, X)" from the pseudo-code: O(1) for a
-// dense extent, binary search otherwise.
-func (dv *Datavector) Probe(p *storage.Tracker, x OID) (int, bool) {
+// dense extent, binary search otherwise. Probe accounts nothing; operators
+// probe through ProbeEach.
+func (dv *Datavector) Probe(x OID) (int, bool) {
 	if dv.Extent == nil {
 		i := int(x) - int(dv.Base)
 		if i < 0 || i >= dv.N {
@@ -98,12 +99,46 @@ func (dv *Datavector) Probe(p *storage.Tracker, x OID) (int, bool) {
 		}
 		return i, true
 	}
-	i := sort.Search(len(dv.Extent), func(i int) bool { return dv.Extent[i] >= x })
-	p.Touch(dv.extHeap, int64(i)*4)
-	if i < len(dv.Extent) && dv.Extent[i] == x {
+	if i := dv.search(x); i < len(dv.Extent) && dv.Extent[i] == x {
 		return i, true
 	}
 	return 0, false
+}
+
+// search returns the position of the first extent oid >= x, len(Extent)
+// when there is none.
+func (dv *Datavector) search(x OID) int {
+	return sort.Search(len(dv.Extent), func(i int) bool { return dv.Extent[i] >= x })
+}
+
+// ProbeEach probes oid(0), ..., oid(n-1) into the extent, calling
+// hit(i, pos) for every oid found, in order. An explicit extent is a stored
+// heap: each binary search is charged the extent entry it ended on — hit or
+// miss, but only an entry that exists (a probe above every extent oid ends
+// past the heap and reads nothing) — and the pass reaches the pager as one
+// batch. A dense extent occupies no storage and is probed by arithmetic.
+func (dv *Datavector) ProbeEach(p *storage.Tracker, n int, oid func(int) OID, hit func(i, pos int)) {
+	if dv.Extent == nil || p == nil {
+		for i := 0; i < n; i++ {
+			if pos, ok := dv.Probe(oid(i)); ok {
+				hit(i, pos)
+			}
+		}
+		return
+	}
+	ended := make([]int32, 0, n)
+	for i := 0; i < n; i++ {
+		x := oid(i)
+		pos := dv.search(x)
+		if pos == len(dv.Extent) {
+			continue
+		}
+		ended = append(ended, int32(pos))
+		if dv.Extent[pos] == x {
+			hit(i, pos)
+		}
+	}
+	p.TouchPositions(dv.extHeap, 0, 4, ended)
 }
 
 // DenseExtent reports whether the extent is the dense sequence

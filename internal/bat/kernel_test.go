@@ -341,9 +341,9 @@ func TestIntColTouchStride(t *testing.T) {
 		t.Fatalf("full scan faults = %d, want 8 (8-byte entries)", got)
 	}
 	p2 := storage.NewPager(4096, 0).NewTracker()
-	c.TouchAt(p2, n-1) // last entry lives in the 8th page
+	c.TouchPositions(p2, []int32{n - 1}) // last entry lives in the 8th page
 	if got := p2.Faults(); got != 1 {
-		t.Fatalf("TouchAt faults = %d, want 1", got)
+		t.Fatalf("TouchPositions faults = %d, want 1", got)
 	}
 	if c.ByteSize() != n*8 {
 		t.Fatalf("bytesize = %d", c.ByteSize())

@@ -329,9 +329,11 @@ func TestColumnTouchRangeSpan(t *testing.T) {
 	}
 	// per-position touching of the same run costs one access per entry
 	p2 := storage.NewPager(4096, 0).NewTracker()
-	for i := 0; i < n; i++ {
-		c.TouchAt(p2, i)
+	run := make([]int32, n)
+	for i := range run {
+		run[i] = int32(i)
 	}
+	c.TouchPositions(p2, run)
 	if got := p2.Faults() + p2.Hits(); got != n {
 		t.Fatalf("per-position accesses = %d, want %d", got, n)
 	}

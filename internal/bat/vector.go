@@ -34,7 +34,7 @@ func (v Vector) Rows() int {
 
 // Touch attributes the vector's reads of column c to tracker p: one
 // TouchRange span for a contiguous window (the same spans full-column scans
-// report), per-position touches for a selection.
+// report), one batch of position touches for a selection.
 func (v Vector) Touch(p *storage.Tracker, c Column) {
 	if p == nil {
 		return
@@ -43,9 +43,7 @@ func (v Vector) Touch(p *storage.Tracker, c Column) {
 		c.TouchRange(p, v.Lo, v.Hi-v.Lo)
 		return
 	}
-	for _, i := range v.Sel {
-		c.TouchAt(p, int(i))
-	}
+	c.TouchPositions(p, v.Sel)
 }
 
 // FilterVec probes the rows selected by v and appends the positions with at

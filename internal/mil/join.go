@@ -65,15 +65,11 @@ func dvJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 	n := l.Len()
 	lpos := make([]int32, 0, n)
 	vpos := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if pos, hit := dv.Probe(p, lt(i)); hit {
-			lpos = append(lpos, int32(i))
-			vpos = append(vpos, int32(pos))
-			if p != nil {
-				dv.Vector.TouchAt(p, pos)
-			}
-		}
-	}
+	dv.ProbeEach(p, n, lt, func(i, pos int) {
+		lpos = append(lpos, int32(i))
+		vpos = append(vpos, int32(pos))
+	})
+	dv.Vector.TouchPositions(p, vpos)
 	out := bat.New(l.Name+".join", bat.Gather32(l.H, lpos), bat.Gather32(dv.Vector, vpos), 0)
 	if l.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
@@ -94,12 +90,8 @@ func dvJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 // when the right head is key.
 func joinResult(ctx *Ctx, l, r *bat.BAT, lpos, rpos []int32) *bat.BAT {
 	p := ctx.pager()
-	if p != nil {
-		for i := range lpos {
-			l.H.TouchAt(p, int(lpos[i]))
-			r.T.TouchAt(p, int(rpos[i]))
-		}
-	}
+	l.H.TouchPositions(p, lpos)
+	r.T.TouchPositions(p, rpos)
 	out := bat.New(l.Name+".join", bat.Gather32(l.H, lpos), bat.Gather32(r.T, rpos), 0)
 	if l.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered

@@ -715,12 +715,8 @@ func (pl *pplan) run(ctx *Ctx) (*bat.BAT, error) {
 func (pl *pplan) joinAssemble(ctx *Ctx, lpos, rpos []int32) *bat.BAT {
 	b, r := pl.b, pl.join.join.r
 	p := ctx.pager()
-	if p != nil {
-		for i := range lpos {
-			b.H.TouchAt(p, int(lpos[i]))
-			r.T.TouchAt(p, int(rpos[i]))
-		}
-	}
+	b.H.TouchPositions(p, lpos)
+	r.T.TouchPositions(p, rpos)
 	out := bat.New(pl.name, bat.Gather32(b.H, lpos), bat.Gather32(r.T, rpos), 0)
 	if b.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
@@ -779,12 +775,8 @@ func (pl *pplan) aggrTerminal(ctx *Ctx, hrows, trows []int32) (*bat.BAT, error) 
 		if we > len(hrows) {
 			we = len(hrows)
 		}
-		if p != nil {
-			for k := w; k < we; k++ {
-				headCol.TouchAt(p, int(hrows[k]))
-				tailCol.TouchAt(p, int(trows[k]))
-			}
-		}
+		headCol.TouchPositions(p, hrows[w:we])
+		tailCol.TouchPositions(p, trows[w:we])
 		a.scanRows(tailCol, hrows[w:we], trows[w:we], slot)
 	}
 	first := g.Rows()
@@ -813,9 +805,9 @@ func (pl *pplan) scalarTerminal(ctx *Ctx, trows []int32) (*bat.BAT, error) {
 		if we > len(trows) {
 			we = len(trows)
 		}
-		for k := w; k < we; k++ {
-			tailCol.TouchAt(p, int(trows[k]))
-			acc.add(tailCol.Get(int(trows[k])))
+		tailCol.TouchPositions(p, trows[w:we])
+		for _, r := range trows[w:we] {
+			acc.add(tailCol.Get(int(r)))
 		}
 	}
 	kind := aggResultKind(fn, tk)

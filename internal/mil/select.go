@@ -20,12 +20,10 @@ func gatherPositions[I int | int32](ctx *Ctx, name string, b *bat.BAT, pos []I) 
 	if lo, ok := bat.PositionRun(pos); ok {
 		return gatherRun(ctx, name, b, lo, len(pos))
 	}
-	p := ctx.pager()
-	if p != nil {
-		for _, i := range pos {
-			b.H.TouchAt(p, int(i))
-			b.T.TouchAt(p, int(i))
-		}
+	if p := ctx.pager(); p != nil {
+		p32 := positions32(pos)
+		b.H.TouchPositions(p, p32)
+		b.T.TouchPositions(p, p32)
 	}
 	out := bat.New(name, bat.GatherAny(b.H, pos), bat.GatherAny(b.T, pos), 0)
 	out.Props |= b.Props & (bat.HOrdered | bat.TOrdered | bat.HKey | bat.TKey)
@@ -33,6 +31,19 @@ func gatherPositions[I int | int32](ctx *Ctx, name string, b *bat.BAT, pos []I) 
 	// is positionally synced with its operand.
 	if len(pos) == b.Len() {
 		out.SyncWith(b)
+	}
+	return out
+}
+
+// positions32 narrows a position list to the width the pager batches take;
+// the typed kernels' lists already have it.
+func positions32[I int | int32](pos []I) []int32 {
+	if p32, ok := any(pos).([]int32); ok {
+		return p32
+	}
+	out := make([]int32, len(pos))
+	for i, x := range pos {
+		out[i] = int32(x)
 	}
 	return out
 }

@@ -73,8 +73,7 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		lookup := make([]int32, 0, r.Len())
 		rh := r.H
 		rh.TouchAll(p)
-		switch h := rh.(type) {
-		case *bat.OIDCol:
+		if h, ok := rh.(*bat.OIDCol); ok {
 			if dense, base, n := dv.DenseExtent(); dense {
 				// probedlookup against a dense extent is pure arithmetic:
 				// keep the loop free of per-element calls.
@@ -83,26 +82,16 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 						lookup = append(lookup, int32(i))
 					}
 				}
-			} else {
-				for _, x := range h.V {
-					if pos, ok := dv.Probe(p, x); ok {
-						lookup = append(lookup, int32(pos))
-					}
-				}
-			}
-		case *bat.VoidCol:
-			for i := 0; i < h.N; i++ {
-				if pos, ok := dv.Probe(p, h.Seq+bat.OID(i)); ok {
-					lookup = append(lookup, int32(pos))
-				}
-			}
-		default:
-			for i := 0; i < rh.Len(); i++ {
-				if pos, ok := dv.Probe(p, rh.Get(i).OID()); ok {
-					lookup = append(lookup, int32(pos))
-				}
+				return lookup
 			}
 		}
+		oid, ok := oidGetter(rh)
+		if !ok {
+			oid = func(i int) bat.OID { return rh.Get(i).OID() }
+		}
+		dv.ProbeEach(p, rh.Len(), oid, func(_, pos int) {
+			lookup = append(lookup, int32(pos))
+		})
 		return lookup
 	})
 
@@ -119,11 +108,7 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 			heads[i] = dv.OIDAt(int(pos))
 		}
 	}
-	if p != nil {
-		for _, pos := range lookup {
-			dv.Vector.TouchAt(p, int(pos))
-		}
-	}
+	dv.Vector.TouchPositions(p, lookup)
 	out := bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather32(dv.Vector, lookup), 0)
 	// Result BUNs follow r's order. If every r element matched, the result
 	// is positionally synced with r (and with any other full-match

@@ -189,7 +189,7 @@ func buildResolver(env mil.EnvReader, s Struct) (*resolver, error) {
 			// resolves oid→value in O(1) (dense extent) without building
 			// any hash.
 			get = func(id bat.Value) (Val, bool) {
-				pos, ok := dv.Probe(nil, bat.OID(id.I))
+				pos, ok := dv.Probe(bat.OID(id.I))
 				if !ok {
 					return nil, false
 				}

@@ -32,7 +32,7 @@ type Hinter interface {
 }
 
 // HintMinBytes is the smallest touch span worth a hint syscall. Per-BUN
-// touches (TouchAt) and sub-threshold ranges stay syscall-free: the MMU
+// touches (TouchPositions) and sub-threshold ranges stay syscall-free: the MMU
 // will demand-page them anyway, and a madvise per probe would cost more
 // than the fault it predicts. 16 pages amortizes the syscall ~16×.
 const HintMinBytes = 16 * DefaultPageSize

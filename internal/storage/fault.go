@@ -19,7 +19,9 @@ import (
 // FaultPlan configures deterministic fault injection on a Pager. Cadences
 // count eligible touches process-wide: FailEvery = 1000 panics on eligible
 // touch 1000, 2000, ... — a deterministic schedule per touch sequence (under
-// concurrency the interleaving varies, but the fault *rate* does not).
+// concurrency the interleaving varies, but the fault *rate* does not). When
+// touches reach the pool as a run (see Tracker.TouchPositions), the run that
+// contains touch 1000 is the one that fails.
 type FaultPlan struct {
 	// FailEvery, when > 0, panics with *InjectedFault on every Nth eligible
 	// touch.
@@ -37,7 +39,7 @@ type FaultPlan struct {
 
 // FaultInjector applies a FaultPlan to a Pager's touch stream. Attach with
 // Pager.SetFaultInjector; a nil injector (the default) costs one atomic
-// pointer load per touch.
+// pointer load per tracker call.
 type FaultInjector struct {
 	plan    FaultPlan
 	touches atomic.Uint64 // eligible touches seen
@@ -58,20 +60,27 @@ func (f *FaultInjector) Injected() (faults, delays uint64) {
 	return f.faults.Load(), f.delays.Load()
 }
 
-// visit is called by the pool's touch path for every persistent-heap touch;
-// it panics with *InjectedFault when the plan says this touch fails.
-func (f *FaultInjector) visit(k pageKey) {
+// visit is called by the pool for every visit of a persistent heap: n
+// touches of page k. Cadences count touches, not visits, so a run advances
+// the eligible-touch counter by n and fires when it crosses a multiple of
+// the cadence — the injection rate per touch is the same however the
+// touches are batched. The delay comes first, then the panic; a fired run
+// is recorded nowhere.
+func (f *FaultInjector) visit(k pageKey, n uint64) {
 	if f.plan.Heap != nil && !f.plan.Heap(k.heap) {
 		return
 	}
-	n := f.touches.Add(1)
-	if d := f.plan.DelayEvery; d > 0 && n%d == 0 && f.plan.Delay > 0 {
-		f.delays.Add(1)
-		time.Sleep(f.plan.Delay)
+	hi := f.touches.Add(n)
+	lo := hi - n
+	if d := f.plan.DelayEvery; d > 0 && f.plan.Delay > 0 {
+		if crossed := hi/d - lo/d; crossed > 0 {
+			f.delays.Add(crossed)
+			time.Sleep(f.plan.Delay * time.Duration(crossed))
+		}
 	}
-	if e := f.plan.FailEvery; e > 0 && n%e == 0 {
+	if e := f.plan.FailEvery; e > 0 && hi/e > lo/e {
 		f.faults.Add(1)
-		panic(&InjectedFault{Heap: k.heap, Page: k.page, N: n})
+		panic(&InjectedFault{Heap: k.heap, Page: k.page, N: (lo/e + 1) * e})
 	}
 }
 

@@ -51,6 +51,81 @@ func TestFaultInjectorCadence(t *testing.T) {
 	}
 }
 
+// TestFaultInjectorCadenceBatched: cadences count touches, not pool visits.
+// A batch reaches the pool as runs of n touches; a run advances the
+// eligible-touch counter by n and fires when it crosses a multiple of the
+// cadence, so the injection rate per touch is what the per-row protocol
+// had. The run that fires is recorded nowhere, the runs visited before it
+// stay attributed (Σ tracker == pool with the panic mid-batch), none after
+// it is visited, and the next batch carries the counter on.
+func TestFaultInjectorCadenceBatched(t *testing.T) {
+	// 120 positions over 8-byte entries: 30 on each of pages 0..3.
+	pos := make([]int32, 0, 120)
+	for pg := int32(0); pg < 4; pg++ {
+		for i := int32(0); i < 30; i++ {
+			pos = append(pos, pg*512+i)
+		}
+	}
+	for _, capacity := range []int{0, 64} { // folded, and ordered runs
+		p := NewPager(4096, capacity)
+		h := p.NewHeap()
+		inj := NewFaultInjector(FaultPlan{FailEvery: 100})
+		p.SetFaultInjector(inj)
+		tr := p.NewTracker()
+
+		r := catchPanic(func() { tr.TouchPositions(h, 0, 8, pos) })
+		f, ok := r.(*InjectedFault)
+		if !ok {
+			t.Fatalf("capacity %d: panicked with %T %v, want *InjectedFault", capacity, r, r)
+		}
+		// Touch 100 is the 10th touch of the fourth run (touches 91..120).
+		if f.N != 100 || f.Page != 3 {
+			t.Fatalf("capacity %d: fired on touch %d page %d, want touch 100 on page 3", capacity, f.N, f.Page)
+		}
+		if got := inj.touches.Load(); got != 120 {
+			t.Fatalf("capacity %d: eligible-touch counter %d after a 120-touch batch, want 120", capacity, got)
+		}
+		// Three runs recorded (one fault and 29 hits each), the fourth not.
+		if tr.Faults() != 3 || tr.Hits() != 87 || p.Faults() != 3 || p.Hits() != 87 || p.Resident() != 3 {
+			t.Fatalf("capacity %d: tracker %d+%d, pool %d+%d, resident %d; want 3+87 twice and 3",
+				capacity, tr.Faults(), tr.Hits(), p.Faults(), p.Hits(), p.Resident())
+		}
+		// The counter carries over: 120 + 79 stays short of 200, one more
+		// touch reaches it.
+		if r := catchPanic(func() { tr.TouchPositions(h, 0, 8, pos[:79]) }); r != nil {
+			t.Fatalf("capacity %d: fired at touch %d, before the cadence", capacity, inj.touches.Load())
+		}
+		if r := catchPanic(func() { tr.TouchPositions(h, 0, 8, pos[:1]) }); r == nil {
+			t.Fatalf("capacity %d: touch 200 did not fire", capacity)
+		}
+		if faults, _ := inj.Injected(); faults != 2 {
+			t.Fatalf("capacity %d: injector reports %d faults, want 2", capacity, faults)
+		}
+		if tr.Faults()+tr.Hits() != p.Faults()+p.Hits() {
+			t.Fatalf("capacity %d: conservation broken: tracker %d, pool %d",
+				capacity, tr.Faults()+tr.Hits(), p.Faults()+p.Hits())
+		}
+	}
+
+	// Delays: one run of 120 touches crosses two multiples of 50 and pays
+	// both, in one visit.
+	p := NewPager(4096, 0)
+	inj := NewFaultInjector(FaultPlan{DelayEvery: 50, Delay: 5 * time.Millisecond})
+	p.SetFaultInjector(inj)
+	tr := p.NewTracker()
+	start := time.Now()
+	tr.TouchPositions(p.NewHeap(), 0, 8, make([]int32, 120)) // 120 touches of entry 0
+	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
+		t.Fatalf("run crossing two delay multiples took %v, want >= 10ms", elapsed)
+	}
+	if _, delays := inj.Injected(); delays != 2 {
+		t.Fatalf("injector reports %d delays, want 2", delays)
+	}
+	if tr.Faults() != 1 || tr.Hits() != 119 {
+		t.Fatalf("delayed run recorded %d+%d, want 1+119", tr.Faults(), tr.Hits())
+	}
+}
+
 // TestFaultInjectorHeapFilter: a Heap predicate restricts eligibility, so a
 // chaos plan can target one base column while everything else proceeds.
 func TestFaultInjectorHeapFilter(t *testing.T) {

@@ -14,9 +14,37 @@
 // shared structure. Pages hash to stripes, each stripe guards its own table,
 // LRU list and fault/hit counters with its own mutex (so reading the
 // aggregates mid-query is race-free without a pool-global counter cache
-// line every touch would contend on). Per-query attribution — "how many faults did THIS query take",
-// the Figure 9/10 observable — is handled by Tracker, a per-query view that
-// forwards every touch to the shared pool and records the outcome locally.
+// line every visit would contend on).
+//
+// Accounting is a batch contract. Per-query attribution — "how many faults
+// did THIS query take", the Figure 9/10 observable — is handled by Tracker,
+// a per-query view of the shared pool. An operator hands the tracker what it
+// is about to read as one call — a byte range (TouchRange), a position list
+// over fixed-width entries (TouchPositions) or over an offset-addressed
+// heap (TouchSpans) — and the tracker counts one touch per page of the
+// range or per position of the list, exactly as a loop of single Touch
+// calls would, but visits the pool once per run of touches that land on the
+// same page: the first touch of a run decides fault or hit, the rest are
+// hits on the page now at the head of its stripe's LRU. Outcomes accumulate
+// in the batch and reach the tracker's atomics once. What is exact where:
+//
+//   - A pool that never evicts (capacity <= 0: the serving default and the
+//     paper's cold-start model) gives every query the counts of the
+//     single-touch loop in every execution mode — faults are the distinct
+//     pages not yet resident, hits are the other touches, and neither
+//     depends on order. Such a batch is folded to one visit per distinct
+//     page.
+//   - An evicting pool sees each batch's touches in the order given, with
+//     only adjacent same-page touches merged, so one batch leaves the
+//     counters, the resident set and the LRU order exactly as the
+//     single-touch loop over that list does. Across batches the order is
+//     the operators': they touch column at a time — the head positions of a
+//     gather, then its tail positions; a string column's offsets, then its
+//     characters — which is the order a gather reads memory in. Bounded-pool
+//     counts are deterministic for one session under that order.
+//
+// Every pool fault and hit is attributed to exactly one tracker, also when
+// an injected fault panics in the middle of a batch (see FaultInjector).
 //
 // A nil *Pager (or *Tracker) is valid everywhere and disables accounting,
 // which is the "database hot-set fits in main memory" regime the paper
@@ -24,6 +52,7 @@
 package storage
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -92,6 +121,7 @@ type stripe struct {
 // aggregate across all users.
 type Pager struct {
 	pageSize int64
+	shift    uint   // log2(pageSize) when it is a power of two above 1, else 0; see pageOf
 	capacity int    // max resident pages across all stripes; <= 0 unbounded
 	mask     uint64 // len(stripes) - 1
 
@@ -136,6 +166,7 @@ func NewPager(pageSize int64, capacity int) *Pager {
 	n := stripeCount(capacity)
 	p := &Pager{
 		pageSize: pageSize,
+		shift:    pageShift(pageSize),
 		capacity: capacity,
 		mask:     uint64(n - 1),
 		stripes:  make([]stripe, n),
@@ -153,6 +184,24 @@ func NewPager(pageSize int64, capacity int) *Pager {
 		}
 	}
 	return p
+}
+
+// pageShift returns log2(pageSize) for a power of two, else 0.
+func pageShift(pageSize int64) uint {
+	if pageSize&(pageSize-1) != 0 {
+		return 0
+	}
+	return uint(bits.TrailingZeros64(uint64(pageSize)))
+}
+
+// pageOf maps a byte offset to its page. The batch entries compute one page
+// per position, where a 64-bit division is a third of their cost; the usual
+// power-of-two page sizes shift instead.
+func (p *Pager) pageOf(off int64) int64 {
+	if p.shift != 0 {
+		return off >> p.shift
+	}
+	return off / p.pageSize
 }
 
 // PageSize reports the page size in bytes.
@@ -265,7 +314,7 @@ func (p *Pager) Touch(h HeapID, off int64) {
 	if p == nil || h == 0 {
 		return
 	}
-	p.touchKey(pageKey{h, off / p.pageSize})
+	p.touchRun(p.injector.Load(), pageKey{h, p.pageOf(off)}, 1)
 }
 
 // TouchRange records a sequential access to bytes [off, off+n) of heap h,
@@ -275,18 +324,23 @@ func (p *Pager) TouchRange(h HeapID, off, n int64) {
 	if p == nil || h == 0 || n <= 0 {
 		return
 	}
-	first := off / p.pageSize
-	last := (off + n - 1) / p.pageSize
-	for pg := first; pg <= last; pg++ {
-		p.touchKey(pageKey{h, pg})
+	inj := p.injector.Load()
+	last := p.pageOf(off + n - 1)
+	for pg := p.pageOf(off); pg <= last; pg++ {
+		p.touchRun(inj, pageKey{h, pg}, 1)
 	}
 }
 
-// touchKey routes the page to its stripe and reports whether the touch
-// faulted (the page was not resident).
-func (p *Pager) touchKey(k pageKey) bool {
-	if inj := p.injector.Load(); inj != nil {
-		inj.visit(k) // may sleep or panic; no locks held, nothing recorded yet
+// touchRun is the one pool visit: n >= 1 touches of page k with no other
+// touch of this caller in between. The first decides fault versus hit
+// against the page's stripe; the other n-1 find the page resident at the
+// head of that stripe's LRU, so they are hits that move nothing — exactly
+// what n single touches do — and are booked under the same lock. It reports
+// whether the first touch faulted. inj is the caller's one load of the
+// pool's injector, so a batch runs wholly with it or wholly without.
+func (p *Pager) touchRun(inj *FaultInjector, k pageKey, n uint64) bool {
+	if inj != nil {
+		inj.visit(k, n) // may sleep or panic; no locks held, nothing recorded yet
 	}
 	// splitmix-style mix of (heap, page): heaps are small sequential ints
 	// and page runs are sequential, so both need scrambling before masking.
@@ -298,6 +352,7 @@ func (p *Pager) touchKey(k pageKey) bool {
 
 	s.mu.Lock()
 	fault := s.touch(k)
+	s.hits += n - 1
 	s.mu.Unlock()
 	return fault
 }
@@ -418,12 +473,14 @@ func (t *Tracker) Hits() uint64 {
 
 // Touch records an access to byte offset off in heap h against the shared
 // pool, attributing the outcome to this tracker. Exactly one page is
-// touched. Accesses to transient storage (heap 0) are ignored.
+// touched. Accesses to transient storage (heap 0) are ignored. Operators
+// that know their positions up front use the batch entries below; Touch is
+// for access paths that discover them one at a time (the n-ary baseline).
 func (t *Tracker) Touch(h HeapID, off int64) {
 	if t == nil || h == 0 {
 		return
 	}
-	if t.pool.touchKey(pageKey{h, off / t.pool.pageSize}) {
+	if t.pool.touchRun(t.pool.injector.Load(), pageKey{h, t.pool.pageOf(off)}, 1) {
 		t.faults.Add(1)
 	} else {
 		t.hits.Add(1)
@@ -434,31 +491,207 @@ func (t *Tracker) Touch(h HeapID, off int64) {
 // against the shared pool, touching each page in the range once and
 // attributing the outcomes to this tracker. Accesses to transient storage
 // (heap 0) are ignored.
-//
-// Attribution is deferred so it also runs when an injected fault panics
-// mid-range: the pages touched before the panic were already recorded in
-// the pool, and losing their tracker counts would break the Σ(trackers) =
-// pool conservation invariant the chaos suite asserts.
 func (t *Tracker) TouchRange(h HeapID, off, n int64) {
 	if t == nil || h == 0 || n <= 0 {
 		return
 	}
-	first := off / t.pool.pageSize
-	last := (off + n - 1) / t.pool.pageSize
-	var faults, hits uint64
-	defer func() {
-		if faults > 0 {
-			t.faults.Add(faults)
-		}
-		if hits > 0 {
-			t.hits.Add(hits)
-		}
-	}()
-	for pg := first; pg <= last; pg++ {
-		if t.pool.touchKey(pageKey{h, pg}) {
-			faults++
-		} else {
-			hits++
+	b := t.begin(h)
+	if b.inj != nil {
+		defer b.book()
+	}
+	last := t.pool.pageOf(off + n - 1)
+	for pg := t.pool.pageOf(off); pg <= last; pg++ {
+		b.page(pg)
+	}
+	b.end()
+}
+
+// TouchPositions records one access per element of pos, in order, to a heap
+// of width-byte entries: element i touches the page holding byte
+// (base+i)*width. It is the batch form of one Touch per position — the
+// tracker and pool counters, and the pool's LRU state, end up exactly as
+// that loop leaves them — at one pool visit per run of same-page touches
+// (evicting pool) or per distinct page (unbounded pool; see fold).
+func (t *Tracker) TouchPositions(h HeapID, base, width int64, pos []int32) {
+	if t == nil || h == 0 || len(pos) == 0 {
+		return
+	}
+	b := t.begin(h)
+	if b.inj != nil {
+		defer b.book()
+	}
+	p := t.pool
+	if b.folds(len(pos)) {
+		lo, hi := extremes(pos)
+		first := p.pageOf((base + int64(lo)) * width)
+		if counts := foldCounts(first, p.pageOf((base+int64(hi))*width), len(pos)); counts != nil {
+			for _, i := range pos {
+				counts[p.pageOf((base+int64(i))*width)-first]++
+			}
+			b.endCounted(first, counts)
+			return
 		}
 	}
+	for _, i := range pos {
+		b.page(p.pageOf((base + int64(i)) * width))
+	}
+	b.end()
+}
+
+// TouchSpans records, for each element i of pos in order, a sequential
+// access to bytes [off[i], off[i+1]) of heap h — the batch form of one
+// TouchRange per position over a variable-width heap addressed through an
+// ascending offset array. Empty spans touch nothing.
+func (t *Tracker) TouchSpans(h HeapID, off []uint32, pos []int32) {
+	if t == nil || h == 0 || len(pos) == 0 {
+		return
+	}
+	b := t.begin(h)
+	if b.inj != nil {
+		defer b.book()
+	}
+	p := t.pool
+	if b.folds(len(pos)) {
+		lo, hi := extremes(pos)
+		first := p.pageOf(int64(off[lo]))
+		if counts := foldCounts(first, p.pageOf(int64(off[hi+1])), len(pos)); counts != nil {
+			for _, i := range pos {
+				if from, to := int64(off[i]), int64(off[i+1]); to > from {
+					for pg, last := p.pageOf(from), p.pageOf(to-1); pg <= last; pg++ {
+						counts[pg-first]++
+					}
+				}
+			}
+			b.endCounted(first, counts)
+			return
+		}
+	}
+	for _, i := range pos {
+		if from, to := int64(off[i]), int64(off[i+1]); to > from {
+			for pg, last := p.pageOf(from), p.pageOf(to-1); pg <= last; pg++ {
+				b.page(pg)
+			}
+		}
+	}
+	b.end()
+}
+
+// batch carries one Tracker call through the pool. Touches of the same page
+// that directly follow each other merge into one pending run (heap, pg, n)
+// and reach the pool as a single touchRun; outcomes accumulate locally and
+// are added to the tracker once. The injector is loaded once per batch.
+//
+// With an injector attached a pool visit may panic mid-batch. The runs
+// visited before it are already recorded in the pool, so those calls defer
+// book: losing their tracker counts would break the Σ(trackers) = pool
+// conservation the chaos suite asserts. The run that panicked, and
+// everything after it, is recorded nowhere.
+type batch struct {
+	t    *Tracker
+	inj  *FaultInjector
+	heap HeapID
+
+	pg int64  // page of the pending run
+	n  uint64 // its length; 0 = no run pending
+
+	faults, hits uint64
+}
+
+func (t *Tracker) begin(h HeapID) batch {
+	return batch{t: t, inj: t.pool.injector.Load(), heap: h}
+}
+
+// page appends one touch of page pg to the batch.
+func (b *batch) page(pg int64) {
+	if pg == b.pg && b.n > 0 {
+		b.n++
+		return
+	}
+	b.flush()
+	b.pg, b.n = pg, 1
+}
+
+// flush sends the pending run to the pool.
+func (b *batch) flush() {
+	if b.n == 0 {
+		return
+	}
+	n := b.n
+	b.n = 0 // a panicking visit leaves no run pending for the deferred book
+	if b.t.pool.touchRun(b.inj, pageKey{b.heap, b.pg}, n) {
+		b.faults++
+		n--
+	}
+	b.hits += n
+}
+
+// book adds the accumulated outcomes to the tracker and clears them, so the
+// deferred call of an injected batch adds nothing after a normal end.
+func (b *batch) book() {
+	if b.faults > 0 {
+		b.t.faults.Add(b.faults)
+	}
+	if b.hits > 0 {
+		b.t.hits.Add(b.hits)
+	}
+	b.faults, b.hits = 0, 0
+}
+
+func (b *batch) end() {
+	b.flush()
+	b.book()
+}
+
+// Folding. An unbounded pool never evicts, so what a batch does to it does
+// not depend on the order of its touches: the pages not yet resident fault
+// once each, every other touch is a hit, and no later touch can tell the
+// difference. Such a batch is therefore first counted per page and then
+// visits the pool once per distinct page, in page order — a 120k-row random
+// gather over a 235-page column costs at most 235 visits. An evicting pool
+// keeps the order it was given.
+
+// foldMinTouches is the batch length below which counting costs more than
+// the visits it can save.
+const foldMinTouches = 16
+
+// folds reports whether a batch of n positions is to be counted per page.
+func (b *batch) folds(n int) bool {
+	return b.t.pool.capacity <= 0 && n >= foldMinTouches
+}
+
+// extremes returns the smallest and largest element of pos. They bound the
+// batch's page span, because every layout maps ascending positions to
+// ascending offsets.
+func extremes(pos []int32) (lo, hi int32) {
+	lo, hi = pos[0], pos[0]
+	for _, i := range pos[1:] {
+		if i < lo {
+			lo = i
+		} else if i > hi {
+			hi = i
+		}
+	}
+	return lo, hi
+}
+
+// foldCounts returns zeroed counters for pages first..last, or nil when the
+// span holds more pages than the batch has positions: merging neighbours
+// already costs such a batch at most one visit per position. The counters
+// are never larger than the position list they summarize.
+func foldCounts(first, last int64, positions int) []uint32 {
+	if last-first >= int64(positions) {
+		return nil
+	}
+	return make([]uint32, last-first+1)
+}
+
+// endCounted ends a folded batch: one run per page with a non-zero count.
+func (b *batch) endCounted(first int64, counts []uint32) {
+	for i, n := range counts {
+		if n > 0 {
+			b.pg, b.n = first+int64(i), uint64(n)
+			b.flush()
+		}
+	}
+	b.book()
 }

@@ -161,7 +161,7 @@ func TestLoadProducesPaperLayout(t *testing.T) {
 	sd := env["Item_shipdate"]
 	dv := sd.Datavector()
 	for i := 0; i < len(db.Items); i += 97 {
-		pos, ok := dv.Probe(nil, bat.OID(i))
+		pos, ok := dv.Probe(bat.OID(i))
 		if !ok {
 			t.Fatalf("probe(%d) missed", i)
 		}
