@@ -13,8 +13,13 @@ verify: build vet test test-race
 build:
 	$(GO) build ./...
 
+## vet: also compiles the separately-moduled benchmark (seconds): bench/ may
+## not be edited to follow a refactor, so an internal/... signature change
+## that breaks its frozen imports (README, "The repo benchmark") must fail
+## here, not in the benchmark pipeline.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...

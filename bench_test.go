@@ -420,7 +420,7 @@ func BenchmarkAblationPartitionedBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("cold/P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bat.BuildHashIndexPartitioned(col, p, 1)
+				bat.BuildHashIndexSched(col, p, bat.Sched{Workers: 1})
 			}
 		})
 	}
@@ -496,18 +496,15 @@ func BenchmarkAblationParallelIteration(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-driven scheduling ablations. PR 2 striped parallel work statically
-// across workers (worker w owned ranges/partitions w, w+k, ...); these
-// ablations measure the morsel queue against that baseline on uniform vs
-// skewed key distributions. On skew the work concentrates — a tail-ordered
-// probe column clusters the hot key's expensive rows contiguously, a Zipf
-// build concentrates rows in the hot keys' radix partitions — so the static
-// schedule's critical path is one overloaded worker while the morsel queue
-// drains the tail across all of them. The ns/op delta appears on multi-core
-// hosts (the CI runners; wall time on a 1-vCPU host is work-bound, not
-// critical-path-bound); the reported max_share_pct metric — the heaviest
-// work unit a single worker is stuck with, as a share of total work — is
-// the host-independent statement of the same effect.
+// Morsel-driven scheduling ablations: the morsel queue on uniform vs skewed
+// key distributions, across worker counts and morsel sizes. On skew the work
+// concentrates — a tail-ordered probe column clusters the hot key's
+// expensive rows contiguously, a Zipf build concentrates rows in the hot
+// keys' radix partitions — and the morsel queue drains the tail across all
+// workers. The ns/op effect appears on multi-core hosts (wall time on a
+// 1-vCPU host is work-bound, not critical-path-bound); the reported
+// max_share_pct metric — the heaviest work unit a single worker is stuck
+// with, as a share of total work — is the host-independent statement of it.
 
 // zipfInts draws n Zipf-distributed keys (value 0 hottest).
 func zipfInts(rng *rand.Rand, n int, s float64, imax uint64) []int64 {
@@ -522,7 +519,7 @@ func zipfInts(rng *rand.Rand, n int, s float64, imax uint64) []int64 {
 // BenchmarkAblationMorselProbe: a hash-join probe whose per-row cost is
 // skewed — the hottest key matches 32 build-side rows, every other key one —
 // over a tail-ordered probe column (hot rows contiguous, as in any sorted
-// attribute BAT). static = per-worker striping, morsel = the claim queue.
+// attribute BAT), probed sequentially and through the claim queue.
 func BenchmarkAblationMorselProbe(b *testing.B) {
 	const nl = 1 << 17
 	const domain = 1 << 16
@@ -567,7 +564,7 @@ func BenchmarkAblationMorselProbe(b *testing.B) {
 		}
 		maxN, total := 0, 0
 		for _, rg := range rs {
-			lp, _ := idx.JoinRange(pr, rg[0], rg[1], nil, nil)
+			lp, _ := idx.JoinVec(pr, bat.Vector{Lo: rg[0], Hi: rg[1]}, nil, nil)
 			if len(lp) > maxN {
 				maxN = len(lp)
 			}
@@ -590,9 +587,7 @@ func BenchmarkAblationMorselProbe(b *testing.B) {
 			morsel  int
 		}{
 			{"seq", 1, 0},
-			{"static-w4", 4, -1},
 			{"morsel-w4", 4, 0},
-			{"static-w8", 8, -1},
 			{"morsel-w8", 8, 0},
 			{"morsel-w8-2k", 8, 2048},
 			{"morsel-w8-8k", 8, 8192},
@@ -614,8 +609,8 @@ func BenchmarkAblationMorselProbe(b *testing.B) {
 }
 
 // BenchmarkAblationMorselBuild: cold radix-partitioned accelerator builds.
-// Zipf keys concentrate rows in the hot keys' partitions, so the static
-// schedule strands the heavy partitions on whichever workers drew them.
+// Zipf keys concentrate rows in the hot keys' partitions; the morsel queue
+// lets the other workers drain the rest while one is on a heavy partition.
 func BenchmarkAblationMorselBuild(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(29))
@@ -635,7 +630,6 @@ func BenchmarkAblationMorselBuild(b *testing.B) {
 			name  string
 			sched bat.Sched
 		}{
-			{"static-w8", bat.Sched{Workers: 8, Static: true}},
 			{"morsel-w8", bat.Sched{Workers: 8}},
 		} {
 			b.Run(dist+"/"+mode.name, func(b *testing.B) {
@@ -650,7 +644,7 @@ func BenchmarkAblationMorselBuild(b *testing.B) {
 
 // BenchmarkAblationMorselGroup: partitioned grouping over skewed keys. The
 // reported max_share_pct is the largest radix partition's share of all rows
-// — under static striping one worker owns at least that much of the scan.
+// — the unit of work a single worker cannot shed.
 func BenchmarkAblationMorselGroup(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(37))
@@ -677,7 +671,6 @@ func BenchmarkAblationMorselGroup(b *testing.B) {
 			name  string
 			sched bat.Sched
 		}{
-			{"static-w8", bat.Sched{Workers: 8, Static: true}},
 			{"morsel-w8", bat.Sched{Workers: 8}},
 		} {
 			b.Run(dist+"/"+mode.name, func(b *testing.B) {

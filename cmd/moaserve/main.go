@@ -61,9 +61,6 @@ func main() {
 	sf := flag.Float64("sf", 0.005, "TPC-D scale factor")
 	seed := flag.Int64("seed", 42, "generator seed")
 	workers := flag.Int("workers", 1, "per-query parallel iteration degree (1 = concurrency from sessions alone)")
-	morsel := flag.Int("morsel", 0, "morsel scheduling: rows per probe morsel (0 = skew-aware default, <0 = static)")
-	pipeline := flag.Int("pipeline", 0, "fusable-chain execution: >=0 = vectorized pipeline (default), <0 = full materialization (parity reference)")
-	vectorRows := flag.Int("vector-rows", 0, "pipeline vector length in rows (0 = default)")
 	maxconc := flag.Int("maxconc", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	membudget := flag.Int64("membudget-mb", 256, "admission control: live intermediate budget in MB (0 = unlimited)")
 	maxplans := flag.Int("maxplans", 0, "prepared-plan cache capacity (0 = default)")
@@ -95,9 +92,7 @@ func main() {
 	refreshOrders := flag.Int("ingest-orders", 50, "orders per refresh batch (ingest driver and loadgen write mix)")
 	flag.Parse()
 
-	cfg := serviceConfig(*workers, *morsel, *maxconc, *membudget, *maxplans)
-	cfg.Pipeline = *pipeline
-	cfg.VectorRows = *vectorRows
+	cfg := serviceConfig(*workers, *maxconc, *membudget, *maxplans)
 	cfg.QueryTimeout = *queryTimeout
 	cfg.ThrashShedRatio = *thrashShed
 	cfg.SlowQuery = *slowQuery
@@ -156,10 +151,9 @@ type openConfig struct {
 	mapFallback bool
 }
 
-func serviceConfig(workers, morsel, maxconc int, membudgetMB int64, maxplans int) server.Config {
+func serviceConfig(workers, maxconc int, membudgetMB int64, maxplans int) server.Config {
 	return server.Config{
 		Workers:        workers,
-		MorselRows:     morsel,
 		MaxConcurrent:  maxconc,
 		MemBudgetBytes: membudgetMB << 20,
 		MaxPlans:       maxplans,

@@ -56,10 +56,14 @@ func TestMorselDoStopNoStop(t *testing.T) {
 // the original value and the worker's stack, and the remaining workers stop
 // claiming.
 func TestMorselDoWorkerPanicContained(t *testing.T) {
+	// Units this cheap drain at tens of millions a second, and the abort flag
+	// goes up only after the panicking worker's stack is captured (~0.1 ms):
+	// the queue must be long enough that it cannot drain in that window.
+	const units = 1 << 22
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
 		r := recoverValue(func() {
-			MorselDoStop(workers, 1000, nil, func(_, unit int) {
+			MorselDoStop(workers, units, nil, func(_, unit int) {
 				if ran.Add(1) == 3 {
 					panic("kernel invariant violated")
 				}
@@ -79,33 +83,30 @@ func TestMorselDoWorkerPanicContained(t *testing.T) {
 		if wp.Value != "kernel invariant violated" || len(wp.Stack) == 0 {
 			t.Fatalf("WorkerPanic lost value or stack: %+v", wp)
 		}
-		if ran.Load() >= 1000 {
+		if ran.Load() >= units {
 			t.Fatal("workers kept claiming units after a worker panic")
 		}
 	}
 }
 
-// TestSchedDispatchStop: both dispatch modes (morsel-claimed and static
-// striping) honor the stop hook with the same ErrAborted contract, so
-// cancellation semantics do not depend on the scheduling ablation knob.
+// TestSchedDispatchStop: partition dispatch honors the stop hook with the
+// ErrAborted contract.
 func TestSchedDispatchStop(t *testing.T) {
-	for _, static := range []bool{false, true} {
-		var stopped atomic.Bool
-		var ran atomic.Int64
-		s := Sched{Workers: 4, Static: static, Stop: func() bool { return stopped.Load() }}
-		r := recoverValue(func() {
-			s.Dispatch(1000, func(_, unit int) {
-				if ran.Add(1) == 4 {
-					stopped.Store(true)
-				}
-			})
+	var stopped atomic.Bool
+	var ran atomic.Int64
+	s := Sched{Workers: 4, Stop: func() bool { return stopped.Load() }}
+	r := recoverValue(func() {
+		s.Dispatch(1000, func(_, unit int) {
+			if ran.Add(1) == 4 {
+				stopped.Store(true)
+			}
 		})
-		if r != ErrAborted {
-			t.Fatalf("static=%v: dispatch panicked with %v, want ErrAborted", static, r)
-		}
-		if ran.Load() >= 1000 {
-			t.Fatalf("static=%v: dispatch completed all units despite stop", static)
-		}
+	})
+	if r != ErrAborted {
+		t.Fatalf("dispatch panicked with %v, want ErrAborted", r)
+	}
+	if ran.Load() >= 1000 {
+		t.Fatal("dispatch completed all units despite stop")
 	}
 }
 

@@ -33,13 +33,13 @@ func TestAccelSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = b.TailHashP(2)
+			got[i] = b.TailHashSched(Sched{Workers: 2})
 		}(i)
 	}
 	wg.Wait()
 
 	if d := AccelBuilds() - before; d != 1 {
-		t.Fatalf("concurrent TailHashP ran %d builds, want 1", d)
+		t.Fatalf("concurrent TailHashSched ran %d builds, want 1", d)
 	}
 	for i := 1; i < g; i++ {
 		if got[i] != got[0] {

@@ -206,7 +206,7 @@ func TestSyncedDetection(t *testing.T) {
 }
 
 func TestGatherAllKinds(t *testing.T) {
-	perm := []int{2, 0, 1}
+	perm := []int32{2, 0, 1}
 	cols := []Column{
 		NewVoid(5, 3),
 		NewOIDCol([]OID{10, 11, 12}),
@@ -220,7 +220,7 @@ func TestGatherAllKinds(t *testing.T) {
 	for _, col := range cols {
 		g := Gather(col, perm)
 		for i, p := range perm {
-			want := col.Get(p)
+			want := col.Get(int(p))
 			if want.K == KVoid {
 				want.K = KOID
 			}
@@ -469,10 +469,10 @@ func BenchmarkGatherInt(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1 << 16
 	vals := make([]int64, n)
-	perm := make([]int, n)
+	perm := make([]int32, n)
 	for i := range vals {
 		vals[i] = rng.Int63()
-		perm[i] = rng.Intn(n)
+		perm[i] = int32(rng.Intn(n))
 	}
 	col := NewIntCol(vals)
 	b.ResetTimer()

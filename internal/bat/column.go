@@ -32,7 +32,7 @@ type Column interface {
 	// Heap identifies the column's BUN heap for fault accounting.
 	Heap() storage.HeapID
 	// TouchPositions records one random access per element of pos, in order,
-	// against the pager: the reads a Gather32 of those positions performs.
+	// against the pager: the reads a Gather of those positions performs.
 	// The whole list reaches the pager as one batch, which visits the pool
 	// once per run of same-page touches instead of once per row.
 	TouchPositions(p *storage.Tracker, pos []int32)
@@ -56,8 +56,7 @@ type Column interface {
 	// The per-layout halves of SliceView, Gather, UnshareColumn and RowRep.
 	// Being unexported they also seal the interface.
 	sliceView(lo, n int) Column
-	gather(perm []int) Column
-	gather32(perm []int32) Column
+	gather(perm []int32) Column
 	isView() bool
 	unshare() Column
 	keyRepAt(i int32) uint64
@@ -110,13 +109,12 @@ func (c *VoidCol) Persist() {}
 // sequence is dense.
 func (c *VoidCol) sliceView(lo, n int) Column { return NewVoid(c.Seq+OID(lo), n) }
 
-func (c *VoidCol) gather(perm []int) Column     { return NewOIDCol(gatherSeq(c.Seq, perm)) }
-func (c *VoidCol) gather32(perm []int32) Column { return NewOIDCol(gatherSeq(c.Seq, perm)) }
-func (c *VoidCol) isView() bool                 { return false }
-func (c *VoidCol) unshare() Column              { return c }
-func (c *VoidCol) keyRepAt(i int32) uint64      { return uint64(c.Seq) + uint64(i) }
+func (c *VoidCol) gather(perm []int32) Column { return NewOIDCol(gatherSeq(c.Seq, perm)) }
+func (c *VoidCol) isView() bool               { return false }
+func (c *VoidCol) unshare() Column            { return c }
+func (c *VoidCol) keyRepAt(i int32) uint64    { return uint64(c.Seq) + uint64(i) }
 
-func gatherSeq[I int | int32](seq OID, perm []I) []OID {
+func gatherSeq(seq OID, perm []int32) []OID {
 	out := make([]OID, len(perm))
 	for i, p := range perm {
 		out[i] = seq + OID(p)
@@ -281,9 +279,8 @@ func (c *FixedCol[T]) sliceView(lo, n int) Column {
 	return &FixedCol[T]{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
 }
 
-func (c *FixedCol[T]) gather(perm []int) Column     { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
-func (c *FixedCol[T]) gather32(perm []int32) Column { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
-func (c *FixedCol[T]) isView() bool                 { return c.view }
+func (c *FixedCol[T]) gather(perm []int32) Column { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
+func (c *FixedCol[T]) isView() bool               { return c.view }
 
 // unshare copies a view into a transient column (no heap id): the pager
 // charged the view's accesses already, and the copy is intermediate state,
@@ -318,7 +315,7 @@ func (c *FixedCol[T]) keyRepAt(i int32) uint64 {
 	panic("unreachable")
 }
 
-func gatherElems[T Fixed, I int | int32](v []T, perm []I) []T {
+func gatherElems[T Fixed](v []T, perm []int32) []T {
 	out := make([]T, len(perm))
 	for i, p := range perm {
 		out[i] = v[p]
@@ -438,9 +435,8 @@ func (c *StrCol) sliceView(lo, n int) Column {
 		hint: c.hint, charHint: c.charHint}
 }
 
-func (c *StrCol) gather(perm []int) Column     { return NewStrColFromStrings(gatherStrings(c, perm)) }
-func (c *StrCol) gather32(perm []int32) Column { return NewStrColFromStrings(gatherStrings(c, perm)) }
-func (c *StrCol) isView() bool                 { return c.view }
+func (c *StrCol) gather(perm []int32) Column { return NewStrColFromStrings(gatherStrings(c, perm)) }
+func (c *StrCol) isView() bool               { return c.view }
 
 // unshare rebuilds the character heap from the referenced substrings only,
 // so a 10-row view over a megabyte heap compacts to the bytes of those 10
@@ -458,7 +454,7 @@ func (c *StrCol) unshare() Column {
 
 func (c *StrCol) keyRepAt(i int32) uint64 { return hashString(c.At(int(i))) }
 
-func gatherStrings[I int | int32](c *StrCol, perm []I) []string {
+func gatherStrings(c *StrCol, perm []int32) []string {
 	out := make([]string, len(perm))
 	for i, p := range perm {
 		out[i] = c.At(int(p))
@@ -529,7 +525,7 @@ func FromValues(k Kind, vs []Value) Column {
 // lo, lo+1, ..., lo+len(pos)-1, returning lo. The endpoint check rejects
 // almost every non-run in O(1); a full verification pass runs only when the
 // endpoints agree (and is then cheaper than the gather copy it saves).
-func PositionRun[I int | int32 | OID](pos []I) (int, bool) {
+func PositionRun[I int32 | OID](pos []I) (int, bool) {
 	n := len(pos)
 	if n == 0 {
 		return 0, false
@@ -562,22 +558,9 @@ func SliceView(col Column, lo, n int) Column { return col.sliceView(lo, n) }
 // positional-fetch primitive underlying sorts, joins and the datavector
 // semijoin. When perm is a contiguous run the result is a zero-copy
 // SliceView instead of a materialized copy.
-func Gather(col Column, perm []int) Column { return GatherAny(col, perm) }
-
-// Gather32 is Gather over the int32 position buffers the typed kernels
-// produce, saving the widening copy.
-func Gather32(col Column, perm []int32) Column { return GatherAny(col, perm) }
-
-// GatherAny is Gather for callers that are themselves generic over the
-// position width.
-func GatherAny[I int | int32](col Column, perm []I) Column {
+func Gather(col Column, perm []int32) Column {
 	if lo, ok := PositionRun(perm); ok {
 		return SliceView(col, lo, len(perm))
 	}
-	// Methods cannot be generic over the position width, so each layout
-	// carries one gather per width.
-	if p32, ok := any(perm).([]int32); ok {
-		return col.gather32(p32)
-	}
-	return col.gather(any(perm).([]int))
+	return col.gather(perm)
 }

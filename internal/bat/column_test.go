@@ -214,20 +214,17 @@ func TestColumnLayouts(t *testing.T) {
 			}
 
 			// Gather: a contiguous run is a view, anything else a transient
-			// copy; both position widths agree.
-			run, run32 := []int{7, 8, 9, 10}, []int32{7, 8, 9, 10}
-			mix, mix32 := []int{9, 2, 2, 40}, []int32{9, 2, 2, 40}
+			// copy.
+			run, mix := []int32{7, 8, 9, 10}, []int32{9, 2, 2, 40}
 			for _, g := range []struct {
 				name string
 				got  Column
-				perm []int
+				perm []int32
 			}{
 				{"Gather run", Gather(col, run), run},
-				{"Gather32 run", Gather32(col, run32), run},
 				{"Gather copy", Gather(col, mix), mix},
-				{"Gather32 copy", Gather32(col, mix32), mix},
 			} {
-				assertValues(t, g.name, g.got, tc.want, func(i int) int { return g.perm[i] }, len(g.perm))
+				assertValues(t, g.name, g.got, tc.want, func(i int) int { return int(g.perm[i]) }, len(g.perm))
 				isRun := g.perm[0] == 7
 				switch {
 				case isRun && (g.got.Kind() != tc.kind || g.got.OwnedBytes() != 0 || g.got.Heap() != heap):

@@ -244,10 +244,10 @@ func (dv *Datavector) DropLookups() {
 // SortedPerm returns the stable permutation that orders col's rows
 // ascending, or descending when desc; ties keep row order either way. It is
 // the one sort primitive behind SortOnTail and MIL's sort operator.
-func SortedPerm(col Column, desc bool) []int {
-	perm := make([]int, col.Len())
+func SortedPerm(col Column, desc bool) []int32 {
+	perm := make([]int32, col.Len())
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
 	var less func(i, j int) bool
 	switch c := col.(type) {
@@ -262,9 +262,9 @@ func SortedPerm(col Column, desc bool) []int {
 	case *ChrCol:
 		less = permLess(c.V, perm)
 	case *StrCol:
-		less = func(i, j int) bool { return c.At(perm[i]) < c.At(perm[j]) }
+		less = func(i, j int) bool { return c.At(int(perm[i])) < c.At(int(perm[j])) }
 	default: // void and bit columns order by their boxed values
-		less = func(i, j int) bool { return Less(col.Get(perm[i]), col.Get(perm[j])) }
+		less = func(i, j int) bool { return Less(col.Get(int(perm[i])), col.Get(int(perm[j]))) }
 	}
 	if desc {
 		asc := less
@@ -274,7 +274,7 @@ func SortedPerm(col Column, desc bool) []int {
 	return perm
 }
 
-func permLess[E orderedElem](v []E, perm []int) func(i, j int) bool {
+func permLess[E orderedElem](v []E, perm []int32) func(i, j int) bool {
 	return func(i, j int) bool { return v[perm[i]] < v[perm[j]] }
 }
 

@@ -35,8 +35,7 @@ type HashIndex struct {
 	ents      []hashEnt // (key rep, position) entries clustered by bucket
 	mask      uint32
 
-	card     int
-	cardOK   bool      // card computed (eagerly for dense, lazily otherwise)
+	card     int       // distinct keys: set at build for dense, lazily otherwise
 	cardOnce sync.Once // synchronizes the lazy computation across sessions
 }
 
@@ -84,45 +83,20 @@ func buildPartitions(n, sz, workers int) int {
 	return p
 }
 
-// denseOIDSeq reports whether v holds the dense ascending sequence
-// v[0], v[0]+1, ... — PositionRun's run detection over oid values
-// (O(1) endpoint rejection, full verification only when endpoints agree).
-func denseOIDSeq(v []OID) (OID, bool) {
-	seq, ok := PositionRun(v)
-	return OID(seq), ok
-}
-
 // BuildHashIndex constructs a hash index over col sequentially.
-func BuildHashIndex(col Column) *HashIndex { return BuildHashIndexP(col, 1) }
-
-// BuildHashIndexP constructs a hash index over col, radix-partitioning large
-// builds and running the per-partition work on up to workers goroutines.
-// Every worker count yields the identical index.
-func BuildHashIndexP(col Column, workers int) *HashIndex {
-	return buildHashIndexRadix(col, 0, Sched{Workers: workers})
-}
-
-// BuildHashIndexPartitioned constructs a hash index with an explicit radix
-// fan-out (partitions <= 0 picks it automatically). Every fan-out yields the
-// identical index; the knob exists for the partition-sweep ablation.
-func BuildHashIndexPartitioned(col Column, partitions, workers int) *HashIndex {
-	return buildHashIndexRadix(col, partitions, Sched{Workers: workers})
+func BuildHashIndex(col Column) *HashIndex {
+	return BuildHashIndexSched(col, 0, Sched{Workers: 1})
 }
 
 // BuildHashIndexSched constructs a hash index under an explicit work
-// schedule (see Sched); the entry point for callers that carry a scheduling
-// mode, and for the morsel-vs-static build ablation.
+// schedule (see Sched), radix-partitioning large builds and running the
+// per-partition work on the schedule's workers; partitions <= 0 picks the
+// fan-out automatically (an explicit one exists for the partition-sweep
+// ablation). Every schedule and fan-out yields the identical index.
 func BuildHashIndexSched(col Column, partitions int, s Sched) *HashIndex {
-	return buildHashIndexRadix(col, partitions, s)
-}
-
-// buildHashIndexRadix is the full-knob constructor: partitions <= 0 picks the
-// fan-out automatically. The explicit knob exists for the partition-sweep
-// ablation and the parity tests.
-func buildHashIndexRadix(col Column, partitions int, s Sched) *HashIndex {
 	workers := s.Workers
 	if v, ok := col.(*VoidCol); ok {
-		return &HashIndex{col: col, dense: true, seq: v.Seq, n: v.N, card: v.N, cardOK: true}
+		return &HashIndex{col: col, dense: true, seq: v.Seq, n: v.N, card: v.N}
 	}
 	// Run-time property detection (Section 5.1): an oid column that stores a
 	// dense ascending sequence — common for base-extent heads even when no
@@ -130,8 +104,8 @@ func buildHashIndexRadix(col Column, partitions int, s Sched) *HashIndex {
 	// no table at all. The detection pass aborts at the first violation, so
 	// it costs almost nothing on non-dense columns.
 	if c, ok := col.(*OIDCol); ok {
-		if seq, dense := denseOIDSeq(c.V); dense {
-			return &HashIndex{col: col, dense: true, seq: seq, n: len(c.V), card: len(c.V), cardOK: true}
+		if seq, dense := PositionRun(c.V); dense {
+			return &HashIndex{col: col, dense: true, seq: OID(seq), n: len(c.V), card: len(c.V)}
 		}
 	}
 	if workers < 1 {
@@ -188,20 +162,13 @@ func buildHashIndexRadix(col Column, partitions int, s Sched) *HashIndex {
 	if workers > 1 {
 		hotMin = 2 * n / workers
 	}
-	var hot []int
-	isHot := make(map[int]bool)
-	for pi := 0; pi < p; pi++ {
-		if int(sc.off[pi+1]-sc.off[pi]) > hotMin {
-			hot = append(hot, pi)
-			isHot[pi] = true
-		}
-	}
+	isHot := func(pi int) bool { return int(sc.off[pi+1]-sc.off[pi]) > hotMin }
 	// Whole partitions are the build's morsels: each counting-sorts into a
 	// disjoint bucket span, so claim order cannot affect the result, and a
 	// worker stuck on a skew-heavy partition never strands the rest.
 	counts := make([][]int32, s.workersOver(p))
 	s.Dispatch(p, func(wi, pi int) {
-		if isHot[pi] {
+		if isHot(pi) {
 			return // sub-split below, all workers on it
 		}
 		if counts[wi] == nil {
@@ -210,8 +177,10 @@ func buildHashIndexRadix(col Column, partitions int, s Sched) *HashIndex {
 		h.buildPartition(sc, pi, int32(pi*nb), counts[wi])
 		clear(counts[wi])
 	})
-	for _, pi := range hot {
-		h.buildPartitionSplit(sc, pi, int32(pi*nb), nb, workers, s)
+	for pi := 0; pi < p; pi++ {
+		if isHot(pi) {
+			h.buildPartitionSplit(sc, pi, int32(pi*nb), nb, workers, s)
+		}
 	}
 	h.bucketOff[sz] = int32(n)
 	return h
@@ -249,18 +218,7 @@ func (h *HashIndex) buildPartitionSplit(sc scattered, pi int, bLo int32, nb, wor
 		}
 	}
 	s.Dispatch(w, func(_, si int) {
-		cursors := counts[si]
-		for k := lo + int32(bounds[si][0]); k < lo+int32(bounds[si][1]); k++ {
-			x := reps[k]
-			b := int32(fibHash(x)&h.mask) - bLo
-			c := cursors[b]
-			row := int32(k)
-			if sc.rows != nil {
-				row = sc.rows[k]
-			}
-			h.ents[c] = hashEnt{rep: x, pos: row}
-			cursors[b] = c + 1
-		}
+		h.scatter(sc, lo+int32(bounds[si][0]), lo+int32(bounds[si][1]), bLo, counts[si])
 	})
 }
 
@@ -322,16 +280,21 @@ func (h *HashIndex) buildPartition(sc scattered, pi int, bLo int32, counts []int
 		cur += counts[j]
 		counts[j] = h.bucketOff[bLo+int32(j)] // becomes the bucket's write cursor
 	}
+	h.scatter(sc, lo, hi, bLo, counts)
+}
+
+// scatter writes the scattered rows [lo, hi) into their buckets, in row
+// order, through per-bucket write cursors indexed from bucket bLo.
+func (h *HashIndex) scatter(sc scattered, lo, hi, bLo int32, cursors []int32) {
 	for k := lo; k < hi; k++ {
-		x := reps[k]
+		x := sc.reps[k]
 		b := int32(fibHash(x)&h.mask) - bLo
-		c := counts[b]
-		row := int32(k)
+		row := k
 		if sc.rows != nil {
 			row = sc.rows[k]
 		}
-		h.ents[c] = hashEnt{rep: x, pos: row}
-		counts[b] = c + 1
+		h.ents[cursors[b]] = hashEnt{rep: x, pos: row}
+		cursors[b]++
 	}
 }
 
@@ -366,15 +329,10 @@ func (h *HashIndex) computeCard() int {
 // sessions, so the lazy computation runs under a Once: every caller sees
 // the fully computed count.
 func (h *HashIndex) Card() int {
-	h.cardOnce.Do(h.ensureCard)
-	return h.card
-}
-
-func (h *HashIndex) ensureCard() {
-	if !h.cardOK {
-		h.card = h.computeCard()
-		h.cardOK = true
+	if !h.dense {
+		h.cardOnce.Do(func() { h.card = h.computeCard() })
 	}
+	return h.card
 }
 
 // repOfValue condenses a boxed probe value into the indexed column's key
@@ -402,14 +360,10 @@ func (h *HashIndex) bucketRange(x uint64) (int32, int32) {
 // Lookup returns the positions at which v occurs, in ascending order, or nil.
 func (h *HashIndex) Lookup(v Value) []int32 {
 	if h.dense {
-		if v.K != KOID {
-			return nil
+		if i, ok := h.Lookup1(v); ok {
+			return []int32{i}
 		}
-		i := v.I - int64(h.seq)
-		if i < 0 || i >= int64(h.n) {
-			return nil
-		}
-		return []int32{int32(i)}
+		return nil
 	}
 	x, ok := h.repOfValue(v)
 	if !ok || h.n == 0 {
@@ -464,13 +418,13 @@ func (h *HashIndex) Lookup1(v Value) (int32, bool) {
 func (h *HashIndex) valueEqualAt(v Value, j int32) bool { return h.col.Get(int(j)) == v }
 
 // Probe is a prepared probe column. For the exact fixed-width kinds the key
-// reps are computed inline from the column's backing slice — no per-probe
-// rep array is materialized at all; float, string and bit probes carry a
-// prepared rep vector plus (when needed) a verifier of probe-row against
-// indexed-row equality. Probes are read-only and safe to share across
-// parallel range workers.
+// reps are computed from the column's backing slice as each block is loaded
+// — no per-probe rep array is materialized at all; float, string and bit
+// probes carry a prepared rep vector plus (when needed) a verifier of
+// probe-row against indexed-row equality. Probes are read-only and safe to
+// share across parallel range workers.
 type Probe struct {
-	rep KeyRep
+	rep []uint64                // prepared key reps (float, string, bit)
 	eq  func(pi, bi int32) bool // nil when rep equality is conclusive
 
 	// inline key sources (at most one non-nil): rep[i] is computed from the
@@ -482,9 +436,10 @@ type Probe struct {
 	chrV  []byte
 }
 
-// NewProbe prepares probe for typed probing into h. It reports false when
-// the probe column's kind cannot match the indexed column (the caller then
-// takes the boxed Lookup path, which preserves map-key semantics).
+// NewProbe prepares probe for probing into h. It reports false when the
+// probe column's kind cannot occur in the indexed column: under map-key
+// semantics no row of such a probe ever matches, so the caller answers
+// without probing.
 func (h *HashIndex) NewProbe(probe Column) (Probe, bool) {
 	if normKind(probe.Kind()) != normKind(h.col.Kind()) {
 		return Probe{}, false
@@ -501,249 +456,234 @@ func (h *HashIndex) NewProbe(probe Column) (Probe, bool) {
 	case *ChrCol:
 		return Probe{chrV: c.V}, true
 	}
-	p := Probe{rep: NewKeyRep(probe)}
-	if !h.dense && !(p.rep.Exact && h.exact) {
+	kr := NewKeyRep(probe)
+	p := Probe{rep: kr.Rep}
+	if !h.dense && !(kr.Exact && h.exact) {
 		p.eq = crossEq(probe, h.col)
 	}
 	return p, true
 }
 
 // fixedElem are the element types whose key rep is the plain uint64
-// conversion (matching NewKeyRep).
+// conversion (matching NewKeyRep), and uint64 for a prepared rep itself.
 type fixedElem interface {
-	~uint8 | ~uint32 | ~int32 | ~int64
+	~uint8 | ~uint32 | ~int32 | ~int64 | uint64
 }
 
-// probeBlock is the software-pipelining batch of the probe loops: bucket
-// ranges for a whole block are resolved first (independent loads the CPU
-// overlaps), then the entries are walked. On out-of-cache indexes this turns
-// one dependent miss chain per probe into batches of parallel misses.
+// probeBlock is the software-pipelining batch of the probe kernels: a block
+// of rows is loaded (positions and key reps), its bucket ranges are resolved
+// (independent loads the CPU overlaps), then the entries are walked. On
+// out-of-cache indexes this turns one dependent miss chain per probe into
+// batches of parallel misses — for every probe kind and both row-addressing
+// modes, since they differ only in the load step.
 const probeBlock = 256
 
-func joinRangeFixed[E fixedElem](h *HashIndex, v []E, lo, hi int, lpos, rpos []int32) ([]int32, []int32) {
-	if h.dense {
-		seq, n := uint64(h.seq), uint64(h.n)
-		for i := lo; i < hi; i++ {
-			if j := uint64(v[i]) - seq; j < n {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, int32(j))
-			}
-		}
-		return lpos, rpos
+// load is the bucket-walk kernels' only row-addressing step: it returns rows
+// [k, k+m) of v as positions — a subslice of v.Sel, or the identity
+// positions written into rbuf — and fills keys[t] with the key rep of
+// row rows[t].
+func (p *Probe) load(v Vector, k, m int, rbuf *[probeBlock]int32, keys *[probeBlock]uint64) []int32 {
+	rows, lo := rbuf[:m], v.Lo+k
+	if v.Sel != nil {
+		rows, lo = v.Sel[k:k+m], -1
 	}
-	if h.n == 0 {
-		return lpos, rpos
-	}
-	ents, bo := h.ents, h.bucketOff
-	var sbuf, ebuf [probeBlock]int32
-	for base := lo; base < hi; base += probeBlock {
-		m := hi - base
-		if m > probeBlock {
-			m = probeBlock
-		}
-		for t := 0; t < m; t++ {
-			b := fibHash(uint64(v[base+t])) & h.mask
-			sbuf[t] = bo[b]
-			ebuf[t] = bo[b+1]
-		}
-		for t := 0; t < m; t++ {
-			x := uint64(v[base+t])
-			for k := sbuf[t]; k < ebuf[t]; k++ {
-				if ents[k].rep == x {
-					lpos = append(lpos, int32(base+t))
-					rpos = append(rpos, ents[k].pos)
-				}
-			}
-		}
-	}
-	return lpos, rpos
-}
-
-func joinRangeVoid(h *HashIndex, seq OID, lo, hi int, lpos, rpos []int32) ([]int32, []int32) {
-	if h.dense {
-		iseq, n := uint64(h.seq), uint64(h.n)
-		for i := lo; i < hi; i++ {
-			if j := uint64(seq) + uint64(i) - iseq; j < n {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, int32(j))
-			}
-		}
-		return lpos, rpos
-	}
-	if h.n == 0 {
-		return lpos, rpos
-	}
-	ents := h.ents
-	for i := lo; i < hi; i++ {
-		x := uint64(seq) + uint64(i)
-		s, e := h.bucketRange(x)
-		for k := s; k < e; k++ {
-			if ents[k].rep == x {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, ents[k].pos)
-			}
-		}
-	}
-	return lpos, rpos
-}
-
-// JoinRange probes rows [lo,hi) of the prepared probe column and appends
-// every (probe position, indexed position) match pair — the hash-join inner
-// loop. Pairs follow probe order; per probe row, indexed positions ascend.
-func (h *HashIndex) JoinRange(p Probe, lo, hi int, lpos, rpos []int32) ([]int32, []int32) {
 	switch {
 	case p.oidV != nil:
-		return joinRangeFixed(h, p.oidV, lo, hi, lpos, rpos)
+		loadFixed(p.oidV, lo, rows, keys)
 	case p.intV != nil:
-		return joinRangeFixed(h, p.intV, lo, hi, lpos, rpos)
+		loadFixed(p.intV, lo, rows, keys)
 	case p.dateV != nil:
-		return joinRangeFixed(h, p.dateV, lo, hi, lpos, rpos)
+		loadFixed(p.dateV, lo, rows, keys)
 	case p.chrV != nil:
-		return joinRangeFixed(h, p.chrV, lo, hi, lpos, rpos)
-	case p.void != nil:
-		return joinRangeVoid(h, p.void.Seq, lo, hi, lpos, rpos)
+		loadFixed(p.chrV, lo, rows, keys)
+	case p.rep != nil:
+		loadFixed(p.rep, lo, rows, keys)
+	default: // void: row r holds Seq + r
+		for t := range rows {
+			if lo >= 0 {
+				rows[t] = int32(lo + t)
+			}
+			keys[t] = uint64(p.void.Seq) + uint64(rows[t])
+		}
 	}
-	if h.dense {
-		seq := uint64(h.seq)
-		n := uint64(h.n)
-		for i := lo; i < hi; i++ {
-			if j := p.rep.Rep[i] - seq; j < n {
-				lpos = append(lpos, int32(i))
+	return rows
+}
+
+// loadFixed reads the key reps of a block from a fixed-width backing slice:
+// a range block (lo >= 0, rows to be filled with its identity positions) in
+// one sequential pass, a selection block by position.
+func loadFixed[E fixedElem](v []E, lo int, rows []int32, keys *[probeBlock]uint64) {
+	if lo >= 0 {
+		for t, x := range v[lo : lo+len(rows)] {
+			rows[t], keys[t] = int32(lo+t), uint64(x)
+		}
+		return
+	}
+	for t, r := range rows {
+		keys[t] = uint64(v[r])
+	}
+}
+
+// resolve fills the clustered entry range of every key of a loaded block.
+func (h *HashIndex) resolve(keys []uint64, sbuf, ebuf *[probeBlock]int32) {
+	bo := h.bucketOff
+	for t, x := range keys {
+		b := fibHash(x) & h.mask
+		sbuf[t] = bo[b]
+		ebuf[t] = bo[b+1]
+	}
+}
+
+// joinDense and filterDense are the kernels over a dense index. It is
+// arithmetic on the key, so there is no block to load and no bucket to
+// resolve: they read the probe source directly, by window or by selection.
+// Such probes are oid-kinded — an oid column or, rarely, a void one.
+func (h *HashIndex) joinDense(p Probe, v Vector, lpos, rpos []int32) ([]int32, []int32) {
+	seq, hn := uint64(h.seq), uint64(h.n)
+	if p.void != nil {
+		return h.probeDenseVoid(p.void, v, true, true, lpos, rpos)
+	}
+	if v.Sel == nil {
+		for i, x := range p.oidV[v.Lo:v.Hi] {
+			if j := uint64(x) - seq; j < hn {
+				lpos = append(lpos, int32(v.Lo+i))
 				rpos = append(rpos, int32(j))
 			}
 		}
 		return lpos, rpos
 	}
-	if h.n == 0 {
-		return lpos, rpos
-	}
-	ents := h.ents
-	for i := lo; i < hi; i++ {
-		x := p.rep.Rep[i]
-		s, e := h.bucketRange(x)
-		for k := s; k < e; k++ {
-			if ents[k].rep == x && (p.eq == nil || p.eq(int32(i), ents[k].pos)) {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, ents[k].pos)
-			}
+	for _, r := range v.Sel {
+		if j := uint64(p.oidV[r]) - seq; j < hn {
+			lpos = append(lpos, r)
+			rpos = append(rpos, int32(j))
 		}
 	}
 	return lpos, rpos
 }
 
-func filterRangeFixed[E fixedElem](h *HashIndex, v []E, lo, hi int, want bool, out []int32) []int32 {
-	if h.dense {
-		seq, n := uint64(h.seq), uint64(h.n)
-		for i := lo; i < hi; i++ {
-			if (uint64(v[i])-seq < n) == want {
-				out = append(out, int32(i))
+func (h *HashIndex) filterDense(p Probe, v Vector, want bool, out []int32) []int32 {
+	seq, hn := uint64(h.seq), uint64(h.n)
+	if p.void != nil {
+		out, _ = h.probeDenseVoid(p.void, v, want, false, out, nil)
+		return out
+	}
+	if v.Sel == nil {
+		for i, x := range p.oidV[v.Lo:v.Hi] {
+			if (uint64(x)-seq < hn) == want {
+				out = append(out, int32(v.Lo+i))
 			}
 		}
 		return out
 	}
-	ents, bo := h.ents, h.bucketOff
-	var sbuf, ebuf [probeBlock]int32
-	for base := lo; base < hi; base += probeBlock {
-		m := hi - base
-		if m > probeBlock {
-			m = probeBlock
-		}
-		for t := 0; t < m; t++ {
-			b := fibHash(uint64(v[base+t])) & h.mask
-			sbuf[t] = bo[b]
-			ebuf[t] = bo[b+1]
-		}
-		for t := 0; t < m; t++ {
-			hit := false
-			x := uint64(v[base+t])
-			for k := sbuf[t]; k < ebuf[t]; k++ {
-				if ents[k].rep == x {
-					hit = true
-					break
-				}
-			}
-			if hit == want {
-				out = append(out, int32(base+t))
-			}
+	for _, r := range v.Sel {
+		if (uint64(p.oidV[r])-seq < hn) == want {
+			out = append(out, r)
 		}
 	}
 	return out
 }
 
-func filterRangeVoid(h *HashIndex, seq OID, lo, hi int, want bool, out []int32) []int32 {
-	if h.dense {
-		iseq, n := uint64(h.seq), uint64(h.n)
-		for i := lo; i < hi; i++ {
-			if (uint64(seq)+uint64(i)-iseq < n) == want {
-				out = append(out, int32(i))
+// probeDenseVoid is both dense kernels for a void probe, whose row r holds
+// Seq + r: the rows whose key lies (want) or does not lie in the indexed
+// range and, for a join, the positions matched.
+func (h *HashIndex) probeDenseVoid(c *VoidCol, v Vector, want, join bool, lpos, rpos []int32) ([]int32, []int32) {
+	d := uint64(c.Seq) - uint64(h.seq)
+	for r := range v.All() {
+		if j := uint64(r) + d; (j < uint64(h.n)) == want {
+			lpos = append(lpos, r)
+			if join {
+				rpos = append(rpos, int32(j))
 			}
 		}
-		return out
 	}
-	ents := h.ents
-	for i := lo; i < hi; i++ {
-		hit := false
-		if h.n > 0 {
-			x := uint64(seq) + uint64(i)
-			s, e := h.bucketRange(x)
-			for k := s; k < e; k++ {
-				if ents[k].rep == x {
-					hit = true
-					break
+	return lpos, rpos
+}
+
+// JoinVec probes the rows selected by v and appends every (probe position,
+// indexed position) match pair — the hash-join inner loop. Pairs follow
+// probe order; per probe row, indexed positions ascend.
+func (h *HashIndex) JoinVec(p Probe, v Vector, lpos, rpos []int32) ([]int32, []int32) {
+	if h.dense {
+		return h.joinDense(p, v, lpos, rpos)
+	}
+	var keys [probeBlock]uint64
+	var rbuf, sbuf, ebuf [probeBlock]int32
+	ents, n0 := h.ents, len(lpos)
+	for k, n := 0, v.Rows(); k < n; k += probeBlock {
+		rows := p.load(v, k, min(n-k, probeBlock), &rbuf, &keys)
+		h.resolve(keys[:len(rows)], &sbuf, &ebuf)
+		for t, r := range rows {
+			x := keys[t]
+			for e := sbuf[t]; e < ebuf[t]; e++ {
+				if ents[e].rep == x {
+					lpos = append(lpos, r)
+					rpos = append(rpos, ents[e].pos)
 				}
 			}
 		}
-		if hit == want {
-			out = append(out, int32(i))
+	}
+	if p.eq != nil {
+		return verifyPairs(p.eq, n0, lpos, rpos)
+	}
+	return lpos, rpos
+}
+
+// verifyPairs settles inexact rep matches: of the candidate pairs appended
+// from n0 on it keeps, in order, those whose values are equal. It runs as a
+// pass of its own so the walk above stays free of calls (a call in that loop
+// doubles its in-cache cost).
+func verifyPairs(eq func(pi, bi int32) bool, n0 int, lpos, rpos []int32) ([]int32, []int32) {
+	w := n0
+	for i := n0; i < len(lpos); i++ {
+		if eq(lpos[i], rpos[i]) {
+			lpos[w], rpos[w] = lpos[i], rpos[i]
+			w++
+		}
+	}
+	return lpos[:w], rpos[:w]
+}
+
+// FilterVec probes the rows selected by v and appends the probe positions
+// having at least one match (want=true: semijoin, intersection) or none
+// (want=false: difference), in probe order. A row is settled by its first
+// match, so the cost is one bucket walk per row and nothing is allocated
+// beyond out.
+func (h *HashIndex) FilterVec(p Probe, v Vector, want bool, out []int32) []int32 {
+	if h.dense {
+		return h.filterDense(p, v, want, out)
+	}
+	var keys [probeBlock]uint64
+	var rbuf, sbuf, ebuf [probeBlock]int32
+	ents, eq := h.ents, p.eq
+	for k, n := 0, v.Rows(); k < n; k += probeBlock {
+		rows := p.load(v, k, min(n-k, probeBlock), &rbuf, &keys)
+		h.resolve(keys[:len(rows)], &sbuf, &ebuf)
+		if eq == nil {
+			for t, r := range rows {
+				x, e, end := keys[t], sbuf[t], ebuf[t]
+				for e < end && ents[e].rep != x {
+					e++
+				}
+				if (e < end) == want {
+					out = append(out, r)
+				}
+			}
+			continue
+		}
+		// Inexact reps (float, string): the first match eq confirms settles
+		// the row. A loop of its own, so the exact walk stays free of calls
+		// (a call anywhere in that loop costs it half again in cache).
+		for t, r := range rows {
+			x, e, end := keys[t], sbuf[t], ebuf[t]
+			for e < end && !(ents[e].rep == x && eq(r, ents[e].pos)) {
+				e++
+			}
+			if (e < end) == want {
+				out = append(out, r)
+			}
 		}
 	}
 	return out
-}
-
-// FilterRange probes rows [lo,hi) of the prepared probe column and appends
-// the probe positions having at least one match (want=true: semijoin,
-// intersection) or none (want=false: difference).
-func (h *HashIndex) FilterRange(p Probe, lo, hi int, want bool, pos []int32) []int32 {
-	switch {
-	case p.oidV != nil:
-		return filterRangeFixed(h, p.oidV, lo, hi, want, pos)
-	case p.intV != nil:
-		return filterRangeFixed(h, p.intV, lo, hi, want, pos)
-	case p.dateV != nil:
-		return filterRangeFixed(h, p.dateV, lo, hi, want, pos)
-	case p.chrV != nil:
-		return filterRangeFixed(h, p.chrV, lo, hi, want, pos)
-	case p.void != nil:
-		return filterRangeVoid(h, p.void.Seq, lo, hi, want, pos)
-	}
-	if h.dense {
-		seq := uint64(h.seq)
-		n := uint64(h.n)
-		for i := lo; i < hi; i++ {
-			if (p.rep.Rep[i]-seq < n) == want {
-				pos = append(pos, int32(i))
-			}
-		}
-		return pos
-	}
-	ents := h.ents
-	for i := lo; i < hi; i++ {
-		hit := false
-		if h.n > 0 {
-			x := p.rep.Rep[i]
-			s, e := h.bucketRange(x)
-			for k := s; k < e; k++ {
-				if ents[k].rep == x && (p.eq == nil || p.eq(int32(i), ents[k].pos)) {
-					hit = true
-					break
-				}
-			}
-		}
-		if hit == want {
-			pos = append(pos, int32(i))
-		}
-	}
-	return pos
 }
 
 // TailHash returns (building and caching on first use) the hash accelerator
@@ -751,13 +691,7 @@ func (h *HashIndex) FilterRange(p Probe, lo, hi int, want bool, pos []int32) []i
 // Monet's dynamic optimization does when a hash variant is selected.
 // Construction is singleflight: concurrent sessions that need the same
 // missing index coalesce onto one build (see accelSlot).
-func (b *BAT) TailHash() *HashIndex { return b.TailHashP(1) }
-
-// TailHashP is TailHash with a parallel build degree for the first
-// construction; the cached accelerator is identical for every degree.
-func (b *BAT) TailHashP(workers int) *HashIndex {
-	return b.TailHashSched(Sched{Workers: workers})
-}
+func (b *BAT) TailHash() *HashIndex { return b.TailHashSched(Sched{Workers: 1}) }
 
 // TailHashSched is TailHash under an explicit work schedule for the first
 // construction; the cached accelerator is identical for every schedule.
@@ -767,13 +701,7 @@ func (b *BAT) TailHashSched(s Sched) *HashIndex {
 
 // HeadHash returns (building and caching on first use) the hash accelerator
 // on b's head column.
-func (b *BAT) HeadHash() *HashIndex { return b.HeadHashP(1) }
-
-// HeadHashP is HeadHash with a parallel build degree for the first
-// construction; the cached accelerator is identical for every degree.
-func (b *BAT) HeadHashP(workers int) *HashIndex {
-	return b.HeadHashSched(Sched{Workers: workers})
-}
+func (b *BAT) HeadHash() *HashIndex { return b.HeadHashSched(Sched{Workers: 1}) }
 
 // HeadHashSched is HeadHash under an explicit work schedule for the first
 // construction; the cached accelerator is identical for every schedule.

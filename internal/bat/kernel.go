@@ -292,11 +292,11 @@ func mergeJoinFixed[E orderedElem](a *FixedCol[E], rh Column, lpos, rpos []int32
 	return lpos, rpos, true
 }
 
-// MergeJoinPositions merges the (ascending) column lt against the
+// MergeJoinPairs merges the (ascending) column lt against the
 // (ascending) column rh, appending every matching position pair to
 // lpos/rpos in left order. It reports false when the column pair has no
 // typed path, leaving the buffers untouched.
-func MergeJoinPositions(lt, rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
+func MergeJoinPairs(lt, rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
 	switch a := lt.(type) {
 	case *OIDCol:
 		return mergeJoinFixed(a, rh, lpos, rpos)

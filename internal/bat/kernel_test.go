@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/storage"
@@ -119,135 +120,160 @@ func TestHashIndexDenseVoid(t *testing.T) {
 	}
 }
 
-// TestHashIndexProbeKindMismatch: typed probes across kinds are rejected so
-// callers fall back to boxed lookups (which then miss, as the map did).
+// TestHashIndexProbeKindMismatch: a probe whose kind cannot occur in the
+// indexed column is refused — no row of it would match (Lookup misses every
+// value of another kind), so callers answer without probing.
 func TestHashIndexProbeKindMismatch(t *testing.T) {
 	idx := BuildHashIndex(NewIntCol([]int64{1, 2, 3}))
 	if _, ok := idx.NewProbe(NewFltCol([]float64{1, 2})); ok {
-		t.Fatal("float probe into int index must not get a typed path")
+		t.Fatal("float probe into int index must be refused")
+	}
+	if got := idx.Lookup(F(1)); got != nil {
+		t.Fatalf("float lookup into int index matched: %v", got)
 	}
 	if _, ok := idx.NewProbe(NewIntCol([]int64{9})); !ok {
-		t.Fatal("int probe into int index must get a typed path")
+		t.Fatal("int probe into int index must be accepted")
 	}
 	// oid and void share one key space
 	vidx := BuildHashIndex(NewOIDCol([]OID{5, 6}))
 	if _, ok := vidx.NewProbe(NewVoid(5, 3)); !ok {
-		t.Fatal("void probe into oid index must get a typed path")
+		t.Fatal("void probe into oid index must be accepted")
 	}
 }
 
-// TestHashIndexJoinRangeParity: JoinRange must produce exactly the pairs of
-// a per-row boxed Lookup, in the same order.
-func TestHashIndexJoinRangeParity(t *testing.T) {
+// TestProbeKernelsEqualLookup: over every vector shape, FilterVec (both
+// polarities) and JoinVec emit exactly what a per-row boxed Lookup loop
+// emits, in the same order — for every probe kind against every index it can
+// probe (the six fixed kinds, strings, void; bucketed and dense indexes;
+// exact, inline and verified inexact reps; NaN, -0.0 and duplicate keys).
+func TestProbeKernelsEqualLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for _, n := range []int{0, 1, 64} {
-		builds := kernelTestColumns(rng, n, false)
-		probes := kernelTestColumns(rng, n+7, false)
-		for kind, col := range builds {
-			idx := BuildHashIndex(col)
-			probe := probes[kind]
-			pr, ok := idx.NewProbe(probe)
-			if !ok {
-				t.Fatalf("%s: no typed probe", kind)
-			}
-			lpos, rpos := idx.JoinRange(pr, 0, probe.Len(), nil, nil)
-			var wantL, wantR []int32
-			for i := 0; i < probe.Len(); i++ {
-				for _, j := range idx.Lookup(probe.Get(i)) {
-					wantL = append(wantL, int32(i))
-					wantR = append(wantR, j)
-				}
-			}
-			if len(lpos) != len(wantL) {
-				t.Fatalf("%s: %d pairs, want %d", kind, len(lpos), len(wantL))
-			}
-			for i := range lpos {
-				if lpos[i] != wantL[i] || rpos[i] != wantR[i] {
-					t.Fatalf("%s: pair %d = (%d,%d), want (%d,%d)", kind, i, lpos[i], rpos[i], wantL[i], wantR[i])
-				}
-			}
-			// FilterRange = rows with ≥1 match; inverse = the complement
-			hits := idx.FilterRange(pr, 0, probe.Len(), true, nil)
-			miss := idx.FilterRange(pr, 0, probe.Len(), false, nil)
-			if len(hits)+len(miss) != probe.Len() {
-				t.Fatalf("%s: filter split %d+%d != %d", kind, len(hits), len(miss), probe.Len())
-			}
-		}
-	}
-}
-
-// TestHashIndexVectorKernelParity drives the selection-vector entry points
-// directly: over any ascending position list, FilterPositions and
-// JoinPositions must emit exactly what FilterRange and JoinRange emit for
-// the same rows probed one at a time — for the inline-rep kinds (oid, int,
-// date, chr, void probes), the rep-vector kinds (flt, str, bit), bucket and
-// dense indexes, semijoin and anti-semijoin polarity.
-func TestHashIndexVectorKernelParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+	const m = 700 // probe rows: more than two probe blocks
 	type pair struct {
 		name         string
 		build, probe Column
 	}
 	var pairs []pair
-	for _, n := range []int{0, 1, 300} { // 300 rows span more than one probeBlock
+	for _, n := range []int{0, 1, 64} {
 		builds := kernelTestColumns(rng, n, false)
-		probes := kernelTestColumns(rng, n+7, false)
+		probes := kernelTestColumns(rng, m, false)
 		for kind, col := range builds {
 			pairs = append(pairs, pair{fmt.Sprintf("%s/n=%d", kind, n), col, probes[kind]})
 		}
-		// dense accelerators (void build side), probed by oid and void columns
+		denseOIDs := make([]OID, n) // an oid column the build detects as dense
+		for i := range denseOIDs {
+			denseOIDs[i] = OID(5 + i)
+		}
 		pairs = append(pairs,
-			pair{fmt.Sprintf("dense-oid/n=%d", n), NewVoid(3, n), probes[KOID]},
-			pair{fmt.Sprintf("dense-void/n=%d", n), NewVoid(3, n), NewVoid(0, n+7)},
-			pair{fmt.Sprintf("void-probe/n=%d", n), builds[KOID], NewVoid(0, n+7)})
+			pair{fmt.Sprintf("oid-into-void/n=%d", n), NewVoid(3, n), probes[KOID]},
+			pair{fmt.Sprintf("void-into-void/n=%d", n), NewVoid(3, n), NewVoid(0, m)},
+			pair{fmt.Sprintf("void-into-dense-oid/n=%d", n), NewOIDCol(denseOIDs), NewVoid(0, m)},
+			pair{fmt.Sprintf("void-into-oid/n=%d", n), builds[KOID], NewVoid(0, m)})
+	}
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	special := make([]float64, m)
+	for i := range special {
+		special[i] = []float64{0, negZero, nan, 1.5, 2.5, 7}[rng.Intn(6)]
+	}
+	pairs = append(pairs, pair{"flt-special", NewFltCol([]float64{nan, 0, 1.5, negZero, 1.5, nan, 9}), NewFltCol(special)})
+
+	sparse := func(keep int) []int32 { // keep ascending rows out of m
+		sel := make([]int32, 0, keep)
+		for _, i := range rng.Perm(m)[:keep] {
+			sel = append(sel, int32(i))
+		}
+		sort.Slice(sel, func(a, b int) bool { return sel[a] < sel[b] })
+		return sel
+	}
+	shapes := []struct {
+		name string
+		v    Vector
+	}{
+		{"empty-range", Vector{Lo: 9, Hi: 9}},
+		{"empty-sel", Vector{Lo: 0, Hi: m, Sel: []int32{}}},
+		{"full", Vector{Lo: 0, Hi: m}},
+		{"window", Vector{Lo: 130, Hi: 130 + 300}},
+		{"single", Vector{Lo: 41, Hi: 42}},
+		{"single-sel", Vector{Lo: 0, Hi: m, Sel: []int32{699}}},
+		{"sparse", Vector{Lo: 0, Hi: m, Sel: sparse(90)}},
+		{"sel-257", Vector{Lo: 0, Hi: m, Sel: sparse(257)}},
+		{"sel-513", Vector{Lo: 0, Hi: m, Sel: sparse(513)}},
 	}
 	for _, pc := range pairs {
 		idx := BuildHashIndex(pc.build)
 		pr, ok := idx.NewProbe(pc.probe)
 		if !ok {
-			t.Fatalf("%s: no typed probe", pc.name)
+			t.Fatalf("%s: probe refused", pc.name)
 		}
-		m := pc.probe.Len()
-		all := make([]int32, m)
-		var some []int32
-		for i := range all {
-			all[i] = int32(i)
-			if rng.Intn(3) > 0 {
-				some = append(some, int32(i))
-			}
-		}
-		for _, sel := range [][]int32{nil, all, some} {
-			for _, want := range []bool{true, false} {
-				var ref []int32
-				for _, i := range sel {
-					ref = idx.FilterRange(pr, int(i), int(i)+1, want, ref)
+		for _, sh := range shapes {
+			var hits, misses, wantL, wantR []int32
+			for _, i := range sh.v.AppendRows(nil) {
+				js := idx.Lookup(pc.probe.Get(int(i)))
+				if len(js) > 0 {
+					hits = append(hits, i)
+				} else {
+					misses = append(misses, i)
 				}
-				got := idx.FilterPositions(pr, sel, want, nil)
-				if fmt.Sprint(got) != fmt.Sprint(ref) {
-					t.Fatalf("%s: FilterPositions(want=%v) = %v, FilterRange gives %v", pc.name, want, got, ref)
-				}
-				if vec := idx.FilterVec(pr, Vector{Lo: 0, Hi: m, Sel: sel}, want, nil); sel != nil && fmt.Sprint(vec) != fmt.Sprint(ref) {
-					t.Fatalf("%s: FilterVec(want=%v) = %v, want %v", pc.name, want, vec, ref)
+				for _, j := range js {
+					wantL = append(wantL, i)
+					wantR = append(wantR, j)
 				}
 			}
-			var refL, refR []int32
-			for _, i := range sel {
-				refL, refR = idx.JoinRange(pr, int(i), int(i)+1, refL, refR)
+			label := pc.name + "/" + sh.name
+			if got := idx.FilterVec(pr, sh.v, true, nil); fmt.Sprint(got) != fmt.Sprint(hits) {
+				t.Fatalf("%s: FilterVec(true) = %v, want %v", label, got, hits)
 			}
-			gotL, gotR := idx.JoinPositions(pr, sel, nil, nil)
-			if fmt.Sprint(gotL, gotR) != fmt.Sprint(refL, refR) {
-				t.Fatalf("%s: JoinPositions = %v/%v, JoinRange gives %v/%v", pc.name, gotL, gotR, refL, refR)
+			if got := idx.FilterVec(pr, sh.v, false, nil); fmt.Sprint(got) != fmt.Sprint(misses) {
+				t.Fatalf("%s: FilterVec(false) = %v, want %v", label, got, misses)
+			}
+			if gotL, gotR := idx.JoinVec(pr, sh.v, nil, nil); fmt.Sprint(gotL, gotR) != fmt.Sprint(wantL, wantR) {
+				t.Fatalf("%s: JoinVec = %v/%v, want %v/%v", label, gotL, gotR, wantL, wantR)
 			}
 		}
-		// a full selection is the range probe
-		hits := idx.FilterRange(pr, 0, m, true, nil)
-		if got := idx.FilterPositions(pr, all, true, nil); fmt.Sprint(got) != fmt.Sprint(hits) {
-			t.Fatalf("%s: full selection %v != range %v", pc.name, got, hits)
-		}
+	}
+	// the table covers both accelerator layouts
+	if !BuildHashIndex(NewVoid(3, 64)).dense || !BuildHashIndex(NewOIDCol([]OID{5, 6, 7})).dense ||
+		BuildHashIndex(NewOIDCol([]OID{5, 7, 6})).dense {
+		t.Fatal("dense detection changed: the dense/bucketed rows above no longer cover both layouts")
 	}
 }
 
 // TestKeyRepSemantics pins the map-key equality semantics of the reps.
+// TestFilterVecSettlesOnFirstMatch: over heavily duplicated string and float
+// keys (inexact reps, so every match is verified) FilterVec costs one
+// verification per probe row — not one per (row, duplicate) — and allocates
+// nothing beyond its output.
+func TestFilterVecSettlesOnFirstMatch(t *testing.T) {
+	const n, distinct = 20000, 10
+	strs, flts := make([]string, n), make([]float64, n)
+	for i := range strs {
+		strs[i] = fmt.Sprintf("key-%d", i%distinct)
+		flts[i] = float64(i%distinct) + 0.5
+	}
+	for name, col := range map[string]Column{"str": NewStrColFromStrings(strs), "flt": NewFltCol(flts)} {
+		idx := BuildHashIndex(col)
+		pr, ok := idx.NewProbe(col)
+		if !ok || pr.eq == nil {
+			t.Fatalf("%s: want a verified probe (ok=%v)", name, ok)
+		}
+		calls, eq := 0, pr.eq
+		pr.eq = func(pi, bi int32) bool { calls++; return eq(pi, bi) }
+		v, out := Vector{Lo: 0, Hi: n}, make([]int32, 0, n)
+		if got := idx.FilterVec(pr, v, true, out); len(got) != n {
+			t.Fatalf("%s: semijoin kept %d of %d rows", name, len(got), n)
+		}
+		if calls > n {
+			t.Fatalf("%s: %d verifications for %d rows: a settled row was walked on", name, calls, n)
+		}
+		if got := idx.FilterVec(pr, v, false, out); len(got) != 0 {
+			t.Fatalf("%s: difference kept %d rows, want 0", name, len(got))
+		}
+		if a := testing.AllocsPerRun(3, func() { idx.FilterVec(pr, v, true, out) }); a != 0 {
+			t.Fatalf("%s: FilterVec allocates %.0f times per call, want 0", name, a)
+		}
+	}
+}
+
 func TestKeyRepSemantics(t *testing.T) {
 	nan := math.NaN()
 	col := NewFltCol([]float64{0, math.Copysign(0, -1), nan, nan, 1})
@@ -291,9 +317,9 @@ func TestGrouperFirstOccurrenceOrder(t *testing.T) {
 	}
 }
 
-// TestMergeJoinPositionsParity: the typed merge kernel equals a boxed
+// TestMergeJoinPairsParity: the typed merge kernel equals a boxed
 // nested-loop reference on sorted inputs for every orderable kind.
-func TestMergeJoinPositionsParity(t *testing.T) {
+func TestMergeJoinPairsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 1, 50} {
 		cols := kernelTestColumns(rng, n, false)
@@ -303,7 +329,7 @@ func TestMergeJoinPositionsParity(t *testing.T) {
 			}
 			sorted := SortOnTail(New("x", NewVoid(0, n), col, 0)).T
 			other := SortOnTail(New("y", NewVoid(0, n), kernelTestColumns(rng, n, false)[kind], 0)).T
-			lpos, rpos, ok := MergeJoinPositions(sorted, other, nil, nil)
+			lpos, rpos, ok := MergeJoinPairs(sorted, other, nil, nil)
 			if !ok {
 				t.Fatalf("%s: no typed merge path", kind)
 			}

@@ -9,22 +9,18 @@ import (
 	"time"
 )
 
-// Morsel-driven work scheduling. PR 2's partitioned builds striped their
-// work units statically across workers (worker w owned units w, w+k, ...),
-// which load-balances only when units cost about the same. Skewed key
-// distributions break that assumption exactly where the bulk operators are
-// hottest: a Zipf-distributed build concentrates most rows in the partitions
-// holding the hot keys, so the workers striped onto cold partitions finish
-// and idle while one worker drains the hot ones. The morsel queue replaces
-// the static assignment: work units (radix partitions for builds, probe
-// ranges for parallel scans) are claimed from a single atomic counter, so a
-// worker stuck on an expensive unit simply stops claiming and the rest of
-// the queue drains across the remaining workers.
+// Morsel-driven work scheduling. Work units (radix partitions for builds,
+// probe ranges for parallel scans) are claimed from a single atomic counter
+// rather than assigned to workers up front: unit costs differ exactly where
+// the bulk operators are hottest — a Zipf-distributed build concentrates
+// most rows in the partitions holding the hot keys — and with a claim queue
+// a worker stuck on an expensive unit simply stops claiming while the rest
+// of the queue drains across the remaining workers.
 //
 // Claim order is nondeterministic, so morsel-dispatched work must depend
 // only on the unit index — write disjoint output per unit, stitch by unit
 // index, never by completion order. Under that contract every schedule
-// (any worker count, static or morsel) produces bit-identical results.
+// (any worker count) produces bit-identical results.
 
 // ErrAborted is the panic value raised by morsel dispatch when its stop hook
 // reports cancellation: claimed work cannot be completed, so no (possibly
@@ -159,20 +155,17 @@ func runUnits(n int, stop func() bool, fn func(worker, unit int)) {
 	}
 }
 
-// Sched describes how partition-grained work units are dispatched to
-// workers: morsel-claimed by default, statically striped (unit i to worker
-// i mod k, the pre-morsel baseline) when Static is set. Static exists for
-// the scheduling ablations and the parity suite; results are bit-identical
-// either way. Stop, when non-nil, is the owning query's cancellation check:
-// dispatch consults it once per unit and aborts (panic ErrAborted) instead
-// of completing — a cancelled query's accelerator build stops within one
-// partition and is never published half-built. OnBuild, when non-nil,
-// observes every accelerator construction this schedule wins (the
-// singleflight slots invoke it once per actual build, with the build's wall
-// time), attributing build cost to the query whose probe triggered it.
+// Sched describes how partition-grained work units are dispatched:
+// morsel-claimed by up to Workers goroutines. Stop, when non-nil, is the
+// owning query's cancellation check: dispatch consults it once per unit and
+// aborts (panic ErrAborted) instead of completing — a cancelled query's
+// accelerator build stops within one partition and is never published
+// half-built. OnBuild, when non-nil, observes every accelerator construction
+// this schedule wins (the singleflight slots invoke it once per actual
+// build, with the build's wall time), attributing build cost to the query
+// whose probe triggered it.
 type Sched struct {
 	Workers int
-	Static  bool
 	Stop    func() bool
 	OnBuild func(time.Duration)
 }
@@ -180,31 +173,7 @@ type Sched struct {
 // Dispatch runs fn(worker, unit) for every unit in [0, n) under the
 // schedule s describes.
 func (s Sched) Dispatch(n int, fn func(worker, unit int)) {
-	w := s.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		runUnits(n, s.Stop, fn)
-		return
-	}
-	if s.Static {
-		var aborted atomic.Bool
-		parallelDo(w, func(wi int) {
-			for i := wi; i < n; i += w {
-				if s.Stop != nil && s.Stop() {
-					aborted.Store(true)
-					return
-				}
-				fn(wi, i)
-			}
-		})
-		if aborted.Load() {
-			panic(ErrAborted)
-		}
-		return
-	}
-	MorselDoStop(w, n, s.Stop, fn)
+	MorselDoStop(s.Workers, n, s.Stop, fn)
 }
 
 // workersOver reports the effective worker count of s over n units (scratch

@@ -80,8 +80,8 @@ func adversarialPartitionKeys(n int) []uint64 {
 
 // TestScheduleParityAdversarialBuckets: builds and groupings over inputs
 // whose keys all collapse into one radix partition (plus Zipf and
-// all-one-key inputs) are bit-identical across sequential, static-striped
-// and morsel-claimed schedules.
+// all-one-key inputs) are bit-identical across sequential and morsel-claimed
+// schedules of any worker count.
 func TestScheduleParityAdversarialBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
 	const n = 1 << 12
@@ -95,12 +95,12 @@ func TestScheduleParityAdversarialBuckets(t *testing.T) {
 		inputs["allone"][i] = 42
 		inputs["zipf"][i] = zipf.Uint64()
 	}
-	scheds := []Sched{{Workers: 3}, {Workers: 8}, {Workers: 8, Static: true}, {Workers: 200}}
+	scheds := []Sched{{Workers: 3}, {Workers: 8}, {Workers: 200}}
 	for name, keys := range inputs {
 		// grouping parity against the sequential Grouper reference
 		wantSlots, wantFirst := refGroupSlots(keys, nil)
 		for _, s := range scheds {
-			label := fmt.Sprintf("%s/w=%d/static=%v", name, s.Workers, s.Static)
+			label := fmt.Sprintf("%s/w=%d", name, s.Workers)
 			gs := BuildGroupSlotsPartitionedSched(keys, nil, s)
 			if len(gs.First) != len(wantFirst) {
 				t.Fatalf("%s: %d groups, want %d", label, len(gs.First), len(wantFirst))
@@ -117,10 +117,10 @@ func TestScheduleParityAdversarialBuckets(t *testing.T) {
 			vals[i] = int64(k)
 		}
 		col := NewIntCol(vals)
-		seq := buildHashIndexRadix(col, 1, Sched{Workers: 1})
+		seq := BuildHashIndexSched(col, 1, Sched{Workers: 1})
 		for _, s := range scheds {
-			label := fmt.Sprintf("%s/w=%d/static=%v", name, s.Workers, s.Static)
-			idx := buildHashIndexRadix(col, 8, s)
+			label := fmt.Sprintf("%s/w=%d", name, s.Workers)
+			idx := BuildHashIndexSched(col, 8, s)
 			if idx.Card() != seq.Card() {
 				t.Fatalf("%s: card %d != %d", label, idx.Card(), seq.Card())
 			}

@@ -216,9 +216,8 @@ func buildGroupsPartitioned(rep []uint64, eq KeyEq, s Sched, needSlots bool) *Gr
 	firsts := make([][]int32, p)
 	// Partitions are the grouping's morsels: a skewed key distribution
 	// concentrates rows in the hot keys' partitions, and the morsel queue
-	// lets the other workers drain the rest instead of idling behind a
-	// static stripe. Results are indexed by partition, so claim order is
-	// unobservable.
+	// lets the other workers drain the rest instead of idling. Results are
+	// indexed by partition, so claim order is unobservable.
 	s.Dispatch(p, func(_, pi int) {
 		lo, hi := sc.off[pi], sc.off[pi+1]
 		g := NewGrouper(int(hi - lo))

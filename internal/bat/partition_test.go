@@ -21,11 +21,11 @@ func TestBuildHashIndexPartitionedParity(t *testing.T) {
 		for _, allDup := range []bool{false, true} {
 			for kind, col := range kernelTestColumns(rng, n, allDup) {
 				ref := buildRefIndex(col)
-				seq := buildHashIndexRadix(col, 1, Sched{Workers: 1})
+				seq := BuildHashIndexSched(col, 1, Sched{Workers: 1})
 				for _, parts := range []int{2, 4, 8} {
-					for _, sched := range []Sched{{Workers: 1}, {Workers: 4}, {Workers: 4, Static: true}} {
-						idx := buildHashIndexRadix(col, parts, sched)
-						label := fmt.Sprintf("%s/n=%d/alldup=%v/p=%d/w=%d/static=%v", kind, n, allDup, parts, sched.Workers, sched.Static)
+					for _, sched := range []Sched{{Workers: 1}, {Workers: 4}} {
+						idx := BuildHashIndexSched(col, parts, sched)
+						label := fmt.Sprintf("%s/n=%d/alldup=%v/p=%d/w=%d", kind, n, allDup, parts, sched.Workers)
 						if idx.Card() != len(ref.pos) {
 							t.Fatalf("%s: card %d != %d", label, idx.Card(), len(ref.pos))
 						}
@@ -71,7 +71,7 @@ func TestBuildHashIndexPartitionedFloatEdges(t *testing.T) {
 	}
 	col := NewFltCol(vals)
 	for _, parts := range []int{1, 4} {
-		idx := buildHashIndexRadix(col, parts, Sched{Workers: 2})
+		idx := BuildHashIndexSched(col, parts, Sched{Workers: 2})
 		zero := idx.Lookup(F(0))
 		if len(zero) != 32 {
 			t.Fatalf("p=%d: zero matches %d, want 32 (-0 and +0 are one key)", parts, len(zero))
@@ -148,11 +148,11 @@ func TestBuildPartitionSplitBitIdentical(t *testing.T) {
 
 	for _, sh := range shapes {
 		col := NewIntCol(sh.keys)
-		seq := buildHashIndexRadix(col, 1, Sched{Workers: 1})
+		seq := BuildHashIndexSched(col, 1, Sched{Workers: 1})
 		for _, parts := range []int{4, 8} {
-			for _, sched := range []Sched{{Workers: 3}, {Workers: 8}, {Workers: 8, Static: true}} {
-				idx := buildHashIndexRadix(col, parts, sched)
-				label := fmt.Sprintf("%s/p=%d/w=%d/static=%v", sh.name, parts, sched.Workers, sched.Static)
+			for _, sched := range []Sched{{Workers: 3}, {Workers: 8}} {
+				idx := BuildHashIndexSched(col, parts, sched)
+				label := fmt.Sprintf("%s/p=%d/w=%d", sh.name, parts, sched.Workers)
 				if len(idx.bucketOff) != len(seq.bucketOff) || len(idx.ents) != len(seq.ents) {
 					t.Fatalf("%s: layout sizes (%d,%d) != sequential (%d,%d)", label,
 						len(idx.bucketOff), len(idx.ents), len(seq.bucketOff), len(seq.ents))
@@ -190,9 +190,9 @@ func TestBuildGroupSlotsPartitionedParity(t *testing.T) {
 			for kind, col := range kernelTestColumns(rng, n, allDup) {
 				kr := NewKeyRep(col)
 				wantSlots, wantFirst := refGroupSlots(kr.Rep, kr.Verifier())
-				for _, sched := range []Sched{{Workers: 1}, {Workers: 3}, {Workers: 8}, {Workers: 8, Static: true}} {
+				for _, sched := range []Sched{{Workers: 1}, {Workers: 3}, {Workers: 8}} {
 					gs := BuildGroupSlotsPartitionedSched(kr.Rep, kr.Verifier(), sched)
-					label := fmt.Sprintf("%s/n=%d/alldup=%v/w=%d/static=%v", kind, n, allDup, sched.Workers, sched.Static)
+					label := fmt.Sprintf("%s/n=%d/alldup=%v/w=%d", kind, n, allDup, sched.Workers)
 					if len(gs.First) != len(wantFirst) {
 						t.Fatalf("%s: %d groups, want %d", label, len(gs.First), len(wantFirst))
 					}
@@ -297,7 +297,7 @@ func TestPositionRun(t *testing.T) {
 // view with identical values.
 func TestGatherRunReturnsView(t *testing.T) {
 	col := NewIntCol([]int64{10, 20, 30, 40, 50})
-	run := Gather32(col, []int32{1, 2, 3})
+	run := Gather(col, []int32{1, 2, 3})
 	iv, ok := run.(*IntCol)
 	if !ok {
 		t.Fatalf("run gather returned %T", run)
@@ -305,7 +305,7 @@ func TestGatherRunReturnsView(t *testing.T) {
 	if &iv.V[0] != &col.V[1] {
 		t.Fatal("run gather did not return a view")
 	}
-	scattered := Gather32(col, []int32{3, 1, 2})
+	scattered := Gather(col, []int32{3, 1, 2})
 	sv := scattered.(*IntCol)
 	if len(sv.V) != 3 || sv.V[0] != 40 || &sv.V[0] == &col.V[3] {
 		t.Fatal("non-run gather must materialize a copy")

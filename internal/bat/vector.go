@@ -1,6 +1,29 @@
 package bat
 
-import "repro/internal/storage"
+import (
+	"iter"
+
+	"repro/internal/storage"
+)
+
+// The kernel contract. A Vector is the only way a kernel is handed rows:
+// the probe kernels (HashIndex.FilterVec / JoinVec) here, and the select,
+// fetch and accumulation kernels of package mil. A materializing operator
+// passes the identity selection Vector{Lo: lo, Hi: hi} once per morsel
+// range — with Sel == nil the vector *is* the materializing call — and the
+// pipeline passes its ~L1-sized windows, with or without a selection. Every
+// kernel
+//
+//   - reads column data through the vector and never copies it;
+//   - emits positions that are absolute rows of the base column, ascending
+//     (a filter keeps the vector's order);
+//   - emits pairs in probe order and, per probe row, ascending indexed
+//     position;
+//   - touches no pages: the calling operator accounts the reads (Touch),
+//     the kernel computes.
+//
+// Two callers that hand the same rows in the same order to a kernel
+// therefore get the same output, whatever the vector length.
 
 // DefaultVectorRows is the pipeline's vector length: ~L1-sized windows for
 // the fixed-width kinds (8 KB of int64 payload), small enough that a chain's
@@ -13,12 +36,11 @@ const DefaultVectorRows = 1024
 // the rows they select.
 type SelVec = []int32
 
-// Vector is one pipeline batch: a window [Lo, Hi) over a base column, plus
-// an optional position selection. Sel == nil means every row of the window
-// qualifies (a freshly cut window, or a range-select run); a non-nil Sel
-// holds the ascending qualifying positions, all within [Lo, Hi). Either way
-// a Vector never copies column data — kernels index the base column through
-// it.
+// Vector is one batch of rows of a base column: a window [Lo, Hi), plus an
+// optional position selection. Sel == nil means every row of the window
+// qualifies (a morsel range of a materializing operator, a freshly cut
+// pipeline window, a range-select run); a non-nil Sel holds the ascending
+// qualifying positions, all within [Lo, Hi).
 type Vector struct {
 	Lo, Hi int
 	Sel    SelVec
@@ -30,6 +52,37 @@ func (v Vector) Rows() int {
 		return len(v.Sel)
 	}
 	return v.Hi - v.Lo
+}
+
+// All iterates the selected positions in order: the one loop header of the
+// kernels that need no blocking.
+func (v Vector) All() iter.Seq[int32] {
+	return func(yield func(int32) bool) {
+		if v.Sel == nil {
+			for i := int32(v.Lo); i < int32(v.Hi); i++ {
+				if !yield(i) {
+					return
+				}
+			}
+			return
+		}
+		for _, i := range v.Sel {
+			if !yield(i) {
+				return
+			}
+		}
+	}
+}
+
+// AppendRows appends the selected positions to out.
+func (v Vector) AppendRows(out []int32) []int32 {
+	if v.Sel != nil {
+		return append(out, v.Sel...)
+	}
+	for i := int32(v.Lo); i < int32(v.Hi); i++ {
+		out = append(out, i)
+	}
+	return out
 }
 
 // Touch attributes the vector's reads of column c to tracker p: one
@@ -44,243 +97,4 @@ func (v Vector) Touch(p *storage.Tracker, c Column) {
 		return
 	}
 	c.TouchPositions(p, v.Sel)
-}
-
-// FilterVec probes the rows selected by v and appends the positions with at
-// least one match (want=true) or none (want=false) — FilterRange generalized
-// to selection vectors.
-func (h *HashIndex) FilterVec(p Probe, v Vector, want bool, out []int32) []int32 {
-	if v.Sel == nil {
-		return h.FilterRange(p, v.Lo, v.Hi, want, out)
-	}
-	return h.FilterPositions(p, v.Sel, want, out)
-}
-
-// JoinVec probes the rows selected by v and appends every (probe position,
-// indexed position) match pair — JoinRange generalized to selection vectors.
-func (h *HashIndex) JoinVec(p Probe, v Vector, lpos, rpos []int32) ([]int32, []int32) {
-	if v.Sel == nil {
-		return h.JoinRange(p, v.Lo, v.Hi, lpos, rpos)
-	}
-	return h.JoinPositions(p, v.Sel, lpos, rpos)
-}
-
-func filterPosFixed[E fixedElem](h *HashIndex, v []E, sel []int32, want bool, out []int32) []int32 {
-	if h.dense {
-		seq, n := uint64(h.seq), uint64(h.n)
-		for _, i := range sel {
-			if (uint64(v[i])-seq < n) == want {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	ents, bo := h.ents, h.bucketOff
-	var sbuf, ebuf [probeBlock]int32
-	for base := 0; base < len(sel); base += probeBlock {
-		m := len(sel) - base
-		if m > probeBlock {
-			m = probeBlock
-		}
-		for t := 0; t < m; t++ {
-			b := fibHash(uint64(v[sel[base+t]])) & h.mask
-			sbuf[t] = bo[b]
-			ebuf[t] = bo[b+1]
-		}
-		for t := 0; t < m; t++ {
-			i := sel[base+t]
-			x := uint64(v[i])
-			hit := false
-			for k := sbuf[t]; k < ebuf[t]; k++ {
-				if ents[k].rep == x {
-					hit = true
-					break
-				}
-			}
-			if hit == want {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-// FilterPositions is FilterRange over an explicit ascending position list:
-// the probed rows are sel's entries instead of a contiguous range. Emitted
-// positions are sel values, preserving order.
-func (h *HashIndex) FilterPositions(p Probe, sel []int32, want bool, out []int32) []int32 {
-	switch {
-	case p.oidV != nil:
-		return filterPosFixed(h, p.oidV, sel, want, out)
-	case p.intV != nil:
-		return filterPosFixed(h, p.intV, sel, want, out)
-	case p.dateV != nil:
-		return filterPosFixed(h, p.dateV, sel, want, out)
-	case p.chrV != nil:
-		return filterPosFixed(h, p.chrV, sel, want, out)
-	case p.void != nil:
-		seq := p.void.Seq
-		if h.dense {
-			iseq, n := uint64(h.seq), uint64(h.n)
-			for _, i := range sel {
-				if (uint64(seq)+uint64(i)-iseq < n) == want {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		ents := h.ents
-		for _, i := range sel {
-			hit := false
-			if h.n > 0 {
-				x := uint64(seq) + uint64(i)
-				s, e := h.bucketRange(x)
-				for k := s; k < e; k++ {
-					if ents[k].rep == x {
-						hit = true
-						break
-					}
-				}
-			}
-			if hit == want {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if h.dense {
-		seq, n := uint64(h.seq), uint64(h.n)
-		for _, i := range sel {
-			if (p.rep.Rep[i]-seq < n) == want {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	ents := h.ents
-	for _, i := range sel {
-		hit := false
-		if h.n > 0 {
-			x := p.rep.Rep[i]
-			s, e := h.bucketRange(x)
-			for k := s; k < e; k++ {
-				if ents[k].rep == x && (p.eq == nil || p.eq(i, ents[k].pos)) {
-					hit = true
-					break
-				}
-			}
-		}
-		if hit == want {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func joinPosFixed[E fixedElem](h *HashIndex, v []E, sel []int32, lpos, rpos []int32) ([]int32, []int32) {
-	if h.dense {
-		seq, n := uint64(h.seq), uint64(h.n)
-		for _, i := range sel {
-			if j := uint64(v[i]) - seq; j < n {
-				lpos = append(lpos, i)
-				rpos = append(rpos, int32(j))
-			}
-		}
-		return lpos, rpos
-	}
-	if h.n == 0 {
-		return lpos, rpos
-	}
-	ents, bo := h.ents, h.bucketOff
-	var sbuf, ebuf [probeBlock]int32
-	for base := 0; base < len(sel); base += probeBlock {
-		m := len(sel) - base
-		if m > probeBlock {
-			m = probeBlock
-		}
-		for t := 0; t < m; t++ {
-			b := fibHash(uint64(v[sel[base+t]])) & h.mask
-			sbuf[t] = bo[b]
-			ebuf[t] = bo[b+1]
-		}
-		for t := 0; t < m; t++ {
-			i := sel[base+t]
-			x := uint64(v[i])
-			for k := sbuf[t]; k < ebuf[t]; k++ {
-				if ents[k].rep == x {
-					lpos = append(lpos, i)
-					rpos = append(rpos, ents[k].pos)
-				}
-			}
-		}
-	}
-	return lpos, rpos
-}
-
-// JoinPositions is JoinRange over an explicit ascending position list. Pairs
-// follow sel order; per probe row, indexed positions ascend — the same
-// observable order the range probe produces.
-func (h *HashIndex) JoinPositions(p Probe, sel []int32, lpos, rpos []int32) ([]int32, []int32) {
-	switch {
-	case p.oidV != nil:
-		return joinPosFixed(h, p.oidV, sel, lpos, rpos)
-	case p.intV != nil:
-		return joinPosFixed(h, p.intV, sel, lpos, rpos)
-	case p.dateV != nil:
-		return joinPosFixed(h, p.dateV, sel, lpos, rpos)
-	case p.chrV != nil:
-		return joinPosFixed(h, p.chrV, sel, lpos, rpos)
-	case p.void != nil:
-		seq := p.void.Seq
-		if h.dense {
-			iseq, n := uint64(h.seq), uint64(h.n)
-			for _, i := range sel {
-				if j := uint64(seq) + uint64(i) - iseq; j < n {
-					lpos = append(lpos, i)
-					rpos = append(rpos, int32(j))
-				}
-			}
-			return lpos, rpos
-		}
-		if h.n == 0 {
-			return lpos, rpos
-		}
-		ents := h.ents
-		for _, i := range sel {
-			x := uint64(seq) + uint64(i)
-			s, e := h.bucketRange(x)
-			for k := s; k < e; k++ {
-				if ents[k].rep == x {
-					lpos = append(lpos, i)
-					rpos = append(rpos, ents[k].pos)
-				}
-			}
-		}
-		return lpos, rpos
-	}
-	if h.dense {
-		seq, n := uint64(h.seq), uint64(h.n)
-		for _, i := range sel {
-			if j := p.rep.Rep[i] - seq; j < n {
-				lpos = append(lpos, i)
-				rpos = append(rpos, int32(j))
-			}
-		}
-		return lpos, rpos
-	}
-	if h.n == 0 {
-		return lpos, rpos
-	}
-	ents := h.ents
-	for _, i := range sel {
-		x := p.rep.Rep[i]
-		s, e := h.bucketRange(x)
-		for k := s; k < e; k++ {
-			if ents[k].rep == x && (p.eq == nil || p.eq(i, ents[k].pos)) {
-				lpos = append(lpos, i)
-				rpos = append(rpos, ents[k].pos)
-			}
-		}
-	}
-	return lpos, rpos
 }

@@ -57,12 +57,13 @@ type Database struct {
 	// operators when > 1 (paper Section 2).
 	Workers int
 	// MorselRows tunes the morsel-driven work scheduler of the parallel
-	// operators: 0 = skew-aware default, > 0 = explicit probe morsel rows,
-	// < 0 = static per-worker striping. Bit-identical in every setting.
+	// operators: 0 = skew-aware default, > 0 = explicit probe morsel rows.
+	// Bit-identical in every setting.
 	MorselRows int
 	// Pipeline selects the execution strategy for fusable statement chains:
-	// >= 0 (default) streams selection vectors, < 0 forces full
-	// materialization (the parity reference). Bit-identical either way.
+	// >= 0 (default) streams selection vectors through the fused chain,
+	// < 0 runs the same kernels statement-at-a-time, materializing every
+	// intermediate (the parity reference). Bit-identical either way.
 	Pipeline int
 	// VectorRows tunes the pipeline vector length; 0 picks the default.
 	VectorRows int

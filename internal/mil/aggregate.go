@@ -2,6 +2,7 @@ package mil
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bat"
 )
@@ -89,455 +90,264 @@ func aggResultKind(fn string, in bat.Kind) bat.Kind {
 //
 // Execution is slot-based: each row's head resolves to a dense group slot
 // (contiguous runs when the head is ordered, the bucket+link grouper
-// otherwise) and typed accumulator arrays replace per-group boxed
-// accumulators. Over large unordered inputs the grouping runs
-// radix-partitioned: rows are split by key hash, per-partition groupers run
-// concurrently, and accumulation proceeds partition-parallel over disjoint
-// slot sets. Because a group never spans partitions, every accumulator —
-// including order-sensitive floating-point sums — combines its rows in
-// ascending row order, so parallel results are bit-identical to sequential
-// execution for all aggregate functions.
+// otherwise) and a block of rows with their slots at a time folds into typed
+// per-slot accumulator arrays (slotFold). Over large unordered inputs the
+// grouping runs radix-partitioned: rows are split by key hash, per-partition
+// groupers run concurrently, and accumulation proceeds partition-parallel
+// over disjoint slot sets. Because a group never spans partitions, every
+// accumulator — including order-sensitive floating-point sums — combines
+// its rows in ascending row order, so parallel results are bit-identical to
+// sequential execution for all aggregate functions.
 func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	p := ctx.pager()
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
 	n := b.Len()
 	k := workersFor(ctx, n)
-	if n == 0 {
-		return aggrBoxed(ctx, fn, b)
-	}
 	hr := bat.NewKeyRepP(b.H, k)
 	eq := hr.Verifier()
-	if b.Props.Has(bat.HOrdered) {
+	f := newSlotFold(b.T)
+	var first []int32
+	switch {
+	case b.Props.Has(bat.HOrdered):
 		ctx.chose("ordered-aggr")
-		part := aggrScanOrdered(b, hr, n)
-		return aggrAssembleTyped(fn, b, part.first, part)
-	}
-	ctx.chose("hash-aggr")
-	if k > 1 {
-		gs := bat.BuildGroupSlotsPartitionedSched(hr.Rep, eq, ctx.sched(n))
-		part := aggrScanPartitioned(b, gs, ctx.sched(n))
-		return aggrAssembleTyped(fn, b, gs.First, part)
-	}
-	part := aggrScanHash(b, hr, eq, 0, n)
-	return aggrAssembleTyped(fn, b, part.g.Rows(), part)
-}
-
-// aggPart holds per-slot accumulators for one scan range. Exactly one of
-// the typed array sets (or boxed) is populated, matching the tail kind.
-type aggPart struct {
-	g     *bat.Grouper // hash path; nil for the ordered path
-	first []int32      // ordered path: first row per slot
-
-	count      []int64
-	sumI       []int64
-	sumF       []float64
-	minI, maxI []int64
-	minF, maxF []float64
-	boxed      []aggAcc
-}
-
-// aggrScanPartitioned accumulates all rows against pre-assigned group slots,
-// dispatching the partitions of gs to the schedule's workers (morsel-claimed
-// by default — a skew-heavy partition stops one worker, not its stripe).
-// Partitions own disjoint slot sets, so the workers write disjoint
-// accumulator entries; within a partition rows ascend, so per-group
-// accumulation order equals the sequential scan's.
-func aggrScanPartitioned(b *bat.BAT, gs *bat.GroupSlots, s bat.Sched) *aggPart {
-	G := len(gs.First)
-	a := &aggPart{first: gs.First}
-	switch b.T.(type) {
-	case *bat.IntCol:
-		a.count = make([]int64, G)
-		a.sumI = make([]int64, G)
-		a.sumF = make([]float64, G)
-		a.minI = make([]int64, G)
-		a.maxI = make([]int64, G)
-	case *bat.FltCol:
-		a.count = make([]int64, G)
-		a.sumF = make([]float64, G)
-		a.minF = make([]float64, G)
-		a.maxF = make([]float64, G)
-	case *bat.DateCol:
-		a.count = make([]int64, G)
-		a.minI = make([]int64, G)
-		a.maxI = make([]int64, G)
+		// An ordered head clusters each group contiguously: a row opens a
+		// new slot exactly when its key differs from its predecessor's.
+		foldRange(f, n, func(i int32) int32 {
+			if i == 0 || !(hr.Exact && hr.Rep[i-1] == hr.Rep[i] || !hr.Exact && hr.KeyEqual(i-1, i)) {
+				first = append(first, i)
+			}
+			return int32(len(first) - 1)
+		})
+	case k > 1:
+		ctx.chose("hash-aggr")
+		sched := ctx.sched(n)
+		gs := bat.BuildGroupSlotsPartitionedSched(hr.Rep, eq, sched)
+		first = gs.First
+		// Partitions own disjoint slot sets, so the workers write disjoint
+		// accumulator entries; within a partition rows ascend, so per-group
+		// accumulation order equals the sequential scan's.
+		f.grow(len(first))
+		sched.Dispatch(len(gs.PartRows), func(_, pi int) {
+			foldRows(f, gs.PartRows[pi], func(r int32) int32 { return gs.Slots[r] })
+		})
 	default:
-		a.boxed = make([]aggAcc, G)
+		ctx.chose("hash-aggr")
+		g := bat.NewGrouper(n)
+		foldRange(f, n, func(i int32) int32 {
+			s, _ := g.Slot(hr.Rep[i], i, eq)
+			return s
+		})
+		first = g.Rows()
 	}
-	parts := gs.PartRows
-	s.Dispatch(len(parts), func(_, pi int) {
-		a.accumulateRows(b, parts[pi], gs.Slots, gs.First)
-	})
-	return a
-}
-
-// accumulateRows folds the given rows into pre-sized accumulator arrays; a
-// row is its group's first when it equals the slot's first-occurrence row.
-func (a *aggPart) accumulateRows(b *bat.BAT, rows []int32, slots, first []int32) {
-	switch t := b.T.(type) {
-	case *bat.IntCol:
-		for _, r := range rows {
-			s := slots[r]
-			v := t.V[r]
-			if first[s] == r {
-				a.minI[s], a.maxI[s] = v, v
-			}
-			a.count[s]++
-			a.sumI[s] += v
-			a.sumF[s] += float64(v)
-			if v < a.minI[s] {
-				a.minI[s] = v
-			}
-			if v > a.maxI[s] {
-				a.maxI[s] = v
-			}
-		}
-	case *bat.FltCol:
-		for _, r := range rows {
-			s := slots[r]
-			v := t.V[r]
-			if first[s] == r {
-				a.minF[s], a.maxF[s] = v, v
-			}
-			a.count[s]++
-			a.sumF[s] += v
-			if v < a.minF[s] {
-				a.minF[s] = v
-			}
-			if v > a.maxF[s] {
-				a.maxF[s] = v
-			}
-		}
-	case *bat.DateCol:
-		for _, r := range rows {
-			s := slots[r]
-			v := int64(t.V[r])
-			if first[s] == r {
-				a.minI[s], a.maxI[s] = v, v
-			}
-			a.count[s]++
-			if v < a.minI[s] {
-				a.minI[s] = v
-			}
-			if v > a.maxI[s] {
-				a.maxI[s] = v
-			}
-		}
-	default:
-		for _, r := range rows {
-			a.boxed[slots[r]].add(b.T.Get(int(r)))
-		}
-	}
-}
-
-// aggrScanHash accumulates rows [lo,hi) with grouper slot assignment.
-func aggrScanHash(b *bat.BAT, hr bat.KeyRep, eq bat.KeyEq, lo, hi int) *aggPart {
-	g := bat.NewGrouper(hi - lo)
-	a := &aggPart{g: g}
-	a.scan(b, lo, hi, func(i int) (int32, bool) {
-		return g.Slot(hr.Rep[i], int32(i), eq)
-	})
-	return a
-}
-
-// aggrScanOrdered accumulates all rows with run-detection slot assignment:
-// an ordered head clusters each group contiguously.
-func aggrScanOrdered(b *bat.BAT, hr bat.KeyRep, n int) *aggPart {
-	a := &aggPart{}
-	slot := int32(-1)
-	a.scan(b, 0, n, func(i int) (int32, bool) {
-		if i == 0 || !(hr.Exact && hr.Rep[i-1] == hr.Rep[i] || !hr.Exact && hr.KeyEqual(int32(i-1), int32(i))) {
-			slot++
-			a.first = append(a.first, int32(i))
-			return slot, true
-		}
-		return slot, false
-	})
-	return a
-}
-
-// scan runs the typed accumulation loop for the part's tail kind.
-func (a *aggPart) scan(b *bat.BAT, lo, hi int, slot func(i int) (int32, bool)) {
-	switch t := b.T.(type) {
-	case *bat.IntCol:
-		for i := lo; i < hi; i++ {
-			s, fresh := slot(i)
-			v := t.V[i]
-			if fresh {
-				a.count = append(a.count, 0)
-				a.sumI = append(a.sumI, 0)
-				a.sumF = append(a.sumF, 0)
-				a.minI = append(a.minI, v)
-				a.maxI = append(a.maxI, v)
-			}
-			a.count[s]++
-			a.sumI[s] += v
-			a.sumF[s] += float64(v)
-			if v < a.minI[s] {
-				a.minI[s] = v
-			}
-			if v > a.maxI[s] {
-				a.maxI[s] = v
-			}
-		}
-	case *bat.FltCol:
-		for i := lo; i < hi; i++ {
-			s, fresh := slot(i)
-			v := t.V[i]
-			if fresh {
-				a.count = append(a.count, 0)
-				a.sumF = append(a.sumF, 0)
-				a.minF = append(a.minF, v)
-				a.maxF = append(a.maxF, v)
-			}
-			a.count[s]++
-			a.sumF[s] += v
-			if v < a.minF[s] {
-				a.minF[s] = v
-			}
-			if v > a.maxF[s] {
-				a.maxF[s] = v
-			}
-		}
-	case *bat.DateCol:
-		for i := lo; i < hi; i++ {
-			s, fresh := slot(i)
-			v := int64(t.V[i])
-			if fresh {
-				a.count = append(a.count, 0)
-				a.minI = append(a.minI, v)
-				a.maxI = append(a.maxI, v)
-			}
-			a.count[s]++
-			if v < a.minI[s] {
-				a.minI[s] = v
-			}
-			if v > a.maxI[s] {
-				a.maxI[s] = v
-			}
-		}
-	default:
-		for i := lo; i < hi; i++ {
-			s, fresh := slot(i)
-			if fresh {
-				a.boxed = append(a.boxed, aggAcc{})
-			}
-			a.boxed[s].add(b.T.Get(i))
-		}
-	}
-}
-
-// aggrAssembleTyped builds the result BAT from accumulated slots: the head
-// gathers the first-occurrence rows, the tail is constructed directly as a
-// typed column.
-func aggrAssembleTyped(fn string, b *bat.BAT, first []int32, a *aggPart) *bat.BAT {
-	G := len(first)
 	var head bat.Column
 	if v, ok := b.H.(*bat.VoidCol); ok {
 		// a void head is dense and key: every row is its own group, and the
 		// result head is the same dense sequence.
-		head = bat.NewVoid(v.Seq, G)
+		head = bat.NewVoid(v.Seq, len(first))
 	} else {
-		head = bat.Gather32(b.H, first)
+		head = bat.Gather(b.H, first)
 	}
-
-	out := bat.New("{"+fn+"}", head, a.assembleTail(fn, b.T.Kind(), G), bat.HKey)
+	out := bat.New("{"+fn+"}", head, f.tail(fn, len(first)), bat.HKey)
 	if b.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
 	}
 	return out
 }
 
-// assembleTail builds the result tail column from accumulated slots; tailKind
-// is the kind of the aggregated (tail) column. Shared by the materializing
-// assembly and the pipeline's aggregate terminal.
-func (a *aggPart) assembleTail(fn string, tailKind bat.Kind, G int) bat.Column {
-	if a.boxed != nil {
-		kind := aggResultKind(fn, tailKind)
-		vals := make([]bat.Value, G)
-		for i := range vals {
-			vals[i] = a.boxed[i].result(fn, tailKind)
-		}
-		return bat.FromValues(kind, vals)
+// slotFold is the grouped-accumulation kernel of one aggregate over one tail
+// column: per-slot accumulators for every aggregate function at once, typed
+// for the numeric and date tails (typedFold), boxed otherwise (boxedFold).
+// Aggr's ordered, hash and radix-partitioned scans, the pipeline's aggregate
+// terminal and — with a single slot — the scalar aggregates all fold through
+// it, in ascending row order per slot.
+type slotFold interface {
+	// grow extends the accumulators to G slots.
+	grow(G int)
+	// fold accumulates the k-th tail row of v into slot slots[k], for every
+	// k, in v's order (a stream's position list travels as v.Sel and need not
+	// ascend). The slots must have been grown; concurrent folds must touch
+	// disjoint slots.
+	fold(v bat.Vector, slots []int32)
+	// tail builds the G-row result column of aggregate fn.
+	tail(fn string, G int) bat.Column
+}
+
+func newSlotFold(tail bat.Column) slotFold {
+	switch t := tail.(type) {
+	case *bat.IntCol:
+		return &typedFold[int64]{col: t.V, sumI: []int64{}, sumF: []float64{}}
+	case *bat.FltCol:
+		return &typedFold[float64]{col: t.V, sumF: []float64{}}
+	case *bat.DateCol:
+		return &typedFold[int32]{col: t.V}
 	}
+	return &boxedFold{col: tail}
+}
+
+// foldBlock is the accumulation batch of the materializing scans: slots
+// resolve for a block of rows, then the block folds in one typed loop.
+const foldBlock = 1024
+
+// foldVec folds one batch into f: the group of the k-th tail row of tv is
+// slot(k-th head row of hv) — f grows as slot hands out new slots; slot ids
+// are dense, so the highest seen bounds them — or slot 0 throughout when slot
+// is nil (a scalar aggregate: one slot, grown up front). slots is scratch,
+// at least as long as the batch and all zero when slot is nil.
+func foldVec(f slotFold, hv, tv bat.Vector, slots []int32, slot func(row int32) int32) {
+	slots = slots[:tv.Rows()]
+	if slot != nil {
+		top, k := int32(-1), 0
+		for r := range hv.All() {
+			slots[k] = slot(r)
+			top = max(top, slots[k])
+			k++
+		}
+		f.grow(int(top) + 1)
+	}
+	f.fold(tv, slots)
+}
+
+// foldRows folds the given ascending rows of a BAT (head and tail row
+// alike) into f, a block at a time.
+func foldRows(f slotFold, rows []int32, slot func(row int32) int32) {
+	slots := make([]int32, min(len(rows), foldBlock))
+	for len(rows) > 0 {
+		v := bat.Vector{Sel: rows[:min(len(rows), foldBlock)]}
+		foldVec(f, v, v, slots, slot)
+		rows = rows[len(v.Sel):]
+	}
+}
+
+// foldRange is foldRows over the identity selection [0, n): each block is a
+// window with no position list, which the typed fold reads sequentially.
+func foldRange(f slotFold, n int, slot func(row int32) int32) {
+	slots := make([]int32, min(n, foldBlock))
+	for lo := 0; lo < n; lo += foldBlock {
+		v := bat.Vector{Lo: lo, Hi: min(n, lo+foldBlock)}
+		foldVec(f, v, v, slots, slot)
+	}
+}
+
+// typedFold accumulates a fixed-width tail unboxed. Integer tails keep an
+// exact int64 sum beside the float sum avg divides; date tails keep no sums
+// (sum and avg over dates are zero, as the boxed accumulator has it). A sum
+// the tail kind does not keep is a nil slice; one it keeps is non-nil from
+// construction on.
+type typedFold[E int64 | float64 | int32] struct {
+	col      []E
+	count    []int64
+	sumI     []int64
+	sumF     []float64
+	min, max []E
+}
+
+func (a *typedFold[E]) grow(G int) {
+	if G <= len(a.count) {
+		return
+	}
+	a.count = growTo(a.count, G)
+	a.min, a.max = growTo(a.min, G), growTo(a.max, G)
+	if a.sumF != nil {
+		a.sumF = growTo(a.sumF, G)
+	}
+	if a.sumI != nil {
+		a.sumI = growTo(a.sumI, G)
+	}
+}
+
+// growTo extends s with zeros to length n >= len(s), amortized like append
+// (the spare capacity is never written before it is exposed, so it is still
+// the zeros it was allocated as).
+func growTo[T any](s []T, n int) []T {
+	return slices.Grow(s, n-len(s))[:n]
+}
+
+func (a *typedFold[E]) fold(rows bat.Vector, slots []int32) {
+	// Slice headers in locals: through a, every store would force a reload.
+	col, count, sumF, sumI, lo, hi := a.col, a.count, a.sumF, a.sumI, a.min, a.max
+	sel := rows.Sel
+	if sel == nil {
+		col = col[rows.Lo:rows.Hi] // the identity selection: batch row k is col[k]
+	}
+	for k, s := range slots {
+		r := k
+		if sel != nil {
+			r = int(sel[k])
+		}
+		v := col[r]
+		if count[s] == 0 {
+			lo[s], hi[s] = v, v
+		}
+		count[s]++
+		if sumF != nil {
+			sumF[s] += float64(v)
+		}
+		if sumI != nil {
+			sumI[s] += int64(v)
+		}
+		if v < lo[s] {
+			lo[s] = v
+		}
+		if v > hi[s] {
+			hi[s] = v
+		}
+	}
+}
+
+func (a *typedFold[E]) tail(fn string, G int) bat.Column {
 	switch fn {
 	case "count":
 		return bat.NewIntCol(a.count)
 	case "sum":
-		if tailKind == bat.KInt {
+		if a.sumI != nil {
 			return bat.NewIntCol(a.sumI)
 		}
-		return bat.NewFltCol(a.sumFOrZero(G))
+		return bat.NewFltCol(growTo(a.sumF, G))
 	case "avg":
-		sum := a.sumFOrZero(G)
+		sum := growTo(a.sumF, G)
 		vals := make([]float64, G)
 		for i := range vals {
-			vals[i] = sum[i] / float64(a.count[i])
+			if a.count[i] > 0 { // only a scalar aggregate's slot can be empty
+				vals[i] = sum[i] / float64(a.count[i])
+			}
 		}
 		return bat.NewFltCol(vals)
-	case "min", "max":
-		return a.minmaxCol(fn, tailKind)
+	case "min":
+		return &bat.FixedCol[E]{V: a.min}
+	case "max":
+		return &bat.FixedCol[E]{V: a.max}
 	}
 	panic(fmt.Sprintf("mil: unknown aggregate %q", fn))
 }
 
-// scanRows is scan over explicit row lists: row k of the stream reads tail
-// value t[trows[k]] and resolves its group through slot(hrows[k]). The
-// accumulation bodies are the same as scan's, so a streamed scan over
-// (hrows, trows) folds bit-identically to a materialized scan over the
-// gathered intermediate.
-func (a *aggPart) scanRows(t bat.Column, hrows, trows []int32, slot func(hr int32) (int32, bool)) {
-	switch tc := t.(type) {
-	case *bat.IntCol:
-		for k := range hrows {
-			s, fresh := slot(hrows[k])
-			v := tc.V[trows[k]]
-			if fresh {
-				a.count = append(a.count, 0)
-				a.sumI = append(a.sumI, 0)
-				a.sumF = append(a.sumF, 0)
-				a.minI = append(a.minI, v)
-				a.maxI = append(a.maxI, v)
-			}
-			a.count[s]++
-			a.sumI[s] += v
-			a.sumF[s] += float64(v)
-			if v < a.minI[s] {
-				a.minI[s] = v
-			}
-			if v > a.maxI[s] {
-				a.maxI[s] = v
-			}
-		}
-	case *bat.FltCol:
-		for k := range hrows {
-			s, fresh := slot(hrows[k])
-			v := tc.V[trows[k]]
-			if fresh {
-				a.count = append(a.count, 0)
-				a.sumF = append(a.sumF, 0)
-				a.minF = append(a.minF, v)
-				a.maxF = append(a.maxF, v)
-			}
-			a.count[s]++
-			a.sumF[s] += v
-			if v < a.minF[s] {
-				a.minF[s] = v
-			}
-			if v > a.maxF[s] {
-				a.maxF[s] = v
-			}
-		}
-	case *bat.DateCol:
-		for k := range hrows {
-			s, fresh := slot(hrows[k])
-			v := int64(tc.V[trows[k]])
-			if fresh {
-				a.count = append(a.count, 0)
-				a.minI = append(a.minI, v)
-				a.maxI = append(a.maxI, v)
-			}
-			a.count[s]++
-			if v < a.minI[s] {
-				a.minI[s] = v
-			}
-			if v > a.maxI[s] {
-				a.maxI[s] = v
-			}
-		}
-	default:
-		for k := range hrows {
-			s, fresh := slot(hrows[k])
-			if fresh {
-				a.boxed = append(a.boxed, aggAcc{})
-			}
-			a.boxed[s].add(t.Get(int(trows[k])))
-		}
+// boxedFold accumulates the remaining tail kinds through boxed values.
+type boxedFold struct {
+	col  bat.Column
+	accs []aggAcc
+}
+
+func (a *boxedFold) grow(G int) {
+	if G > len(a.accs) {
+		a.accs = growTo(a.accs, G)
 	}
 }
 
-// sumFOrZero returns the float sums, or zeros for kinds that accumulate
-// none (dates), matching the boxed accumulator's behavior.
-func (a *aggPart) sumFOrZero(G int) []float64 {
-	if a.sumF != nil {
-		return a.sumF
+func (a *boxedFold) fold(v bat.Vector, slots []int32) {
+	k := 0
+	for r := range v.All() {
+		a.accs[slots[k]].add(a.col.Get(int(r)))
+		k++
 	}
-	return make([]float64, G)
 }
 
-func (a *aggPart) minmaxCol(fn string, kind bat.Kind) bat.Column {
-	sel64 := a.minI
-	selF := a.minF
-	if fn == "max" {
-		sel64, selF = a.maxI, a.maxF
+func (a *boxedFold) tail(fn string, G int) bat.Column {
+	kind := a.col.Kind()
+	vals := make([]bat.Value, G)
+	for i := range vals {
+		vals[i] = a.accs[i].result(fn, kind)
 	}
-	switch kind {
-	case bat.KInt:
-		return bat.NewIntCol(sel64)
-	case bat.KFlt:
-		return bat.NewFltCol(selF)
-	case bat.KDate:
-		days := make([]int32, len(sel64))
-		for i, v := range sel64 {
-			days[i] = int32(v)
-		}
-		return bat.NewDateCol(days)
-	}
-	panic("mil: typed min/max over kind " + kind.String())
-}
-
-// aggrBoxed is the boxed reference implementation (it also serves empty
-// inputs).
-func aggrBoxed(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
-	if b.Props.Has(bat.HOrdered) {
-		return aggrOrderedBoxed(ctx, fn, b)
-	}
-	ctx.chose("hash-aggr")
-	accs := make(map[bat.Value]*aggAcc, 64)
-	var order []bat.Value
-	for i := 0; i < b.Len(); i++ {
-		h := b.H.Get(i)
-		acc, ok := accs[h]
-		if !ok {
-			acc = &aggAcc{}
-			accs[h] = acc
-			order = append(order, h)
-		}
-		acc.add(b.T.Get(i))
-	}
-	return aggrAssemble(fn, b, order, func(h bat.Value) *aggAcc { return accs[h] })
-}
-
-// aggrOrderedBoxed exploits an ordered head: groups are contiguous runs, no
-// hash table needed.
-func aggrOrderedBoxed(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
-	ctx.chose("ordered-aggr")
-	var order []bat.Value
-	var accs []*aggAcc
-	for i := 0; i < b.Len(); i++ {
-		h := b.H.Get(i)
-		if len(order) == 0 || !bat.Equal(order[len(order)-1], h) {
-			order = append(order, h)
-			accs = append(accs, &aggAcc{})
-		}
-		accs[len(accs)-1].add(b.T.Get(i))
-	}
-	i := -1
-	return aggrAssemble(fn, b, order, func(bat.Value) *aggAcc { i++; return accs[i] })
-}
-
-func aggrAssemble(fn string, b *bat.BAT, order []bat.Value, accOf func(bat.Value) *aggAcc) *bat.BAT {
-	kind := aggResultKind(fn, b.T.Kind())
-	vals := make([]bat.Value, len(order))
-	for i, h := range order {
-		vals[i] = accOf(h).result(fn, b.T.Kind())
-	}
-	out := bat.New("{"+fn+"}", bat.FromValues(b.H.Kind(), order), bat.FromValues(kind, vals), bat.HKey)
-	if b.Props.Has(bat.HOrdered) {
-		out.Props |= bat.HOrdered
-	}
-	return out
+	return bat.FromValues(aggResultKind(fn, kind), vals)
 }
 
 // AggrScalar aggregates all tail values of b into a single-BUN BAT
@@ -545,19 +355,23 @@ func aggrAssemble(fn string, b *bat.BAT, order []bat.Value, accOf func(bat.Value
 // TPC-D Q6's sum(...) over a whole set.
 func AggrScalar(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	ctx.chose("scalar-aggr")
-	p := ctx.pager()
-	b.T.TouchAll(p)
-	acc := &aggAcc{}
-	for i := 0; i < b.Len(); i++ {
-		acc.add(b.T.Get(i))
-	}
-	kind := aggResultKind(fn, b.T.Kind())
-	v := acc.result(fn, b.T.Kind())
-	if !acc.first && (fn == "min" || fn == "max") {
-		v = bat.Value{K: kind}
-	}
-	return bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}),
-		bat.FromValues(kind, []bat.Value{v}), bat.HKey|bat.TKey)
+	b.T.TouchAll(ctx.pager())
+	f := newScalarFold(b.T)
+	foldRange(f, b.Len(), nil)
+	return scalarResult(fn, f)
+}
+
+// A scalar aggregate is the grouped fold with one slot (a nil slot resolver
+// to foldVec). Over no rows the slot stays empty and every function yields
+// the zero value of its result kind.
+func newScalarFold(tail bat.Column) slotFold {
+	f := newSlotFold(tail)
+	f.grow(1)
+	return f
+}
+
+func scalarResult(fn string, f slotFold) *bat.BAT {
+	return bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}), f.tail(fn, 1), bat.HKey|bat.TKey)
 }
 
 // ScalarOf extracts the single value of a one-BUN BAT produced by

@@ -67,17 +67,16 @@ type Ctx struct {
 	// MorselRows tunes the morsel-driven scheduler that hands parallel work
 	// to the workers: 0 picks the skew-aware default (~L2-sized probe
 	// chunks, whole partitions for builds), > 0 forces an explicit probe
-	// morsel length in rows, and < 0 disables morsel claiming entirely in
-	// favor of static per-worker striping (the pre-morsel baseline, kept
-	// for ablations and parity runs). Every setting is bit-identical.
+	// morsel length in rows. Every setting is bit-identical.
 	MorselRows int
 
 	// Pipeline selects the execution strategy for fusable statement chains
 	// (select → semijoin/diff/join → aggregate): 0 (the default) and > 0
 	// stream cache-resident vectors with selection vectors through the
-	// chain, materializing only the chain's final result; < 0 forces full
-	// materialization of every statement — the parity reference the
-	// pipeline is tested against. Every setting is bit-identical.
+	// chain, materializing only the chain's final result; < 0 executes the
+	// chain statement-at-a-time — the same kernels over full columns, every
+	// intermediate materialized: the parity reference the fused plan shape
+	// is tested against. Every setting is bit-identical.
 	Pipeline int
 
 	// VectorRows tunes the pipeline's vector length in rows; 0 picks
@@ -152,8 +151,8 @@ type Options struct {
 	Pager *storage.Pager
 	// Workers enables parallel iteration when > 1. See Ctx.Workers.
 	Workers int
-	// MorselRows tunes morsel-driven scheduling (0 auto, > 0 explicit,
-	// < 0 static striping). See Ctx.MorselRows.
+	// MorselRows tunes morsel-driven scheduling (0 auto, > 0 explicit).
+	// See Ctx.MorselRows.
 	MorselRows int
 	// Pipeline selects vectorized (>= 0) or fully materialized (< 0)
 	// execution of fusable chains. See Ctx.Pipeline.

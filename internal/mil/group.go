@@ -6,8 +6,7 @@ import (
 
 // Unique implements AB.unique: it removes duplicate BUNs, keeping first
 // occurrences, so order properties of the operand are preserved. It dedupes
-// composite (head, tail) key reps through the bucket+link grouper;
-// uniqueBoxed is the parity reference.
+// composite (head, tail) key reps through the bucket+link grouper.
 func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	ctx.chose("hash-unique")
 	p := ctx.pager()
@@ -48,22 +47,6 @@ func mixedReps(ctx *Ctx, a, b bat.KeyRep, n int) []uint64 {
 	return mixed
 }
 
-// uniqueBoxed is the boxed-map variant of Unique.
-func uniqueBoxed(ctx *Ctx, b *bat.BAT) *bat.BAT {
-	type bun struct{ h, t bat.Value }
-	seen := make(map[bun]struct{}, b.Len())
-	var pos []int
-	for i := 0; i < b.Len(); i++ {
-		k := bun{b.H.Get(i), b.T.Get(i)}
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		pos = append(pos, i)
-	}
-	return gatherPositions(ctx, b.Name+".uniq", b, pos)
-}
-
 // GroupUnary implements AB.group: {a·o_b | ab ∈ AB ∧ o_b = unique_oid(b)} —
 // a fresh oid is handed out for each distinct tail value (Fig. 4). The
 // result has the same head (at the same positions) as the operand and is
@@ -102,23 +85,6 @@ func slotsToOIDs(ctx *Ctx, slots []int32, out []bat.OID) {
 			out[i] = bat.OID(slots[i])
 		}
 	})
-}
-
-// groupTailsBoxed assigns group oids per distinct boxed tail value; it is
-// GroupUnary's parity reference.
-func groupTailsBoxed(b *bat.BAT, out []bat.OID) {
-	ids := make(map[bat.Value]bat.OID, b.Len())
-	var next bat.OID
-	for i := 0; i < b.Len(); i++ {
-		v := b.T.Get(i)
-		id, ok := ids[v]
-		if !ok {
-			id = next
-			next++
-			ids[v] = id
-		}
-		out[i] = id
-	}
 }
 
 // GroupBinary implements AB.group(CD): it refines an existing grouping g

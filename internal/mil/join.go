@@ -17,8 +17,9 @@ import (
 //   - hash-join: fallback, hash accelerator on CD's head (built and cached
 //     on first use, like Monet's run-time accelerator construction).
 //
-// All variants run as typed kernels over the columns' backing slices; boxed
-// loops remain only as fallbacks for column pairs without a typed path.
+// All variants run as typed kernels over the columns' backing slices; only
+// the merge variant keeps a boxed loop, for column pairs without a typed
+// merge.
 func Join(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	if out, ok := syncJoin(ctx, l, r); ok {
 		return out
@@ -70,7 +71,7 @@ func dvJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 		vpos = append(vpos, int32(pos))
 	})
 	dv.Vector.TouchPositions(p, vpos)
-	out := bat.New(l.Name+".join", bat.Gather32(l.H, lpos), bat.Gather32(dv.Vector, vpos), 0)
+	out := bat.New(l.Name+".join", bat.Gather(l.H, lpos), bat.Gather(dv.Vector, vpos), 0)
 	if l.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
 	}
@@ -92,7 +93,7 @@ func joinResult(ctx *Ctx, l, r *bat.BAT, lpos, rpos []int32) *bat.BAT {
 	p := ctx.pager()
 	l.H.TouchPositions(p, lpos)
 	r.T.TouchPositions(p, rpos)
-	out := bat.New(l.Name+".join", bat.Gather32(l.H, lpos), bat.Gather32(r.T, rpos), 0)
+	out := bat.New(l.Name+".join", bat.Gather(l.H, lpos), bat.Gather(r.T, rpos), 0)
 	if l.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
 	}
@@ -183,44 +184,51 @@ func syncJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 	return out, true
 }
 
-// denseSeq returns the first oid of r's dense head: the base that turns a
-// fetch-join probe into a positional index.
-func denseSeq(r *bat.BAT) bat.OID {
+// fetchVec is the fetch-join kernel: r's head is the dense oid sequence
+// starting at its first head value, so a tail value of lt matches at most
+// the one position its offset from that base names. It appends the (row,
+// position) pairs of the rows of v in probe order. Non-oid tails coerce
+// through Value.I, as fetch-join always had it.
+func fetchVec(lt bat.Column, r *bat.BAT, v bat.Vector, lpos, rpos []int32) ([]int32, []int32) {
+	var seq int
 	if h, ok := r.H.(*bat.VoidCol); ok {
-		return h.Seq
+		seq = int(h.Seq)
+	} else if r.Len() > 0 {
+		seq = int(r.H.Get(0).OID())
 	}
-	if r.Len() > 0 {
-		return r.H.Get(0).OID()
+	n := r.Len()
+	if oids, ok := lt.(*bat.OIDCol); ok {
+		if v.Sel == nil {
+			for i, o := range oids.V[v.Lo:v.Hi] {
+				if x := int(o) - seq; x >= 0 && x < n {
+					lpos = append(lpos, int32(v.Lo+i))
+					rpos = append(rpos, int32(x))
+				}
+			}
+			return lpos, rpos
+		}
+		for _, i := range v.Sel {
+			if x := int(oids.V[i]) - seq; x >= 0 && x < n {
+				lpos = append(lpos, i)
+				rpos = append(rpos, int32(x))
+			}
+		}
+		return lpos, rpos
 	}
-	return 0
+	for i := range v.All() {
+		if x := int(lt.Get(int(i)).I) - seq; x >= 0 && x < n {
+			lpos = append(lpos, i)
+			rpos = append(rpos, int32(x))
+		}
+	}
+	return lpos, rpos
 }
 
 func fetchJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	ctx.chose("fetch-join")
-	p := ctx.pager()
-	l.T.TouchAll(p)
-	seq := denseSeq(r)
-	n := r.Len()
+	l.T.TouchAll(ctx.pager())
 	nl := l.Len()
-	lpos := make([]int32, 0, nl)
-	rpos := make([]int32, 0, nl)
-	if t, ok := l.T.(*bat.OIDCol); ok {
-		for i, v := range t.V {
-			idx := int(v) - int(seq)
-			if idx >= 0 && idx < n {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, int32(idx))
-			}
-		}
-	} else {
-		for i := 0; i < nl; i++ {
-			idx := int(l.T.Get(i).I) - int(seq)
-			if idx >= 0 && idx < n {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, int32(idx))
-			}
-		}
-	}
+	lpos, rpos := fetchVec(l.T, r, bat.Vector{Hi: nl}, make([]int32, 0, nl), make([]int32, 0, nl))
 	return joinResult(ctx, l, r, lpos, rpos)
 }
 
@@ -232,7 +240,7 @@ func mergeJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	hint := l.Len()
 	lpos := make([]int32, 0, hint)
 	rpos := make([]int32, 0, hint)
-	if lp, rp, ok := bat.MergeJoinPositions(l.T, r.H, lpos, rpos); ok {
+	if lp, rp, ok := bat.MergeJoinPairs(l.T, r.H, lpos, rpos); ok {
 		return joinResult(ctx, l, r, lp, rp)
 	}
 	// boxed fallback: column pair without a typed path
@@ -268,22 +276,15 @@ func hashJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	// and parallelizes across the context's workers (sized by the build
 	// side); every degree builds the identical index.
 	idx := r.HeadHashSched(ctx.sched(r.Len()))
-	n := l.Len()
-	if pr, ok := idx.NewProbe(l.T); ok {
-		lpos, rpos := parallelPairs(ctx, n, joinCap(l, r, idx),
-			func(lo, hi int, lp, rp []int32) ([]int32, []int32) {
-				return idx.JoinRange(pr, lo, hi, lp, rp)
-			})
-		return joinResult(ctx, l, r, lpos, rpos)
+	pr, ok := idx.NewProbe(l.T)
+	if !ok {
+		// l's tail kind cannot occur in r's head: nothing joins.
+		return joinResult(ctx, l, r, nil, nil)
 	}
-	// boxed fallback: probe kind without a typed path into the accelerator
-	var lpos, rpos []int32
-	for i := 0; i < n; i++ {
-		for _, rp := range idx.Lookup(l.T.Get(i)) {
-			lpos = append(lpos, int32(i))
-			rpos = append(rpos, rp)
-		}
-	}
+	lpos, rpos := parallelPairs(ctx, l.Len(), joinCap(l, r, idx),
+		func(lo, hi int, lp, rp []int32) ([]int32, []int32) {
+			return idx.JoinVec(pr, bat.Vector{Lo: lo, Hi: hi}, lp, rp)
+		})
 	return joinResult(ctx, l, r, lpos, rpos)
 }
 

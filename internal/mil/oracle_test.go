@@ -1,0 +1,121 @@
+package mil
+
+import "repro/internal/bat"
+
+// The boxed reference implementations the typed kernels are tested against:
+// per-row loops over boxed Values and Go maps, none of them reachable from
+// the binary.
+
+// uniqueBoxed is the boxed-map variant of Unique.
+func uniqueBoxed(ctx *Ctx, b *bat.BAT) *bat.BAT {
+	type bun struct{ h, t bat.Value }
+	seen := make(map[bun]struct{}, b.Len())
+	var pos []int32
+	for i := 0; i < b.Len(); i++ {
+		k := bun{b.H.Get(i), b.T.Get(i)}
+		if _, ok := seen[k]; ok {
+			continue
+		}
+		seen[k] = struct{}{}
+		pos = append(pos, int32(i))
+	}
+	return gatherPositions(ctx, b.Name+".uniq", b, pos)
+}
+
+// groupTailsBoxed assigns group oids per distinct boxed tail value; it is
+// GroupUnary's parity reference.
+func groupTailsBoxed(b *bat.BAT, out []bat.OID) {
+	ids := make(map[bat.Value]bat.OID, b.Len())
+	var next bat.OID
+	for i := 0; i < b.Len(); i++ {
+		v := b.T.Get(i)
+		id, ok := ids[v]
+		if !ok {
+			id = next
+			next++
+			ids[v] = id
+		}
+		out[i] = id
+	}
+}
+
+// aggrBoxed is the boxed reference of Aggr.
+func aggrBoxed(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
+	if b.Props.Has(bat.HOrdered) {
+		return aggrOrderedBoxed(ctx, fn, b)
+	}
+	ctx.chose("hash-aggr")
+	accs := make(map[bat.Value]*aggAcc, 64)
+	var order []bat.Value
+	for i := 0; i < b.Len(); i++ {
+		h := b.H.Get(i)
+		acc, ok := accs[h]
+		if !ok {
+			acc = &aggAcc{}
+			accs[h] = acc
+			order = append(order, h)
+		}
+		acc.add(b.T.Get(i))
+	}
+	return aggrAssemble(fn, b, order, func(h bat.Value) *aggAcc { return accs[h] })
+}
+
+// aggrOrderedBoxed exploits an ordered head: groups are contiguous runs, no
+// hash table needed.
+func aggrOrderedBoxed(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
+	ctx.chose("ordered-aggr")
+	var order []bat.Value
+	var accs []*aggAcc
+	for i := 0; i < b.Len(); i++ {
+		h := b.H.Get(i)
+		if len(order) == 0 || !bat.Equal(order[len(order)-1], h) {
+			order = append(order, h)
+			accs = append(accs, &aggAcc{})
+		}
+		accs[len(accs)-1].add(b.T.Get(i))
+	}
+	i := -1
+	return aggrAssemble(fn, b, order, func(bat.Value) *aggAcc { i++; return accs[i] })
+}
+
+func aggrAssemble(fn string, b *bat.BAT, order []bat.Value, accOf func(bat.Value) *aggAcc) *bat.BAT {
+	kind := aggResultKind(fn, b.T.Kind())
+	vals := make([]bat.Value, len(order))
+	for i, h := range order {
+		vals[i] = accOf(h).result(fn, b.T.Kind())
+	}
+	out := bat.New("{"+fn+"}", bat.FromValues(b.H.Kind(), order), bat.FromValues(kind, vals), bat.HKey)
+	if b.Props.Has(bat.HOrdered) {
+		out.Props |= bat.HOrdered
+	}
+	return out
+}
+
+// scalarBoxed is the boxed reference of AggrScalar: one boxed accumulator
+// over every tail value; min and max over no rows are the zero value of
+// their kind.
+func scalarBoxed(fn string, b *bat.BAT) *bat.BAT {
+	acc := &aggAcc{}
+	for i := 0; i < b.Len(); i++ {
+		acc.add(b.T.Get(i))
+	}
+	kind := aggResultKind(fn, b.T.Kind())
+	v := acc.result(fn, b.T.Kind())
+	if !acc.first && (fn == "min" || fn == "max") {
+		v = bat.Value{K: kind}
+	}
+	return bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}),
+		bat.FromValues(kind, []bat.Value{v}), bat.HKey|bat.TKey)
+}
+
+// selectBoxed is the boxed reference of the scan select: the BUNs whose
+// tail satisfies inRange, row by row.
+func selectBoxed(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *bat.BAT {
+	var pos []int32
+	for i := 0; i < b.Len(); i++ {
+		if inRange(b.T.Get(i), lo, hi, loIncl, hiIncl) {
+			pos = append(pos, int32(i))
+		}
+	}
+	return gatherPositions(nil, b.Name+".sel", b, pos)
+}

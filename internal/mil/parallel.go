@@ -14,8 +14,8 @@ import (
 // (morsels) than workers, and workers claim the next morsel index from an
 // atomic counter (bat.MorselDo). Under a skewed workload — a tail-ordered
 // attribute BAT clusters a hot key's rows contiguously, and those rows can
-// carry far more probe work than the rest — a static per-worker split
-// strands the whole hot range on one worker; morsel claiming lets the
+// carry far more probe work than the rest — one range per worker would
+// strand the whole hot range on one worker; morsel claiming lets the
 // fast workers steal the tail of the queue instead of idling. Partials are
 // stitched in morsel-index order (never completion order), so every
 // schedule produces the bit-identical result of a sequential scan.
@@ -46,10 +46,9 @@ func (c *Ctx) workers() int {
 }
 
 // morselRows resolves the Ctx knob to a probe-morsel length for an n-row
-// scan on k workers. <= 0 selects static per-worker striping (one range per
-// worker, the pre-morsel baseline kept for ablations and parity runs).
+// scan on k workers.
 func (c *Ctx) morselRows(n, k int) int {
-	if c != nil && c.MorselRows != 0 {
+	if c != nil && c.MorselRows > 0 {
 		return c.MorselRows
 	}
 	mr := defaultMorselRows
@@ -65,11 +64,10 @@ func (c *Ctx) morselRows(n, k int) int {
 // sched returns the partition-dispatch descriptor for an n-row operator:
 // how accelerator builds and partitioned groupings triggered by this
 // operator schedule their partitions onto workers. Builds use whole
-// partitions as morsels, so only the static/morsel mode carries over.
+// partitions as morsels, so the probe-morsel length does not carry over.
 func (c *Ctx) sched(n int) bat.Sched {
 	return bat.Sched{
 		Workers: workersFor(c, n),
-		Static:  c != nil && c.MorselRows < 0,
 		Stop:    c.stop(),
 		OnBuild: c.buildHook(),
 	}
@@ -80,13 +78,9 @@ func (c *Ctx) sched(n int) bat.Sched {
 func ranges(n, k int) [][2]int { return bat.SplitRange(n, k) }
 
 // probeRanges splits [0, n) into the morsel ranges of one parallel scan:
-// ~morselRows-sized chunks claimed dynamically, or exactly k per-worker
-// chunks when morsel scheduling is disabled.
+// ~morselRows-sized chunks claimed dynamically, never fewer than k.
 func probeRanges(c *Ctx, n, k int) [][2]int {
 	mr := c.morselRows(n, k)
-	if mr <= 0 {
-		return ranges(n, k)
-	}
 	m := (n + mr - 1) / mr
 	if m < k {
 		m = k
@@ -106,36 +100,6 @@ func (c *Ctx) ProbeRanges(n int) [][2]int {
 	return probeRanges(c, n, k)
 }
 
-// parallelCollect runs fn over the morsel ranges of [0, n), each producing a
-// slice of positions (ascending within its range), and concatenates them in
-// range order — the result is identical to a sequential left-to-right scan.
-func parallelCollect(c *Ctx, n int, fn func(lo, hi int) []int) []int {
-	k := workersFor(c, n)
-	if k <= 1 {
-		return fn(0, n)
-	}
-	rs := probeRanges(c, n, k)
-	if len(rs) <= 1 {
-		return fn(0, n)
-	}
-	parts := make([][]int, len(rs))
-	rec := c.dispatchRec(k)
-	bat.MorselDoStop(k, len(rs), c.stop(), func(w, mi int) {
-		parts[mi] = fn(rs[mi][0], rs[mi][1])
-		rec.claim(w, rs[mi][1]-rs[mi][0])
-	})
-	rec.done(c)
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]int, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // scratchHint pre-sizes one morsel's position buffer from the operator's
 // total cardinality estimate, scaled by the morsel's share of the input —
 // sizing by morsel length rather than splitting the total hint evenly, so
@@ -147,9 +111,12 @@ func scratchHint(capHint, lo, hi, n int) int {
 	return int(int64(capHint)*int64(hi-lo)/int64(n)) + 1
 }
 
-// parallelCollect32 is parallelCollect for the int32 position buffers of the
-// typed kernels; capHint pre-sizes each morsel's buffer from the operator's
-// cardinality estimate so results do not grow by repeated doubling.
+// parallelCollect32 runs fn over the morsel ranges of [0, n), each appending
+// the positions it keeps (ascending within its range), and concatenates the
+// partials in range order — the result is identical to a sequential
+// left-to-right scan. capHint pre-sizes each morsel's buffer from the
+// operator's cardinality estimate so results do not grow by repeated
+// doubling.
 func parallelCollect32(c *Ctx, n, capHint int, fn func(lo, hi int, out []int32) []int32) []int32 {
 	k := workersFor(c, n)
 	if capHint < 0 {

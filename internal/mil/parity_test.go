@@ -152,10 +152,10 @@ func TestParitySemijoinAllKinds(t *testing.T) {
 				for i := 0; i < r.Len(); i++ {
 					set[r.HeadValue(i)] = struct{}{}
 				}
-				var pos []int
+				var pos []int32
 				for i := 0; i < l.Len(); i++ {
 					if _, ok := set[l.HeadValue(i)]; ok {
-						pos = append(pos, i)
+						pos = append(pos, int32(i))
 					}
 				}
 				want := gatherPositions(nil, l.Name+".sel", l, pos)
@@ -418,7 +418,7 @@ func TestParityViewGather(t *testing.T) {
 		t.Fatalf("algo = %s", ctx.LastAlgo())
 	}
 	// reference: the scan path over the same predicate
-	want := selectScan(nil, b, &lo, &hi, true, true)
+	want := scanSelect(nil, b, tailKernel(b, &lo, &hi, true, true))
 	if got.Len() != want.Len() || got.Len() == 0 {
 		t.Fatalf("len %d != %d", got.Len(), want.Len())
 	}
@@ -458,8 +458,70 @@ func TestParitySelectEqHashDirect(t *testing.T) {
 		if ctx.LastAlgo() != "hash-select" {
 			t.Fatalf("algo = %s", ctx.LastAlgo())
 		}
-		want := selectScan(nil, b, ptr(bat.I(probe)), ptr(bat.I(probe)), true, true)
+		want := scanSelect(nil, b, tailKernel(b, ptr(bat.I(probe)), ptr(bat.I(probe)), true, true))
 		batsEqual(t, fmt.Sprintf("hash-select v=%d", probe), got, want)
+	}
+}
+
+// TestParitySelectExtremeBounds: a range select whose bound is absent, or
+// exclusive at the extreme of the tail's domain, keeps what the boxed
+// predicate keeps — under both execution strategies. (The typed scan once
+// modelled an absent bound as ±2^62 and stepped exclusive bounds with ±1,
+// dropping values beyond ±2^62 and wrapping at the extremes.)
+func TestParitySelectExtremeBounds(t *testing.T) {
+	tails := map[string]bat.Column{
+		"int": bat.NewIntCol([]int64{1, 1<<62 + 5, -(1 << 62) - 7, math.MaxInt64, math.MinInt64, 0}),
+		"oid": bat.NewOIDCol([]bat.OID{1, math.MaxUint32, 0, 7}),
+	}
+	mk := map[string]func(int64) bat.Value{
+		"int": bat.I,
+		"oid": func(x int64) bat.Value { return bat.O(bat.OID(x)) },
+	}
+	extremes := map[string][2]int64{"int": {math.MinInt64, math.MaxInt64}, "oid": {0, math.MaxUint32}}
+	for kind, tail := range tails {
+		b := bat.New("b", bat.NewVoid(0, tail.Len()), tail, 0)
+		zero, minV, maxV := mk[kind](0), mk[kind](extremes[kind][0]), mk[kind](extremes[kind][1])
+		for _, c := range []struct {
+			name           string
+			lo, hi         *bat.Value
+			loIncl, hiIncl bool
+			want           int // -1: whatever the oracle says
+		}{
+			{"from-zero-up", &zero, nil, true, true, map[string]int{"int": 4, "oid": 4}[kind]},
+			{"up-to-zero", nil, &zero, true, true, map[string]int{"int": 3, "oid": 1}[kind]},
+			{"above-max", &maxV, nil, false, true, 0},
+			{"below-min", nil, &minV, true, false, 0},
+			{"at-max", &maxV, &maxV, true, true, 1},
+			{"unbounded", nil, nil, true, true, tail.Len()},
+			{"open-at-both-extremes", &minV, &maxV, false, false, -1},
+		} {
+			want := selectBoxed(b, c.lo, c.hi, c.loIncl, c.hiIncl)
+			if c.want >= 0 && want.Len() != c.want {
+				t.Fatalf("%s/%s: oracle keeps %d rows, expected %d", kind, c.name, want.Len(), c.want)
+			}
+			batsEqual(t, kind+"/"+c.name+"/materialized", SelectRange(nil, b, c.lo, c.hi, c.loIncl, c.hiIncl), want)
+			arg := func(v *bat.Value) StmtArg {
+				if v == nil {
+					return None()
+				}
+				return LitArg(*v)
+			}
+			prog := &Program{Keep: []string{"RES"}, Stmts: []Stmt{
+				{Dst: "x", Op: OpSelectRange, Args: []StmtArg{VarArg("b"), arg(c.lo), arg(c.hi)}, LoIncl: c.loIncl, HiIncl: c.hiIncl},
+				{Dst: "RES", Op: OpSelectRange, Args: []StmtArg{VarArg("x"), None(), None()}, LoIncl: true, HiIncl: true},
+			}}
+			for _, pipeline := range []int{0, -1} {
+				scope, traces, err := Exec(NewCtx(nil, Options{Pipeline: pipeline, VectorRows: 2}), prog, Env{"b": b})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", kind, c.name, err)
+				}
+				if fused := traces[0].Algo == "pipeline"; fused != (pipeline >= 0) {
+					t.Fatalf("%s/%s/pipeline=%d: ran %q", kind, c.name, pipeline, traces[0].Algo)
+				}
+				got, _ := scope.Lookup("RES")
+				assertSameBAT(t, fmt.Sprintf("%s/%s/pipeline=%d", kind, c.name, pipeline), got, want)
+			}
+		}
 	}
 }
 

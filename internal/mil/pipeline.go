@@ -18,17 +18,22 @@ import (
 // footprint of a chain drops from the sum of its stage results to one vector
 // working set plus the result.
 //
-// The pipeline is an execution strategy, not a different algebra: every stage
-// applies the same kernels (FilterRange/JoinRange generalized to selection
-// vectors, the same typed accumulation bodies for aggregates) to the same
-// rows in the same order, so the chain's result is BUN-for-BUN identical to
-// full materialization. Parallel execution splits the source domain into the
-// same morsel ranges a materializing scan would use; each morsel advances
-// vector-at-a-time and partials stitch in range order. Statements whose
-// operands or shapes the planner cannot prove fusable (multi-use
-// intermediates, kept names, post-join filters, datavector corner cases) run
-// fully materialized, which remains the parity reference (Ctx.Pipeline < 0
-// forces it for every chain).
+// The pipeline is a plan shape, not a second set of kernels. Every operator
+// has one kernel that takes its rows as a bat.Vector (see the contract in
+// bat/vector.go): the select kernels of select.go, the probe kernels
+// HashIndex.FilterVec / JoinVec, fetchVec, and the slotFold accumulators. A
+// materializing operator calls its kernel over the identity selection of
+// each morsel range; a chain stage calls the same kernel over the window
+// the previous stage left. Stages here therefore only touch pages and call
+// the kernel, and a chain hands the same rows in the same order to the same
+// code as statement-at-a-time execution — which is why the un-fused plan
+// (Ctx.Pipeline < 0: every statement materializes) is a trustworthy
+// reference for the fused one, and the two are BUN-for-BUN identical.
+// Parallel execution splits the source domain into the same morsel ranges a
+// materializing scan would use; each morsel advances vector-at-a-time and
+// partials stitch in range order. Statements whose operands or shapes the
+// planner cannot prove fusable (multi-use intermediates, kept names,
+// post-join filters, datavector corner cases) run statement-at-a-time.
 //
 // Known representational (not BUN-level) divergences from materialization,
 // accepted and tested around: a chain that composes to a contiguous run
@@ -162,36 +167,38 @@ const (
 )
 
 // pfilter is one probing filter stage (semijoin / intersect: want=true,
-// diff: want=false) against the right operand's head accelerator.
+// diff: want=false) against the right operand's head accelerator. probes is
+// false when the stream's head kind cannot occur in r's head: nothing
+// matches, so the stage keeps every row (diff) or none.
 type pfilter struct {
-	r     *bat.BAT
-	want  bool
-	idx   *bat.HashIndex
-	pr    bat.Probe
-	typed bool
+	r      *bat.BAT
+	want   bool
+	idx    *bat.HashIndex
+	pr     bat.Probe
+	probes bool
 }
 
 // pjoin is the chain's join stage: positional identity when the operands'
-// join columns correspond position by position (mirroring sync-join, no
-// accelerator), positional fetch when the right head is dense (mirroring
-// fetch-join's arithmetic, including its coercion of non-oid tails through
-// Value.I), hash probe otherwise.
+// join columns correspond position by position (sync-join: the identity
+// pair of the vector, no accelerator), positional fetch when the right head
+// is dense (fetchVec, fetch-join's kernel), hash probe otherwise — which
+// matches nothing when the stream's tail kind cannot occur in r's head
+// (probes false).
 type pjoin struct {
-	r     *bat.BAT
-	sync  bool
-	fetch bool
-	seq   bat.OID
-	idx   *bat.HashIndex
-	pr    bat.Probe
-	typed bool
+	r      *bat.BAT
+	sync   bool
+	fetch  bool
+	idx    *bat.HashIndex
+	pr     bat.Probe
+	probes bool
 }
 
 // pstage is one chain statement between source and terminal. Exactly one of
-// pred (select), filt (semijoin/diff/intersect) or join is set. rows counts
+// sel (select), filt (semijoin/diff/intersect) or join is set. rows counts
 // the stage's surviving stream rows (pairs for a join) for the trace.
 type pstage struct {
 	stmt int // program statement index
-	pred func(int32) bool
+	sel  selKernel
 	filt *pfilter
 	join *pjoin
 	rows atomic.Int64
@@ -207,7 +214,7 @@ type pplan struct {
 	srcLo   int // srcRun: window [srcLo, srcHi)
 	srcHi   int
 	srcPos  []int32 // srcPos: ascending absolute positions
-	srcPred func(int32) bool
+	srcSel  selKernel
 	srcRows atomic.Int64
 
 	stages []*pstage // pre-join filter stages, in chain order
@@ -268,7 +275,7 @@ func buildChainPlan(p *Program, ch pchain, scope *Scope) (*pplan, bool) {
 			pl.srcPos = b.TailHash().Lookup(*v)
 		default:
 			pl.srcMode = srcScan
-			pl.srcPred = tailPred(b, v, v, true, true)
+			pl.srcSel = tailKernel(b, v, v, true, true)
 		}
 		pl.name += ".sel"
 	case OpSelectRange:
@@ -285,12 +292,12 @@ func buildChainPlan(p *Program, ch pchain, scope *Scope) (*pplan, bool) {
 			pl.srcLo, pl.srcHi = binSearchRun(b, lo, hi, head.LoIncl, head.HiIncl)
 		} else {
 			pl.srcMode = srcScan
-			pl.srcPred = tailPred(b, lo, hi, head.LoIncl, head.HiIncl)
+			pl.srcSel = tailKernel(b, lo, hi, head.LoIncl, head.HiIncl)
 		}
 		pl.name += ".sel"
 	case OpSelectBit:
 		pl.srcMode = srcScan
-		pl.srcPred = bitPred(b)
+		pl.srcSel = bitKernel(b)
 		pl.name += ".sel"
 	case OpSemijoin, OpDiff, OpIntersect, OpJoin:
 		// Filter or join head: the stream is the full scan of the first
@@ -331,7 +338,7 @@ func buildChainPlan(p *Program, ch pchain, scope *Scope) (*pplan, bool) {
 			if !ok || v == nil {
 				return nil, false
 			}
-			pl.stages = append(pl.stages, &pstage{stmt: k, pred: tailPred(b, v, v, true, true)})
+			pl.stages = append(pl.stages, &pstage{stmt: k, sel: tailKernel(b, v, v, true, true)})
 			pl.name += ".sel"
 		case OpSelectRange:
 			if len(s.Args) < 3 {
@@ -342,10 +349,10 @@ func buildChainPlan(p *Program, ch pchain, scope *Scope) (*pplan, bool) {
 			if !ok1 || !ok2 {
 				return nil, false
 			}
-			pl.stages = append(pl.stages, &pstage{stmt: k, pred: tailPred(b, lo, hi, s.LoIncl, s.HiIncl)})
+			pl.stages = append(pl.stages, &pstage{stmt: k, sel: tailKernel(b, lo, hi, s.LoIncl, s.HiIncl)})
 			pl.name += ".sel"
 		case OpSelectBit:
-			pl.stages = append(pl.stages, &pstage{stmt: k, pred: bitPred(b)})
+			pl.stages = append(pl.stages, &pstage{stmt: k, sel: bitKernel(b)})
 			pl.name += ".sel"
 		case OpSemijoin, OpIntersect, OpDiff:
 			r, ok := scope.Lookup(s.Args[1].Var)
@@ -377,9 +384,6 @@ func buildChainPlan(p *Program, ch pchain, scope *Scope) (*pplan, bool) {
 					return nil, false
 				}
 				j.fetch = r.Props.Has(bat.HDense)
-			}
-			if j.fetch {
-				j.seq = denseSeq(r)
 			}
 			pl.join = &pstage{stmt: k, join: j}
 			pl.name += ".join"
@@ -471,12 +475,7 @@ func (pl *pplan) runRange(ctx *Ctx, p *storage.Tracker, vr, lo, hi int, emit fun
 			if p != nil {
 				b.T.TouchRange(p, wlo, whi-wlo)
 			}
-			sel := bufs[0][:0]
-			for i := int32(wlo); i < int32(whi); i++ {
-				if pl.srcPred(i) {
-					sel = append(sel, i)
-				}
-			}
+			sel := pl.srcSel(bat.Vector{Lo: wlo, Hi: whi}, bufs[0][:0])
 			bufs[0] = sel
 			v = bat.Vector{Lo: wlo, Hi: whi, Sel: sel}
 			pl.srcRows.Add(int64(len(sel)))
@@ -499,47 +498,19 @@ func (pl *pplan) runRange(ctx *Ctx, p *storage.Tracker, vr, lo, hi int, emit fun
 }
 
 // applyStage runs one filter stage over a vector, appending the surviving
-// positions to out.
+// positions to out: touch, call the kernel.
 func (pl *pplan) applyStage(p *storage.Tracker, st *pstage, v bat.Vector, out []int32) []int32 {
-	b := pl.b
-	if st.pred != nil {
-		v.Touch(p, b.T)
-		if v.Sel == nil {
-			for i := int32(v.Lo); i < int32(v.Hi); i++ {
-				if st.pred(i) {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range v.Sel {
-				if st.pred(i) {
-					out = append(out, i)
-				}
-			}
-		}
-		st.rows.Add(int64(len(out)))
-		return out
-	}
-	f := st.filt
-	v.Touch(p, b.H)
-	if f.typed {
+	switch f := st.filt; {
+	case f == nil:
+		v.Touch(p, pl.b.T)
+		out = st.sel(v, out)
+	case f.probes:
+		v.Touch(p, pl.b.H)
 		out = f.idx.FilterVec(f.pr, v, f.want, out)
-	} else {
-		// Boxed fallback: probe kind without a typed path into the
-		// accelerator — per-row Lookup, exactly the materialized loop.
-		emit := func(i int32) {
-			if (len(f.idx.Lookup(b.H.Get(int(i)))) > 0) == f.want {
-				out = append(out, i)
-			}
-		}
-		if v.Sel == nil {
-			for i := int32(v.Lo); i < int32(v.Hi); i++ {
-				emit(i)
-			}
-		} else {
-			for _, i := range v.Sel {
-				emit(i)
-			}
+	default:
+		v.Touch(p, pl.b.H)
+		if !f.want {
+			out = v.AppendRows(out)
 		}
 	}
 	st.rows.Add(int64(len(out)))
@@ -550,72 +521,15 @@ func (pl *pplan) applyStage(p *storage.Tracker, st *pstage, v bat.Vector, out []
 // position, right position) pairs.
 func (pl *pplan) applyJoin(p *storage.Tracker, v bat.Vector, lp, rp []int32) ([]int32, []int32) {
 	j := pl.join.join
-	b := pl.b
-	v.Touch(p, b.T)
+	v.Touch(p, pl.b.T)
 	n0 := len(lp)
 	switch {
 	case j.sync:
-		if v.Sel == nil {
-			for i := int32(v.Lo); i < int32(v.Hi); i++ {
-				lp = append(lp, i)
-				rp = append(rp, i)
-			}
-		} else {
-			for _, i := range v.Sel {
-				lp = append(lp, i)
-				rp = append(rp, i)
-			}
-		}
+		lp, rp = v.AppendRows(lp), v.AppendRows(rp)
 	case j.fetch:
-		rn := j.r.Len()
-		emit := func(i int32, val int64) {
-			if x := int(val) - int(j.seq); x >= 0 && x < rn {
-				lp = append(lp, i)
-				rp = append(rp, int32(x))
-			}
-		}
-		switch t := b.T.(type) {
-		case *bat.OIDCol:
-			if v.Sel == nil {
-				for i := int32(v.Lo); i < int32(v.Hi); i++ {
-					emit(i, int64(t.V[i]))
-				}
-			} else {
-				for _, i := range v.Sel {
-					emit(i, int64(t.V[i]))
-				}
-			}
-		default:
-			// Mirrors fetch-join's boxed loop: any tail kind coerces through
-			// Value.I into a positional index.
-			if v.Sel == nil {
-				for i := int32(v.Lo); i < int32(v.Hi); i++ {
-					emit(i, b.T.Get(int(i)).I)
-				}
-			} else {
-				for _, i := range v.Sel {
-					emit(i, b.T.Get(int(i)).I)
-				}
-			}
-		}
-	case j.typed:
+		lp, rp = fetchVec(pl.b.T, j.r, v, lp, rp)
+	case j.probes:
 		lp, rp = j.idx.JoinVec(j.pr, v, lp, rp)
-	default:
-		emit := func(i int32) {
-			for _, rpos := range j.idx.Lookup(b.T.Get(int(i))) {
-				lp = append(lp, i)
-				rp = append(rp, rpos)
-			}
-		}
-		if v.Sel == nil {
-			for i := int32(v.Lo); i < int32(v.Hi); i++ {
-				emit(i)
-			}
-		} else {
-			for _, i := range v.Sel {
-				emit(i)
-			}
-		}
 	}
 	pl.join.rows.Add(int64(len(lp) - n0))
 	return lp, rp
@@ -632,14 +546,14 @@ func (pl *pplan) run(ctx *Ctx) (*bat.BAT, error) {
 		if f := st.filt; f != nil {
 			f.r.H.TouchAll(p)
 			f.idx = f.r.HeadHashSched(ctx.sched(f.r.Len()))
-			f.pr, f.typed = f.idx.NewProbe(b.H)
+			f.pr, f.probes = f.idx.NewProbe(b.H)
 		}
 	}
 	if pl.join != nil {
 		if j := pl.join.join; !j.fetch && !j.sync {
 			j.r.H.TouchAll(p)
 			j.idx = j.r.HeadHashSched(ctx.sched(j.r.Len()))
-			j.pr, j.typed = j.idx.NewProbe(b.T)
+			j.pr, j.probes = j.idx.NewProbe(b.T)
 		}
 	}
 
@@ -665,15 +579,7 @@ func (pl *pplan) run(ctx *Ctx) (*bat.BAT, error) {
 	collectPos := func() []int32 {
 		return parallelCollect32(ctx, domain, domain,
 			func(lo, hi int, out []int32) []int32 {
-				pl.runRange(ctx, p, vr, lo, hi, func(v bat.Vector) {
-					if v.Sel == nil {
-						for i := int32(v.Lo); i < int32(v.Hi); i++ {
-							out = append(out, i)
-						}
-					} else {
-						out = append(out, v.Sel...)
-					}
-				})
+				pl.runRange(ctx, p, vr, lo, hi, func(v bat.Vector) { out = v.AppendRows(out) })
 				return out
 			})
 	}
@@ -717,7 +623,7 @@ func (pl *pplan) joinAssemble(ctx *Ctx, lpos, rpos []int32) *bat.BAT {
 	p := ctx.pager()
 	b.H.TouchPositions(p, lpos)
 	r.T.TouchPositions(p, rpos)
-	out := bat.New(pl.name, bat.Gather32(b.H, lpos), bat.Gather32(r.T, rpos), 0)
+	out := bat.New(pl.name, bat.Gather(b.H, lpos), bat.Gather(r.T, rpos), 0)
 	if b.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
 	}
@@ -735,88 +641,61 @@ func (pl *pplan) joinAssemble(ctx *Ctx, lpos, rpos []int32) *bat.BAT {
 	return out
 }
 
-// normValKind folds void into oid: a scattered gather of a void column
-// re-encodes it as explicit oids, which is the shape an empty gather takes.
-func normValKind(k bat.Kind) bat.Kind {
-	if k == bat.KVoid {
-		return bat.KOID
-	}
-	return k
-}
-
-// aggrTerminal folds the stream — head rows hrows (into pl.b.H), tail rows
-// trows (into pl.aggTail) — into the grouped aggregate, sequentially and
-// vector-at-a-time so order-sensitive accumulators (floating-point sums) add
-// rows in exactly the materialized scan's order.
-func (pl *pplan) aggrTerminal(ctx *Ctx, hrows, trows []int32) (*bat.BAT, error) {
-	fn := pl.aggFn
-	headCol, tailCol := pl.b.H, pl.aggTail
-	ordered := pl.b.Props.Has(bat.HOrdered)
-	if len(hrows) == 0 {
-		hk := normValKind(headCol.Kind())
-		tk := aggResultKind(fn, normValKind(tailCol.Kind()))
-		out := bat.New("{"+fn+"}", bat.FromValues(hk, nil), bat.FromValues(tk, nil), bat.HKey)
-		if ordered {
-			out.Props |= bat.HOrdered
-		}
-		return out, nil
-	}
-	rep, eq := bat.RowRep(headCol)
-	g := bat.NewGrouper(len(hrows))
-	a := &aggPart{g: g}
-	slot := func(hr int32) (int32, bool) { return g.Slot(rep(hr), hr, eq) }
+// foldStream folds the stream — head rows hrows (into pl.b.H; nil for a
+// scalar aggregate), tail rows trows (into pl.aggTail) — into f,
+// sequentially and vector-at-a-time so order-sensitive accumulators
+// (floating-point sums) add rows in exactly the materialized scan's order.
+func (pl *pplan) foldStream(ctx *Ctx, f slotFold, hrows, trows []int32, slot func(hr int32) int32) error {
 	p := ctx.pager()
 	vr := ctx.vectorRows()
-	for w := 0; w < len(hrows); w += vr {
+	slots := make([]int32, min(vr, len(trows)))
+	for w := 0; w < len(trows); w += vr {
 		if ctx.Cancelled() {
-			return nil, ctx.CtxErr()
+			return ctx.CtxErr()
 		}
-		we := w + vr
-		if we > len(hrows) {
-			we = len(hrows)
+		we := min(w+vr, len(trows))
+		var hv bat.Vector
+		if hrows != nil {
+			hv.Sel = hrows[w:we]
+			pl.b.H.TouchPositions(p, hv.Sel)
 		}
-		headCol.TouchPositions(p, hrows[w:we])
-		tailCol.TouchPositions(p, trows[w:we])
-		a.scanRows(tailCol, hrows[w:we], trows[w:we], slot)
+		pl.aggTail.TouchPositions(p, trows[w:we])
+		foldVec(f, hv, bat.Vector{Sel: trows[w:we]}, slots, slot)
+	}
+	return nil
+}
+
+// aggrTerminal folds the stream into the grouped aggregate: groups form over
+// the head rows in first-occurrence order, as in Aggr's hash scan.
+func (pl *pplan) aggrTerminal(ctx *Ctx, hrows, trows []int32) (*bat.BAT, error) {
+	fn := pl.aggFn
+	headCol := pl.b.H
+	rep, eq := bat.RowRep(headCol)
+	g := bat.NewGrouper(len(hrows))
+	f := newSlotFold(pl.aggTail)
+	err := pl.foldStream(ctx, f, hrows, trows, func(hr int32) int32 {
+		s, _ := g.Slot(rep(hr), hr, eq)
+		return s
+	})
+	if err != nil {
+		return nil, err
 	}
 	first := g.Rows()
-	out := bat.New("{"+fn+"}", bat.Gather32(headCol, first),
-		a.assembleTail(fn, tailCol.Kind(), len(first)), bat.HKey)
-	if ordered {
+	out := bat.New("{"+fn+"}", bat.Gather(headCol, first), f.tail(fn, len(first)), bat.HKey)
+	if pl.b.Props.Has(bat.HOrdered) {
 		out.Props |= bat.HOrdered
 	}
 	return out, nil
 }
 
-// scalarTerminal folds the stream's tail rows into the whole-BAT aggregate,
-// sequentially, mirroring AggrScalar's boxed accumulator.
+// scalarTerminal folds the stream's tail rows into the whole-BAT aggregate:
+// AggrScalar's one-slot fold over the stream.
 func (pl *pplan) scalarTerminal(ctx *Ctx, trows []int32) (*bat.BAT, error) {
-	fn := pl.aggFn
-	tailCol := pl.aggTail
-	tk := normValKind(tailCol.Kind())
-	p := ctx.pager()
-	vr := ctx.vectorRows()
-	acc := &aggAcc{}
-	for w := 0; w < len(trows); w += vr {
-		if ctx.Cancelled() {
-			return nil, ctx.CtxErr()
-		}
-		we := w + vr
-		if we > len(trows) {
-			we = len(trows)
-		}
-		tailCol.TouchPositions(p, trows[w:we])
-		for _, r := range trows[w:we] {
-			acc.add(tailCol.Get(int(r)))
-		}
+	f := newScalarFold(pl.aggTail)
+	if err := pl.foldStream(ctx, f, nil, trows, nil); err != nil {
+		return nil, err
 	}
-	kind := aggResultKind(fn, tk)
-	v := acc.result(fn, tk)
-	if !acc.first && (fn == "min" || fn == "max") {
-		v = bat.Value{K: kind}
-	}
-	return bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}),
-		bat.FromValues(kind, []bat.Value{v}), bat.HKey|bat.TKey), nil
+	return scalarResult(pl.aggFn, f), nil
 }
 
 // execChainSafe plans and executes one chain inside the interpreter's

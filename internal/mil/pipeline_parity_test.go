@@ -24,7 +24,6 @@ func pipelineCtxs() map[string]Options {
 		"pipe-seq":        {Workers: 1},
 		"pipe-w8":         {Workers: 8},
 		"pipe-w3-1k":      {Workers: 3, MorselRows: 1024},
-		"pipe-static-w8":  {Workers: 8, MorselRows: -1},
 		"pipe-vec1":       {Workers: 1, VectorRows: 1},
 		"pipe-vec7-w8":    {Workers: 8, VectorRows: 7},
 		"pipe-vec1024-w3": {Workers: 3, VectorRows: 1024},

@@ -1,19 +1,19 @@
 package mil
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/bat"
 )
 
 // gatherPositions builds the result BAT of a filtering operation: the BUNs
-// of b at the given ascending positions (int from the boxed paths, int32
-// from the typed kernels). Filters preserve BUN order, so all order/key
-// properties of the operand carry over to the result (Section 5.1: "a
-// rangeselect will propagate the ordered information on both head and tail
-// to the result"; semijoin propagates the key properties of its left
+// of b at the given ascending positions. Filters preserve BUN order, so all
+// order/key properties of the operand carry over to the result (Section 5.1:
+// "a rangeselect will propagate the ordered information on both head and
+// tail to the result"; semijoin propagates the key properties of its left
 // operand).
-func gatherPositions[I int | int32](ctx *Ctx, name string, b *bat.BAT, pos []I) *bat.BAT {
+func gatherPositions(ctx *Ctx, name string, b *bat.BAT, pos []int32) *bat.BAT {
 	// Positions forming a contiguous run (binary-search selections, slices,
 	// 100%-selectivity filters) gather as zero-copy column views: no copies,
 	// and the pager accounts one page span instead of one touch per row.
@@ -21,29 +21,15 @@ func gatherPositions[I int | int32](ctx *Ctx, name string, b *bat.BAT, pos []I) 
 		return gatherRun(ctx, name, b, lo, len(pos))
 	}
 	if p := ctx.pager(); p != nil {
-		p32 := positions32(pos)
-		b.H.TouchPositions(p, p32)
-		b.T.TouchPositions(p, p32)
+		b.H.TouchPositions(p, pos)
+		b.T.TouchPositions(p, pos)
 	}
-	out := bat.New(name, bat.GatherAny(b.H, pos), bat.GatherAny(b.T, pos), 0)
-	out.Props |= b.Props & (bat.HOrdered | bat.TOrdered | bat.HKey | bat.TKey)
+	out := bat.New(name, bat.Gather(b.H, pos), bat.Gather(b.T, pos), 0)
+	out.Props |= b.Props & filterProps
 	// A filter that kept every BUN left the sequence untouched: the result
 	// is positionally synced with its operand.
 	if len(pos) == b.Len() {
 		out.SyncWith(b)
-	}
-	return out
-}
-
-// positions32 narrows a position list to the width the pager batches take;
-// the typed kernels' lists already have it.
-func positions32[I int | int32](pos []I) []int32 {
-	if p32, ok := any(pos).([]int32); ok {
-		return p32
-	}
-	out := make([]int32, len(pos))
-	for i, x := range pos {
-		out[i] = int32(x)
 	}
 	return out
 }
@@ -75,7 +61,7 @@ func SelectRange(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *
 	if b.Props.Has(bat.TOrdered) {
 		return selectBinSearch(ctx, b, lo, hi, loIncl, hiIncl)
 	}
-	return selectScan(ctx, b, lo, hi, loIncl, hiIncl)
+	return scanSelect(ctx, b, tailKernel(b, lo, hi, loIncl, hiIncl))
 }
 
 // SelectEq implements AB.select(T): {ab ∈ AB | b = T}. It prefers binary
@@ -87,105 +73,27 @@ func SelectEq(ctx *Ctx, b *bat.BAT, v bat.Value) *bat.BAT {
 	if b.HasTailHash() {
 		ctx.chose("hash-select")
 		// Lookup yields positions in ascending order (bucket entries are
-		// clustered ascending), so the hits gather directly — no widening
-		// copy into []int and no re-sort.
+		// clustered ascending), so the hits gather directly.
 		return gatherPositions(ctx, b.Name+".sel", b, b.TailHash().Lookup(v))
 	}
-	return selectScan(ctx, b, &v, &v, true, true)
+	return scanSelect(ctx, b, tailKernel(b, &v, &v, true, true))
 }
 
-func inRange(v bat.Value, lo, hi *bat.Value, loIncl, hiIncl bool) bool {
-	if lo != nil {
-		c := bat.Compare(v, *lo)
-		if c < 0 || (c == 0 && !loIncl) {
-			return false
-		}
-	}
-	if hi != nil {
-		c := bat.Compare(v, *hi)
-		if c > 0 || (c == 0 && !hiIncl) {
-			return false
-		}
-	}
-	return true
+// SelectBit keeps the BUNs whose (boolean) tail is true; it is how the
+// translation of a general boolean predicate materializes its qualifying
+// set.
+func SelectBit(ctx *Ctx, b *bat.BAT) *bat.BAT {
+	return scanSelect(ctx, b, bitKernel(b))
 }
 
-func selectScan(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *bat.BAT {
+// scanSelect is the materializing scan select: the kernel runs over the
+// identity selection of every morsel range of b.
+func scanSelect(ctx *Ctx, b *bat.BAT, keep selKernel) *bat.BAT {
 	ctx.chose("scan-select")
-	p := ctx.pager()
-	b.T.TouchAll(p)
-	var pos []int
-	n := b.Len()
-	switch t := b.T.(type) {
-	case *bat.IntCol:
-		pos = scanClosed(ctx, b, t.V, lo, hi, loIncl, hiIncl)
-	case *bat.FltCol:
-		pos = parallelCollect(ctx, n, func(from, to int) []int {
-			var p []int
-			for i := from; i < to; i++ {
-				if inRange(bat.F(t.V[i]), lo, hi, loIncl, hiIncl) {
-					p = append(p, i)
-				}
-			}
-			return p
-		})
-	case *bat.ChrCol:
-		pos = parallelCollect(ctx, n, func(from, to int) []int {
-			var p []int
-			for i := from; i < to; i++ {
-				if inRange(bat.C(t.V[i]), lo, hi, loIncl, hiIncl) {
-					p = append(p, i)
-				}
-			}
-			return p
-		})
-	case *bat.OIDCol:
-		pos = scanClosed(ctx, b, t.V, lo, hi, loIncl, hiIncl)
-	case *bat.StrCol:
-		loS, hiS, ok := strBounds(lo, hi)
-		if ok {
-			pos = parallelCollect(ctx, n, func(from, to int) []int {
-				var p []int
-				for i := from; i < to; i++ {
-					v := t.At(i)
-					if loS != nil {
-						if v < *loS || (v == *loS && !loIncl) {
-							continue
-						}
-					}
-					if hiS != nil {
-						if v > *hiS || (v == *hiS && !hiIncl) {
-							continue
-						}
-					}
-					p = append(p, i)
-				}
-				return p
-			})
-		} else {
-			pos = scanGeneric(b, lo, hi, loIncl, hiIncl)
-		}
-	case *bat.DateCol:
-		pos = parallelCollect(ctx, n, func(from, to int) []int {
-			var p []int
-			for i := from; i < to; i++ {
-				if inRange(bat.D(t.V[i]), lo, hi, loIncl, hiIncl) {
-					p = append(p, i)
-				}
-			}
-			return p
-		})
-	default:
-		pos = parallelCollect(ctx, n, func(from, to int) []int {
-			var p []int
-			for i := from; i < to; i++ {
-				if inRange(b.T.Get(i), lo, hi, loIncl, hiIncl) {
-					p = append(p, i)
-				}
-			}
-			return p
-		})
-	}
+	b.T.TouchAll(ctx.pager())
+	pos := parallelCollect32(ctx, b.Len(), 0, func(lo, hi int, out []int32) []int32 {
+		return keep(bat.Vector{Lo: lo, Hi: hi}, out)
+	})
 	return gatherPositions(ctx, b.Name+".sel", b, pos)
 }
 
@@ -199,69 +107,96 @@ func workersFor(ctx *Ctx, n int) int {
 	return ctx.workers()
 }
 
-func scanGeneric(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) []int {
-	var pos []int
-	for i := 0; i < b.Len(); i++ {
-		if inRange(b.T.Get(i), lo, hi, loIncl, hiIncl) {
-			pos = append(pos, i)
-		}
-	}
-	return pos
-}
+// selKernel is a compiled select predicate over one BAT's tail: it appends
+// the rows of v that qualify to out, in v's order (the kernel contract of
+// bat.Vector). The materializing selects call it once per morsel range, the
+// pipeline's scan source and select stages once per vector.
+type selKernel func(v bat.Vector, out []int32) []int32
 
-// scanClosed is the scan select over an integer-valued tail (int or oid):
-// with bounds of the tail's own kind it compares unboxed against closed
-// int64 bounds.
-func scanClosed[E int64 | bat.OID](ctx *Ctx, b *bat.BAT, v []E, lo, hi *bat.Value, loIncl, hiIncl bool) []int {
-	loI, hiI, ok := closedBounds(b.T.Kind(), lo, hi, loIncl, hiIncl)
-	if !ok {
-		return scanGeneric(b, lo, hi, loIncl, hiIncl)
-	}
-	return parallelCollect(ctx, len(v), func(from, to int) []int {
-		var p []int
-		for i := from; i < to; i++ {
-			if x := int64(v[i]); x >= loI && x <= hiI {
-				p = append(p, i)
+// fixedKernel is the typed range kernel over a fixed-width tail: the rows
+// whose value is neither below lo nor above hi. (Phrased by exclusion so a
+// NaN — which bat.Compare holds equal to every bound — qualifies, as it
+// does under inRange with inclusive bounds.)
+func fixedKernel[E bat.OID | int64 | float64 | byte | int32](col []E, lo, hi E) selKernel {
+	return func(v bat.Vector, out []int32) []int32 {
+		if v.Sel == nil {
+			for i, x := range col[v.Lo:v.Hi] {
+				if !(x < lo) && !(x > hi) {
+					out = append(out, int32(v.Lo+i))
+				}
+			}
+			return out
+		}
+		for _, i := range v.Sel {
+			if x := col[i]; !(x < lo) && !(x > hi) {
+				out = append(out, i)
 			}
 		}
-		return p
-	})
-}
-
-// closedPred is scanClosed's per-row predicate, or nil when a bound is not
-// of kind k.
-func closedPred[E int64 | bat.OID](k bat.Kind, v []E, lo, hi *bat.Value, loIncl, hiIncl bool) func(int32) bool {
-	loI, hiI, ok := closedBounds(k, lo, hi, loIncl, hiIncl)
-	if !ok {
-		return nil
+		return out
 	}
-	return func(i int32) bool { x := int64(v[i]); return x >= loI && x <= hiI }
 }
 
-// closedBounds converts optional boxed bounds into closed int64 bounds, when
-// both sides are of kind k (or absent).
-func closedBounds(k bat.Kind, lo, hi *bat.Value, loIncl, hiIncl bool) (int64, int64, bool) {
-	loI := int64(-1 << 62)
-	hiI := int64(1<<62 - 1)
+// rowKernel lifts a per-row predicate into a kernel: the path of the tails
+// without a typed loop (strings, bits, and bounds the typed kernel cannot
+// express).
+func rowKernel(keep func(i int32) bool) selKernel {
+	return func(v bat.Vector, out []int32) []int32 {
+		for i := range v.All() {
+			if keep(i) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+}
+
+// closedInts converts optional boxed bounds of kind k over an integer-valued
+// element type into the closed interval [l, h]: an absent side is the
+// type's extreme (minE, maxE), an exclusive bound steps inward, and an
+// exclusive bound at the extreme leaves nothing to select (the empty
+// interval [1, 0]). ok is false when a bound is of another kind.
+func closedInts[E bat.OID | int64 | byte | int32](k bat.Kind, minE, maxE E, lo, hi *bat.Value, loIncl, hiIncl bool) (l, h E, ok bool) {
+	l, h = minE, maxE
 	if lo != nil {
-		if lo.K != k {
+		if l = E(lo.I); lo.K != k {
 			return 0, 0, false
 		}
-		loI = lo.I
 		if !loIncl {
-			loI++
+			if l == maxE {
+				return 1, 0, true
+			}
+			l++
 		}
 	}
 	if hi != nil {
-		if hi.K != k {
+		if h = E(hi.I); hi.K != k {
 			return 0, 0, false
 		}
-		hiI = hi.I
 		if !hiIncl {
-			hiI--
+			if h == minE {
+				return 1, 0, true
+			}
+			h--
 		}
 	}
-	return loI, hiI, true
+	return l, h, true
+}
+
+// closedFlts is closedInts for float tails: only inclusive (or absent)
+// float bounds form a closed interval.
+func closedFlts(lo, hi *bat.Value, loIncl, hiIncl bool) (l, h float64, ok bool) {
+	l, h = math.Inf(-1), math.Inf(1)
+	if lo != nil {
+		if l = lo.F; lo.K != bat.KFlt || !loIncl {
+			return 0, 0, false
+		}
+	}
+	if hi != nil {
+		if h = hi.F; hi.K != bat.KFlt || !hiIncl {
+			return 0, 0, false
+		}
+	}
+	return l, h, true
 }
 
 // strBounds validates optional boxed bounds as string-typed (or absent).
@@ -280,6 +215,74 @@ func strBounds(lo, hi *bat.Value) (*string, *string, bool) {
 		hiS = &hi.S
 	}
 	return loS, hiS, true
+}
+
+// tailKernel compiles the range predicate lo ≤/< tail ≤/< hi over b's tail:
+// row i qualifies exactly when inRange(b.T.Get(i), lo, hi, loIncl, hiIncl)
+// holds. Bounds of the tail's own kind compile to a typed loop; anything
+// else (bat.Compare then orders across kinds) evaluates boxed.
+func tailKernel(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) selKernel {
+	switch t := b.T.(type) {
+	case *bat.IntCol:
+		if l, h, ok := closedInts[int64](bat.KInt, math.MinInt64, math.MaxInt64, lo, hi, loIncl, hiIncl); ok {
+			return fixedKernel(t.V, l, h)
+		}
+	case *bat.OIDCol:
+		if l, h, ok := closedInts[bat.OID](bat.KOID, 0, math.MaxUint32, lo, hi, loIncl, hiIncl); ok {
+			return fixedKernel(t.V, l, h)
+		}
+	case *bat.DateCol:
+		if l, h, ok := closedInts[int32](bat.KDate, math.MinInt32, math.MaxInt32, lo, hi, loIncl, hiIncl); ok {
+			return fixedKernel(t.V, l, h)
+		}
+	case *bat.ChrCol:
+		if l, h, ok := closedInts[byte](bat.KChr, 0, math.MaxUint8, lo, hi, loIncl, hiIncl); ok {
+			return fixedKernel(t.V, l, h)
+		}
+	case *bat.FltCol:
+		if l, h, ok := closedFlts(lo, hi, loIncl, hiIncl); ok {
+			return fixedKernel(t.V, l, h)
+		}
+	case *bat.StrCol:
+		if loS, hiS, ok := strBounds(lo, hi); ok {
+			return rowKernel(func(i int32) bool {
+				v := t.At(int(i))
+				if loS != nil && (v < *loS || (v == *loS && !loIncl)) {
+					return false
+				}
+				return hiS == nil || v < *hiS || (v == *hiS && hiIncl)
+			})
+		}
+	}
+	tc := b.T
+	return rowKernel(func(i int32) bool { return inRange(tc.Get(int(i)), lo, hi, loIncl, hiIncl) })
+}
+
+// bitKernel compiles SelectBit's predicate: the rows whose tail is true.
+func bitKernel(b *bat.BAT) selKernel {
+	if t, ok := b.T.(*bat.BitCol); ok {
+		return rowKernel(func(i int32) bool { return t.V[i] })
+	}
+	tc := b.T
+	return rowKernel(func(i int32) bool { return tc.Get(int(i)).Bool() })
+}
+
+// inRange is the boxed range predicate: the definition the typed kernels
+// specialize.
+func inRange(v bat.Value, lo, hi *bat.Value, loIncl, hiIncl bool) bool {
+	if lo != nil {
+		c := bat.Compare(v, *lo)
+		if c < 0 || (c == 0 && !loIncl) {
+			return false
+		}
+	}
+	if hi != nil {
+		c := bat.Compare(v, *hi)
+		if c > 0 || (c == 0 && !hiIncl) {
+			return false
+		}
+	}
+	return true
 }
 
 // binSearchRun locates the qualifying run [start, end) of a range select on
@@ -313,53 +316,6 @@ func binSearchRun(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) (int, int)
 	return start, end
 }
 
-// tailPred compiles the range predicate of a scan select over b's tail into
-// a per-row closure — the same typed fast paths selectScan dispatches on,
-// with the same boxed fallbacks, so pred(i) holds exactly when selectScan
-// would keep row i. The pipeline evaluates it per vector.
-func tailPred(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) func(int32) bool {
-	switch t := b.T.(type) {
-	case *bat.IntCol:
-		if pred := closedPred(bat.KInt, t.V, lo, hi, loIncl, hiIncl); pred != nil {
-			return pred
-		}
-	case *bat.OIDCol:
-		if pred := closedPred(bat.KOID, t.V, lo, hi, loIncl, hiIncl); pred != nil {
-			return pred
-		}
-	case *bat.StrCol:
-		if loS, hiS, ok := strBounds(lo, hi); ok {
-			return func(i int32) bool {
-				v := t.At(int(i))
-				if loS != nil && (v < *loS || (v == *loS && !loIncl)) {
-					return false
-				}
-				if hiS != nil && (v > *hiS || (v == *hiS && !hiIncl)) {
-					return false
-				}
-				return true
-			}
-		}
-	case *bat.FltCol:
-		return func(i int32) bool { return inRange(bat.F(t.V[i]), lo, hi, loIncl, hiIncl) }
-	case *bat.ChrCol:
-		return func(i int32) bool { return inRange(bat.C(t.V[i]), lo, hi, loIncl, hiIncl) }
-	case *bat.DateCol:
-		return func(i int32) bool { return inRange(bat.D(t.V[i]), lo, hi, loIncl, hiIncl) }
-	}
-	tc := b.T
-	return func(i int32) bool { return inRange(tc.Get(int(i)), lo, hi, loIncl, hiIncl) }
-}
-
-// bitPred compiles SelectBit's predicate into a per-row closure.
-func bitPred(b *bat.BAT) func(int32) bool {
-	if t, ok := b.T.(*bat.BitCol); ok {
-		return func(i int32) bool { return t.V[i] }
-	}
-	tc := b.T
-	return func(i int32) bool { return tc.Get(int(i)).Bool() }
-}
-
 func selectBinSearch(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *bat.BAT {
 	ctx.chose("binsearch-select")
 	start, end := binSearchRun(b, lo, hi, loIncl, hiIncl)
@@ -370,30 +326,6 @@ func selectBinSearch(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl boo
 	// if the operand lost other properties.
 	out.Props |= bat.TOrdered
 	return out
-}
-
-// SelectBit keeps the BUNs whose (boolean) tail is true; it is how the
-// translation of a general boolean predicate materializes its qualifying
-// set.
-func SelectBit(ctx *Ctx, b *bat.BAT) *bat.BAT {
-	ctx.chose("scan-select")
-	p := ctx.pager()
-	b.T.TouchAll(p)
-	var pos []int
-	if t, ok := b.T.(*bat.BitCol); ok {
-		for i, v := range t.V {
-			if v {
-				pos = append(pos, i)
-			}
-		}
-	} else {
-		for i := 0; i < b.Len(); i++ {
-			if b.T.Get(i).Bool() {
-				pos = append(pos, i)
-			}
-		}
-	}
-	return gatherPositions(ctx, b.Name+".sel", b, pos)
 }
 
 // Slice returns the first n BUNs of b (the top-N primitive backing MOA's

@@ -109,7 +109,7 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		}
 	}
 	dv.Vector.TouchPositions(p, lookup)
-	out := bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather32(dv.Vector, lookup), 0)
+	out := bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather(dv.Vector, lookup), 0)
 	// Result BUNs follow r's order. If every r element matched, the result
 	// is positionally synced with r (and with any other full-match
 	// datavector semijoin against r) — the effect exploited in Fig. 10:
@@ -170,20 +170,14 @@ func hashSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	r.H.TouchAll(p)
 	l.H.TouchAll(p)
 	idx := r.HeadHashSched(ctx.sched(r.Len()))
-	n := l.Len()
-	if pr, ok := idx.NewProbe(l.H); ok {
-		pos := parallelCollect32(ctx, n, semijoinCap(l, r),
-			func(lo, hi int, out []int32) []int32 {
-				return idx.FilterRange(pr, lo, hi, true, out)
-			})
-		return gatherPositions(ctx, l.Name+".sel", l, pos)
+	pr, ok := idx.NewProbe(l.H)
+	if !ok {
+		// l's head kind cannot occur in r's head: nothing qualifies.
+		return gatherPositions(ctx, l.Name+".sel", l, nil)
 	}
-	// boxed fallback: probe kind without a typed path into the accelerator
-	var pos []int32
-	for i := 0; i < n; i++ {
-		if len(idx.Lookup(l.H.Get(i))) > 0 {
-			pos = append(pos, int32(i))
-		}
-	}
+	pos := parallelCollect32(ctx, l.Len(), semijoinCap(l, r),
+		func(lo, hi int, out []int32) []int32 {
+			return idx.FilterVec(pr, bat.Vector{Lo: lo, Hi: hi}, true, out)
+		})
 	return gatherPositions(ctx, l.Name+".sel", l, pos)
 }

@@ -56,19 +56,15 @@ func Diff(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 	a.H.TouchAll(p)
 	n := a.Len()
 	idx := b.HeadHashSched(ctx.sched(b.Len()))
-	if pr, ok := idx.NewProbe(a.H); ok {
-		pos := parallelCollect32(ctx, n, n,
-			func(lo, hi int, out []int32) []int32 {
-				return idx.FilterRange(pr, lo, hi, false, out)
-			})
-		return gatherPositions(ctx, a.Name+".diff", a, pos)
+	pr, ok := idx.NewProbe(a.H)
+	if !ok {
+		// a's head kind cannot occur in b's head: every BUN survives.
+		return gatherPositions(ctx, a.Name+".diff", a, bat.Vector{Hi: n}.AppendRows(nil))
 	}
-	var pos []int32
-	for i := 0; i < n; i++ {
-		if len(idx.Lookup(a.H.Get(i))) == 0 {
-			pos = append(pos, int32(i))
-		}
-	}
+	pos := parallelCollect32(ctx, n, n,
+		func(lo, hi int, out []int32) []int32 {
+			return idx.FilterVec(pr, bat.Vector{Lo: lo, Hi: hi}, false, out)
+		})
 	return gatherPositions(ctx, a.Name+".diff", a, pos)
 }
 

@@ -11,19 +11,18 @@ import (
 
 // Skew-parity suite: morsel-driven scheduling must be bit-identical to
 // sequential execution exactly on the inputs it exists for — skewed key
-// distributions where a static per-worker split leaves workers idle. Each
+// distributions where one range per worker would leave workers idle. Each
 // input shape runs join, semijoin, diff, group, grouped aggregation and
-// unique under sequential, static-striped and morsel-claimed schedules
-// (several morsel sizes, including degenerate tiny morsels) and compares
+// unique under sequential and morsel-claimed schedules (several morsel
+// sizes, including degenerate tiny morsels) and compares
 // results BUN by BUN. `make verify` runs this suite under -race as well,
 // so claim-counter races would surface here.
 
-// skewCtxs are the schedules under test: the baseline, static striping,
-// the skew-aware default, and explicit morsel sizes down to degenerate.
+// skewCtxs are the schedules under test: the baseline, the skew-aware
+// default, and explicit morsel sizes down to degenerate.
 func skewCtxs() map[string]*Ctx {
 	return map[string]*Ctx{
 		"seq":          {Workers: 1},
-		"static-w8":    {Workers: 8, MorselRows: -1},
 		"morsel-w8":    {Workers: 8},
 		"morsel-w3-1k": {Workers: 3, MorselRows: 1024},
 		"morsel-w8-64": {Workers: 8, MorselRows: 64},
@@ -47,7 +46,7 @@ func skewKeys(t *testing.T) map[string][]int64 {
 	shapes["zipf"] = z
 
 	// tail-ordered Zipf: duplicates cluster contiguously — the layout that
-	// defeats static striping hardest (attribute BATs are stored sorted).
+	// defeats a per-worker split hardest (attribute BATs are stored sorted).
 	zs := append([]int64(nil), z...)
 	sort.Slice(zs, func(i, j int) bool { return zs[i] < zs[j] })
 	shapes["zipf-sorted"] = zs
@@ -134,7 +133,7 @@ func TestSkewParityOperators(t *testing.T) {
 	}
 }
 
-// TestSkewParitySelect covers the parallelCollect path (scan-select) on the
+// TestSkewParitySelect covers the parallelCollect32 path (scan-select) on the
 // clustered shapes.
 func TestSkewParitySelect(t *testing.T) {
 	for shape, keys := range skewKeys(t) {
@@ -148,15 +147,11 @@ func TestSkewParitySelect(t *testing.T) {
 	}
 }
 
-// TestMorselRowsKnob pins the knob semantics: negative = static per-worker
-// ranges, zero = skew-aware default with a stealable tail, positive =
-// explicit.
+// TestMorselRowsKnob pins the knob semantics: zero = skew-aware default with
+// a stealable tail, positive = explicit.
 func TestMorselRowsKnob(t *testing.T) {
 	n := parallelMinRows * 4
 	k := 8
-	if got := len(probeRanges(&Ctx{Workers: k, MorselRows: -1}, n, k)); got != k {
-		t.Fatalf("static ranges = %d, want %d", got, k)
-	}
 	if got := len(probeRanges(&Ctx{Workers: k}, n, k)); got < k*morselsPerWorker {
 		t.Fatalf("auto ranges = %d, want >= %d (a stealable tail)", got, k*morselsPerWorker)
 	}

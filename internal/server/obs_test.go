@@ -137,7 +137,8 @@ func TestStatementDeltasConserve(t *testing.T) {
 		{"materialized", -1},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
-			svc, mix := testServicePaged(t, Config{MaxConcurrent: 4, Pipeline: mode.pipeline})
+			svc, mix := testServicePaged(t, Config{MaxConcurrent: 4})
+			svc.db.Pipeline = mode.pipeline // sessions inherit the database's strategy
 			for round := 0; round < 2; round++ {
 				for qi, src := range mix {
 					res, prof, err := svc.QueryProfiled(context.Background(), src, QueryOpts{Profile: true})

@@ -43,13 +43,6 @@ type Config struct {
 	// from running many sessions at once — the sensible default when
 	// sessions ≥ cores).
 	Workers int
-	// MorselRows is the morsel scheduling knob (see mil.Ctx.MorselRows).
-	MorselRows int
-	// Pipeline selects vectorized (>= 0, the default) or fully materialized
-	// (< 0) execution of fusable statement chains (see mil.Ctx.Pipeline).
-	Pipeline int
-	// VectorRows tunes the pipeline vector length (see mil.Ctx.VectorRows).
-	VectorRows int
 	// MaxConcurrent caps simultaneously executing queries; excess callers
 	// queue. 0 picks GOMAXPROCS.
 	MaxConcurrent int
@@ -364,9 +357,6 @@ func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts)
 	}
 	sess := s.db.NewSession() // inherits the shared lock-striped Pager
 	sess.Workers = s.cfg.Workers
-	sess.MorselRows = s.cfg.MorselRows
-	sess.Pipeline = s.cfg.Pipeline
-	sess.VectorRows = s.cfg.VectorRows
 	sess.Gauge = s.gauge
 	wantProfile := opts.Profile || s.cfg.SlowQuery > 0
 	sess.Profile = wantProfile

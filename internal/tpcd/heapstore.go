@@ -283,7 +283,7 @@ func rebuildDatavector(base bat.OID, headAt func(int) bat.OID, tail bat.Column, 
 	// An identity permutation gathers as a view of the mapped tail; the
 	// vector must own its storage (and its own heap id once persisted), as
 	// the bulk loader's does.
-	return bat.NewDenseDatavector(base, bat.UnshareColumn(bat.Gather32(tail, inv))), nil
+	return bat.NewDenseDatavector(base, bat.UnshareColumn(bat.Gather(tail, inv))), nil
 }
 
 // loadEnvHeap maps a checkpoint directory back into a served env. The
