@@ -103,13 +103,15 @@ server-smoke:
 outofcore-smoke:
 	./scripts/outofcore_smoke.sh
 
-## loc: the two size counts simplification PRs quote — non-test Go lines
-## outside bench/ (on a gofmt-clean tree) and per-kind fixed-width column
-## switch arms in non-test code.
+## loc: the three counts simplification and un-boxing PRs quote — non-test Go
+## lines outside bench/ (on a gofmt-clean tree), per-kind fixed-width column
+## switch arms in non-test code, and the places internal/mil still boxes a
+## bat.Value per row (a per-row Get, a map keyed by Value, a []Value buffer).
 loc:
 	@gofmt -l . | sed 's/^/not gofmt-clean: /'
 	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@printf 'per-kind column arms: '; grep -rn 'case \*\(bat\.\)\?\(OID\|Int\|Flt\|Chr\|Bit\|Date\)Col' --include=*.go internal | grep -v _test | wc -l
+	@printf 'boxed per-row sites: '; grep -rnE '\.(H|T)\.Get\(|map\[bat\.Value\]|make\(\[\]bat\.Value' --include=*.go internal/mil | grep -v _test | wc -l
 
 ## ci: everything the CI workflow runs, reproducible without pushing.
 ## bench-gate stays advisory here too (the workflow runs it with

@@ -53,10 +53,11 @@ type Column interface {
 	// it are fault-accounted. Idempotent; transient columns never fault.
 	Persist()
 
-	// The per-layout halves of SliceView, Gather, UnshareColumn and RowRep.
-	// Being unexported they also seal the interface.
+	// The per-layout halves of SliceView, Gather, Concat, UnshareColumn and
+	// RowRep. Being unexported they also seal the interface.
 	sliceView(lo, n int) Column
 	gather(perm []int32) Column
+	concat(b Column) Column
 	isView() bool
 	unshare() Column
 	keyRepAt(i int32) uint64
@@ -110,9 +111,19 @@ func (c *VoidCol) Persist() {}
 func (c *VoidCol) sliceView(lo, n int) Column { return NewVoid(c.Seq+OID(lo), n) }
 
 func (c *VoidCol) gather(perm []int32) Column { return NewOIDCol(gatherSeq(c.Seq, perm)) }
+func (c *VoidCol) concat(b Column) Column     { return c.oids().concat(b) }
 func (c *VoidCol) isView() bool               { return false }
 func (c *VoidCol) unshare() Column            { return c }
 func (c *VoidCol) keyRepAt(i int32) uint64    { return uint64(c.Seq) + uint64(i) }
+
+// oids materializes the dense sequence as an oid column.
+func (c *VoidCol) oids() *OIDCol {
+	out := make([]OID, c.N)
+	for i := range out {
+		out[i] = c.Seq + OID(i)
+	}
+	return NewOIDCol(out)
+}
 
 func gatherSeq(seq OID, perm []int32) []OID {
 	out := make([]OID, len(perm))
@@ -282,6 +293,17 @@ func (c *FixedCol[T]) sliceView(lo, n int) Column {
 func (c *FixedCol[T]) gather(perm []int32) Column { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
 func (c *FixedCol[T]) isView() bool               { return c.view }
 
+func (c *FixedCol[T]) concat(b Column) Column {
+	if v, ok := b.(*VoidCol); ok {
+		b = v.oids()
+	}
+	out := append(make([]T, 0, len(c.V)+b.Len()), c.V...)
+	if b.Len() > 0 {
+		out = append(out, b.(*FixedCol[T]).V...)
+	}
+	return &FixedCol[T]{V: out}
+}
+
 // unshare copies a view into a transient column (no heap id): the pager
 // charged the view's accesses already, and the copy is intermediate state,
 // not base data.
@@ -435,8 +457,44 @@ func (c *StrCol) sliceView(lo, n int) Column {
 		hint: c.hint, charHint: c.charHint}
 }
 
-func (c *StrCol) gather(perm []int32) Column { return NewStrColFromStrings(gatherStrings(c, perm)) }
-func (c *StrCol) isView() bool               { return c.view }
+// gather copies the selected strings heap to heap: one pass over the offsets
+// sizes the new character heap, one copies the bytes into it.
+func (c *StrCol) gather(perm []int32) Column {
+	off := make([]uint32, len(perm)+1)
+	total := uint32(0)
+	for i, p := range perm {
+		off[i] = total
+		total += c.Off[p+1] - c.Off[p]
+	}
+	off[len(perm)] = total
+	buf := make([]byte, total)
+	for i, p := range perm {
+		copy(buf[off[i]:], c.Chars[c.Off[p]:c.Off[p+1]])
+	}
+	// buf is owned here and never written again.
+	return &StrCol{Off: off, Chars: unsafe.String(unsafe.SliceData(buf), len(buf))}
+}
+
+func (c *StrCol) isView() bool { return c.view }
+
+// concat rebases both offset runs onto one new character heap; a column's
+// strings lie back to back in its heap, so each side's characters copy as
+// one span.
+func (c *StrCol) concat(b Column) Column {
+	off := make([]uint32, 0, c.Len()+b.Len()+1)
+	chars := c.Chars[c.Off[0]:c.Off[c.Len()]]
+	for _, o := range c.Off[:c.Len()] {
+		off = append(off, o-c.Off[0])
+	}
+	if b.Len() > 0 {
+		bb := b.(*StrCol)
+		for _, o := range bb.Off[:bb.Len()] {
+			off = append(off, o-bb.Off[0]+uint32(len(chars)))
+		}
+		chars += bb.Chars[bb.Off[0]:bb.Off[bb.Len()]]
+	}
+	return &StrCol{Off: append(off, uint32(len(chars))), Chars: chars}
+}
 
 // unshare rebuilds the character heap from the referenced substrings only,
 // so a 10-row view over a megabyte heap compacts to the bytes of those 10
@@ -454,71 +512,84 @@ func (c *StrCol) unshare() Column {
 
 func (c *StrCol) keyRepAt(i int32) uint64 { return hashString(c.At(int(i))) }
 
-func gatherStrings(c *StrCol, perm []int32) []string {
-	out := make([]string, len(perm))
-	for i, p := range perm {
-		out[i] = c.At(int(p))
+// ---------------------------------------------------------------------------
+
+// Unbox returns v's payload as the fixed-width element type E (an int
+// widens to float64, as AsFloat has it).
+func Unbox[E Fixed](v Value) E {
+	var z E
+	switch p := any(&z).(type) {
+	case *OID:
+		*p = OID(v.I)
+	case *int64:
+		*p = v.I
+	case *float64:
+		*p = v.AsFloat()
+	case *byte:
+		*p = byte(v.I)
+	case *bool:
+		*p = v.I != 0
+	case *int32:
+		*p = int32(v.I)
 	}
-	return out
+	return z
 }
 
-// ---------------------------------------------------------------------------
+// Builder assembles an n-row column of one kind from boxed values stored by
+// row — the typed destination of the operators that still compute a row at
+// a time. Concurrent writers must store disjoint rows.
+type Builder interface {
+	Set(i int, v Value)
+	Column() Column
+}
+
+// NewBuilder returns a builder of n zero entries of kind k (void builds as
+// oid: a computed column is never dense by construction).
+func NewBuilder(k Kind, n int) Builder {
+	switch k {
+	case KInt:
+		return fixedBuilder[int64](make([]int64, n))
+	case KFlt:
+		return fixedBuilder[float64](make([]float64, n))
+	case KStr:
+		return strBuilder(make([]string, n))
+	case KChr:
+		return fixedBuilder[byte](make([]byte, n))
+	case KBit:
+		return fixedBuilder[bool](make([]bool, n))
+	case KDate:
+		return fixedBuilder[int32](make([]int32, n))
+	}
+	return fixedBuilder[OID](make([]OID, n))
+}
+
+type fixedBuilder[E Fixed] []E
+
+func (b fixedBuilder[E]) Set(i int, v Value) { b[i] = Unbox[E](v) }
+func (b fixedBuilder[E]) Column() Column     { return &FixedCol[E]{V: b} }
+
+type strBuilder []string
+
+func (b strBuilder) Set(i int, v Value) { b[i] = v.S }
+func (b strBuilder) Column() Column     { return NewStrColFromStrings(b) }
 
 // FromValues builds a column of the given kind from boxed values; it is the
 // generic constructor used by operators that cannot stay on a typed fast
-// path, and by tests.
+// path, and by tests. A void column takes its sequence base from the first
+// value.
 func FromValues(k Kind, vs []Value) Column {
-	switch k {
-	case KVoid:
+	if k == KVoid {
 		var seq OID
 		if len(vs) > 0 {
 			seq = OID(vs[0].I)
 		}
 		return NewVoid(seq, len(vs))
-	case KOID:
-		out := make([]OID, len(vs))
-		for i, v := range vs {
-			out[i] = OID(v.I)
-		}
-		return NewOIDCol(out)
-	case KInt:
-		out := make([]int64, len(vs))
-		for i, v := range vs {
-			out[i] = v.I
-		}
-		return NewIntCol(out)
-	case KFlt:
-		out := make([]float64, len(vs))
-		for i, v := range vs {
-			out[i] = v.AsFloat()
-		}
-		return NewFltCol(out)
-	case KStr:
-		out := make([]string, len(vs))
-		for i, v := range vs {
-			out[i] = v.S
-		}
-		return NewStrColFromStrings(out)
-	case KChr:
-		out := make([]byte, len(vs))
-		for i, v := range vs {
-			out[i] = byte(v.I)
-		}
-		return NewChrCol(out)
-	case KBit:
-		out := make([]bool, len(vs))
-		for i, v := range vs {
-			out[i] = v.I != 0
-		}
-		return NewBitCol(out)
-	case KDate:
-		out := make([]int32, len(vs))
-		for i, v := range vs {
-			out[i] = int32(v.I)
-		}
-		return NewDateCol(out)
 	}
-	panic("bat: unknown kind " + k.String())
+	b := NewBuilder(k, len(vs))
+	for i, v := range vs {
+		b.Set(i, v)
+	}
+	return b.Column()
 }
 
 // PositionRun reports whether pos is the contiguous ascending run
@@ -553,6 +624,19 @@ func PositionRun[I int32 | OID](pos []I) (int, bool) {
 // retain small results past their operand's life should materialize them
 // (see ROADMAP: view-aware accounting / materialize-on-retain).
 func SliceView(col Column, lo, n int) Column { return col.sliceView(lo, n) }
+
+// Concat returns a new column owning a's entries followed by b's. Both must
+// hold one kind (void entries are oids); an empty side contributes nothing
+// and may be of any kind — two empty sides yield an empty column of b's kind.
+func Concat(a, b Column) Column {
+	if a.Len() == 0 {
+		a, b = b, a
+	}
+	if b.Len() > 0 && normKind(a.Kind()) != normKind(b.Kind()) {
+		panic("bat: concat of " + a.Kind().String() + " and " + b.Kind().String() + " columns")
+	}
+	return a.concat(b)
+}
 
 // Gather builds the column col[perm[0]], col[perm[1]], ... It is the
 // positional-fetch primitive underlying sorts, joins and the datavector

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -243,39 +244,65 @@ func (dv *Datavector) DropLookups() {
 
 // SortedPerm returns the stable permutation that orders col's rows
 // ascending, or descending when desc; ties keep row order either way. It is
-// the one sort primitive behind SortOnTail and MIL's sort operator.
+// the one sort primitive behind SortOnTail and MIL's sort operator: a stable
+// sort of contiguous (key, position) pairs, compared on the key alone.
 func SortedPerm(col Column, desc bool) []int32 {
-	perm := make([]int32, col.Len())
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	var less func(i, j int) bool
 	switch c := col.(type) {
 	case *OIDCol:
-		less = permLess(c.V, perm)
+		return sortedPerm(c.V, desc)
 	case *IntCol:
-		less = permLess(c.V, perm)
+		return sortedPerm(c.V, desc)
 	case *FltCol:
-		less = permLess(c.V, perm)
+		return sortedPerm(c.V, desc)
 	case *DateCol:
-		less = permLess(c.V, perm)
+		return sortedPerm(c.V, desc)
 	case *ChrCol:
-		less = permLess(c.V, perm)
+		return sortedPerm(c.V, desc)
 	case *StrCol:
-		less = func(i, j int) bool { return c.At(int(perm[i])) < c.At(int(perm[j])) }
-	default: // void and bit columns order by their boxed values
-		less = func(i, j int) bool { return Less(col.Get(int(perm[i])), col.Get(int(perm[j]))) }
+		keys := make([]string, c.Len())
+		for i := range keys {
+			keys[i] = c.At(i)
+		}
+		return sortedPerm(keys, desc)
 	}
-	if desc {
-		asc := less
-		less = func(i, j int) bool { return asc(j, i) }
+	// void and bit columns order by the integer payload of their boxed values
+	keys := make([]int64, col.Len())
+	for i := range keys {
+		keys[i] = col.Get(i).I
 	}
-	sort.SliceStable(perm, less)
-	return perm
+	return sortedPerm(keys, desc)
 }
 
-func permLess[E orderedElem](v []E, perm []int32) func(i, j int) bool {
-	return func(i, j int) bool { return v[perm[i]] < v[perm[j]] }
+// sortedPerm stably sorts the rows of keys. The comparison is "a < b, else
+// b < a, else tie" (swapped for desc) and nothing else, so an unordered key
+// (NaN) ties with everything, as it always has.
+func sortedPerm[E Ordered | string](keys []E, desc bool) []int32 {
+	type keyPos struct {
+		key E
+		pos int32
+	}
+	ps := make([]keyPos, len(keys))
+	for i, k := range keys {
+		ps[i] = keyPos{k, int32(i)}
+	}
+	slices.SortStableFunc(ps, func(a, b keyPos) int {
+		x, y := a.key, b.key
+		if desc {
+			x, y = y, x
+		}
+		switch {
+		case x < y:
+			return -1
+		case y < x:
+			return 1
+		}
+		return 0
+	})
+	perm := make([]int32, len(ps))
+	for i, p := range ps {
+		perm[i] = p.pos
+	}
+	return perm
 }
 
 // SortOnTail returns a copy of b reordered ascending on tail values — the

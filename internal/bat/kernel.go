@@ -1,6 +1,9 @@
 package bat
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // This file is the typed kernel layer: allocation-free primitives that let
 // the MIL operators run as tight array loops over the columns' backing
@@ -14,6 +17,17 @@ import "math"
 // floats the rep is a hash resp. the bit pattern, and an equality verifier
 // on the original column settles collisions (map-key semantics: NaN never
 // equals itself, -0 equals +0).
+//
+// The Grouper contract (group, unique, aggregation, union). Equality is fixed
+// at construction: NewGrouper takes the verifier that settles rep collisions
+// — one interface conversion per table, of a pointer, so it never allocates —
+// and Slot takes only rep and row, so a per-row verifier argument, and its
+// per-row boxing, cannot be written. The table starts at grouperMinBuckets
+// (inputs typically hold 4–200 distinct keys in 100k rows) and doubles when
+// the slots outnumber the buckets, re-linking the chains from the per-slot
+// reps; nothing is sized by the input's row count. Slot ids are
+// first-occurrence order whatever the table size was at the time: the k-th
+// distinct key gets slot k, as the group oid of a sequential boxed scan.
 
 const fibMul = 0x9E3779B97F4A7C15
 
@@ -50,7 +64,9 @@ type KeyEq interface {
 	KeyEqual(a, b int32) bool
 }
 
-// KeyRep is the key representation of one column: one uint64 per row.
+// KeyRep is the key representation of one column: one uint64 per row. It is
+// handled by pointer, so that passing it as a KeyEq converts without
+// allocating.
 type KeyRep struct {
 	Rep   []uint64
 	Exact bool // rep equality ⇔ value equality
@@ -58,12 +74,12 @@ type KeyRep struct {
 }
 
 // NewKeyRep builds the key representation of col.
-func NewKeyRep(c Column) KeyRep { return NewKeyRepP(c, 1) }
+func NewKeyRep(c Column) *KeyRep { return NewKeyRepP(c, 1) }
 
 // NewKeyRepP builds the key representation of col, filling the rep vector on
 // up to workers goroutines (the fill is embarrassingly parallel; every
 // worker count yields the identical vector).
-func NewKeyRepP(c Column, workers int) KeyRep {
+func NewKeyRepP(c Column, workers int) *KeyRep {
 	n := c.Len()
 	rep := make([]uint64, n)
 	if workers <= 1 || n < radixBuildMinRows {
@@ -74,7 +90,7 @@ func NewKeyRepP(c Column, workers int) KeyRep {
 			fillKeyReps(c, rep, bounds[w][0], bounds[w][1])
 		})
 	}
-	return KeyRep{Rep: rep, Exact: repExact(c), col: c}
+	return &KeyRep{Rep: rep, Exact: repExact(c), col: c}
 }
 
 // repExact reports whether rep equality is conclusive for col's kind:
@@ -138,13 +154,13 @@ func RowRep(c Column) (rep func(i int32) uint64, eq KeyEq) {
 	if !repExact(c) {
 		// KeyEqual on inexact kinds reads the column directly; no Rep
 		// vector is needed.
-		eq = KeyRep{Exact: false, col: c}
+		eq = &KeyRep{col: c}
 	}
 	return c.keyRepAt, eq
 }
 
 // KeyEqual implements KeyEq on a single column under map-key semantics.
-func (k KeyRep) KeyEqual(a, b int32) bool {
+func (k *KeyRep) KeyEqual(a, b int32) bool {
 	if k.Exact {
 		return k.Rep[a] == k.Rep[b]
 	}
@@ -157,7 +173,7 @@ func (k KeyRep) KeyEqual(a, b int32) bool {
 }
 
 // Verifier returns k as a KeyEq, or nil when rep equality is conclusive.
-func (k KeyRep) Verifier() KeyEq {
+func (k *KeyRep) Verifier() KeyEq {
 	if k.Exact {
 		return nil
 	}
@@ -165,10 +181,10 @@ func (k KeyRep) Verifier() KeyEq {
 }
 
 // PairEq verifies composite (A,B) keys row against row.
-type PairEq struct{ A, B KeyRep }
+type PairEq struct{ A, B *KeyRep }
 
 // KeyEqual implements KeyEq.
-func (p PairEq) KeyEqual(a, b int32) bool {
+func (p *PairEq) KeyEqual(a, b int32) bool {
 	return p.A.KeyEqual(a, b) && p.B.KeyEqual(a, b)
 }
 
@@ -194,12 +210,12 @@ func crossEq(a, b Column) func(i, j int32) bool {
 
 // ---------------------------------------------------------------------------
 // Grouper: incremental distinct-key slot assignment (group, unique,
-// aggregation). Slots are handed out in first-occurrence order, so slot ids
-// coincide with the group oids the boxed implementations produced.
+// aggregation, union).
 
 // Grouper assigns dense slot ids to distinct key reps via an open hash table
-// with bucket+link chaining over the discovered slots.
+// with bucket+link chaining over the slots (contract in the file header).
 type Grouper struct {
+	eq     KeyEq   // settles rep collisions; nil when rep equality is conclusive
 	bucket []int32 // slot chain heads per hash bucket, -1 empty
 	mask   uint32
 	rep    []uint64 // rep per slot
@@ -207,23 +223,37 @@ type Grouper struct {
 	link   []int32  // next slot in bucket chain
 }
 
-// NewGrouper returns a Grouper sized for up to hint distinct keys.
-func NewGrouper(hint int) *Grouper {
-	if hint < 1 {
-		hint = 1
-	}
-	sz := nextPow2(hint)
-	g := &Grouper{
-		bucket: make([]int32, sz),
-		mask:   uint32(sz - 1),
-		rep:    make([]uint64, 0, hint),
-		rows:   make([]int32, 0, hint),
-		link:   make([]int32, 0, hint),
-	}
+// grouperMinBuckets is the initial bucket count: it covers the typical
+// grouping (a few to a few hundred groups) without growing, in 5 KB.
+const grouperMinBuckets = 256
+
+// NewGrouper returns an empty Grouper whose rep collisions eq settles; eq
+// must be non-nil whenever rep equality does not imply key equality (inexact
+// reps and all composite Mix keys).
+func NewGrouper(eq KeyEq) *Grouper {
+	g := &Grouper{eq: eq}
+	g.rehash(grouperMinBuckets)
+	return g
+}
+
+// rehash resizes the bucket array to sz (a power of two), makes room for as
+// many slots — so the per-slot arrays grow in the same few steps, not by
+// append's — and re-links every slot from its stored rep. Chain order is
+// unobservable: a key occupies one slot, found wherever it sits in its chain.
+func (g *Grouper) rehash(sz int) {
+	g.bucket = make([]int32, sz)
+	g.mask = uint32(sz - 1)
+	g.rep = slices.Grow(g.rep, sz-len(g.rep))
+	g.rows = slices.Grow(g.rows, sz-len(g.rows))
+	g.link = slices.Grow(g.link, sz-len(g.link))
 	for i := range g.bucket {
 		g.bucket[i] = -1
 	}
-	return g
+	for s, rep := range g.rep {
+		h := fibHash(rep) & g.mask
+		g.link[s] = g.bucket[h]
+		g.bucket[h] = int32(s)
+	}
 }
 
 // Len reports the number of slots handed out.
@@ -233,15 +263,17 @@ func (g *Grouper) Len() int { return len(g.rows) }
 func (g *Grouper) Rows() []int32 { return g.rows }
 
 // Slot returns the slot of the key with representation rep occurring at row,
-// creating it if new (second result). eq settles rep collisions; it must be
-// non-nil whenever rep equality does not imply key equality (inexact reps
-// and all composite Mix keys).
-func (g *Grouper) Slot(rep uint64, row int32, eq KeyEq) (int32, bool) {
+// creating it if new (second result).
+func (g *Grouper) Slot(rep uint64, row int32) (int32, bool) {
 	h := fibHash(rep) & g.mask
 	for s := g.bucket[h]; s >= 0; s = g.link[s] {
-		if g.rep[s] == rep && (eq == nil || eq.KeyEqual(g.rows[s], row)) {
+		if g.rep[s] == rep && (g.eq == nil || g.eq.KeyEqual(g.rows[s], row)) {
 			return s, false
 		}
+	}
+	if len(g.rows) >= len(g.bucket) {
+		g.rehash(2 * len(g.bucket))
+		h = fibHash(rep) & g.mask
 	}
 	s := int32(len(g.rows))
 	g.rep = append(g.rep, rep)
@@ -255,13 +287,13 @@ func (g *Grouper) Slot(rep uint64, row int32, eq KeyEq) (int32, bool) {
 // Merge-join kernel: unboxed two-cursor merge of a sorted tail against a
 // sorted head, one generic instantiation per ordered element type.
 
-// orderedElem are the fixed-width element types with a native order: all
-// of Fixed but bool.
-type orderedElem interface {
+// Ordered are the fixed-width element types with a native order: all of
+// Fixed but bool.
+type Ordered interface {
 	OID | int64 | float64 | byte | int32
 }
 
-func mergeJoinTyped[E orderedElem](lt, rh []E, lpos, rpos []int32) ([]int32, []int32) {
+func mergeJoinTyped[E Ordered](lt, rh []E, lpos, rpos []int32) ([]int32, []int32) {
 	i, j := 0, 0
 	nl, nr := len(lt), len(rh)
 	for i < nl && j < nr {
@@ -283,7 +315,7 @@ func mergeJoinTyped[E orderedElem](lt, rh []E, lpos, rpos []int32) ([]int32, []i
 }
 
 // mergeJoinFixed runs the typed merge when rh has a's element type.
-func mergeJoinFixed[E orderedElem](a *FixedCol[E], rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
+func mergeJoinFixed[E Ordered](a *FixedCol[E], rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
 	b, ok := rh.(*FixedCol[E])
 	if !ok {
 		return lpos, rpos, false

@@ -296,10 +296,10 @@ func TestKeyRepSemantics(t *testing.T) {
 // occurrence order, with collision verification on composite keys.
 func TestGrouperFirstOccurrenceOrder(t *testing.T) {
 	a := NewKeyRep(NewIntCol([]int64{5, 3, 5, 9, 3}))
-	g := NewGrouper(5)
+	g := NewGrouper(a.Verifier())
 	var slots []int32
 	for i := 0; i < 5; i++ {
-		s, _ := g.Slot(a.Rep[i], int32(i), a.Verifier())
+		s, _ := g.Slot(a.Rep[i], int32(i))
 		slots = append(slots, s)
 	}
 	want := []int32{0, 1, 0, 2, 1}

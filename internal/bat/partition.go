@@ -182,7 +182,7 @@ func groupPartitions(workers int) int {
 
 // BuildGroupSlotsPartitioned assigns group slots to every row of rep by
 // radix-partitioned parallel grouping. eq settles rep collisions exactly as
-// in Grouper.Slot (nil when rep equality is conclusive). The result is
+// in NewGrouper (nil when rep equality is conclusive). The result is
 // bit-identical to a sequential Grouper scan: equal keys always share a
 // radix partition, so per-partition Groupers discover the same groups, and
 // the stitch renumbers the partition-local slots by global first-occurrence
@@ -220,10 +220,10 @@ func buildGroupsPartitioned(rep []uint64, eq KeyEq, s Sched, needSlots bool) *Gr
 	// indexed by partition, so claim order is unobservable.
 	s.Dispatch(p, func(_, pi int) {
 		lo, hi := sc.off[pi], sc.off[pi+1]
-		g := NewGrouper(int(hi - lo))
+		g := NewGrouper(eq)
 		for k := lo; k < hi; k++ {
 			row := sc.rows[k]
-			slot, _ := g.Slot(sc.reps[k], row, eq)
+			slot, _ := g.Slot(sc.reps[k], row)
 			if needSlots {
 				slots[row] = slot
 			}

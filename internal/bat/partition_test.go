@@ -174,10 +174,10 @@ func TestBuildPartitionSplitBitIdentical(t *testing.T) {
 
 // refGroupSlots is the sequential Grouper reference.
 func refGroupSlots(rep []uint64, eq KeyEq) (slots, first []int32) {
-	g := NewGrouper(len(rep))
+	g := NewGrouper(eq)
 	slots = make([]int32, len(rep))
 	for i := range rep {
-		s, _ := g.Slot(rep[i], int32(i), eq)
+		s, _ := g.Slot(rep[i], int32(i))
 		slots[i] = s
 	}
 	return slots, g.Rows()

@@ -100,7 +100,7 @@ func detectColProps(col Column) Props {
 // slice. NaN has no place in a total order; its presence voids the claim —
 // v[i-1] <= v[i] is false with a NaN on either side, and a lone NaN fails
 // the reflexive check.
-func scanAscending[E orderedElem](v []E) Props {
+func scanAscending[E Ordered](v []E) Props {
 	if len(v) == 1 && v[0] != v[0] {
 		return 0
 	}

@@ -133,9 +133,9 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 		})
 	default:
 		ctx.chose("hash-aggr")
-		g := bat.NewGrouper(n)
+		g := bat.NewGrouper(eq)
 		foldRange(f, n, func(i int32) int32 {
-			s, _ := g.Slot(hr.Rep[i], i, eq)
+			s, _ := g.Slot(hr.Rep[i], i)
 			return s
 		})
 		first = g.Rows()
@@ -157,7 +157,8 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 
 // slotFold is the grouped-accumulation kernel of one aggregate over one tail
 // column: per-slot accumulators for every aggregate function at once, typed
-// for the numeric and date tails (typedFold), boxed otherwise (boxedFold).
+// for the ordered fixed-width tails (typedFold), boxed for the str, bit and
+// void tails (boxedFold).
 // Aggr's ordered, hash and radix-partitioned scans, the pipeline's aggregate
 // terminal and — with a single slot — the scalar aggregates all fold through
 // it, in ascending row order per slot.
@@ -181,6 +182,10 @@ func newSlotFold(tail bat.Column) slotFold {
 		return &typedFold[float64]{col: t.V, sumF: []float64{}}
 	case *bat.DateCol:
 		return &typedFold[int32]{col: t.V}
+	case *bat.OIDCol:
+		return &typedFold[bat.OID]{col: t.V}
+	case *bat.ChrCol:
+		return &typedFold[byte]{col: t.V}
 	}
 	return &boxedFold{col: tail}
 }
@@ -230,11 +235,11 @@ func foldRange(f slotFold, n int, slot func(row int32) int32) {
 }
 
 // typedFold accumulates a fixed-width tail unboxed. Integer tails keep an
-// exact int64 sum beside the float sum avg divides; date tails keep no sums
-// (sum and avg over dates are zero, as the boxed accumulator has it). A sum
-// the tail kind does not keep is a nil slice; one it keeps is non-nil from
-// construction on.
-type typedFold[E int64 | float64 | int32] struct {
+// exact int64 sum beside the float sum avg divides; date, oid and chr tails
+// keep no sums (sum and avg over them are zero, as the boxed accumulator has
+// it). A sum the tail kind does not keep is a nil slice; one it keeps is
+// non-nil from construction on.
+type typedFold[E bat.Ordered] struct {
 	col      []E
 	count    []int64
 	sumI     []int64
@@ -343,11 +348,11 @@ func (a *boxedFold) fold(v bat.Vector, slots []int32) {
 
 func (a *boxedFold) tail(fn string, G int) bat.Column {
 	kind := a.col.Kind()
-	vals := make([]bat.Value, G)
-	for i := range vals {
-		vals[i] = a.accs[i].result(fn, kind)
+	b := bat.NewBuilder(aggResultKind(fn, kind), G)
+	for i := 0; i < G; i++ {
+		b.Set(i, a.accs[i].result(fn, kind))
 	}
-	return bat.FromValues(aggResultKind(fn, kind), vals)
+	return b.Column()
 }
 
 // AggrScalar aggregates all tail values of b into a single-BUN BAT

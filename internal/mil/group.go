@@ -16,7 +16,7 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	k := workersFor(ctx, n)
 	hr := bat.NewKeyRepP(b.H, k)
 	tr := bat.NewKeyRepP(b.T, k)
-	eq := bat.PairEq{A: hr, B: tr} // Mix keys always need verifying
+	eq := &bat.PairEq{A: hr, B: tr} // Mix keys always need verifying
 	if k > 1 {
 		// Partitioned dedup: the first-occurrence rows of the partitioned
 		// grouping (ascending by construction) are exactly the BUNs a
@@ -24,20 +24,18 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 		first := bat.BuildGroupFirstRowsPartitionedSched(mixedReps(ctx, hr, tr, n), eq, ctx.sched(n))
 		return gatherPositions(ctx, b.Name+".uniq", b, first)
 	}
-	g := bat.NewGrouper(n)
-	var pos []int32
+	g := bat.NewGrouper(eq)
 	for i := 0; i < n; i++ {
-		if _, fresh := g.Slot(bat.Mix(hr.Rep[i], tr.Rep[i]), int32(i), eq); fresh {
-			pos = append(pos, int32(i))
-		}
+		g.Slot(bat.Mix(hr.Rep[i], tr.Rep[i]), int32(i))
 	}
-	return gatherPositions(ctx, b.Name+".uniq", b, pos)
+	// The first-occurrence rows, ascending: exactly the BUNs to keep.
+	return gatherPositions(ctx, b.Name+".uniq", b, g.Rows())
 }
 
 // mixedReps materializes the composite key reps Mix(a[i], b[i]) in
 // parallel; partitioned groupings need the vector up front for the radix
 // scatter.
-func mixedReps(ctx *Ctx, a, b bat.KeyRep, n int) []uint64 {
+func mixedReps(ctx *Ctx, a, b *bat.KeyRep, n int) []uint64 {
 	mixed := make([]uint64, n)
 	parallelFill(ctx, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -67,9 +65,9 @@ func GroupUnary(ctx *Ctx, b *bat.BAT) *bat.BAT {
 		gs := bat.BuildGroupSlotsPartitionedSched(tr.Rep, eq, ctx.sched(n))
 		slotsToOIDs(ctx, gs.Slots, out)
 	} else {
-		g := bat.NewGrouper(n)
+		g := bat.NewGrouper(eq)
 		for i := 0; i < n; i++ {
-			s, _ := g.Slot(tr.Rep[i], int32(i), eq)
+			s, _ := g.Slot(tr.Rep[i], int32(i))
 			out[i] = bat.OID(s)
 		}
 	}
@@ -106,14 +104,14 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	if bat.Synced(g, b) {
 		gr := bat.NewKeyRepP(g.T, k)
 		br := bat.NewKeyRepP(b.T, k)
-		eq := bat.PairEq{A: gr, B: br}
+		eq := &bat.PairEq{A: gr, B: br}
 		if k > 1 {
 			gs := bat.BuildGroupSlotsPartitionedSched(mixedReps(ctx, gr, br, n), eq, ctx.sched(n))
 			slotsToOIDs(ctx, gs.Slots, out)
 		} else {
-			gp := bat.NewGrouper(n)
+			gp := bat.NewGrouper(eq)
 			for i := 0; i < n; i++ {
-				s, _ := gp.Slot(bat.Mix(gr.Rep[i], br.Rep[i]), int32(i), eq)
+				s, _ := gp.Slot(bat.Mix(gr.Rep[i], br.Rep[i]), int32(i))
 				out[i] = bat.OID(s)
 			}
 		}

@@ -56,6 +56,8 @@ func edgeColumn(rng *rand.Rand, k bat.Kind, n int) bat.Column {
 		edges = []bat.Value{bat.C(0), bat.C(255)}
 	case bat.KFlt:
 		edges = []bat.Value{bat.F(math.NaN()), bat.F(math.Inf(1)), bat.F(math.Inf(-1)), bat.F(math.Copysign(0, -1)), bat.F(0)}
+	case bat.KStr:
+		edges = []bat.Value{bat.S(""), bat.S(sharedPrefix + "a"), bat.S(sharedPrefix + "b"), bat.S(sharedPrefix)}
 	}
 	for i, e := range edges {
 		vals[(i*37+11)%n], vals[(i*53+400)%n] = e, e
@@ -99,6 +101,8 @@ func TestSelectKernelEqualsInRange(t *testing.T) {
 			bounds = append(bounds, ptr(bat.C(0)), ptr(bat.C(255)))
 		case bat.KFlt:
 			bounds = append(bounds, ptr(bat.F(math.NaN())), ptr(bat.F(math.Inf(1))), ptr(bat.I(1)))
+		case bat.KStr:
+			bounds = append(bounds, ptr(bat.S("")), ptr(bat.S(sharedPrefix+"a")), ptr(bat.S(sharedPrefix)))
 		}
 		for li, lo := range bounds {
 			for hi_, hi := range bounds {
@@ -156,7 +160,7 @@ func TestSlotFoldFeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	const n = 3000 // several fold blocks
 	heads := randKindValues(rng, bat.KInt, n, false)
-	for _, tk := range []bat.Kind{bat.KInt, bat.KFlt, bat.KDate, bat.KStr, bat.KOID} {
+	for _, tk := range []bat.Kind{bat.KInt, bat.KFlt, bat.KDate, bat.KStr, bat.KOID, bat.KChr, bat.KBit} {
 		tails := edgeColumn(rng, tk, n)
 		if tk == bat.KInt { // keep integer sums clear of overflow
 			tails = bat.FromValues(tk, randKindValues(rng, tk, n, false))
@@ -165,10 +169,10 @@ func TestSlotFoldFeeds(t *testing.T) {
 		hr := bat.NewKeyRep(b.H)
 		all := bat.Vector{Hi: n}.AppendRows(nil)
 		grouped := func(fold func(f slotFold, slot func(int32) int32)) (slotFold, int) {
-			g := bat.NewGrouper(n)
+			g := bat.NewGrouper(nil)
 			f := newSlotFold(b.T)
 			fold(f, func(i int32) int32 {
-				s, _ := g.Slot(hr.Rep[i], i, nil)
+				s, _ := g.Slot(hr.Rep[i], i)
 				return s
 			})
 			return f, g.Len()
@@ -209,6 +213,9 @@ func TestScalarFoldEqualsTerminal(t *testing.T) {
 		"int-one":   bat.NewIntCol([]int64{-4}),
 		"int-many":  bat.NewIntCol([]int64{5, -4, 1 << 60, 9}),
 		"date-many": bat.NewDateCol([]int32{9000, 8000, 9500}),
+		"oid-empty": bat.NewOIDCol(nil),
+		"oid-many":  bat.NewOIDCol([]bat.OID{7, 0, math.MaxUint32}),
+		"chr-many":  bat.NewChrCol([]byte{'q', 0, 255}),
 		"str-empty": bat.NewStrColFromStrings(nil),
 		"str-many":  bat.NewStrColFromStrings([]string{"b", "a", "c"}),
 	}

@@ -6,6 +6,37 @@ import (
 	"repro/internal/bat"
 )
 
+// The multiplex constructor [f](AB, …) and its compile step.
+//
+// A multiplex never interprets a row. Once per statement compileMap turns
+// (Func, operand kinds, column/constant shape) into a mapKernel that writes
+// the result column's backing slice over parallelFill's ranges:
+//
+//   - the built-in functions carry a typed family (Func.typed; the generic
+//     loops are in mapkernel.go), each operand a column or a broadcast
+//     constant;
+//   - every other shape — a function registered at run time, operand kinds a
+//     family does not cover, string results — runs the one row-at-a-time
+//     adapter (adaptMap): box the row's operands, call Func.Apply, store into
+//     a typed builder. There is no second adapter and no boxed staging.
+//
+// The families:
+//
+//	compare  = != < <= > >=   one ordered fixed kind or str; int/flt mixed  → bit
+//	logic    and or not       bit operands (and, or: two of them)           → bit
+//	arith    + - * /          int, flt; mixed widens, / always widens → int | flt
+//	string   strstarts strends strcontains    str operands                  → bit
+//	date     year month       a date column                                 → int
+//	cast     flt int          an int or flt column                    → flt | int
+//	if       a bit condition and two branches of one fixed kind       → that kind
+//
+// Func.Apply stays the definition: a typed primitive must equal it row by
+// row, bit for bit. For the comparisons that means reproducing bat.Compare,
+// which decides from < and > only — so a NaN operand compares "equal" to
+// anything — and compares mixed int/flt operands as floats. The result kind
+// is a function of (function, operand kinds), fixed before a row is read
+// (resultKind), so an empty operand yields the same kind as a full one.
+
 // Operand is one argument of a multiplexed operation: either a BAT (a value
 // set) or a constant lifted over it.
 type Operand struct {
@@ -34,14 +65,10 @@ func Multiplex(ctx *Ctx, fn string, args []Operand) *bat.BAT {
 	if !ok {
 		panic(fmt.Sprintf("mil: multiplex of unknown function %q", fn))
 	}
-	nb := 0
 	var first *bat.BAT
 	for _, a := range args {
-		if a.B != nil {
-			if first == nil {
-				first = a.B
-			}
-			nb++
+		if a.B != nil && first == nil {
+			first = a.B
 		}
 	}
 	if first == nil {
@@ -72,196 +99,120 @@ func multiplexAligned(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BA
 			a.B.T.TouchAll(p)
 		}
 	}
-	n := first.Len()
-
-	if out := multiplexFltFast(f.Name, first, args, n); out != nil {
-		return out
-	}
-
-	vals := make([]bat.Value, n)
-	parallelFill(ctx, n, func(from, to int) {
-		buf := make([]bat.Value, len(args))
-		for i := from; i < to; i++ {
-			for j, a := range args {
-				if a.B != nil {
-					buf[j] = a.B.T.Get(i)
-				} else {
-					buf[j] = *a.Const
-				}
-			}
-			vals[i] = f.Apply(buf)
-		}
-	})
-	kind := bat.KBit
-	if n > 0 {
-		kind = vals[0].K
-	} else {
-		kind = multiplexZeroKind(f, args)
-	}
-	out := bat.New("["+f.Name+"]", first.H, bat.FromValues(kind, vals),
-		first.Props&(bat.HOrdered|bat.HKey))
+	tail := compileMap(f, args)(ctx, first.Len())
+	out := bat.New("["+f.Name+"]", first.H, tail, first.Props&(bat.HOrdered|bat.HKey))
 	out.SyncWith(first)
 	return out
 }
 
-// multiplexZeroKind guesses a result kind for empty inputs so that the BAT
-// still carries a sensible type.
-func multiplexZeroKind(f *Func, args []Operand) bat.Kind {
-	switch f.Name {
-	case "=", "!=", "<", "<=", ">", ">=", "and", "or", "not",
-		"strstarts", "strcontains", "strends":
-		return bat.KBit
-	case "/", "flt":
-		return bat.KFlt
-	case "year", "month", "length", "int":
-		return bat.KInt
-	case "adddays", "addmonths":
-		return bat.KDate
-	}
-	for _, a := range args {
-		if a.B != nil {
-			return a.B.T.Kind()
+// compileMap compiles [f] over aligned operands into its map primitive: the
+// function's typed one for these operand kinds and shapes, else the adapter.
+func compileMap(f *Func, args []Operand) mapKernel {
+	if f.typed != nil {
+		if k := f.typed(args); k != nil {
+			return k
 		}
 	}
-	return bat.KInt
+	return adaptMap(f, args)
 }
 
-// multiplexFltFast handles the hot arithmetic shapes of the TPC-D queries
-// ([*] and [-] over float columns, possibly with one constant) without
-// boxing.
-func multiplexFltFast(fn string, first *bat.BAT, args []Operand, n int) *bat.BAT {
-	if len(args) != 2 {
-		return nil
+// resultKind is the tail kind of [f] over args: a function of f and the
+// operand kinds alone, read off one application of f to the operand kinds'
+// zero values (constants as given) — before, and whether or not, there is a
+// row to read.
+func resultKind(f *Func, args []Operand) bat.Kind {
+	zeros := make([]bat.Value, len(args))
+	for j, a := range args {
+		if a.Const != nil {
+			zeros[j] = *a.Const
+		} else {
+			zeros[j] = bat.Value{K: a.kind()}
+		}
 	}
-	colOf := func(a Operand) ([]float64, bool) {
-		if a.B == nil {
-			return nil, false
-		}
-		c, ok := a.B.T.(*bat.FltCol)
-		if !ok {
-			return nil, false
-		}
-		return c.V, true
-	}
-	constOf := func(a Operand) (float64, bool) {
-		if a.Const == nil || !a.Const.IsNumeric() {
-			return 0, false
-		}
-		return a.Const.AsFloat(), true
-	}
-	var apply func(x, y float64) float64
-	switch fn {
-	case "+":
-		apply = func(x, y float64) float64 { return x + y }
-	case "-":
-		apply = func(x, y float64) float64 { return x - y }
-	case "*":
-		apply = func(x, y float64) float64 { return x * y }
-	default:
-		return nil
-	}
-	out := make([]float64, n)
-	switch {
-	case args[0].B != nil && args[1].B != nil:
-		x, ok1 := colOf(args[0])
-		y, ok2 := colOf(args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			out[i] = apply(x[i], y[i])
-		}
-	case args[0].Const != nil && args[1].B != nil:
-		c, ok1 := constOf(args[0])
-		y, ok2 := colOf(args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			out[i] = apply(c, y[i])
-		}
-	case args[0].B != nil && args[1].Const != nil:
-		x, ok1 := colOf(args[0])
-		c, ok2 := constOf(args[1])
-		if !ok1 || !ok2 {
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			out[i] = apply(x[i], c)
-		}
-	default:
-		return nil
-	}
-	res := bat.New("["+fn+"]", first.H, bat.NewFltCol(out),
-		first.Props&(bat.HOrdered|bat.HKey))
-	res.SyncWith(first)
-	return res
+	return f.Apply(zeros).K
 }
 
+// adaptMap is the one row-at-a-time path: it boxes each row's operands,
+// calls f.Apply and stores the result into a typed builder of the declared
+// result kind. Only shapes without a typed primitive get here (functions
+// registered at run time, operand kinds a family does not cover, string
+// results).
+func adaptMap(f *Func, args []Operand) mapKernel {
+	kind := resultKind(f, args)
+	return func(ctx *Ctx, n int) bat.Column {
+		b := bat.NewBuilder(kind, n)
+		parallelFill(ctx, n, func(lo, hi int) {
+			buf := make([]bat.Value, len(args))
+			for i := lo; i < hi; i++ {
+				for j, a := range args {
+					if a.B != nil {
+						buf[j] = a.B.T.Get(i)
+					} else {
+						buf[j] = *a.Const
+					}
+				}
+				b.Set(i, f.Apply(buf))
+			}
+		})
+		return b.Column()
+	}
+}
+
+// multiplexHash is the natural join on heads (assuming key heads — true for
+// value sets, which are identified value sets by construction): the rows of
+// the first BAT operand whose head occurs in every other one survive, each
+// other operand's tail is fetched at its first matching row, and the aligned
+// primitive runs over the matched rows.
 func multiplexHash(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BAT {
 	ctx.chose("hash-multiplex")
 	p := ctx.pager()
-	// Build head→position maps for all non-first BAT operands; iterate the
-	// first in order (natural join on heads, assuming key heads — true for
-	// value sets, which are identified value sets by construction).
-	type lookup struct {
-		arg Operand
-		idx map[bat.Value]int
-	}
-	lookups := make([]lookup, len(args))
+	n := first.Len()
+	rows := bat.Vector{Hi: n}.AppendRows(make([]int32, 0, n))
+	idx := make([]*bat.HashIndex, len(args))
+	probes := make([]bat.Probe, len(args))
 	for j, a := range args {
-		lookups[j].arg = a
-		if a.B != nil && a.B != first {
-			a.B.H.TouchAll(p)
-			a.B.T.TouchAll(p)
-			m := make(map[bat.Value]int, a.B.Len())
-			for i := 0; i < a.B.Len(); i++ {
-				h := a.B.H.Get(i)
-				if _, dup := m[h]; !dup {
-					m[h] = i
-				}
-			}
-			lookups[j].idx = m
+		if a.B == nil || a.B == first {
+			continue
 		}
+		a.B.H.TouchAll(p)
+		a.B.T.TouchAll(p)
+		// A private index, as the operands are intermediates probed once: no
+		// accelerator is published on them.
+		idx[j] = bat.BuildHashIndexSched(a.B.H, 0, ctx.sched(a.B.Len()))
+		var ok bool
+		if probes[j], ok = idx[j].NewProbe(first.H); !ok {
+			rows = rows[:0] // a head kind that cannot occur there matches nothing
+			continue
+		}
+		rows = idx[j].FilterVec(probes[j], bat.Vector{Sel: rows}, true, make([]int32, 0, len(rows)))
 	}
 	first.H.TouchAll(p)
 	first.T.TouchAll(p)
 
-	buf := make([]bat.Value, len(args))
-	var heads, vals []bat.Value
-outer:
-	for i := 0; i < first.Len(); i++ {
-		h := first.H.Get(i)
-		for j, a := range args {
-			switch {
-			case a.Const != nil:
-				buf[j] = *a.Const
-			case a.B == first:
-				buf[j] = first.T.Get(i)
-			default:
-				pos, ok := lookups[j].idx[h]
-				if !ok {
-					continue outer // natural join: drop unmatched heads
+	matched := make([]Operand, len(args))
+	for j, a := range args {
+		switch {
+		case a.B == nil:
+			matched[j] = a
+		case a.B == first:
+			matched[j] = BATArg(bat.New("", bat.NewVoid(0, len(rows)), bat.Gather(first.T, rows), 0))
+		default:
+			// Pairs arrive in row order, a row's matches ascending: keep the
+			// first of each run.
+			lp, rp := idx[j].JoinVec(probes[j], bat.Vector{Sel: rows}, nil, nil)
+			k := 0
+			for i := range lp {
+				if i == 0 || lp[i] != lp[i-1] {
+					rp[k] = rp[i]
+					k++
 				}
-				buf[j] = a.B.T.Get(pos)
 			}
+			matched[j] = BATArg(bat.New("", bat.NewVoid(0, k), bat.Gather(a.B.T, rp[:k]), 0))
 		}
-		heads = append(heads, h)
-		vals = append(vals, f.Apply(buf))
 	}
-	kind := multiplexZeroKind(f, args)
-	if len(vals) > 0 {
-		kind = vals[0].K
-	}
-	out := bat.New("["+f.Name+"]", bat.FromValues(first.H.Kind(), heads),
-		bat.FromValues(kind, vals), 0)
-	if first.Props.Has(bat.HOrdered) {
-		out.Props |= bat.HOrdered
-	}
-	if first.Props.Has(bat.HKey) {
-		out.Props |= bat.HKey
-	}
-	if out.Len() == first.Len() {
+	out := bat.New("["+f.Name+"]", bat.Gather(first.H, rows),
+		compileMap(f, matched)(ctx, len(rows)), first.Props&(bat.HOrdered|bat.HKey))
+	if out.Len() == n {
 		out.SyncWith(first)
 	}
 	return out

@@ -119,3 +119,107 @@ func selectBoxed(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *bat.BAT {
 	}
 	return gatherPositions(nil, b.Name+".sel", b, pos)
 }
+
+// multiplexBoxed is the boxed reference of the aligned multiplex: f.Apply
+// over the boxed operands of every row; the tail kind is that of the first
+// result (resultKind for an empty operand).
+func multiplexBoxed(f *Func, first *bat.BAT, args []Operand) *bat.BAT {
+	vals := make([]bat.Value, first.Len())
+	buf := make([]bat.Value, len(args))
+	for i := range vals {
+		for j, a := range args {
+			if a.B != nil {
+				buf[j] = a.B.T.Get(i)
+			} else {
+				buf[j] = *a.Const
+			}
+		}
+		vals[i] = f.Apply(buf)
+	}
+	kind := resultKind(f, args)
+	if len(vals) > 0 {
+		kind = vals[0].K
+	}
+	out := bat.New("["+f.Name+"]", first.H, bat.FromValues(kind, vals), first.Props&(bat.HOrdered|bat.HKey))
+	out.SyncWith(first)
+	return out
+}
+
+// multiplexHashBoxed is the boxed-map reference of the hash multiplex: head
+// → first position maps for the other BAT operands, the first iterated in
+// order, unmatched heads dropped.
+func multiplexHashBoxed(f *Func, first *bat.BAT, args []Operand) *bat.BAT {
+	idx := make([]map[bat.Value]int, len(args))
+	for j, a := range args {
+		if a.B != nil && a.B != first {
+			idx[j] = make(map[bat.Value]int, a.B.Len())
+			for i := 0; i < a.B.Len(); i++ {
+				h := a.B.H.Get(i)
+				if _, dup := idx[j][h]; !dup {
+					idx[j][h] = i
+				}
+			}
+		}
+	}
+	buf := make([]bat.Value, len(args))
+	var heads, vals []bat.Value
+outer:
+	for i := 0; i < first.Len(); i++ {
+		h := first.H.Get(i)
+		for j, a := range args {
+			switch {
+			case a.Const != nil:
+				buf[j] = *a.Const
+			case a.B == first:
+				buf[j] = first.T.Get(i)
+			default:
+				pos, ok := idx[j][h]
+				if !ok {
+					continue outer
+				}
+				buf[j] = a.B.T.Get(pos)
+			}
+		}
+		heads = append(heads, h)
+		vals = append(vals, f.Apply(buf))
+	}
+	hk := first.H.Kind()
+	if hk == bat.KVoid {
+		hk = bat.KOID
+	}
+	out := bat.New("["+f.Name+"]", bat.FromValues(hk, heads),
+		bat.FromValues(resultKind(f, args), vals), first.Props&(bat.HOrdered|bat.HKey))
+	if out.Len() == first.Len() {
+		out.SyncWith(first)
+	}
+	return out
+}
+
+// unionBoxed is the boxed-map reference of Union: BUNs of a, then of b, each
+// kept when its boxed head has not been seen.
+func unionBoxed(a, b *bat.BAT) *bat.BAT {
+	seen := make(map[bat.Value]struct{}, a.Len()+b.Len())
+	var heads, tails []bat.Value
+	for _, x := range []*bat.BAT{a, b} {
+		for i := 0; i < x.Len(); i++ {
+			h := x.H.Get(i)
+			if _, ok := seen[h]; ok {
+				continue
+			}
+			seen[h] = struct{}{}
+			heads = append(heads, h)
+			tails = append(tails, x.T.Get(i))
+		}
+	}
+	hk, tk := a.H.Kind(), a.T.Kind()
+	if a.Len() == 0 {
+		hk, tk = b.H.Kind(), b.T.Kind()
+	}
+	if hk == bat.KVoid {
+		hk = bat.KOID
+	}
+	if tk == bat.KVoid {
+		tk = bat.KOID
+	}
+	return bat.New(a.Name+".union", bat.FromValues(hk, heads), bat.FromValues(tk, tails), bat.HKey)
+}

@@ -236,7 +236,7 @@ func TestParityGroupBinaryAllKinds(t *testing.T) {
 func TestParityAggrAllFunctionsAndKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	fns := []string{"sum", "count", "avg", "min", "max"}
-	tailKinds := []bat.Kind{bat.KInt, bat.KFlt, bat.KDate, bat.KStr, bat.KOID}
+	tailKinds := []bat.Kind{bat.KInt, bat.KFlt, bat.KDate, bat.KStr, bat.KOID, bat.KChr, bat.KBit}
 	headKinds := []bat.Kind{bat.KOID, bat.KInt, bat.KStr}
 	for _, hk := range headKinds {
 		for _, tk := range tailKinds {

@@ -671,10 +671,10 @@ func (pl *pplan) aggrTerminal(ctx *Ctx, hrows, trows []int32) (*bat.BAT, error) 
 	fn := pl.aggFn
 	headCol := pl.b.H
 	rep, eq := bat.RowRep(headCol)
-	g := bat.NewGrouper(len(hrows))
+	g := bat.NewGrouper(eq)
 	f := newSlotFold(pl.aggTail)
 	err := pl.foldStream(ctx, f, hrows, trows, func(hr int32) int32 {
-		s, _ := g.Slot(rep(hr), hr, eq)
+		s, _ := g.Slot(rep(hr), hr)
 		return s
 	})
 	if err != nil {

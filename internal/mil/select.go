@@ -3,6 +3,7 @@ package mil
 import (
 	"math"
 	"sort"
+	"strings"
 
 	"repro/internal/bat"
 )
@@ -117,7 +118,7 @@ type selKernel func(v bat.Vector, out []int32) []int32
 // whose value is neither below lo nor above hi. (Phrased by exclusion so a
 // NaN — which bat.Compare holds equal to every bound — qualifies, as it
 // does under inRange with inclusive bounds.)
-func fixedKernel[E bat.OID | int64 | float64 | byte | int32](col []E, lo, hi E) selKernel {
+func fixedKernel[E bat.Ordered](col []E, lo, hi E) selKernel {
 	return func(v bat.Vector, out []int32) []int32 {
 		if v.Sel == nil {
 			for i, x := range col[v.Lo:v.Hi] {
@@ -137,8 +138,7 @@ func fixedKernel[E bat.OID | int64 | float64 | byte | int32](col []E, lo, hi E) 
 }
 
 // rowKernel lifts a per-row predicate into a kernel: the path of the tails
-// without a typed loop (strings, bits, and bounds the typed kernel cannot
-// express).
+// without a typed loop (bits, and bounds the typed kernels cannot express).
 func rowKernel(keep func(i int32) bool) selKernel {
 	return func(v bat.Vector, out []int32) []int32 {
 		for i := range v.All() {
@@ -199,28 +199,52 @@ func closedFlts(lo, hi *bat.Value, loIncl, hiIncl bool) (l, h float64, ok bool) 
 	return l, h, true
 }
 
-// strBounds validates optional boxed bounds as string-typed (or absent).
-func strBounds(lo, hi *bat.Value) (*string, *string, bool) {
-	var loS, hiS *string
+// strKernel is the range kernel over a string tail, its bounds string-typed
+// or nil (absent): one loop over the offsets and the character heap per
+// vector. The closed point range [s, s] — SelectEq — is one string equality
+// per row, which compares lengths before bytes.
+func strKernel(t *bat.StrCol, lo, hi *bat.Value, loIncl, hiIncl bool) selKernel {
+	var l, h string
 	if lo != nil {
-		if lo.K != bat.KStr {
-			return nil, nil, false
-		}
-		loS = &lo.S
+		l = lo.S
 	}
 	if hi != nil {
-		if hi.K != bat.KStr {
-			return nil, nil, false
-		}
-		hiS = &hi.S
+		h = hi.S
 	}
-	return loS, hiS, true
+	// The least / greatest strings.Compare(s, bound) that still qualifies.
+	loMin, hiMax := 1, -1
+	if loIncl {
+		loMin = 0
+	}
+	if hiIncl {
+		hiMax = 0
+	}
+	point := lo != nil && hi != nil && loIncl && hiIncl && l == h
+	return func(v bat.Vector, out []int32) []int32 {
+		off, chars := t.Off, t.Chars
+		for k, n := 0, v.Rows(); k < n; k++ {
+			i := int32(v.Lo + k)
+			if v.Sel != nil {
+				i = v.Sel[k]
+			}
+			switch s := chars[off[i]:off[i+1]]; {
+			case point:
+				if s != l {
+					continue
+				}
+			case lo != nil && strings.Compare(s, l) < loMin, hi != nil && strings.Compare(s, h) > hiMax:
+				continue
+			}
+			out = append(out, i)
+		}
+		return out
+	}
 }
 
 // tailKernel compiles the range predicate lo ≤/< tail ≤/< hi over b's tail:
-// row i qualifies exactly when inRange(b.T.Get(i), lo, hi, loIncl, hiIncl)
-// holds. Bounds of the tail's own kind compile to a typed loop; anything
-// else (bat.Compare then orders across kinds) evaluates boxed.
+// row i qualifies exactly when inRange holds of its boxed tail value. Bounds
+// of the tail's own kind compile to a typed loop; anything else (bat.Compare
+// then orders across kinds) evaluates boxed.
 func tailKernel(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) selKernel {
 	switch t := b.T.(type) {
 	case *bat.IntCol:
@@ -244,14 +268,8 @@ func tailKernel(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) selKernel {
 			return fixedKernel(t.V, l, h)
 		}
 	case *bat.StrCol:
-		if loS, hiS, ok := strBounds(lo, hi); ok {
-			return rowKernel(func(i int32) bool {
-				v := t.At(int(i))
-				if loS != nil && (v < *loS || (v == *loS && !loIncl)) {
-					return false
-				}
-				return hiS == nil || v < *hiS || (v == *hiS && hiIncl)
-			})
+		if (lo == nil || lo.K == bat.KStr) && (hi == nil || hi.K == bat.KStr) {
+			return strKernel(t, lo, hi, loIncl, hiIncl)
 		}
 	}
 	tc := b.T

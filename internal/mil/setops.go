@@ -8,7 +8,9 @@ import "repro/internal/bat"
 
 // Union implements set union on identified value sets: all BUNs of a, plus
 // the BUNs of b whose head does not occur in a. Duplicate heads within b
-// itself are also collapsed (identifiers are unique within a set).
+// itself are also collapsed (identifiers are unique within a set). The BUNs
+// of b are numbered after a's: the grouper dedups the concatenated heads, and
+// its first-occurrence rows are the BUNs to keep.
 func Union(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 	ctx.chose("hash-union")
 	p := ctx.pager()
@@ -16,34 +18,20 @@ func Union(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 	a.T.TouchAll(p)
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
-	seen := make(map[bat.Value]struct{}, a.Len()+b.Len())
-	heads := make([]bat.Value, 0, a.Len()+b.Len())
-	tails := make([]bat.Value, 0, a.Len()+b.Len())
-	add := func(x *bat.BAT) {
-		for i := 0; i < x.Len(); i++ {
-			h := x.H.Get(i)
-			if _, ok := seen[h]; ok {
-				continue
-			}
-			seen[h] = struct{}{}
-			heads = append(heads, h)
-			tails = append(tails, x.T.Get(i))
-		}
+	head, tail := bat.Concat(a.H, b.H), bat.Concat(a.T, b.T)
+	n := head.Len()
+	hr := bat.NewKeyRepP(head, workersFor(ctx, n))
+	g := bat.NewGrouper(hr.Verifier())
+	for i, rep := range hr.Rep {
+		g.Slot(rep, int32(i))
 	}
-	add(a)
-	add(b)
-	hk := a.H.Kind()
-	tk := a.T.Kind()
-	if a.Len() == 0 {
-		hk, tk = b.H.Kind(), b.T.Kind()
+	if rows := g.Rows(); len(rows) < n {
+		// Unshared: a kept run would otherwise stay a view pinning the whole
+		// concatenation.
+		head = bat.UnshareColumn(bat.Gather(head, rows))
+		tail = bat.UnshareColumn(bat.Gather(tail, rows))
 	}
-	if hk == bat.KVoid {
-		hk = bat.KOID
-	}
-	if tk == bat.KVoid {
-		tk = bat.KOID
-	}
-	return bat.New(a.Name+".union", bat.FromValues(hk, heads), bat.FromValues(tk, tails), bat.HKey)
+	return bat.New(a.Name+".union", head, tail, bat.HKey)
 }
 
 // Diff implements set difference on identified value sets: the BUNs of a
