@@ -486,7 +486,7 @@ func BenchmarkAblationParallelIteration(b *testing.B) {
 	for _, w := range []int{1, 8} {
 		w := w
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			ctx := &mil.Ctx{Workers: w}
+			ctx := mil.NewCtx(nil, mil.Options{Workers: w})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				mil.SelectRange(ctx, data, &lo, &hi, true, false)
@@ -593,7 +593,7 @@ func BenchmarkAblationMorselProbe(b *testing.B) {
 			{"morsel-w8-8k", 8, 8192},
 		} {
 			b.Run(dist.name+"/"+mode.name, func(b *testing.B) {
-				ctx := &mil.Ctx{Workers: mode.workers, MorselRows: mode.morsel}
+				ctx := mil.NewCtx(nil, mil.Options{Workers: mode.workers, MorselRows: mode.morsel})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -829,7 +829,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 		closedLoopBench(b, 4, light, func(string) error {
 			// The pre-PR4 scratch construction: copy the whole database env
 			// into a per-query map, then execute and materialize on it.
-			ctx := &mil.Ctx{Workers: 1}
+			ctx := mil.NewCtx(nil, mil.Options{Workers: 1})
 			scratch := make(mil.Env, len(benchEnv)+len(prep.Prog.Stmts))
 			for k, v := range benchEnv {
 				scratch[k] = v

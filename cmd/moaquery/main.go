@@ -27,9 +27,7 @@ func main() {
 	profile := flag.Bool("profile", false, "print the full per-statement profile (trace + output bytes, accelerator builds, dispatch stats)")
 	noResult := flag.Bool("noresult", false, "suppress result printing")
 	workers := flag.Int("workers", engine.AutoWorkers(), "parallel iteration degree for bulk operators (1 = sequential)")
-	morsel := flag.Int("morsel", 0, "morsel scheduling: rows per probe morsel (0 = skew-aware default)")
 	pipeline := flag.Int("pipeline", 0, "fusable-chain execution: >=0 = vectorized pipeline (default), <0 = full materialization (parity reference)")
-	vectorRows := flag.Int("vector-rows", 0, "pipeline vector length in rows (0 = ~L1-sized default)")
 	flag.Parse()
 
 	gen := tpcd.Generate(*sf, *seed)
@@ -37,9 +35,7 @@ func main() {
 	db := engine.New(tpcd.Schema(), env)
 	db.Pager = storage.NewPager(4096, 0)
 	db.Workers = *workers
-	db.MorselRows = *morsel
 	db.Pipeline = *pipeline
-	db.VectorRows = *vectorRows
 
 	src := ""
 	if *q != 0 {

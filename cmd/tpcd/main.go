@@ -27,9 +27,7 @@ func main() {
 	validate := flag.Bool("validate", false, "validate both engines against the reference evaluator")
 	only := flag.Int("q", 0, "run a single query (1-15)")
 	workers := flag.Int("workers", engine.AutoWorkers(), "parallel iteration degree for bulk operators (1 = sequential)")
-	morsel := flag.Int("morsel", 0, "morsel scheduling: rows per probe morsel (0 = skew-aware default)")
 	pipeline := flag.Int("pipeline", 0, "fusable-chain execution: >=0 = vectorized pipeline (default), <0 = full materialization (parity reference)")
-	vectorRows := flag.Int("vector-rows", 0, "pipeline vector length in rows (0 = ~L1-sized default)")
 	storageMode := flag.String("storage", tpcd.StorageSim, "column storage engine: sim = load into anonymous memory, mmap = serve base columns from a heap-file checkpoint in -datadir (bootstrapped there on first run)")
 	dataDir := flag.String("datadir", "", "heap-file checkpoint directory for -storage=mmap")
 	mapFallback := flag.Bool("map-fallback", false, "mmap storage: read heap files instead of mapping (portable fallback)")
@@ -73,9 +71,7 @@ func main() {
 	db := engine.New(tpcd.Schema(), env)
 	db.Pager = storage.NewPager(4096, *pool)
 	db.Workers = *workers
-	db.MorselRows = *morsel
 	db.Pipeline = *pipeline
-	db.VectorRows = *vectorRows
 
 	store := relational.Load(gen)
 	store.Pager = storage.NewPager(4096, *pool)

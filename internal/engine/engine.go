@@ -17,7 +17,6 @@ import (
 	"repro/internal/mil"
 	"repro/internal/moa"
 	"repro/internal/rewrite"
-	"repro/internal/storage"
 )
 
 // AutoWorkers reports the default parallel iteration degree for this host:
@@ -50,23 +49,11 @@ type Database struct {
 	// for epoch-less use). In-flight queries keep their snapshot while
 	// ingests swap new epochs in — snapshot isolation, lock-free reads.
 	Epochs *epoch.Manager
-	// Pager, when non-nil, simulates paged storage and accounts page
-	// faults (the substitute for Monet's memory-mapped files).
-	Pager *storage.Pager
-	// Workers enables shared-memory parallel iteration for the bulk
-	// operators when > 1 (paper Section 2).
-	Workers int
-	// MorselRows tunes the morsel-driven work scheduler of the parallel
-	// operators: 0 = skew-aware default, > 0 = explicit probe morsel rows.
-	// Bit-identical in every setting.
-	MorselRows int
-	// Pipeline selects the execution strategy for fusable statement chains:
-	// >= 0 (default) streams selection vectors through the fused chain,
-	// < 0 runs the same kernels statement-at-a-time, materializing every
-	// intermediate (the parity reference). Bit-identical either way.
-	Pipeline int
-	// VectorRows tunes the pipeline vector length; 0 picks the default.
-	VectorRows int
+	// Options are the execution defaults every session inherits. A non-nil
+	// Pager simulates paged storage and accounts page faults (the
+	// substitute for Monet's memory-mapped files). Gauge and Profile are
+	// per-session concerns: the server sets them on each session.
+	mil.Options
 }
 
 // New creates a database over an existing BAT environment.
@@ -136,34 +123,18 @@ func (db *Database) Query(src string) (*Result, error) {
 // per-session execution model); open more sessions for more concurrency.
 type Session struct {
 	db *Database
-	// Pager, when non-nil, is the shared buffer pool this session's
-	// queries touch. Sharing one Pager across concurrently executing
+	// Options are this session's execution settings, handed to every
+	// query's mil.Ctx. Sharing one Pager across concurrently executing
 	// sessions is safe (the pool is lock-striped) and is the serving
 	// default: each query's Stats.Faults comes from a per-query tracker,
 	// not from the pool's aggregate counters.
-	Pager *storage.Pager
-	// Workers, MorselRows, Pipeline and VectorRows mirror the Database
-	// knobs per session.
-	Workers    int
-	MorselRows int
-	Pipeline   int
-	VectorRows int
-	// Gauge, when non-nil, feeds this session's intermediate-memory
-	// accounting into a process-wide gauge (admission control).
-	Gauge *mil.MemGauge
-	// Profile enables per-statement dispatch profiling (workers engaged,
-	// morsels claimed, max worker share in the traces). Everything else in
-	// a trace is always-on; see mil.Ctx.Profile.
-	Profile bool
+	mil.Options
 }
 
-// NewSession opens a session over the database, inheriting its Pager,
-// Workers and MorselRows defaults.
+// NewSession opens a session over the database, inheriting its execution
+// settings.
 func (db *Database) NewSession() *Session {
-	return &Session{
-		db: db, Pager: db.Pager, Workers: db.Workers, MorselRows: db.MorselRows,
-		Pipeline: db.Pipeline, VectorRows: db.VectorRows,
-	}
+	return &Session{db: db, Options: db.Options}
 }
 
 // Query prepares and executes a MOA query on this session. qctx is the
@@ -192,15 +163,7 @@ func (s *Session) Execute(qctx context.Context, prep *rewrite.Result) (res *Resu
 	// qctx binds the query lifecycle at construction: NewCtx retains only a
 	// cancellable context, so Background/TODO (nil Done channel) keep the
 	// uncancellable fast path free of even the amortized per-morsel poll.
-	ctx := mil.NewCtx(qctx, mil.Options{
-		Pager:      s.Pager,
-		Workers:    s.Workers,
-		MorselRows: s.MorselRows,
-		Pipeline:   s.Pipeline,
-		VectorRows: s.VectorRows,
-		Gauge:      s.Gauge,
-		Profile:    s.Profile,
-	})
+	ctx := mil.NewCtx(qctx, s.Options)
 	// Pin the current epoch for the whole query: base BATs resolve through
 	// the pinned env, so an ingest publishing a new epoch mid-query cannot
 	// change what this query sees (snapshot isolation). The deferred Release

@@ -52,48 +52,9 @@ func (g *MemGauge) Add(delta int64) {
 //
 // A nil *Ctx is valid and disables all accounting.
 type Ctx struct {
-	// Pager, when non-nil, is the shared paged-storage pool this query
-	// touches. The pool may be shared with any number of concurrent
-	// queries (it is lock-striped); this query's own fault/hit counts are
-	// attributed through a private storage.Tracker created on first touch
-	// (see PageFaults).
-	Pager *storage.Pager
-
-	// Workers enables shared-memory parallel iteration (Section 2) for the
-	// data-parallel operators when > 1; results are bit-identical to
-	// sequential execution.
-	Workers int
-
-	// MorselRows tunes the morsel-driven scheduler that hands parallel work
-	// to the workers: 0 picks the skew-aware default (~L2-sized probe
-	// chunks, whole partitions for builds), > 0 forces an explicit probe
-	// morsel length in rows. Every setting is bit-identical.
-	MorselRows int
-
-	// Pipeline selects the execution strategy for fusable statement chains
-	// (select → semijoin/diff/join → aggregate): 0 (the default) and > 0
-	// stream cache-resident vectors with selection vectors through the
-	// chain, materializing only the chain's final result; < 0 executes the
-	// chain statement-at-a-time — the same kernels over full columns, every
-	// intermediate materialized: the parity reference the fused plan shape
-	// is tested against. Every setting is bit-identical.
-	Pipeline int
-
-	// VectorRows tunes the pipeline's vector length in rows; 0 picks
-	// bat.DefaultVectorRows (~L1-sized windows).
-	VectorRows int
-
-	// Gauge, when non-nil, receives every Account/Release delta: the
-	// process-wide live-bytes feed of the server's admission control.
-	Gauge *MemGauge
-
-	// Profile enables the per-statement dispatch profiling that is not free:
-	// parallel dispatches allocate per-worker share counters so traces can
-	// carry workers engaged / morsels claimed / max worker share (the
-	// runtime skew signal). Everything else in a trace — wall time, tracker
-	// fault/hit deltas, output bytes, accelerator builds — is cheap enough
-	// to stay always-on.
-	Profile bool
+	// Options are the query's execution settings; tests and ablations may
+	// tweak one of them mid-flight.
+	Options
 
 	// Context, when non-nil, is the query's lifecycle: when it is cancelled
 	// (client disconnect) or its deadline expires, the interpreter stops at
@@ -139,31 +100,53 @@ type Ctx struct {
 	tracker *storage.Tracker
 }
 
-// Options collects every Ctx tuning knob in one place. The zero value is a
-// fully usable default (sequential, no paging simulation, no accounting,
-// pipeline on). Constructing contexts through NewCtx replaces scattering
-// field assignments across engine, server and cmd callers; the Ctx fields
-// themselves stay exported for tests and ablations that tweak one knob
-// mid-flight.
+// Options are the execution settings of a query, declared once: Ctx,
+// engine.Session and engine.Database embed them, so a database's settings
+// flow to each session and from there into each query's Ctx. The zero value
+// is a fully usable default (sequential, no paging simulation, no
+// accounting, pipeline on).
 type Options struct {
-	// Pager is the shared paged-storage pool the query's touches hit; nil
-	// disables the paging simulation. See Ctx.Pager.
+	// Pager, when non-nil, is the shared paged-storage pool the query
+	// touches. The pool may be shared with any number of concurrent
+	// queries (it is lock-striped); each query's own fault/hit counts are
+	// attributed through a private storage.Tracker created on first touch
+	// (see Ctx.PageFaults). nil disables the paging simulation.
 	Pager *storage.Pager
-	// Workers enables parallel iteration when > 1. See Ctx.Workers.
+
+	// Workers enables shared-memory parallel iteration (Section 2) for the
+	// data-parallel operators when > 1; results are bit-identical to
+	// sequential execution.
 	Workers int
-	// MorselRows tunes morsel-driven scheduling (0 auto, > 0 explicit).
-	// See Ctx.MorselRows.
+
+	// MorselRows tunes the morsel-driven scheduler that hands parallel work
+	// to the workers: 0 picks the skew-aware default (~L2-sized probe
+	// chunks, whole partitions for builds), > 0 forces an explicit probe
+	// morsel length in rows. Every setting is bit-identical.
 	MorselRows int
-	// Pipeline selects vectorized (>= 0) or fully materialized (< 0)
-	// execution of fusable chains. See Ctx.Pipeline.
+
+	// Pipeline selects the execution strategy for fusable statement chains
+	// (select → semijoin/diff/join → aggregate): 0 (the default) and > 0
+	// stream cache-resident vectors with selection vectors through the
+	// chain, materializing only the chain's final result; < 0 executes the
+	// chain statement-at-a-time — the same kernels over full columns, every
+	// intermediate materialized: the parity reference the fused plan shape
+	// is tested against. Every setting is bit-identical.
 	Pipeline int
-	// VectorRows tunes the pipeline vector length (0 picks the default).
-	// See Ctx.VectorRows.
+
+	// VectorRows tunes the pipeline's vector length in rows; 0 picks
+	// bat.DefaultVectorRows (~L1-sized windows).
 	VectorRows int
-	// Gauge, when non-nil, receives live-intermediate-bytes deltas. See
-	// Ctx.Gauge.
+
+	// Gauge, when non-nil, receives every Account/Release delta: the
+	// process-wide live-bytes feed of the server's admission control.
 	Gauge *MemGauge
-	// Profile enables per-statement dispatch profiling. See Ctx.Profile.
+
+	// Profile enables the per-statement dispatch profiling that is not free:
+	// parallel dispatches allocate per-worker share counters so traces can
+	// carry workers engaged / morsels claimed / max worker share (the
+	// runtime skew signal). Everything else in a trace — wall time, tracker
+	// fault/hit deltas, output bytes, accelerator builds — is cheap enough
+	// to stay always-on.
 	Profile bool
 }
 
@@ -174,15 +157,7 @@ type Options struct {
 // uncancellable fast path free of even the amortized check; passing nil cx
 // means the query has no lifecycle.
 func NewCtx(cx context.Context, o Options) *Ctx {
-	c := &Ctx{
-		Pager:      o.Pager,
-		Workers:    o.Workers,
-		MorselRows: o.MorselRows,
-		Pipeline:   o.Pipeline,
-		VectorRows: o.VectorRows,
-		Gauge:      o.Gauge,
-		Profile:    o.Profile,
-	}
+	c := &Ctx{Options: o}
 	if cx != nil && cx.Done() != nil {
 		c.Context = cx
 	}

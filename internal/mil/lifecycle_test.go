@@ -95,7 +95,7 @@ func TestCancelStopsParallelDispatch(t *testing.T) {
 	qctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead when the first operator dispatches
 
-	ctx := &Ctx{Context: qctx, Workers: 4}
+	ctx := NewCtx(qctx, Options{Workers: 4})
 	_, _, err := Exec(ctx, q13Program(), buildQ13Env())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)

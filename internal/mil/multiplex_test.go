@@ -239,7 +239,7 @@ func TestTypedMultiplexEqualsApply(t *testing.T) {
 				if workers > 1 && n < parallelMinRows {
 					continue
 				}
-				ctx := &Ctx{Workers: workers}
+				ctx := NewCtx(nil, Options{Workers: workers})
 				got := Multiplex(ctx, c.f.Name, args)
 				if ctx.LastAlgo() != "aligned-multiplex" {
 					t.Fatalf("%s: ran %s", c, ctx.LastAlgo())

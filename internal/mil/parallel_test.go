@@ -44,8 +44,8 @@ func TestParallelSelectMatchesSequential(t *testing.T) {
 	b := bat.New("x", bat.NewVoid(0, n), bat.NewIntCol(vals), 0)
 	lo, hi := bat.I(100), bat.I(300)
 
-	seq := SelectRange(&Ctx{Workers: 1}, b, &lo, &hi, true, false)
-	par := SelectRange(&Ctx{Workers: 8}, b, &lo, &hi, true, false)
+	seq := SelectRange(NewCtx(nil, Options{Workers: 1}), b, &lo, &hi, true, false)
+	par := SelectRange(NewCtx(nil, Options{Workers: 8}), b, &lo, &hi, true, false)
 	if seq.Len() != par.Len() {
 		t.Fatalf("len %d vs %d", seq.Len(), par.Len())
 	}
@@ -76,8 +76,8 @@ func TestParallelMultiplexMatchesSequential(t *testing.T) {
 		}
 	}
 	sb := bat.New("s", bat.NewVoid(0, n), bat.NewStrColFromStrings(strs), 0)
-	seq := Multiplex(&Ctx{Workers: 1}, "strstarts", []Operand{BATArg(sb), ConstArg(bat.S("PROMO"))})
-	par := Multiplex(&Ctx{Workers: 8}, "strstarts", []Operand{BATArg(sb), ConstArg(bat.S("PROMO"))})
+	seq := Multiplex(NewCtx(nil, Options{Workers: 1}), "strstarts", []Operand{BATArg(sb), ConstArg(bat.S("PROMO"))})
+	par := Multiplex(NewCtx(nil, Options{Workers: 8}), "strstarts", []Operand{BATArg(sb), ConstArg(bat.S("PROMO"))})
 	for i := 0; i < n; i++ {
 		if seq.TailValue(i).Bool() != par.TailValue(i).Bool() {
 			t.Fatalf("row %d differs", i)
@@ -86,10 +86,10 @@ func TestParallelMultiplexMatchesSequential(t *testing.T) {
 }
 
 func TestSmallInputsStaySequential(t *testing.T) {
-	if got := workersFor(&Ctx{Workers: 8}, 10); got != 1 {
+	if got := workersFor(NewCtx(nil, Options{Workers: 8}), 10); got != 1 {
 		t.Fatalf("workersFor(10) = %d", got)
 	}
-	if got := workersFor(&Ctx{Workers: 8}, parallelMinRows); got != 8 {
+	if got := workersFor(NewCtx(nil, Options{Workers: 8}), parallelMinRows); got != 8 {
 		t.Fatalf("workersFor(min) = %d", got)
 	}
 	if got := workersFor(nil, parallelMinRows); got != 1 {

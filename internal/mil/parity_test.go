@@ -304,18 +304,18 @@ func TestParityParallelBitIdentical(t *testing.T) {
 	l := bat.New("l", bat.NewOIDCol(lh), bat.NewOIDCol(lt), 0)
 	r := bat.New("r", bat.NewOIDCol(lt[:n/4]), bat.NewIntCol(ht[:n/4]), 0)
 
-	seqJ := hashJoin(&Ctx{Workers: 1}, l, r)
-	parJ := hashJoin(&Ctx{Workers: 8}, l, r)
+	seqJ := hashJoin(NewCtx(nil, Options{Workers: 1}), l, r)
+	parJ := hashJoin(NewCtx(nil, Options{Workers: 8}), l, r)
 	batsEqual(t, "parallel hash-join", parJ, seqJ)
 
-	seqS := hashSemijoin(&Ctx{Workers: 1}, l, r)
-	parS := hashSemijoin(&Ctx{Workers: 8}, l, r)
+	seqS := hashSemijoin(NewCtx(nil, Options{Workers: 1}), l, r)
+	parS := hashSemijoin(NewCtx(nil, Options{Workers: 8}), l, r)
 	batsEqual(t, "parallel hash-semijoin", parS, seqS)
 
 	grp := bat.New("g", bat.NewOIDCol(lh), bat.NewIntCol(ht), 0)
 	for _, fn := range []string{"sum", "count", "min", "max", "avg"} {
-		seqA := Aggr(&Ctx{Workers: 1}, fn, grp)
-		parA := Aggr(&Ctx{Workers: 8}, fn, grp)
+		seqA := Aggr(NewCtx(nil, Options{Workers: 1}), fn, grp)
+		parA := Aggr(NewCtx(nil, Options{Workers: 8}), fn, grp)
 		batsEqual(t, "parallel aggr "+fn, parA, seqA)
 	}
 	fvals := make([]float64, n)
@@ -324,8 +324,8 @@ func TestParityParallelBitIdentical(t *testing.T) {
 	}
 	fgrp := bat.New("fg", bat.NewOIDCol(lh), bat.NewFltCol(fvals), 0)
 	for _, fn := range []string{"sum", "count", "avg", "min", "max"} {
-		seqA := Aggr(&Ctx{Workers: 1}, fn, fgrp)
-		parA := Aggr(&Ctx{Workers: 8}, fn, fgrp)
+		seqA := Aggr(NewCtx(nil, Options{Workers: 1}), fn, fgrp)
+		parA := Aggr(NewCtx(nil, Options{Workers: 8}), fn, fgrp)
 		batsEqual(t, "parallel flt aggr "+fn, parA, seqA)
 	}
 }
@@ -350,7 +350,7 @@ func TestParityPartitionedGroupOps(t *testing.T) {
 	}
 	flts[0], flts[n/2], flts[n-1] = math.NaN(), math.Copysign(0, -1), 0
 
-	seqCtx, parCtx := &Ctx{Workers: 1}, &Ctx{Workers: 8}
+	seqCtx, parCtx := NewCtx(nil, Options{Workers: 1}), NewCtx(nil, Options{Workers: 8})
 
 	gInt := bat.New("gi", bat.NewOIDCol(heads), bat.NewIntCol(ints), 0)
 	gFlt := bat.New("gf", bat.NewOIDCol(heads), bat.NewFltCol(flts), 0)
@@ -412,7 +412,7 @@ func TestParityViewGather(t *testing.T) {
 	b := bat.New("a", bat.NewVoid(0, n), bat.NewIntCol(tails), bat.TOrdered|bat.TKey)
 	b.Persist()
 	lo, hi := bat.I(3000), bat.I(9000)
-	ctx := &Ctx{Pager: storage.NewPager(4096, 0)}
+	ctx := NewCtx(nil, Options{Pager: storage.NewPager(4096, 0)})
 	got := SelectRange(ctx, b, &lo, &hi, true, true)
 	if ctx.LastAlgo() != "binsearch-select" {
 		t.Fatalf("algo = %s", ctx.LastAlgo())

@@ -69,7 +69,7 @@ func q13Program() *Program {
 
 func TestQ13ProgramEndToEnd(t *testing.T) {
 	env := buildQ13Env()
-	ctx := &Ctx{Pager: storage.NewPager(4096, 0)}
+	ctx := NewCtx(nil, Options{Pager: storage.NewPager(4096, 0)})
 	scope, traces, err := Exec(ctx, q13Program(), env)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestRunDatavectorReuseVisibleInTrace(t *testing.T) {
 	// datavector variant is driven by the small right operand, and fusing
 	// would replace it with a full scan. The algo assertions below double
 	// as that no-pessimization guard.
-	ctx := &Ctx{Pager: storage.NewPager(64, 0)} // tiny pages to force faults
+	ctx := NewCtx(nil, Options{Pager: storage.NewPager(64, 0)}) // tiny pages to force faults
 	_, traces, err := Exec(ctx, q13Program(), env)
 	if err != nil {
 		t.Fatal(err)

@@ -22,10 +22,10 @@ import (
 // default, and explicit morsel sizes down to degenerate.
 func skewCtxs() map[string]*Ctx {
 	return map[string]*Ctx{
-		"seq":          {Workers: 1},
-		"morsel-w8":    {Workers: 8},
-		"morsel-w3-1k": {Workers: 3, MorselRows: 1024},
-		"morsel-w8-64": {Workers: 8, MorselRows: 64},
+		"seq":          NewCtx(nil, Options{Workers: 1}),
+		"morsel-w8":    NewCtx(nil, Options{Workers: 8}),
+		"morsel-w3-1k": NewCtx(nil, Options{Workers: 3, MorselRows: 1024}),
+		"morsel-w8-64": NewCtx(nil, Options{Workers: 8, MorselRows: 64}),
 	}
 }
 
@@ -124,7 +124,7 @@ func TestSkewParityOperators(t *testing.T) {
 			{"aggr-min", func(c *Ctx) *bat.BAT { return Aggr(c, "min", gb) }},
 		}
 		for _, op := range ops {
-			want := op.run(&Ctx{Workers: 1})
+			want := op.run(NewCtx(nil, Options{Workers: 1}))
 			for name, ctx := range skewCtxs() {
 				got := op.run(ctx)
 				assertSameBAT(t, fmt.Sprintf("%s/%s/%s", shape, op.name, name), got, want)
@@ -139,7 +139,7 @@ func TestSkewParitySelect(t *testing.T) {
 	for shape, keys := range skewKeys(t) {
 		b := bat.New("b", bat.NewVoid(0, len(keys)), bat.NewIntCol(keys), 0)
 		lo, hi := bat.I(1), bat.I(1<<11)
-		want := SelectRange(&Ctx{Workers: 1}, b, &lo, &hi, true, true)
+		want := SelectRange(NewCtx(nil, Options{Workers: 1}), b, &lo, &hi, true, true)
 		for name, ctx := range skewCtxs() {
 			got := SelectRange(ctx, b, &lo, &hi, true, true)
 			assertSameBAT(t, shape+"/select/"+name, got, want)
@@ -152,14 +152,14 @@ func TestSkewParitySelect(t *testing.T) {
 func TestMorselRowsKnob(t *testing.T) {
 	n := parallelMinRows * 4
 	k := 8
-	if got := len(probeRanges(&Ctx{Workers: k}, n, k)); got < k*morselsPerWorker {
+	if got := len(probeRanges(NewCtx(nil, Options{Workers: k}), n, k)); got < k*morselsPerWorker {
 		t.Fatalf("auto ranges = %d, want >= %d (a stealable tail)", got, k*morselsPerWorker)
 	}
-	if got := len(probeRanges(&Ctx{Workers: k, MorselRows: 1024}, n, k)); got != n/1024 {
+	if got := len(probeRanges(NewCtx(nil, Options{Workers: k, MorselRows: 1024}), n, k)); got != n/1024 {
 		t.Fatalf("explicit ranges = %d, want %d", got, n/1024)
 	}
 	// huge explicit morsels still yield one range per worker
-	if got := len(probeRanges(&Ctx{Workers: k, MorselRows: n * 2}, n, k)); got != k {
+	if got := len(probeRanges(NewCtx(nil, Options{Workers: k, MorselRows: n * 2}), n, k)); got != k {
 		t.Fatalf("oversized-morsel ranges = %d, want %d", got, k)
 	}
 }

@@ -32,7 +32,7 @@ func TestUnionEqualsBoxed(t *testing.T) {
 				}
 				a, b := mk("a", sizes[0], 0), mk("b", sizes[1], bat.OID(sizes[0]/2))
 				for _, workers := range []int{1, 4} {
-					got, want := Union(&Ctx{Workers: workers}, a, b), unionBoxed(a, b)
+					got, want := Union(NewCtx(nil, Options{Workers: workers}), a, b), unionBoxed(a, b)
 					label := fmt.Sprintf("union/%s-%s/%v/w=%d", hk, tk, sizes, workers)
 					if got.H.Kind() != want.H.Kind() || got.T.Kind() != want.T.Kind() {
 						t.Fatalf("%s: kinds [%s,%s], reference [%s,%s]", label, got.H.Kind(), got.T.Kind(), want.H.Kind(), want.T.Kind())
@@ -79,7 +79,7 @@ func TestAllocationBounds(t *testing.T) {
 	sel.HeadHash()
 	ua := bat.New("ua", bat.FromValues(bat.KOID, shuffledOIDs(rng, n)[:n/2]), bat.SliceView(flts.T, 0, n/2), 0)
 
-	ctx := &Ctx{Workers: 1}
+	ctx := NewCtx(nil, Options{Workers: 1})
 	mx := func(fn string, args ...Operand) func() { return func() { Multiplex(ctx, fn, args) } }
 	cases := map[string]func(){
 		"Unique":                func() { Unique(ctx, grouped(ints)) },

@@ -8,7 +8,6 @@
 package moa
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/bat"
@@ -185,15 +184,3 @@ func AttrBAT(class, attr string) string { return class + "_" + attr }
 // NestedBAT names the BAT of field f inside set-valued attribute attr of
 // class.
 func NestedBAT(class, attr, f string) string { return class + "_" + attr + "_" + f }
-
-// BaseKindOf maps a MOA type to the BAT tail kind that stores it: object
-// references and nested set ids are oids, atoms store themselves.
-func BaseKindOf(t Type) (bat.Kind, error) {
-	switch x := t.(type) {
-	case BaseType:
-		return x.K, nil
-	case ObjectType:
-		return bat.KOID, nil
-	}
-	return 0, fmt.Errorf("moa: type %s has no single-BAT representation", t)
-}

@@ -1,6 +1,6 @@
-// Package obs holds the observability primitives shared by the serving tier
-// and the load generator: a lock-free fixed-bucket log₂ latency histogram
-// with a Prometheus text renderer. The paper's evaluation is an
+// Package obs holds the serving tier's observability primitives: a
+// lock-free fixed-bucket log₂ latency histogram with a Prometheus text
+// renderer. The paper's evaluation is an
 // observability exercise (Figures 9/10 are per-statement resource traces);
 // this package provides the always-on service-level counterpart — cheap
 // enough to sit on every query completion, structured enough to answer
@@ -88,58 +88,8 @@ func (h *Hist) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge folds another snapshot into this one (per-bucket and sum/count
-// addition) — how the load generator combines per-client histograms into
-// one run-wide distribution without sharing a histogram across goroutines.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.SumNanos += o.SumNanos
-	s.Count += o.Count
-}
-
 // BucketBound reports the inclusive upper bound of finite bucket i.
 func BucketBound(i int) time.Duration { return time.Duration(uint64(1) << uint(i)) }
-
-// Quantile reports the q-quantile (0 <= q <= 1) as the upper bound of the
-// first bucket whose cumulative count reaches q·Count — an over-estimate by
-// at most one octave, the histogram's resolution. Zero when empty.
-func (s HistSnapshot) Quantile(q float64) time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(q * float64(s.Count))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := 0; i <= HistBuckets; i++ {
-		cum += s.Buckets[i]
-		if cum >= rank {
-			if i == HistBuckets {
-				break // overflow: no finite bound
-			}
-			return BucketBound(i)
-		}
-	}
-	return BucketBound(HistBuckets-1) * 2
-}
-
-// Mean reports the arithmetic mean of all observations (exact — the sum is
-// tracked in full nanoseconds, not bucketed). Zero when empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNanos / s.Count)
-}
 
 // WriteProm renders the snapshot in the Prometheus text exposition format
 // (cumulative _bucket series with le labels in seconds, _sum in seconds,

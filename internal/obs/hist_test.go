@@ -103,57 +103,6 @@ func TestHistConcurrent(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	var h Hist
-	// 100 observations at ~1µs, 10 at ~1ms: p50 must be in the µs octave,
-	// p99 in the ms octave.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(time.Millisecond)
-	}
-	s := h.Snapshot()
-	if p50 := s.Quantile(0.50); p50 > 2*time.Microsecond {
-		t.Errorf("p50 = %v, want within the microsecond octave", p50)
-	}
-	if p99 := s.Quantile(0.99); p99 < 500*time.Microsecond || p99 > 2*time.Millisecond {
-		t.Errorf("p99 = %v, want within the millisecond octave", p99)
-	}
-	// Quantile over-estimates by at most one octave.
-	for i := 0; i < 1000; i++ {
-		var g Hist
-		d := time.Duration(1+i*7919) * time.Nanosecond
-		g.Observe(d)
-		q := g.Snapshot().Quantile(0.5)
-		if q < d || q > 2*d {
-			t.Fatalf("single-sample quantile for %v = %v, want [d, 2d]", d, q)
-		}
-	}
-}
-
-func TestQuantileEdge(t *testing.T) {
-	var s HistSnapshot
-	if s.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile should be 0")
-	}
-	var h Hist
-	h.Observe(time.Hour) // overflow bucket
-	got := h.Snapshot().Quantile(0.99)
-	if got < BucketBound(HistBuckets-1) {
-		t.Errorf("overflow quantile = %v, want >= top finite bound", got)
-	}
-}
-
-func TestMean(t *testing.T) {
-	var h Hist
-	h.Observe(2 * time.Millisecond)
-	h.Observe(4 * time.Millisecond)
-	if m := h.Snapshot().Mean(); m != 3*time.Millisecond {
-		t.Errorf("mean = %v, want 3ms", m)
-	}
-}
-
 func TestNilHist(t *testing.T) {
 	var h *Hist
 	h.Observe(time.Second) // must not panic: nil fast path

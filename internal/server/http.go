@@ -228,7 +228,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(IngestResponse{Epoch: id, WALBytes: s.Snapshot().WALBytes})
+	json.NewEncoder(w).Encode(IngestResponse{Epoch: id, WALBytes: s.store.WALBytes()})
 }
 
 // boolParam reads a flag-style query parameter: set and not one of the
@@ -281,7 +281,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "moaserve_inflight %d\n", m.Inflight)
 	fmt.Fprintf(w, "moaserve_plan_cache_hits_total %d\n", m.PlanHits)
 	fmt.Fprintf(w, "moaserve_plan_cache_misses_total %d\n", m.PlanMisses)
-	fmt.Fprintf(w, "moaserve_plan_cache_evictions_total %d\n", m.PlanEvictions)
+	// Evictions are exposed by reason only: an unlabelled total beside the
+	// labelled samples would make sum() over the family count each twice.
 	fmt.Fprintf(w, "moaserve_plan_cache_evictions_total{reason=\"lru\"} %d\n", m.PlanEvictLRU)
 	fmt.Fprintf(w, "moaserve_plan_cache_evictions_total{reason=\"quarantine\"} %d\n", m.PlanEvictQuarantine)
 	fmt.Fprintf(w, "moaserve_plan_cache_evictions_total{reason=\"epoch\"} %d\n", m.PlanEvictEpoch)

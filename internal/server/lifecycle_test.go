@@ -545,49 +545,3 @@ func copyBody(dst *strings.Builder, src interface{ Read([]byte) (int, error) }) 
 		}
 	}
 }
-
-// TestLoadgenRetryBackoff: the closed-loop client honors Retry-After with
-// jittered exponential backoff (retries the same query, counts retries) and
-// classifies deadline/cancel outcomes apart from hard errors.
-func TestLoadgenRetryBackoff(t *testing.T) {
-	var calls atomic.Int64
-	do := func(src string) error {
-		// Two refusals, then success.
-		if calls.Add(1)%3 != 0 {
-			return &OverloadedError{Reason: "memory", RetryAfter: 4 * time.Millisecond}
-		}
-		return nil
-	}
-	rep := RunLoad(LoadConfig{
-		Clients: 2, Duration: 150 * time.Millisecond,
-		Queries: []string{"a", "b"}, ShedBackoff: time.Millisecond, Seed: 42,
-	}, do)
-	if rep.Errors != 0 || rep.Queries == 0 {
-		t.Fatalf("backoff run: %v", rep)
-	}
-	if rep.Shed == 0 || rep.Retries == 0 || rep.Retries > rep.Shed {
-		t.Fatalf("shed=%d retries=%d: refusals must be retried", rep.Shed, rep.Retries)
-	}
-	// Retry-After honored: every retry waited >= ~2ms (4ms × 0.5 jitter
-	// floor), so the per-client success rate is bounded by the waits.
-	maxPossible := int64(rep.Elapsed/(2*2*time.Millisecond))*int64(rep.Clients) + int64(rep.Clients)
-	if rep.Queries > maxPossible {
-		t.Fatalf("%d successes in %v with mandatory backoffs: Retry-After ignored", rep.Queries, rep.Elapsed)
-	}
-
-	// Lifecycle outcomes are classified, not lumped into errors.
-	seq := atomic.Int64{}
-	do2 := func(src string) error {
-		switch seq.Add(1) % 3 {
-		case 1:
-			return fmt.Errorf("t: %w", context.DeadlineExceeded)
-		case 2:
-			return fmt.Errorf("c: %w", context.Canceled)
-		}
-		return nil
-	}
-	rep2 := RunLoad(LoadConfig{Clients: 1, Duration: 50 * time.Millisecond, Queries: []string{"a"}}, do2)
-	if rep2.Timeouts == 0 || rep2.Canceled == 0 || rep2.Errors != 0 {
-		t.Fatalf("classification: %v", rep2)
-	}
-}

@@ -141,8 +141,8 @@ type Service struct {
 	// PrepareIngest, when set, rewrites an incoming ingest body into the
 	// store's payload format before validation — moaserve installs a
 	// translator that expands {"generate":N,"seed":S} directives into
-	// concrete refresh batches, so clients (and the load generator) don't
-	// have to ship full batch JSON over the wire. nil passes bodies through.
+	// concrete refresh batches, so clients don't have to ship full batch
+	// JSON over the wire. nil passes bodies through.
 	PrepareIngest func([]byte) ([]byte, error)
 
 	queries  atomic.Int64 // completed successfully
@@ -250,12 +250,6 @@ func (e *OverloadedError) Error() string {
 		return fmt.Sprintf("server overloaded: pager thrashing (windowed fault ratio %.2f)", e.ThrashRatio)
 	}
 	return fmt.Sprintf("server overloaded: %d live intermediate bytes >= %d budget", e.Live, e.Budget)
-}
-
-// IsOverloaded reports whether err is an admission-control refusal.
-func IsOverloaded(err error) bool {
-	var oe *OverloadedError
-	return errors.As(err, &oe)
 }
 
 // ExecError marks a failure past preparation: the source parsed, checked
@@ -474,9 +468,11 @@ type Metrics struct {
 }
 
 // Snapshot reads the service counters. The pager counters aggregate over
-// every session sharing the pool (scraping them mid-query is race-free:
-// they are atomics); per-query attribution lives in each result's
-// Stats.Faults.
+// every session sharing the pool; each is a sweep over the pool's stripes
+// under their mutexes, so a mid-query scrape is race-free but not free.
+// Snapshot also samples real residency (a mincore over every mapped heap,
+// plus getrusage): call it per scrape, not per request. Per-query
+// attribution lives in each result's Stats.Faults.
 func (s *Service) Snapshot() Metrics {
 	hits, misses, evictions := s.plans.stats()
 	lru, quarantine, epochEv := s.plans.evictionReasons()

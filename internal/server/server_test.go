@@ -3,13 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bat"
 	"repro/internal/engine"
@@ -181,7 +182,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	svc, mix := testService(t, Config{MemBudgetBytes: 1 << 20, MaxConcurrent: 2})
 	svc.Gauge().Add(1 << 20) // external reservation pins the gauge at budget
 	_, err := svc.Query(context.Background(), mix[0])
-	if !IsOverloaded(err) {
+	if !errors.As(err, new(*OverloadedError)) {
 		t.Fatalf("expected overload refusal, got %v", err)
 	}
 	var oe *OverloadedError
@@ -210,10 +211,10 @@ func errorsAsOverloaded(err error, target **OverloadedError) bool {
 }
 
 // TestHTTPEndpoints drives the HTTP front end: query round-trip, metrics
-// exposition, and the 503 + Retry-After overload contract the load
-// generator's HTTP mode relies on.
+// exposition, the 503 + Retry-After overload contract clients back off on,
+// and the plan-eviction series (a one-plan cache forces LRU evictions).
 func TestHTTPEndpoints(t *testing.T) {
-	svc, mix := testService(t, Config{MemBudgetBytes: 1 << 20, MaxConcurrent: 4})
+	svc, mix := testService(t, Config{MemBudgetBytes: 1 << 20, MaxConcurrent: 4, MaxPlans: 1})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -247,22 +248,39 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("bad source status %d, want 400", resp.StatusCode)
 	}
 
-	// Overload → 503 + Retry-After, and HTTPQueryFunc maps it back.
+	// Overload → 503 + Retry-After (whole seconds, ≥ 1) and a typed body.
 	svc.Gauge().Add(1 << 20)
 	resp, err = http.Post(ts.URL+"/query", "text/plain", strings.NewReader(mix[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("overload status %d (Retry-After %q), want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
 	}
-	if err := HTTPQueryFunc(ts.URL, nil)(mix[0]); !IsOverloaded(err) {
-		t.Fatalf("HTTPQueryFunc did not map 503 to overload: %v", err)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("overload status %d, want 503", resp.StatusCode)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("overload Retry-After %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
+	}
+	if er.Kind != "overloaded" || !er.Overloaded {
+		t.Fatalf("overload body %+v, want kind overloaded with overloaded:true", er)
 	}
 	svc.Gauge().Add(-(1 << 20))
-	if err := HTTPQueryFunc(ts.URL, nil)(mix[0]); err != nil {
-		t.Fatalf("HTTPQueryFunc under budget: %v", err)
+
+	// Under budget again, two distinct queries through the one-plan cache:
+	// each insertion evicts the previous plan.
+	for _, src := range mix[:2] {
+		resp, err = http.Post(ts.URL+"/query?noresult=1", "text/plain", strings.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query under budget: status %d", resp.StatusCode)
+		}
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")
@@ -278,6 +296,31 @@ func TestHTTPEndpoints(t *testing.T) {
 		if !strings.Contains(string(body), metric) {
 			t.Fatalf("metrics missing %s:\n%s", metric, body)
 		}
+	}
+
+	// The eviction family is labelled by reason only, so sum() over it is
+	// the real eviction count.
+	m := svc.Snapshot()
+	if m.PlanEvictLRU == 0 {
+		t.Fatal("a one-plan cache served distinct queries without an LRU eviction")
+	}
+	var evictions int64
+	for _, line := range strings.Split(string(body), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "moaserve_plan_cache_evictions_total") {
+			continue
+		}
+		if !strings.HasPrefix(name, "moaserve_plan_cache_evictions_total{reason=") {
+			t.Fatalf("unlabelled eviction sample %q double-counts the family", line)
+		}
+		n, err := strconv.ParseInt(val, 10, 64)
+		if err != nil {
+			t.Fatalf("eviction sample %q: %v", line, err)
+		}
+		evictions += n
+	}
+	if evictions != m.PlanEvictions {
+		t.Fatalf("labelled eviction samples sum to %d, want %d", evictions, m.PlanEvictions)
 	}
 }
 
@@ -364,22 +407,5 @@ func TestServiceKeepsPagerFaultAccounting(t *testing.T) {
 	}
 	if strings.Contains(string(body), "moaserve_pager_faults_total 0\n") {
 		t.Fatalf("pager faults still zero after cold queries:\n%s", body)
-	}
-}
-
-// TestRunLoadClosedLoop: the in-process load generator completes queries
-// without hard errors and reports sane latency percentiles.
-func TestRunLoadClosedLoop(t *testing.T) {
-	svc, mix := testService(t, Config{MaxConcurrent: 4})
-	rep := RunLoad(LoadConfig{Clients: 3, Duration: 300 * time.Millisecond, Queries: mix[:4]},
-		func(src string) error { _, err := svc.Query(context.Background(), src); return err })
-	if rep.Errors != 0 {
-		t.Fatalf("load run errored %d times", rep.Errors)
-	}
-	if rep.Queries == 0 || rep.QPS <= 0 {
-		t.Fatalf("no throughput: %v", rep)
-	}
-	if rep.P50 <= 0 || rep.P99 < rep.P50 {
-		t.Fatalf("implausible percentiles: %v", rep)
 	}
 }

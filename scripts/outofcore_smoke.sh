@@ -106,8 +106,7 @@ pid=""
 echo "outofcore-smoke: SIGKILL delivered after acknowledged ingest" >&2
 
 # --- phase 2: recovery must MAP the heap checkpoint ----------------------
-# (-datadir is the documented alias for -data; exercised here on purpose.)
-"$bin" -addr "$ADDR" -sf 0.002 -storage mmap -datadir "$datadir" &
+"$bin" -addr "$ADDR" -sf 0.002 -storage mmap -data "$datadir" &
 pid=$!
 wait_ready mmap-recovered
 
