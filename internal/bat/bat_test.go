@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -358,6 +359,47 @@ func TestAttachDatavector(t *testing.T) {
 	}
 	if got := dv.Vector.Get(pos); got.S != "Peter" {
 		t.Fatalf("vector value = %s", got)
+	}
+}
+
+// TestAppendAttrEqualsResort: two chained appends build exactly what one
+// AttachDatavector over the concatenated values builds — properties, head
+// layout (an all-ties column keeps its void head), rows and datavector —
+// for every kind, with empty sides and a non-zero extent base.
+func TestAppendAttrEqualsResort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, allDup := range []bool{false, true} {
+		for _, sz := range [][3]int{{0, 5, 3}, {20, 0, 1}, {50, 7, 9}, {40, 40, 40}} {
+			parts := make([]map[Kind]Column, 3)
+			for i, n := range sz {
+				parts[i] = kernelTestColumns(rng, n, allDup)
+			}
+			for kind, a := range parts[0] {
+				got := AttachDatavector(New("x", NewVoid(101, a.Len()), a, 0))
+				all := a
+				for _, p := range parts[1:] {
+					got = AppendAttr(got, p[kind])
+					all = Concat(all, p[kind])
+				}
+				want := AttachDatavector(New("x", NewVoid(101, all.Len()), all, 0))
+				where := fmt.Sprintf("%s sizes %v allDup %v", kind, sz, allDup)
+				if got.Props != want.Props || fmt.Sprintf("%T", got.H) != fmt.Sprintf("%T", want.H) {
+					t.Errorf("%s: %T{%s}, want %T{%s}", where, got.H, got.Props, want.H, want.Props)
+					continue
+				}
+				gdv, wdv := got.Datavector(), want.Datavector()
+				if gdv.Base != wdv.Base || gdv.N != wdv.N {
+					t.Errorf("%s: datavector %d+%d, want %d+%d", where, gdv.Base, gdv.N, wdv.Base, wdv.N)
+				}
+				for i := 0; i < want.Len(); i++ {
+					if got.HeadValue(i) != want.HeadValue(i) || got.TailValue(i) != want.TailValue(i) ||
+						gdv.Vector.Get(i) != wdv.Vector.Get(i) {
+						t.Errorf("%s: row %d differs", where, i)
+						break
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -310,8 +310,13 @@ func sortedPerm[E Ordered | string](keys []E, desc bool) []int32 {
 // attributes ordered on tail"). Accelerators of b are not inherited; attach
 // a datavector built from the oid-ordered original to preserve oid→value
 // access.
-func SortOnTail(b *BAT) *BAT {
-	perm := SortedPerm(b.T, false)
+func SortOnTail(b *BAT) *BAT { return reorderOnTail(b, SortedPerm(b.T, false)) }
+
+// reorderOnTail builds b's rows in perm order, perm being a tail-ascending
+// permutation. Every tail-ordered attribute BAT is laid out here, so a void
+// head survives exactly when perm is the identity (Gather then yields a
+// view).
+func reorderOnTail(b *BAT, perm []int32) *BAT {
 	nb := New(b.Name, Gather(b.H, perm), Gather(b.T, perm), 0)
 	nb.Props |= TOrdered
 	if b.Props.Has(HKey) {
@@ -328,14 +333,67 @@ func SortOnTail(b *BAT) *BAT {
 // attaches the accelerator: the two-step construction of Fig. 7 ("(1) Create
 // Datavector, (2) Sort on Tail").
 func AttachDatavector(oidOrdered *BAT) *BAT {
+	return attachDatavector(oidOrdered, SortedPerm(oidOrdered.T, false))
+}
+
+// attachDatavector is AttachDatavector with the tail order already chosen.
+func attachDatavector(oidOrdered *BAT, perm []int32) *BAT {
 	base := OID(0)
 	if v, ok := oidOrdered.H.(*VoidCol); ok {
 		base = v.Seq
 	} else if oidOrdered.Len() > 0 {
 		base = OID(oidOrdered.H.Get(0).I)
 	}
-	dv := NewDenseDatavector(base, oidOrdered.T)
-	sorted := SortOnTail(oidOrdered)
-	sorted.SetDatavector(dv)
+	sorted := reorderOnTail(oidOrdered, perm)
+	sorted.SetDatavector(NewDenseDatavector(base, oidOrdered.T))
 	return sorted
+}
+
+// AppendAttr is the insert primitive on a tail-ordered attribute BAT: it
+// returns prev with the rows of frag appended under the next oids, equal in
+// layout, properties and datavector to
+//
+//	AttachDatavector(New(name, NewVoid(base, n+k), Concat(prev's vector, frag), 0))
+//
+// without re-sorting the n existing rows. Only frag is sorted; each of its
+// k rows is then placed by binary search into prev's tail order (after
+// every equal old row — the order a stable sort of old‖new gives, since new
+// rows sit at higher positions), and the old positions in between are
+// copied from prev's head: O(n + k log k) instead of O((n+k) log(n+k)).
+// prev must carry a dense datavector and be tail-ordered on it, as
+// AttachDatavector and AppendAttr leave it. (A NaN, which ties with
+// everything, may land elsewhere than a full re-sort would put it.)
+func AppendAttr(prev *BAT, frag Column) *BAT {
+	dv := prev.Datavector()
+	n, k := dv.Len(), frag.Len()
+	vec := Concat(dv.Vector, frag)
+	old := headPositions(prev.H, dv.Base)
+	perm := make([]int32, 0, n+k)
+	cut := 0
+	for _, j := range SortedPerm(frag, false) {
+		// Compare orders same-kind values exactly as SortedPerm's "a < b";
+		// only the k log n probes box.
+		x := vec.Get(n + int(j))
+		next := cut + sort.Search(n-cut, func(i int) bool { return Compare(x, vec.Get(int(old[cut+i]))) < 0 })
+		perm = append(append(perm, old[cut:next]...), int32(n)+j)
+		cut = next
+	}
+	perm = append(perm, old[cut:]...)
+	return attachDatavector(New(prev.Name, NewVoid(dv.Base, n+k), vec, 0), perm)
+}
+
+// headPositions returns the datavector position of each row of a
+// tail-ordered BAT, in row order: its head oid less the extent base.
+func headPositions(h Column, base OID) []int32 {
+	pos := make([]int32, h.Len())
+	if v, ok := h.(*VoidCol); ok {
+		for i := range pos {
+			pos[i] = int32(v.Seq-base) + int32(i)
+		}
+		return pos
+	}
+	for i, o := range h.(*OIDCol).V {
+		pos[i] = int32(o - base)
+	}
+	return pos
 }

@@ -8,8 +8,10 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/mil"
+	"repro/internal/obs"
 )
 
 // Hooks is the crash-injection surface: Fire is called at named points in
@@ -117,7 +119,7 @@ type Store struct {
 	applyMu   sync.Mutex // orders apply/publish/checkpoint
 	applyCond *sync.Cond
 	applied   uint64      // last record id applied and published
-	history   []walRecord // every applied payload since genesis, in order
+	history   []walRecord // durable stores: every applied payload since genesis, in order
 
 	wal *wal // nil when Dir == ""
 
@@ -129,6 +131,8 @@ type Store struct {
 	walSyncs     atomic.Int64
 	groupCommits atomic.Int64
 	failed       atomic.Bool
+
+	checkpoints obs.Hist // wall time of each ingest-time checkpoint
 }
 
 // ErrStoreFailed marks a store poisoned by a failure after a WAL write:
@@ -404,7 +408,11 @@ func (s *Store) Ingest(payload []byte) (*Epoch, error) {
 	s.opts.Hooks.at("publish:before-swap")
 	ep := s.mgr.Publish(env, owned)
 	s.opts.Hooks.at("publish:after-swap")
-	s.history = append(s.history, walRecord{Epoch: id, Payload: append([]byte(nil), payload...)})
+	if w != nil {
+		// Only checkpoints read the history, and only a durable store
+		// checkpoints: an in-memory one would hold every payload forever.
+		s.history = append(s.history, walRecord{Epoch: id, Payload: append([]byte(nil), payload...)})
+	}
 	s.ingests.Add(1)
 	s.applied = id
 	s.applyCond.Broadcast()
@@ -412,7 +420,9 @@ func (s *Store) Ingest(payload []byte) (*Epoch, error) {
 	// Checkpoint cadence keys off the global epoch id, not the per-process
 	// ingest count, so restarts don't drift the schedule.
 	if w != nil && s.opts.SnapshotEvery > 0 && ep.ID%uint64(s.opts.SnapshotEvery) == 0 {
+		t0 := time.Now()
 		s.checkpoint(w, ep)
+		s.checkpoints.Observe(time.Since(t0))
 	}
 	return ep, nil
 }
@@ -443,6 +453,11 @@ func (s *Store) checkpoint(w *wal, ep *Epoch) {
 	s.appendMu.Unlock()
 	pruneSnapshots(s.opts.Dir, ep.ID)
 }
+
+// CheckpointHist reports the wall-time histogram of ingest-time
+// checkpoints (snapshot write, WAL rotation and pruning), failed ones
+// included.
+func (s *Store) CheckpointHist() obs.HistSnapshot { return s.checkpoints.Snapshot() }
 
 // WALBytes reports total bytes in the current WAL segment (header
 // included); rotation resets it.

@@ -16,6 +16,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/epoch"
 	"repro/internal/moa"
+	"repro/internal/obs"
 )
 
 // statusClientClosedRequest is the nginx-convention status for a query
@@ -320,6 +321,14 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.histLatency.Snapshot().WriteProm(w, "moaserve_query_seconds")
 	s.histSlot.Snapshot().WriteProm(w, "moaserve_slot_wait_seconds")
 	s.histAdmit.Snapshot().WriteProm(w, "moaserve_admission_wait_seconds")
+	// Write path: the ingest histogram's _count equals moaserve_ingests_total
+	// at quiesce; checkpoints are the ingest tail once the apply is cheap.
+	s.histIngest.Snapshot().WriteProm(w, "moaserve_ingest_seconds")
+	var checkpoints obs.HistSnapshot
+	if s.store != nil {
+		checkpoints = s.store.CheckpointHist()
+	}
+	checkpoints.WriteProm(w, "moaserve_checkpoint_seconds")
 
 	// Go runtime health: scheduler and heap, the first things to look at
 	// when service latency moves without a query-mix change.

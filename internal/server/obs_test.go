@@ -86,6 +86,62 @@ func TestHistogramConservation(t *testing.T) {
 	}
 }
 
+// TestIngestHistogramConservation is the write-path twin: after concurrent
+// durable ingests quiesce, the ingest histogram has observed exactly the
+// ingests the service counted (Σ buckets == _count ==
+// moaserve_ingests_total), and the checkpoint histogram exactly the
+// checkpoints the cadence schedules.
+func TestIngestHistogramConservation(t *testing.T) {
+	svc, _, gen := writableService(t, Config{MaxConcurrent: 4}, t.TempDir()) // SnapshotEvery = 4
+	const writers, each = 4, 3
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				p, err := tpcd.EncodeRefresh(tpcd.GenRefresh(gen, int64(100*w+i), 5))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := svc.Ingest(p); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	ingests := svc.ingests.Load()
+	if ingests != writers*each {
+		t.Fatalf("ingests counter %d, want %d", ingests, writers*each)
+	}
+	snap := svc.histIngest.Snapshot()
+	var sum uint64
+	for _, b := range snap.Buckets {
+		sum += b
+	}
+	if sum != snap.Count || snap.Count != uint64(ingests) {
+		t.Errorf("ingest histogram buckets sum %d, count %d, ingests counter %d: want all equal", sum, snap.Count, ingests)
+	}
+
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		"moaserve_ingests_total " + itoa(ingests) + "\n",
+		"moaserve_ingest_seconds_bucket{le=\"+Inf\"} " + itoa(ingests) + "\n",
+		"moaserve_ingest_seconds_count " + itoa(ingests) + "\n",
+		"moaserve_checkpoint_seconds_count " + itoa(ingests/4) + "\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, grepLines(body, "ingest"))
+		}
+	}
+}
+
 func itoa(n int64) string {
 	var b []byte
 	if n == 0 {

@@ -161,6 +161,9 @@ type Service struct {
 	histLatency obs.Hist
 	histSlot    obs.Hist
 	histAdmit   obs.Hist
+	// histIngest observes exactly the ingests counted in `ingests`, end to
+	// end (validate, WAL, apply, publish, any checkpoint).
+	histIngest obs.Hist
 
 	// accelBuildNs accumulates the build wall time attributed to completed
 	// queries (the count companion is the kernel-global bat.AccelBuilds).
@@ -225,11 +228,13 @@ func (s *Service) Ingest(payload []byte) (uint64, error) {
 	if s.store == nil {
 		return 0, ErrReadOnly
 	}
+	t0 := time.Now()
 	ep, err := s.store.Ingest(payload)
 	if err != nil {
 		return 0, err
 	}
 	s.ingests.Add(1)
+	s.histIngest.Observe(time.Since(t0))
 	return ep.ID, nil
 }
 

@@ -153,7 +153,7 @@ func entryFiles(e heapEntry, b *bat.BAT) (names []string, blobs [][]byte, err er
 // heapCheckpointer writes columnar checkpoints with copy-on-write reuse:
 // a BAT whose pointer is unchanged since the previous checkpoint has
 // unchanged bytes (BAT-algebra immutability), so its files are hard-linked
-// from that checkpoint instead of rewritten. The refresh path rebuilds
+// from that checkpoint instead of rewritten. The refresh path replaces
 // exactly the Order/Item families and two set indexes per epoch —
 // everything else is borrowed, which keeps checkpoint cost proportional to
 // the touched data, not the database.

@@ -113,9 +113,9 @@ func Load(db *DB) (mil.Env, *LoadStats) {
 	}
 
 	// Order / Item: builders shared with the refresh-stream apply path
-	// (refresh.go), which rebuilds exactly these entries for each new epoch.
+	// (refresh.go), which appends a batch's rows to exactly these entries.
 	extent("Order", len(db.Orders))
-	for _, nc := range orderColumns(db) {
+	for _, nc := range orderColumns(db.Orders) {
 		attr(nc.name, nc.col)
 	}
 	{
@@ -124,7 +124,7 @@ func Load(db *DB) (mil.Env, *LoadStats) {
 	}
 
 	extent("Item", len(db.Items))
-	for _, nc := range itemColumns(db) {
+	for _, nc := range itemColumns(db.Items) {
 		attr(nc.name, nc.col)
 	}
 
@@ -152,41 +152,42 @@ type namedCol struct {
 	col  bat.Column
 }
 
-// orderColumns builds the Order attribute columns from the current object
-// state. Load uses it for the bulk load; ApplyRefresh re-invokes it after
-// appending refresh orders so the next epoch's columns are rebuilt by the
-// identical code path (determinism is what makes WAL replay bit-faithful).
-func orderColumns(db *DB) []namedCol {
-	n := len(db.Orders)
+// orderColumns builds the Order attribute columns of the given rows, in
+// row order. Load passes every order for the bulk load; ApplyRefresh passes
+// only a batch's new orders and appends the resulting fragments to the
+// previous epoch's columns (bat.AppendAttr), so both paths derive values by
+// the identical code (determinism is what makes WAL replay bit-faithful).
+func orderColumns(orders []Order) []namedCol {
+	n := len(orders)
 	return []namedCol{
-		{"Order_cust", oidCol(n, func(i int) bat.OID { return bat.OID(db.Orders[i].Cust) })},
-		{"Order_status", chrCol(n, func(i int) byte { return db.Orders[i].Status })},
-		{"Order_totalprice", fltCol(n, func(i int) float64 { return db.Orders[i].Totalprice })},
-		{"Order_orderdate", dateCol(n, func(i int) int32 { return db.Orders[i].Orderdate })},
-		{"Order_orderpriority", strCol(n, func(i int) string { return db.Orders[i].Orderpriority })},
-		{"Order_clerk", strCol(n, func(i int) string { return db.Orders[i].Clerk })},
-		{"Order_shippriority", strCol(n, func(i int) string { return db.Orders[i].Shippriority })},
+		{"Order_cust", oidCol(n, func(i int) bat.OID { return bat.OID(orders[i].Cust) })},
+		{"Order_status", chrCol(n, func(i int) byte { return orders[i].Status })},
+		{"Order_totalprice", fltCol(n, func(i int) float64 { return orders[i].Totalprice })},
+		{"Order_orderdate", dateCol(n, func(i int) int32 { return orders[i].Orderdate })},
+		{"Order_orderpriority", strCol(n, func(i int) string { return orders[i].Orderpriority })},
+		{"Order_clerk", strCol(n, func(i int) string { return orders[i].Clerk })},
+		{"Order_shippriority", strCol(n, func(i int) string { return orders[i].Shippriority })},
 	}
 }
 
 // itemColumns builds the Item attribute columns; see orderColumns.
-func itemColumns(db *DB) []namedCol {
-	n := len(db.Items)
+func itemColumns(items []Item) []namedCol {
+	n := len(items)
 	return []namedCol{
-		{"Item_part", oidCol(n, func(i int) bat.OID { return bat.OID(db.Items[i].Part) })},
-		{"Item_supplier", oidCol(n, func(i int) bat.OID { return bat.OID(db.Items[i].Supplier) })},
-		{"Item_order", oidCol(n, func(i int) bat.OID { return bat.OID(db.Items[i].Order) })},
-		{"Item_quantity", intCol(n, func(i int) int64 { return db.Items[i].Quantity })},
-		{"Item_returnflag", chrCol(n, func(i int) byte { return db.Items[i].Returnflag })},
-		{"Item_linestatus", chrCol(n, func(i int) byte { return db.Items[i].Linestatus })},
-		{"Item_extendedprice", fltCol(n, func(i int) float64 { return db.Items[i].Extendedprice })},
-		{"Item_discount", fltCol(n, func(i int) float64 { return db.Items[i].Discount })},
-		{"Item_tax", fltCol(n, func(i int) float64 { return db.Items[i].Tax })},
-		{"Item_shipdate", dateCol(n, func(i int) int32 { return db.Items[i].Shipdate })},
-		{"Item_commitdate", dateCol(n, func(i int) int32 { return db.Items[i].Commitdate })},
-		{"Item_receiptdate", dateCol(n, func(i int) int32 { return db.Items[i].Receiptdate })},
-		{"Item_shipmode", strCol(n, func(i int) string { return db.Items[i].Shipmode })},
-		{"Item_shipinstruct", strCol(n, func(i int) string { return db.Items[i].Shipinstruct })},
+		{"Item_part", oidCol(n, func(i int) bat.OID { return bat.OID(items[i].Part) })},
+		{"Item_supplier", oidCol(n, func(i int) bat.OID { return bat.OID(items[i].Supplier) })},
+		{"Item_order", oidCol(n, func(i int) bat.OID { return bat.OID(items[i].Order) })},
+		{"Item_quantity", intCol(n, func(i int) int64 { return items[i].Quantity })},
+		{"Item_returnflag", chrCol(n, func(i int) byte { return items[i].Returnflag })},
+		{"Item_linestatus", chrCol(n, func(i int) byte { return items[i].Linestatus })},
+		{"Item_extendedprice", fltCol(n, func(i int) float64 { return items[i].Extendedprice })},
+		{"Item_discount", fltCol(n, func(i int) float64 { return items[i].Discount })},
+		{"Item_tax", fltCol(n, func(i int) float64 { return items[i].Tax })},
+		{"Item_shipdate", dateCol(n, func(i int) int32 { return items[i].Shipdate })},
+		{"Item_commitdate", dateCol(n, func(i int) int32 { return items[i].Commitdate })},
+		{"Item_receiptdate", dateCol(n, func(i int) int32 { return items[i].Receiptdate })},
+		{"Item_shipmode", strCol(n, func(i int) string { return items[i].Shipmode })},
+		{"Item_shipinstruct", strCol(n, func(i int) string { return items[i].Shipinstruct })},
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // items, referencing the existing customer/part/supplier population. A
 // batch is the unit of ingest — it is serialized as the WAL payload,
 // validated against the immutable reference data, and applied by appending
-// to the object database and rebuilding the affected BATs (Order and Item
+// to the object database and replacing the affected BATs (Order and Item
 // extents and attributes, the Order_item and Customer_orders set indexes)
-// for the next epoch. Every other env entry is shared pointer-wise with the
+// for the next epoch: each attribute BAT takes the batch's sorted run into
+// its tail order, never re-sorting the rows it already holds. Every other
+// env entry is shared pointer-wise with the
 // previous epoch, so warm accelerators on unchanged columns survive swaps.
 
 // RefreshItem is one new line item in a refresh order. Derived fields
@@ -185,22 +187,30 @@ func ValidateRefresh(db *DB, b *RefreshBatch) error {
 }
 
 // ApplyRefresh appends a validated batch to the object database and builds
-// the next epoch's env: the Order and Item extents, every Order_* and
-// Item_* attribute BAT (fresh datavectors included), and the Order_item and
-// Customer_orders set indexes are rebuilt; everything else is shared with
-// base pointer-wise, so unchanged BATs keep their identity (and their warm
-// accelerators) across the swap. Returns the new env and the byte size of
-// the rebuilt BATs — the epoch's owned bytes. Single-writer: the epoch
-// store serializes calls, and db must only ever be mutated here.
+// the next epoch's env from the previous epoch's BATs: the Order and Item
+// extents grow; every Order_* and Item_* attribute BAT takes the batch's
+// column fragment through bat.AppendAttr, which sorts only the k new rows
+// and merges them into the existing tail order — O(n + k log k) per
+// column, no re-sort of the n existing rows; the Order_item and
+// Customer_orders set indexes are re-derived by Load's linear walks. The
+// result is bit-identical to a from-scratch Load of the advanced db.
+// Everything else is shared with base pointer-wise, so unchanged BATs keep
+// their identity (and their warm accelerators) across the swap. Returns the
+// new env and the byte size of the new BATs — the epoch's owned bytes.
+// Single-writer: the epoch store serializes calls, and db must only ever be
+// mutated here.
 func ApplyRefresh(db *DB, base mil.Env, b *RefreshBatch) (mil.Env, int64, error) {
+	firstOrder, firstItem := len(db.Orders), len(db.Items)
 	applyObjects(db, b)
 	env := maps.Clone(base)
 	var owned int64
-	attr := func(name string, col bat.Column) {
-		withDV := bat.AttachDatavector(bat.New(name, bat.NewVoid(0, col.Len()), col, 0))
-		withDV.Persist()
-		env[name] = withDV
-		owned += withDV.ByteSize() + withDV.Datavector().ByteSize()
+	appendAttrs := func(frags []namedCol) {
+		for _, nc := range frags {
+			withDV := bat.AppendAttr(base[nc.name], nc.col)
+			withDV.Persist()
+			env[nc.name] = withDV
+			owned += withDV.ByteSize() + withDV.Datavector().ByteSize()
+		}
 	}
 	setIndex := func(name string, owners, members []bat.OID) {
 		ix := bat.New(name, bat.NewOIDCol(owners), bat.NewOIDCol(members), bat.HOrdered)
@@ -210,16 +220,12 @@ func ApplyRefresh(db *DB, base mil.Env, b *RefreshBatch) (mil.Env, int64, error)
 	}
 
 	env["Order"] = bat.New("Order", bat.NewVoid(0, len(db.Orders)), bat.NewVoid(0, len(db.Orders)), 0)
-	for _, nc := range orderColumns(db) {
-		attr(nc.name, nc.col)
-	}
+	appendAttrs(orderColumns(db.Orders[firstOrder:]))
 	owners, members := orderItemIndex(db)
 	setIndex("Order_item", owners, members)
 
 	env["Item"] = bat.New("Item", bat.NewVoid(0, len(db.Items)), bat.NewVoid(0, len(db.Items)), 0)
-	for _, nc := range itemColumns(db) {
-		attr(nc.name, nc.col)
-	}
+	appendAttrs(itemColumns(db.Items[firstItem:]))
 	co, cm := customerOrdersIndex(db)
 	setIndex("Customer_orders", co, cm)
 
@@ -227,7 +233,7 @@ func ApplyRefresh(db *DB, base mil.Env, b *RefreshBatch) (mil.Env, int64, error)
 }
 
 // applyObjects is the object half of ApplyRefresh: it appends the batch to
-// the writer-side row slices without rebuilding any BAT. Out-of-core
+// the writer-side row slices without touching any BAT. Out-of-core
 // recovery calls it alone for batches a mapped checkpoint already covers —
 // the env came from disk, but db must still advance to match it.
 func applyObjects(db *DB, b *RefreshBatch) {
