@@ -40,14 +40,16 @@ chaos:
 
 ## crash: the durability crash-injection suite under the race detector —
 ## kill the process (simulated via in-test panic at six injection points:
-## around the WAL fsync, the epoch swap, and the snapshot rename) and
+## around the WAL fsync, the epoch swap, and the checkpoint rename) and
 ## require recovery to land bit-identically on the pre- or post-ingest
 ## epoch, never a blend, with eight concurrent readers pinned across the
-## kill at the swap point. CRASH_SEEDS=<s1>,<s2>,... overrides the default
-## deterministic {1,2} seed list; CI runs this with fresh seeds per build.
+## kill at the swap point; plus damaged checkpoints (one: fall back a
+## generation; both: refuse to open). CRASH_SEEDS=<s1>,<s2>,... overrides
+## the default deterministic {1,2} seed list; CI runs this with fresh seeds
+## per build.
 crash:
 	$(GO) test ./internal/epoch -race -count=1 \
-		-run 'TestCrashMatrix|TestTornTail|TestConcurrentReadersAcrossCrash'
+		-run 'TestCrashMatrix|TestTornTail|TestConcurrentReadersAcrossCrash|TestColumnarBootstrapAndMap|TestBothCheckpointsDamagedRefused'
 
 ## bench: the full benchmark sweep with allocation accounting.
 bench:

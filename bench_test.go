@@ -1010,9 +1010,8 @@ func BenchmarkAblationTouch(b *testing.B) {
 // BenchmarkAblationApply times tpcd.ApplyRefresh alone — one generated
 // refresh batch merged into the Order/Item BATs of a bulk-loaded database —
 // at the ingest.durable (SF 0.002, 10 orders) and mixed.readwrite (SF 0.02,
-// 30 orders) shapes. Batch generation and rewinding the object database to
-// its loaded size run outside the timer, so every iteration applies k new
-// rows onto the same n.
+// 30 orders) shapes. Batch generation runs outside the timer, and every
+// iteration applies k new rows onto the same loaded env.
 func BenchmarkAblationApply(b *testing.B) {
 	for _, c := range []struct {
 		sf     float64
@@ -1021,32 +1020,24 @@ func BenchmarkAblationApply(b *testing.B) {
 		b.Run(fmt.Sprintf("sf%g/orders%d", c.sf, c.orders), func(b *testing.B) {
 			db := tpcd.Generate(c.sf, 42)
 			env, _ := tpcd.Load(db)
-			nOrders, nItems := len(db.Orders), len(db.Items)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				batch := tpcd.GenRefresh(db, int64(i), c.orders)
 				b.StartTimer()
-				if _, _, err := tpcd.ApplyRefresh(db, env, batch); err != nil {
+				if _, _, err := tpcd.ApplyRefresh(env, batch); err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				db.Orders, db.Items = db.Orders[:nOrders], db.Items[:nItems]
-				for _, o := range batch.Orders {
-					cust := &db.Customers[o.Cust]
-					cust.Orders = cust.Orders[:len(cust.Orders)-1]
-				}
-				b.StartTimer()
 			}
 		})
 	}
 }
 
 // BenchmarkAblationStorage quantifies the out-of-core storage tentpole:
-// the cost of bringing a database online (sim rebuilds columns in anonymous
-// memory from the WAL/snapshot; mmap maps heap-file checkpoints and
-// re-derives datavectors by scatter) and the steady-state serving cost of
+// the cost of bringing a database online (a sim directory that holds no
+// checkpoint yet rebuilds genesis in anonymous memory; mmap maps heap-file
+// checkpoints and re-derives datavectors by scatter) and the steady-state serving cost of
 // the Figure-9 query mix over each storage backend. The warm variants are
 // the gate-relevant ones: once mapped, serving from mmap'd heaps must be
 // indistinguishable from anonymous memory.
@@ -1088,8 +1079,9 @@ func BenchmarkAblationStorage(b *testing.B) {
 		}
 	}
 
-	// Cold open: snapshot -> published epoch. For sim this re-materializes
-	// every column; for mmap it maps the heaps and rebuilds datavectors.
+	// Cold open: data directory -> published epoch. For sim this
+	// re-materializes every column from genesis; for mmap it maps the heaps
+	// and rebuilds datavectors.
 	for _, mode := range []string{tpcd.StorageSim, tpcd.StorageMmap} {
 		b.Run("open/"+mode, func(b *testing.B) {
 			dir := populate(b, mode)

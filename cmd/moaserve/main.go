@@ -17,8 +17,9 @@
 // a TPC-D refresh batch (or a {"generate":N,"seed":S} directive) as a new
 // immutable epoch while in-flight queries keep their pinned snapshot. With
 // -data DIR, every ingest is WAL-logged and fsynced before it becomes
-// visible, snapshots checkpoint every -snapshot-every ingests, and a
-// restart recovers exactly the last published epoch (torn WAL tails are
+// visible, the BATs are checkpointed as heap files every -snapshot-every
+// ingests, and a restart recovers exactly the last published epoch from the
+// newest valid checkpoint plus the WAL past it (torn WAL tails are
 // truncated, not fatal).
 //
 // Load is driven from outside: the repo benchmark (go run -C bench .) and
@@ -105,17 +106,17 @@ func main() {
 	}
 }
 
-// newService opens the durable epoch store (replaying any WAL/snapshot
-// state in -data) and builds the writable service over it: queries pin
-// epochs, /ingest publishes new ones, and the shared lock-striped buffer
-// pool (unless pages < 0 disables fault accounting) plays the role of the
-// OS page cache over Monet's memory-mapped BATs.
+// newService opens the durable epoch store (loading the newest checkpoint
+// in -data and replaying the WAL past it) and builds the writable service
+// over it: queries pin epochs, /ingest publishes new ones, and the shared
+// lock-striped buffer pool (unless pages < 0 disables fault accounting)
+// plays the role of the OS page cache over Monet's memory-mapped BATs.
 //
-// The object-level generator database is lazy: a read-only restart over a
-// mapped checkpoint never materialises it, so the server's anonymous
-// footprint stays near the page tables and the heap files themselves can
-// exceed the memory budget. The first /ingest (or any WAL replay) pays the
-// generation cost once.
+// The reference population that validates and generates refresh batches
+// is lazy: a restart that loads a checkpoint never generates it, so a
+// read-only mmap server's anonymous footprint stays near the page tables
+// and the heap files themselves can exceed the memory budget. The first
+// /ingest pays the generation cost once.
 func newService(dc tpcd.DurableConfig, pages int, pagesize int64, cfg server.Config) (*server.Service, *epoch.Store) {
 	st, gen, err := tpcd.OpenStoreLazy(dc)
 	if err != nil {

@@ -49,6 +49,12 @@ func main() {
 			os.Exit(1)
 		}
 		defer st.Close()
+		if id := st.Manager().CurrentID(); id != 0 {
+			// The relational baseline and the reference answers are built
+			// from the generated genesis database.
+			fmt.Fprintf(os.Stderr, "tpcd: %s holds %d ingested epochs; want a directory at genesis\n", *dataDir, id)
+			os.Exit(1)
+		}
 		gen, env = sgen, st.Manager().Current().Env
 		fmt.Printf("mapped: %d items, %d orders (%.2fs)\n\n",
 			len(gen.Items), len(gen.Orders), time.Since(start).Seconds())

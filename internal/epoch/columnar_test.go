@@ -3,106 +3,18 @@ package epoch
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"repro/internal/bat"
 	"repro/internal/mil"
 	"repro/internal/storage/heapfile"
 )
 
-// Columnar codec for the crash suite: the same one-BAT int environment as
-// the replay codec, but checkpointed as a heap-file directory and
-// recovered by MAPPING — the out-of-core path internal/tpcd uses, minus
-// the schema. Mapped test stores are never explicitly closed; views into
-// them live inside abandoned envs (that is the point of a crash test) and
-// the mappings are torn down with the test process.
-
-func crashSaveEnv(tmpDir, _ string, env mil.Env) error {
-	b := env["data"]
-	vals := make([]int64, b.Len())
-	for i := range vals {
-		vals[i] = b.TailValue(i).I
-	}
-	w, err := heapfile.NewWriter(tmpDir, nil)
-	if err != nil {
-		return err
-	}
-	if err := w.Put("data.tail", heapfile.BytesOf(vals)); err != nil {
-		return err
-	}
-	return w.Commit()
-}
-
-func crashLoadEnv(dir string) (mil.Env, error) {
-	s, err := heapfile.Open(dir, heapfile.Options{})
-	if err != nil {
-		return nil, err
-	}
-	m := s.Mapping("data.tail")
-	if m == nil {
-		s.Close()
-		return nil, os.ErrNotExist
-	}
-	vals := heapfile.View[int64](m)
-	col := bat.NewMappedCol(vals, m)
-	b := bat.New("data", bat.NewVoid(0, len(vals)), col, 0)
-	return mil.Env{"data": b}, nil
-}
-
-func columnarCrashOptions(dir string, hooks *Hooks) Options {
-	opts := crashOptions(dir, hooks)
-	opts.SaveEnv = crashSaveEnv
-	opts.LoadEnv = crashLoadEnv
-	return opts
-}
-
-// TestColumnarBootstrapAndMap verifies the out-of-core open contract
-// directly: a fresh columnar store immediately serves file-backed columns
-// (the genesis bootstrap checkpoint), a reopen after checkpointed ingests
-// maps snap-<epoch>.d instead of replaying, and a vandalized heap file
-// degrades to genesis-plus-replay with identical logical content.
-func TestColumnarBootstrapAndMap(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(columnarCrashOptions(dir, nil))
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if !heapfile.IsHeapDir(filepath.Join(dir, snapDirName(0))) {
-		t.Fatal("fresh columnar open did not write the genesis checkpoint snap-0.d")
-	}
-	want0 := fingerprint(crashGenesis())
-	if got := fingerprint(st.Manager().Current().Env); got != want0 {
-		t.Fatalf("bootstrap env diverged from genesis:\nwant %q\ngot  %q", want0, got)
-	}
-
-	// SnapshotEvery=3: epochs 1..4 leave a checkpoint at 3 plus one WAL
-	// record, so recovery exercises map + tail replay together.
-	for i := int64(0); i < 4; i++ {
-		if _, err := st.Ingest(encodeInts([]int64{i, i * 10})); err != nil {
-			t.Fatalf("ingest %d: %v", i, err)
-		}
-	}
-	want := fingerprint(st.Manager().Current().Env)
-	st.Close()
-	if !heapfile.IsHeapDir(filepath.Join(dir, snapDirName(3))) {
-		t.Fatal("checkpoint snap-3.d missing")
-	}
-
-	re, err := Open(columnarCrashOptions(dir, nil))
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	if id := re.Manager().CurrentID(); id != 4 {
-		t.Fatalf("recovered epoch %d, want 4", id)
-	}
-	if got := fingerprint(re.Manager().Current().Env); got != want {
-		t.Fatalf("mapped recovery diverged:\nwant %q\ngot  %q", want, got)
-	}
-	re.Close()
-
-	// Vandalize the newest checkpoint's column file: LoadEnv must refuse it
-	// (CRC) and recovery must fall back to replay — same logical content.
-	heapPath := filepath.Join(dir, snapDirName(3), "data.tail.heap")
+// vandalize flips a byte of a checkpoint's column file, so LoadEnv refuses
+// it on the CRC check.
+func vandalize(t *testing.T, dir string, epoch uint64) {
+	t.Helper()
+	heapPath := filepath.Join(dir, snapDirName(epoch), "data.tail.heap")
 	data, err := os.ReadFile(heapPath)
 	if err != nil {
 		t.Fatalf("read heap file: %v", err)
@@ -111,12 +23,115 @@ func TestColumnarBootstrapAndMap(t *testing.T) {
 	if err := os.WriteFile(heapPath, data, 0o644); err != nil {
 		t.Fatalf("corrupt heap file: %v", err)
 	}
-	re2, err := Open(columnarCrashOptions(dir, nil))
+}
+
+// TestColumnarBootstrapAndMap verifies the open contract directly: a fresh
+// bootstrapping store immediately serves the genesis checkpoint's columns,
+// a reopen after checkpointed ingests loads snap-<epoch>.d plus the WAL
+// tail, and a vandalized newest checkpoint falls back to the previous one
+// plus the longer WAL tail the rotation kept — same logical content.
+func TestColumnarBootstrapAndMap(t *testing.T) {
+	dir := t.TempDir()
+	var loadedFrom string
+	opts := crashOptions(dir, nil)
+	opts.Bootstrap = true
+	opts.LoadEnv = func(d string) (mil.Env, error) {
+		env, err := crashLoadEnv(d)
+		if err == nil {
+			loadedFrom = filepath.Base(d)
+		}
+		return env, err
+	}
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if loadedFrom != snapDirName(0) {
+		t.Fatalf("fresh bootstrapping open serves %q, want the genesis checkpoint snap-0.d", loadedFrom)
+	}
+	want0 := fingerprint(crashGenesis())
+	if got := fingerprint(st.Manager().Current().Env); got != want0 {
+		t.Fatalf("bootstrap env diverged from genesis:\nwant %q\ngot  %q", want0, got)
+	}
+	if st.Recoveries() != 0 || st.RecoveryTime() != 0 {
+		t.Fatalf("fresh open reports recoveries=%d recovery time %v, want 0", st.Recoveries(), st.RecoveryTime())
+	}
+
+	// SnapshotEvery=3: epochs 1..4 leave a checkpoint at 3 plus one WAL
+	// record, so recovery exercises load + tail replay together.
+	for i := int64(0); i < 4; i++ {
+		if _, err := st.Ingest(encodeInts([]int64{i, i * 10})); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	want := fingerprint(st.Manager().Current().Env)
+	st.Close()
+
+	re, err := Open(opts)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if id := re.Manager().CurrentID(); id != 4 {
+		t.Fatalf("recovered epoch %d, want 4", id)
+	}
+	if loadedFrom != snapDirName(3) {
+		t.Fatalf("recovery loaded %q, want the newest checkpoint snap-3.d", loadedFrom)
+	}
+	if got := fingerprint(re.Manager().Current().Env); got != want {
+		t.Fatalf("checkpoint recovery diverged:\nwant %q\ngot  %q", want, got)
+	}
+	if re.RecoveryTime() <= 0 {
+		t.Fatalf("recovery time %v, want > 0", re.RecoveryTime())
+	}
+	re.Close()
+
+	// Vandalize the newest checkpoint: LoadEnv must refuse it (CRC) and
+	// recovery must fall back to snap-0.d plus records 1..4.
+	vandalize(t, dir, 3)
+	re2, err := Open(opts)
 	if err != nil {
 		t.Fatalf("reopen after corruption: %v", err)
 	}
 	defer re2.Close()
+	if loadedFrom != snapDirName(0) {
+		t.Fatalf("fallback loaded %q, want the previous checkpoint snap-0.d", loadedFrom)
+	}
 	if got := fingerprint(re2.Manager().Current().Env); got != want {
-		t.Fatalf("replay fallback diverged:\nwant %q\ngot  %q", want, got)
+		t.Fatalf("fallback recovery diverged:\nwant %q\ngot  %q", want, got)
+	}
+}
+
+// TestBothCheckpointsDamagedRefused: once two rotations have dropped the
+// records before the older retained checkpoint, damage to both retained
+// checkpoints is unrecoverable. Open must say so, naming them — not fall
+// back to genesis and silently drop the acknowledged epochs.
+func TestBothCheckpointsDamagedRefused(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(crashOptions(dir, nil)) // SnapshotEvery = 3
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	for i := int64(0); i < 7; i++ {
+		if _, err := st.Ingest(encodeInts([]int64{i})); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+	}
+	st.Close()
+	if got, err := listSnapshots(dir); err != nil || len(got) != 2 || got[0] != 6 || got[1] != 3 {
+		t.Fatalf("retained checkpoints %v (%v), want [6 3]", got, err)
+	}
+	vandalize(t, dir, 6)
+	vandalize(t, dir, 3)
+	_, err = Open(crashOptions(dir, nil))
+	if err == nil {
+		t.Fatal("open with both checkpoints damaged succeeded, want an error")
+	}
+	for _, name := range []string{snapDirName(6), snapDirName(3)} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not name %s: %v", name, err)
+		}
+	}
+	if !heapfile.IsHeapDir(filepath.Join(dir, snapDirName(6))) {
+		t.Error("a refused open removed the damaged checkpoint")
 	}
 }

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/mil"
+	"repro/internal/storage/heapfile"
 )
 
 // Seeded crash-injection suite. Each case opens a durable store, performs a
@@ -51,7 +52,11 @@ func crashSeeds(t *testing.T) []int64 {
 
 // The test codec: genesis holds one BAT "data"; each payload is a list of
 // little-endian int64s appended to its tail. Deterministic, so genesis +
-// replay reconstructs any epoch bit-for-bit.
+// replay reconstructs any epoch bit-for-bit. Checkpoints are heap-file
+// directories, recovered by mapping them — the path internal/tpcd uses,
+// minus the schema. Mapped test stores are never explicitly closed; views
+// into them live inside abandoned envs (that is the point of a crash test)
+// and the mappings are torn down with the test process.
 
 func crashGenesis() mil.Env {
 	b := bat.New("data", bat.NewVoid(0, 2), bat.NewIntCol([]int64{10, 20}), 0)
@@ -89,13 +94,47 @@ func crashApply(base mil.Env, payload []byte) (mil.Env, int64, error) {
 	return env, b.ByteSize(), nil
 }
 
+func crashSaveEnv(tmpDir, _ string, env mil.Env) error {
+	b := env["data"]
+	vals := make([]int64, b.Len())
+	for i := range vals {
+		vals[i] = b.TailValue(i).I
+	}
+	w, err := heapfile.NewWriter(tmpDir, nil)
+	if err != nil {
+		return err
+	}
+	if err := w.Put("data.tail", heapfile.BytesOf(vals)); err != nil {
+		return err
+	}
+	return w.Commit()
+}
+
+func crashLoadEnv(dir string) (mil.Env, error) {
+	s, err := heapfile.Open(dir, heapfile.Options{})
+	if err != nil {
+		return nil, err
+	}
+	m := s.Mapping("data.tail")
+	if m == nil {
+		s.Close()
+		return nil, os.ErrNotExist
+	}
+	vals := heapfile.View[int64](m)
+	col := bat.NewMappedCol(vals, m)
+	b := bat.New("data", bat.NewVoid(0, len(vals)), col, 0)
+	return mil.Env{"data": b}, nil
+}
+
 func crashOptions(dir string, hooks *Hooks) Options {
 	return Options{
 		Dir:           dir,
 		Meta:          []byte(crashMeta),
-		Genesis:       crashGenesis(),
+		Genesis:       crashGenesis,
 		Validate:      crashValidate,
 		Apply:         crashApply,
+		SaveEnv:       crashSaveEnv,
+		LoadEnv:       crashLoadEnv,
 		SnapshotEvery: 3,
 		Hooks:         hooks,
 	}
@@ -139,25 +178,28 @@ var crashPoints = []struct {
 	{"snapshot:after-rename", false, true},
 }
 
-func TestCrashMatrix(t *testing.T) {
-	for _, seed := range crashSeeds(t) {
-		for _, cp := range crashPoints {
-			t.Run(fmt.Sprintf("seed=%d/%s", seed, cp.point), func(t *testing.T) {
-				runCrashCase(t, seed, cp.point, cp.preOK, cp.snapshot, crashOptions)
-			})
-		}
-	}
-}
+// The kill matrix runs its six protocol points under both ways a store
+// meets its first checkpoint. Recovery always loads the newest valid
+// snap-<epoch>.d and replays the WAL past it; the two regimes differ only
+// in whether one exists before the first SnapshotEvery ingests.
 
-// TestCrashMatrixColumnar reruns the whole kill matrix against columnar
-// (heap-file directory) checkpoints: same six protocol points, same
-// pre/post contract, but snapshots are mmap-able snap-<epoch>.d trees and
-// recovery MAPS the newest valid one instead of replaying its batches.
-func TestCrashMatrixColumnar(t *testing.T) {
+// TestCrashMatrix: no checkpoint until SnapshotEvery ingests (the sim
+// regime: genesis plus WAL replay until then).
+func TestCrashMatrix(t *testing.T) { runCrashMatrix(t, false) }
+
+// TestCrashMatrixColumnar: a genesis checkpoint at first open (Bootstrap,
+// the mmap regime).
+func TestCrashMatrixColumnar(t *testing.T) { runCrashMatrix(t, true) }
+
+func runCrashMatrix(t *testing.T, bootstrap bool) {
 	for _, seed := range crashSeeds(t) {
 		for _, cp := range crashPoints {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, cp.point), func(t *testing.T) {
-				runCrashCase(t, seed, cp.point, cp.preOK, cp.snapshot, columnarCrashOptions)
+				runCrashCase(t, seed, cp.point, cp.preOK, cp.snapshot, func(dir string, hooks *Hooks) Options {
+					opts := crashOptions(dir, hooks)
+					opts.Bootstrap = bootstrap
+					return opts
+				})
 			})
 		}
 	}

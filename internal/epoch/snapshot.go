@@ -1,7 +1,6 @@
 package epoch
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,119 +11,33 @@ import (
 	"repro/internal/mil"
 )
 
-// Snapshots checkpoint the chain so recovery does not replay the whole
-// ingest history forever. A snapshot holds the compacted batch history —
-// every WAL payload up to its epoch, in order. The genesis env is
-// deterministic from the store meta (the tpcd store derives it from scale
-// factor + seed), so genesis-plus-payload-replay reconstructs the epoch's
-// env bit-identically without serializing columns.
+// Checkpoints are the durable form of an epoch: a snap-<epoch>.d directory
+// holding the env's columns as heap files, written by the caller's SaveEnv
+// (per-file CRC, temp+rename per column, manifest last) and read back by
+// its LoadEnv. The BATs are the database; nothing else is checkpointed.
 //
-// Durability protocol: write snap-<epoch>.tmp, fsync it, atomically rename
-// to snap-<epoch>.snap, fsync the directory. A crash mid-write leaves a
-// .tmp that recovery ignores; a crash after rename leaves a fully valid
-// snapshot. Recovery scans snapshots newest-first and takes the first one
-// whose checksums all verify, so even a corrupted newest snapshot degrades
-// to the previous one plus a longer WAL replay — never a failure to start.
+// Durability protocol: assemble snap-<epoch>.d.tmp, fsync it, atomically
+// rename it to snap-<epoch>.d, fsync the parent directory. A crash before
+// the rename leaves a .tmp that recovery prunes; a crash after it leaves a
+// complete checkpoint.
 //
-// Layout:
-//
-//	file  := magic "MOASNAP1" | metaLen uint32 | meta | epoch uint64 |
-//	         count uint32 | batch* | endMagic uint32
-//	batch := epoch uint64 | payloadLen uint32 |
-//	         crc32c(epoch ‖ payloadLen ‖ payload) uint32 | payload
+// Retention: the newest two checkpoints stay on disk, and the WAL keeps
+// every record past the older one (wal.go keeps the previous segment on
+// rotation). Recovery loads the newest checkpoint whose manifest verifies
+// and replays the WAL past it, so a damaged newest checkpoint falls back
+// one generation and replays a longer tail, losing nothing.
 
-const (
-	snapFileMagic = "MOASNAP1"
-	snapEndMagic  = uint32(0x50414e53) // "SNAP"
-	snapSuffix    = ".snap"
-	snapDirSuffix = ".d"
-	// snapBatchesName is the batch-history file inside a columnar (v2)
-	// snapshot directory; same byte format as a v1 snapshot file.
-	snapBatchesName = "batches" + snapSuffix
-)
-
-// snapshot is a decoded, checksum-verified snapshot.
-type snapshot struct {
-	Epoch   uint64
-	Batches []walRecord // ingest payloads 1..Epoch in order
-	// Dir is set for columnar (v2) snapshots: the snap-<epoch>.d directory
-	// holding the checkpoint's heap files. Recovery maps it (Options.
-	// LoadEnv) instead of materializing the env by replay; the batch
-	// history is still carried so the writer-side object state can be
-	// reconstructed and so a damaged heap dir degrades to replay, never to
-	// a failed start.
-	Dir string
-}
-
-func snapName(epoch uint64) string { return fmt.Sprintf("snap-%016d%s", epoch, snapSuffix) }
+const snapDirSuffix = ".d"
 
 func snapDirName(epoch uint64) string { return fmt.Sprintf("snap-%016d%s", epoch, snapDirSuffix) }
 
-// encodeBatches serializes the batch history in the v1 snapshot format.
-func encodeBatches(meta []byte, epoch uint64, batches []walRecord) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, snapFileMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(meta)))
-	buf = append(buf, meta...)
-	buf = binary.LittleEndian.AppendUint64(buf, epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(batches)))
-	for _, b := range batches {
-		buf = binary.LittleEndian.AppendUint64(buf, b.Epoch)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Payload)))
-		buf = binary.LittleEndian.AppendUint32(buf, recCRC(b.Epoch, b.Payload))
-		buf = append(buf, b.Payload...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, snapEndMagic)
-	return buf
-}
-
-// writeFileSynced writes data to path with write+fsync (no rename; the
-// caller owns the atomicity discipline around it).
-func writeFileSynced(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeSnapshot persists the batch history as snap-<epoch>.snap with the
-// temp/fsync/rename/dir-fsync discipline. hooks fires the mid-snapshot
-// crash points.
-func writeSnapshot(dir string, meta []byte, epoch uint64, batches []walRecord, hooks *Hooks) error {
-	final := filepath.Join(dir, snapName(epoch))
-	tmpPath := final + ".tmp"
-	if err := writeFileSynced(tmpPath, encodeBatches(meta, epoch, batches)); err != nil {
-		return err
-	}
-	hooks.at("snapshot:before-rename")
-	if err := os.Rename(tmpPath, final); err != nil {
-		return err
-	}
-	if err := syncDir(dir); err != nil {
-		return err
-	}
-	hooks.at("snapshot:after-rename")
-	return nil
-}
-
-// writeSnapshotDir persists a columnar (v2) checkpoint: a snap-<epoch>.d
-// directory holding the env's heap files (written by the caller's SaveEnv
-// — per-file CRC and temp+rename per column, manifest last) plus the batch
-// history. The whole directory is assembled under a .tmp name and
-// atomically renamed into place, so the same six crash points of the v1
-// protocol hold: a kill before the rename leaves droppings that recovery
-// prunes, a kill after leaves a complete checkpoint.
-func writeSnapshotDir(dir string, meta []byte, epoch uint64,
-	batches []walRecord, env mil.Env, save func(tmpDir, finalDir string, env mil.Env) error, hooks *Hooks) error {
+// writeSnapshotDir persists env as the checkpoint of epoch. The whole
+// directory is assembled under a .tmp name and renamed into place, so the
+// six crash points of the protocol hold: a kill before the rename leaves
+// droppings that recovery prunes, a kill after leaves a complete
+// checkpoint. A damaged checkpoint of the same epoch is replaced.
+func writeSnapshotDir(dir string, epoch uint64, env mil.Env,
+	save func(tmpDir, finalDir string, env mil.Env) error, hooks *Hooks) error {
 	final := filepath.Join(dir, snapDirName(epoch))
 	tmpPath := final + ".tmp"
 	// A leftover .tmp from a crashed attempt must not contaminate this one.
@@ -135,15 +48,14 @@ func writeSnapshotDir(dir string, meta []byte, epoch uint64,
 		os.RemoveAll(tmpPath)
 		return err
 	}
-	if err := writeFileSynced(filepath.Join(tmpPath, snapBatchesName), encodeBatches(meta, epoch, batches)); err != nil {
-		os.RemoveAll(tmpPath)
-		return err
-	}
 	if err := syncDir(tmpPath); err != nil {
 		os.RemoveAll(tmpPath)
 		return err
 	}
 	hooks.at("snapshot:before-rename")
+	if err := os.RemoveAll(final); err != nil {
+		return err
+	}
 	if err := os.Rename(tmpPath, final); err != nil {
 		return err
 	}
@@ -154,166 +66,52 @@ func writeSnapshotDir(dir string, meta []byte, epoch uint64,
 	return nil
 }
 
-// readSnapshot decodes and fully verifies one snapshot file. Any framing or
-// checksum defect is an error — the caller falls back to an older snapshot.
-func readSnapshot(path string, meta []byte) (*snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	off := 0
-	need := func(n int) error {
-		if len(data)-off < n {
-			return fmt.Errorf("snapshot %s: truncated at offset %d", path, off)
-		}
-		return nil
-	}
-	if err := need(len(snapFileMagic) + 4); err != nil {
-		return nil, err
-	}
-	if string(data[:len(snapFileMagic)]) != snapFileMagic {
-		return nil, fmt.Errorf("snapshot %s: bad magic", path)
-	}
-	off = len(snapFileMagic)
-	metaLen := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-	if err := need(metaLen); err != nil {
-		return nil, err
-	}
-	if string(data[off:off+metaLen]) != string(meta) {
-		return nil, fmt.Errorf("snapshot %s: meta mismatch", path)
-	}
-	off += metaLen
-	if err := need(8 + 4); err != nil {
-		return nil, err
-	}
-	snapEpoch := binary.LittleEndian.Uint64(data[off:])
-	off += 8
-	count := int(binary.LittleEndian.Uint32(data[off:]))
-	off += 4
-
-	s := &snapshot{Epoch: snapEpoch, Batches: make([]walRecord, 0, count)}
-	for i := 0; i < count; i++ {
-		if err := need(8 + 4 + 4); err != nil {
-			return nil, err
-		}
-		ep := binary.LittleEndian.Uint64(data[off:])
-		plen := int(binary.LittleEndian.Uint32(data[off+8:]))
-		sum := binary.LittleEndian.Uint32(data[off+12:])
-		off += 16
-		if err := need(plen); err != nil {
-			return nil, err
-		}
-		payload := data[off : off+plen]
-		if recCRC(ep, payload) != sum {
-			return nil, fmt.Errorf("snapshot %s: batch %d checksum mismatch", path, i)
-		}
-		s.Batches = append(s.Batches, walRecord{Epoch: ep, Payload: append([]byte(nil), payload...)})
-		off += plen
-	}
-	if err := need(4); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(data[off:]) != snapEndMagic {
-		return nil, fmt.Errorf("snapshot %s: bad end marker", path)
-	}
-	if len(s.Batches) > 0 && s.Batches[len(s.Batches)-1].Epoch != snapEpoch {
-		return nil, fmt.Errorf("snapshot %s: last batch epoch %d != snapshot epoch %d",
-			path, s.Batches[len(s.Batches)-1].Epoch, snapEpoch)
-	}
-	return s, nil
-}
-
-// snapEpochOf parses a snapshot entry name into its epoch. ok is false for
-// anything that is not snap-<n>.snap or snap-<n>.d.
-func snapEpochOf(name string) (epoch uint64, isDir, ok bool) {
-	if !strings.HasPrefix(name, "snap-") {
-		return 0, false, false
-	}
-	rest := strings.TrimPrefix(name, "snap-")
-	switch {
-	case strings.HasSuffix(rest, snapSuffix):
-		rest = strings.TrimSuffix(rest, snapSuffix)
-	case strings.HasSuffix(rest, snapDirSuffix):
-		rest, isDir = strings.TrimSuffix(rest, snapDirSuffix), true
-	default:
-		return 0, false, false
-	}
-	n, err := strconv.ParseUint(rest, 10, 64)
-	if err != nil {
-		return 0, false, false
-	}
-	return n, isDir, true
-}
-
-// latestSnapshot finds the newest fully-valid snapshot in dir — v1 files
-// and v2 columnar directories alike — skipping .tmp leftovers and falling
-// back past corrupt candidates. Returns nil (no error) when none exists;
-// recovery then replays the WAL from genesis.
-func latestSnapshot(dir string, meta []byte) (*snapshot, error) {
+// listSnapshots returns the epochs of the checkpoint directories in dir,
+// newest first, skipping .tmp leftovers and anything else.
+func listSnapshots(dir string) ([]uint64, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	type cand struct {
-		epoch uint64
-		name  string
-		isDir bool
-	}
-	var cands []cand
+	var epochs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
+		rest, ok := strings.CutPrefix(e.Name(), "snap-")
+		if !ok || !e.IsDir() {
 			continue
 		}
-		n, isDir, ok := snapEpochOf(name)
-		if !ok || isDir != e.IsDir() {
+		rest, ok = strings.CutSuffix(rest, snapDirSuffix)
+		if !ok {
 			continue
 		}
-		cands = append(cands, cand{epoch: n, name: name, isDir: isDir})
+		if n, err := strconv.ParseUint(rest, 10, 64); err == nil {
+			epochs = append(epochs, n)
+		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].epoch > cands[j].epoch })
-	for _, c := range cands {
-		path := filepath.Join(dir, c.name)
-		batchFile := path
-		if c.isDir {
-			batchFile = filepath.Join(path, snapBatchesName)
-		}
-		s, err := readSnapshot(batchFile, meta)
-		if err != nil {
-			continue // corrupt or foreign snapshot: try the next-oldest
-		}
-		if c.isDir {
-			s.Dir = path
-		}
-		return s, nil
-	}
-	return nil, nil
+	sort.Slice(epochs, func(i, j int) bool { return epochs[i] > epochs[j] })
+	return epochs, nil
 }
 
-// pruneSnapshots removes snapshots older than keepEpoch and stray .tmp
-// droppings (files and half-built checkpoint directories). Best-effort:
-// removal failures are ignored (an extra old snapshot is harmless).
-// Columnar checkpoints hard-link unchanged heap files between epochs, so
+// pruneSnapshots keeps the newest two checkpoints and removes older ones
+// and stray .tmp droppings (files and half-built checkpoint directories).
+// Best-effort: removal failures are ignored (an extra old checkpoint is
+// harmless). Checkpoints hard-link unchanged heap files between epochs, so
 // removing an older directory never invalidates a newer one — the inodes
 // survive until the last link drops.
-func pruneSnapshots(dir string, keepEpoch uint64) {
+func pruneSnapshots(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			os.RemoveAll(filepath.Join(dir, name))
-			continue
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			os.RemoveAll(filepath.Join(dir, e.Name()))
 		}
-		n, _, ok := snapEpochOf(name)
-		if !ok {
-			continue
-		}
-		if n < keepEpoch {
-			os.RemoveAll(filepath.Join(dir, name))
-		}
+	}
+	epochs, err := listSnapshots(dir)
+	if err != nil {
+		return
+	}
+	for i := 2; i < len(epochs); i++ {
+		os.RemoveAll(filepath.Join(dir, snapDirName(epochs[i])))
 	}
 }

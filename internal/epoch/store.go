@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,8 +23,8 @@ import (
 //	wal:append:after-sync    record durable, epoch not yet applied
 //	publish:before-swap      env built, old epoch still current
 //	publish:after-swap       new epoch visible to readers
-//	snapshot:before-rename   snapshot temp written+synced, not yet live
-//	snapshot:after-rename    snapshot live, WAL not yet rotated
+//	snapshot:before-rename   checkpoint temp dir written+synced, not yet live
+//	snapshot:after-rename    checkpoint live, WAL not yet rotated
 //
 // Under group commit the wal:append hooks fire in the fsync leader only —
 // followers whose records a leader's sync covered never reach the syscall,
@@ -42,53 +43,43 @@ func (h *Hooks) at(point string) {
 // Validate and Apply belong to the caller (internal/tpcd supplies the
 // refresh-batch codec), so this package never imports the data model.
 type Options struct {
-	// Dir is the durable data directory (WAL + snapshots). Empty means
+	// Dir is the durable data directory (WAL + checkpoints). Empty means
 	// in-memory only: epochs and publication work, nothing survives a
 	// restart.
 	Dir string
-	// Meta is an opaque identity blob (the tpcd store encodes scale factor
-	// and generator seed). WAL and snapshot files record it and Open
-	// refuses durable state whose meta differs — replaying a log against
-	// the wrong genesis would silently fabricate data.
+	// Meta is an opaque identity blob (the tpcd store encodes scale factor and
+	// generator seed). WAL segments record it and Open refuses durable state
+	// whose meta differs — replaying a log against the wrong genesis would
+	// silently fabricate data.
 	Meta []byte
-	// Genesis is the deterministic epoch-0 environment. Recovery rebuilds
-	// every later epoch by replaying ingest payloads on top of it.
-	Genesis mil.Env
-	// LazyGenesis supplies the genesis env on demand. When a columnar
-	// checkpoint maps cleanly (LoadEnv below), genesis is never needed and
-	// the expensive build — for tpcd, materializing every base column — is
-	// skipped entirely; that is the out-of-core restart path. Ignored when
-	// Genesis is non-nil.
-	LazyGenesis func() mil.Env
+	// Genesis builds the deterministic epoch-0 environment. Open calls it
+	// only when no checkpoint is loaded: an in-memory store, a fresh
+	// directory, or a WAL that still reaches back to epoch 1.
+	Genesis func() mil.Env
 	// Validate rejects a malformed payload. It runs BEFORE the WAL append:
 	// a payload that cannot apply must never become durable, or recovery
 	// would deterministically re-fail on it at every restart.
 	Validate func(payload []byte) error
 	// Apply merges one payload into base and returns the next epoch's env
 	// plus the byte size of the columns the new env does not share with
-	// base. Called for live ingests and for recovery replay; it must be
-	// deterministic (same base + payload → bit-identical env).
+	// base. Called for live ingests and for recovery replay; it must be a
+	// deterministic function of base and payload (bit-identical env).
 	Apply func(base mil.Env, payload []byte) (mil.Env, int64, error)
-	// SaveEnv, together with LoadEnv, switches checkpoints from replayable
-	// batch logs to columnar heap-file directories (snap-<epoch>.d).
-	// SaveEnv writes env's columns into tmpDir with the heap-store
-	// discipline (per-file CRC, temp+rename per column, manifest last);
-	// finalDir is the name tmpDir is about to be renamed to, so the caller
-	// can remember where borrowed (hard-linked) files will live for the
-	// next checkpoint's copy-on-write pass.
+	// SaveEnv writes env's columns into tmpDir as a checkpoint (per-file
+	// CRC, temp+rename per column, manifest last); finalDir is the name
+	// tmpDir is about to be renamed to, so the caller can remember where
+	// borrowed (hard-linked) files will live for the next checkpoint's
+	// copy-on-write pass. Required with a Dir.
 	SaveEnv func(tmpDir, finalDir string, env mil.Env) error
-	// LoadEnv maps a checkpoint directory back into an env. Recovery
-	// prefers it over replay; on error it falls back to genesis-plus-replay
-	// (the batch history is carried inside the directory), so a damaged
-	// heap file degrades, never fails.
+	// LoadEnv reads a checkpoint directory back into an env, failing if any
+	// part of it does not verify. Recovery loads the newest checkpoint it
+	// accepts and replays the WAL past it. Required with a Dir.
 	LoadEnv func(dir string) (mil.Env, error)
-	// ReplayObjects reapplies one payload's side effects to the caller's
-	// writer-side objects WITHOUT rebuilding the env. Recovery calls it for
-	// batches a mapped checkpoint already covers: the env came from disk,
-	// but the caller's mutable state (for tpcd, the generator's row slices)
-	// must still advance to match. Unlike LoadEnv, a failure here is fatal
-	// — a partial object replay cannot be rolled back.
-	ReplayObjects func(payload []byte) error
+	// Bootstrap checkpoints genesis at the first Open of a directory and
+	// serves the loaded copy, so the base columns come from the checkpoint
+	// from the first query on (the mmap regime) rather than only after
+	// SnapshotEvery ingests.
+	Bootstrap bool
 	// SnapshotEvery checkpoints after every N successful ingests and
 	// rotates the WAL. 0 disables checkpointing (the WAL holds the full
 	// history).
@@ -96,8 +87,6 @@ type Options struct {
 	// Hooks optionally injects crash points; nil in production.
 	Hooks *Hooks
 }
-
-func (o *Options) columnar() bool { return o.SaveEnv != nil && o.LoadEnv != nil }
 
 // Store is the durable front of an epoch chain. Ingest runs validate →
 // WAL write → group-commit fsync → apply → publish, so an epoch becomes
@@ -118,8 +107,7 @@ type Store struct {
 
 	applyMu   sync.Mutex // orders apply/publish/checkpoint
 	applyCond *sync.Cond
-	applied   uint64      // last record id applied and published
-	history   []walRecord // durable stores: every applied payload since genesis, in order
+	applied   uint64 // last record id applied and published
 
 	wal *wal // nil when Dir == ""
 
@@ -132,7 +120,9 @@ type Store struct {
 	groupCommits atomic.Int64
 	failed       atomic.Bool
 
-	checkpoints obs.Hist // wall time of each ingest-time checkpoint
+	checkpoints        obs.Hist // wall time of each ingest-time checkpoint
+	checkpointFailures atomic.Int64
+	recovery           time.Duration // wall time of Open's recovery; 0 when fresh
 }
 
 // ErrStoreFailed marks a store poisoned by a failure after a WAL write:
@@ -145,39 +135,39 @@ var ErrStoreFailed = errors.New("epoch store failed: WAL and applied state diver
 // refused before anything became durable.
 var ErrRejected = errors.New("ingest rejected")
 
-// Open builds the epoch chain from opts. With a Dir, it recovers: find the
-// newest valid snapshot, map it (columnar stores) or replay its batches,
-// apply the WAL tail (truncating torn records), and resume at the last
-// published epoch. Without one, it starts an in-memory chain at genesis.
+// Open builds the epoch chain from opts. With a Dir, it recovers: load the
+// newest checkpoint LoadEnv accepts, replay the WAL records past it
+// (truncating a torn tail), and resume at the last published epoch.
+// Without one, it starts an in-memory chain at genesis.
 func Open(opts Options) (*Store, error) {
 	s := &Store{opts: opts}
 	s.applyCond = sync.NewCond(&s.applyMu)
-	genesis := func() mil.Env {
-		if opts.Genesis == nil && opts.LazyGenesis != nil {
-			return opts.LazyGenesis()
-		}
-		return opts.Genesis
-	}
 	if opts.Dir == "" {
-		s.mgr = NewManager(genesis())
+		s.mgr = NewManager(opts.Genesis())
 		return s, nil
 	}
+	if opts.SaveEnv == nil || opts.LoadEnv == nil {
+		return nil, fmt.Errorf("epoch store %s: a durable store needs SaveEnv and LoadEnv", opts.Dir)
+	}
+	start := time.Now()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-
-	snap, err := latestSnapshot(opts.Dir, opts.Meta)
+	snaps, err := listSnapshots(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	var (
-		w    *wal
-		recs []walRecord
-	)
+	recs, err := readPrevWAL(opts.Dir, opts.Meta)
+	if err != nil {
+		return nil, err
+	}
+	var w *wal
 	_, statErr := os.Stat(walPath(opts.Dir))
-	hadState := statErr == nil || snap != nil
+	hadState := statErr == nil || len(snaps) > 0 || len(recs) > 0
 	if statErr == nil {
-		w, recs, err = openWAL(opts.Dir, opts.Meta)
+		var cur []walRecord
+		w, cur, err = openWAL(opts.Dir, opts.Meta)
+		recs = append(recs, cur...)
 	} else if errors.Is(statErr, os.ErrNotExist) {
 		w, err = createWAL(opts.Dir, opts.Meta)
 	} else {
@@ -188,112 +178,92 @@ func Open(opts Options) (*Store, error) {
 	}
 	w.hooks = opts.Hooks
 	s.wal = w
-	s.walBytes.Store(w.size)
+	s.walBytes.Store(w.size.Load())
 
-	// Assemble the batch history: snapshot batches, then WAL records past
-	// the snapshot epoch. Records the snapshot already covers (a crash
-	// between checkpoint and rotation leaves them behind) are skipped.
-	var last uint64
-	if snap != nil {
-		s.history = snap.Batches
-		last = snap.Epoch
-	}
-	for _, r := range recs {
-		if r.Epoch <= last {
-			continue
-		}
-		if r.Epoch != last+1 {
-			w.close()
-			return nil, fmt.Errorf("epoch store %s: recovery gap — have epoch %d, next record is %d",
-				opts.Dir, last, r.Epoch)
-		}
-		s.history = append(s.history, r)
-		last = r.Epoch
+	env, last, loaded, err := recoverEnv(opts, snaps, recs)
+	if err != nil {
+		w.close()
+		return nil, err
 	}
 
-	// Build the recovered env. A columnar checkpoint is MAPPED, not
-	// replayed: LoadEnv wires the heap files straight into served columns
-	// and the checkpointed batches only replay their object-side effects.
-	// Any LoadEnv failure falls back to genesis-plus-full-replay — the
-	// batch history reconstructs the same env bit-identically, just slower
-	// and in anonymous memory.
-	var env mil.Env
-	mapped := false
-	if snap != nil && snap.Dir != "" && opts.LoadEnv != nil {
-		if e, lerr := opts.LoadEnv(snap.Dir); lerr == nil {
-			env, mapped = e, true
-		}
-	}
-	if mapped {
-		for _, r := range s.history {
-			if r.Epoch <= snap.Epoch {
-				if opts.ReplayObjects != nil {
-					if err := opts.ReplayObjects(r.Payload); err != nil {
-						w.close()
-						return nil, fmt.Errorf("epoch store %s: object replay of epoch %d failed: %w",
-							opts.Dir, r.Epoch, err)
-					}
-				}
-				continue
-			}
-			next, _, aerr := opts.Apply(env, r.Payload)
-			if aerr != nil {
-				w.close()
-				return nil, fmt.Errorf("epoch store %s: replay of epoch %d failed: %w", opts.Dir, r.Epoch, aerr)
-			}
-			env = next
-		}
-	} else {
-		// Owned sizes are irrelevant here: the recovered epoch is the new
-		// base, accounted like any base env (gauge untouched).
-		env = genesis()
-		for _, r := range s.history {
-			next, _, aerr := opts.Apply(env, r.Payload)
-			if aerr != nil {
-				w.close()
-				return nil, fmt.Errorf("epoch store %s: replay of epoch %d failed: %w", opts.Dir, r.Epoch, aerr)
-			}
-			env = next
-		}
-	}
-
-	// Columnar bootstrap: a store configured for heap files but recovered
-	// without mapping one (first open, or an upgrade from batch-log
-	// snapshots) checkpoints NOW and maps the result back, so the served
-	// base columns are file-backed from the first query — not only after
-	// SnapshotEvery ingests. Crash hooks stay silent here: this is not one
-	// of the six protocol points, and arming a hook for ingest-time
-	// checkpoints must not detonate during Open.
-	if !mapped && opts.columnar() {
-		if err := writeSnapshotDir(opts.Dir, opts.Meta, last, s.history, env, opts.SaveEnv, nil); err != nil {
+	// Bootstrap: a store that serves from its checkpoints but recovered
+	// without loading one (first open) checkpoints NOW and loads the result
+	// back, so the served base columns come from the checkpoint from the
+	// first query on. Crash hooks stay silent here: this is not one of the
+	// six protocol points, and arming a hook for ingest-time checkpoints
+	// must not detonate during Open.
+	if !loaded && opts.Bootstrap {
+		if err := writeSnapshotDir(opts.Dir, last, env, opts.SaveEnv, nil); err != nil {
 			w.close()
-			return nil, fmt.Errorf("epoch store %s: columnar bootstrap checkpoint: %w", opts.Dir, err)
+			return nil, fmt.Errorf("epoch store %s: bootstrap checkpoint: %w", opts.Dir, err)
 		}
-		e, lerr := opts.LoadEnv(filepath.Join(opts.Dir, snapDirName(last)))
-		if lerr != nil {
+		if env, err = opts.LoadEnv(filepath.Join(opts.Dir, snapDirName(last))); err != nil {
 			w.close()
-			return nil, fmt.Errorf("epoch store %s: columnar bootstrap map-back: %w", opts.Dir, lerr)
+			return nil, fmt.Errorf("epoch store %s: bootstrap load-back: %w", opts.Dir, err)
 		}
-		env = e
-		snap = &snapshot{Epoch: last}
 	}
 
 	s.mgr = NewManagerAt(last, env)
 	s.nextID = last
 	s.applied = last
+	pruneSnapshots(opts.Dir)
 	if hadState {
 		s.recoveries.Store(1)
+		s.recovery = time.Since(start)
 	}
-	// Prune up to the snapshot actually recovered from (or just written) —
-	// NOT up to the replayed epoch: the WAL only holds records past that
-	// snapshot, so deleting it would leave the directory unable to bridge
-	// genesis to the WAL's first record on the next open.
-	var snapEpoch uint64
-	if snap != nil {
-		snapEpoch = snap.Epoch
-	}
-	pruneSnapshots(opts.Dir, snapEpoch)
 	return s, nil
+}
+
+// recoverEnv rebuilds the last published epoch from a checkpoint and the
+// WAL records recs (previous segment first). snaps are the checkpoint
+// epochs on disk, newest first; the newest one LoadEnv accepts is the base,
+// and with none loaded genesis is the base at epoch 0. The records past the
+// base must follow it without a gap and reach at least the newest
+// checkpoint's epoch — every checkpoint on disk names an acknowledged
+// epoch, so recovering short of one would silently drop writes.
+func recoverEnv(opts Options, snaps []uint64, recs []walRecord) (env mil.Env, last uint64, loaded bool, err error) {
+	var damaged []string
+	for _, ep := range snaps {
+		name := snapDirName(ep)
+		e, lerr := opts.LoadEnv(filepath.Join(opts.Dir, name))
+		if lerr == nil {
+			env, last, loaded = e, ep, true
+			break
+		}
+		damaged = append(damaged, fmt.Sprintf("%s (%v)", name, lerr))
+	}
+	var tail []walRecord
+	gap := false
+	for _, r := range recs {
+		switch {
+		case r.Epoch <= last: // covered by the base
+		case r.Epoch == last+1:
+			tail = append(tail, r)
+			last = r.Epoch
+		default:
+			gap = true
+		}
+	}
+	if gap || len(snaps) > 0 && last < snaps[0] {
+		if len(damaged) > 0 {
+			return nil, 0, false, fmt.Errorf("epoch store %s: recovery gap after epoch %d; checkpoints that failed to load: %s",
+				opts.Dir, last, strings.Join(damaged, "; "))
+		}
+		return nil, 0, false, fmt.Errorf("epoch store %s: recovery gap after epoch %d", opts.Dir, last)
+	}
+	if !loaded {
+		env = opts.Genesis()
+	}
+	for _, r := range tail {
+		// Owned sizes are irrelevant here: the recovered epoch is the new
+		// base, accounted like any base env (gauge untouched).
+		next, _, aerr := opts.Apply(env, r.Payload)
+		if aerr != nil {
+			return nil, 0, false, fmt.Errorf("epoch store %s: replay of epoch %d failed: %w", opts.Dir, r.Epoch, aerr)
+		}
+		env = next
+	}
+	return env, last, loaded, nil
 }
 
 // Manager exposes the epoch chain for readers (pinning) and metrics.
@@ -408,11 +378,6 @@ func (s *Store) Ingest(payload []byte) (*Epoch, error) {
 	s.opts.Hooks.at("publish:before-swap")
 	ep := s.mgr.Publish(env, owned)
 	s.opts.Hooks.at("publish:after-swap")
-	if w != nil {
-		// Only checkpoints read the history, and only a durable store
-		// checkpoints: an in-memory one would hold every payload forever.
-		s.history = append(s.history, walRecord{Epoch: id, Payload: append([]byte(nil), payload...)})
-	}
 	s.ingests.Add(1)
 	s.applied = id
 	s.applyCond.Broadcast()
@@ -421,43 +386,52 @@ func (s *Store) Ingest(payload []byte) (*Epoch, error) {
 	// ingest count, so restarts don't drift the schedule.
 	if w != nil && s.opts.SnapshotEvery > 0 && ep.ID%uint64(s.opts.SnapshotEvery) == 0 {
 		t0 := time.Now()
-		s.checkpoint(w, ep)
+		if err := s.checkpoint(w, ep); err != nil {
+			s.checkpointFailures.Add(1)
+		}
 		s.checkpoints.Observe(time.Since(t0))
 	}
 	return ep, nil
 }
 
-// checkpoint writes a snapshot at ep and rotates the WAL. Called under
+// checkpoint writes a checkpoint at ep and rotates the WAL. Called under
 // applyMu. Best-effort: the ingest is already durable in the WAL, so a
-// failed snapshot costs replay time, not data.
-func (s *Store) checkpoint(w *wal, ep *Epoch) {
-	var err error
-	if s.opts.columnar() {
-		err = writeSnapshotDir(s.opts.Dir, s.opts.Meta, ep.ID, s.history, ep.Env, s.opts.SaveEnv, s.opts.Hooks)
-	} else {
-		err = writeSnapshot(s.opts.Dir, s.opts.Meta, ep.ID, s.history, s.opts.Hooks)
-	}
-	if err != nil {
-		return
+// failed checkpoint costs replay time and WAL growth, not data — the
+// caller counts it (CheckpointFailures).
+func (s *Store) checkpoint(w *wal, ep *Epoch) error {
+	if err := writeSnapshotDir(s.opts.Dir, ep.ID, ep.Env, s.opts.SaveEnv, s.opts.Hooks); err != nil {
+		return err
 	}
 	// Rotate only if no record past the checkpoint exists: a pipelined
-	// ingest may already have written epoch ID+1 into the segment, and
-	// rotation would destroy the only durable copy. (Records ≤ ID left
-	// unrotated are merely skipped on replay — harmless.)
+	// ingest may already have written epoch ID+1 into the segment, maybe
+	// not yet synced, and the fresh segment must start exactly at ID.
+	// (Records ≤ ID left unrotated are merely skipped on replay.)
+	var err error
 	s.appendMu.Lock()
 	if s.nextID == ep.ID {
-		if err := w.rotate(s.opts.Dir, s.opts.Meta); err == nil {
-			s.walBytes.Store(w.size)
+		if err = w.rotate(s.opts.Dir, s.opts.Meta); err == nil {
+			s.walBytes.Store(w.size.Load())
 		}
 	}
 	s.appendMu.Unlock()
-	pruneSnapshots(s.opts.Dir, ep.ID)
+	pruneSnapshots(s.opts.Dir)
+	return err
 }
 
 // CheckpointHist reports the wall-time histogram of ingest-time
 // checkpoints (snapshot write, WAL rotation and pruning), failed ones
 // included.
 func (s *Store) CheckpointHist() obs.HistSnapshot { return s.checkpoints.Snapshot() }
+
+// CheckpointFailures reports ingest-time checkpoints that failed (write or
+// WAL rotation) since Open. Each one leaves the WAL longer than the
+// cadence intends; the ingest itself was still acknowledged.
+func (s *Store) CheckpointFailures() int64 { return s.checkpointFailures.Load() }
+
+// RecoveryTime reports the wall time Open spent recovering durable state:
+// loading the checkpoint and replaying the WAL past it. 0 for a fresh
+// directory or an in-memory store.
+func (s *Store) RecoveryTime() time.Duration { return s.recovery }
 
 // WALBytes reports total bytes in the current WAL segment (header
 // included); rotation resets it.

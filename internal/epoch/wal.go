@@ -2,12 +2,14 @@ package epoch
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // Write-ahead log: one append-only segment file. Every ingest becomes one
@@ -17,6 +19,10 @@ import (
 // records in order and, at the first torn or corrupt record, truncates the
 // segment there instead of failing — an interrupted append (torn page,
 // lost unsynced tail) costs exactly the unpublished suffix, never the log.
+//
+// Rotation keeps one previous segment (wal.prev): the records between the
+// older and the newer retained checkpoint, which a fallback from a damaged
+// newest checkpoint must replay.
 //
 // Layout:
 //
@@ -35,6 +41,7 @@ const (
 	walRecMagic  = uint32(0x4d42554e) // "MBUN"
 	walRecHdrLen = 4 + 8 + 4 + 4
 	walName      = "wal.log"
+	walPrevName  = "wal.prev"
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -58,9 +65,12 @@ type walRecord struct {
 // disk") is untouched because every ingest still blocks until its own
 // offset is durable.
 type wal struct {
-	f     *os.File
-	path  string
-	size  int64 // bytes fully written (header + records); not all durable
+	f    *os.File
+	path string
+	// size is the bytes fully written (header + records), not all durable.
+	// Writers advance it under the store's append lock; a group-commit
+	// leader reads it under syncMu, hence atomic.
+	size  atomic.Int64
 	hooks *Hooks
 
 	syncMu   sync.Mutex
@@ -72,7 +82,7 @@ type wal struct {
 
 func (w *wal) initSync() {
 	w.syncCond = sync.NewCond(&w.syncMu)
-	w.synced = w.size
+	w.synced = w.size.Load()
 }
 
 func walPath(dir string) string { return filepath.Join(dir, walName) }
@@ -85,10 +95,7 @@ func createWAL(dir string, meta []byte) (*wal, error) {
 	if err != nil {
 		return nil, err
 	}
-	hdr := make([]byte, 0, len(walFileMagic)+4+len(meta))
-	hdr = append(hdr, walFileMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(meta)))
-	hdr = append(hdr, meta...)
+	hdr := walHeader(meta)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
 		return nil, err
@@ -101,7 +108,8 @@ func createWAL(dir string, meta []byte) (*wal, error) {
 		f.Close()
 		return nil, err
 	}
-	w := &wal{f: f, path: path, size: int64(len(hdr))}
+	w := &wal{f: f, path: path}
+	w.size.Store(int64(len(hdr)))
 	w.initSync()
 	return w, nil
 }
@@ -145,9 +153,36 @@ func openWAL(dir string, meta []byte) (*wal, []walRecord, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	w := &wal{f: f, path: path, size: goodSize}
+	w := &wal{f: f, path: path}
+	w.size.Store(goodSize)
 	w.initSync()
 	return w, recs, nil
+}
+
+// readPrevWAL returns the records of the previous segment, or none when
+// there is none. Rotation happens only once every record is durable, so the
+// segment's valid prefix is all it ever held; it is never written again.
+func readPrevWAL(dir string, meta []byte) ([]walRecord, error) {
+	data, err := os.ReadFile(filepath.Join(dir, walPrevName))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	hdrLen, err := checkWALHeader(data, meta)
+	if err != nil {
+		return nil, fmt.Errorf("wal %s: %w", walPrevName, err)
+	}
+	recs, _ := replayWAL(data[hdrLen:])
+	return recs, nil
+}
+
+func walHeader(meta []byte) []byte {
+	hdr := make([]byte, 0, len(walFileMagic)+4+len(meta))
+	hdr = append(hdr, walFileMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(meta)))
+	return append(hdr, meta...)
 }
 
 func checkWALHeader(data, meta []byte) (int, error) {
@@ -221,8 +256,7 @@ func (w *wal) write(epoch uint64, payload []byte) (int64, error) {
 	if _, err := w.f.Write(rec); err != nil {
 		return 0, err
 	}
-	w.size += int64(len(rec))
-	return w.size, nil
+	return w.size.Add(int64(len(rec))), nil
 }
 
 // syncTo blocks until bytes [0, target) are durable. led reports whether
@@ -249,7 +283,7 @@ func (w *wal) syncTo(target int64) (led bool, err error) {
 		w.syncCond.Wait()
 	}
 	w.syncing = true
-	goal := w.size // covers every record written so far, not just ours
+	goal := w.size.Load() // covers every record written so far, not just ours
 	w.syncMu.Unlock()
 
 	w.hooks.at("wal:append:before-sync")
@@ -271,26 +305,30 @@ func (w *wal) syncTo(target int64) (led bool, err error) {
 	return true, nil
 }
 
-// rotate replaces the segment with a fresh empty one (write temp → fsync →
-// atomic rename → dir fsync). Called after a snapshot checkpointed every
-// record the segment holds; a crash anywhere in the sequence leaves either
-// the old segment (records ≤ snapshot epoch are skipped on replay) or the
-// new empty one — never a half-truncated log.
+// rotate starts a fresh empty segment and keeps the current one as the
+// previous segment (write temp → fsync → rename current to wal.prev →
+// rename temp to current → dir fsync), dropping the segment before it.
+// Called after a checkpoint covered every record the segment holds; a
+// crash anywhere in the sequence leaves the records in wal.log or wal.prev
+// (records ≤ a checkpoint's epoch are skipped on replay) — never a
+// half-truncated log. A crash between the renames leaves no wal.log, which
+// Open recreates.
 func (w *wal) rotate(dir string, meta []byte) error {
 	tmpPath := walPath(dir) + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, 0, len(walFileMagic)+4+len(meta))
-	hdr = append(hdr, walFileMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(meta)))
-	hdr = append(hdr, meta...)
+	hdr := walHeader(meta)
 	if _, err := tmp.Write(hdr); err != nil {
 		tmp.Close()
 		return err
 	}
 	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := os.Rename(w.path, filepath.Join(dir, walPrevName)); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -313,8 +351,8 @@ func (w *wal) rotate(dir string, meta []byte) error {
 	}
 	w.f.Close()
 	w.f = tmp
-	w.size = int64(len(hdr))
-	w.synced = w.size
+	w.size.Store(int64(len(hdr)))
+	w.synced = int64(len(hdr))
 	w.syncMu.Unlock()
 	return nil
 }

@@ -300,6 +300,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "moaserve_wal_syncs_total %d\n", m.WALSyncs)
 	fmt.Fprintf(w, "moaserve_wal_group_commits_total %d\n", m.WALGroupCommits)
 	fmt.Fprintf(w, "moaserve_recoveries_total %d\n", m.Recoveries)
+	fmt.Fprintf(w, "moaserve_recovery_seconds %.6f\n", m.RecoverySeconds)
+	fmt.Fprintf(w, "moaserve_checkpoint_failures_total %d\n", m.CheckpointFailures)
 
 	// Real paging twins (mincore/getrusage over live mmaps). The simulated
 	// moaserve_pager_* series above is the deterministic model; these are

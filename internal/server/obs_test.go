@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/epoch"
+	"repro/internal/mil"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 )
@@ -138,6 +143,65 @@ func TestIngestHistogramConservation(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, grepLines(body, "ingest"))
+		}
+	}
+}
+
+// TestCheckpointFailureCounted: a failed ingest-time checkpoint (here a
+// SaveEnv that fails once, as on a full disk) must not fail the ingest —
+// the WAL already made it durable — but must show on /metrics, and the
+// next checkpoint must succeed and rotate the WAL.
+func TestCheckpointFailureCounted(t *testing.T) {
+	gen := tpcd.Generate(0.002, 7)
+	genesis, _ := tpcd.Load(gen)
+	var saves atomic.Int64
+	st, err := epoch.Open(epoch.Options{
+		Dir:     t.TempDir(),
+		Meta:    []byte("checkpoint-failure"),
+		Genesis: func() mil.Env { return genesis },
+		Apply: func(base mil.Env, p []byte) (mil.Env, int64, error) {
+			b, err := tpcd.DecodeRefresh(p)
+			if err != nil {
+				return nil, 0, err
+			}
+			return tpcd.ApplyRefresh(base, b)
+		},
+		SaveEnv: func(tmpDir, _ string, _ mil.Env) error {
+			if saves.Add(1) == 1 {
+				return errors.New("no space left on device")
+			}
+			return os.MkdirAll(tmpDir, 0o755)
+		},
+		LoadEnv:       func(string) (mil.Env, error) { return nil, errors.New("never read back here") },
+		SnapshotEvery: 1,
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { st.Close() })
+	svc := New(engine.New(tpcd.Schema(), st.Manager().Current().Env), Config{})
+	svc.AttachStore(st)
+
+	ingestOrders(t, svc, gen, 1, 5) // acknowledged although its checkpoint fails
+	if got := st.CheckpointFailures(); got != 1 {
+		t.Fatalf("checkpoint failures %d after the failing save, want 1", got)
+	}
+	unrotated := st.WALBytes()
+	ingestOrders(t, svc, gen, 2, 5)
+	if got := st.WALBytes(); got >= unrotated {
+		t.Fatalf("WAL holds %d bytes after a successful checkpoint, want fewer than the %d it held unrotated", got, unrotated)
+	}
+
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.String()
+	for _, want := range []string{
+		"moaserve_checkpoint_failures_total 1\n",
+		"moaserve_checkpoint_seconds_count 2\n",
+		"moaserve_recovery_seconds 0.000000\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, grepLines(body, "checkpoint"))
 		}
 	}
 }

@@ -458,6 +458,8 @@ type Metrics struct {
 	WALSyncs            int64   // fsync batches the WAL issued (group-commit leaders)
 	WALGroupCommits     int64   // ingests whose durability rode another ingest's fsync
 	Recoveries          int64   // 1 if this process recovered durable state at start
+	RecoverySeconds     float64 // wall time of that recovery (0 when fresh)
+	CheckpointFailures  int64   // ingest-time checkpoints that failed (the WAL keeps growing)
 
 	// The *_real twins of the simulated pager series: what the operating
 	// system actually did, sampled from mincore/getrusage over the
@@ -510,6 +512,8 @@ func (s *Service) Snapshot() Metrics {
 		m.WALSyncs = st.WALSyncs()
 		m.WALGroupCommits = st.WALGroupCommits()
 		m.Recoveries = st.Recoveries()
+		m.RecoverySeconds = st.RecoveryTime().Seconds()
+		m.CheckpointFailures = st.CheckpointFailures()
 	}
 	rs := storage.SampleResidency()
 	m.RealMappedBytes = rs.MappedBytes

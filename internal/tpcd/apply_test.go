@@ -86,10 +86,12 @@ func TestApplyEqualsLoad(t *testing.T) {
 		env, _ := Load(db)
 		var owned int64
 		for i, shape := range shapes {
+			b := shapedBatch(db, shape, int64(i))
 			var err error
-			if env, owned, err = ApplyRefresh(db, env, shapedBatch(db, shape, int64(i))); err != nil {
+			if env, owned, err = ApplyRefresh(env, b); err != nil {
 				t.Fatalf("apply %d (%s): %v", i, shape, err)
 			}
+			applyObjects(db, b)
 		}
 		assertEqualsLoad(t, db, env, owned)
 	}
@@ -104,35 +106,41 @@ func TestApplyEqualsLoad(t *testing.T) {
 		apply(t, shapes)
 	})
 
-	// A mapped checkpoint base: the columnar bootstrap maps genesis, the
-	// third ingest checkpoints, and the reopen maps that checkpoint and
-	// replays the fourth over it — every later merge reads heap-file
-	// columns as prev.
-	t.Run("mmap/reopen", func(t *testing.T) {
-		cfg := DurableConfig{Dir: t.TempDir(), SF: testSF, Seed: testSeed, SnapshotEvery: 3, Storage: StorageMmap}
-		ingest := func(from, to int) {
-			st, db, err := OpenStore(cfg)
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			defer st.Close()
-			var owned int64
-			for i := from; i < to; i++ {
-				p, err := EncodeRefresh(shapedBatch(db, applyShapes[i%len(applyShapes)], int64(i)))
+	// A checkpoint base: the third ingest checkpoints (in mmap mode over
+	// the genesis checkpoint the bootstrap wrote), and the reopen loads that
+	// checkpoint and replays the fourth over it — every later merge reads
+	// checkpointed columns as prev. The durable store's DB never advances,
+	// so the test keeps its own mirror of the batches it sent.
+	for _, mode := range []string{StorageMmap, StorageSim} {
+		t.Run(mode+"/reopen", func(t *testing.T) {
+			cfg := DurableConfig{Dir: t.TempDir(), SF: testSF, Seed: testSeed, SnapshotEvery: 3, Storage: mode}
+			db := Generate(testSF, testSeed)
+			ingest := func(from, to int) {
+				st, _, err := OpenStore(cfg)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("open: %v", err)
 				}
-				ep, err := st.Ingest(p)
-				if err != nil {
-					t.Fatalf("ingest %d: %v", i, err)
+				defer st.Close()
+				var owned int64
+				for i := from; i < to; i++ {
+					b := shapedBatch(db, applyShapes[i%len(applyShapes)], int64(i))
+					p, err := EncodeRefresh(b)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ep, err := st.Ingest(p)
+					if err != nil {
+						t.Fatalf("ingest %d: %v", i, err)
+					}
+					applyObjects(db, b)
+					owned = ep.Owned
 				}
-				owned = ep.Owned
+				assertEqualsLoad(t, db, st.Manager().Current().Env, owned)
 			}
-			assertEqualsLoad(t, db, st.Manager().Current().Env, owned)
-		}
-		ingest(0, 4)
-		ingest(4, 8)
-	})
+			ingest(0, 4)
+			ingest(4, 8)
+		})
+	}
 }
 
 // assertEqualsLoad compares every entry ApplyRefresh produces against a

@@ -10,8 +10,9 @@ import (
 	"repro/internal/storage/heapfile"
 )
 
-// Out-of-core checkpoint codec: serializes a served env as a heap-file
-// directory (internal/storage/heapfile) and maps it back into BAT columns.
+// Checkpoint codec: serializes a served env as a heap-file directory
+// (internal/storage/heapfile) and maps it back into BAT columns — the one
+// durable format of both storage modes.
 // Three entry shapes cover the whole TPC-D env:
 //
 //   - extent     [void,void]         — rows only, no bytes on disk;
@@ -29,8 +30,8 @@ import (
 // as black boxes.
 
 // StorageSim serves columns from anonymous memory with simulated paging
-// (the pre-out-of-core regime); StorageMmap serves base columns from
-// mmap'd heap-file checkpoints.
+// (checkpoints are read back into memory); StorageMmap serves base columns
+// from mmap'd heap-file checkpoints.
 const (
 	StorageSim  = "sim"
 	StorageMmap = "mmap"
@@ -309,7 +310,7 @@ func loadEnvHeap(dir string, fallback bool) (mil.Env, *heapfile.Store, error) {
 	for _, e := range meta.Entries {
 		switch e.Kind {
 		case "extent":
-			env[e.Name] = bat.New(e.Name, bat.NewVoid(0, e.Rows), bat.NewVoid(0, e.Rows), 0)
+			env[e.Name] = newExtent(e.Name, e.Rows)
 		case "attr":
 			var hcol bat.Column
 			var headAt func(int) bat.OID

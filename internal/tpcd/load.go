@@ -1,6 +1,9 @@
 package tpcd
 
 import (
+	"cmp"
+	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/bat"
@@ -45,12 +48,9 @@ func Load(db *DB) (mil.Env, *LoadStats) {
 		b := bat.New(name, bat.NewVoid(0, col.Len()), col, 0)
 		pending = append(pending, pendingAttr{name, b})
 	}
-	extent := func(class string, n int) {
-		env[class] = bat.New(class, bat.NewVoid(0, n), bat.NewVoid(0, n), 0)
-	}
-	setIndex := func(name string, owners []bat.OID, members []bat.OID) {
-		b := bat.New(name, bat.NewOIDCol(owners), bat.NewOIDCol(members), bat.HOrdered)
-		b.Persist()
+	extent := func(class string, n int) { env[class] = newExtent(class, n) }
+	setIndex := func(name string, pairs []setPair) {
+		b := mergeSetIndex(name, nil, pairs)
 		env[name] = b
 		stats.BaseBytes += b.ByteSize()
 	}
@@ -85,15 +85,13 @@ func Load(db *DB) (mil.Env, *LoadStats) {
 
 	// Supplier.supplies: index [supplier, supplyid] + one BAT per field
 	{
-		owners := make([]bat.OID, len(db.Supplies))
-		members := make([]bat.OID, len(db.Supplies))
+		pairs := make([]setPair, len(db.Supplies))
 		for s := range db.Suppliers {
 			for j := db.Suppliers[s].SuppliesLo; j < db.Suppliers[s].SuppliesHi; j++ {
-				owners[j] = bat.OID(s)
-				members[j] = bat.OID(j)
+				pairs[j] = setPair{bat.OID(s), bat.OID(j)}
 			}
 		}
-		setIndex("Supplier_supplies", owners, members)
+		setIndex("Supplier_supplies", pairs)
 		attr("Supplier_supplies_part", oidCol(len(db.Supplies), func(i int) bat.OID { return bat.OID(db.Supplies[i].Part) }))
 		attr("Supplier_supplies_cost", fltCol(len(db.Supplies), func(i int) float64 { return db.Supplies[i].Cost }))
 		attr("Supplier_supplies_available", intCol(len(db.Supplies), func(i int) int64 { return db.Supplies[i].Available }))
@@ -107,21 +105,15 @@ func Load(db *DB) (mil.Env, *LoadStats) {
 	attr("Customer_acctbal", fltCol(len(db.Customers), func(i int) float64 { return db.Customers[i].Acctbal }))
 	attr("Customer_nation", oidCol(len(db.Customers), func(i int) bat.OID { return bat.OID(db.Customers[i].Nation) }))
 	attr("Customer_mktsegment", strCol(len(db.Customers), func(i int) string { return db.Customers[i].Mktsegment }))
-	{
-		owners, members := customerOrdersIndex(db)
-		setIndex("Customer_orders", owners, members)
-	}
 
 	// Order / Item: builders shared with the refresh-stream apply path
 	// (refresh.go), which appends a batch's rows to exactly these entries.
+	setIndex("Customer_orders", customerOrderPairs(db.Orders, 0))
 	extent("Order", len(db.Orders))
 	for _, nc := range orderColumns(db.Orders) {
 		attr(nc.name, nc.col)
 	}
-	{
-		owners, members := orderItemIndex(db)
-		setIndex("Order_item", owners, members)
-	}
+	setIndex("Order_item", orderItemPairs(db.Orders, 0))
 
 	extent("Item", len(db.Items))
 	for _, nc := range itemColumns(db.Items) {
@@ -143,6 +135,11 @@ func Load(db *DB) (mil.Env, *LoadStats) {
 	}
 	stats.AccelTime = time.Since(start)
 	return env, stats
+}
+
+// newExtent builds a class extent [void,void] of n objects.
+func newExtent(class string, n int) *bat.BAT {
+	return bat.New(class, bat.NewVoid(0, n), bat.NewVoid(0, n), 0)
 }
 
 // namedCol is one attribute BAT's name and tail column, before extent and
@@ -191,28 +188,60 @@ func itemColumns(items []Item) []namedCol {
 	}
 }
 
-// customerOrdersIndex derives the Customer_orders set index [customer,
-// order]. Walking customers in class order keeps the head ordered, which
-// the HOrdered property on the index BAT asserts.
-func customerOrdersIndex(db *DB) (owners, members []bat.OID) {
-	for c := range db.Customers {
-		for _, o := range db.Customers[c].Orders {
-			owners = append(owners, bat.OID(c))
-			members = append(members, bat.OID(o))
-		}
+// setPair is one (owner, member) pair of a set index.
+type setPair struct{ owner, member bat.OID }
+
+// customerOrderPairs lists the Customer_orders pairs [customer, order] of
+// the given orders, whose oids start at first, in oid order.
+func customerOrderPairs(orders []Order, first int) []setPair {
+	pairs := make([]setPair, len(orders))
+	for i, o := range orders {
+		pairs[i] = setPair{bat.OID(o.Cust), bat.OID(first + i)}
 	}
-	return owners, members
+	return pairs
 }
 
-// orderItemIndex derives the Order_item set index [order, item].
-func orderItemIndex(db *DB) (owners, members []bat.OID) {
-	for o := range db.Orders {
-		for _, it := range db.Orders[o].Items {
-			owners = append(owners, bat.OID(o))
-			members = append(members, bat.OID(it))
+// orderItemPairs lists the Order_item pairs [order, item] of the given
+// orders, whose oids start at first, in oid order.
+func orderItemPairs(orders []Order, first int) []setPair {
+	var pairs []setPair
+	for i, o := range orders {
+		for _, it := range o.Items {
+			pairs = append(pairs, setPair{bat.OID(first + i), bat.OID(it)})
 		}
 	}
-	return owners, members
+	return pairs
+}
+
+// mergeSetIndex is the one builder of a head-ordered set index [owner,
+// member]: it stable-sorts the new pairs by owner and merges each after
+// prev's pairs of the same owner. Load builds over no previous index (prev
+// nil); ApplyRefresh grows the previous epoch's. Either way the result
+// lists owners ascending and each owner's members in insertion order — the
+// order HOrdered asserts, and the same index a from-scratch Load of the
+// grown database builds.
+func mergeSetIndex(name string, prev *bat.BAT, pairs []setPair) *bat.BAT {
+	byOwner := func(a, b setPair) int { return cmp.Compare(a.owner, b.owner) }
+	if !slices.IsSortedFunc(pairs, byOwner) {
+		slices.SortStableFunc(pairs, byOwner)
+	}
+	var po, pm []bat.OID
+	if prev != nil {
+		po, pm = prev.H.(*bat.OIDCol).V, prev.T.(*bat.OIDCol).V
+	}
+	owners := make([]bat.OID, 0, len(po)+len(pairs))
+	members := make([]bat.OID, 0, len(po)+len(pairs))
+	i := 0
+	for _, p := range pairs {
+		j := i + sort.Search(len(po)-i, func(k int) bool { return po[i+k] > p.owner })
+		owners, members = append(owners, po[i:j]...), append(members, pm[i:j]...)
+		owners, members = append(owners, p.owner), append(members, p.member)
+		i = j
+	}
+	owners, members = append(owners, po[i:]...), append(members, pm[i:]...)
+	ix := bat.New(name, bat.NewOIDCol(owners), bat.NewOIDCol(members), bat.HOrdered)
+	ix.Persist()
+	return ix
 }
 
 func strCol(n int, f func(int) string) bat.Column {

@@ -16,13 +16,15 @@ import (
 // TPC-D refresh stream (RF1-style): batches of new orders with their line
 // items, referencing the existing customer/part/supplier population. A
 // batch is the unit of ingest — it is serialized as the WAL payload,
-// validated against the immutable reference data, and applied by appending
-// to the object database and replacing the affected BATs (Order and Item
-// extents and attributes, the Order_item and Customer_orders set indexes)
-// for the next epoch: each attribute BAT takes the batch's sorted run into
-// its tail order, never re-sorting the rows it already holds. Every other
-// env entry is shared pointer-wise with the
-// previous epoch, so warm accelerators on unchanged columns survive swaps.
+// validated against the immutable reference population, and applied to the
+// previous epoch's BATs alone: the Order and Item extents grow, each
+// attribute BAT takes the batch's sorted run into its tail order (never
+// re-sorting the rows it already holds), and the Order_item and
+// Customer_orders set indexes merge in the batch's pairs. Every other env
+// entry is shared pointer-wise with the previous epoch, so warm
+// accelerators on unchanged columns survive swaps. No row-shaped copy of
+// the database takes part: the BATs are the database, and their heap-file
+// checkpoints are its durable form.
 
 // RefreshItem is one new line item in a refresh order. Derived fields
 // (return flag, line status) are carried explicitly so a batch is
@@ -186,22 +188,20 @@ func ValidateRefresh(db *DB, b *RefreshBatch) error {
 	return nil
 }
 
-// ApplyRefresh appends a validated batch to the object database and builds
-// the next epoch's env from the previous epoch's BATs: the Order and Item
-// extents grow; every Order_* and Item_* attribute BAT takes the batch's
-// column fragment through bat.AppendAttr, which sorts only the k new rows
-// and merges them into the existing tail order — O(n + k log k) per
-// column, no re-sort of the n existing rows; the Order_item and
-// Customer_orders set indexes are re-derived by Load's linear walks. The
-// result is bit-identical to a from-scratch Load of the advanced db.
+// ApplyRefresh builds the next epoch's env from the previous epoch's BATs
+// and a validated batch: the Order and Item extents grow by the batch's
+// rows (their current lengths number the new oids); every Order_* and
+// Item_* attribute BAT takes the batch's column fragment through
+// bat.AppendAttr, which sorts only the k new rows and merges them into the
+// existing tail order — O(n + k log k) per column; Order_item and
+// Customer_orders grow by merging the batch's pairs (mergeSetIndex). The
+// result is bit-identical to a from-scratch Load of the grown database.
 // Everything else is shared with base pointer-wise, so unchanged BATs keep
 // their identity (and their warm accelerators) across the swap. Returns the
 // new env and the byte size of the new BATs — the epoch's owned bytes.
-// Single-writer: the epoch store serializes calls, and db must only ever be
-// mutated here.
-func ApplyRefresh(db *DB, base mil.Env, b *RefreshBatch) (mil.Env, int64, error) {
-	firstOrder, firstItem := len(db.Orders), len(db.Items)
-	applyObjects(db, b)
+func ApplyRefresh(base mil.Env, b *RefreshBatch) (mil.Env, int64, error) {
+	firstOrder, firstItem := base["Order"].Len(), base["Item"].Len()
+	orders, items := batchRows(b, firstOrder, firstItem)
 	env := maps.Clone(base)
 	var owned int64
 	appendAttrs := func(frags []namedCol) {
@@ -212,31 +212,28 @@ func ApplyRefresh(db *DB, base mil.Env, b *RefreshBatch) (mil.Env, int64, error)
 			owned += withDV.ByteSize() + withDV.Datavector().ByteSize()
 		}
 	}
-	setIndex := func(name string, owners, members []bat.OID) {
-		ix := bat.New(name, bat.NewOIDCol(owners), bat.NewOIDCol(members), bat.HOrdered)
-		ix.Persist()
+	setIndex := func(name string, pairs []setPair) {
+		ix := mergeSetIndex(name, base[name], pairs)
 		env[name] = ix
 		owned += ix.ByteSize()
 	}
 
-	env["Order"] = bat.New("Order", bat.NewVoid(0, len(db.Orders)), bat.NewVoid(0, len(db.Orders)), 0)
-	appendAttrs(orderColumns(db.Orders[firstOrder:]))
-	owners, members := orderItemIndex(db)
-	setIndex("Order_item", owners, members)
+	env["Order"] = newExtent("Order", firstOrder+len(orders))
+	appendAttrs(orderColumns(orders))
+	setIndex("Order_item", orderItemPairs(orders, firstOrder))
 
-	env["Item"] = bat.New("Item", bat.NewVoid(0, len(db.Items)), bat.NewVoid(0, len(db.Items)), 0)
-	appendAttrs(itemColumns(db.Items[firstItem:]))
-	co, cm := customerOrdersIndex(db)
-	setIndex("Customer_orders", co, cm)
+	env["Item"] = newExtent("Item", firstItem+len(items))
+	appendAttrs(itemColumns(items))
+	setIndex("Customer_orders", customerOrderPairs(orders, firstOrder))
 
 	return env, owned, nil
 }
 
-// applyObjects is the object half of ApplyRefresh: it appends the batch to
-// the writer-side row slices without touching any BAT. Out-of-core
-// recovery calls it alone for batches a mapped checkpoint already covers —
-// the env came from disk, but db must still advance to match it.
-func applyObjects(db *DB, b *RefreshBatch) {
+// batchRows flattens a batch into the Order and Item rows it appends,
+// numbering orders from firstOrder and items from firstItem.
+func batchRows(b *RefreshBatch, firstOrder, firstItem int) ([]Order, []Item) {
+	orders := make([]Order, 0, len(b.Orders))
+	var items []Item
 	for _, ro := range b.Orders {
 		ord := Order{
 			Cust:          ro.Cust,
@@ -247,10 +244,10 @@ func applyObjects(db *DB, b *RefreshBatch) {
 			Clerk:         ro.Clerk,
 			Shippriority:  ro.Shippriority,
 		}
-		oid := int32(len(db.Orders))
+		oid := int32(firstOrder + len(orders))
 		for _, ri := range ro.Items {
-			ord.Items = append(ord.Items, int32(len(db.Items)))
-			db.Items = append(db.Items, Item{
+			ord.Items = append(ord.Items, int32(firstItem+len(items)))
+			items = append(items, Item{
 				Part: ri.Part, Supplier: ri.Supplier, Order: oid,
 				Quantity:      ri.Quantity,
 				Returnflag:    ri.Returnflag,
@@ -265,14 +262,25 @@ func applyObjects(db *DB, b *RefreshBatch) {
 				Shipinstruct:  ri.Shipinstruct,
 			})
 		}
-		db.Customers[ro.Cust].Orders = append(db.Customers[ro.Cust].Orders, oid)
-		db.Orders = append(db.Orders, ord)
+		orders = append(orders, ord)
 	}
+	return orders, items
+}
+
+// applyObjects appends a batch to db's row slices, keeping an in-memory
+// store's *DB in step with its env (the OpenStore contract for Dir == "").
+func applyObjects(db *DB, b *RefreshBatch) {
+	orders, items := batchRows(b, len(db.Orders), len(db.Items))
+	for i, o := range orders {
+		db.Customers[o.Cust].Orders = append(db.Customers[o.Cust].Orders, int32(len(db.Orders)+i))
+	}
+	db.Orders = append(db.Orders, orders...)
+	db.Items = append(db.Items, items...)
 }
 
 // DurableConfig configures OpenStore.
 type DurableConfig struct {
-	// Dir is the WAL + snapshot directory; empty runs in-memory.
+	// Dir is the WAL + checkpoint directory; empty runs in-memory.
 	Dir string
 	// SF and Seed identify the deterministic genesis database. They are
 	// recorded as the store meta, so a data directory can never be replayed
@@ -281,11 +289,13 @@ type DurableConfig struct {
 	Seed int64
 	// SnapshotEvery checkpoints after every N ingests (0: never).
 	SnapshotEvery int
-	// Storage selects the serving regime: StorageSim (default, also "")
-	// serves columns from anonymous memory with simulated paging;
-	// StorageMmap writes columnar heap-file checkpoints and serves base
-	// columns straight from their mappings — the out-of-core path.
-	// StorageMmap requires a Dir.
+	// Storage selects the serving regime. Both checkpoint the env as
+	// columnar heap files in Dir. StorageSim (default, also "") serves
+	// columns from anonymous memory with simulated paging, reading a
+	// checkpoint back into memory on restart. StorageMmap checkpoints
+	// genesis at the first open and serves base columns straight from the
+	// checkpoint's mappings — the out-of-core path. StorageMmap requires a
+	// Dir.
 	Storage string
 	// MapFallback forces the portable read-into-memory heap path instead of
 	// mmap — parity testing and hosts without mmap. Only meaningful with
@@ -295,12 +305,13 @@ type DurableConfig struct {
 	Hooks *epoch.Hooks
 }
 
-// OpenStore generates the genesis database, bulk-loads it, and opens the
-// durable epoch store over it: recovery replays any WAL/snapshot state in
-// Dir on top of the regenerated genesis, mutating db forward in lockstep,
-// so the returned db and the current epoch's env always agree. The returned
-// DB is the writer-side object state — GenRefresh reads it; only the
-// store's Apply path mutates it.
+// OpenStore opens the epoch store and returns it with the reference
+// population: the generated genesis database that GenRefresh and
+// ValidateRefresh read (customers, parts, suppliers and their supply
+// pairs, which no ingest changes). With a Dir, recovery loads the newest
+// verified checkpoint and replays the WAL past it; the DB is never
+// advanced. Without one, the DB's Order and Item rows also follow every
+// ingest, so it stays equal to the database the current env flattens.
 func OpenStore(cfg DurableConfig) (*epoch.Store, *DB, error) {
 	st, lazy, err := OpenStoreLazy(cfg)
 	if err != nil {
@@ -309,16 +320,12 @@ func OpenStore(cfg DurableConfig) (*epoch.Store, *DB, error) {
 	return st, lazy(), nil
 }
 
-// OpenStoreLazy is OpenStore for read-mostly servers: the in-memory object
-// database is materialized on first use — seeding genesis on a fresh
-// directory, replaying ingest history, validating or generating refresh
-// batches — instead of unconditionally at open. A server that recovers by
-// mapping a never-ingested heap-file checkpoint and only answers queries
-// never generates it at all, so its anonymous footprint stays far below
-// the mapped data: the restart that makes budgets smaller than the heap
-// files servable. The returned accessor is safe for concurrent use and
-// always yields the same *DB, kept in lockstep by the store exactly as in
-// OpenStore.
+// OpenStoreLazy is OpenStore for read-mostly servers: the reference
+// population is generated on first use — building genesis on a directory
+// with no checkpoint, validating or generating refresh batches — instead
+// of unconditionally at open. A server that recovers from a checkpoint and
+// only answers queries never generates it at all. The returned accessor is
+// safe for concurrent use and always yields the same *DB.
 func OpenStoreLazy(cfg DurableConfig) (*epoch.Store, func() *DB, error) {
 	var (
 		dbOnce sync.Once
@@ -328,10 +335,13 @@ func OpenStoreLazy(cfg DurableConfig) (*epoch.Store, func() *DB, error) {
 		dbOnce.Do(func() { lazyDB = Generate(cfg.SF, cfg.Seed) })
 		return lazyDB
 	}
-	meta := fmt.Sprintf("tpcd sf=%g seed=%d", cfg.SF, cfg.Seed)
 	opts := epoch.Options{
 		Dir:  cfg.Dir,
-		Meta: []byte(meta),
+		Meta: []byte(fmt.Sprintf("tpcd sf=%g seed=%d", cfg.SF, cfg.Seed)),
+		Genesis: func() mil.Env {
+			env, _ := Load(db())
+			return env
+		},
 		Validate: func(p []byte) error {
 			b, err := DecodeRefresh(p)
 			if err != nil {
@@ -344,61 +354,52 @@ func OpenStoreLazy(cfg DurableConfig) (*epoch.Store, func() *DB, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			return ApplyRefresh(db(), base, b)
+			env, owned, err := ApplyRefresh(base, b)
+			if err == nil && cfg.Dir == "" {
+				applyObjects(db(), b)
+			}
+			return env, owned, err
 		},
+		Bootstrap:     cfg.Storage == StorageMmap,
 		SnapshotEvery: cfg.SnapshotEvery,
 		Hooks:         cfg.Hooks,
 	}
-
-	var mapped []*heapfile.Store
 	switch cfg.Storage {
 	case "", StorageSim:
-		env, _ := Load(db())
-		opts.Genesis = env
 	case StorageMmap:
 		if cfg.Dir == "" {
 			return nil, nil, fmt.Errorf("tpcd: storage=%s requires a data directory", StorageMmap)
-		}
-		hc := &heapCheckpointer{}
-		// Genesis is lazy: when recovery maps a checkpoint, the bulk load —
-		// materializing every base column in anonymous memory — is skipped
-		// entirely. That is the out-of-core restart.
-		opts.LazyGenesis = func() mil.Env {
-			env, _ := Load(db())
-			return env
-		}
-		opts.SaveEnv = hc.save
-		opts.LoadEnv = func(dir string) (mil.Env, error) {
-			env, s, err := loadEnvHeap(dir, cfg.MapFallback)
-			if err != nil {
-				return nil, err
-			}
-			mapped = append(mapped, s)
-			hc.seed(dir, s.Manifest(), env)
-			return env, nil
-		}
-		opts.ReplayObjects = func(p []byte) error {
-			b, err := DecodeRefresh(p)
-			if err != nil {
-				return err
-			}
-			applyObjects(db(), b)
-			return nil
 		}
 	default:
 		return nil, nil, fmt.Errorf("tpcd: unknown storage mode %q (want %q or %q)", cfg.Storage, StorageSim, StorageMmap)
 	}
 
+	var loaded []*heapfile.Store
+	if cfg.Dir != "" {
+		hc := &heapCheckpointer{}
+		opts.SaveEnv = hc.save
+		opts.LoadEnv = func(dir string) (mil.Env, error) {
+			// Sim reads the heap files into anonymous memory; mmap maps them.
+			env, s, err := loadEnvHeap(dir, cfg.Storage != StorageMmap || cfg.MapFallback)
+			if err != nil {
+				return nil, err
+			}
+			loaded = append(loaded, s)
+			hc.seed(dir, s.Manifest(), env)
+			return env, nil
+		}
+	}
+
 	st, err := epoch.Open(opts)
 	if err != nil {
-		for _, s := range mapped {
+		for _, s := range loaded {
 			s.Close()
 		}
 		return nil, nil, err
 	}
 	// Mappings must outlive every epoch that serves views over them; the
 	// store's closer list is exactly that lifetime.
-	for _, s := range mapped {
+	for _, s := range loaded {
 		st.AddCloser(s)
 	}
 	return st, db, nil

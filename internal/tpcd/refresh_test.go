@@ -75,7 +75,7 @@ func TestGenRefreshDeterministicAndValid(t *testing.T) {
 // every rebuilt BAT matches bit-for-bit. This is the property WAL replay
 // depends on: recovery must reconstruct exactly the epoch that was served.
 func TestApplyRefreshDeterministic(t *testing.T) {
-	run := func() (mil.Env, *DB) {
+	run := func() mil.Env {
 		db := Generate(testSF, testSeed)
 		env, _ := Load(db)
 		for i := 0; i < 3; i++ {
@@ -88,7 +88,7 @@ func TestApplyRefreshDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			env2, owned, err := ApplyRefresh(db, env, back)
+			env2, owned, err := ApplyRefresh(env, back)
 			if err != nil {
 				t.Fatalf("apply %d: %v", i, err)
 			}
@@ -97,14 +97,9 @@ func TestApplyRefreshDeterministic(t *testing.T) {
 			}
 			env = env2
 		}
-		return env, db
+		return env
 	}
-	envA, dbA := run()
-	envB, dbB := run()
-	if len(dbA.Orders) != len(dbB.Orders) || len(dbA.Items) != len(dbB.Items) {
-		t.Fatalf("object state diverged: %d/%d orders, %d/%d items",
-			len(dbA.Orders), len(dbB.Orders), len(dbA.Items), len(dbB.Items))
-	}
+	envA, envB := run(), run()
 	for _, name := range rebuiltNames() {
 		a, b := envA[name], envB[name]
 		if a == nil || b == nil {
@@ -124,7 +119,7 @@ func TestApplyRefreshProps(t *testing.T) {
 	env, _ := Load(db)
 	b := GenRefresh(db, 9, 20)
 	p, _ := EncodeRefresh(b)
-	env2, _, err := ApplyRefresh(db, env, mustDecode(t, p))
+	env2, _, err := ApplyRefresh(env, mustDecode(t, p))
 	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -151,7 +146,7 @@ func TestApplyRefreshSharesUnchangedBATs(t *testing.T) {
 	db := Generate(testSF, testSeed)
 	env, _ := Load(db)
 	b := GenRefresh(db, 5, 10)
-	env2, _, err := ApplyRefresh(db, env, b)
+	env2, _, err := ApplyRefresh(env, b)
 	if err != nil {
 		t.Fatalf("apply: %v", err)
 	}
@@ -220,7 +215,8 @@ func TestValidateRefreshRejections(t *testing.T) {
 
 // TestOpenStoreRecovery ingests through the durable store, reopens the
 // directory, and checks the recovered epoch matches the pre-restart state —
-// the tpcd-level version of the epoch package's crash matrix.
+// the tpcd-level version of the epoch package's crash matrix. The DB a
+// durable store returns is the reference population and never advances.
 func TestOpenStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	cfg := DurableConfig{Dir: dir, SF: testSF, Seed: testSeed, SnapshotEvery: 2}
@@ -230,7 +226,6 @@ func TestOpenStoreRecovery(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	genesisOrders := len(db.Orders)
-	var wantFP map[string]string
 	const ingests = 3
 	for i := 0; i < ingests; i++ {
 		b := GenRefresh(db, int64(i+1), 8)
@@ -246,17 +241,20 @@ func TestOpenStoreRecovery(t *testing.T) {
 			t.Fatalf("ingest %d published epoch %d, want %d", i, ep.ID, i+1)
 		}
 	}
-	wantOrders := len(db.Orders)
-	if wantOrders != genesisOrders+ingests*8 {
-		t.Fatalf("writer db has %d orders, want %d", wantOrders, genesisOrders+ingests*8)
+	wantOrders := genesisOrders + ingests*8
+	if n := st.Manager().Current().Env["Order"].Len(); n != wantOrders {
+		t.Fatalf("Order extent holds %d orders, want %d", n, wantOrders)
 	}
-	wantFP = make(map[string]string)
+	if len(db.Orders) != genesisOrders {
+		t.Fatalf("durable store advanced its reference DB to %d orders", len(db.Orders))
+	}
+	wantFP := make(map[string]string)
 	for _, n := range rebuiltNames() {
 		wantFP[n] = batFingerprint(st.Manager().Current().Env[n])
 	}
 	st.Close()
 
-	rec, db2, err := OpenStore(cfg)
+	rec, _, err := OpenStore(cfg)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -267,13 +265,56 @@ func TestOpenStoreRecovery(t *testing.T) {
 	if id := rec.Manager().CurrentID(); id != ingests {
 		t.Fatalf("recovered epoch %d, want %d", id, ingests)
 	}
-	if len(db2.Orders) != wantOrders {
-		t.Fatalf("recovered db has %d orders, want %d", len(db2.Orders), wantOrders)
-	}
 	env := rec.Manager().Current().Env
+	if n := env["Order"].Len(); n != wantOrders {
+		t.Fatalf("recovered Order extent holds %d orders, want %d", n, wantOrders)
+	}
 	for _, n := range rebuiltNames() {
 		if got := batFingerprint(env[n]); got != wantFP[n] {
 			t.Errorf("recovered %s does not match pre-restart state", n)
 		}
+	}
+}
+
+// TestInMemoryStoreDBFollowsIngest pins the contract an in-memory store's
+// callers rely on (the benchmark's answer mirror): after Ingest, the DB
+// OpenStore returned holds every ingested order and item, and a fresh Load
+// of it equals the store's current env.
+func TestInMemoryStoreDBFollowsIngest(t *testing.T) {
+	st, db, err := OpenStore(DurableConfig{SF: testSF, Seed: testSeed})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	orders0, items0 := len(db.Orders), len(db.Items)
+	var sent []RefreshOrder
+	nItems := 0
+	for i := 0; i < 3; i++ {
+		b := GenRefresh(db, int64(i+1), 8)
+		p, err := EncodeRefresh(b)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		if _, err := st.Ingest(p); err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+		sent = append(sent, b.Orders...)
+		for _, o := range b.Orders {
+			nItems += len(o.Items)
+		}
+	}
+	if len(db.Orders) != orders0+len(sent) || len(db.Items) != items0+nItems {
+		t.Fatalf("DB holds %d orders / %d items, want %d / %d",
+			len(db.Orders), len(db.Items), orders0+len(sent), items0+nItems)
+	}
+	for i, o := range sent {
+		got := db.Orders[orders0+i]
+		if got.Cust != o.Cust || got.Clerk != o.Clerk || len(got.Items) != len(o.Items) {
+			t.Fatalf("ingested order %d: DB holds %+v, batch sent %+v", i, got, o)
+		}
+	}
+	want, _ := Load(db)
+	if envFingerprint(t, want) != envFingerprint(t, st.Manager().Current().Env) {
+		t.Fatal("Load of the store's DB differs from the store's current env")
 	}
 }

@@ -9,10 +9,11 @@
 # distinct pages the fixed query list touches). A third run exercises the
 # lifecycle over plain HTTP: 400 on a malformed ?timeout=, 504 on an
 # unmeetable one, the timeout counter on /metrics, and a clean drain
-# afterwards. A fourth run exercises durability: HTTP ingest into a durable
-# data directory, immediate visibility, SIGKILL (no drain), restart on the
-# same directory, and recovery of the acknowledged ingest with the recovery
-# counters set. Contained 500s under injected storage faults are covered in
+# afterwards. A fourth run exercises durability: HTTP ingests into a durable
+# data directory across a checkpoint, immediate visibility, SIGKILL (no
+# drain), restart on the same directory, and recovery of the acknowledged
+# ingests from the checkpoint plus the WAL tail with the recovery metrics
+# set. Contained 500s under injected storage faults are covered in
 # Go (TestHTTPLifecycle, TestChaosQueryLifecycle).
 # Knobs: ADDR.
 set -eu
@@ -82,52 +83,64 @@ drive_load() {
 }
 
 # run_durability: the writes-and-recovery scenario. Start a server with a
-# durable data directory, publish one refresh batch over HTTP (the epoch
-# swap must be visible to queries immediately), SIGKILL the process — no
-# drain, no cleanup, the crash the WAL exists for — restart on the same
-# directory, and require: the ingested rows are still there (bit-recovered
-# from genesis + WAL replay), /metrics reports the recovery, and the
-# restarted server still drains cleanly.
+# durable data directory checkpointing every second ingest, publish three
+# refresh batches over HTTP (each epoch swap must be visible to queries
+# immediately), SIGKILL the process — no drain, no cleanup, the crash the
+# WAL exists for — restart on the same directory, and require: the
+# directory holds a snap-*.d checkpoint and no *.snap file, the ingested
+# rows are still there (recovered from the epoch-2 checkpoint plus the WAL
+# record of epoch 3), /metrics reports the recovery and its duration, and
+# the restarted server still drains cleanly.
 run_durability() {
 	datadir=$(mktemp -d -t moa-data.XXXXXX)
 
-	"$bin" -addr "$ADDR" -sf 0.002 -data "$datadir" &
+	"$bin" -addr "$ADDR" -sf 0.002 -data "$datadir" -snapshot-every 2 &
 	pid=$!
 	wait_ready durability-cold
 
 	c0=$(count_orders)
 	[ "$c0" = 3000 ] || { echo "server-smoke: genesis count(Order) = '$c0', want 3000" >&2; exit 1; }
 
-	resp=$(curl -fsS -X POST -H 'Content-Type: application/json' \
-		--data '{"generate":20,"seed":99}' "http://$ADDR/ingest")
-	echo "$resp" | grep -q '"epoch":1' || { echo "server-smoke: ingest response '$resp' lacks epoch 1" >&2; exit 1; }
+	for e in 1 2 3; do
+		resp=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+			--data "{\"generate\":20,\"seed\":9$e}" "http://$ADDR/ingest")
+		echo "$resp" | grep -q "\"epoch\":$e" || { echo "server-smoke: ingest response '$resp' lacks epoch $e" >&2; exit 1; }
+	done
 
 	c1=$(count_orders)
-	[ "$c1" = 3020 ] || { echo "server-smoke: post-ingest count(Order) = '$c1', want 3020" >&2; exit 1; }
+	[ "$c1" = 3060 ] || { echo "server-smoke: post-ingest count(Order) = '$c1', want 3060" >&2; exit 1; }
 
 	kill -9 "$pid"
 	wait "$pid" 2>/dev/null || true
 	pid=""
-	echo "server-smoke: SIGKILL delivered after acknowledged ingest" >&2
+	echo "server-smoke: SIGKILL delivered after three acknowledged ingests" >&2
 
-	"$bin" -addr "$ADDR" -sf 0.002 -data "$datadir" &
+	ls -d "$datadir"/snap-*.d >/dev/null 2>&1 || { echo "server-smoke: no snap-*.d checkpoint in the data directory" >&2; exit 1; }
+	if ls "$datadir"/*.snap >/dev/null 2>&1; then
+		echo "server-smoke: the data directory holds a *.snap file" >&2
+		exit 1
+	fi
+
+	"$bin" -addr "$ADDR" -sf 0.002 -data "$datadir" -snapshot-every 2 &
 	pid=$!
 	wait_ready durability-recovered
 
 	c2=$(count_orders)
-	[ "$c2" = 3020 ] || { echo "server-smoke: recovered count(Order) = '$c2', want 3020" >&2; exit 1; }
+	[ "$c2" = 3060 ] || { echo "server-smoke: recovered count(Order) = '$c2', want 3060" >&2; exit 1; }
 
 	metrics=$(curl -fsS "http://$ADDR/metrics")
 	recoveries=$(echo "$metrics" | awk '/^moaserve_recoveries_total /{print $2}')
 	epoch=$(echo "$metrics" | awk '/^moaserve_epoch_current /{print $2}')
+	recovery_s=$(echo "$metrics" | awk '/^moaserve_recovery_seconds /{print $2}')
 	[ "$recoveries" = 1 ] || { echo "server-smoke: recoveries_total = '$recoveries', want 1" >&2; exit 1; }
-	[ "$epoch" = 1 ] || { echo "server-smoke: epoch_current = '$epoch' after recovery, want 1" >&2; exit 1; }
+	[ "$epoch" = 3 ] || { echo "server-smoke: epoch_current = '$epoch' after recovery, want 3" >&2; exit 1; }
+	[ -n "$recovery_s" ] || { echo "server-smoke: moaserve_recovery_seconds missing" >&2; exit 1; }
 
 	kill -TERM "$pid"
 	wait "$pid"
 	pid=""
 	rm -rf "$datadir"
-	echo "server-smoke: durability scenario ok (ingest survived SIGKILL, recoveries=$recoveries)" >&2
+	echo "server-smoke: durability scenario ok (ingests survived SIGKILL, recoveries=$recoveries, recovery ${recovery_s}s)" >&2
 }
 
 # run_once <label> <outfile>: start a cold server, load it, log the
