@@ -705,11 +705,8 @@ func serverBenchSetup(b *testing.B) {
 	b.Helper()
 	benchSetup(b)
 	serverBenchOnce.Do(func() {
-		// A dedicated Database handle without a Pager: the striped pool is
-		// safe to share now, but the throughput sweep deliberately runs in
-		// the paper's hot-set regime so it isolates scheduling/caching
-		// effects; fault-accounting cost under concurrency is measured by
-		// BenchmarkPagerConcurrent instead.
+		// A dedicated Database handle without a Pager, as moaserve serves:
+		// the throughput sweep isolates scheduling/caching effects.
 		serverBenchDB = engine.New(tpcd.Schema(), benchEnv)
 		for _, q := range tpcd.Queries(benchGen) {
 			serverBenchMix = append(serverBenchMix, q.MOA)
@@ -895,59 +892,9 @@ func BenchmarkAblationProfile(b *testing.B) {
 	})
 }
 
-// BenchmarkPagerConcurrent: the lock-striped buffer pool under concurrent
-// touch load — the ablation for the concurrent fault-accounting PR. Each
-// goroutine drives its own per-query Tracker against one shared pool, the
-// serving-regime access pattern.
-//
-// disjoint/g<N>: N goroutines touch disjoint heaps (distinct queries over
-// distinct working sets) — stripes spread the locks, so ns/op should hold
-// roughly flat as N grows on a multi-core host.
-//
-// shared/g<N>: N goroutines re-touch the same small hot page set — every
-// touch hits the same few stripes, the worst-case contention floor.
-func BenchmarkPagerConcurrent(b *testing.B) {
-	const pages = 512 // per-goroutine working set
-	run := func(b *testing.B, goroutines int, sharedHeap bool) {
-		pool := storage.NewPager(4096, 0)
-		heaps := make([]storage.HeapID, goroutines)
-		shared := pool.NewHeap()
-		for i := range heaps {
-			if sharedHeap {
-				heaps[i] = shared
-			} else {
-				heaps[i] = pool.NewHeap()
-			}
-		}
-		per := b.N/goroutines + 1
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				tr := pool.NewTracker()
-				h := heaps[g]
-				for i := 0; i < per; i++ {
-					tr.Touch(h, int64(i%pages)*4096)
-				}
-			}(g)
-		}
-		wg.Wait()
-		b.StopTimer()
-		b.ReportMetric(float64(pool.Faults()), "pool_faults")
-	}
-	for _, g := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("disjoint/g%d", g), func(b *testing.B) { run(b, g, false) })
-	}
-	for _, g := range []int{4, 16} {
-		b.Run(fmt.Sprintf("shared/g%d", g), func(b *testing.B) { run(b, g, true) })
-	}
-}
-
 // BenchmarkAblationTouch: what one gather's page-touch accounting costs —
 // the ablation for taking it off the per-tuple path. 100k positions over an
-// 8-byte column (196 pages) on a warm unbounded pool, the serving regime;
+// 8-byte column (196 pages) on a warm unbounded pool, the default pool;
 // one op is the whole list, ns/touch is the per-position cost.
 //
 // sorted|random × per-row: one Tracker.Touch per position, the former
@@ -955,7 +902,7 @@ func BenchmarkPagerConcurrent(b *testing.B) {
 // sorted|random × batch: Tracker.TouchPositions — folded to one pool visit
 // per distinct page, so the random LOOKUP order of the datavector semijoin
 // costs what a sorted selection does.
-// nil-batch: the same call on a nil tracker, accounting off (-pages=-1) —
+// nil-batch: the same call on a nil tracker, accounting off (no pager) —
 // must stay at 0 allocs/op and a few ns per *call*.
 func BenchmarkAblationTouch(b *testing.B) {
 	const n, width = 100_000, 8

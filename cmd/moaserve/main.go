@@ -40,7 +40,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/epoch"
 	"repro/internal/server"
-	"repro/internal/storage"
 	"repro/internal/tpcd"
 )
 
@@ -52,38 +51,34 @@ func main() {
 	maxconc := flag.Int("maxconc", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	membudget := flag.Int64("membudget-mb", 256, "admission control: live intermediate budget in MB (0 = unlimited)")
 	maxplans := flag.Int("maxplans", 0, "prepared-plan cache capacity (0 = default)")
-	pages := flag.Int("pages", 0, "shared buffer pool capacity in pages for fault accounting (0 = unbounded cold pool, <0 = disable the pager: hot-set regime)")
-	pagesize := flag.Int64("pagesize", 0, "buffer pool page size in bytes (0 = 4096, the paper's B)")
 	queryTimeout := flag.Duration("query-timeout", 0, "server default per-query deadline (0 = none; ?timeout= can tighten it per request)")
-	thrashShed := flag.Float64("thrash-shed", 0, "shed queries while the windowed pager fault ratio meets this value (0 = disabled, e.g. 0.9)")
 	slowQuery := flag.Duration("slow-query", 0, "emit a JSONL profile to stderr for every query at or above this wall clock (0 = off)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 
 	dataDir := flag.String("data", "", "durable data directory for WAL + snapshots (empty = epochs in memory only, nothing survives restart)")
 	snapEvery := flag.Int("snapshot-every", 8, "checkpoint a snapshot and rotate the WAL every N ingests (0 = never)")
-	storageMode := flag.String("storage", tpcd.StorageSim, "column storage engine: sim = anonymous memory with simulated paging, mmap = serve base columns from mmap'd heap-file checkpoints in -data (requires -data)")
+	storageMode := flag.String("storage", tpcd.StorageSim, "column storage engine: sim = columns in anonymous memory, mmap = serve base columns from mmap'd heap-file checkpoints in -data (requires -data)")
 	mapFallback := flag.Bool("map-fallback", false, "mmap storage: read heap files into anonymous memory instead of mapping (portable fallback, also selected automatically where mmap is unsupported)")
 	flag.Parse()
 
 	svc, st := newService(tpcd.DurableConfig{
 		Dir: *dataDir, SF: *sf, Seed: *seed, SnapshotEvery: *snapEvery,
 		Storage: *storageMode, MapFallback: *mapFallback,
-	}, *pages, *pagesize, server.Config{
-		Workers:         *workers,
-		MaxConcurrent:   *maxconc,
-		MemBudgetBytes:  *membudget << 20,
-		MaxPlans:        *maxplans,
-		QueryTimeout:    *queryTimeout,
-		ThrashShedRatio: *thrashShed,
-		SlowQuery:       *slowQuery,
-		Pprof:           *pprofOn,
+	}, server.Config{
+		Workers:        *workers,
+		MaxConcurrent:  *maxconc,
+		MemBudgetBytes: *membudget << 20,
+		MaxPlans:       *maxplans,
+		QueryTimeout:   *queryTimeout,
+		SlowQuery:      *slowQuery,
+		Pprof:          *pprofOn,
 	})
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "moaserve: serving sf=%g on %s (workers=%d maxconc=%d membudget=%dMB pages=%d data=%q storage=%s epoch=%d recovered=%d)\n",
-		*sf, *addr, *workers, *maxconc, *membudget, *pages, *dataDir, *storageMode, st.Manager().CurrentID(), st.Recoveries())
+	fmt.Fprintf(os.Stderr, "moaserve: serving sf=%g on %s (workers=%d maxconc=%d membudget=%dMB data=%q storage=%s epoch=%d recovered=%d)\n",
+		*sf, *addr, *workers, *maxconc, *membudget, *dataDir, *storageMode, st.Manager().CurrentID(), st.Recoveries())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -108,26 +103,22 @@ func main() {
 
 // newService opens the durable epoch store (loading the newest checkpoint
 // in -data and replaying the WAL past it) and builds the writable service
-// over it: queries pin epochs, /ingest publishes new ones, and the shared
-// lock-striped buffer pool (unless pages < 0 disables fault accounting)
-// plays the role of the OS page cache over Monet's memory-mapped BATs.
+// over it: queries pin epochs and /ingest publishes new ones. No simulated
+// pager is attached — as in Monet, the OS virtual memory is the buffer
+// manager, and /metrics reports what it did (the *_real series).
 //
 // The reference population that validates and generates refresh batches
 // is lazy: a restart that loads a checkpoint never generates it, so a
 // read-only mmap server's anonymous footprint stays near the page tables
 // and the heap files themselves can exceed the memory budget. The first
 // /ingest pays the generation cost once.
-func newService(dc tpcd.DurableConfig, pages int, pagesize int64, cfg server.Config) (*server.Service, *epoch.Store) {
+func newService(dc tpcd.DurableConfig, cfg server.Config) (*server.Service, *epoch.Store) {
 	st, gen, err := tpcd.OpenStoreLazy(dc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "moaserve: open store: %v\n", err)
 		os.Exit(1)
 	}
-	db := engine.New(tpcd.Schema(), st.Manager().Current().Env)
-	if pages >= 0 {
-		db.Pager = storage.NewPager(pagesize, pages)
-	}
-	svc := server.New(db, cfg)
+	svc := server.New(engine.New(tpcd.Schema(), st.Manager().Current().Env), cfg)
 	svc.AttachStore(st)
 	svc.PrepareIngest = prepareIngest(gen)
 	return svc, st

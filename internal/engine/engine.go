@@ -34,11 +34,13 @@ func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 // (see NewSession): queries never write the base env — each session
 // executes in a private scratch level layered over it — and the lazily
 // built accelerators (head hashes, datavector LOOKUP memos) publish
-// atomically with singleflight construction. The Pager is shared too: its
-// pool is lock-striped, and every query attributes its own faults through
-// a private storage.Tracker, so concurrent sessions keep the per-query
-// Figure 9/10 fault observable (Stats.Faults) without interleaving into
-// each other's counts.
+// atomically with singleflight construction. A Pager, when the caller sets
+// one (cmd/tpcd, cmd/moaquery, tests, the benchmark's traced pass; the
+// query service sets none), is inherited by every session and safe to
+// share: every query attributes its own faults through a private
+// storage.Tracker, so concurrent sessions keep the per-query Figure 9/10
+// fault observable (Stats.Faults) without interleaving into each other's
+// counts.
 type Database struct {
 	Schema *moa.Schema
 	Env    mil.Env
@@ -125,9 +127,8 @@ type Session struct {
 	db *Database
 	// Options are this session's execution settings, handed to every
 	// query's mil.Ctx. Sharing one Pager across concurrently executing
-	// sessions is safe (the pool is lock-striped) and is the serving
-	// default: each query's Stats.Faults comes from a per-query tracker,
-	// not from the pool's aggregate counters.
+	// sessions is safe: each query's Stats.Faults comes from a per-query
+	// tracker, not from the pool's aggregate counters.
 	mil.Options
 }
 

@@ -108,7 +108,7 @@ type Ctx struct {
 type Options struct {
 	// Pager, when non-nil, is the shared paged-storage pool the query
 	// touches. The pool may be shared with any number of concurrent
-	// queries (it is lock-striped); each query's own fault/hit counts are
+	// queries (one mutex guards it); each query's own fault/hit counts are
 	// attributed through a private storage.Tracker created on first touch
 	// (see Ctx.PageFaults). nil disables the paging simulation.
 	Pager *storage.Pager

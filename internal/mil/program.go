@@ -370,8 +370,8 @@ func argBAT(scope *Scope, a StmtArg) (*bat.BAT, error) {
 //
 // Shared state stays consistent across the unwind by construction: the
 // accelerator singleflight slots unlock by defer and never publish a
-// partial build, the pager records touches under per-page stripe locks with
-// deferred tracker attribution, and gauge fold-back happens at the session
+// partial build, the pager records touches under its lock with deferred
+// tracker attribution, and gauge fold-back happens at the session
 // boundary (DrainGauge) which runs on every exit path.
 func execStmtSafe(ctx *Ctx, s Stmt, scope *Scope, i int) (out *bat.BAT, err error) {
 	defer func() {

@@ -25,6 +25,12 @@ import (
 // honest about why the query died).
 const statusClientClosedRequest = 499
 
+// Request body limits. A longer body is refused with 413, never truncated.
+const (
+	maxQueryBytes  = 1 << 20
+	maxIngestBytes = 64 << 20
+)
+
 // QueryResponse is the JSON body of a successful /query call.
 type QueryResponse struct {
 	RequestID   string   `json:"request_id,omitempty"`
@@ -57,6 +63,7 @@ type ErrorResponse struct {
 //	                   ?timeout=DUR caps this query's wall clock (Go
 //	                   duration; tightens but never loosens the server's
 //	                   -query-timeout default);
+//	                   413 for a body over 1 MiB,
 //	                   503 + Retry-After when admission control sheds,
 //	                   504 on deadline expiry, 499 on client disconnect,
 //	                   500 on a contained internal error.
@@ -103,9 +110,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(w, r)
 	src := r.URL.Query().Get("q")
 	if src == "" {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err, "bad_request", rid)
+		body, ok := readBody(w, r, maxQueryBytes, rid)
+		if !ok {
 			return
 		}
 		src = string(body)
@@ -201,11 +207,11 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("ingest requires POST"), "bad_request", rid)
 		return
 	}
-	payload, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err, "bad_request", rid)
+	payload, ok := readBody(w, r, maxIngestBytes, rid)
+	if !ok {
 		return
 	}
+	var err error
 	if s.PrepareIngest != nil {
 		if payload, err = s.PrepareIngest(payload); err != nil {
 			writeError(w, http.StatusBadRequest, err, "bad_request", rid)
@@ -230,6 +236,29 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(IngestResponse{Epoch: id, WALBytes: s.store.WALBytes()})
+}
+
+// readBody reads the request body, answering 413 for one over limit bytes:
+// up front when the client declares its length, else once reading passes
+// the limit. It reports whether the handler may go on.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64, rid string) ([]byte, bool) {
+	var body []byte
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, err, "bad_request", rid)
+		return nil, false
+	}
+	return body, true
 }
 
 // boolParam reads a flag-style query parameter: set and not one of the
@@ -289,10 +318,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "moaserve_plan_cache_evictions_total{reason=\"epoch\"} %d\n", m.PlanEvictEpoch)
 	fmt.Fprintf(w, "moaserve_live_intermediate_bytes %d\n", m.LiveBytes)
 	fmt.Fprintf(w, "moaserve_accel_builds_total %d\n", bat.AccelBuilds())
-	fmt.Fprintf(w, "moaserve_pager_faults_total %d\n", m.PagerFaults)
-	fmt.Fprintf(w, "moaserve_pager_hits_total %d\n", m.PagerHits)
-	fmt.Fprintf(w, "moaserve_pager_resident_pages %d\n", m.PagerResident)
-	fmt.Fprintf(w, "moaserve_pager_thrash_ratio %.4f\n", m.ThrashRatio)
 	fmt.Fprintf(w, "moaserve_ingests_total %d\n", m.Ingests)
 	fmt.Fprintf(w, "moaserve_epoch_current %d\n", m.EpochCurrent)
 	fmt.Fprintf(w, "moaserve_epoch_pinned %d\n", m.EpochsPinned)
@@ -303,10 +328,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "moaserve_recovery_seconds %.6f\n", m.RecoverySeconds)
 	fmt.Fprintf(w, "moaserve_checkpoint_failures_total %d\n", m.CheckpointFailures)
 
-	// Real paging twins (mincore/getrusage over live mmaps). The simulated
-	// moaserve_pager_* series above is the deterministic model; these are
-	// what the OS actually did. faults_real counts major+minor so the
-	// series moves even when the page cache absorbs every fault.
+	// Real paging (mincore/getrusage over live mmaps): what the OS actually
+	// did. faults_real counts major+minor so the series moves even when the
+	// page cache absorbs every fault.
 	fmt.Fprintf(w, "moaserve_pager_mapped_bytes_real %d\n", m.RealMappedBytes)
 	fmt.Fprintf(w, "moaserve_pager_resident_bytes_real %d\n", m.RealResidentBytes)
 	fmt.Fprintf(w, "moaserve_pager_faults_real_total %d\n", m.RealMajorFaults+m.RealMinorFaults)

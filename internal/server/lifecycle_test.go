@@ -22,8 +22,9 @@ import (
 	"repro/internal/tpcd"
 )
 
-// pagerService is testService plus a shared lock-striped buffer pool, the
-// configuration the lifecycle and chaos suites run under.
+// pagerService is testService plus a simulated buffer pool on the database,
+// shared by every session: the configuration the lifecycle and chaos suites
+// run under, so injected storage faults have a pool to attach to.
 func pagerService(t *testing.T, cfg Config, pages int) (*Service, []string) {
 	t.Helper()
 	gen := tpcd.Generate(0.002, 7)
@@ -417,57 +418,6 @@ func TestChaosQueryLifecycle(t *testing.T) {
 	}
 }
 
-// TestThrashShedAdmission: with a pool far smaller than the working set,
-// the windowed fault ratio crosses the configured threshold and admission
-// sheds with the typed pager-thrash refusal; once a quiet window passes
-// (shed queries touch nothing), admission reopens.
-func TestThrashShedAdmission(t *testing.T) {
-	// Probe the working ratio first: on a pool this small, what fraction of
-	// this query's touches fault? The shed threshold goes just under it so
-	// the test exercises the mechanism, not a magic constant.
-	probe, probeMix := pagerService(t, Config{MaxConcurrent: 2}, 16)
-	q := probeMix[0]
-	pres, err := probe.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pres.Stats.Faults < thrashMinFaults {
-		t.Skipf("query faulted only %d pages; cannot drive the meter", pres.Stats.Faults)
-	}
-	probeRatio := float64(pres.Stats.Faults) / float64(pres.Stats.Faults+pres.Stats.Hits)
-	threshold := probeRatio / 2
-
-	svc, mix := pagerService(t, Config{MaxConcurrent: 2, ThrashShedRatio: threshold}, 16)
-	q = mix[0]
-
-	// First query initializes the meter at admission, then thrashes the
-	// 16-page pool.
-	if _, err := svc.Query(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-
-	time.Sleep(thrashWindow + 50*time.Millisecond)
-	_, err = svc.Query(context.Background(), q)
-	var oe *OverloadedError
-	if !errors.As(err, &oe) || oe.Reason != "pager-thrash" {
-		t.Fatalf("got %v, want pager-thrash OverloadedError", err)
-	}
-	if oe.ThrashRatio < threshold || oe.RetryAfter <= 0 {
-		t.Fatalf("refusal carries ratio %.2f (threshold %.2f) retry-after %v", oe.ThrashRatio, threshold, oe.RetryAfter)
-	}
-	m := svc.Snapshot()
-	if m.Shed == 0 || m.ThrashRatio < threshold {
-		t.Fatalf("metrics after thrash shed: shed=%d ratio=%.2f", m.Shed, m.ThrashRatio)
-	}
-
-	// A quiet window drains the meter: shed queries never touch the pool,
-	// so the next sample sees zero faults and admission reopens.
-	time.Sleep(thrashWindow + 50*time.Millisecond)
-	if _, err := svc.Query(context.Background(), q); err != nil {
-		t.Fatalf("admission did not reopen after quiet window: %v", err)
-	}
-}
-
 // TestHTTPLifecycle: the HTTP surface of the failure model — ?timeout=
 // parsing, 504 with kind "timeout", 500 with kind "internal" on a contained
 // panic (server keeps serving), and the new lifecycle metrics.
@@ -526,7 +476,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		_, e := copyBody(b, resp.Body)
 		return []byte(b.String()), e
 	}()
-	for _, metric := range []string{"moaserve_canceled_total", "moaserve_timeouts_total 1", "moaserve_panics_total 1", "moaserve_pager_thrash_ratio"} {
+	for _, metric := range []string{"moaserve_canceled_total", "moaserve_timeouts_total 1", "moaserve_panics_total 1"} {
 		if !strings.Contains(string(body), metric) {
 			t.Fatalf("metrics missing %q:\n%s", metric, body)
 		}

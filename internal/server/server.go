@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -57,16 +56,6 @@ type Config struct {
 	// query stops within one morsel and surfaces as *engine.CanceledError
 	// wrapping context.DeadlineExceeded (HTTP 504).
 	QueryTimeout time.Duration
-	// ThrashShedRatio, when > 0, arms fault-aware admission: while the
-	// shared pager's windowed fault share faults/(faults+hits) is at or
-	// above this ratio, new queries are shed with a typed OverloadedError
-	// (HTTP 503 + Retry-After). A thrashing pool — working set larger than
-	// the buffer pool, every query faulting most of its touches back in —
-	// wastes the whole fleet's time; shedding lets the resident set
-	// stabilize. A cold pool right after start also samples fault-heavy:
-	// shedding then is accepted behavior (clients retry after the warmup
-	// window). 0 disables.
-	ThrashShedRatio float64
 	// SlowQuery, when > 0, arms the slow-query log: every query runs with
 	// per-statement profiling enabled (the opt-in dispatch-stat cost), and
 	// any successful query at or above this wall-clock threshold emits its
@@ -81,60 +70,13 @@ type Config struct {
 	Pprof bool
 }
 
-// Thrash-meter tuning: the ratio is resampled from the pool's cumulative
-// counters at most once per window, and a window with fewer than
-// thrashMinFaults faults reads as 0 (an idle or tiny sample is not thrash).
-const (
-	thrashWindow    = 250 * time.Millisecond
-	thrashMinFaults = 64
-)
-
-// thrashMeter derives a windowed fault ratio from the shared pool's
-// cumulative fault/hit counters: ratio = Δfaults/(Δfaults+Δhits) over the
-// last completed sampling window. Readers get the last published value from
-// an atomic; one admission check per window pays for the resample.
-type thrashMeter struct {
-	mu         sync.Mutex
-	lastSample time.Time
-	lastFaults uint64
-	lastHits   uint64
-	ratioBits  atomic.Uint64 // math.Float64bits of the published ratio
-}
-
-// ratio reports the last published windowed fault ratio.
-func (t *thrashMeter) ratio() float64 { return math.Float64frombits(t.ratioBits.Load()) }
-
-// observe feeds the pool's cumulative counters; when a full window has
-// elapsed it publishes the new ratio. Returns the current published value.
-func (t *thrashMeter) observe(faults, hits uint64) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	if t.lastSample.IsZero() {
-		t.lastSample, t.lastFaults, t.lastHits = now, faults, hits
-		return t.ratio()
-	}
-	if now.Sub(t.lastSample) < thrashWindow {
-		return t.ratio()
-	}
-	df, dh := faults-t.lastFaults, hits-t.lastHits
-	t.lastSample, t.lastFaults, t.lastHits = now, faults, hits
-	r := 0.0
-	if df >= thrashMinFaults {
-		r = float64(df) / float64(df+dh)
-	}
-	t.ratioBits.Store(math.Float64bits(r))
-	return r
-}
-
 // Service is a concurrent query service over one shared database.
 type Service struct {
-	db     *engine.Database
-	cfg    Config
-	gauge  *mil.MemGauge
-	plans  *planCache
-	slots  chan struct{}
-	thrash thrashMeter
+	db    *engine.Database
+	cfg   Config
+	gauge *mil.MemGauge
+	plans *planCache
+	slots chan struct{}
 	// store, when attached, is the durable single-writer ingest path; nil
 	// serves the pre-PR-7 read-only regime.
 	store *epoch.Store
@@ -173,12 +115,10 @@ type Service struct {
 	slowMu  sync.Mutex
 }
 
-// New creates a service over db. When the database has a Pager, sessions
-// run with fault accounting on: the pool is lock-striped and shared by all
-// concurrent sessions (the role the OS page cache plays for Monet's
-// memory-mapped BATs), and each query's Stats.Faults is attributed through
-// its own per-query tracker. A database without a Pager serves in the
-// paper's hot-set regime, without the Figure 9/10 fault observable.
+// New creates a service over db. The service adds no paging of its own:
+// what the OS pages is sampled into the *_real metrics, and a simulated
+// pool exists only if the caller attached one to db (sessions inherit
+// db.Pager, so each query's Stats.Faults then comes from its own tracker).
 func New(db *engine.Database, cfg Config) *Service {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = runtime.GOMAXPROCS(0)
@@ -239,21 +179,16 @@ func (s *Service) Ingest(payload []byte) (uint64, error) {
 }
 
 // OverloadedError is the admission controller's typed refusal: the service
-// sheds the query instead of risking OOM (memory budget) or compounding a
-// thrashing buffer pool. Clients should back off and retry; RetryAfter,
+// sheds the query while live intermediate memory is at or above the budget,
+// instead of risking OOM. Clients should back off and retry; RetryAfter,
 // when set, is the server's suggested wait.
 type OverloadedError struct {
-	Reason      string        // "memory" or "pager-thrash"
-	Live        int64         // live intermediate bytes at refusal (memory)
-	Budget      int64         // configured budget (memory)
-	ThrashRatio float64       // windowed fault ratio at refusal (pager-thrash)
-	RetryAfter  time.Duration // suggested client backoff (0 = client's choice)
+	Live       int64         // live intermediate bytes at refusal
+	Budget     int64         // configured budget
+	RetryAfter time.Duration // suggested client backoff (0 = client's choice)
 }
 
 func (e *OverloadedError) Error() string {
-	if e.Reason == "pager-thrash" {
-		return fmt.Sprintf("server overloaded: pager thrashing (windowed fault ratio %.2f)", e.ThrashRatio)
-	}
 	return fmt.Sprintf("server overloaded: %d live intermediate bytes >= %d budget", e.Live, e.Budget)
 }
 
@@ -328,17 +263,7 @@ func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts)
 	if b := s.cfg.MemBudgetBytes; b > 0 {
 		if live := s.gauge.Live(); live >= b {
 			s.shed.Add(1)
-			return nil, nil, &OverloadedError{Reason: "memory", Live: live, Budget: b, RetryAfter: time.Second}
-		}
-	}
-
-	// Admission: shed while the shared pager thrashes. The windowed fault
-	// ratio is resampled at most once per thrashWindow by whichever query
-	// arrives first; everyone else reads the published value.
-	if r := s.cfg.ThrashShedRatio; r > 0 && s.db.Pager != nil {
-		if ratio := s.thrash.observe(s.db.Pager.Faults(), s.db.Pager.Hits()); ratio >= r {
-			s.shed.Add(1)
-			return nil, nil, &OverloadedError{Reason: "pager-thrash", ThrashRatio: ratio, RetryAfter: time.Second}
+			return nil, nil, &OverloadedError{Live: live, Budget: b, RetryAfter: time.Second}
 		}
 	}
 	ph.admitWait = time.Since(admit0)
@@ -354,7 +279,7 @@ func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts)
 		s.errors.Add(1)
 		return nil, nil, err
 	}
-	sess := s.db.NewSession() // inherits the shared lock-striped Pager
+	sess := s.db.NewSession()
 	sess.Workers = s.cfg.Workers
 	sess.Gauge = s.gauge
 	wantProfile := opts.Profile || s.cfg.SlowQuery > 0
@@ -447,10 +372,6 @@ type Metrics struct {
 	PlanEvictQuarantine int64   // …quarantined after a contained panic
 	PlanEvictEpoch      int64   // …invalidated by an epoch swap
 	LiveBytes           int64   // current live intermediate bytes
-	PagerFaults         uint64  // page faults across all sessions (0 without a pager)
-	PagerHits           uint64  // page hits across all sessions
-	PagerResident       int64   // pages resident in the shared pool
-	ThrashRatio         float64 // last published windowed pager fault ratio
 	Ingests             int64   // successful ingest publications
 	EpochCurrent        uint64  // current epoch id (0 when read-only)
 	EpochsPinned        int64   // epochs alive: current + retired-but-pinned
@@ -461,11 +382,10 @@ type Metrics struct {
 	RecoverySeconds     float64 // wall time of that recovery (0 when fresh)
 	CheckpointFailures  int64   // ingest-time checkpoints that failed (the WAL keeps growing)
 
-	// The *_real twins of the simulated pager series: what the operating
-	// system actually did, sampled from mincore/getrusage over the
-	// registered file mappings. All zero (and RealProbed/RealRusage false)
-	// when serving from anonymous memory or on platforms without the
-	// syscalls.
+	// What the operating system actually paged, sampled from
+	// mincore/getrusage over the registered file mappings (the *_real
+	// metrics). All zero (and RealProbed/RealRusage false) when serving
+	// from anonymous memory or on platforms without the syscalls.
 	RealMappedBytes   int64  // bytes of column data currently mmap'd
 	RealResidentBytes int64  // … of which the OS holds in RAM
 	RealMajorFaults   uint64 // process major faults (disk reads), cumulative
@@ -474,16 +394,12 @@ type Metrics struct {
 	RealRusage        bool   // fault counters are real getrusage values
 }
 
-// Snapshot reads the service counters. The pager counters aggregate over
-// every session sharing the pool; each is a sweep over the pool's stripes
-// under their mutexes, so a mid-query scrape is race-free but not free.
-// Snapshot also samples real residency (a mincore over every mapped heap,
-// plus getrusage): call it per scrape, not per request. Per-query
-// attribution lives in each result's Stats.Faults.
+// Snapshot reads the service counters. It also samples real residency (a
+// mincore over every mapped heap, plus getrusage): call it per scrape, not
+// per request.
 func (s *Service) Snapshot() Metrics {
 	hits, misses, evictions := s.plans.stats()
 	lru, quarantine, epochEv := s.plans.evictionReasons()
-	p := s.db.Pager
 	m := Metrics{
 		Queries:             s.queries.Load(),
 		Errors:              s.errors.Load(),
@@ -499,10 +415,6 @@ func (s *Service) Snapshot() Metrics {
 		PlanEvictQuarantine: quarantine,
 		PlanEvictEpoch:      epochEv,
 		LiveBytes:           s.gauge.Live(),
-		PagerFaults:         p.Faults(),
-		PagerHits:           p.Hits(),
-		PagerResident:       int64(p.Resident()),
-		ThrashRatio:         s.thrash.ratio(),
 	}
 	if st := s.store; st != nil {
 		m.Ingests = s.ingests.Load()

@@ -1,16 +1,20 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bat"
 	"repro/internal/engine"
@@ -324,11 +328,54 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestServiceKeepsPagerFaultAccounting: when the database has a (shared,
-// lock-striped) pager, the service no longer strips it from sessions — the
-// Figure 9/10 fault observable exists in the serving regime. Cold queries
-// report faults in Stats (and over HTTP), the pool aggregates are exposed
-// on /metrics, and per-query attribution conserves into the pool totals.
+// TestOversizedBodyRefused: a body over the endpoint's limit is answered
+// 413, never truncated to the limit and then served. The /query body is a
+// valid query padded past the limit and followed by garbage, streamed
+// without a declared length, so the limit trips while reading; the /ingest
+// request declares a length past its limit and sends no body, so it must be
+// refused before anything is read.
+func TestOversizedBodyRefused(t *testing.T) {
+	svc, _ := testService(t, Config{})
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	padded := io.MultiReader(strings.NewReader("count(Order)"),
+		strings.NewReader(strings.Repeat(" ", maxQueryBytes)), strings.NewReader(" this is not MOA"))
+	resp, err := http.Post(ts.URL+"/query", "text/plain", padded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er ErrorResponse
+	json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Kind != "bad_request" {
+		t.Fatalf("oversized /query: %d %+v, want 413 bad_request", resp.StatusCode, er)
+	}
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "POST /ingest HTTP/1.1\r\nHost: moaserve\r\nContent-Length: %d\r\n\r\n", maxIngestBytes+1)
+	resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("oversized /ingest: %v", err)
+	}
+	er = ErrorResponse{}
+	json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || er.Kind != "bad_request" {
+		t.Fatalf("oversized /ingest: %d %+v, want 413 bad_request", resp.StatusCode, er)
+	}
+}
+
+// TestServiceKeepsPagerFaultAccounting: when the caller attaches a pager to
+// the database, sessions inherit it — the Figure 9/10 fault observable
+// exists in the serving regime. Cold queries report faults in Stats (and
+// over HTTP), and per-query attribution conserves into the pool totals.
+// /metrics carries no simulated pager series, only the OS's own (_real).
 func TestServiceKeepsPagerFaultAccounting(t *testing.T) {
 	gen := tpcd.Generate(0.002, 7)
 	env, _ := tpcd.Load(gen)
@@ -368,16 +415,15 @@ func TestServiceKeepsPagerFaultAccounting(t *testing.T) {
 	}
 	wg.Wait()
 
-	m := svc.Snapshot()
-	if m.PagerFaults != total {
-		t.Fatalf("pool faults %d != sum of per-query faults %d", m.PagerFaults, total)
+	if got := db.Pager.Faults(); got != total {
+		t.Fatalf("pool faults %d != sum of per-query faults %d", got, total)
 	}
-	if m.PagerResident == 0 {
+	if db.Pager.Resident() == 0 {
 		t.Fatal("no pages resident after queries")
 	}
 
-	// The HTTP surface carries both views: per-query faults in the query
-	// response, pool aggregates in /metrics.
+	// The HTTP surface carries per-query faults in the query response;
+	// /metrics reports real paging only.
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	resp, err := http.Post(ts.URL+"/query?noresult=1", "text/plain", strings.NewReader(queries[1].MOA))
@@ -396,16 +442,21 @@ func TestServiceKeepsPagerFaultAccounting(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, metric := range []string{
-		"moaserve_pager_faults_total", "moaserve_pager_hits_total", "moaserve_pager_resident_pages",
-		"moaserve_pager_mapped_bytes_real", "moaserve_pager_resident_bytes_real",
-		"moaserve_pager_faults_real_total", "moaserve_wal_syncs_total",
-		"moaserve_wal_group_commits_total",
+		"moaserve_pager_mapped_bytes_real ", "moaserve_pager_resident_bytes_real ",
+		"moaserve_pager_faults_real_total ", "moaserve_pager_major_faults_real_total ",
+		"moaserve_pager_minor_faults_real_total ", "moaserve_pager_residency_probed ",
+		"moaserve_pager_rusage_ok ", "moaserve_wal_syncs_total", "moaserve_wal_group_commits_total",
 	} {
 		if !strings.Contains(string(body), metric) {
 			t.Fatalf("metrics missing %s:\n%s", metric, body)
 		}
 	}
-	if strings.Contains(string(body), "moaserve_pager_faults_total 0\n") {
-		t.Fatalf("pager faults still zero after cold queries:\n%s", body)
+	for _, metric := range []string{
+		"moaserve_pager_faults_total", "moaserve_pager_hits_total",
+		"moaserve_pager_resident_pages", "moaserve_pager_thrash_ratio",
+	} {
+		if strings.Contains(string(body), metric) {
+			t.Fatalf("metrics still carry the simulated series %s:\n%s", metric, body)
+		}
 	}
 }

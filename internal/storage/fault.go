@@ -12,7 +12,7 @@ import (
 // that failure shape — an eligible touch of the shared pool panics with a
 // typed *InjectedFault (exercising the interpreter's panic-containment
 // boundary) or stalls for a configured latency (exercising timeouts and
-// cancellation). Injection happens BEFORE the stripe lock is taken and
+// cancellation). Injection happens BEFORE the pool lock is taken and
 // before the touch is recorded, so a fault never wedges the pool and never
 // breaks Σ(tracker counts) = pool counters conservation.
 

@@ -13,7 +13,7 @@ func catchPanic(f func()) (r any) {
 
 // TestFaultInjectorCadence: FailEvery=N panics with *InjectedFault on
 // exactly the Nth eligible touch, the pool records nothing for the failed
-// touch (injection happens before the stripe lock and before recording),
+// touch (injection happens before the pool lock and before recording),
 // and the injector's own counters report what it did.
 func TestFaultInjectorCadence(t *testing.T) {
 	p := NewPager(4096, 0)

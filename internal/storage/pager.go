@@ -9,12 +9,10 @@
 // size pages and counts the faults that a cold or capacity-limited buffer
 // would incur.
 //
-// The pool is lock-striped so that concurrent sessions of the query service
-// can share one Pager — the OS page cache they stand in for is likewise one
-// shared structure. Pages hash to stripes, each stripe guards its own table,
-// LRU list and fault/hit counters with its own mutex (so reading the
-// aggregates mid-query is race-free without a pool-global counter cache
-// line every visit would contend on).
+// The Pager is a measurement instrument: cmd/tpcd, cmd/moaquery, the repo
+// benchmark's traced pass and the tests attach one to observe faults. The
+// query service serves without it — what the OS actually pages is sampled
+// by SampleResidency instead.
 //
 // Accounting is a batch contract. Per-query attribution — "how many faults
 // did THIS query take", the Figure 9/10 observable — is handled by Tracker,
@@ -25,15 +23,14 @@
 // range or per position of the list, exactly as a loop of single Touch
 // calls would, but visits the pool once per run of touches that land on the
 // same page: the first touch of a run decides fault or hit, the rest are
-// hits on the page now at the head of its stripe's LRU. Outcomes accumulate
-// in the batch and reach the tracker's atomics once. What is exact where:
+// hits on the page now at the head of the LRU. Outcomes accumulate in the
+// batch and reach the tracker's atomics once. What is exact where:
 //
-//   - A pool that never evicts (capacity <= 0: the serving default and the
-//     paper's cold-start model) gives every query the counts of the
-//     single-touch loop in every execution mode — faults are the distinct
-//     pages not yet resident, hits are the other touches, and neither
-//     depends on order. Such a batch is folded to one visit per distinct
-//     page.
+//   - A pool that never evicts (capacity <= 0: the default and the paper's
+//     cold-start model) gives every query the counts of the single-touch
+//     loop in every execution mode — faults are the distinct pages not yet
+//     resident, hits are the other touches, and neither depends on order.
+//     Such a batch is folded to one visit per distinct page.
 //   - An evicting pool sees each batch's touches in the order given, with
 //     only adjacent same-page touches merged, so one batch leaves the
 //     counters, the resident set and the LRU order exactly as the
@@ -85,52 +82,27 @@ type pageNode struct {
 	prev, next *pageNode
 }
 
-// Stripe sizing. A bounded pool splits its capacity across stripes, turning
-// the global LRU into per-stripe LRUs (the standard sharded approximation);
-// to keep each stripe's LRU meaningful — and to keep small bounded pools
-// bit-identical to the pre-striping global LRU — the stripe count shrinks
-// until every stripe holds at least minStripePages pages. An unbounded pool
-// never evicts, so striping cannot change its fault counts and it always
-// uses maxStripes.
-const (
-	maxStripes     = 64 // power of two: stripe index is a hash mask
-	minStripePages = 32
-)
-
-// stripe is one lock-striped partition of the pool: a private page table,
-// LRU list and fault/hit counters under a private mutex — counting under
-// the already-held stripe lock avoids a pool-global counter cache line
-// that every touch would otherwise contend on. The trailing pad keeps
-// adjacent stripes off one cache line.
-type stripe struct {
-	mu       sync.Mutex
-	table    map[pageKey]*pageNode
-	head     *pageNode // most recently used
-	tail     *pageNode // least recently used
-	capacity int       // max resident pages in this stripe; <= 0 unbounded
-	faults   uint64
-	hits     uint64
-
-	_ [64]byte
-}
-
 // Pager is an LRU buffer pool of fixed-size pages with fault accounting.
-// It is safe for concurrent use: concurrent sessions of the query service
-// share one Pager the way Monet's sessions share the OS page cache. Use
-// NewTracker for per-query fault attribution; the Pager's own counters
-// aggregate across all users.
+// It is safe for concurrent use: one mutex guards the page table, the LRU
+// list and the counters, so the morsel workers of one query (or several
+// measuring sessions) may share a Pager. Use NewTracker for per-query fault
+// attribution; the Pager's own counters aggregate across all users.
 type Pager struct {
 	pageSize int64
-	shift    uint   // log2(pageSize) when it is a power of two above 1, else 0; see pageOf
-	capacity int    // max resident pages across all stripes; <= 0 unbounded
-	mask     uint64 // len(stripes) - 1
+	shift    uint // log2(pageSize) when it is a power of two above 1, else 0; see pageOf
+	capacity int  // max resident pages; <= 0 unbounded
 
 	// injector, when non-nil, applies a fault-injection plan to every
 	// persistent touch (chaos harness; see fault.go). Checked before the
-	// stripe lock so an injected panic never wedges the pool.
+	// pool lock so an injected panic never wedges the pool.
 	injector atomic.Pointer[FaultInjector]
 
-	stripes []stripe
+	mu     sync.Mutex
+	table  map[pageKey]*pageNode
+	head   *pageNode // most recently used
+	tail   *pageNode // least recently used
+	faults uint64
+	hits   uint64
 }
 
 // SetFaultInjector attaches (or, with nil, removes) a fault injector. Safe
@@ -142,19 +114,6 @@ func (p *Pager) SetFaultInjector(f *FaultInjector) {
 	p.injector.Store(f)
 }
 
-// stripeCount picks the stripe count for a pool capacity; see the sizing
-// comment above.
-func stripeCount(capacity int) int {
-	if capacity <= 0 {
-		return maxStripes
-	}
-	s := 1
-	for s*2 <= maxStripes && capacity/(s*2) >= minStripePages {
-		s *= 2
-	}
-	return s
-}
-
 // NewPager returns a Pager with the given page size in bytes and capacity in
 // pages. pageSize <= 0 selects DefaultPageSize. capacity <= 0 means the pool
 // never evicts (every page faults exactly once — the "cold start" model of
@@ -163,27 +122,12 @@ func NewPager(pageSize int64, capacity int) *Pager {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	n := stripeCount(capacity)
-	p := &Pager{
+	return &Pager{
 		pageSize: pageSize,
 		shift:    pageShift(pageSize),
 		capacity: capacity,
-		mask:     uint64(n - 1),
-		stripes:  make([]stripe, n),
+		table:    make(map[pageKey]*pageNode),
 	}
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.table = make(map[pageKey]*pageNode)
-		if capacity > 0 {
-			// Distribute the capacity exactly: total resident never
-			// exceeds the configured bound.
-			s.capacity = capacity / n
-			if i < capacity%n {
-				s.capacity++
-			}
-		}
-	}
-	return p
 }
 
 // pageShift returns log2(pageSize) for a power of two, else 0.
@@ -212,14 +156,6 @@ func (p *Pager) PageSize() int64 {
 	return p.pageSize
 }
 
-// Stripes reports the number of lock stripes the pool was built with.
-func (p *Pager) Stripes() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.stripes)
-}
-
 // NewHeap allocates a fresh heap identifier (shared namespace with
 // NextHeapID, so ids never collide across allocators).
 func (p *Pager) NewHeap() HeapID {
@@ -230,22 +166,14 @@ func (p *Pager) NewHeap() HeapID {
 }
 
 // Faults reports the number of page faults since the last ResetStats,
-// aggregated over every session touching the pool. The counters live
-// per-stripe (updated under the stripe lock each touch already holds), so
-// reading them mid-query is race-free; like Resident, a read concurrent
-// with touches is a sum of per-stripe snapshots, not one instant.
+// aggregated over every session touching the pool.
 func (p *Pager) Faults() uint64 {
 	if p == nil {
 		return 0
 	}
-	var n uint64
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.mu.Lock()
-		n += s.faults
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.faults
 }
 
 // Hits reports the number of page hits since the last ResetStats,
@@ -254,14 +182,9 @@ func (p *Pager) Hits() uint64 {
 	if p == nil {
 		return 0
 	}
-	var n uint64
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.mu.Lock()
-		n += s.hits
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.hits
 }
 
 // ResetStats zeroes the aggregate fault and hit counters without touching
@@ -270,12 +193,9 @@ func (p *Pager) ResetStats() {
 	if p == nil {
 		return
 	}
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.mu.Lock()
-		s.faults, s.hits = 0, 0
-		s.mu.Unlock()
-	}
+	p.mu.Lock()
+	p.faults, p.hits = 0, 0
+	p.mu.Unlock()
 }
 
 // DropAll empties the pool, simulating a cold buffer (e.g. between benchmark
@@ -284,13 +204,10 @@ func (p *Pager) DropAll() {
 	if p == nil {
 		return
 	}
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.mu.Lock()
-		s.table = make(map[pageKey]*pageNode)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-	}
+	p.mu.Lock()
+	p.table = make(map[pageKey]*pageNode)
+	p.head, p.tail = nil, nil
+	p.mu.Unlock()
 }
 
 // Resident reports the number of pages currently in the pool.
@@ -298,14 +215,9 @@ func (p *Pager) Resident() int {
 	if p == nil {
 		return 0
 	}
-	n := 0
-	for i := range p.stripes {
-		s := &p.stripes[i]
-		s.mu.Lock()
-		n += len(s.table)
-		s.mu.Unlock()
-	}
-	return n
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.table)
 }
 
 // Touch records an access to byte offset off in heap h. Exactly one page is
@@ -332,62 +244,54 @@ func (p *Pager) TouchRange(h HeapID, off, n int64) {
 }
 
 // touchRun is the one pool visit: n >= 1 touches of page k with no other
-// touch of this caller in between. The first decides fault versus hit
-// against the page's stripe; the other n-1 find the page resident at the
-// head of that stripe's LRU, so they are hits that move nothing — exactly
-// what n single touches do — and are booked under the same lock. It reports
-// whether the first touch faulted. inj is the caller's one load of the
-// pool's injector, so a batch runs wholly with it or wholly without.
+// touch of this caller in between. The first decides fault versus hit; the
+// other n-1 find the page resident at the head of the LRU, so they are hits
+// that move nothing — exactly what n single touches do — and are booked
+// under the same lock. It reports whether the first touch faulted. inj is
+// the caller's one load of the pool's injector, so a batch runs wholly with
+// it or wholly without.
 func (p *Pager) touchRun(inj *FaultInjector, k pageKey, n uint64) bool {
 	if inj != nil {
 		inj.visit(k, n) // may sleep or panic; no locks held, nothing recorded yet
 	}
-	// splitmix-style mix of (heap, page): heaps are small sequential ints
-	// and page runs are sequential, so both need scrambling before masking.
-	x := uint64(k.heap)*0x9E3779B97F4A7C15 + uint64(k.page)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	s := &p.stripes[x&p.mask]
-
-	s.mu.Lock()
-	fault := s.touch(k)
-	s.hits += n - 1
-	s.mu.Unlock()
+	p.mu.Lock()
+	fault := p.touch(k)
+	p.hits += n - 1
+	p.mu.Unlock()
 	return fault
 }
 
-// touch is the stripe-local LRU update; callers hold s.mu.
-func (s *stripe) touch(k pageKey) bool {
-	if n, ok := s.table[k]; ok {
-		s.hits++
-		s.moveToFront(n)
+// touch is the LRU update; callers hold p.mu.
+func (p *Pager) touch(k pageKey) bool {
+	if n, ok := p.table[k]; ok {
+		p.hits++
+		p.moveToFront(n)
 		return false
 	}
-	s.faults++
+	p.faults++
 	n := &pageNode{key: k}
-	s.table[k] = n
-	s.pushFront(n)
-	if s.capacity > 0 && len(s.table) > s.capacity {
-		s.evict()
+	p.table[k] = n
+	p.pushFront(n)
+	if p.capacity > 0 && len(p.table) > p.capacity {
+		p.evict()
 	}
 	return true
 }
 
-func (s *stripe) pushFront(n *pageNode) {
+func (p *Pager) pushFront(n *pageNode) {
 	n.prev = nil
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
+	n.next = p.head
+	if p.head != nil {
+		p.head.prev = n
 	}
-	s.head = n
-	if s.tail == nil {
-		s.tail = n
+	p.head = n
+	if p.tail == nil {
+		p.tail = n
 	}
 }
 
-func (s *stripe) moveToFront(n *pageNode) {
-	if s.head == n {
+func (p *Pager) moveToFront(n *pageNode) {
+	if p.head == n {
 		return
 	}
 	// unlink
@@ -397,25 +301,25 @@ func (s *stripe) moveToFront(n *pageNode) {
 	if n.next != nil {
 		n.next.prev = n.prev
 	}
-	if s.tail == n {
-		s.tail = n.prev
+	if p.tail == n {
+		p.tail = n.prev
 	}
-	s.pushFront(n)
+	p.pushFront(n)
 }
 
-func (s *stripe) evict() {
-	n := s.tail
+func (p *Pager) evict() {
+	n := p.tail
 	if n == nil {
 		return
 	}
 	if n.prev != nil {
 		n.prev.next = nil
 	}
-	s.tail = n.prev
-	if s.head == n {
-		s.head = nil
+	p.tail = n.prev
+	if p.head == n {
+		p.head = nil
 	}
-	delete(s.table, n.key)
+	delete(p.table, n.key)
 }
 
 // Tracker is one query's view of a shared Pager: every touch is forwarded

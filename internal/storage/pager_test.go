@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -133,91 +134,79 @@ func TestFaultsEqualDistinctPages(t *testing.T) {
 	}
 }
 
-// Property: a capacity-bounded pool never holds more than capacity pages and
-// faults at least as often as an unbounded one.
+// refLRU is the reference the pool is checked against: one global LRU over
+// at most capacity pages, most recently used first.
+type refLRU struct {
+	capacity int
+	pages    []pageKey
+}
+
+// touch reports whether k faulted and moves it to the front.
+func (r *refLRU) touch(k pageKey) bool {
+	for i, p := range r.pages {
+		if p == k {
+			copy(r.pages[1:i+1], r.pages[:i])
+			r.pages[0] = k
+			return false
+		}
+	}
+	r.pages = append([]pageKey{k}, r.pages...)
+	if len(r.pages) > r.capacity {
+		r.pages = r.pages[:r.capacity]
+	}
+	return true
+}
+
+// Property: a capacity-bounded pool is one exact global LRU — every touch
+// faults or hits exactly as the reference does, Resident matches it, it
+// never holds more than capacity pages, and it faults at least as often as
+// an unbounded pool.
 func TestBoundedPoolInvariants(t *testing.T) {
-	f := func(offsets []uint16, capRaw uint8) bool {
-		capacity := int(capRaw%16) + 1
-		bounded := NewPager(512, capacity)
-		unbounded := NewPager(512, 0)
-		hb, hu := bounded.NewHeap(), unbounded.NewHeap()
-		for _, o := range offsets {
-			bounded.Touch(hb, int64(o))
-			unbounded.Touch(hu, int64(o))
-			if bounded.Resident() > capacity {
-				return false
+	capacities := []int{64, 256, 1024}
+	for c := 1; c <= 16; c++ {
+		capacities = append(capacities, c)
+	}
+	for _, capacity := range capacities {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			bounded := NewPager(512, capacity)
+			unbounded := NewPager(512, 0)
+			heaps := []HeapID{bounded.NewHeap(), bounded.NewHeap()}
+			hu := unbounded.NewHeap()
+			ref := refLRU{capacity: capacity}
+			// Twice as many distinct pages as fit, so touches both hit and
+			// evict.
+			space := 2 * capacity
+			for i := 0; i < 3*capacity+64; i++ {
+				h, pg := heaps[rng.Intn(2)], int64(rng.Intn(space))
+				off := pg*512 + rng.Int63n(512)
+				before := bounded.Faults()
+				bounded.Touch(h, off)
+				unbounded.Touch(hu, int64(h)*int64(space)*512+off)
+				if faulted := bounded.Faults() > before; faulted != ref.touch(pageKey{h, pg}) {
+					t.Logf("capacity %d touch %d (heap %d page %d): fault=%v, reference disagrees", capacity, i, h, pg, faulted)
+					return false
+				}
+				if got := bounded.Resident(); got != len(ref.pages) || got > capacity {
+					t.Logf("capacity %d touch %d: resident %d, reference %d", capacity, i, got, len(ref.pages))
+					return false
+				}
 			}
+			return bounded.Faults() >= unbounded.Faults()
 		}
-		return bounded.Faults() >= unbounded.Faults()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// ---- lock-striped pool + per-query tracker tests (concurrent fault
-// accounting PR) ----
-
-// TestStripeCountAdapts: unbounded pools take the full stripe fan-out;
-// bounded pools shrink the stripe count until every stripe holds at least
-// minStripePages, so small pools (every pre-striping test and experiment)
-// remain a single exact global LRU.
-func TestStripeCountAdapts(t *testing.T) {
-	cases := []struct{ capacity, stripes int }{
-		{0, maxStripes},
-		{-1, maxStripes},
-		{1, 1},
-		{2, 1},
-		{16, 1},
-		{63, 1},
-		{64, 2},
-		{512, 16},
-		{2048, 64},
-		{1 << 20, 64},
-	}
-	for _, c := range cases {
-		if got := NewPager(4096, c.capacity).Stripes(); got != c.stripes {
-			t.Errorf("capacity %d: stripes = %d, want %d", c.capacity, got, c.stripes)
+		if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+			t.Fatalf("capacity %d: %v", capacity, err)
 		}
 	}
 }
 
-// TestStripeLRUEvictionOrder drives one stripe directly: the stripe is the
-// LRU unit of the striped pool and must preserve the exact eviction order
-// the old global pool had.
-func TestStripeLRUEvictionOrder(t *testing.T) {
-	s := &stripe{table: make(map[pageKey]*pageNode), capacity: 2}
-	k := func(pg int64) pageKey { return pageKey{heap: 1, page: pg} }
-	if !s.touch(k(0)) || !s.touch(k(1)) {
-		t.Fatal("cold pages must fault")
-	}
-	if s.touch(k(0)) {
-		t.Fatal("resident page must hit")
-	}
-	// page 0 is MRU; inserting page 2 evicts page 1 (LRU).
-	if !s.touch(k(2)) {
-		t.Fatal("page 2 must fault")
-	}
-	if s.touch(k(0)) {
-		t.Fatal("page 0 must have survived the eviction")
-	}
-	if !s.touch(k(1)) {
-		t.Fatal("page 1 must have been evicted")
-	}
-	if len(s.table) != 2 {
-		t.Fatalf("stripe resident = %d, want 2", len(s.table))
-	}
-}
+// ---- shared pool + per-query tracker tests (concurrent fault accounting) ----
 
-// TestResidentAndDropAllAcrossStripes: pages spread over every stripe of an
-// unbounded pool; Resident sums them, DropAll empties them all, and a
-// re-scan faults afresh.
+// TestResidentAndDropAllAcrossStripes: Resident counts every page of a large
+// unbounded pool, DropAll empties it, and a re-scan faults afresh.
 func TestResidentAndDropAllAcrossStripes(t *testing.T) {
 	p := NewPager(4096, 0)
-	if p.Stripes() != maxStripes {
-		t.Fatalf("unbounded pool stripes = %d", p.Stripes())
-	}
-	const pages = 1024 // ~16 pages per stripe
+	const pages = 1024
 	h := p.NewHeap()
 	p.TouchRange(h, 0, pages*4096)
 	if got := p.Resident(); got != pages {
@@ -233,31 +222,6 @@ func TestResidentAndDropAllAcrossStripes(t *testing.T) {
 	p.TouchRange(h, 0, pages*4096)
 	if p.Faults() != 2*pages {
 		t.Fatalf("faults after re-scan = %d, want %d", p.Faults(), 2*pages)
-	}
-}
-
-// TestBoundedStripedPool: a pool large enough to stripe still honours the
-// aggregate capacity bound, and per-stripe LRU keeps the most recently
-// touched pages resident.
-func TestBoundedStripedPool(t *testing.T) {
-	const capacity = 2048
-	p := NewPager(4096, capacity)
-	if p.Stripes() < 2 {
-		t.Fatalf("capacity %d should stripe, got %d stripes", capacity, p.Stripes())
-	}
-	h := p.NewHeap()
-	const pages = 5000
-	for pg := int64(0); pg < pages; pg++ {
-		p.Touch(h, pg*4096)
-	}
-	if got := p.Resident(); got > capacity {
-		t.Fatalf("resident = %d exceeds capacity %d", got, capacity)
-	}
-	// The page just touched is its stripe's MRU: always still resident.
-	f0 := p.Faults()
-	p.Touch(h, (pages-1)*4096)
-	if p.Faults() != f0 {
-		t.Fatal("MRU page must hit")
 	}
 }
 
@@ -314,7 +278,7 @@ func TestNilTrackerIsSafe(t *testing.T) {
 	}
 }
 
-// TestConcurrentDisjointTouches is the striped pool's race-and-determinism
+// TestConcurrentDisjointTouches is the shared pool's race-and-determinism
 // check (run under -race): G goroutines touching disjoint heaps through
 // their own trackers must each observe exactly their own cold faults, and
 // the pool aggregates must equal the tracker sums.
@@ -361,7 +325,7 @@ func TestConcurrentDisjointTouches(t *testing.T) {
 	}
 }
 
-// TestConcurrentSharedBoundedPool hammers one bounded striped pool from
+// TestConcurrentSharedBoundedPool hammers one bounded pool from
 // many goroutines over the same heap (run under -race): no invariant about
 // who faults, only that the pool never exceeds capacity and attribution is
 // conserved.

@@ -29,9 +29,9 @@ import (
 // schema knowledge beyond this codec — the epoch store treats both sides
 // as black boxes.
 
-// StorageSim serves columns from anonymous memory with simulated paging
-// (checkpoints are read back into memory); StorageMmap serves base columns
-// from mmap'd heap-file checkpoints.
+// StorageSim serves columns from anonymous memory (checkpoints are read
+// back into memory); StorageMmap serves base columns from mmap'd heap-file
+// checkpoints.
 const (
 	StorageSim  = "sim"
 	StorageMmap = "mmap"

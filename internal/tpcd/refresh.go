@@ -291,11 +291,10 @@ type DurableConfig struct {
 	SnapshotEvery int
 	// Storage selects the serving regime. Both checkpoint the env as
 	// columnar heap files in Dir. StorageSim (default, also "") serves
-	// columns from anonymous memory with simulated paging, reading a
-	// checkpoint back into memory on restart. StorageMmap checkpoints
-	// genesis at the first open and serves base columns straight from the
-	// checkpoint's mappings — the out-of-core path. StorageMmap requires a
-	// Dir.
+	// columns from anonymous memory, reading a checkpoint back into memory
+	// on restart. StorageMmap checkpoints genesis at the first open and
+	// serves base columns straight from the checkpoint's mappings — the
+	// out-of-core path. StorageMmap requires a Dir.
 	Storage string
 	// MapFallback forces the portable read-into-memory heap path instead of
 	// mmap — parity testing and hosts without mmap. Only meaningful with

@@ -1,15 +1,14 @@
 #!/bin/sh
-# End-to-end smoke of the concurrent query service: build moaserve, start it
-# (pager enabled — the default unbounded cold pool), drive a fixed list of
-# MOA sources at it sequentially with curl, scrape /metrics, then require a
-# clean SIGTERM drain. The whole cycle runs twice from cold:
-# moaserve_pager_faults_total must be nonzero (the Figure 9/10 fault
-# observable exists in the serving regime) and identical across the two
-# runs (per-page outcomes in an unbounded shared pool depend only on the
-# distinct pages the fixed query list touches). A third run exercises the
-# lifecycle over plain HTTP: 400 on a malformed ?timeout=, 504 on an
-# unmeetable one, the timeout counter on /metrics, and a clean drain
-# afterwards. A fourth run exercises durability: HTTP ingests into a durable
+# End-to-end smoke of the concurrent query service: build moaserve, start it,
+# drive a fixed list of MOA sources at it sequentially with curl, scrape
+# /metrics, then require a clean SIGTERM drain. moaserve serves without a
+# simulated pager: the scrape must carry no moaserve_pager_faults_total and
+# must carry the real-paging probes (moaserve_pager_rusage_ok,
+# moaserve_pager_residency_probed); a removed pager flag (-pages) must make
+# moaserve exit non-zero. A second run exercises the lifecycle over plain
+# HTTP: 400 on a malformed ?timeout=, 504 on an unmeetable one, 413 on an
+# over-limit body, the timeout counter on /metrics, and a clean drain
+# afterwards. A third run exercises durability: HTTP ingests into a durable
 # data directory across a checkpoint, immediate visibility, SIGKILL (no
 # drain), restart on the same directory, and recovery of the acknowledged
 # ingests from the checkpoint plus the WAL tail with the recovery metrics
@@ -34,9 +33,8 @@ cleanup() {
 }
 trap cleanup EXIT
 
-# The query list: a one-BAT scalar, Q6 (a single-table scan-and-aggregate,
-# heavy enough to touch a few hundred pool pages) and Q4 (a nest over an
-# exists on the set-valued item attribute).
+# The query list: a one-BAT scalar, Q6 (a single-table scan-and-aggregate)
+# and Q4 (a nest over an exists on the set-valued item attribute).
 q_count='count(Order)'
 q6='sum(project[*(extendedprice, discount)](
   select[>=(shipdate, date("1994-01-01")), <(shipdate, date("1995-01-01")),
@@ -143,13 +141,11 @@ run_durability() {
 	echo "server-smoke: durability scenario ok (ingests survived SIGKILL, recoveries=$recoveries, recovery ${recovery_s}s)" >&2
 }
 
-# run_once <label> <outfile>: start a cold server, load it, log the
-# /metrics scrape, and write the pager fault total to <outfile>. Runs in
-# the main shell (NOT a command substitution) so pid stays visible to the
-# cleanup trap when a step fails mid-run.
+# run_once <label>: start a cold server, load it, log and check the
+# /metrics scrape. Runs in the main shell (NOT a command substitution) so
+# pid stays visible to the cleanup trap when a step fails mid-run.
 run_once() {
 	label=$1
-	outfile=$2
 	"$bin" -addr "$ADDR" -sf 0.002 &
 	pid=$!
 	wait_ready "$label"
@@ -174,6 +170,15 @@ run_once() {
 	echo "$metrics" | grep -q '^moaserve_slot_wait_seconds_count ' || { echo "server-smoke: slot-wait histogram missing ($label)" >&2; exit 1; }
 	echo "$metrics" | grep -q '^moaserve_goroutines ' || { echo "server-smoke: runtime stats missing ($label)" >&2; exit 1; }
 
+	# Paging: no simulated pool behind the server, the OS's own probes only.
+	if echo "$metrics" | grep -q '^moaserve_pager_faults_total '; then
+		echo "server-smoke: /metrics still carries the simulated pager series ($label)" >&2
+		exit 1
+	fi
+	for m in moaserve_pager_rusage_ok moaserve_pager_residency_probed; do
+		echo "$metrics" | grep -q "^$m " || { echo "server-smoke: $m missing ($label)" >&2; exit 1; }
+	done
+
 	# Profile round-trip: ?profile=1 must return the structured profile with
 	# a statement table and echo the request id we sent.
 	prof=$(curl -fsS -X POST -H 'X-Request-Id: smoke-42' --data "$q_count" \
@@ -187,16 +192,16 @@ run_once() {
 	wait "$pid"
 	pid=""
 	echo "server-smoke: clean shutdown ($label)" >&2
-
-	echo "$metrics" | awk '/^moaserve_pager_faults_total /{print $2}' >"$outfile"
 }
 
 # run_lifecycle: the deadline scenario. Start a server with a default query
 # deadline, then require over plain HTTP: (1) a malformed ?timeout= is a
 # 400, (2) an unmeetable ?timeout= is a 504 — deterministic at 1ns, because
-# the interpreter checks cancellation before its first statement, (3) the
-# server still answers 200 afterwards, (4) /metrics reports the timeout,
-# (5) SIGTERM drains cleanly even after all of the above.
+# the interpreter checks cancellation before its first statement, (3) a
+# valid query padded past the 1 MiB body limit and followed by garbage is a
+# 413, not served truncated, (4) the server still answers 200 afterwards,
+# (5) /metrics reports the timeout, (6) SIGTERM drains cleanly even after
+# all of the above.
 run_lifecycle() {
 	"$bin" -addr "$ADDR" -sf 0.002 -query-timeout 30s &
 	pid=$!
@@ -207,6 +212,12 @@ run_lifecycle() {
 
 	code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data "$q6" "http://$ADDR/query?timeout=1ns")
 	[ "$code" = 504 ] || { echo "server-smoke: unmeetable timeout gave $code, want 504" >&2; exit 1; }
+
+	big=$(mktemp -t smoke-body.XXXXXX)
+	{ printf '%s' "$q_count"; head -c 1048576 /dev/zero | tr '\0' ' '; printf ' this is not MOA'; } >"$big"
+	code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary @"$big" "http://$ADDR/query")
+	rm -f "$big"
+	[ "$code" = 413 ] || { echo "server-smoke: over-limit body gave $code, want 413" >&2; exit 1; }
 
 	code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data "$q6" "http://$ADDR/query?noresult=1")
 	[ "$code" = 200 ] || { echo "server-smoke: query after a timeout gave $code, want 200" >&2; exit 1; }
@@ -221,23 +232,13 @@ run_lifecycle() {
 	echo "server-smoke: lifecycle scenario ok (timeouts=$timeouts)" >&2
 }
 
-faults_file=$(mktemp -t smoke-faults.XXXXXX)
-run_once cold-run-1 "$faults_file"
-f1=$(cat "$faults_file")
-run_once cold-run-2 "$faults_file"
-f2=$(cat "$faults_file")
-rm -f "$faults_file"
+# A removed flag is a usage error (the flag package exits 2); the timeout
+# turns a server that accepted it into a failure instead of a hang.
+rc=0
+timeout 30 "$bin" -pages 0 -addr "$ADDR" >/dev/null 2>&1 || rc=$?
+[ "$rc" = 2 ] || { echo "server-smoke: moaserve -pages 0 exited $rc, want 2 (flag removed)" >&2; exit 1; }
 
-[ -n "$f1" ] && [ -n "$f2" ] || { echo "server-smoke: pager fault metric missing" >&2; exit 1; }
-if [ "$f1" -eq 0 ]; then
-	echo "server-smoke: pager faults are zero — fault accounting is dead under the server" >&2
-	exit 1
-fi
-if [ "$f1" -ne "$f2" ]; then
-	echo "server-smoke: cold-run fault totals diverge: $f1 vs $f2" >&2
-	exit 1
-fi
-echo "server-smoke: pager faults stable across cold runs ($f1)"
+run_once cold-run
 
 run_lifecycle
 run_durability
