@@ -80,7 +80,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *trace || *profile {
-		fmt.Println("-- execution trace (elapsed / faults / rows / variant / statement):")
+		fmt.Println("-- execution trace (elapsed / faults / rows / variant / statement / {claimed props}):")
 		for _, tr := range res.Traces {
 			fmt.Println(tr)
 			if *profile {

@@ -752,6 +752,7 @@ func execChain(ctx *Ctx, p *Program, ch pchain, scope *Scope, keep map[string]bo
 			tr.Faults = faults
 			tr.Hits = hits
 			tr.OutBytes = out.OwnedByteSize()
+			tr.Props = out.Props
 			ctx.FillStmtProf(&tr)
 		}
 		traces = append(traces, tr)

@@ -193,11 +193,18 @@ type StmtTrace struct {
 	Workers  int
 	Morsels  int
 	MaxShare float64
+	// Props are the properties the statement's result claims (zero for the
+	// inner statements of a fused chain, which materialize nothing).
+	Props bat.Props
 }
 
 func (t StmtTrace) String() string {
-	return fmt.Sprintf("%8.3fms %6d faults %-8d rows  %-24s %s",
+	s := fmt.Sprintf("%8.3fms %6d faults %-8d rows  %-24s %s",
 		float64(t.Elapsed.Microseconds())/1000.0, t.Faults, t.Rows, t.Algo, t.Text)
+	if t.Props != 0 {
+		s += "  {" + t.Props.String() + "}"
+	}
+	return s
 }
 
 // Exec is the single execution entry point: it runs the program in a fresh
@@ -314,6 +321,7 @@ func runScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
 			accounted[out] = true
 			tr.OutBytes = out.OwnedByteSize()
 		}
+		tr.Props = out.Props
 		scope.Vars[s.Dst] = out
 		ctx.FillStmtProf(&tr)
 		traces = append(traces, tr)

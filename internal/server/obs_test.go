@@ -385,11 +385,20 @@ func TestProfileHTTP(t *testing.T) {
 		t.Error("profile has no statements")
 	}
 	var faults uint64
+	claims := 0
 	for _, st := range qr.Profile.Statements {
 		faults += st.Faults
+		if st.Props != "" {
+			claims++
+		}
 	}
 	if faults != qr.Faults {
 		t.Errorf("profile statement faults %d != response faults %d", faults, qr.Faults)
+	}
+	// Base attribute BATs are dense- or tail-ordered, so some statement's
+	// result claims a property.
+	if claims == 0 {
+		t.Error("no statement in the profile reports its result's props")
 	}
 
 	// Without ?profile= the response must not carry one, but still echoes a

@@ -60,6 +60,7 @@ type StmtProfile struct {
 	Workers      int     `json:"workers,omitempty"`
 	Morsels      int     `json:"morsels,omitempty"`
 	MaxShare     float64 `json:"max_share,omitempty"`
+	Props        string  `json:"props,omitempty"`
 }
 
 // stmtProfiles converts statement traces into profile rows.
@@ -80,6 +81,9 @@ func stmtProfiles(traces []mil.StmtTrace) []StmtProfile {
 			Workers:      tr.Workers,
 			Morsels:      tr.Morsels,
 			MaxShare:     tr.MaxShare,
+		}
+		if tr.Props != 0 {
+			out[i].Props = tr.Props.String()
 		}
 	}
 	return out
