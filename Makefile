@@ -92,12 +92,19 @@ outofcore-smoke:
 ## lines outside bench/ (on a gofmt-clean tree), per-kind fixed-width column
 ## switch arms in non-test code, the places internal/mil still boxes a
 ## bat.Value per row (a per-row Get, a map keyed by Value, a []Value buffer),
+## the property writes outside internal/bat/props.go (a .Props assignment, a
+## bat.New in internal/mil declaring props, a SyncWith in internal/mil — the
+## one expected is the sync-semijoin precheck recording a discovered fact),
 ## the flags moaserve declares and the fields of server.Config.
 loc:
 	@gofmt -l . | sed 's/^/not gofmt-clean: /'
 	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@printf 'per-kind column arms: '; grep -rn 'case \*\(bat\.\)\?\(OID\|Int\|Flt\|Chr\|Bit\|Date\)Col' --include=*.go internal | grep -v _test | wc -l
 	@printf 'boxed per-row sites: '; grep -rnE '\.(H|T)\.Get\(|map\[bat\.Value\]|make\(\[\]bat\.Value' --include=*.go internal/mil | grep -v _test | wc -l
+	@printf 'property writes outside props.go: %d\n' $$(( \
+		$$(grep -rnE '\.Props\s*(\|=|&=|=[^=])' --include=*.go internal cmd | grep -v -e _test -e internal/bat/props.go | wc -l) + \
+		$$(grep -rn 'bat\.New(' --include=*.go internal/mil | grep -v _test | grep -v ', 0)' | wc -l) + \
+		$$(grep -rn 'SyncWith(' --include=*.go internal/mil | grep -v _test | wc -l) ))
 	@printf 'moaserve flags: '; grep -cE 'flag\.(String|Int|Int64|Float64|Bool|Duration|Uint64|StringVar)\(' cmd/moaserve/main.go
 	@printf 'server.Config fields: '; awk '/^type Config struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/server/server.go
 

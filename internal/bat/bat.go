@@ -7,72 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Props is the set of kernel-maintained BAT properties of Section 5.1. Each
-// MIL command has a propagation rule carrying operand properties onto its
-// result; the dynamic optimizer consults them to pick algorithm variants.
-type Props uint16
-
-const (
-	// HOrdered: the head column is stored in ascending order.
-	HOrdered Props = 1 << iota
-	// TOrdered: the tail column is stored in ascending order.
-	TOrdered
-	// HKey: the head column contains no duplicates.
-	HKey
-	// TKey: the tail column contains no duplicates.
-	TKey
-	// HDense: the head column is a dense ascending oid sequence (implies
-	// HOrdered|HKey). Void head columns are always dense.
-	HDense
-	// TDense: the tail column is a dense ascending oid sequence.
-	TDense
-)
-
-// Has reports whether all properties in q are set.
-func (p Props) Has(q Props) bool { return p&q == q }
-
-// Swap exchanges head and tail properties; it is the property rule for
-// mirror.
-func (p Props) Swap() Props {
-	var q Props
-	if p.Has(HOrdered) {
-		q |= TOrdered
-	}
-	if p.Has(TOrdered) {
-		q |= HOrdered
-	}
-	if p.Has(HKey) {
-		q |= TKey
-	}
-	if p.Has(TKey) {
-		q |= HKey
-	}
-	if p.Has(HDense) {
-		q |= TDense
-	}
-	if p.Has(TDense) {
-		q |= HDense
-	}
-	return q
-}
-
-func (p Props) String() string {
-	var parts []string
-	for _, e := range []struct {
-		p Props
-		n string
-	}{{HOrdered, "h-ordered"}, {TOrdered, "t-ordered"}, {HKey, "h-key"},
-		{TKey, "t-key"}, {HDense, "h-dense"}, {TDense, "t-dense"}} {
-		if p.Has(e.p) {
-			parts = append(parts, e.n)
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ",")
-}
-
 // BAT is a Binary Association Table (Fig. 2): a head column, a tail column
 // of equal length, properties, and optional search accelerators. BAT-algebra
 // operations never mutate a BAT after construction (Section 4.2:
@@ -95,7 +29,7 @@ type BAT struct {
 	syncGroup atomic.Uint64
 
 	// detected carries run-time re-detected properties (low 16 bits, same
-	// encoding as Props) plus the scanned markers — see props_detect.go.
+	// encoding as Props) plus the scanned markers — see props.go.
 	// Kernels that cannot cheaply prove order/keyness strip these bits from
 	// their results; the detection scan recovers them so the optimizer's
 	// merge/fetch variants stay eligible. Atomic: detection may race with
@@ -117,25 +51,13 @@ type BAT struct {
 	mirror   atomic.Pointer[BAT] // cached mirror view
 }
 
-// New constructs a BAT from two equal-length columns.
+// New constructs a BAT from two equal-length columns, declaring props (zero
+// from operators, which claim through Derive) plus what the columns imply.
 func New(name string, h, t Column, props Props) *BAT {
 	if h.Len() != t.Len() {
 		panic(fmt.Sprintf("bat %s: head len %d != tail len %d", name, h.Len(), t.Len()))
 	}
-	p := props
-	if _, ok := h.(*VoidCol); ok {
-		p |= HDense | HOrdered | HKey
-	}
-	if _, ok := t.(*VoidCol); ok {
-		p |= TDense | TOrdered | TKey
-	}
-	if p.Has(HDense) {
-		p |= HOrdered | HKey
-	}
-	if p.Has(TDense) {
-		p |= TOrdered | TKey
-	}
-	b := &BAT{Name: name, H: h, T: t, Props: p}
+	b := &BAT{Name: name, H: h, T: t, Props: implied(props, h, t)}
 	b.hashT = &b.slots[0]
 	b.hashH = &b.slots[1]
 	return b
@@ -176,10 +98,10 @@ func (b *BAT) Mirror() *BAT {
 		Name:  b.Name + ".mirror",
 		H:     b.T,
 		T:     b.H,
-		Props: b.Props.Swap(),
 		hashT: b.hashH,
 		hashH: b.hashT,
 	}
+	Derive(m, Mirrored, b, nil)
 	m.mirror.Store(b)
 	b.mirror.Store(m)
 	return m
@@ -268,50 +190,6 @@ func (b *BAT) String() string {
 		sb.WriteString(" ...")
 	}
 	return sb.String()
-}
-
-// CheckProps verifies that every set property actually holds; it is used by
-// the property-soundness tests, not by the engine.
-func (b *BAT) CheckProps() error {
-	n := b.Len()
-	check := func(col Column, ordered, key, dense bool, side string) error {
-		if dense {
-			for i := 0; i < n; i++ {
-				v := col.Get(i)
-				if v.K != KOID && v.K != KVoid {
-					return fmt.Errorf("%s: dense but kind %s", side, v.K)
-				}
-				if i > 0 && col.Get(i).I != col.Get(i-1).I+1 {
-					return fmt.Errorf("%s: dense violated at %d", side, i)
-				}
-			}
-		}
-		if ordered {
-			for i := 1; i < n; i++ {
-				if Compare(col.Get(i-1), col.Get(i)) > 0 {
-					return fmt.Errorf("%s: ordered violated at %d", side, i)
-				}
-			}
-		}
-		if key {
-			seen := make(map[Value]bool, n)
-			for i := 0; i < n; i++ {
-				v := col.Get(i)
-				if seen[v] {
-					return fmt.Errorf("%s: key violated at %d (%s)", side, i, v)
-				}
-				seen[v] = true
-			}
-		}
-		return nil
-	}
-	if err := check(b.H, b.Props.Has(HOrdered), b.Props.Has(HKey), b.Props.Has(HDense), "head"); err != nil {
-		return fmt.Errorf("bat %s: %w", b.Name, err)
-	}
-	if err := check(b.T, b.Props.Has(TOrdered), b.Props.Has(TKey), b.Props.Has(TDense), "tail"); err != nil {
-		return fmt.Errorf("bat %s: %w", b.Name, err)
-	}
-	return nil
 }
 
 // HeadValues boxes the whole head column (test helper).

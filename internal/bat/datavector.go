@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -273,9 +274,9 @@ func SortedPerm(col Column, desc bool) []int32 {
 	return sortedPerm(keys, desc)
 }
 
-// sortedPerm stably sorts the rows of keys. The comparison is "a < b, else
-// b < a, else tie" (swapped for desc) and nothing else, so an unordered key
-// (NaN) ties with everything, as it always has.
+// sortedPerm stably sorts the rows of keys under cmp.Compare's total order:
+// a NaN orders before every other float (after, descending), so the other
+// values come out sorted whatever NaNs the column holds.
 func sortedPerm[E Ordered | string](keys []E, desc bool) []int32 {
 	type keyPos struct {
 		key E
@@ -286,17 +287,10 @@ func sortedPerm[E Ordered | string](keys []E, desc bool) []int32 {
 		ps[i] = keyPos{k, int32(i)}
 	}
 	slices.SortStableFunc(ps, func(a, b keyPos) int {
-		x, y := a.key, b.key
 		if desc {
-			x, y = y, x
+			return cmp.Compare(b.key, a.key)
 		}
-		switch {
-		case x < y:
-			return -1
-		case y < x:
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.key, b.key)
 	})
 	perm := make([]int32, len(ps))
 	for i, p := range ps {
@@ -310,22 +304,19 @@ func sortedPerm[E Ordered | string](keys []E, desc bool) []int32 {
 // attributes ordered on tail"). Accelerators of b are not inherited; attach
 // a datavector built from the oid-ordered original to preserve oid→value
 // access.
-func SortOnTail(b *BAT) *BAT { return reorderOnTail(b, SortedPerm(b.T, false)) }
+func SortOnTail(b *BAT) *BAT { return ReorderOnTail(b.Name, b, SortedPerm(b.T, false), false) }
 
-// reorderOnTail builds b's rows in perm order, perm being a tail-ascending
-// permutation. Every tail-ordered attribute BAT is laid out here, so a void
-// head survives exactly when perm is the identity (Gather then yields a
-// view).
-func reorderOnTail(b *BAT, perm []int32) *BAT {
-	nb := New(b.Name, Gather(b.H, perm), Gather(b.T, perm), 0)
-	nb.Props |= TOrdered
-	if b.Props.Has(HKey) {
-		nb.Props |= HKey
+// ReorderOnTail builds b's rows, named name, in perm order, perm being its
+// tail order (SortedPerm's, descending when desc). It is the one sort
+// construction — MIL's sort operator, SortOnTail and every tail-ordered
+// attribute BAT build through it. A void head survives exactly when perm is
+// the identity (Gather then yields a view).
+func ReorderOnTail(name string, b *BAT, perm []int32, desc bool) *BAT {
+	rel := Sorted
+	if desc {
+		rel = Reordered
 	}
-	if b.Props.Has(TKey) {
-		nb.Props |= TKey
-	}
-	return nb
+	return Derive(New(name, Gather(b.H, perm), Gather(b.T, perm), 0), rel, b, nil)
 }
 
 // AttachDatavector builds the datavector for a freshly loaded, oid-ordered
@@ -344,7 +335,7 @@ func attachDatavector(oidOrdered *BAT, perm []int32) *BAT {
 	} else if oidOrdered.Len() > 0 {
 		base = OID(oidOrdered.H.Get(0).I)
 	}
-	sorted := reorderOnTail(oidOrdered, perm)
+	sorted := ReorderOnTail(oidOrdered.Name, oidOrdered, perm, false)
 	sorted.SetDatavector(NewDenseDatavector(base, oidOrdered.T))
 	return sorted
 }
@@ -361,8 +352,7 @@ func attachDatavector(oidOrdered *BAT, perm []int32) *BAT {
 // rows sit at higher positions), and the old positions in between are
 // copied from prev's head: O(n + k log k) instead of O((n+k) log(n+k)).
 // prev must carry a dense datavector and be tail-ordered on it, as
-// AttachDatavector and AppendAttr leave it. (A NaN, which ties with
-// everything, may land elsewhere than a full re-sort would put it.)
+// AttachDatavector and AppendAttr leave it.
 func AppendAttr(prev *BAT, frag Column) *BAT {
 	dv := prev.Datavector()
 	n, k := dv.Len(), frag.Len()
@@ -371,15 +361,24 @@ func AppendAttr(prev *BAT, frag Column) *BAT {
 	perm := make([]int32, 0, n+k)
 	cut := 0
 	for _, j := range SortedPerm(frag, false) {
-		// Compare orders same-kind values exactly as SortedPerm's "a < b";
-		// only the k log n probes box.
+		// sortLess orders same-kind values exactly as SortedPerm; only the
+		// k log n probes box.
 		x := vec.Get(n + int(j))
-		next := cut + sort.Search(n-cut, func(i int) bool { return Compare(x, vec.Get(int(old[cut+i]))) < 0 })
+		next := cut + sort.Search(n-cut, func(i int) bool { return sortLess(x, vec.Get(int(old[cut+i]))) })
 		perm = append(append(perm, old[cut:next]...), int32(n)+j)
 		cut = next
 	}
 	perm = append(perm, old[cut:]...)
 	return attachDatavector(New(prev.Name, NewVoid(dv.Base, n+k), vec, 0), perm)
+}
+
+// sortLess is SortedPerm's ascending order on boxed values of one kind:
+// Compare's, with a NaN before every other float.
+func sortLess(x, y Value) bool {
+	if x.K == KFlt && y.K == KFlt {
+		return cmp.Less(x.F, y.F)
+	}
+	return Compare(x, y) < 0
 }
 
 // headPositions returns the datavector position of each row of a

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,9 +12,9 @@ import (
 
 // sortedPermBoxed is the sort SortedPerm replaced: sort.SliceStable over the
 // permutation itself, through a closure that dereferences it twice per
-// comparison. It stays as the oracle: a NaN compares as a tie with
-// everything, so which permutation a stable sort lands on depends on the
-// exact comparisons it makes, and the typed sort must make the same ones.
+// comparison. It stays as the oracle, its float order cmp.Less's total one
+// (a NaN before every number, NaNs tied), so the stable permutation is
+// unique and the typed sort must land on it.
 func sortedPermBoxed(col Column, desc bool) []int32 {
 	perm := make([]int32, col.Len())
 	for i := range perm {
@@ -22,7 +23,7 @@ func sortedPermBoxed(col Column, desc bool) []int32 {
 	var less func(i, j int) bool
 	switch c := col.(type) {
 	case *FltCol:
-		less = func(i, j int) bool { return c.V[perm[i]] < c.V[perm[j]] }
+		less = func(i, j int) bool { return cmp.Less(c.V[perm[i]], c.V[perm[j]]) }
 	case *StrCol:
 		less = func(i, j int) bool { return c.At(int(perm[i])) < c.At(int(perm[j])) }
 	default:

@@ -148,11 +148,7 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	} else {
 		head = bat.Gather(b.H, first)
 	}
-	out := bat.New("{"+fn+"}", head, f.tail(fn, len(first)), bat.HKey)
-	if b.Props.Has(bat.HOrdered) {
-		out.Props |= bat.HOrdered
-	}
-	return out
+	return bat.Derive(bat.New("{"+fn+"}", head, f.tail(fn, len(first)), 0), bat.Groups, b, nil)
 }
 
 // slotFold is the grouped-accumulation kernel of one aggregate over one tail
@@ -376,7 +372,7 @@ func newScalarFold(tail bat.Column) slotFold {
 }
 
 func scalarResult(fn string, f slotFold) *bat.BAT {
-	return bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}), f.tail(fn, 1), bat.HKey|bat.TKey)
+	return bat.Derive(bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}), f.tail(fn, 1), 0), bat.One, nil, nil)
 }
 
 // ScalarOf extracts the single value of a one-BUN BAT produced by

@@ -37,9 +37,6 @@ func syncSemijoinPrecheck(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 			return nil, false
 		}
 	}
-	ctx.chose("sync-semijoin")
-	out := bat.New(l.Name+".sel", l.H, l.T, l.Props&filterProps)
-	out.SyncWith(l)
 	r.SyncWith(l)
-	return out, true
+	return syncSemijoin(ctx, l), true
 }

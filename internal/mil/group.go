@@ -71,9 +71,7 @@ func GroupUnary(ctx *Ctx, b *bat.BAT) *bat.BAT {
 			out[i] = bat.OID(s)
 		}
 	}
-	res := bat.New(b.Name+".grp", b.H, bat.NewOIDCol(out), b.Props&(bat.HOrdered|bat.HKey))
-	res.SyncWith(b)
-	return res
+	return bat.Derive(bat.New(b.Name+".grp", b.H, bat.NewOIDCol(out), 0), bat.NewTail, b, nil)
 }
 
 // slotsToOIDs widens group slots into the result oid vector in parallel.
@@ -118,9 +116,7 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	} else {
 		groupBinaryBoxed(g, b, out)
 	}
-	res := bat.New(g.Name+".grp", g.H, bat.NewOIDCol(out), g.Props&(bat.HOrdered|bat.HKey))
-	res.SyncWith(g)
-	return res
+	return bat.Derive(bat.New(g.Name+".grp", g.H, bat.NewOIDCol(out), 0), bat.NewTail, g, nil)
 }
 
 // groupBinaryBoxed refines boxed (group, value) pairs through a map; it also

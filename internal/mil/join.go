@@ -71,58 +71,31 @@ func dvJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 		vpos = append(vpos, int32(pos))
 	})
 	dv.Vector.TouchPositions(p, vpos)
-	out := bat.New(l.Name+".join", bat.Gather(l.H, lpos), bat.Gather(dv.Vector, vpos), 0)
-	if l.Props.Has(bat.HOrdered) {
-		out.Props |= bat.HOrdered
-	}
-	if l.Props.Has(bat.HKey) {
-		out.Props |= bat.HKey // attribute heads are unique: ≤ 1 match per row
-	}
-	if out.Len() == l.Len() {
-		out.SyncWith(l)
-	}
-	return out, true
+	// r's head, a permutation of the datavector's extent, is declared key,
+	// so each l row matches at most once.
+	return bat.Derive(bat.New(l.Name+".join", bat.Gather(l.H, lpos), bat.Gather(dv.Vector, vpos), 0), bat.Pairs, l, r), true
 }
 
 // joinResult assembles the output BAT from matched (left position, right
-// position) pairs, applying the join property rules: output BUNs follow left
-// scan order, so the left head's order carries over; the left head stays key
-// only if no left row matched more than one right row, which is guaranteed
-// when the right head is key.
+// position) pairs in left scan order: the bat.Pairs of l and r.
 func joinResult(ctx *Ctx, l, r *bat.BAT, lpos, rpos []int32) *bat.BAT {
 	p := ctx.pager()
 	l.H.TouchPositions(p, lpos)
 	r.T.TouchPositions(p, rpos)
-	out := bat.New(l.Name+".join", bat.Gather(l.H, lpos), bat.Gather(r.T, rpos), 0)
-	if l.Props.Has(bat.HOrdered) {
-		out.Props |= bat.HOrdered
-	}
-	if l.Props.Has(bat.HKey) && r.KnownProps().Has(bat.HKey) {
-		out.Props |= bat.HKey
-	}
-	// When every left row found exactly one partner, the output is
-	// positionally aligned with the left operand.
-	if out.Len() == l.Len() && r.KnownProps().Has(bat.HKey) {
-		out.SyncWith(l)
-		out.Props |= l.Props & (bat.HOrdered | bat.HKey)
-	}
-	return out
+	return bat.Derive(bat.New(l.Name+".join", bat.Gather(l.H, lpos), bat.Gather(r.T, rpos), 0), bat.Pairs, l, r)
 }
 
 // joinCap estimates the match count for pre-sizing the position buffers: a
 // key right head caps matches at one per left row; otherwise the accelerator
-// cardinality gives the average duplicate factor.
+// cardinality gives the average duplicate factor. The accelerator may prove
+// the head key as a side effect of its cardinality count; r remembers it for
+// the result's properties and later dispatches.
 func joinCap(l, r *bat.BAT, idx *bat.HashIndex) int {
 	n := l.Len()
-	if r.KnownProps().Has(bat.HKey) {
+	if r.NoteHeadIndex(idx); r.KnownProps().Has(bat.HKey) {
 		return n
 	}
 	if c := idx.Card(); c > 0 {
-		if c == r.Len() {
-			// The accelerator proved head uniqueness as a side effect of
-			// its cardinality count; remember it for later dispatches.
-			r.NoteHeadKey()
-		}
 		dup := (r.Len() + c - 1) / c
 		est := int64(n) * int64(dup)
 		if lim := int64(n) * 8; est > lim {
@@ -177,11 +150,7 @@ func syncJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 	p := ctx.pager()
 	l.T.TouchAll(p)
 	r.H.TouchAll(p)
-	out := bat.New(l.Name+".join", l.H, r.T, 0)
-	out.Props |= l.Props & (bat.HOrdered | bat.HKey)
-	out.Props |= r.Props & (bat.TOrdered | bat.TKey)
-	out.SyncWith(l)
-	return out, true
+	return bat.Derive(bat.New(l.Name+".join", l.H, r.T, 0), bat.Positional, l, r), true
 }
 
 // fetchVec is the fetch-join kernel: r's head is the dense oid sequence

@@ -100,9 +100,7 @@ func multiplexAligned(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BA
 		}
 	}
 	tail := compileMap(f, args)(ctx, first.Len())
-	out := bat.New("["+f.Name+"]", first.H, tail, first.Props&(bat.HOrdered|bat.HKey))
-	out.SyncWith(first)
-	return out
+	return bat.Derive(bat.New("["+f.Name+"]", first.H, tail, 0), bat.NewTail, first, nil)
 }
 
 // compileMap compiles [f] over aligned operands into its map primitive: the
@@ -210,10 +208,6 @@ func multiplexHash(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BAT {
 			matched[j] = BATArg(bat.New("", bat.NewVoid(0, k), bat.Gather(a.B.T, rp[:k]), 0))
 		}
 	}
-	out := bat.New("["+f.Name+"]", bat.Gather(first.H, rows),
-		compileMap(f, matched)(ctx, len(rows)), first.Props&(bat.HOrdered|bat.HKey))
-	if out.Len() == n {
-		out.SyncWith(first)
-	}
-	return out
+	tail := compileMap(f, matched)(ctx, len(rows))
+	return bat.Derive(bat.New("["+f.Name+"]", bat.Gather(first.H, rows), tail, 0), bat.NewTail, first, nil)
 }

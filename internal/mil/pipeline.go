@@ -35,14 +35,11 @@ import (
 // planner cannot prove fusable (multi-use intermediates, kept names,
 // post-join filters, datavector corner cases) run statement-at-a-time.
 //
-// Known representational (not BUN-level) divergences from materialization,
-// accepted and tested around: a chain that composes to a contiguous run
-// through a scattered stage may gain (or lose) the Dense property bits and
-// column view-ness the stage-by-stage gather would have decided differently,
-// and a chain terminal mirrors the generic join/semijoin property rules even
-// where materialization would have hit the sync-variant fast path (which
-// additionally forwards tail properties). Values, order and cardinality are
-// identical in all cases.
+// Terminals claim properties through the rows of bat.Derive their
+// materialized counterparts use. The one known divergence is
+// representational: a chain that composes to a contiguous run through a
+// scattered stage may gain (or lose) the Dense bits and column view-ness the
+// stage-by-stage gather would have decided differently.
 
 // pchain marks one fusable chain: statements [head, terminal] execute as one
 // pipeline, binding only the terminal's Dst.
@@ -231,9 +228,9 @@ type pplan struct {
 // interpreter — whenever any input is missing or the chain would hit a shape
 // the pipeline does not model bit-identically:
 //
-//   - a join right operand carrying a datavector but no key head (the
-//     datavector join variant derives result keyness from the left side
-//     alone, which the generic rules cannot reproduce);
+//   - a join right operand carrying a datavector but no declared key head
+//     (its hash probe would stand in for the datavector join only where
+//     the extent makes the head key, which the planner does not check);
 //   - an aggregate over a void tail (materialized gathers re-encode it
 //     run-dependently);
 //   - a group head without a row key representation.
@@ -553,7 +550,9 @@ func (pl *pplan) run(ctx *Ctx) (*bat.BAT, error) {
 		if j := pl.join.join; !j.fetch && !j.sync {
 			j.r.H.TouchAll(p)
 			j.idx = j.r.HeadHashSched(ctx.sched(j.r.Len()))
-			j.pr, j.probes = j.idx.NewProbe(b.T)
+			if j.pr, j.probes = j.idx.NewProbe(b.T); j.probes {
+				j.r.NoteHeadIndex(j.idx) // as hashJoin's joinCap does
+			}
 		}
 	}
 
@@ -615,30 +614,40 @@ func (pl *pplan) run(ctx *Ctx) (*bat.BAT, error) {
 	}
 }
 
-// joinAssemble materializes the join terminal from matched pairs, applying
-// joinResult's property rules against the stream's (filter-preserved) head
-// properties.
+// joinAssemble materializes the join terminal from matched pairs under the
+// property row of the join variant the materialized plan takes: the stream
+// is a subset of b carrying b's order and key bits, so the rows read b where
+// materialization reads the stream's materialized subset.
 func (pl *pplan) joinAssemble(ctx *Ctx, lpos, rpos []int32) *bat.BAT {
 	b, r := pl.b, pl.join.join.r
 	p := ctx.pager()
 	b.H.TouchPositions(p, lpos)
 	r.T.TouchPositions(p, rpos)
-	out := bat.New(pl.name, bat.Gather(b.H, lpos), bat.Gather(r.T, rpos), 0)
-	if b.Props.Has(bat.HOrdered) {
-		out.Props |= bat.HOrdered
+	rel := bat.Pairs
+	if pl.syncJoined(lpos, rpos) {
+		rel = bat.Positional
 	}
-	if b.Props.Has(bat.HKey) && r.Props.Has(bat.HKey) {
-		out.Props |= bat.HKey
+	return bat.Derive(bat.New(pl.name, bat.Gather(b.H, lpos), bat.Gather(r.T, rpos), 0), rel, b, r)
+}
+
+// syncJoined reports whether the materialized join of the stream against r
+// takes the sync-join (syncJoinMatch over the stream's rows): oid join
+// columns, duplicate-free on one side, and every stream row matched r's row
+// at its own stream position, once.
+func (pl *pplan) syncJoined(lpos, rpos []int32) bool {
+	b, r := pl.b, pl.join.join.r
+	_, lok := oidGetter(b.T)
+	_, rok := oidGetter(r.H)
+	if n := r.Len(); !lok || !rok || n == 0 || pl.preJoinRows() != n || len(rpos) != n ||
+		!b.Props.Has(bat.TKey) && !r.Props.Has(bat.HKey) {
+		return false
 	}
-	if streamRows := pl.preJoinRows(); out.Len() == streamRows && r.Props.Has(bat.HKey) {
-		out.Props |= b.Props & (bat.HOrdered | bat.HKey)
-		// Every stage kept every row and every row matched once: the result
-		// is positionally aligned with the stream's base operand.
-		if streamRows == b.Len() {
-			out.SyncWith(b)
+	for i, x := range rpos {
+		if int(x) != i || i > 0 && lpos[i] == lpos[i-1] {
+			return false
 		}
 	}
-	return out
+	return true
 }
 
 // foldStream folds the stream — head rows hrows (into pl.b.H; nil for a
@@ -681,11 +690,8 @@ func (pl *pplan) aggrTerminal(ctx *Ctx, hrows, trows []int32) (*bat.BAT, error) 
 		return nil, err
 	}
 	first := g.Rows()
-	out := bat.New("{"+fn+"}", bat.Gather(headCol, first), f.tail(fn, len(first)), bat.HKey)
-	if pl.b.Props.Has(bat.HOrdered) {
-		out.Props |= bat.HOrdered
-	}
-	return out, nil
+	// The grouped heads are b's (a join carries them over in b's order).
+	return bat.Derive(bat.New("{"+fn+"}", bat.Gather(headCol, first), f.tail(fn, len(first)), 0), bat.Groups, pl.b, nil), nil
 }
 
 // scalarTerminal folds the stream's tail rows into the whole-BAT aggregate:
@@ -738,25 +744,24 @@ func execChain(ctx *Ctx, p *Program, ch pchain, scope *Scope, keep map[string]bo
 		ctx.lastAlgo = ""
 	}
 	traces := make([]StmtTrace, 0, ch.terminal-ch.head+1)
-	for k := ch.head; k <= ch.terminal; k++ {
-		tr := StmtTrace{
+	for k := ch.head; k < ch.terminal; k++ {
+		traces = append(traces, StmtTrace{
 			Index: k, Text: p.Stmts[k].String(),
 			Rows: int(rows[k-ch.head]), Algo: "pipeline",
-		}
-		if k == ch.terminal {
-			// The chain executes as one unit, so its whole resource profile
-			// — time, fault/hit deltas, result bytes, builds, dispatch — is
-			// carried by the terminal trace; the fused statements report
-			// only their stream row counts.
-			tr.Elapsed = elapsed
-			tr.Faults = faults
-			tr.Hits = hits
-			tr.OutBytes = out.OwnedByteSize()
-			tr.Props = out.Props
-			ctx.FillStmtProf(&tr)
-		}
-		traces = append(traces, tr)
+		})
 	}
+	// The chain executes as one unit, so its whole resource profile — time,
+	// fault/hit deltas, result bytes, builds, dispatch — and its result's
+	// claims are carried by the terminal trace; the fused statements report
+	// only their stream row counts.
+	tr := StmtTrace{
+		Index: ch.terminal, Text: term.String(),
+		Rows: int(rows[len(rows)-1]), Algo: "pipeline",
+		Elapsed: elapsed, Faults: faults, Hits: hits,
+		OutBytes: out.OwnedByteSize(), Props: out.Props,
+	}
+	ctx.FillStmtProf(&tr)
+	traces = append(traces, tr)
 	for k := ch.head; k <= ch.terminal; k++ {
 		s := p.Stmts[k]
 		for _, a := range s.Args {

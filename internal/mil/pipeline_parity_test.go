@@ -78,6 +78,22 @@ func pipelineEnv(keys []int64, ordered bool) Env {
 		md[i] = float64(i) * 1.25
 	}
 	env["dimd"] = bat.New("dimd", bat.NewVoid(0, m), bat.NewFltCol(md), 0)
+	// efact + ur: a join whose right head is key without saying so —
+	// efact's heads are the even oids (declared h-ordered, h-key), its tail
+	// i%50 joins ur's 50 unique, unordered, undeclared int heads; only the
+	// hash accelerator's cardinality proves ur's head key.
+	even := make([]bat.OID, n)
+	mod := make([]int64, n)
+	for i := range even {
+		even[i], mod[i] = bat.OID(2*i), int64(i%50)
+	}
+	env["efact"] = bat.New("efact", bat.NewOIDCol(even), bat.NewIntCol(mod), bat.HOrdered|bat.HKey)
+	uk := make([]int64, 50)
+	uv := make([]float64, 50)
+	for i := range uk {
+		uk[i], uv[i] = int64((i*17)%50), float64(i)/4
+	}
+	env["ur"] = bat.New("ur", bat.NewIntCol(uk), bat.NewFltCol(uv), 0)
 	return env
 }
 
@@ -103,6 +119,7 @@ func pipelinePrograms() map[string]string {
 		"empty-aggr":     "x := select(gf, 9000000.0, 9000001.0)\nRES := {sum}(x)",
 		"empty-scalar":   "x := select(gf, 9000000.0, 9000001.0)\nRES := {min}all(x)",
 		"empty-join":     "x := select(fact, 9000000, 9000001)\nRES := join(x, dimv)",
+		"sel-join-keyed": "x := select(efact, 0, 1000)\nRES := join(x, ur)",
 	}
 }
 

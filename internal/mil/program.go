@@ -305,7 +305,7 @@ func runScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
 		tr := StmtTrace{
 			Index: i, Text: s.String(), Elapsed: elapsed,
 			Faults: ctx.PageFaults() - faults0, Hits: ctx.PageHits() - hits0,
-			Rows: out.Len(), Algo: ctx.LastAlgo(),
+			Rows: out.Len(), Algo: ctx.LastAlgo(), Props: out.Props,
 		}
 		if s.Op != OpMirror { // mirror is free: no materialization
 			// Materialize-on-retain: a kept result that is a small view
@@ -321,7 +321,6 @@ func runScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
 			accounted[out] = true
 			tr.OutBytes = out.OwnedByteSize()
 		}
-		tr.Props = out.Props
 		scope.Vars[s.Dst] = out
 		ctx.FillStmtProf(&tr)
 		traces = append(traces, tr)
@@ -538,8 +537,7 @@ func execStmt(ctx *Ctx, s Stmt, scope *Scope) (*bat.BAT, error) {
 		}
 		ctx.chose("calc")
 		v := CallFunc(s.Fn, vals)
-		return bat.New("calc", bat.NewOIDCol([]bat.OID{0}),
-			bat.FromValues(v.K, []bat.Value{v}), bat.HKey|bat.TKey), nil
+		return bat.Derive(bat.New("calc", bat.NewOIDCol([]bat.OID{0}), bat.FromValues(v.K, []bat.Value{v}), 0), bat.One, nil, nil), nil
 	}
 	return nil, fmt.Errorf("unknown op %q", s.Op)
 }
@@ -549,14 +547,7 @@ func execStmt(ctx *Ctx, s Stmt, scope *Scope) (*bat.BAT, error) {
 // the produced pairs identities of their own.
 func Mark(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	ctx.chose("mark")
-	props := bat.Props(0)
-	if b.Props.Has(bat.HKey) {
-		props |= bat.TKey
-	}
-	if b.Props.Has(bat.HOrdered) {
-		props |= bat.TOrdered
-	}
-	return bat.New(b.Name+".mark", bat.NewVoid(0, b.Len()), b.H, props)
+	return bat.Derive(bat.New(b.Name+".mark", bat.NewVoid(0, b.Len()), b.H, 0), bat.Marked, b, nil)
 }
 
 func resolveLit(scope *Scope, a StmtArg) (bat.Value, error) {

@@ -9,10 +9,9 @@ import (
 )
 
 // gatherPositions builds the result BAT of a filtering operation: the BUNs
-// of b at the given ascending positions. Filters preserve BUN order, so all
-// order/key properties of the operand carry over to the result (Section 5.1:
-// "a rangeselect will propagate the ordered information on both head and
-// tail to the result"; semijoin propagates the key properties of its left
+// of b at the given ascending positions, a bat.Subset of b (Section 5.1: "a
+// rangeselect will propagate the ordered information on both head and tail
+// to the result"; semijoin propagates the key properties of its left
 // operand).
 func gatherPositions(ctx *Ctx, name string, b *bat.BAT, pos []int32) *bat.BAT {
 	// Positions forming a contiguous run (binary-search selections, slices,
@@ -25,34 +24,19 @@ func gatherPositions(ctx *Ctx, name string, b *bat.BAT, pos []int32) *bat.BAT {
 		b.H.TouchPositions(p, pos)
 		b.T.TouchPositions(p, pos)
 	}
-	out := bat.New(name, bat.Gather(b.H, pos), bat.Gather(b.T, pos), 0)
-	out.Props |= b.Props & filterProps
-	// A filter that kept every BUN left the sequence untouched: the result
-	// is positionally synced with its operand.
-	if len(pos) == b.Len() {
-		out.SyncWith(b)
-	}
-	return out
+	return bat.Derive(bat.New(name, bat.Gather(b.H, pos), bat.Gather(b.T, pos), 0), bat.Subset, b, nil)
 }
 
 // gatherRun is gatherPositions for the contiguous run [lo, lo+n): the result
-// BAT shares its operand's backing storage through column views. A
-// contiguous slice additionally preserves density of dense columns.
+// BAT shares its operand's backing storage through column views, a bat.Run
+// of b.
 func gatherRun(ctx *Ctx, name string, b *bat.BAT, lo, n int) *bat.BAT {
 	if p := ctx.pager(); p != nil {
 		b.H.TouchRange(p, lo, n)
 		b.T.TouchRange(p, lo, n)
 	}
-	out := bat.New(name, bat.SliceView(b.H, lo, n), bat.SliceView(b.T, lo, n), 0)
-	out.Props |= b.Props & (filterProps | bat.HDense | bat.TDense)
-	if n == b.Len() {
-		out.SyncWith(b)
-	}
-	return out
+	return bat.Derive(bat.New(name, bat.SliceView(b.H, lo, n), bat.SliceView(b.T, lo, n), 0), bat.Run, b, nil)
 }
-
-// filterProps is the property mask preserved by order-preserving filters.
-const filterProps = bat.HOrdered | bat.TOrdered | bat.HKey | bat.TKey
 
 // SelectRange implements AB.select(Tl,Th): {ab ∈ AB | Tl ≤ b ≤ Th}, with
 // optional exclusive bounds. A nil lo or hi leaves that side unbounded. The
@@ -339,11 +323,7 @@ func selectBinSearch(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl boo
 	start, end := binSearchRun(b, lo, hi, loIncl, hiIncl)
 	// The qualifying positions are exactly [start, end): gather the run as
 	// zero-copy views without materializing a position vector at all.
-	out := gatherRun(ctx, b.Name+".sel", b, start, end-start)
-	// A contiguous slice of a tail-ordered BAT is itself tail-ordered even
-	// if the operand lost other properties.
-	out.Props |= bat.TOrdered
-	return out
+	return gatherRun(ctx, b.Name+".sel", b, start, end-start)
 }
 
 // Slice returns the first n BUNs of b (the top-N primitive backing MOA's

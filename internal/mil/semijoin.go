@@ -29,7 +29,7 @@ func Semijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		return datavectorSemijoin(ctx, l, r)
 	case l.DetectHeadProps().Has(bat.HOrdered) && r.DetectHeadProps().Has(bat.HOrdered):
 		// Detection recovers ordering on stripped intermediates (see
-		// bat/props_detect.go), keeping the merge variant eligible.
+		// bat/props.go), keeping the merge variant eligible.
 		return mergeSemijoin(ctx, l, r)
 	default:
 		return hashSemijoin(ctx, l, r)
@@ -47,9 +47,7 @@ func oidHeaded(b *bat.BAT) bool {
 // the copy is a shared view.
 func syncSemijoin(ctx *Ctx, l *bat.BAT) *bat.BAT {
 	ctx.chose("sync-semijoin")
-	out := bat.New(l.Name+".sel", l.H, l.T, l.Props&filterProps)
-	out.SyncWith(l)
-	return out
+	return bat.Derive(bat.New(l.Name+".sel", l.H, l.T, 0), bat.Subset, l, nil)
 }
 
 // datavectorSemijoin transcribes the pseudo-code of Section 5.2.1. The
@@ -109,20 +107,12 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		}
 	}
 	dv.Vector.TouchPositions(p, lookup)
-	out := bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather(dv.Vector, lookup), 0)
-	// Result BUNs follow r's order. If every r element matched, the result
-	// is positionally synced with r (and with any other full-match
-	// datavector semijoin against r) — the effect exploited in Fig. 10:
-	// "Both stem from a semijoin with a 100% match ... so they again are
-	// synced".
-	if out.Len() == r.Len() {
-		out.SyncWith(r)
-		out.Props |= r.Props & (bat.HOrdered | bat.HKey)
-	}
-	if r.Props.Has(bat.HKey) {
-		out.Props |= bat.HKey
-	}
-	return out
+	// Result BUNs follow r's order (bat.Probed). If every r element matched,
+	// the result is positionally synced with r (and with any other
+	// full-match datavector semijoin against r) — the effect exploited in
+	// Fig. 10: "Both stem from a semijoin with a 100% match ... so they
+	// again are synced".
+	return bat.Derive(bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather(dv.Vector, lookup), 0), bat.Probed, l, r)
 }
 
 func mergeSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {

@@ -31,7 +31,7 @@ func Union(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 		head = bat.UnshareColumn(bat.Gather(head, rows))
 		tail = bat.UnshareColumn(bat.Gather(tail, rows))
 	}
-	return bat.New(a.Name+".union", head, tail, bat.HKey)
+	return bat.Derive(bat.New(a.Name+".union", head, tail, 0), bat.Union, a, b)
 }
 
 // Diff implements set difference on identified value sets: the BUNs of a
@@ -74,11 +74,5 @@ func SortTail(ctx *Ctx, b *bat.BAT, desc bool) *bat.BAT {
 	p := ctx.pager()
 	b.T.TouchAll(p)
 	b.H.TouchAll(p)
-	perm := bat.SortedPerm(b.T, desc)
-	out := bat.New(b.Name+".sort", bat.Gather(b.H, perm), bat.Gather(b.T, perm), 0)
-	if !desc {
-		out.Props |= bat.TOrdered
-	}
-	out.Props |= b.Props & (bat.HKey | bat.TKey)
-	return out
+	return bat.ReorderOnTail(b.Name+".sort", b, bat.SortedPerm(b.T, desc), desc)
 }

@@ -388,7 +388,7 @@ func TestProfileHTTP(t *testing.T) {
 	claims := 0
 	for _, st := range qr.Profile.Statements {
 		faults += st.Faults
-		if st.Props != "" {
+		if st.Props != "none" {
 			claims++
 		}
 	}

@@ -60,7 +60,7 @@ type StmtProfile struct {
 	Workers      int     `json:"workers,omitempty"`
 	Morsels      int     `json:"morsels,omitempty"`
 	MaxShare     float64 `json:"max_share,omitempty"`
-	Props        string  `json:"props,omitempty"`
+	Props        string  `json:"props"` // "none" for a fused chain's inner statements
 }
 
 // stmtProfiles converts statement traces into profile rows.
@@ -81,9 +81,7 @@ func stmtProfiles(traces []mil.StmtTrace) []StmtProfile {
 			Workers:      tr.Workers,
 			Morsels:      tr.Morsels,
 			MaxShare:     tr.MaxShare,
-		}
-		if tr.Props != 0 {
-			out[i].Props = tr.Props.String()
+			Props:        tr.Props.String(),
 		}
 	}
 	return out
