@@ -81,10 +81,10 @@ server-smoke:
 	./scripts/server_smoke.sh
 
 ## outofcore-smoke: end-to-end proof of the out-of-core storage path —
-## bulk load into an mmap-backed data directory, serve from the mapped
-## heaps (real residency metrics nonzero), SIGKILL, restart by mapping the
-## checkpoint, and require bit-identical answers; the portable -map-fallback
-## path must agree on the same directory (the CI out-of-core job).
+## ingest a fresh data directory past its first checkpoint, SIGKILL,
+## restart with default flags, and require the restart to serve the mapped
+## heaps (real residency metrics nonzero) with bit-identical answers (the
+## CI out-of-core job).
 outofcore-smoke:
 	./scripts/outofcore_smoke.sh
 

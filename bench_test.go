@@ -18,7 +18,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -981,41 +983,48 @@ func BenchmarkAblationApply(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStorage quantifies the out-of-core storage tentpole:
-// the cost of bringing a database online (a sim directory that holds no
-// checkpoint yet rebuilds genesis in anonymous memory; mmap maps heap-file
-// checkpoints and re-derives datavectors by scatter) and the steady-state serving cost of
-// the Figure-9 query mix over each storage backend. The warm variants are
-// the gate-relevant ones: once mapped, serving from mmap'd heaps must be
-// indistinguishable from anonymous memory.
+// BenchmarkAblationStorage quantifies the one storage regime: the cost of
+// bringing a data directory online — a fresh directory builds genesis in
+// anonymous memory (open/genesis), a checkpointed one maps its heap files
+// and re-derives datavectors by scatter (open/checkpoint) — and the cost of
+// serving the Figure-9 query mix from the mapped columns, with the store
+// kept open (warm) or reopened before every pass (cold).
 func BenchmarkAblationStorage(b *testing.B) {
 	const sf, seed = 0.002, 7
-
-	populate := func(b *testing.B, mode string) string {
+	cfg := func(dir string) tpcd.DurableConfig {
+		return tpcd.DurableConfig{Dir: dir, SF: sf, Seed: seed, SnapshotEvery: 1}
+	}
+	// checkpointed returns a directory whose newest checkpoint holds one
+	// ingested refresh batch.
+	checkpointed := func(b *testing.B) string {
 		b.Helper()
 		dir := b.TempDir()
-		st, _, err := tpcd.OpenStore(tpcd.DurableConfig{
-			Dir: dir, SF: sf, Seed: seed, Storage: mode, MapFallback: false,
-		})
+		st, gen, err := tpcd.OpenStore(cfg(dir))
 		if err != nil {
-			b.Fatalf("populate %s: %v", mode, err)
+			b.Fatalf("populate: %v", err)
+		}
+		p, err := tpcd.EncodeRefresh(tpcd.GenRefresh(gen, 1, 10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := st.Ingest(p); err != nil {
+			b.Fatalf("ingest: %v", err)
 		}
 		if err := st.Close(); err != nil {
 			b.Fatalf("close: %v", err)
 		}
 		return dir
 	}
-	reopen := func(b *testing.B, dir, mode string) (*epoch.Store, *tpcd.DB) {
+	open := func(b *testing.B, dir string) *epoch.Store {
 		b.Helper()
-		st, gen, err := tpcd.OpenStore(tpcd.DurableConfig{
-			Dir: dir, SF: sf, Seed: seed, Storage: mode, MapFallback: false,
-		})
+		st, _, err := tpcd.OpenStoreLazy(cfg(dir))
 		if err != nil {
-			b.Fatalf("open %s: %v", mode, err)
+			b.Fatalf("open: %v", err)
 		}
-		return st, gen
+		return st
 	}
-	serveMix := func(b *testing.B, st *epoch.Store, gen *tpcd.DB) {
+	gen := tpcd.Generate(sf, seed)
+	serveMix := func(b *testing.B, st *epoch.Store) {
 		b.Helper()
 		db := engine.New(tpcd.Schema(), st.Manager().Current().Env)
 		db.Pager = storage.NewPager(4096, 0)
@@ -1026,47 +1035,52 @@ func BenchmarkAblationStorage(b *testing.B) {
 		}
 	}
 
-	// Cold open: data directory -> published epoch. For sim this
-	// re-materializes every column from genesis; for mmap it maps the heaps
-	// and rebuilds datavectors.
-	for _, mode := range []string{tpcd.StorageSim, tpcd.StorageMmap} {
-		b.Run("open/"+mode, func(b *testing.B) {
-			dir := populate(b, mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st, _ := reopen(b, dir, mode)
-				if err := st.Close(); err != nil {
-					b.Fatalf("close: %v", err)
-				}
-			}
-		})
-	}
-
-	// Warm serving: the store stays open; each iteration answers the full
-	// Figure-9 mix. mmap-warm vs sim-warm is the ≤2% invisibility claim.
-	for _, mode := range []string{tpcd.StorageSim, tpcd.StorageMmap} {
-		b.Run("serve/"+mode+"-warm", func(b *testing.B) {
-			dir := populate(b, mode)
-			st, gen := reopen(b, dir, mode)
-			defer st.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveMix(b, st, gen)
-			}
-		})
-	}
-
-	// Cold serving: map + first query pass per iteration — the price of
-	// answering immediately after a restart (recovery path latency).
-	b.Run("serve/mmap-cold", func(b *testing.B) {
-		dir := populate(b, tpcd.StorageMmap)
+	// Open: data directory -> published epoch. A fresh directory
+	// materializes every column from genesis; a checkpointed one maps the
+	// heaps and rebuilds datavectors.
+	b.Run("open/genesis", func(b *testing.B) {
+		root := b.TempDir()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			st, gen := reopen(b, dir, tpcd.StorageMmap)
-			serveMix(b, st, gen)
+			st := open(b, filepath.Join(root, strconv.Itoa(i)))
+			if err := st.Close(); err != nil {
+				b.Fatalf("close: %v", err)
+			}
+		}
+	})
+	b.Run("open/checkpoint", func(b *testing.B) {
+		dir := checkpointed(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := open(b, dir).Close(); err != nil {
+				b.Fatalf("close: %v", err)
+			}
+		}
+	})
+
+	// Warm serving: the store stays open; each iteration answers the full
+	// Figure-9 mix from the mapped columns.
+	b.Run("serve/warm", func(b *testing.B) {
+		st := open(b, checkpointed(b))
+		defer st.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveMix(b, st)
+		}
+	})
+
+	// Cold serving: map + first query pass per iteration — the price of
+	// answering immediately after a restart (recovery path latency).
+	b.Run("serve/cold", func(b *testing.B) {
+		dir := checkpointed(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			st := open(b, dir)
+			serveMix(b, st)
 			if err := st.Close(); err != nil {
 				b.Fatalf("close: %v", err)
 			}

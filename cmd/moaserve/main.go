@@ -20,7 +20,10 @@
 // visible, the BATs are checkpointed as heap files every -snapshot-every
 // ingests, and a restart recovers exactly the last published epoch from the
 // newest valid checkpoint plus the WAL past it (torn WAL tails are
-// truncated, not fatal).
+// truncated, not fatal). There is one storage regime: a fresh directory
+// serves genesis from memory until its first checkpoint, and a restart
+// serves the checkpoint's columns straight from their memory-mapped heap
+// files, so the OS virtual memory is the buffer manager.
 //
 // Load is driven from outside: the repo benchmark (go run -C bench .) and
 // scripts/server_smoke.sh.
@@ -57,13 +60,10 @@ func main() {
 
 	dataDir := flag.String("data", "", "durable data directory for WAL + snapshots (empty = epochs in memory only, nothing survives restart)")
 	snapEvery := flag.Int("snapshot-every", 8, "checkpoint a snapshot and rotate the WAL every N ingests (0 = never)")
-	storageMode := flag.String("storage", tpcd.StorageSim, "column storage engine: sim = columns in anonymous memory, mmap = serve base columns from mmap'd heap-file checkpoints in -data (requires -data)")
-	mapFallback := flag.Bool("map-fallback", false, "mmap storage: read heap files into anonymous memory instead of mapping (portable fallback, also selected automatically where mmap is unsupported)")
 	flag.Parse()
 
 	svc, st := newService(tpcd.DurableConfig{
 		Dir: *dataDir, SF: *sf, Seed: *seed, SnapshotEvery: *snapEvery,
-		Storage: *storageMode, MapFallback: *mapFallback,
 	}, server.Config{
 		Workers:        *workers,
 		MaxConcurrent:  *maxconc,
@@ -77,8 +77,8 @@ func main() {
 
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "moaserve: serving sf=%g on %s (workers=%d maxconc=%d membudget=%dMB data=%q storage=%s epoch=%d recovered=%d)\n",
-		*sf, *addr, *workers, *maxconc, *membudget, *dataDir, *storageMode, st.Manager().CurrentID(), st.Recoveries())
+	fmt.Fprintf(os.Stderr, "moaserve: serving sf=%g on %s (workers=%d maxconc=%d membudget=%dMB data=%q epoch=%d recovered=%d)\n",
+		*sf, *addr, *workers, *maxconc, *membudget, *dataDir, st.Manager().CurrentID(), st.Recoveries())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -109,7 +109,7 @@ func main() {
 //
 // The reference population that validates and generates refresh batches
 // is lazy: a restart that loads a checkpoint never generates it, so a
-// read-only mmap server's anonymous footprint stays near the page tables
+// read-only restarted server's anonymous footprint stays near the page tables
 // and the heap files themselves can exceed the memory budget. The first
 // /ingest pays the generation cost once.
 func newService(dc tpcd.DurableConfig, cfg server.Config) (*server.Service, *epoch.Store) {

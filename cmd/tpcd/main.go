@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/mil"
 	"repro/internal/relational"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
@@ -28,51 +27,21 @@ func main() {
 	only := flag.Int("q", 0, "run a single query (1-15)")
 	workers := flag.Int("workers", engine.AutoWorkers(), "parallel iteration degree for bulk operators (1 = sequential)")
 	pipeline := flag.Int("pipeline", 0, "fusable-chain execution: >=0 = vectorized pipeline (default), <0 = full materialization (parity reference)")
-	storageMode := flag.String("storage", tpcd.StorageSim, "column storage engine: sim = load into anonymous memory, mmap = serve base columns from a heap-file checkpoint in -datadir (bootstrapped there on first run)")
-	dataDir := flag.String("datadir", "", "heap-file checkpoint directory for -storage=mmap")
-	mapFallback := flag.Bool("map-fallback", false, "mmap storage: read heap files instead of mapping (portable fallback)")
 	flag.Parse()
 
-	var gen *tpcd.DB
-	var env mil.Env
 	start := time.Now()
-	if *storageMode == tpcd.StorageMmap {
-		// Out-of-core run: open (and on first run bootstrap) the columnar
-		// checkpoint, then serve the suite from the mapped columns.
-		fmt.Printf("opening mmap store at %s (SF=%g seed %d)...\n", *dataDir, *sf, *seed)
-		st, sgen, err := tpcd.OpenStore(tpcd.DurableConfig{
-			Dir: *dataDir, SF: *sf, Seed: *seed,
-			Storage: tpcd.StorageMmap, MapFallback: *mapFallback,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tpcd: open store: %v\n", err)
-			os.Exit(1)
-		}
-		defer st.Close()
-		if id := st.Manager().CurrentID(); id != 0 {
-			// The relational baseline and the reference answers are built
-			// from the generated genesis database.
-			fmt.Fprintf(os.Stderr, "tpcd: %s holds %d ingested epochs; want a directory at genesis\n", *dataDir, id)
-			os.Exit(1)
-		}
-		gen, env = sgen, st.Manager().Current().Env
-		fmt.Printf("mapped: %d items, %d orders (%.2fs)\n\n",
-			len(gen.Items), len(gen.Orders), time.Since(start).Seconds())
-	} else {
-		fmt.Printf("generating TPC-D at SF=%g (seed %d)...\n", *sf, *seed)
-		gen = tpcd.Generate(*sf, *seed)
+	fmt.Printf("generating TPC-D at SF=%g (seed %d)...\n", *sf, *seed)
+	gen := tpcd.Generate(*sf, *seed)
 
-		var loadStats *tpcd.LoadStats
-		env, loadStats = tpcd.Load(gen)
-		fmt.Printf("loaded: %d items, %d orders, %d customers, %d parts, %d suppliers\n",
-			loadStats.ClassSizes["Item"], loadStats.ClassSizes["Order"],
-			loadStats.ClassSizes["Customer"], loadStats.ClassSizes["Part"],
-			loadStats.ClassSizes["Supplier"])
-		fmt.Printf("load: build %.2fs + accelerators %.2fs (total %.2fs); base %.1f MB, datavectors %.1f MB\n\n",
-			loadStats.BuildTime.Seconds(), loadStats.AccelTime.Seconds(),
-			time.Since(start).Seconds(),
-			mb(loadStats.BaseBytes), mb(loadStats.DVBytes))
-	}
+	env, loadStats := tpcd.Load(gen)
+	fmt.Printf("loaded: %d items, %d orders, %d customers, %d parts, %d suppliers\n",
+		loadStats.ClassSizes["Item"], loadStats.ClassSizes["Order"],
+		loadStats.ClassSizes["Customer"], loadStats.ClassSizes["Part"],
+		loadStats.ClassSizes["Supplier"])
+	fmt.Printf("load: build %.2fs + accelerators %.2fs (total %.2fs); base %.1f MB, datavectors %.1f MB\n\n",
+		loadStats.BuildTime.Seconds(), loadStats.AccelTime.Seconds(),
+		time.Since(start).Seconds(),
+		mb(loadStats.BaseBytes), mb(loadStats.DVBytes))
 
 	db := engine.New(tpcd.Schema(), env)
 	db.Pager = storage.NewPager(4096, *pool)

@@ -11,8 +11,8 @@ import (
 //
 //   - they are born persistent (Persist at construction), so the logical
 //     fault model of storage.Pager/Tracker accounts them exactly like the
-//     loader's columns — which is what keeps -storage=sim and -storage=mmap
-//     bit-identical in logical faults;
+//     loader's columns — which is what keeps a store served from a mapped
+//     checkpoint bit-identical in logical faults to one built in memory;
 //   - they carry a storage.Hinter, and the column's own TouchRange/TouchAll
 //     spans — the spans the zero-copy pipeline and vectorized windows
 //     already compute for fault accounting — are additionally routed into

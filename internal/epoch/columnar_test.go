@@ -26,15 +26,14 @@ func vandalize(t *testing.T, dir string, epoch uint64) {
 }
 
 // TestColumnarBootstrapAndMap verifies the open contract directly: a fresh
-// bootstrapping store immediately serves the genesis checkpoint's columns,
-// a reopen after checkpointed ingests loads snap-<epoch>.d plus the WAL
+// store serves genesis without loading or writing a checkpoint, a reopen
+// after checkpointed ingests loads the newest snap-<epoch>.d plus the WAL
 // tail, and a vandalized newest checkpoint falls back to the previous one
 // plus the longer WAL tail the rotation kept — same logical content.
 func TestColumnarBootstrapAndMap(t *testing.T) {
 	dir := t.TempDir()
 	var loadedFrom string
 	opts := crashOptions(dir, nil)
-	opts.Bootstrap = true
 	opts.LoadEnv = func(d string) (mil.Env, error) {
 		env, err := crashLoadEnv(d)
 		if err == nil {
@@ -46,20 +45,19 @@ func TestColumnarBootstrapAndMap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if loadedFrom != snapDirName(0) {
-		t.Fatalf("fresh bootstrapping open serves %q, want the genesis checkpoint snap-0.d", loadedFrom)
+	if loadedFrom != "" {
+		t.Fatalf("fresh open loaded %q, want genesis from memory", loadedFrom)
 	}
-	want0 := fingerprint(crashGenesis())
-	if got := fingerprint(st.Manager().Current().Env); got != want0 {
-		t.Fatalf("bootstrap env diverged from genesis:\nwant %q\ngot  %q", want0, got)
+	if got, want := fingerprint(st.Manager().Current().Env), fingerprint(crashGenesis()); got != want {
+		t.Fatalf("fresh env diverged from genesis:\nwant %q\ngot  %q", want, got)
 	}
 	if st.Recoveries() != 0 || st.RecoveryTime() != 0 {
 		t.Fatalf("fresh open reports recoveries=%d recovery time %v, want 0", st.Recoveries(), st.RecoveryTime())
 	}
 
-	// SnapshotEvery=3: epochs 1..4 leave a checkpoint at 3 plus one WAL
-	// record, so recovery exercises load + tail replay together.
-	for i := int64(0); i < 4; i++ {
+	// SnapshotEvery=3: epochs 1..7 leave checkpoints at 3 and 6 plus one
+	// WAL record, so recovery exercises load + tail replay together.
+	for i := int64(0); i < 7; i++ {
 		if _, err := st.Ingest(encodeInts([]int64{i, i * 10})); err != nil {
 			t.Fatalf("ingest %d: %v", i, err)
 		}
@@ -71,11 +69,11 @@ func TestColumnarBootstrapAndMap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	if id := re.Manager().CurrentID(); id != 4 {
-		t.Fatalf("recovered epoch %d, want 4", id)
+	if id := re.Manager().CurrentID(); id != 7 {
+		t.Fatalf("recovered epoch %d, want 7", id)
 	}
-	if loadedFrom != snapDirName(3) {
-		t.Fatalf("recovery loaded %q, want the newest checkpoint snap-3.d", loadedFrom)
+	if loadedFrom != snapDirName(6) {
+		t.Fatalf("recovery loaded %q, want the newest checkpoint snap-6.d", loadedFrom)
 	}
 	if got := fingerprint(re.Manager().Current().Env); got != want {
 		t.Fatalf("checkpoint recovery diverged:\nwant %q\ngot  %q", want, got)
@@ -86,15 +84,15 @@ func TestColumnarBootstrapAndMap(t *testing.T) {
 	re.Close()
 
 	// Vandalize the newest checkpoint: LoadEnv must refuse it (CRC) and
-	// recovery must fall back to snap-0.d plus records 1..4.
-	vandalize(t, dir, 3)
+	// recovery must fall back to snap-3.d plus records 4..7.
+	vandalize(t, dir, 6)
 	re2, err := Open(opts)
 	if err != nil {
 		t.Fatalf("reopen after corruption: %v", err)
 	}
 	defer re2.Close()
-	if loadedFrom != snapDirName(0) {
-		t.Fatalf("fallback loaded %q, want the previous checkpoint snap-0.d", loadedFrom)
+	if loadedFrom != snapDirName(3) {
+		t.Fatalf("fallback loaded %q, want the previous checkpoint snap-3.d", loadedFrom)
 	}
 	if got := fingerprint(re2.Manager().Current().Env); got != want {
 		t.Fatalf("fallback recovery diverged:\nwant %q\ngot  %q", want, got)

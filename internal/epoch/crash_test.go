@@ -111,7 +111,7 @@ func crashSaveEnv(tmpDir, _ string, env mil.Env) error {
 }
 
 func crashLoadEnv(dir string) (mil.Env, error) {
-	s, err := heapfile.Open(dir, heapfile.Options{})
+	s, err := heapfile.Open(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -178,37 +178,48 @@ var crashPoints = []struct {
 	{"snapshot:after-rename", false, true},
 }
 
-// The kill matrix runs its six protocol points under both ways a store
-// meets its first checkpoint. Recovery always loads the newest valid
-// snap-<epoch>.d and replays the WAL past it; the two regimes differ only
-// in whether one exists before the first SnapshotEvery ingests.
+// The kill matrix runs its six protocol points under both states a store
+// serves from. Recovery always loads the newest valid snap-<epoch>.d and
+// replays the WAL past it; the two differ in what the crashing store's
+// base env is.
 
-// TestCrashMatrix: no checkpoint until SnapshotEvery ingests (the sim
-// regime: genesis plus WAL replay until then).
+// TestCrashMatrix: a fresh directory, serving genesis from memory (plus
+// WAL replay) until its first SnapshotEvery ingests.
 func TestCrashMatrix(t *testing.T) { runCrashMatrix(t, false) }
 
-// TestCrashMatrixColumnar: a genesis checkpoint at first open (Bootstrap,
-// the mmap regime).
+// TestCrashMatrixColumnar: a store restarted after a checkpoint, serving
+// the mapped columns of snap-<SnapshotEvery>.d when the kill lands.
 func TestCrashMatrixColumnar(t *testing.T) { runCrashMatrix(t, true) }
 
-func runCrashMatrix(t *testing.T, bootstrap bool) {
+func runCrashMatrix(t *testing.T, restarted bool) {
 	for _, seed := range crashSeeds(t) {
 		for _, cp := range crashPoints {
 			t.Run(fmt.Sprintf("seed=%d/%s", seed, cp.point), func(t *testing.T) {
-				runCrashCase(t, seed, cp.point, cp.preOK, cp.snapshot, func(dir string, hooks *Hooks) Options {
-					opts := crashOptions(dir, hooks)
-					opts.Bootstrap = bootstrap
-					return opts
-				})
+				runCrashCase(t, seed, cp.point, cp.preOK, cp.snapshot, restarted, crashOptions)
 			})
 		}
 	}
 }
 
-func runCrashCase(t *testing.T, seed int64, point string, preOK, needSnapshot bool,
+func runCrashCase(t *testing.T, seed int64, point string, preOK, needSnapshot, restarted bool,
 	mkOpts func(dir string, hooks *Hooks) Options) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))
+	every := uint64(mkOpts(dir, nil).SnapshotEvery)
+	if restarted {
+		// Ingest up to the first checkpoint and close: the Open below then
+		// recovers by mapping it.
+		st, err := Open(mkOpts(dir, nil))
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		for i := uint64(0); i < every; i++ {
+			if _, err := st.Ingest(encodeInts([]int64{rng.Int63n(1_000_000)})); err != nil {
+				t.Fatalf("checkpoint ingest %d: %v", i, err)
+			}
+		}
+		st.Close()
+	}
 
 	// Arm the kill only when the test says so: the warm-up ingests must
 	// run the full protocol, including real checkpoints.
@@ -223,6 +234,11 @@ func runCrashCase(t *testing.T, seed int64, point string, preOK, needSnapshot bo
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
+	if restarted {
+		if snaps, _ := listSnapshots(dir); len(snaps) != 1 || snaps[0] != every || st.Manager().CurrentID() != every {
+			t.Fatalf("restarted store at epoch %d over checkpoints %v, want snap-%d.d", st.Manager().CurrentID(), snaps, every)
+		}
+	}
 	payload := func() []byte {
 		vals := make([]int64, 1+rng.Intn(4))
 		for i := range vals {
@@ -235,8 +251,7 @@ func runCrashCase(t *testing.T, seed int64, point string, preOK, needSnapshot bo
 	// ingest exactly on a checkpoint epoch (id % SnapshotEvery == 0).
 	warm := 1 + rng.Intn(4)
 	if needSnapshot {
-		every := uint64(mkOpts(dir, nil).SnapshotEvery)
-		for (uint64(warm)+1)%every != 0 {
+		for (st.Manager().CurrentID()+uint64(warm)+1)%every != 0 {
 			warm++
 		}
 	}

@@ -75,11 +75,6 @@ type Options struct {
 	// part of it does not verify. Recovery loads the newest checkpoint it
 	// accepts and replays the WAL past it. Required with a Dir.
 	LoadEnv func(dir string) (mil.Env, error)
-	// Bootstrap checkpoints genesis at the first Open of a directory and
-	// serves the loaded copy, so the base columns come from the checkpoint
-	// from the first query on (the mmap regime) rather than only after
-	// SnapshotEvery ingests.
-	Bootstrap bool
 	// SnapshotEvery checkpoints after every N successful ingests and
 	// rotates the WAL. 0 disables checkpointing (the WAL holds the full
 	// history).
@@ -180,27 +175,10 @@ func Open(opts Options) (*Store, error) {
 	s.wal = w
 	s.walBytes.Store(w.size.Load())
 
-	env, last, loaded, err := recoverEnv(opts, snaps, recs)
+	env, last, err := recoverEnv(opts, snaps, recs)
 	if err != nil {
 		w.close()
 		return nil, err
-	}
-
-	// Bootstrap: a store that serves from its checkpoints but recovered
-	// without loading one (first open) checkpoints NOW and loads the result
-	// back, so the served base columns come from the checkpoint from the
-	// first query on. Crash hooks stay silent here: this is not one of the
-	// six protocol points, and arming a hook for ingest-time checkpoints
-	// must not detonate during Open.
-	if !loaded && opts.Bootstrap {
-		if err := writeSnapshotDir(opts.Dir, last, env, opts.SaveEnv, nil); err != nil {
-			w.close()
-			return nil, fmt.Errorf("epoch store %s: bootstrap checkpoint: %w", opts.Dir, err)
-		}
-		if env, err = opts.LoadEnv(filepath.Join(opts.Dir, snapDirName(last))); err != nil {
-			w.close()
-			return nil, fmt.Errorf("epoch store %s: bootstrap load-back: %w", opts.Dir, err)
-		}
 	}
 
 	s.mgr = NewManagerAt(last, env)
@@ -221,13 +199,13 @@ func Open(opts Options) (*Store, error) {
 // base must follow it without a gap and reach at least the newest
 // checkpoint's epoch — every checkpoint on disk names an acknowledged
 // epoch, so recovering short of one would silently drop writes.
-func recoverEnv(opts Options, snaps []uint64, recs []walRecord) (env mil.Env, last uint64, loaded bool, err error) {
+func recoverEnv(opts Options, snaps []uint64, recs []walRecord) (env mil.Env, last uint64, err error) {
 	var damaged []string
 	for _, ep := range snaps {
 		name := snapDirName(ep)
 		e, lerr := opts.LoadEnv(filepath.Join(opts.Dir, name))
 		if lerr == nil {
-			env, last, loaded = e, ep, true
+			env, last = e, ep
 			break
 		}
 		damaged = append(damaged, fmt.Sprintf("%s (%v)", name, lerr))
@@ -246,12 +224,12 @@ func recoverEnv(opts Options, snaps []uint64, recs []walRecord) (env mil.Env, la
 	}
 	if gap || len(snaps) > 0 && last < snaps[0] {
 		if len(damaged) > 0 {
-			return nil, 0, false, fmt.Errorf("epoch store %s: recovery gap after epoch %d; checkpoints that failed to load: %s",
+			return nil, 0, fmt.Errorf("epoch store %s: recovery gap after epoch %d; checkpoints that failed to load: %s",
 				opts.Dir, last, strings.Join(damaged, "; "))
 		}
-		return nil, 0, false, fmt.Errorf("epoch store %s: recovery gap after epoch %d", opts.Dir, last)
+		return nil, 0, fmt.Errorf("epoch store %s: recovery gap after epoch %d", opts.Dir, last)
 	}
-	if !loaded {
+	if env == nil {
 		env = opts.Genesis()
 	}
 	for _, r := range tail {
@@ -259,11 +237,11 @@ func recoverEnv(opts Options, snaps []uint64, recs []walRecord) (env mil.Env, la
 		// base, accounted like any base env (gauge untouched).
 		next, _, aerr := opts.Apply(env, r.Payload)
 		if aerr != nil {
-			return nil, 0, false, fmt.Errorf("epoch store %s: replay of epoch %d failed: %w", opts.Dir, r.Epoch, aerr)
+			return nil, 0, fmt.Errorf("epoch store %s: replay of epoch %d failed: %w", opts.Dir, r.Epoch, aerr)
 		}
 		env = next
 	}
-	return env, last, loaded, nil
+	return env, last, nil
 }
 
 // Manager exposes the epoch chain for readers (pinning) and metrics.

@@ -34,9 +34,9 @@ func walEpochs(t *testing.T, dir string) []uint64 {
 // store's WAL. An in-memory store keeps none; a durable store without
 // checkpoints keeps every record; a checkpointing one keeps exactly the
 // records past the older of its two retained checkpoints (wal.prev plus
-// the current segment). No store writes a checkpoint at open unless it
-// bootstraps, and each ingest-time checkpoint is one observation in the
-// checkpoint histogram, none failed.
+// the current segment). No store writes a checkpoint at open, and each
+// ingest-time checkpoint is one observation in the checkpoint histogram,
+// none failed.
 func TestHistoryOnlyWhenDurable(t *testing.T) {
 	const n = 100
 	durable := crashOptions(t.TempDir(), nil)
@@ -61,7 +61,7 @@ func TestHistoryOnlyWhenDurable(t *testing.T) {
 			dir := tc.opts.Dir
 			if dir != "" {
 				if snaps, _ := listSnapshots(dir); len(snaps) != 0 {
-					t.Fatalf("open without Bootstrap wrote checkpoints %v", snaps)
+					t.Fatalf("open wrote checkpoints %v", snaps)
 				}
 			}
 			for i := 0; i < n; i++ {

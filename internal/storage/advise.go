@@ -5,7 +5,7 @@ package storage
 // they are about to execute, and a mapping-backed heap translates the hint
 // into the platform's paging advice. On the simulator the hints are inert —
 // the logical fault model depends only on the touches themselves — so the
-// same call sites serve both storage modes.
+// same call sites serve mapped columns and columns built in memory.
 type Advice uint8
 
 const (

@@ -94,8 +94,8 @@ func (w *Writer) Dir() string { return w.dir }
 // checkpoint.
 func (w *Writer) Manifest() *Manifest { return &w.man }
 
-// Put writes one column part: temp file, fsync, rename to its final name,
-// CRC recorded for the manifest.
+// Put writes one column part (temp file, fsync, rename to its final name)
+// and records its CRC for the manifest.
 func (w *Writer) Put(name string, data []byte) error {
 	fname, err := fileNameFor(name)
 	if err != nil {
@@ -104,28 +104,7 @@ func (w *Writer) Put(name string, data []byte) error {
 	if _, dup := w.man.Lookup(name); dup {
 		return fmt.Errorf("heapfile: duplicate part %q", name)
 	}
-	path := filepath.Join(w.dir, fname)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := publishBytes(filepath.Join(w.dir, fname), data); err != nil {
 		return err
 	}
 	w.man.Files = append(w.man.Files, FileInfo{
@@ -139,7 +118,7 @@ func (w *Writer) Put(name string, data []byte) error {
 // directory: the file is hard-linked from srcDir (copy-on-write at the
 // checkpoint level — only touched families get rewritten; everything else
 // shares the inode, and with it the page cache and any live mapping).
-// Falls back to a byte copy when linking is unsupported.
+// Falls back to a byte copy when linking fails.
 func (w *Writer) Borrow(name string, srcDir string, fi FileInfo) error {
 	fname, err := fileNameFor(name)
 	if err != nil {
@@ -165,23 +144,42 @@ func copyFile(src, dst string) error {
 		return err
 	}
 	defer in.Close()
-	tmp := dst + ".tmp"
-	out, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	return publishFile(dst, func(out io.Writer) error {
+		_, err := io.Copy(out, in)
+		return err
+	})
+}
+
+// publishFile writes path atomically: fill a temp file, fsync it, close it
+// and rename it to path. On any failure the temp file is removed and path
+// is left as it was.
+func publishFile(path string, fill func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := io.Copy(out, in); err == nil {
-		err = out.Sync()
-	} else {
-		out.Close()
-		os.Remove(tmp)
-		return err
+	err = fill(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := out.Close(); err != nil {
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp, dst)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+func publishBytes(path string, data []byte) error {
+	return publishFile(path, func(out io.Writer) error {
+		_, err := out.Write(data)
+		return err
+	})
 }
 
 // Commit writes the manifest (temp+fsync+rename) and fsyncs the directory,
@@ -192,28 +190,7 @@ func (w *Writer) Commit() error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(w.dir, manifestName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := publishBytes(filepath.Join(w.dir, manifestName), data); err != nil {
 		return err
 	}
 	return syncDir(w.dir)
@@ -235,19 +212,6 @@ func crc32Of(data []byte) uint32 {
 	return crc32.Checksum(data, castagnoli)
 }
 
-// Options configures Open.
-type Options struct {
-	// Fallback forces the portable read-into-memory path even where mmap
-	// is available — how the portable code gets exercised by the parity
-	// suite on unix CI hosts.
-	Fallback bool
-	// SkipVerify disables the CRC pass over every column file at open.
-	// Verification streams each mapping once (with sequential advice), so
-	// it is a warm-up as much as a check; skip only in benchmarks that
-	// want a genuinely cold mapping.
-	SkipVerify bool
-}
-
 // Store is an open heap directory: the manifest plus one read-only Mapping
 // per column file, registered with the process residency registry until
 // Close.
@@ -260,28 +224,32 @@ type Store struct {
 }
 
 // Open maps every column file named by dir's manifest. Missing manifest,
-// byte-order mismatch, size mismatch or (unless SkipVerify) CRC mismatch
-// fail the open — callers fall back to an older checkpoint or a rebuild.
-func Open(dir string, opts Options) (*Store, error) {
+// byte-order mismatch, size mismatch or CRC mismatch fail the open —
+// callers fall back to an older checkpoint or a rebuild.
+func Open(dir string) (*Store, error) { return open(dir, false) }
+
+// open is Open with the portable read path forced when read is set, so
+// the tests cover that path on hosts that can map.
+func open(dir string, read bool) (*Store, error) {
 	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, man: man, maps: make(map[string]*Mapping, len(man.Files))}
 	for _, fi := range man.Files {
-		m, err := openMapping(filepath.Join(dir, fi.File), fi.Bytes, opts.Fallback)
+		m, err := openMapping(filepath.Join(dir, fi.File), fi.Bytes, read)
 		if err != nil {
 			s.Close()
 			return nil, fmt.Errorf("heapfile: open %s: %w", fi.Name, err)
 		}
-		if !opts.SkipVerify {
-			m.Advise(storage.AdviceSequential, 0, fi.Bytes)
-			if got := crc32Of(m.Bytes()); got != fi.CRC {
-				s.Close()
-				return nil, fmt.Errorf("heapfile: %s: CRC mismatch (file %08x, manifest %08x)", fi.Name, got, fi.CRC)
-			}
-		}
 		s.maps[fi.Name] = m
+		// Verification streams each mapping once (with sequential
+		// advice), so it warms the page cache as much as it checks.
+		m.Advise(storage.AdviceSequential, 0, fi.Bytes)
+		if got := crc32Of(m.Bytes()); got != fi.CRC {
+			s.Close()
+			return nil, fmt.Errorf("heapfile: %s: CRC mismatch (file %08x, manifest %08x)", fi.Name, got, fi.CRC)
+		}
 	}
 	s.unreg = storage.RegisterResidency(s.Resident)
 	return s, nil

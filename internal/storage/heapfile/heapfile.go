@@ -15,17 +15,18 @@
 // aligned. The manifest records the byte order and refuses a mismatch.
 //
 // Platform split: on unix the files are mmap'd (mmap_unix.go) and access
-// hints forward to madvise / residency sampling to mincore; elsewhere — or
-// when Options.Fallback forces it, which is how the portable path gets
-// test coverage on unix hosts — files are read into aligned anonymous
-// memory (mmap_portable.go / readAligned) and the hints are inert. Either
-// way the bytes exposed to the column layer are identical, which is what
-// the storage parity suite asserts.
+// hints forward to madvise / residency sampling to mincore. A file is read
+// into aligned anonymous memory instead (readAligned) only where the build
+// has no mmap (mmap_portable.go) or mapping that file fails; the hints are
+// then inert. Either way the bytes exposed to the column layer are
+// identical: the package tests force the read path through an unexported
+// seam and compare it with the mapping byte for byte.
 package heapfile
 
 import (
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -50,11 +51,11 @@ type Mapping struct {
 
 // openMapping maps the file at path, which must be exactly size bytes —
 // the size is checked against the real file first, because mapping past
-// EOF does not fail at mmap time, it SIGBUSes at first access. fallback
-// forces the portable read-into-memory path. After the size check, any
-// mmap failure (unsupported filesystem, no platform support) degrades to
-// the portable read: the bytes served are identical either way.
-func openMapping(path string, size int64, fallback bool) (*Mapping, error) {
+// EOF does not fail at mmap time, it SIGBUSes at first access. read
+// forces the portable read-into-memory path (a test seam). After the size
+// check, any mmap failure (unsupported filesystem, no platform support)
+// degrades to the portable read: the bytes served are identical either way.
+func openMapping(path string, size int64, read bool) (*Mapping, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
@@ -65,7 +66,7 @@ func openMapping(path string, size int64, fallback bool) (*Mapping, error) {
 	if size == 0 {
 		return &Mapping{data: nil, mapped: false}, nil
 	}
-	if !fallback {
+	if !read {
 		if data, err := mmapFile(path, size); err == nil {
 			return &Mapping{data: data, mapped: true}, nil
 		}
@@ -177,22 +178,10 @@ func readAligned(path string, size int64) ([]byte, error) {
 	if len(words) > 0 {
 		buf = unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), len(words)*8)[:size]
 	}
-	if _, err := readFull(f, buf); err != nil {
+	if _, err := io.ReadFull(f, buf); err != nil {
 		return nil, fmt.Errorf("heapfile: read %s: %w", filepath.Base(path), err)
 	}
 	return buf, nil
-}
-
-func readFull(f *os.File, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := f.Read(buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // View reinterprets the mapping's bytes as a []T without copying. T must

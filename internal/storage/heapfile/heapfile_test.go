@@ -1,9 +1,11 @@
 package heapfile
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -36,18 +38,35 @@ func writeDir(t *testing.T, dir string) ([]int64, []uint32, string) {
 	return ints, oids, chars
 }
 
+// TestRoundtripMappedAndFallback opens one directory twice, once mapped
+// and once through the forced read path, and requires both to serve the
+// written values and byte-identical spans.
 func TestRoundtripMappedAndFallback(t *testing.T) {
 	dir := t.TempDir()
 	ints, oids, chars := writeDir(t, dir)
-	for _, opts := range []Options{{}, {Fallback: true}} {
-		s, err := Open(dir, opts)
+	mapped, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer mapped.Close()
+	for _, read := range []bool{false, true} {
+		s, err := open(dir, read)
 		if err != nil {
-			t.Fatalf("open %+v: %v", opts, err)
+			t.Fatalf("open read=%v: %v", read, err)
+		}
+		for _, fi := range s.Manifest().Files {
+			m := s.Mapping(fi.Name)
+			if read && m.Mapped() {
+				t.Fatalf("read=true mapped %s", fi.Name)
+			}
+			if !bytes.Equal(m.Bytes(), mapped.Mapping(fi.Name).Bytes()) {
+				t.Fatalf("read=%v: %s bytes differ from the mapping", read, fi.Name)
+			}
 		}
 		gotInts := View[int64](s.Mapping("col.tail"))
 		for i, v := range ints {
 			if gotInts[i] != v {
-				t.Fatalf("fallback=%v int[%d]=%d want %d", opts.Fallback, i, gotInts[i], v)
+				t.Fatalf("read=%v int[%d]=%d want %d", read, i, gotInts[i], v)
 			}
 		}
 		gotOids := View[uint32](s.Mapping("idx.head"))
@@ -91,21 +110,16 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("open accepted corrupt column file")
 	}
-	// But SkipVerify maps it (benchmarks) — size still checked.
-	s, err := Open(dir, Options{SkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	// Truncation is refused even without CRC (mmap past EOF would SIGBUS).
+	// Truncation is refused by the size check before anything is mapped
+	// (mmap past EOF would SIGBUS).
 	if err := os.Truncate(path, int64(len(data)-8)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{SkipVerify: true}); err == nil {
-		t.Fatal("open accepted truncated column file")
+	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "manifest says") {
+		t.Fatalf("open of a truncated column file: %v, want a size mismatch", err)
 	}
 }
 
@@ -114,7 +128,7 @@ func TestOpenRequiresManifest(t *testing.T) {
 	if IsHeapDir(dir) {
 		t.Fatal("empty dir reported as heap dir")
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("open accepted manifest-less dir")
 	}
 	writeDir(t, dir)
@@ -148,7 +162,7 @@ func TestBorrowSharesBytes(t *testing.T) {
 	if err := w.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(b, Options{})
+	s, err := Open(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +181,61 @@ func TestBorrowSharesBytes(t *testing.T) {
 	}
 }
 
+// TestBorrowCopyFallback drives Borrow's copy path: a file already at the
+// destination name makes the hard link fail with EEXIST, so the part is
+// copied through the temp-file publish instead. The copy must verify on
+// Open and leave no temp file behind.
+func TestBorrowCopyFallback(t *testing.T) {
+	a := t.TempDir()
+	ints, _, _ := writeDir(t, a)
+	man, err := ReadManifest(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, _ := man.Lookup("col.tail")
+	b := t.TempDir()
+	w, err := NewWriter(b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(b, fi.File), []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Borrow("col.tail", a, fi); err != nil {
+		t.Fatalf("borrow: %v", err)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	sa, err1 := os.Stat(filepath.Join(a, fi.File))
+	sb, err2 := os.Stat(filepath.Join(b, fi.File))
+	if err1 != nil || err2 != nil || os.SameFile(sa, sb) {
+		t.Fatalf("borrow linked the source instead of copying (%v, %v)", err1, err2)
+	}
+	s, err := Open(b)
+	if err != nil {
+		t.Fatalf("open copied part: %v", err)
+	}
+	defer s.Close()
+	got := View[int64](s.Mapping("col.tail"))
+	if len(got) != len(ints) {
+		t.Fatalf("copied part holds %d ints, want %d", len(got), len(ints))
+	}
+	for i, v := range ints {
+		if got[i] != v {
+			t.Fatalf("copied int[%d]=%d want %d", i, got[i], v)
+		}
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(b, "*.tmp")); len(tmps) != 0 {
+		t.Fatalf("temp files left behind: %v", tmps)
+	}
+}
+
 func TestResidencyRegistry(t *testing.T) {
 	dir := t.TempDir()
 	writeDir(t, dir)
 	before := storage.SampleResidency()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,7 +79,9 @@ func shapedBatch(db *DB, shape string, seed int64) *RefreshBatch {
 // applied batches, every BAT ApplyRefresh produces must equal what a
 // from-scratch Load of the same advanced db builds — properties, head/tail
 // values, column layout (a void head stays void), datavector, byte sizes —
-// and the epoch's owned bytes must equal the rebuilt entries' sizes.
+// and the epoch's owned bytes must equal the rebuilt entries' sizes. The
+// "sim" cases merge onto columns built in memory, the "mmap" case onto the
+// mapped columns of a checkpoint.
 func TestApplyEqualsLoad(t *testing.T) {
 	apply := func(t *testing.T, shapes []string) {
 		db := Generate(testSF, testSeed)
@@ -106,14 +108,18 @@ func TestApplyEqualsLoad(t *testing.T) {
 		apply(t, shapes)
 	})
 
-	// A checkpoint base: the third ingest checkpoints (in mmap mode over
-	// the genesis checkpoint the bootstrap wrote), and the reopen loads that
-	// checkpoint and replays the fourth over it — every later merge reads
-	// checkpointed columns as prev. The durable store's DB never advances,
-	// so the test keeps its own mirror of the batches it sent.
-	for _, mode := range []string{StorageMmap, StorageSim} {
-		t.Run(mode+"/reopen", func(t *testing.T) {
-			cfg := DurableConfig{Dir: t.TempDir(), SF: testSF, Seed: testSeed, SnapshotEvery: 3, Storage: mode}
+	// Across a restart. With a checkpoint (mmap) the third ingest
+	// checkpoints and the reopen maps that checkpoint and replays the
+	// fourth over it, so every later merge reads mapped columns as prev.
+	// Without one (sim) the reopen replays all four over genesis built in
+	// memory. The durable store's DB never advances, so the test keeps its
+	// own mirror of the batches it sent.
+	for _, mode := range []struct {
+		name  string
+		every int
+	}{{"mmap", 3}, {"sim", 0}} {
+		t.Run(mode.name+"/reopen", func(t *testing.T) {
+			cfg := DurableConfig{Dir: t.TempDir(), SF: testSF, Seed: testSeed, SnapshotEvery: mode.every}
 			db := Generate(testSF, testSeed)
 			ingest := func(from, to int) {
 				st, _, err := OpenStore(cfg)

@@ -12,7 +12,7 @@ import (
 
 // Checkpoint codec: serializes a served env as a heap-file directory
 // (internal/storage/heapfile) and maps it back into BAT columns — the one
-// durable format of both storage modes.
+// durable format, and what a restarted store serves from.
 // Three entry shapes cover the whole TPC-D env:
 //
 //   - extent     [void,void]         — rows only, no bytes on disk;
@@ -28,14 +28,6 @@ import (
 // The manifest's opaque meta records the entry list, so loading needs no
 // schema knowledge beyond this codec — the epoch store treats both sides
 // as black boxes.
-
-// StorageSim serves columns from anonymous memory (checkpoints are read
-// back into memory); StorageMmap serves base columns from mmap'd heap-file
-// checkpoints.
-const (
-	StorageSim  = "sim"
-	StorageMmap = "mmap"
-)
 
 type heapEntry struct {
 	Name string `json:"name"`
@@ -269,8 +261,8 @@ func mappedColumn(s *heapfile.Store, base, kind string) (bat.Column, error) {
 // rebuildDatavector inverts the tail sort: gather the tail through the
 // inverse of the head permutation (extent position head-base ← row),
 // rebuilding the oid-ordered vector the bulk loader fed to
-// NewDenseDatavector. Deterministic, so the accelerator matches the sim path
-// bit-for-bit.
+// NewDenseDatavector. Deterministic, so the accelerator matches the bulk
+// loader's bit-for-bit.
 func rebuildDatavector(base bat.OID, headAt func(int) bat.OID, tail bat.Column, rows int) (*bat.Datavector, error) {
 	inv := make([]int32, rows)
 	for i := 0; i < rows; i++ {
@@ -290,8 +282,8 @@ func rebuildDatavector(base bat.OID, headAt func(int) bat.OID, tail bat.Column, 
 // loadEnvHeap maps a checkpoint directory back into a served env. The
 // returned heapfile.Store owns the mappings; it must stay open as long as
 // any epoch serves views over them (the epoch store's closer list).
-func loadEnvHeap(dir string, fallback bool) (mil.Env, *heapfile.Store, error) {
-	s, err := heapfile.Open(dir, heapfile.Options{Fallback: fallback})
+func loadEnvHeap(dir string) (mil.Env, *heapfile.Store, error) {
+	s, err := heapfile.Open(dir)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,19 +1,19 @@
 package tpcd
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"testing"
 
 	"repro/internal/bat"
+	"repro/internal/epoch"
 	"repro/internal/mil"
 	"repro/internal/storage"
 )
 
 // envFingerprint renders every BAT in an env, sorted by name — the full
-// logical content the storage modes must agree on.
+// logical content a mapped restart must agree on.
 func envFingerprint(t *testing.T, env mil.Env) string {
 	t.Helper()
 	names := make([]string, 0, len(env))
@@ -28,58 +28,74 @@ func envFingerprint(t *testing.T, env mil.Env) string {
 	return out
 }
 
-// TestOpenStoreMmapParity opens the same genesis under sim and mmap (and
-// the portable fallback) and requires the served envs to be bit-identical
-// — the out-of-core storage engine must be invisible to query results.
-func TestOpenStoreMmapParity(t *testing.T) {
-	sim, _, err := OpenStore(DurableConfig{SF: testSF, Seed: testSeed, Storage: StorageSim})
-	if err != nil {
-		t.Fatalf("open sim: %v", err)
-	}
-	defer sim.Close()
-	want := envFingerprint(t, sim.Manager().Current().Env)
-
-	for _, fallback := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fallback=%v", fallback), func(t *testing.T) {
-			st, _, err := OpenStore(DurableConfig{
-				Dir: t.TempDir(), SF: testSF, Seed: testSeed,
-				Storage: StorageMmap, MapFallback: fallback,
-			})
-			if err != nil {
-				t.Fatalf("open mmap: %v", err)
+// ingestBatches generates n refresh batches of 8 orders from db and
+// ingests each into every store, in order.
+func ingestBatches(t *testing.T, db *DB, n int, stores ...*epoch.Store) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		p, err := EncodeRefresh(GenRefresh(db, int64(i+1), 8))
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		for _, st := range stores {
+			if _, err := st.Ingest(p); err != nil {
+				t.Fatalf("ingest %d: %v", i, err)
 			}
-			defer st.Close()
-			if got := envFingerprint(t, st.Manager().Current().Env); got != want {
-				t.Fatal("mmap-served env diverged from sim-served env")
-			}
-		})
+		}
 	}
 }
 
-// TestOpenStoreMmapRecovery is TestOpenStoreRecovery on the out-of-core
-// path: ingest through checkpoints, reopen, and require the recovered env
-// — now mapped from snap-<epoch>.d plus a WAL tail replay — to match both
-// the pre-restart state and a sim store opened over the same directory
-// (which reads the same checkpoint into memory).
-func TestOpenStoreMmapRecovery(t *testing.T) {
-	dir := t.TempDir()
-	cfg := DurableConfig{Dir: dir, SF: testSF, Seed: testSeed, SnapshotEvery: 2, Storage: StorageMmap}
+// TestOpenStoreMmapParity: a store restarted on its one checkpoint serves
+// the checkpoint's mapped columns, and they must be bit-identical to an
+// in-memory store at the same epoch — mapping is invisible to results.
+func TestOpenStoreMmapParity(t *testing.T) {
+	// The subtest keeps its name from when a read-into-memory regime was a
+	// configurable alternative: this is the mapped (no fallback) restart.
+	t.Run("fallback=false", func(t *testing.T) {
+		mem, _, err := OpenStore(DurableConfig{SF: testSF, Seed: testSeed})
+		if err != nil {
+			t.Fatalf("open in-memory: %v", err)
+		}
+		defer mem.Close()
+		cfg := DurableConfig{Dir: t.TempDir(), SF: testSF, Seed: testSeed, SnapshotEvery: 1}
+		st, db, err := OpenStore(cfg)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		ingestBatches(t, db, 1, st, mem)
+		st.Close()
 
+		re, _, err := OpenStore(cfg)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer re.Close()
+		if id := re.Manager().CurrentID(); id != 1 {
+			t.Fatalf("recovered epoch %d, want 1", id)
+		}
+		if got, want := envFingerprint(t, re.Manager().Current().Env), envFingerprint(t, mem.Manager().Current().Env); got != want {
+			t.Fatal("mapped checkpoint diverged from the in-memory store at the same epoch")
+		}
+	})
+}
+
+// TestOpenStoreMmapRecovery is TestOpenStoreRecovery checked bit for bit:
+// ingest through checkpoints, reopen, and require the recovered env — now
+// mapped from snap-<epoch>.d plus a WAL tail replay — to match both the
+// pre-restart state and an in-memory store fed the same batches.
+func TestOpenStoreMmapRecovery(t *testing.T) {
+	cfg := DurableConfig{Dir: t.TempDir(), SF: testSF, Seed: testSeed, SnapshotEvery: 2}
 	st, db, err := OpenStore(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	const ingests = 3 // checkpoint at 2, WAL tail carries 3
-	for i := 0; i < ingests; i++ {
-		b := GenRefresh(db, int64(i+1), 8)
-		p, err := EncodeRefresh(b)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		if _, err := st.Ingest(p); err != nil {
-			t.Fatalf("ingest %d: %v", i, err)
-		}
+	mem, _, err := OpenStore(DurableConfig{SF: testSF, Seed: testSeed})
+	if err != nil {
+		t.Fatalf("open in-memory: %v", err)
 	}
+	defer mem.Close()
+	const ingests = 3 // checkpoint at 2, WAL tail carries 3
+	ingestBatches(t, db, ingests, st, mem)
 	wantOrders := len(db.Orders) + ingests*8
 	want := envFingerprint(t, st.Manager().Current().Env)
 	st.Close()
@@ -95,21 +111,12 @@ func TestOpenStoreMmapRecovery(t *testing.T) {
 	if n := rec.Manager().Current().Env["Order"].Len(); n != wantOrders {
 		t.Fatalf("recovered Order extent holds %d orders, want %d", n, wantOrders)
 	}
-	if got := envFingerprint(t, rec.Manager().Current().Env); got != want {
+	got := envFingerprint(t, rec.Manager().Current().Env)
+	if got != want {
 		t.Fatal("mapped recovery diverged from pre-restart state")
 	}
-
-	// Cross-mode: a sim store over the same WAL must serve the same bits.
-	simCfg := cfg
-	simCfg.Dir = dir
-	simCfg.Storage = StorageSim
-	sim, _, err := OpenStore(simCfg)
-	if err != nil {
-		t.Fatalf("open sim over mmap dir: %v", err)
-	}
-	defer sim.Close()
-	if got := envFingerprint(t, sim.Manager().Current().Env); got != want {
-		t.Fatal("sim recovery over the same directory diverged from mmap recovery")
+	if got != envFingerprint(t, mem.Manager().Current().Env) {
+		t.Fatal("mapped recovery diverged from the in-memory store fed the same batches")
 	}
 }
 
@@ -161,15 +168,22 @@ func TestCheckpointBorrowsUnchangedColumns(t *testing.T) {
 	}
 }
 
-// TestMmapResidencyObservable: in mmap mode the process-wide residency
-// registry must see the mapped checkpoint.
+// TestMmapResidencyObservable: a store restarted on a checkpoint maps it,
+// and the process-wide residency registry must see the mappings until the
+// store closes.
 func TestMmapResidencyObservable(t *testing.T) {
-	before := storage.SampleResidency()
-	st, _, err := OpenStore(DurableConfig{
-		Dir: t.TempDir(), SF: testSF, Seed: testSeed, Storage: StorageMmap,
-	})
+	cfg := DurableConfig{Dir: t.TempDir(), SF: testSF, Seed: testSeed, SnapshotEvery: 1}
+	st, db, err := OpenStore(cfg)
 	if err != nil {
 		t.Fatalf("open: %v", err)
+	}
+	ingestBatches(t, db, 1, st)
+	st.Close()
+
+	before := storage.SampleResidency()
+	st, _, err = OpenStore(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
 	during := storage.SampleResidency()
 	if during.MappedBytes <= before.MappedBytes {

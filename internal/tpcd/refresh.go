@@ -287,19 +287,10 @@ type DurableConfig struct {
 	// against a different genesis.
 	SF   float64
 	Seed int64
-	// SnapshotEvery checkpoints after every N ingests (0: never).
+	// SnapshotEvery checkpoints the env as columnar heap files in Dir
+	// after every N ingests (0: never). A fresh Dir serves genesis from
+	// memory; a restart serves the newest checkpoint's mapped columns.
 	SnapshotEvery int
-	// Storage selects the serving regime. Both checkpoint the env as
-	// columnar heap files in Dir. StorageSim (default, also "") serves
-	// columns from anonymous memory, reading a checkpoint back into memory
-	// on restart. StorageMmap checkpoints genesis at the first open and
-	// serves base columns straight from the checkpoint's mappings — the
-	// out-of-core path. StorageMmap requires a Dir.
-	Storage string
-	// MapFallback forces the portable read-into-memory heap path instead of
-	// mmap — parity testing and hosts without mmap. Only meaningful with
-	// StorageMmap.
-	MapFallback bool
 	// Hooks optionally injects crash points (tests only).
 	Hooks *epoch.Hooks
 }
@@ -359,18 +350,8 @@ func OpenStoreLazy(cfg DurableConfig) (*epoch.Store, func() *DB, error) {
 			}
 			return env, owned, err
 		},
-		Bootstrap:     cfg.Storage == StorageMmap,
 		SnapshotEvery: cfg.SnapshotEvery,
 		Hooks:         cfg.Hooks,
-	}
-	switch cfg.Storage {
-	case "", StorageSim:
-	case StorageMmap:
-		if cfg.Dir == "" {
-			return nil, nil, fmt.Errorf("tpcd: storage=%s requires a data directory", StorageMmap)
-		}
-	default:
-		return nil, nil, fmt.Errorf("tpcd: unknown storage mode %q (want %q or %q)", cfg.Storage, StorageSim, StorageMmap)
 	}
 
 	var loaded []*heapfile.Store
@@ -378,8 +359,7 @@ func OpenStoreLazy(cfg DurableConfig) (*epoch.Store, func() *DB, error) {
 		hc := &heapCheckpointer{}
 		opts.SaveEnv = hc.save
 		opts.LoadEnv = func(dir string) (mil.Env, error) {
-			// Sim reads the heap files into anonymous memory; mmap maps them.
-			env, s, err := loadEnvHeap(dir, cfg.Storage != StorageMmap || cfg.MapFallback)
+			env, s, err := loadEnvHeap(dir)
 			if err != nil {
 				return nil, err
 			}

@@ -1,17 +1,17 @@
 #!/bin/sh
 # End-to-end smoke of the out-of-core storage path: build moaserve, start it
-# with -storage mmap on a fresh data directory (bulk load writes a columnar
-# heap-file checkpoint; serving maps it), assert the baseline row count and
-# capture a Figure-9-style query answer, ingest a refresh batch over HTTP,
-# then SIGKILL the process — no drain — and restart in mmap mode on the
-# same directory. The restarted server must recover by MAPPING the heap
-# files (not rebuilding), answer bit-identically (row counts and the
-# captured query's elems payload), and report the recovery on /metrics.
-# Real-pager observability is asserted along the way:
-# moaserve_pager_mapped_bytes_real must be nonzero whenever heaps are
-# mapped, and moaserve_pager_faults_real_total nonzero when getrusage is
-# available. A final cold start with -map-fallback exercises the portable
-# read-into-memory path against the same directory and must agree too.
+# on a fresh data directory checkpointing every ingest (genesis is served
+# from memory), assert the baseline row count and capture a Figure-9-style
+# query answer, ingest a refresh batch over HTTP (which writes the columnar
+# heap-file checkpoint of epoch 1), then SIGKILL the process — no drain — and
+# restart with default flags on the same directory. The restarted server
+# must recover by MAPPING the heap files (not rebuilding), answer
+# bit-identically (row counts and the captured query's elems payload),
+# report the recovery on /metrics and accept a further ingest merged onto
+# the mapped columns. Real-pager observability is asserted on the restart:
+# moaserve_pager_mapped_bytes_real must be nonzero, the mappings must be
+# mincore-probed on linux (a heap file read into memory is not), and
+# moaserve_pager_faults_real_total nonzero when getrusage is available.
 # Knobs: ADDR.
 set -eu
 
@@ -32,7 +32,7 @@ cleanup() {
 trap cleanup EXIT
 
 # wait_ready <label>: poll /healthz until the server answers (bulk load on
-# the first start, heap mapping + WAL replay on restarts).
+# the first start, heap mapping + WAL replay on the restart).
 wait_ready() {
 	ready=0
 	i=0
@@ -60,20 +60,25 @@ query_elems() {
 }
 
 # Q6: scan-select-aggregate over Item; the float sum makes a sharp
-# bit-identity probe across storage modes and restarts.
+# bit-identity probe across the restart.
 q='sum(project[*(extendedprice, discount)](
   select[>=(shipdate, date("1994-01-01")), <(shipdate, date("1995-01-01")),
          >=(discount, 0.05), <=(discount, 0.07), <(quantity, 24)](Item)))'
 
 # check_real_pager <label>: the /metrics real-residency twins. Mapped bytes
-# must be nonzero whenever mmap storage is live; the fault counter only
-# when the platform actually answered getrusage.
+# must be nonzero and, on linux, probed by mincore (only a real file
+# mapping is); the fault counter only when the platform actually answered
+# getrusage.
 check_real_pager() {
 	metrics=$(curl -fsS "http://$ADDR/metrics")
 	mapped=$(echo "$metrics" | awk '/^moaserve_pager_mapped_bytes_real /{print $2}')
+	probed=$(echo "$metrics" | awk '/^moaserve_pager_residency_probed /{print $2}')
 	rusage=$(echo "$metrics" | awk '/^moaserve_pager_rusage_ok /{print $2}')
 	faults=$(echo "$metrics" | awk '/^moaserve_pager_faults_real_total /{print $2}')
 	[ -n "$mapped" ] && [ "$mapped" -gt 0 ] || { echo "outofcore-smoke: mapped_bytes_real = '$mapped', want > 0 ($1)" >&2; exit 1; }
+	if [ "$(uname -s)" = Linux ]; then
+		[ "$probed" = 1 ] || { echo "outofcore-smoke: residency_probed = '$probed', want 1: the heap files were read, not mapped ($1)" >&2; exit 1; }
+	fi
 	if [ "$rusage" = 1 ]; then
 		[ -n "$faults" ] && [ "$faults" -gt 0 ] || { echo "outofcore-smoke: faults_real_total = '$faults' with rusage available ($1)" >&2; exit 1; }
 	else
@@ -82,16 +87,15 @@ check_real_pager() {
 	echo "outofcore-smoke: real pager observable ($1): mapped=$mapped faults=${faults:-n/a}" >&2
 }
 
-# --- phase 1: cold bulk load into an mmap-backed store -------------------
-"$bin" -addr "$ADDR" -sf 0.002 -storage mmap -data "$datadir" &
+# --- phase 1: a fresh directory, checkpointed by its first ingest --------
+"$bin" -addr "$ADDR" -sf 0.002 -data "$datadir" -snapshot-every 1 &
 pid=$!
-wait_ready mmap-cold
+wait_ready fresh
 
 c0=$(count_orders)
 [ "$c0" = 3000 ] || { echo "outofcore-smoke: genesis count(Order) = '$c0', want 3000" >&2; exit 1; }
 a0=$(query_elems "$q")
 [ -n "$a0" ] || { echo "outofcore-smoke: Q6 returned no elems" >&2; exit 1; }
-check_real_pager mmap-cold
 
 resp=$(curl -fsS -X POST -H 'Content-Type: application/json' \
 	--data '{"generate":20,"seed":99}' "http://$ADDR/ingest")
@@ -99,16 +103,17 @@ echo "$resp" | grep -q '"epoch":1' || { echo "outofcore-smoke: ingest response '
 c1=$(count_orders)
 [ "$c1" = 3020 ] || { echo "outofcore-smoke: post-ingest count(Order) = '$c1', want 3020" >&2; exit 1; }
 a1=$(query_elems "$q")
+ls -d "$datadir"/snap-*1.d >/dev/null 2>&1 || { echo "outofcore-smoke: the ingest left no epoch-1 checkpoint" >&2; exit 1; }
 
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
 echo "outofcore-smoke: SIGKILL delivered after acknowledged ingest" >&2
 
-# --- phase 2: recovery must MAP the heap checkpoint ----------------------
-"$bin" -addr "$ADDR" -sf 0.002 -storage mmap -data "$datadir" &
+# --- phase 2: a default-flag restart must MAP the heap checkpoint --------
+"$bin" -addr "$ADDR" -sf 0.002 -data "$datadir" &
 pid=$!
-wait_ready mmap-recovered
+wait_ready recovered
 
 c2=$(count_orders)
 [ "$c2" = 3020 ] || { echo "outofcore-smoke: recovered count(Order) = '$c2', want 3020" >&2; exit 1; }
@@ -118,24 +123,16 @@ a2=$(query_elems "$q")
 metrics=$(curl -fsS "http://$ADDR/metrics")
 recoveries=$(echo "$metrics" | awk '/^moaserve_recoveries_total /{print $2}')
 [ "$recoveries" = 1 ] || { echo "outofcore-smoke: recoveries_total = '$recoveries', want 1" >&2; exit 1; }
-check_real_pager mmap-recovered
+check_real_pager recovered
 
-kill -TERM "$pid"
-wait "$pid"
-pid=""
-echo "outofcore-smoke: mmap recovery ok (ingest survived SIGKILL, answers bit-identical)" >&2
-
-# --- phase 3: the portable fallback reads the same directory -------------
-"$bin" -addr "$ADDR" -sf 0.002 -storage mmap -map-fallback -data "$datadir" &
-pid=$!
-wait_ready fallback
-
+# A further ingest merges onto the mapped columns.
+resp=$(curl -fsS -X POST -H 'Content-Type: application/json' \
+	--data '{"generate":20,"seed":98}' "http://$ADDR/ingest")
+echo "$resp" | grep -q '"epoch":2' || { echo "outofcore-smoke: post-recovery ingest response '$resp' lacks epoch 2" >&2; exit 1; }
 c3=$(count_orders)
-[ "$c3" = 3020 ] || { echo "outofcore-smoke: fallback count(Order) = '$c3', want 3020" >&2; exit 1; }
-a3=$(query_elems "$q")
-[ "$a3" = "$a1" ] || { echo "outofcore-smoke: fallback Q6 diverges: '$a3' != '$a1'" >&2; exit 1; }
+[ "$c3" = 3040 ] || { echo "outofcore-smoke: post-recovery count(Order) = '$c3', want 3040" >&2; exit 1; }
 
 kill -TERM "$pid"
 wait "$pid"
 pid=""
-echo "outofcore-smoke: portable fallback agrees with mmap ($a1)"
+echo "outofcore-smoke: mapped recovery ok (ingest survived SIGKILL, answers bit-identical: $a1)"

@@ -4,11 +4,11 @@
 # /metrics, then require a clean SIGTERM drain. moaserve serves without a
 # simulated pager: the scrape must carry no moaserve_pager_faults_total and
 # must carry the real-paging probes (moaserve_pager_rusage_ok,
-# moaserve_pager_residency_probed); a removed pager flag (-pages) must make
-# moaserve exit non-zero. A second run exercises the lifecycle over plain
-# HTTP: 400 on a malformed ?timeout=, 504 on an unmeetable one, 413 on an
-# over-limit body, the timeout counter on /metrics, and a clean drain
-# afterwards. A third run exercises durability: HTTP ingests into a durable
+# moaserve_pager_residency_probed); a removed flag (the pager's -pages, the
+# storage mode's -storage) must make moaserve exit with a usage error. A
+# second run exercises the lifecycle over plain HTTP: 400 on a malformed
+# ?timeout=, 504 on an unmeetable one, 413 on an over-limit body, the
+# timeout counter on /metrics, and a clean drain afterwards. A third run exercises durability: HTTP ingests into a durable
 # data directory across a checkpoint, immediate visibility, SIGKILL (no
 # drain), restart on the same directory, and recovery of the acknowledged
 # ingests from the checkpoint plus the WAL tail with the recovery metrics
@@ -234,9 +234,11 @@ run_lifecycle() {
 
 # A removed flag is a usage error (the flag package exits 2); the timeout
 # turns a server that accepted it into a failure instead of a hang.
-rc=0
-timeout 30 "$bin" -pages 0 -addr "$ADDR" >/dev/null 2>&1 || rc=$?
-[ "$rc" = 2 ] || { echo "server-smoke: moaserve -pages 0 exited $rc, want 2 (flag removed)" >&2; exit 1; }
+for removed in '-pages 0' '-storage mmap'; do
+	rc=0
+	timeout 30 "$bin" $removed -addr "$ADDR" >/dev/null 2>&1 || rc=$?
+	[ "$rc" = 2 ] || { echo "server-smoke: moaserve $removed exited $rc, want 2 (flag removed)" >&2; exit 1; }
+done
 
 run_once cold-run
 
