@@ -33,10 +33,16 @@ test-race:
 ## ({1,2,3} plus the no-injector cancellation run); survivors must be
 ## bit-identical to the sequential reference and fault/hit/gauge accounting
 ## must balance exactly at quiesce. Already part of `make test`/`test-race`
-## once; this target reruns it with fresh schedules for flake hunting.
+## once; this target reruns it with fresh schedules for flake hunting. Then
+## the plan-optimizer differential under the race detector: every Figure-9
+## query and random well-typed queries must answer byte-identically as
+## translated and as mil.Optimize'd. OPTIMIZE_SEEDS=<s1>,<s2>,... overrides
+## the default deterministic {1,2} random-query seeds; CI runs this with
+## fresh seeds per build.
 chaos:
 	$(GO) test ./internal/server -race -count=2 \
 		-run 'TestChaosQueryLifecycle|TestCancellationCleanliness|TestCancelMidBuildRebuildsOnce'
+	$(GO) test ./internal/rewrite -race -count=1 -run 'TestOptimizeDifferential'
 
 ## crash: the durability crash-injection suite under the race detector —
 ## kill the process (simulated via in-test panic at six injection points:

@@ -1,6 +1,7 @@
 // Command milrun executes a hand-written MIL script (the paper's Fig. 10
-// notation) against a generated TPC-D database, printing the per-statement
-// trace and the result BATs — the closest analogue of driving the Monet
+// notation) against a generated TPC-D database, after mil.Optimize has
+// computed each repeated statement once, printing the per-statement trace
+// and the result BATs — the closest analogue of driving the Monet
 // kernel directly through the Monet Interface Language.
 //
 // Example:
@@ -47,11 +48,13 @@ func main() {
 		src = string(data)
 	}
 
-	prog, err := mil.ParseProgram(src)
+	parsed, err := mil.ParseProgram(src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	prog, alias := mil.Optimize(parsed)
+	fmt.Printf("-- optimized: %d → %d statements\n", len(parsed.Stmts), len(prog.Stmts))
 
 	gen := tpcd.Generate(*sf, *seed)
 	env, _ := tpcd.Load(gen)
@@ -70,8 +73,14 @@ func main() {
 		ctx.Pager.Faults(),
 		float64(ctx.IntermBytes)/(1<<20), float64(ctx.PeakBytes)/(1<<20))
 
-	for _, name := range prog.Keep {
-		b, ok := scope.Lookup(name)
+	// Results print under the names the script gave them; an eliminated
+	// one resolves to the twin that computed its value.
+	for _, name := range parsed.Keep {
+		v := name
+		if a, ok := alias[name]; ok {
+			v = a
+		}
+		b, ok := scope.Lookup(v)
 		if !ok {
 			continue
 		}

@@ -66,6 +66,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("-- MIL program:")
+		fmt.Printf("-- optimized: %d → %d statements\n", prep.Translated, len(prep.Prog.Stmts))
 		fmt.Print(prep.Prog.String())
 		fmt.Println("-- result structure function:")
 		fmt.Println(prep.Struct.Render())

@@ -27,11 +27,28 @@ type Result struct {
 	Prog   *mil.Program
 	Struct moa.Struct
 	Type   moa.Type
+	// Translated is the number of statements the rewriter emitted, before
+	// mil.Optimize computed each value once.
+	Translated int
 }
 
 // Translate rewrites a checked MOA query into a MIL program and result
-// structure function.
-func Translate(ck *moa.Checked) (res *Result, err error) {
+// structure function. The program is the optimized one (mil.Optimize): each
+// value is computed once, and the structure function names the surviving
+// variables.
+func Translate(ck *moa.Checked) (*Result, error) {
+	res, err := translate(ck)
+	if err != nil {
+		return nil, err
+	}
+	prog, alias := mil.Optimize(res.Prog)
+	return &Result{Prog: prog, Struct: renameStruct(res.Struct, alias), Type: res.Type,
+		Translated: len(res.Prog.Stmts)}, nil
+}
+
+// translate is the term rewriter proper: the program as the rules of
+// Section 4.3 emit it, one MIL chain per attribute path.
+func translate(ck *moa.Checked) (res *Result, err error) {
 	r := &rewriter{ck: ck, schema: ck.Schema, b: mil.NewBuilder()}
 	defer func() {
 		if p := recover(); p != nil {

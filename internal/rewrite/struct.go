@@ -66,3 +66,35 @@ func (r *rewriter) structOf(rep ElemRep) moa.Struct {
 	r.fail("unknown element representation %T", rep)
 	return nil
 }
+
+// renameStruct rewrites the variables a structure function names through
+// alias (eliminated variable → surviving twin).
+func renameStruct(s moa.Struct, alias map[string]string) moa.Struct {
+	if len(alias) == 0 {
+		return s
+	}
+	name := func(v string) string {
+		if a, ok := alias[v]; ok {
+			return a
+		}
+		return v
+	}
+	switch x := s.(type) {
+	case moa.AtomFn:
+		return moa.AtomFn{Var: name(x.Var)}
+	case moa.TupleFn:
+		fields := make([]moa.Struct, len(x.Fields))
+		for i, f := range x.Fields {
+			fields[i] = renameStruct(f, alias)
+		}
+		x.Fields = fields
+		return x
+	case moa.SetFn:
+		return moa.SetFn{Index: name(x.Index), Elem: renameStruct(x.Elem, alias)}
+	case moa.SimpleSetFn:
+		return moa.SimpleSetFn{Index: name(x.Index)}
+	case moa.ViaFn:
+		return moa.ViaFn{Via: name(x.Via), Elem: renameStruct(x.Elem, alias)}
+	}
+	return s
+}
