@@ -16,10 +16,12 @@ build:
 ## vet: also compiles the separately-moduled benchmark (seconds): bench/ may
 ## not be edited to follow a refactor, so an internal/... signature change
 ## that breaks its frozen imports (README, "The repo benchmark") must fail
-## here, not in the benchmark pipeline.
+## here, not in the benchmark pipeline. A tree that is not gofmt-clean fails
+## too, listing the files.
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+	@test -z "$$(gofmt -l .)" || { echo 'not gofmt-clean:'; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...

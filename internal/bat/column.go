@@ -388,6 +388,15 @@ func (c *StrCol) Len() int { return len(c.Off) - 1 }
 // At returns the string at position i without boxing.
 func (c *StrCol) At(i int) string { return c.Chars[c.Off[i]:c.Off[i+1]] }
 
+// strings returns the column's strings, sharing the character heap.
+func (c *StrCol) strings() []string {
+	out := make([]string, c.Len())
+	for i := range out {
+		out[i] = c.At(i)
+	}
+	return out
+}
+
 // Get implements Column.
 func (c *StrCol) Get(i int) Value { return S(c.At(i)) }
 

@@ -260,11 +260,7 @@ func SortedPerm(col Column, desc bool) []int32 {
 	case *ChrCol:
 		return sortedPerm(c.V, desc)
 	case *StrCol:
-		keys := make([]string, c.Len())
-		for i := range keys {
-			keys[i] = c.At(i)
-		}
-		return sortedPerm(keys, desc)
+		return sortedPerm(c.strings(), desc)
 	}
 	// void and bit columns order by the integer payload of their boxed values
 	keys := make([]int64, col.Len())

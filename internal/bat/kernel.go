@@ -18,10 +18,10 @@ import (
 // on the original column settles collisions (map-key semantics: NaN never
 // equals itself, -0 equals +0).
 //
-// The Grouper contract (group, unique, aggregation, union). Equality is fixed
-// at construction: NewGrouper takes the verifier that settles rep collisions
-// — one interface conversion per table, of a pointer, so it never allocates —
-// and Slot takes only rep and row, so a per-row verifier argument, and its
+// The Grouper contract (group, unique, aggregation, union, composite-key
+// join). Equality is fixed at construction: NewGrouper takes the verifier
+// that settles rep collisions — one interface conversion per table — and
+// Slot takes only rep and row, so a per-row verifier argument, and its
 // per-row boxing, cannot be written. The table starts at grouperMinBuckets
 // (inputs typically hold 4–200 distinct keys in 100k rows) and doubles when
 // the slots outnumber the buckets, re-linking the chains from the per-slot
@@ -188,6 +188,21 @@ func (p *PairEq) KeyEqual(a, b int32) bool {
 	return p.A.KeyEqual(a, b) && p.B.KeyEqual(a, b)
 }
 
+// KeysEq verifies composite keys of any arity row against row. (PairEq is
+// its two-column form, kept for the hot group and unique loops, where the
+// loop here costs a measurable share.)
+type KeysEq []*KeyRep
+
+// KeyEqual implements KeyEq.
+func (e *KeysEq) KeyEqual(a, b int32) bool {
+	for _, k := range *e {
+		if !k.KeyEqual(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
 // normKind folds void into oid: void entries materialize as oids, so the two
 // kinds share one key space.
 func normKind(k Kind) Kind {
@@ -285,7 +300,9 @@ func (g *Grouper) Slot(rep uint64, row int32) (int32, bool) {
 
 // ---------------------------------------------------------------------------
 // Merge-join kernel: unboxed two-cursor merge of a sorted tail against a
-// sorted head, one generic instantiation per ordered element type.
+// sorted head, one generic instantiation per ordered element type. Columns
+// of different kinds (void and oid aside) have no typed path: as in the hash
+// kernels, an int never equals a float.
 
 // Ordered are the fixed-width element types with a native order: all of
 // Fixed but bool.
@@ -293,7 +310,9 @@ type Ordered interface {
 	OID | int64 | float64 | byte | int32
 }
 
-func mergeJoinTyped[E Ordered](lt, rh []E, lpos, rpos []int32) ([]int32, []int32) {
+// mergeTyped is the merge cursor. In semi mode it appends each matching l
+// position once and leaves rpos alone: r's cursor stays on the matched run.
+func mergeTyped[E Ordered | string](lt, rh []E, semi bool, lpos, rpos []int32) ([]int32, []int32) {
 	i, j := 0, 0
 	nl, nr := len(lt), len(rh)
 	for i < nl && j < nr {
@@ -303,6 +322,9 @@ func mergeJoinTyped[E Ordered](lt, rh []E, lpos, rpos []int32) ([]int32, []int32
 			i++
 		case x > rh[j]:
 			j++
+		case semi:
+			lpos = append(lpos, int32(i))
+			i++
 		default:
 			for j2 := j; j2 < nr && rh[j2] == x; j2++ {
 				lpos = append(lpos, int32(i))
@@ -314,51 +336,42 @@ func mergeJoinTyped[E Ordered](lt, rh []E, lpos, rpos []int32) ([]int32, []int32
 	return lpos, rpos
 }
 
-// mergeJoinFixed runs the typed merge when rh has a's element type.
-func mergeJoinFixed[E Ordered](a *FixedCol[E], rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
+// mergeFixed runs the typed merge when rh has a's element type.
+func mergeFixed[E Ordered](a *FixedCol[E], rh Column, semi bool, lpos, rpos []int32) ([]int32, []int32, bool) {
 	b, ok := rh.(*FixedCol[E])
 	if !ok {
 		return lpos, rpos, false
 	}
-	lpos, rpos = mergeJoinTyped(a.V, b.V, lpos, rpos)
+	lpos, rpos = mergeTyped(a.V, b.V, semi, lpos, rpos)
 	return lpos, rpos, true
 }
 
-// MergeJoinPairs merges the (ascending) column lt against the
-// (ascending) column rh, appending every matching position pair to
-// lpos/rpos in left order. It reports false when the column pair has no
-// typed path, leaving the buffers untouched.
-func MergeJoinPairs(lt, rh Column, lpos, rpos []int32) ([]int32, []int32, bool) {
+// MergeJoinPairs merges the (ascending) column lt against the (ascending)
+// column rh, appending every matching position pair to lpos/rpos in left
+// order — in semi mode only each matching lt position, to lpos. A void
+// column merges as its oid sequence. It reports false when the column pair
+// has no typed path, leaving the buffers untouched.
+func MergeJoinPairs(lt, rh Column, semi bool, lpos, rpos []int32) ([]int32, []int32, bool) {
+	if v, ok := lt.(*VoidCol); ok {
+		lt = v.oids()
+	}
+	if v, ok := rh.(*VoidCol); ok {
+		rh = v.oids()
+	}
 	switch a := lt.(type) {
 	case *OIDCol:
-		return mergeJoinFixed(a, rh, lpos, rpos)
+		return mergeFixed(a, rh, semi, lpos, rpos)
 	case *IntCol:
-		return mergeJoinFixed(a, rh, lpos, rpos)
+		return mergeFixed(a, rh, semi, lpos, rpos)
 	case *FltCol:
-		return mergeJoinFixed(a, rh, lpos, rpos)
+		return mergeFixed(a, rh, semi, lpos, rpos)
 	case *DateCol:
-		return mergeJoinFixed(a, rh, lpos, rpos)
+		return mergeFixed(a, rh, semi, lpos, rpos)
 	case *ChrCol:
-		return mergeJoinFixed(a, rh, lpos, rpos)
+		return mergeFixed(a, rh, semi, lpos, rpos)
 	case *StrCol:
 		if b, ok := rh.(*StrCol); ok {
-			i, j := 0, 0
-			nl, nr := a.Len(), b.Len()
-			for i < nl && j < nr {
-				x := a.At(i)
-				switch {
-				case x < b.At(j):
-					i++
-				case x > b.At(j):
-					j++
-				default:
-					for j2 := j; j2 < nr && b.At(j2) == x; j2++ {
-						lpos = append(lpos, int32(i))
-						rpos = append(rpos, int32(j2))
-					}
-					i++
-				}
-			}
+			lpos, rpos = mergeTyped(a.strings(), b.strings(), semi, lpos, rpos)
 			return lpos, rpos, true
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -318,7 +319,8 @@ func TestGrouperFirstOccurrenceOrder(t *testing.T) {
 }
 
 // TestMergeJoinPairsParity: the typed merge kernel equals a boxed
-// nested-loop reference on sorted inputs for every orderable kind.
+// nested-loop reference on sorted inputs for every orderable kind, in join
+// mode and in semi mode (each matching left position once).
 func TestMergeJoinPairsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{0, 1, 50} {
@@ -329,7 +331,7 @@ func TestMergeJoinPairsParity(t *testing.T) {
 			}
 			sorted := SortOnTail(New("x", NewVoid(0, n), col, 0)).T
 			other := SortOnTail(New("y", NewVoid(0, n), kernelTestColumns(rng, n, false)[kind], 0)).T
-			lpos, rpos, ok := MergeJoinPairs(sorted, other, nil, nil)
+			lpos, rpos, ok := MergeJoinPairs(sorted, other, false, nil, nil)
 			if !ok {
 				t.Fatalf("%s: no typed merge path", kind)
 			}
@@ -349,6 +351,11 @@ func TestMergeJoinPairsParity(t *testing.T) {
 				if lpos[i] != wantL[i] || rpos[i] != wantR[i] {
 					t.Fatalf("%s: pair %d = (%d,%d), want (%d,%d)", kind, i, lpos[i], rpos[i], wantL[i], wantR[i])
 				}
+			}
+			semi, _, _ := MergeJoinPairs(sorted, other, true, nil, nil)
+			wantSemi := slices.Compact(wantL)
+			if !slices.Equal(semi, wantSemi) {
+				t.Fatalf("%s/n=%d: semi rows %v, want %v", kind, n, semi, wantSemi)
 			}
 		}
 	}

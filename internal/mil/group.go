@@ -88,8 +88,9 @@ func slotsToOIDs(ctx *Ctx, slots []int32, out []bat.OID) {
 // combination. For groupings on multiple attributes the unary version is
 // followed by binary group invocations until all attributes are processed
 // (Section 4.2). g and b must be positionally synced (the rewriter
-// guarantees this); if they are not known-synced, b is aligned to g's heads
-// via hash lookup.
+// guarantees this); if they are not known-synced, b's rows are aligned to
+// g's heads (alignHeads), and the rows of g whose head b lacks form one more
+// class per group.
 func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	ctx.chose("hash-group")
 	p := ctx.pager()
@@ -99,9 +100,9 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	out := make([]bat.OID, n)
 
 	k := workersFor(ctx, n)
+	gr := bat.NewKeyRepP(g.T, k)
+	br := bat.NewKeyRepP(b.T, k)
 	if bat.Synced(g, b) {
-		gr := bat.NewKeyRepP(g.T, k)
-		br := bat.NewKeyRepP(b.T, k)
 		eq := &bat.PairEq{A: gr, B: br}
 		if k > 1 {
 			gs := bat.BuildGroupSlotsPartitionedSched(mixedReps(ctx, gr, br, n), eq, ctx.sched(n))
@@ -114,52 +115,35 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 			}
 		}
 	} else {
-		groupBinaryBoxed(g, b, out)
+		eq := &alignedEq{g: gr, b: br, at: alignHeads(ctx, g, b)}
+		gp := bat.NewGrouper(eq)
+		for i := 0; i < n; i++ {
+			var v uint64 // a missing value's rep; the verifier tells it apart
+			if j := eq.at[i]; j >= 0 {
+				v = br.Rep[j]
+			}
+			s, _ := gp.Slot(bat.Mix(gr.Rep[i], v), int32(i))
+			out[i] = bat.OID(s)
+		}
 	}
 	return bat.Derive(bat.New(g.Name+".grp", g.H, bat.NewOIDCol(out), 0), bat.NewTail, g, nil)
 }
 
-// groupBinaryBoxed refines boxed (group, value) pairs through a map; it also
-// handles the un-synced case by aligning b's tails to g's heads.
-func groupBinaryBoxed(g, b *bat.BAT, out []bat.OID) {
-	valueAt := alignedTailAccessor(g, b)
-	type refKey struct {
-		grp bat.Value
-		val bat.Value
-	}
-	ids := make(map[refKey]bat.OID, g.Len())
-	var next bat.OID
-	for i := 0; i < g.Len(); i++ {
-		k := refKey{g.T.Get(i), valueAt(i)}
-		id, ok := ids[k]
-		if !ok {
-			id = next
-			next++
-			ids[k] = id
-		}
-		out[i] = id
-	}
+// alignedEq verifies un-synced GroupBinary keys (group, b's value at the
+// aligned row at, -1 for none): rows without a value equal each other only.
+type alignedEq struct {
+	g, b *bat.KeyRep
+	at   []int32
 }
 
-// alignedTailAccessor returns a function mapping positions of a to the tail
-// value of b for the same head; the fast path is positional when the two
-// BATs are synced.
-func alignedTailAccessor(a, b *bat.BAT) func(i int) bat.Value {
-	if bat.Synced(a, b) {
-		return func(i int) bat.Value { return b.T.Get(i) }
+// KeyEqual implements bat.KeyEq.
+func (e *alignedEq) KeyEqual(x, y int32) bool {
+	if !e.g.KeyEqual(x, y) {
+		return false
 	}
-	idx := make(map[bat.Value]int, b.Len())
-	for i := 0; i < b.Len(); i++ {
-		h := b.H.Get(i)
-		if _, dup := idx[h]; !dup {
-			idx[h] = i
-		}
+	ax, ay := e.at[x], e.at[y]
+	if ax < 0 || ay < 0 {
+		return ax == ay
 	}
-	return func(i int) bat.Value {
-		j, ok := idx[a.H.Get(i)]
-		if !ok {
-			return bat.Value{}
-		}
-		return b.T.Get(j)
-	}
+	return e.b.KeyEqual(ax, ay)
 }

@@ -1,8 +1,7 @@
 package mil
 
 import (
-	"encoding/binary"
-	"math"
+	"slices"
 
 	"repro/internal/bat"
 )
@@ -13,13 +12,12 @@ import (
 //
 //   - fetch-join: CD has a dense head, so matching is positional array
 //     lookup;
-//   - merge-join: AB's tail and CD's head are both ordered;
+//   - merge-join: AB's tail and CD's head are ordered and of one kind;
 //   - hash-join: fallback, hash accelerator on CD's head (built and cached
 //     on first use, like Monet's run-time accelerator construction).
 //
-// All variants run as typed kernels over the columns' backing slices; only
-// the merge variant keeps a boxed loop, for column pairs without a typed
-// merge.
+// All variants run as typed kernels over the columns' backing slices and
+// match keys under one equality, the map-key equality of the hash variant.
 func Join(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	if out, ok := syncJoin(ctx, l, r); ok {
 		return out
@@ -38,7 +36,9 @@ func Join(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		case rp.Has(bat.HDense):
 			return fetchJoin(ctx, l, r)
 		case rp.Has(bat.HOrdered):
-			return mergeJoin(ctx, l, r)
+			if out, ok := mergeJoin(ctx, l, r); ok {
+				return out
+			}
 		}
 		return hashJoin(ctx, l, r)
 	default:
@@ -201,39 +201,19 @@ func fetchJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	return joinResult(ctx, l, r, lpos, rpos)
 }
 
-func mergeJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
+// mergeJoin reports false for columns without a typed merge (different
+// kinds, bits): the hash variant then answers, under the same key equality.
+func mergeJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
+	hint := l.Len()
+	lpos, rpos, ok := bat.MergeJoinPairs(l.T, r.H, false, make([]int32, 0, hint), make([]int32, 0, hint))
+	if !ok {
+		return nil, false
+	}
 	ctx.chose("merge-join")
 	p := ctx.pager()
 	l.T.TouchAll(p)
 	r.H.TouchAll(p)
-	hint := l.Len()
-	lpos := make([]int32, 0, hint)
-	rpos := make([]int32, 0, hint)
-	if lp, rp, ok := bat.MergeJoinPairs(l.T, r.H, lpos, rpos); ok {
-		return joinResult(ctx, l, r, lp, rp)
-	}
-	// boxed fallback: column pair without a typed path
-	i, j := 0, 0
-	nl, nr := l.Len(), r.Len()
-	for i < nl && j < nr {
-		c := bat.Compare(l.T.Get(i), r.H.Get(j))
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			// emit the full group product for this key
-			j2 := j
-			for j2 < nr && bat.Compare(l.T.Get(i), r.H.Get(j2)) == 0 {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, int32(j2))
-				j2++
-			}
-			i++
-		}
-	}
-	return joinResult(ctx, l, r, lpos, rpos)
+	return joinResult(ctx, l, r, lpos, rpos), true
 }
 
 func hashJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
@@ -261,120 +241,119 @@ func hashJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 // parallel lists of key value sets [elemid, keyval]. Key BATs on the same
 // side are matched on their HEAD ids (they may be stored in different
 // physical orders), and elements missing any key are dropped. It returns the
-// matching (left id, right id) pairs; the rewriter uses it for MOA's general
-// join[pred](A,B) on multi-attribute predicates (e.g. TPC-D Q9's
-// (supplier, part) lookup into the supplies set, or Q2's (part, mincost)).
-// The key arity is arbitrary: composite keys are encoded into a byte string
-// per element, so four-attribute (and wider) predicates work unchanged.
-func JoinMulti(ctx *Ctx, lKeys, rKeys []*bat.BAT) (lids, rids []bat.Value) {
+// matching [left id, right id] pairs in left element order, a left element's
+// partners ascending; the rewriter uses it for MOA's general join[pred](A,B)
+// on multi-attribute predicates (e.g. TPC-D Q9's (supplier, part) lookup into
+// the supplies set, or Q2's (part, mincost)). The key arity is arbitrary.
+func JoinMulti(ctx *Ctx, lKeys, rKeys []*bat.BAT) *bat.BAT {
 	ctx.chose("hash-join")
 	if len(lKeys) == 0 || len(lKeys) != len(rKeys) {
-		return nil, nil
+		return bat.New("joinmulti", bat.NewOIDCol(nil), bat.NewOIDCol(nil), 0)
 	}
 	p := ctx.pager()
-	type entry struct {
-		id  bat.Value
-		key string
-	}
-	// One nonce across both sides: every NaN key gets a globally fresh
-	// salt, so NaNs never match — not within a side, not across sides.
-	var nanNonce uint64
-	// compose per-side entries aligned on head ids
-	compose := func(keys []*bat.BAT) []entry {
+	for _, keys := range [][]*bat.BAT{rKeys, lKeys} {
 		for _, k := range keys {
 			k.H.TouchAll(p)
 			k.T.TouchAll(p)
 		}
-		base := keys[0]
-		accessors := make([]func(i int) (bat.Value, bool), len(keys))
-		for j, k := range keys {
-			if j == 0 {
-				accessors[j] = func(i int) (bat.Value, bool) { return base.T.Get(i), true }
-				continue
-			}
-			if bat.Synced(base, k) {
-				kk := k
-				accessors[j] = func(i int) (bat.Value, bool) { return kk.T.Get(i), true }
-				continue
-			}
-			idx := make(map[bat.Value]int, k.Len())
-			for i := 0; i < k.Len(); i++ {
-				h := k.H.Get(i)
-				if _, dup := idx[h]; !dup {
-					idx[h] = i
-				}
-			}
-			kk := k
-			accessors[j] = func(i int) (bat.Value, bool) {
-				pos, ok := idx[base.H.Get(i)]
-				if !ok {
-					return bat.Value{}, false
-				}
-				return kk.T.Get(pos), true
-			}
-		}
-		out := make([]entry, 0, base.Len())
-		var buf []byte
-		for i := 0; i < base.Len(); i++ {
-			buf = buf[:0]
-			ok := true
-			for _, acc := range accessors {
-				v, has := acc(i)
-				if !has {
-					ok = false
-					break
-				}
-				buf = encodeKeyValue(buf, v, &nanNonce)
-			}
-			if ok {
-				out = append(out, entry{id: normHeadID(base.H.Get(i)), key: string(buf)})
-			}
-		}
-		return out
 	}
-
-	rEntries := compose(rKeys)
-	m := make(map[string][]bat.Value, len(rEntries))
-	for _, e := range rEntries {
-		m[e.key] = append(m[e.key], e.id)
-	}
-	for _, e := range compose(lKeys) {
-		for _, rid := range m[e.key] {
-			lids = append(lids, e.id)
-			rids = append(rids, rid)
-		}
-	}
-	return lids, rids
+	lp, rp := keyPairs(ctx, lKeys, rKeys)
+	return bat.New("joinmulti", elementIDs(lKeys[0].H, lp), elementIDs(rKeys[0].H, rp), 0)
 }
 
-// encodeKeyValue appends an injective byte encoding of v: kind tag, the
-// fixed-width payloads, and the length-prefixed string payload. Encoded
-// equality coincides with Value equality under Go map-key semantics: -0
-// normalizes to +0 (one key), and a NaN is salted with a fresh nonce so it
-// never equals any key — not even itself — exactly as a map keyed on the
-// old compositeKey struct behaved.
-func encodeKeyValue(buf []byte, v bat.Value, nanNonce *uint64) []byte {
-	f := v.F
-	if f == 0 {
-		f = 0
+// keyPairs returns the (left, right) base rows of the matching elements,
+// matching keys the way Union matches heads: each key's sides are
+// concatenated (right, then left), and the grouper hands out a slot per
+// distinct composite key. Right elements claim the slots; a left element
+// landing on a claimed slot pairs with its right elements. Equality is the
+// map-key equality of every other join: keys of different kinds (void and
+// oid aside) match nothing, -0 equals +0, and NaN matches nothing.
+func keyPairs(ctx *Ctx, lKeys, rKeys []*bat.BAT) (lp, rp []int32) {
+	for j := range lKeys {
+		lk, rk := lKeys[j].T.Kind(), rKeys[j].T.Kind()
+		if lk != rk && !(oidKind(lk) && oidKind(rk)) {
+			return nil, nil
+		}
 	}
-	bits := math.Float64bits(f)
-	if math.IsNaN(f) {
-		*nanNonce++
-		bits = *nanNonce
-		buf = append(buf, 0xff) // distinct tag: nonce space must not collide
+	lRows, lCols := alignKeys(ctx, lKeys)
+	rRows, rCols := alignKeys(ctx, rKeys)
+	nr := len(rRows)
+	w := workersFor(ctx, nr+len(lRows))
+	eq := make(bat.KeysEq, len(lKeys))
+	for j := range eq {
+		eq[j] = bat.NewKeyRepP(bat.Concat(rCols[j], lCols[j]), w)
 	}
-	buf = append(buf, byte(v.K))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
-	buf = binary.LittleEndian.AppendUint64(buf, bits)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
-	return append(buf, v.S...)
+	rep := eq[0].Rep
+	if len(eq) > 1 {
+		rep = slices.Clone(rep)
+		for _, k := range eq[1:] {
+			for i, x := range k.Rep {
+				rep[i] = bat.Mix(rep[i], x)
+			}
+		}
+	}
+
+	// next chains each slot's right rows, ascending, from its first row.
+	g := bat.NewGrouper(&eq)
+	next := make([]int32, nr)
+	last := make([]int32, 0, nr)
+	for i := range next {
+		next[i] = -1
+		if s, fresh := g.Slot(rep[i], int32(i)); fresh {
+			last = append(last, int32(i))
+		} else {
+			next[last[s]] = int32(i)
+			last[s] = int32(i)
+		}
+	}
+	first := g.Rows() // left rows add slots past len(first) only
+	lp = make([]int32, 0, len(lRows))
+	rp = make([]int32, 0, len(lRows))
+	for i, row := range lRows {
+		s, _ := g.Slot(rep[nr+i], int32(nr+i))
+		if int(s) >= len(first) {
+			continue
+		}
+		for r := first[s]; r >= 0; r = next[r] {
+			lp = append(lp, row)
+			rp = append(rp, rRows[r])
+		}
+	}
+	return lp, rp
 }
 
-// normHeadID boxes void heads as oids so ids compare uniformly.
-func normHeadID(v bat.Value) bat.Value {
-	if v.K == bat.KVoid {
-		return bat.O(bat.OID(v.I))
+// alignKeys aligns one side's keys on the first key's heads: it returns the
+// rows of the first key whose head every key holds, ascending, and each
+// key's tail gathered at those rows.
+func alignKeys(ctx *Ctx, keys []*bat.BAT) ([]int32, []bat.Column) {
+	base := keys[0]
+	at := make([][]int32, len(keys))
+	for j, k := range keys[1:] {
+		if !bat.Synced(base, k) {
+			at[j+1] = alignHeads(ctx, base, k)
+		}
 	}
-	return v
+	rows := alignedRows(base.Len(), at)
+	cols := make([]bat.Column, len(keys))
+	for j, k := range keys {
+		pos := rows
+		if at[j] != nil {
+			pos = at[j]
+		}
+		cols[j] = bat.Gather(k.T, pos)
+	}
+	return rows, cols
+}
+
+// elementIDs gathers the element ids of head column h at pos into a column
+// of their own: void ids widen to oids, and a run is copied, not viewed.
+func elementIDs(h bat.Column, pos []int32) bat.Column {
+	if v, ok := h.(*bat.VoidCol); ok {
+		ids := make([]bat.OID, len(pos))
+		for k, i := range pos {
+			ids[k] = v.Seq + bat.OID(i)
+		}
+		return bat.NewOIDCol(ids)
+	}
+	return bat.UnshareColumn(bat.Gather(h, pos))
 }

@@ -165,25 +165,15 @@ func multiplexHash(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BAT {
 	ctx.chose("hash-multiplex")
 	p := ctx.pager()
 	n := first.Len()
-	rows := bat.Vector{Hi: n}.AppendRows(make([]int32, 0, n))
-	idx := make([]*bat.HashIndex, len(args))
-	probes := make([]bat.Probe, len(args))
+	at := make([][]int32, len(args))
 	for j, a := range args {
-		if a.B == nil || a.B == first {
-			continue
+		if a.B != nil && a.B != first {
+			a.B.H.TouchAll(p)
+			a.B.T.TouchAll(p)
+			at[j] = alignHeads(ctx, first, a.B)
 		}
-		a.B.H.TouchAll(p)
-		a.B.T.TouchAll(p)
-		// A private index, as the operands are intermediates probed once: no
-		// accelerator is published on them.
-		idx[j] = bat.BuildHashIndexSched(a.B.H, 0, ctx.sched(a.B.Len()))
-		var ok bool
-		if probes[j], ok = idx[j].NewProbe(first.H); !ok {
-			rows = rows[:0] // a head kind that cannot occur there matches nothing
-			continue
-		}
-		rows = idx[j].FilterVec(probes[j], bat.Vector{Sel: rows}, true, make([]int32, 0, len(rows)))
 	}
+	rows := alignedRows(n, at)
 	first.H.TouchAll(p)
 	first.T.TouchAll(p)
 
@@ -195,17 +185,7 @@ func multiplexHash(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BAT {
 		case a.B == first:
 			matched[j] = BATArg(bat.New("", bat.NewVoid(0, len(rows)), bat.Gather(first.T, rows), 0))
 		default:
-			// Pairs arrive in row order, a row's matches ascending: keep the
-			// first of each run.
-			lp, rp := idx[j].JoinVec(probes[j], bat.Vector{Sel: rows}, nil, nil)
-			k := 0
-			for i := range lp {
-				if i == 0 || lp[i] != lp[i-1] {
-					rp[k] = rp[i]
-					k++
-				}
-			}
-			matched[j] = BATArg(bat.New("", bat.NewVoid(0, k), bat.Gather(a.B.T, rp[:k]), 0))
+			matched[j] = BATArg(bat.New("", bat.NewVoid(0, len(rows)), bat.Gather(a.B.T, at[j]), 0))
 		}
 	}
 	tail := compileMap(f, matched)(ctx, len(rows))

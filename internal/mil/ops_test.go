@@ -518,7 +518,8 @@ func TestJoinMulti(t *testing.T) {
 	// right: 2 elements keyed (supplier, part)
 	rk1 := bat.New("rk1", bat.NewVoid(0, 2), bat.NewOIDCol([]bat.OID{1, 2}), 0)
 	rk2 := bat.New("rk2", bat.NewVoid(0, 2), bat.NewOIDCol([]bat.OID{11, 10}), 0)
-	lids, rids := JoinMulti(nil, []*bat.BAT{lk1, lk2}, []*bat.BAT{rk1, rk2})
+	out := JoinMulti(nil, []*bat.BAT{lk1, lk2}, []*bat.BAT{rk1, rk2})
+	lids, rids := out.HeadValues(), out.TailValues()
 	if len(lids) != 2 {
 		t.Fatalf("matches = %d, want 2", len(lids))
 	}
@@ -539,15 +540,15 @@ func TestJoinMultiAlignsKeysOnHeads(t *testing.T) {
 	lk2 := bat.New("lk2", bat.NewOIDCol([]bat.OID{8, 7}), bat.NewIntCol([]int64{20, 10}), 0)
 	rk1 := bat.New("rk1", bat.NewOIDCol([]bat.OID{100}), bat.NewIntCol([]int64{2}), 0)
 	rk2 := bat.New("rk2", bat.NewOIDCol([]bat.OID{100}), bat.NewIntCol([]int64{20}), 0)
-	lids, rids := JoinMulti(nil, []*bat.BAT{lk1, lk2}, []*bat.BAT{rk1, rk2})
+	out := JoinMulti(nil, []*bat.BAT{lk1, lk2}, []*bat.BAT{rk1, rk2})
+	lids, rids := out.HeadValues(), out.TailValues()
 	if len(lids) != 1 || lids[0].I != 8 || rids[0].I != 100 {
 		t.Fatalf("pairs = %v/%v, want [8]/[100]", lids, rids)
 	}
 	// element 9 on the left has no second key: dropped, not misjoined
 	lk3 := bat.New("lk3", bat.NewOIDCol([]bat.OID{9}), bat.NewIntCol([]int64{2}), 0)
-	lids, _ = JoinMulti(nil, []*bat.BAT{lk3, lk2}, []*bat.BAT{rk1, rk2})
-	if len(lids) != 0 {
-		t.Fatalf("missing-key element joined: %v", lids)
+	if out := JoinMulti(nil, []*bat.BAT{lk3, lk2}, []*bat.BAT{rk1, rk2}); out.Len() != 0 {
+		t.Fatalf("missing-key element joined: %v", out.HeadValues())
 	}
 }
 

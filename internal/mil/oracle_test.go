@@ -1,6 +1,11 @@
 package mil
 
-import "repro/internal/bat"
+import (
+	"encoding/binary"
+	"math"
+
+	"repro/internal/bat"
+)
 
 // The boxed reference implementations the typed kernels are tested against:
 // per-row loops over boxed Values and Go maps, none of them reachable from
@@ -222,4 +227,159 @@ func unionBoxed(a, b *bat.BAT) *bat.BAT {
 		tk = bat.KOID
 	}
 	return bat.New(a.Name+".union", bat.FromValues(hk, heads), bat.FromValues(tk, tails), bat.HKey)
+}
+
+// groupBinaryBoxed refines boxed (group, value) pairs through a map; it also
+// handles the un-synced case by aligning b's tails to g's heads. It is
+// GroupBinary's parity reference.
+func groupBinaryBoxed(g, b *bat.BAT, out []bat.OID) {
+	valueAt := alignedTailAccessor(g, b)
+	type refKey struct {
+		grp bat.Value
+		val bat.Value
+	}
+	ids := make(map[refKey]bat.OID, g.Len())
+	var next bat.OID
+	for i := 0; i < g.Len(); i++ {
+		k := refKey{g.T.Get(i), valueAt(i)}
+		id, ok := ids[k]
+		if !ok {
+			id = next
+			next++
+			ids[k] = id
+		}
+		out[i] = id
+	}
+}
+
+// alignedTailAccessor returns a function mapping positions of a to the tail
+// value of b for the same head (the zero Value where b lacks the head); the
+// fast path is positional when the two BATs are synced.
+func alignedTailAccessor(a, b *bat.BAT) func(i int) bat.Value {
+	if bat.Synced(a, b) {
+		return func(i int) bat.Value { return b.T.Get(i) }
+	}
+	idx := make(map[bat.Value]int, b.Len())
+	for i := 0; i < b.Len(); i++ {
+		h := b.H.Get(i)
+		if _, dup := idx[h]; !dup {
+			idx[h] = i
+		}
+	}
+	return func(i int) bat.Value {
+		j, ok := idx[a.H.Get(i)]
+		if !ok {
+			return bat.Value{}
+		}
+		return b.T.Get(j)
+	}
+}
+
+// joinMultiBoxed is JoinMulti's parity reference: each side's composite
+// keys, aligned on head ids through a boxed map, are encoded into one byte
+// string per element and matched through a map of strings.
+func joinMultiBoxed(lKeys, rKeys []*bat.BAT) (lids, rids []bat.Value) {
+	if len(lKeys) == 0 || len(lKeys) != len(rKeys) {
+		return nil, nil
+	}
+	type entry struct {
+		id  bat.Value
+		key string
+	}
+	// One nonce across both sides: every NaN key gets a globally fresh
+	// salt, so NaNs never match — not within a side, not across sides.
+	var nanNonce uint64
+	// compose per-side entries aligned on head ids
+	compose := func(keys []*bat.BAT) []entry {
+		base := keys[0]
+		accessors := make([]func(i int) (bat.Value, bool), len(keys))
+		for j, k := range keys {
+			if j == 0 {
+				accessors[j] = func(i int) (bat.Value, bool) { return base.T.Get(i), true }
+				continue
+			}
+			if bat.Synced(base, k) {
+				kk := k
+				accessors[j] = func(i int) (bat.Value, bool) { return kk.T.Get(i), true }
+				continue
+			}
+			idx := make(map[bat.Value]int, k.Len())
+			for i := 0; i < k.Len(); i++ {
+				h := k.H.Get(i)
+				if _, dup := idx[h]; !dup {
+					idx[h] = i
+				}
+			}
+			kk := k
+			accessors[j] = func(i int) (bat.Value, bool) {
+				pos, ok := idx[base.H.Get(i)]
+				if !ok {
+					return bat.Value{}, false
+				}
+				return kk.T.Get(pos), true
+			}
+		}
+		out := make([]entry, 0, base.Len())
+		var buf []byte
+		for i := 0; i < base.Len(); i++ {
+			buf = buf[:0]
+			ok := true
+			for _, acc := range accessors {
+				v, has := acc(i)
+				if !has {
+					ok = false
+					break
+				}
+				buf = encodeKeyValue(buf, v, &nanNonce)
+			}
+			if ok {
+				out = append(out, entry{id: normHeadID(base.H.Get(i)), key: string(buf)})
+			}
+		}
+		return out
+	}
+
+	rEntries := compose(rKeys)
+	m := make(map[string][]bat.Value, len(rEntries))
+	for _, e := range rEntries {
+		m[e.key] = append(m[e.key], e.id)
+	}
+	for _, e := range compose(lKeys) {
+		for _, rid := range m[e.key] {
+			lids = append(lids, e.id)
+			rids = append(rids, rid)
+		}
+	}
+	return lids, rids
+}
+
+// encodeKeyValue appends an injective byte encoding of v: kind tag, the
+// fixed-width payloads, and the length-prefixed string payload. Encoded
+// equality coincides with Value equality under Go map-key semantics: -0
+// normalizes to +0 (one key), and a NaN is salted with a fresh nonce so it
+// never equals any key — not even itself.
+func encodeKeyValue(buf []byte, v bat.Value, nanNonce *uint64) []byte {
+	f := v.F
+	if f == 0 {
+		f = 0
+	}
+	bits := math.Float64bits(f)
+	if math.IsNaN(f) {
+		*nanNonce++
+		bits = *nanNonce
+		buf = append(buf, 0xff) // distinct tag: nonce space must not collide
+	}
+	buf = append(buf, byte(v.K))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
+	buf = binary.LittleEndian.AppendUint64(buf, bits)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
+	return append(buf, v.S...)
+}
+
+// normHeadID boxes void heads as oids so ids compare uniformly.
+func normHeadID(v bat.Value) bat.Value {
+	if v.K == bat.KVoid {
+		return bat.O(bat.OID(v.I))
+	}
+	return v
 }

@@ -118,21 +118,62 @@ func TestParityMergeJoinAllKinds(t *testing.T) {
 			for _, allDup := range []bool{false, true} {
 				lt := randKindValues(rng, k, n, allDup)
 				rh := randKindValues(rng, k, n+3, allDup)
-				rt := randKindValues(rng, bat.KFlt, n+3, false)
-				lh := make([]bat.OID, n)
-				for i := range lh {
-					lh[i] = bat.OID(i)
+				l, r := orderedJoinOperands(rng, bat.FromValues(k, lt), bat.FromValues(k, rh))
+				got, ok := mergeJoin(nil, l, r)
+				if !ok {
+					t.Fatalf("merge-join/%s: no typed merge", k)
 				}
-				l := bat.SortOnTail(bat.New("l", bat.NewOIDCol(lh), bat.FromValues(k, lt), 0))
-				r0 := bat.SortOnTail(bat.New("r0", bat.FromValues(bat.KFlt, rt), bat.FromValues(k, rh), 0)).Mirror()
-				r := bat.New("r", r0.H, r0.T, bat.HOrdered)
-				got := mergeJoin(nil, l, r)
 				refL, refR := refJoinPairs(l, r)
 				want := joinResult(nil, l, r, refL, refR)
 				batsEqual(t, fmt.Sprintf("merge-join/%s/n=%d/alldup=%v", k, n, allDup), got, want)
 			}
 		}
 	}
+	// Through the dispatcher: a void tail merges as its oid sequence, and an
+	// ordered int tail against an ordered flt head (the same numbers) has
+	// no typed merge, so it takes the hash variant and matches nothing —
+	// the variant must not decide which keys are equal.
+	for _, n := range []int{1, 33} {
+		ints := randKindValues(rng, bat.KInt, n+3, false)
+		flts := make([]bat.Value, len(ints))
+		for i, v := range ints {
+			flts[i] = bat.F(float64(v.I))
+		}
+		oids := randKindValues(rng, bat.KOID, n+3, false)
+		for _, c := range []struct {
+			name   string
+			lt, rh bat.Column
+			algo   string
+		}{
+			{"void-oid", bat.NewVoid(3, n), bat.FromValues(bat.KOID, oids), "merge-join"},
+			{"int-flt", bat.FromValues(bat.KInt, ints[:n]), bat.FromValues(bat.KFlt, flts), "hash-join"},
+			{"flt-int", bat.FromValues(bat.KFlt, flts[:n]), bat.FromValues(bat.KInt, ints), "hash-join"},
+		} {
+			l, r := orderedJoinOperands(rng, c.lt, c.rh)
+			ctx := NewCtx(nil, Options{Workers: 1})
+			got := Join(ctx, l, r)
+			label := fmt.Sprintf("join/%s/n=%d", c.name, n)
+			if ctx.LastAlgo() != c.algo {
+				t.Fatalf("%s: ran %q, want %q", label, ctx.LastAlgo(), c.algo)
+			}
+			refL, refR := refJoinPairs(l, r)
+			batsEqual(t, label, got, joinResult(nil, l, r, refL, refR))
+		}
+	}
+}
+
+// orderedJoinOperands builds merge-join operands over the tail values lt
+// and the head values rh: l = [oid, lt] and r = [rh, flt], each sorted on
+// its join column and declaring that order.
+func orderedJoinOperands(rng *rand.Rand, lt, rh bat.Column) (l, r *bat.BAT) {
+	lh := make([]bat.OID, lt.Len())
+	for i := range lh {
+		lh[i] = bat.OID(i)
+	}
+	l = bat.SortOnTail(bat.New("l", bat.NewOIDCol(lh), lt, 0))
+	rt := bat.FromValues(bat.KFlt, randKindValues(rng, bat.KFlt, rh.Len(), false))
+	r0 := bat.SortOnTail(bat.New("r0", rt, rh, 0)).Mirror()
+	return l, bat.New("r", r0.H, r0.T, bat.HOrdered)
 }
 
 func TestParitySemijoinAllKinds(t *testing.T) {
@@ -146,23 +187,64 @@ func TestParitySemijoinAllKinds(t *testing.T) {
 				l := bat.New("l", bat.FromValues(k, lh), bat.FromValues(bat.KInt, lt), 0)
 				r := bat.New("r", bat.FromValues(k, rh), bat.NewVoid(0, r0len(n/2+1)), 0)
 				got := hashSemijoin(nil, l, r)
-
-				// boxed reference: map membership on boxed heads
-				set := make(map[bat.Value]struct{}, r.Len())
-				for i := 0; i < r.Len(); i++ {
-					set[r.HeadValue(i)] = struct{}{}
-				}
-				var pos []int32
-				for i := 0; i < l.Len(); i++ {
-					if _, ok := set[l.HeadValue(i)]; ok {
-						pos = append(pos, int32(i))
-					}
-				}
-				want := gatherPositions(nil, l.Name+".sel", l, pos)
-				batsEqual(t, fmt.Sprintf("semijoin/%s/n=%d/alldup=%v", k, n, allDup), got, want)
+				batsEqual(t, fmt.Sprintf("semijoin/%s/n=%d/alldup=%v", k, n, allDup), got, refSemijoin(l, r))
 			}
 		}
 	}
+	// Ordered heads, through the dispatcher: void against oid heads (either
+	// side) merges as the oid sequence; an int against a flt head holding
+	// the same numbers has no typed merge, takes the hash variant and keeps
+	// nothing.
+	for _, n := range []int{1, 29, 64} {
+		ints := randKindValues(rng, bat.KInt, n, false)
+		flts := make([]bat.Value, len(ints))
+		for i, v := range ints {
+			flts[i] = bat.F(float64(v.I))
+		}
+		oids := randKindValues(rng, bat.KOID, n, false)
+		for _, c := range []struct {
+			name   string
+			lh, rh bat.Column
+			algo   string
+		}{
+			{"void-oid", bat.NewVoid(2, n), bat.FromValues(bat.KOID, oids[:n/2+1]), "merge-semijoin"},
+			{"oid-void", bat.FromValues(bat.KOID, oids), bat.NewVoid(4, n/2+1), "merge-semijoin"},
+			{"int-flt", bat.FromValues(bat.KInt, ints), bat.FromValues(bat.KFlt, flts[:n/2+1]), "hash-semijoin"},
+			{"flt-int", bat.FromValues(bat.KFlt, flts), bat.FromValues(bat.KInt, ints[:n/2+1]), "hash-semijoin"},
+		} {
+			l := orderedOnHead("l", c.lh, bat.FromValues(bat.KInt, randKindValues(rng, bat.KInt, n, false)))
+			r := orderedOnHead("r", c.rh, bat.NewVoid(0, c.rh.Len()))
+			ctx := NewCtx(nil, Options{Workers: 1})
+			got := Semijoin(ctx, l, r)
+			label := fmt.Sprintf("semijoin/%s/n=%d", c.name, n)
+			if ctx.LastAlgo() != c.algo {
+				t.Fatalf("%s: ran %q, want %q", label, ctx.LastAlgo(), c.algo)
+			}
+			batsEqual(t, label, got, refSemijoin(l, r))
+		}
+	}
+}
+
+// orderedOnHead builds [h, t] sorted on h, declaring the order.
+func orderedOnHead(name string, h, t bat.Column) *bat.BAT {
+	m := bat.SortOnTail(bat.New(name, t, h, 0)).Mirror()
+	return bat.New(name, m.H, m.T, bat.HOrdered)
+}
+
+// refSemijoin is the boxed reference semijoin: map membership of l's boxed
+// heads among r's.
+func refSemijoin(l, r *bat.BAT) *bat.BAT {
+	set := make(map[bat.Value]struct{}, r.Len())
+	for i := 0; i < r.Len(); i++ {
+		set[r.HeadValue(i)] = struct{}{}
+	}
+	var pos []int32
+	for i := 0; i < l.Len(); i++ {
+		if _, ok := set[l.HeadValue(i)]; ok {
+			pos = append(pos, int32(i))
+		}
+	}
+	return gatherPositions(nil, l.Name+".sel", l, pos)
 }
 
 func r0len(n int) int { return n }
@@ -215,18 +297,38 @@ func TestParityGroupUnaryAllKinds(t *testing.T) {
 func TestParityGroupBinaryAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	for _, tk := range parityKinds {
-		for _, n := range []int{0, 1, 50} {
+		for _, n := range []int{0, 1, 50, 1 << 15} { // the last runs partitioned at 4 workers
 			gv := randKindValues(rng, bat.KOID, n, false)
 			bv := randKindValues(rng, tk, n, false)
 			g := bat.New("g", bat.NewVoid(0, n), bat.FromValues(bat.KOID, gv), 0)
 			b := bat.New("b", bat.NewVoid(0, n), bat.FromValues(tk, bv), 0)
 			b.SyncWith(g)
-			got := GroupBinary(nil, g, b)
-			wantIDs := make([]bat.OID, n)
-			groupBinaryBoxed(g, b, wantIDs)
-			for i := 0; i < n; i++ {
-				if got.TailValue(i).OID() != wantIDs[i] {
-					t.Fatalf("group2/%s: id[%d] = %d, want %d", tk, i, got.TailValue(i).OID(), wantIDs[i])
+			// Un-synced: b holds g's heads shuffled, a third of them
+			// missing, and a duplicate of one (its first row counts).
+			heads := shuffledOIDs(rng, n)
+			heads = heads[:n-n/3]
+			if len(heads) > 1 {
+				heads[len(heads)-1] = heads[0]
+			}
+			ub := bat.New("ub", bat.FromValues(bat.KOID, heads), bat.FromValues(tk, randKindValues(rng, tk, len(heads), false)), 0)
+			for _, c := range []struct {
+				name string
+				b    *bat.BAT
+			}{{"synced", b}, {"unsynced", ub}} {
+				wantIDs := make([]bat.OID, n)
+				groupBinaryBoxed(g, c.b, wantIDs)
+				for _, workers := range []int{1, 4} {
+					ctx := NewCtx(nil, Options{Workers: workers})
+					got := GroupBinary(ctx, g, c.b)
+					if ctx.LastAlgo() != "hash-group" {
+						t.Fatalf("group2/%s/%s: ran %q", c.name, tk, ctx.LastAlgo())
+					}
+					for i := 0; i < n; i++ {
+						if got.TailValue(i).OID() != wantIDs[i] {
+							t.Fatalf("group2/%s/%s/n=%d/w=%d: id[%d] = %d, want %d",
+								c.name, tk, n, workers, i, got.TailValue(i).OID(), wantIDs[i])
+						}
+					}
 				}
 			}
 		}
@@ -538,7 +640,8 @@ func TestJoinMultiFloatKeySemantics(t *testing.T) {
 	}
 	lKeys := []*bat.BAT{mkI([]int64{1, 2, 3}), mkF([]float64{math.Copysign(0, -1), nan, 5})}
 	rKeys := []*bat.BAT{mkI([]int64{1, 2, 3}), mkF([]float64{0, nan, 5})}
-	lids, rids := JoinMulti(nil, lKeys, rKeys)
+	out := JoinMulti(nil, lKeys, rKeys)
+	lids, rids := out.HeadValues(), out.TailValues()
 	found := map[[2]int64]bool{}
 	for i := range lids {
 		found[[2]int64{lids[i].I, rids[i].I}] = true
@@ -569,7 +672,8 @@ func TestJoinMultiArbitraryArity(t *testing.T) {
 		mk([]int64{3, 1}), mk([]int64{30, 10}),
 		mk([]int64{300, 100}), mk([]int64{9, 7}),
 	}
-	lids, rids := JoinMulti(nil, lKeys, rKeys)
+	out := JoinMulti(nil, lKeys, rKeys)
+	lids, rids := out.HeadValues(), out.TailValues()
 	if len(lids) != 2 {
 		t.Fatalf("matches = %d, want 2", len(lids))
 	}
@@ -583,7 +687,7 @@ func TestJoinMultiArbitraryArity(t *testing.T) {
 	// five attributes with a deliberate mismatch on the fifth: no matches
 	lKeys = append(lKeys, mk([]int64{1, 1, 1}))
 	rKeys = append(rKeys, mk([]int64{2, 2}))
-	if lids, _ := JoinMulti(nil, lKeys, rKeys); len(lids) != 0 {
-		t.Fatalf("mismatched fifth key still joined: %v", lids)
+	if out := JoinMulti(nil, lKeys, rKeys); out.Len() != 0 {
+		t.Fatalf("mismatched fifth key still joined: %v", out.HeadValues())
 	}
 }

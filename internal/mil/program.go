@@ -589,12 +589,7 @@ func execJoinMulti(ctx *Ctx, s Stmt, scope *Scope) (*bat.BAT, error) {
 	if len(lKeys) == 0 || len(rKeys) == 0 {
 		return nil, fmt.Errorf("joinmulti needs at least one key pair")
 	}
-	lids, rids := JoinMulti(ctx, lKeys, rKeys)
-	hk, tk := bat.KOID, bat.KOID
-	if len(lids) > 0 {
-		hk, tk = lids[0].K, rids[0].K
-	}
-	return bat.New("joinmulti", bat.FromValues(hk, lids), bat.FromValues(tk, rids), 0), nil
+	return JoinMulti(ctx, lKeys, rKeys), nil
 }
 
 // Builder emits statements with generated variable names; the rewriter uses

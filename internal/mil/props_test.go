@@ -174,7 +174,8 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, ctx *Ctx, pool []*bat.BAT) (op 
 			if !l.DetectTailProps().Has(bat.TOrdered) || !r.DetectHeadProps().Has(bat.HOrdered) {
 				return nil
 			}
-			return mergeJoin(ctx, l, r)
+			out, _ := mergeJoin(ctx, l, r) // nil: no typed merge for these kinds
+			return out
 		}},
 		{"hash-join", func() *bat.BAT { return hashJoin(ctx, l, r) }},
 		{"sync-join", func() *bat.BAT {

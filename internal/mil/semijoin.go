@@ -15,7 +15,7 @@ import (
 //     just (a copy of) the left operand;
 //   - datavector-semijoin: the left operand carries a datavector
 //     accelerator (Section 5.2.1 pseudo-code);
-//   - merge-semijoin: both heads are ordered;
+//   - merge-semijoin: both heads are ordered and of one kind;
 //   - hash-semijoin: the fallback, probing the right head's bucket+link
 //     accelerator with a typed (and, over large inputs, parallel) scan.
 func Semijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
@@ -30,17 +30,18 @@ func Semijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	case l.DetectHeadProps().Has(bat.HOrdered) && r.DetectHeadProps().Has(bat.HOrdered):
 		// Detection recovers ordering on stripped intermediates (see
 		// bat/props.go), keeping the merge variant eligible.
-		return mergeSemijoin(ctx, l, r)
-	default:
-		return hashSemijoin(ctx, l, r)
+		if out, ok := mergeSemijoin(ctx, l, r); ok {
+			return out
+		}
 	}
+	return hashSemijoin(ctx, l, r)
 }
 
 // oidHeaded reports whether b's head column holds object identifiers.
-func oidHeaded(b *bat.BAT) bool {
-	k := b.H.Kind()
-	return k == bat.KOID || k == bat.KVoid
-}
+func oidHeaded(b *bat.BAT) bool { return oidKind(b.H.Kind()) }
+
+// oidKind reports whether k is a kind of object identifiers.
+func oidKind(k bat.Kind) bool { return k == bat.KOID || k == bat.KVoid }
 
 // syncSemijoin: "using the knowledge that the join columns are exactly equal
 // [it] just returns a copy of its left operand BAT". BATs are immutable, so
@@ -115,29 +116,18 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	return bat.Derive(bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather(dv.Vector, lookup), 0), bat.Probed, l, r)
 }
 
-func mergeSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
+// mergeSemijoin reports false for heads without a typed merge (different
+// kinds, bits): the hash variant then answers, under the same key equality.
+func mergeSemijoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
+	pos, _, ok := bat.MergeJoinPairs(l.H, r.H, true, make([]int32, 0, semijoinCap(l, r)), nil)
+	if !ok {
+		return nil, false
+	}
 	ctx.chose("merge-semijoin")
 	p := ctx.pager()
 	l.H.TouchAll(p)
 	r.H.TouchAll(p)
-	pos := make([]int32, 0, semijoinCap(l, r))
-	i, j := 0, 0
-	for i < l.Len() && j < r.Len() {
-		c := bat.Compare(l.H.Get(i), r.H.Get(j))
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			pos = append(pos, int32(i))
-			i++
-			// j stays: multiple l heads may match this r head; advancing i
-			// handles l duplicates, and r duplicates must not duplicate
-			// output (semijoin is a filter).
-		}
-	}
-	return gatherPositions(ctx, l.Name+".sel", l, pos)
+	return gatherPositions(ctx, l.Name+".sel", l, pos), true
 }
 
 // semijoinCap bounds the match count for pre-sizing: a semijoin keeps at

@@ -1,10 +1,58 @@
 package mil
 
-import "repro/internal/bat"
+import (
+	"slices"
+
+	"repro/internal/bat"
+)
 
 // The MOA set operations work on sets of identified values, so the BAT-level
 // set operations match elements on their identifier — the head column
 // (Section 3.3: identifiers are unique within a value set).
+
+// alignHeads is the one way rows are matched on head ids: for every row of
+// first, the first row of other with an equal head (map-key equality), or
+// -1. The index on other's head is private, other being an intermediate
+// probed once. It touches nothing; callers account for what they read.
+func alignHeads(ctx *Ctx, first, other *bat.BAT) []int32 {
+	n := first.Len()
+	at := make([]int32, n)
+	for i := range at {
+		at[i] = -1
+	}
+	idx := bat.BuildHashIndexSched(other.H, 0, ctx.sched(other.Len()))
+	pr, ok := idx.NewProbe(first.H)
+	if !ok {
+		return at // a head kind that cannot occur there matches nothing
+	}
+	// A row's matches ascend: written back to front, the first one stays.
+	lp, rp := idx.JoinVec(pr, bat.Vector{Hi: n}, make([]int32, 0, n), make([]int32, 0, n))
+	for k := len(lp) - 1; k >= 0; k-- {
+		at[lp[k]] = rp[k]
+	}
+	return at
+}
+
+// alignedRows returns the rows of an n-row first operand that every
+// alignment in at (from alignHeads; nil entries skipped) matches, ascending,
+// and compacts each alignment in place to those rows' matches.
+func alignedRows(n int, at [][]int32) []int32 {
+	rows := bat.Vector{Hi: n}.AppendRows(make([]int32, 0, n))
+	for _, a := range at {
+		if a != nil {
+			rows = slices.DeleteFunc(rows, func(r int32) bool { return a[r] < 0 })
+		}
+	}
+	for j, a := range at {
+		if a != nil {
+			for k, r := range rows { // r ≥ k: each write lands on an entry already read
+				a[k] = a[r]
+			}
+			at[j] = a[:len(rows)]
+		}
+	}
+	return rows
+}
 
 // Union implements set union on identified value sets: all BUNs of a, plus
 // the BUNs of b whose head does not occur in a. Duplicate heads within b

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bat"
@@ -47,6 +48,124 @@ func TestUnionEqualsBoxed(t *testing.T) {
 	}
 }
 
+// TestJoinMultiEqualsBoxed: the key-rep JoinMulti pairs exactly the
+// elements, in exactly the order, of the boxed string-encoding reference —
+// over keys of every kind with NaN, -0 and +0 floats and strings sharing
+// prefixes, void and oid element ids, non-base keys stored shuffled, synced,
+// with duplicate heads (the first counts) and with base rows missing, arity
+// 1 to 5, empty sides and a key pair of different kinds.
+func TestJoinMultiEqualsBoxed(t *testing.T) {
+	rng := rand.New(rand.NewSource(603))
+	kinds := []bat.Kind{bat.KOID, bat.KFlt, bat.KStr, bat.KInt, bat.KDate, bat.KChr, bat.KBit}
+	value := func(k bat.Kind, d int) bat.Value {
+		x := rng.Intn(d)
+		switch k {
+		case bat.KOID:
+			return bat.O(bat.OID(x))
+		case bat.KInt:
+			return bat.I(int64(x - d/2))
+		case bat.KFlt:
+			switch rng.Intn(16 + d/64) { // ±0 stays a small share of a large pool, and so do the pairs
+			case 0:
+				return bat.F(math.NaN())
+			case 1:
+				return bat.F(math.Copysign(0, -1))
+			case 2:
+				return bat.F(0)
+			}
+			return bat.F(float64(x) / 4)
+		case bat.KStr:
+			if rng.Intn(16) == 0 {
+				return bat.S("")
+			}
+			return bat.S(fmt.Sprintf("key%d", x)) // key1, key10, key100 share prefixes
+		case bat.KDate:
+			return bat.D(int32(9000 + x))
+		case bat.KChr:
+			return bat.C(byte('a' + x%26))
+		}
+		return bat.B(x%2 == 0)
+	}
+	column := func(k bat.Kind, n, d int) bat.Column {
+		vals := make([]bat.Value, n)
+		for i := range vals {
+			vals[i] = value(k, d)
+		}
+		return bat.FromValues(k, vals)
+	}
+	// side builds one side's keys over n elements with ids from seq: the
+	// base key's head is void or oid; every other key holds the ids shuffled
+	// with a tenth missing and some duplicated, or is synced with the base.
+	side := func(ks []bat.Kind, n, d int, seq bat.OID, void bool) []*bat.BAT {
+		ids := make([]bat.Value, n)
+		for i, p := range rng.Perm(n) {
+			ids[i] = bat.O(seq + bat.OID(p))
+		}
+		var h bat.Column = bat.NewVoid(seq, n)
+		if !void {
+			h = bat.FromValues(bat.KOID, ids)
+		}
+		base := bat.New("k0", h, column(ks[0], n, d), 0)
+		keys := []*bat.BAT{base}
+		for _, k := range ks[1:] {
+			if rng.Intn(4) == 0 {
+				kb := bat.New("k", base.H, column(k, n, d), 0)
+				kb.SyncWith(base)
+				keys = append(keys, kb)
+				continue
+			}
+			rng.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			hs := append([]bat.Value(nil), ids[:n-n/10]...)
+			for i := 0; i < n/20; i++ {
+				hs = append(hs, hs[rng.Intn(len(hs))])
+			}
+			keys = append(keys, bat.New("k", bat.FromValues(bat.KOID, hs), column(k, len(hs), d), 0))
+		}
+		return keys
+	}
+	for arity := 1; arity <= 5; arity++ {
+		for _, sizes := range [][3]int{{0, 0, 4}, {0, 30, 4}, {30, 0, 4}, {40, 60, 3}, {300, 200, 6}, {9000, 9000, 9000}} {
+			for _, void := range []bool{false, true} {
+				ks := make([]bat.Kind, arity)
+				for j := range ks {
+					ks[j] = kinds[(arity+j)%len(kinds)]
+				}
+				lKeys := side(ks, sizes[0], sizes[2], 0, void)
+				rKeys := side(ks, sizes[1], sizes[2], 7, !void)
+				mismatch := append([]*bat.BAT(nil), rKeys...)
+				m := mismatch[arity-1]
+				other := bat.KInt
+				if m.T.Kind() == bat.KInt {
+					other = bat.KFlt
+				}
+				mismatch[arity-1] = bat.New("k", m.H, column(other, m.Len(), sizes[2]), 0)
+				for _, c := range []struct {
+					name  string
+					rKeys []*bat.BAT
+				}{{"match", rKeys}, {"kind-mismatch", mismatch}} {
+					lids, rids := joinMultiBoxed(lKeys, c.rKeys)
+					for _, workers := range []int{1, 4} {
+						label := fmt.Sprintf("joinmulti/%s/%v/arity=%d/void=%v/w=%d", c.name, sizes, arity, void, workers)
+						got := JoinMulti(NewCtx(nil, Options{Workers: workers}), lKeys, c.rKeys)
+						if got.H.Kind() != bat.KOID || got.T.Kind() != bat.KOID || got.Props != 0 {
+							t.Fatalf("%s: [%s,%s] props %s, want [oid,oid] without props", label, got.H.Kind(), got.T.Kind(), got.Props)
+						}
+						if got.Len() != len(lids) {
+							t.Fatalf("%s: %d pairs, reference %d", label, got.Len(), len(lids))
+						}
+						for i := range lids {
+							if got.HeadValue(i) != lids[i] || got.TailValue(i) != rids[i] {
+								t.Fatalf("%s: pair %d = (%s,%s), reference (%s,%s)", label, i,
+									got.HeadValue(i), got.TailValue(i), lids[i], rids[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // allocRows is the input size of the allocation bounds: large enough that an
 // allocation per row, or a table sized by the row count's logarithm, could
 // not hide under the bound.
@@ -78,6 +197,40 @@ func TestAllocationBounds(t *testing.T) {
 	plain.HeadHash()
 	sel.HeadHash()
 	ua := bat.New("ua", bat.FromValues(bat.KOID, shuffledOIDs(rng, n)[:n/2]), bat.SliceView(flts.T, 0, n/2), 0)
+	// merge operands: ascending oids below n with duplicates on both join
+	// columns (about one match per row)
+	sortedOIDs := func() bat.Column {
+		v := make([]bat.OID, n)
+		for i := range v {
+			v[i] = bat.OID(rng.Intn(n))
+		}
+		slices.Sort(v)
+		return bat.NewOIDCol(v)
+	}
+	ml := bat.New("ml", bat.NewVoid(0, n), sortedOIDs(), bat.TOrdered)
+	mr := bat.New("mr", sortedOIDs(), flts.T, bat.HOrdered)
+	voidHeaded := bat.New("vh", bat.NewVoid(0, n), flts.T, 0)
+	// b of an un-synced group2: g's heads shuffled
+	unsynced := bat.New("us", bat.FromValues(bat.KOID, shuffledOIDs(rng, n)), strs.T, 0)
+	// joinmulti keys: the right side's 256 elements are keyed (i/16, i%16),
+	// each of the left side's elements matches one of them, and each side's
+	// second key is stored in another order than its first.
+	keys := func(n int, key func(i int) int64) []*bat.BAT {
+		k0, k1 := make([]int64, n), make([]int64, n)
+		hs := shuffledOIDs(rng, n)
+		for i := range k0 {
+			k0[i], k1[i] = key(i)/16, key(int(hs[i].I))%16
+		}
+		return []*bat.BAT{
+			bat.New("k0", bat.NewVoid(0, n), bat.NewIntCol(k0), 0),
+			bat.New("k1", bat.FromValues(bat.KOID, hs), bat.NewIntCol(k1), 0),
+		}
+	}
+	lsel := make([]int64, n)
+	for i := range lsel {
+		lsel[i] = int64(rng.Intn(256))
+	}
+	lKeys, rKeys := keys(n, func(i int) int64 { return lsel[i] }), keys(256, func(i int) int64 { return int64(i) })
 
 	ctx := NewCtx(nil, Options{Workers: 1})
 	mx := func(fn string, args ...Operand) func() { return func() { Multiplex(ctx, fn, args) } }
@@ -89,6 +242,10 @@ func TestAllocationBounds(t *testing.T) {
 		"Aggr/flt":              func() { Aggr(ctx, "avg", grouped(flts)) },
 		"Aggr/date":             func() { Aggr(ctx, "min", grouped(dates)) },
 		"Aggr/oid":              func() { Aggr(ctx, "count", grouped(oids)) },
+		"GroupBinary/unsynced":  func() { GroupBinary(ctx, oids, unsynced) },
+		"Join/merge":            func() { Join(ctx, ml, mr) },
+		"JoinMulti":             func() { JoinMulti(ctx, lKeys, rKeys) },
+		"Semijoin/merge":        func() { Semijoin(ctx, voidHeaded, mr) },
 		"Semijoin/hash":         func() { Semijoin(ctx, plain, sel) },
 		"Semijoin/datavector":   func() { Semijoin(ctx, attr, sel) },
 		"Union":                 func() { Union(ctx, ua, plain) },
@@ -103,8 +260,12 @@ func TestAllocationBounds(t *testing.T) {
 		"adapter [length]":      mx("length", BATArg(strs)),
 		"adapter [snd](…, str)": mx("snd", BATArg(ints), ConstArg(bat.S("x"))),
 	}
+	algo := map[string]string{"Join/merge": "merge-join", "Semijoin/merge": "merge-semijoin", "GroupBinary/unsynced": "hash-group"}
 	for name, run := range cases {
 		run() // build accelerators and memoized lookups outside the measurement
+		if want, ok := algo[name]; ok && ctx.LastAlgo() != want {
+			t.Fatalf("%s ran %q, want %q", name, ctx.LastAlgo(), want)
+		}
 		if got := testing.AllocsPerRun(3, run); got > maxAllocs {
 			t.Errorf("%s over %d rows: %.0f allocations per call, bound %d", name, n, got, maxAllocs)
 		}
