@@ -25,7 +25,9 @@ import (
 // per-row boxing, cannot be written. The table starts at grouperMinBuckets
 // (inputs typically hold 4–200 distinct keys in 100k rows) and doubles when
 // the slots outnumber the buckets, re-linking the chains from the per-slot
-// reps; nothing is sized by the input's row count. Slot ids are
+// reps; nothing is sized by the input's row count unless the caller Reserves
+// (the composite-key join's build side, whose keys are mostly distinct; Find
+// probes it without adding the probe side's keys). Slot ids are
 // first-occurrence order whatever the table size was at the time: the k-th
 // distinct key gets slot k, as the group oid of a sequential boxed scan.
 
@@ -180,17 +182,8 @@ func (k *KeyRep) Verifier() KeyEq {
 	return k
 }
 
-// PairEq verifies composite (A,B) keys row against row.
-type PairEq struct{ A, B *KeyRep }
-
-// KeyEqual implements KeyEq.
-func (p *PairEq) KeyEqual(a, b int32) bool {
-	return p.A.KeyEqual(a, b) && p.B.KeyEqual(a, b)
-}
-
-// KeysEq verifies composite keys of any arity row against row. (PairEq is
-// its two-column form, kept for the hot group and unique loops, where the
-// loop here costs a measurable share.)
+// KeysEq verifies composite keys (group refinement, BUN dedup, composite-key
+// join) row against row, key by key.
 type KeysEq []*KeyRep
 
 // KeyEqual implements KeyEq.
@@ -277,6 +270,27 @@ func (g *Grouper) Len() int { return len(g.rows) }
 // Rows returns the first-occurrence row of every slot, in slot order.
 func (g *Grouper) Rows() []int32 { return g.rows }
 
+// Reserve sizes the table for n slots at once, for a caller that expects
+// about n distinct keys (a composite-key join's build side); past n it still
+// doubles.
+func (g *Grouper) Reserve(n int) {
+	if sz := nextPow2(n); sz > len(g.bucket) {
+		g.rehash(sz)
+	}
+}
+
+// Find returns the slot of the key with representation rep occurring at row,
+// or -1 when there is none; it never creates one. (Slot repeats the probe
+// loop: it runs per row of every grouping, where a call would show.)
+func (g *Grouper) Find(rep uint64, row int32) int32 {
+	for s := g.bucket[fibHash(rep)&g.mask]; s >= 0; s = g.link[s] {
+		if g.rep[s] == rep && (g.eq == nil || g.eq.KeyEqual(g.rows[s], row)) {
+			return s
+		}
+	}
+	return -1
+}
+
 // Slot returns the slot of the key with representation rep occurring at row,
 // creating it if new (second result).
 func (g *Grouper) Slot(rep uint64, row int32) (int32, bool) {
@@ -336,6 +350,28 @@ func mergeTyped[E Ordered | string](lt, rh []E, semi bool, lpos, rpos []int32) (
 	return lpos, rpos
 }
 
+// mergeVoid merges the void column v, read as Seq+i and never materialized,
+// against the ascending oids o: each o entry in v's range meets the one v
+// position its offset names. vLeft says which side v is.
+func mergeVoid(v *VoidCol, o []OID, vLeft, semi bool, lpos, rpos []int32) ([]int32, []int32) {
+	lo, _ := slices.BinarySearch(o, v.Seq)
+	hi, _ := slices.BinarySearch(o, v.Seq+OID(v.N))
+	prev := int32(-1)
+	for j := lo; j < hi; j++ {
+		l, r := int32(o[j]-v.Seq), int32(j)
+		if !vLeft {
+			l, r = r, l
+		}
+		if !semi {
+			rpos = append(rpos, r)
+		} else if l == prev { // a run of equal o entries keeps its v position once
+			continue
+		}
+		lpos, prev = append(lpos, l), l
+	}
+	return lpos, rpos
+}
+
 // mergeFixed runs the typed merge when rh has a's element type.
 func mergeFixed[E Ordered](a *FixedCol[E], rh Column, semi bool, lpos, rpos []int32) ([]int32, []int32, bool) {
 	b, ok := rh.(*FixedCol[E])
@@ -352,11 +388,24 @@ func mergeFixed[E Ordered](a *FixedCol[E], rh Column, semi bool, lpos, rpos []in
 // column merges as its oid sequence. It reports false when the column pair
 // has no typed path, leaving the buffers untouched.
 func MergeJoinPairs(lt, rh Column, semi bool, lpos, rpos []int32) ([]int32, []int32, bool) {
-	if v, ok := lt.(*VoidCol); ok {
-		lt = v.oids()
+	lv, lVoid := lt.(*VoidCol)
+	rv, rVoid := rh.(*VoidCol)
+	if lVoid && rVoid { // the overlap of the two oid ranges
+		for x := max(lv.Seq, rv.Seq); x < min(lv.Seq+OID(lv.N), rv.Seq+OID(rv.N)); x++ {
+			lpos = append(lpos, int32(x-lv.Seq))
+			if !semi {
+				rpos = append(rpos, int32(x-rv.Seq))
+			}
+		}
+		return lpos, rpos, true
 	}
-	if v, ok := rh.(*VoidCol); ok {
-		rh = v.oids()
+	if o, ok := rh.(*OIDCol); ok && lVoid {
+		lpos, rpos = mergeVoid(lv, o.V, true, semi, lpos, rpos)
+		return lpos, rpos, true
+	}
+	if o, ok := lt.(*OIDCol); ok && rVoid {
+		lpos, rpos = mergeVoid(rv, o.V, false, semi, lpos, rpos)
+		return lpos, rpos, true
 	}
 	switch a := lt.(type) {
 	case *OIDCol:

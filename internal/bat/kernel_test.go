@@ -321,8 +321,64 @@ func TestGrouperFirstOccurrenceOrder(t *testing.T) {
 // TestMergeJoinPairsParity: the typed merge kernel equals a boxed
 // nested-loop reference on sorted inputs for every orderable kind, in join
 // mode and in semi mode (each matching left position once).
+// TestKeysEqSettlesMixCollisions: two different exact composite keys whose
+// Mix reps collide must still get two slots — KeysEq compares exact keys on
+// their reps, since Mix is not injective.
+func TestKeysEqSettlesMixCollisions(t *testing.T) {
+	// Solve Mix(a1, b1) == Mix(a2, b2) for b2: the multiplier of b is odd, so
+	// it has an inverse mod 2^64 (Newton's iteration doubles the correct bits).
+	const cb = 0x94D049BB133111EB
+	inv := uint64(cb)
+	for range 6 {
+		inv *= 2 - cb*inv
+	}
+	a1, b1, a2 := uint64(3), uint64(5), uint64(4)
+	b2 := (Mix(a1, b1) ^ Mix(a2, 0)) * inv
+	if Mix(a1, b1) != Mix(a2, b2) {
+		t.Fatal("no collision constructed")
+	}
+	ka := NewKeyRep(NewIntCol([]int64{int64(a1), int64(a2)}))
+	kb := NewKeyRep(NewIntCol([]int64{int64(b1), int64(b2)}))
+	g := NewGrouper(&KeysEq{ka, kb})
+	for i := range int32(2) {
+		g.Slot(Mix(ka.Rep[i], kb.Rep[i]), i)
+	}
+	if g.Len() != 2 {
+		t.Fatalf("(%d,%d) and (%d,%d) share a slot", a1, b1, a2, b2)
+	}
+}
+
 func TestMergeJoinPairsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	check := func(name string, lt, rh Column) {
+		t.Helper()
+		lpos, rpos, ok := MergeJoinPairs(lt, rh, false, nil, nil)
+		if !ok {
+			t.Fatalf("%s: no typed merge path", name)
+		}
+		var wantL, wantR []int32
+		for i := 0; i < lt.Len(); i++ {
+			for j := 0; j < rh.Len(); j++ {
+				if lt.Get(i) == rh.Get(j) {
+					wantL = append(wantL, int32(i))
+					wantR = append(wantR, int32(j))
+				}
+			}
+		}
+		if len(lpos) != len(wantL) {
+			t.Fatalf("%s: %d pairs, want %d", name, len(lpos), len(wantL))
+		}
+		for i := range lpos {
+			if lpos[i] != wantL[i] || rpos[i] != wantR[i] {
+				t.Fatalf("%s: pair %d = (%d,%d), want (%d,%d)", name, i, lpos[i], rpos[i], wantL[i], wantR[i])
+			}
+		}
+		semi, _, _ := MergeJoinPairs(lt, rh, true, nil, nil)
+		wantSemi := slices.Compact(wantL)
+		if !slices.Equal(semi, wantSemi) {
+			t.Fatalf("%s: semi rows %v, want %v", name, semi, wantSemi)
+		}
+	}
 	for _, n := range []int{0, 1, 50} {
 		cols := kernelTestColumns(rng, n, false)
 		for kind, col := range cols {
@@ -331,31 +387,18 @@ func TestMergeJoinPairsParity(t *testing.T) {
 			}
 			sorted := SortOnTail(New("x", NewVoid(0, n), col, 0)).T
 			other := SortOnTail(New("y", NewVoid(0, n), kernelTestColumns(rng, n, false)[kind], 0)).T
-			lpos, rpos, ok := MergeJoinPairs(sorted, other, false, nil, nil)
-			if !ok {
-				t.Fatalf("%s: no typed merge path", kind)
-			}
-			var wantL, wantR []int32
-			for i := 0; i < sorted.Len(); i++ {
-				for j := 0; j < other.Len(); j++ {
-					if sorted.Get(i) == other.Get(j) {
-						wantL = append(wantL, int32(i))
-						wantR = append(wantR, int32(j))
-					}
-				}
-			}
-			if len(lpos) != len(wantL) {
-				t.Fatalf("%s/n=%d: %d pairs, want %d", kind, n, len(lpos), len(wantL))
-			}
-			for i := range lpos {
-				if lpos[i] != wantL[i] || rpos[i] != wantR[i] {
-					t.Fatalf("%s: pair %d = (%d,%d), want (%d,%d)", kind, i, lpos[i], rpos[i], wantL[i], wantR[i])
-				}
-			}
-			semi, _, _ := MergeJoinPairs(sorted, other, true, nil, nil)
-			wantSemi := slices.Compact(wantL)
-			if !slices.Equal(semi, wantSemi) {
-				t.Fatalf("%s/n=%d: semi rows %v, want %v", kind, n, semi, wantSemi)
+			check(fmt.Sprintf("%s/n=%d", kind, n), sorted, other)
+		}
+		// A void column merges as its oid sequence, against oids (values
+		// 0..15, duplicated) below, inside and past its range, and against
+		// another void column.
+		oids := SortOnTail(New("o", NewVoid(0, n), cols[KOID], 0)).T
+		for _, seq := range []OID{0, 5, 12, 20} {
+			for _, m := range []int{0, 1, 8} {
+				v := NewVoid(seq, m)
+				check(fmt.Sprintf("void(%d,%d)×oid/n=%d", seq, m, n), v, oids)
+				check(fmt.Sprintf("oid×void(%d,%d)/n=%d", seq, m, n), oids, v)
+				check(fmt.Sprintf("void(%d,%d)×void(3,%d)", seq, m, n), v, NewVoid(3, n))
 			}
 		}
 	}

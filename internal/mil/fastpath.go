@@ -19,23 +19,33 @@ func oidGetter(c bat.Column) (func(int) bat.OID, bool) {
 	return nil, false
 }
 
+// sameOIDs reports whether a and b are equal-length, non-empty oid columns
+// holding the same oid at every position. The scan bails at the first
+// mismatch.
+func sameOIDs(a, b bat.Column) bool {
+	if a.Len() != b.Len() || a.Len() == 0 {
+		return false
+	}
+	ga, aok := oidGetter(a)
+	gb, bok := oidGetter(b)
+	if !aok || !bok {
+		return false
+	}
+	for i := range a.Len() {
+		if ga(i) != gb(i) {
+			return false
+		}
+	}
+	return true
+}
+
 // syncSemijoinPrecheck detects identical oid head sequences at run time: the
 // semijoin then degenerates to a copy (the sync-semijoin of Section 5.1),
 // and the discovered correspondence is recorded on the operands for later
 // operators.
 func syncSemijoinPrecheck(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
-	if l.Len() != r.Len() || l.Len() == 0 {
+	if !sameOIDs(l.H, r.H) {
 		return nil, false
-	}
-	lh, lok := oidGetter(l.H)
-	rh, rok := oidGetter(r.H)
-	if !lok || !rok {
-		return nil, false
-	}
-	for i := 0; i < l.Len(); i++ {
-		if lh(i) != rh(i) {
-			return nil, false
-		}
 	}
 	r.SyncWith(l)
 	return syncSemijoin(ctx, l), true

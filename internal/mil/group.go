@@ -16,7 +16,7 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	k := workersFor(ctx, n)
 	hr := bat.NewKeyRepP(b.H, k)
 	tr := bat.NewKeyRepP(b.T, k)
-	eq := &bat.PairEq{A: hr, B: tr} // Mix keys always need verifying
+	eq := &bat.KeysEq{hr, tr} // Mix keys always need verifying
 	if k > 1 {
 		// Partitioned dedup: the first-occurrence rows of the partitioned
 		// grouping (ascending by construction) are exactly the BUNs a
@@ -103,7 +103,7 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	gr := bat.NewKeyRepP(g.T, k)
 	br := bat.NewKeyRepP(b.T, k)
 	if bat.Synced(g, b) {
-		eq := &bat.PairEq{A: gr, B: br}
+		eq := &bat.KeysEq{gr, br}
 		if k > 1 {
 			gs := bat.BuildGroupSlotsPartitionedSched(mixedReps(ctx, gr, br, n), eq, ctx.sched(n))
 			slotsToOIDs(ctx, gs.Slots, out)

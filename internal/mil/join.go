@@ -116,26 +116,9 @@ func joinCap(l, r *bat.BAT, idx *bat.HashIndex) int {
 // would sync must not fuse — streaming would replace the zero-copy pairing
 // with a hash build over r).
 func syncJoinMatch(l, r *bat.BAT) bool {
-	if l.Len() != r.Len() || l.Len() == 0 {
-		return false
-	}
 	// Positional pairing is the complete join only if the join column is
 	// duplicate-free; with duplicates every cross match must be produced.
-	if !l.Props.Has(bat.TKey) && !r.Props.Has(bat.HKey) {
-		return false
-	}
-	lt, ok1 := oidGetter(l.T)
-	rh, ok2 := oidGetter(r.H)
-	if !ok1 || !ok2 {
-		return false
-	}
-	n := l.Len()
-	for i := 0; i < n; i++ {
-		if lt(i) != rh(i) {
-			return false
-		}
-	}
-	return true
+	return (l.Props.Has(bat.TKey) || r.Props.Has(bat.HKey)) && sameOIDs(l.T, r.H)
 }
 
 // syncJoin recognizes the case where l's tail and r's head correspond
@@ -264,10 +247,11 @@ func JoinMulti(ctx *Ctx, lKeys, rKeys []*bat.BAT) *bat.BAT {
 // keyPairs returns the (left, right) base rows of the matching elements,
 // matching keys the way Union matches heads: each key's sides are
 // concatenated (right, then left), and the grouper hands out a slot per
-// distinct composite key. Right elements claim the slots; a left element
-// landing on a claimed slot pairs with its right elements. Equality is the
-// map-key equality of every other join: keys of different kinds (void and
-// oid aside) match nothing, -0 equals +0, and NaN matches nothing.
+// distinct composite key. Right elements claim the slots, the table sized for
+// one slot each; a left element whose key holds a slot pairs with its right
+// elements, and adds none (Find). Equality is the map-key equality of every
+// other join: keys of different kinds (void and oid aside) match nothing, -0
+// equals +0, and NaN matches nothing.
 func keyPairs(ctx *Ctx, lKeys, rKeys []*bat.BAT) (lp, rp []int32) {
 	for j := range lKeys {
 		lk, rk := lKeys[j].T.Kind(), rKeys[j].T.Kind()
@@ -295,6 +279,7 @@ func keyPairs(ctx *Ctx, lKeys, rKeys []*bat.BAT) (lp, rp []int32) {
 
 	// next chains each slot's right rows, ascending, from its first row.
 	g := bat.NewGrouper(&eq)
+	g.Reserve(nr)
 	next := make([]int32, nr)
 	last := make([]int32, 0, nr)
 	for i := range next {
@@ -306,12 +291,12 @@ func keyPairs(ctx *Ctx, lKeys, rKeys []*bat.BAT) (lp, rp []int32) {
 			last[s] = int32(i)
 		}
 	}
-	first := g.Rows() // left rows add slots past len(first) only
+	first := g.Rows()
 	lp = make([]int32, 0, len(lRows))
 	rp = make([]int32, 0, len(lRows))
 	for i, row := range lRows {
-		s, _ := g.Slot(rep[nr+i], int32(nr+i))
-		if int(s) >= len(first) {
+		s := g.Find(rep[nr+i], int32(nr+i))
+		if s < 0 {
 			continue
 		}
 		for r := first[s]; r >= 0; r = next[r] {

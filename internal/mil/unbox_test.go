@@ -212,9 +212,10 @@ func TestAllocationBounds(t *testing.T) {
 	voidHeaded := bat.New("vh", bat.NewVoid(0, n), flts.T, 0)
 	// b of an un-synced group2: g's heads shuffled
 	unsynced := bat.New("us", bat.FromValues(bat.KOID, shuffledOIDs(rng, n)), strs.T, 0)
-	// joinmulti keys: the right side's 256 elements are keyed (i/16, i%16),
-	// each of the left side's elements matches one of them, and each side's
-	// second key is stored in another order than its first.
+	// joinmulti keys: element i of a side is keyed (key(i)/16, key(i)%16),
+	// the second key stored in another order than the first. The right
+	// side's n keys are distinct; half the left side's elements match one of
+	// them, the other half nothing.
 	keys := func(n int, key func(i int) int64) []*bat.BAT {
 		k0, k1 := make([]int64, n), make([]int64, n)
 		hs := shuffledOIDs(rng, n)
@@ -228,9 +229,9 @@ func TestAllocationBounds(t *testing.T) {
 	}
 	lsel := make([]int64, n)
 	for i := range lsel {
-		lsel[i] = int64(rng.Intn(256))
+		lsel[i] = int64(rng.Intn(2 * n))
 	}
-	lKeys, rKeys := keys(n, func(i int) int64 { return lsel[i] }), keys(256, func(i int) int64 { return int64(i) })
+	lKeys, rKeys := keys(n, func(i int) int64 { return lsel[i] }), keys(n, func(i int) int64 { return int64(i) })
 
 	ctx := NewCtx(nil, Options{Workers: 1})
 	mx := func(fn string, args ...Operand) func() { return func() { Multiplex(ctx, fn, args) } }
