@@ -694,6 +694,64 @@ func BenchmarkAblationMorselGroup(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationDenseGroup: grouping, dedup and aggregation by direct
+// index (the dense-* variants) against the bucket+link grouper, over the
+// shape of TPC-D Q01 — 120,229 rows into 4 groups. The grouper side holds
+// the same classes with each key value shifted left by 24 bits: the span is
+// then far beyond the rows, so the operator hashes, and the same rows fall
+// into the same groups in the same order. Sequential, as Q01 runs served.
+func BenchmarkAblationDenseGroup(b *testing.B) {
+	const n = 120_229
+	rng := rand.New(rand.NewSource(41))
+	gids, wide := make([]bat.OID, n), make([]bat.OID, n)
+	flags, wideFlags := make([]byte, n), make([]int64, n)
+	prices := make([]float64, n)
+	for i := range gids {
+		g := rng.Intn(4)
+		gids[i], wide[i] = bat.OID(g), bat.OID(g)<<24
+		flags[i] = "ANR"[rng.Intn(3)]
+		wideFlags[i] = int64(flags[i]) << 24
+		prices[i] = float64(rng.Intn(1_000_000)) / 100
+	}
+	vh := bat.NewVoid(0, n)
+	type variant struct {
+		name, algo string
+		run        func(ctx *mil.Ctx)
+	}
+	var cases []variant
+	for _, side := range []struct {
+		name, algo string
+		gid, flag  bat.Column
+	}{
+		{"dense", "dense", bat.NewOIDCol(gids), bat.NewChrCol(flags)},
+		{"grouper", "hash", bat.NewOIDCol(wide), bat.NewIntCol(wideFlags)},
+	} {
+		per := bat.New("per", side.gid, bat.NewFltCol(prices), 0)
+		flag := bat.New("flag", vh, side.flag, 0)
+		key := bat.New("key", side.gid, side.flag, 0)
+		cases = append(cases,
+			variant{"sum/" + side.name, side.algo + "-aggr", func(ctx *mil.Ctx) { mil.Aggr(ctx, "sum", per) }},
+			variant{"count/" + side.name, side.algo + "-aggr", func(ctx *mil.Ctx) { mil.Aggr(ctx, "count", per) }},
+			variant{"group/" + side.name, side.algo + "-group", func(ctx *mil.Ctx) { mil.GroupUnary(ctx, flag) }},
+			variant{"unique/" + side.name, side.algo + "-unique", func(ctx *mil.Ctx) { mil.Unique(ctx, key) }})
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			ctx := mil.NewCtx(nil, mil.Options{Workers: 1})
+			c.run(ctx)
+			if ctx.LastAlgo() != c.algo {
+				b.Fatalf("ran %q, want %q", ctx.LastAlgo(), c.algo)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.run(ctx)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/row")
+		})
+	}
+}
+
 // serverBenchState shares one warmed database across the server-throughput
 // variants, so every variant probes the same accelerator-warm base env and
 // the sweep isolates scheduling/caching effects rather than cold builds.

@@ -19,17 +19,23 @@ import (
 // equals itself, -0 equals +0).
 //
 // The Grouper contract (group, unique, aggregation, union, composite-key
-// join). Equality is fixed at construction: NewGrouper takes the verifier
-// that settles rep collisions — one interface conversion per table — and
-// Slot takes only rep and row, so a per-row verifier argument, and its
-// per-row boxing, cannot be written. The table starts at grouperMinBuckets
-// (inputs typically hold 4–200 distinct keys in 100k rows) and doubles when
-// the slots outnumber the buckets, re-linking the chains from the per-slot
-// reps; nothing is sized by the input's row count unless the caller Reserves
-// (the composite-key join's build side, whose keys are mostly distinct; Find
-// probes it without adding the probe side's keys). Slot ids are
-// first-occurrence order whatever the table size was at the time: the k-th
-// distinct key gets slot k, as the group oid of a sequential boxed scan.
+// join). Keys that need no hashing skip it: group, synced group2, unique and
+// the unordered aggregations first try the DenseGrouper (dense.go), which
+// gives exact keys (oid, void, int, date, chr, bit) of small span over the
+// grouped rows their slots by direct index, with the identical
+// first-occurrence ids. Wide, float, string and un-synced keys, union and
+// the composite-key join come here. Equality is fixed at construction:
+// NewGrouper takes the verifier that settles rep collisions — one interface
+// conversion per table — and Slot takes only rep and row, so a per-row
+// verifier argument, and its per-row boxing, cannot be written. The table
+// starts at grouperMinBuckets (inputs typically hold 4–200 distinct keys in
+// 100k rows) and doubles when the slots outnumber the buckets, re-linking
+// the chains from the per-slot reps; nothing is sized by the input's row
+// count unless the caller Reserves (the composite-key join's build side,
+// whose keys are mostly distinct; Find probes it without adding the probe
+// side's keys). Slot ids are first-occurrence order whatever the table size
+// was at the time: the k-th distinct key gets slot k, as the group oid of a
+// sequential boxed scan.
 
 const fibMul = 0x9E3779B97F4A7C15
 

@@ -89,57 +89,49 @@ func aggResultKind(fn string, in bat.Kind) bat.Kind {
 // an ordered operand head yields an ordered (and always key) result head.
 //
 // Execution is slot-based: each row's head resolves to a dense group slot
-// (contiguous runs when the head is ordered, the bucket+link grouper
-// otherwise) and a block of rows with their slots at a time folds into typed
-// per-slot accumulator arrays (slotFold). Over large unordered inputs the
+// and a block of rows with their slots at a time folds into typed per-slot
+// accumulator arrays (slotFold). The slots come from contiguous runs when
+// the head is ordered; else by direct index when the head is an exact key of
+// small span (group ids, characters, narrow integers: bat.DenseGrouper, the
+// dense-aggr variant, sequential at any worker count); else from the
+// bucket+link grouper. Over large unordered inputs of many distinct keys the
 // grouping runs radix-partitioned: rows are split by key hash, per-partition
 // groupers run concurrently, and accumulation proceeds partition-parallel
 // over disjoint slot sets. Because a group never spans partitions, every
 // accumulator — including order-sensitive floating-point sums — combines
-// its rows in ascending row order, so parallel results are bit-identical to
-// sequential execution for all aggregate functions.
+// its rows in ascending row order, so every variant's result is
+// bit-identical to sequential execution for all aggregate functions.
 func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	p := ctx.pager()
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
 	n := b.Len()
-	k := workersFor(ctx, n)
-	hr := bat.NewKeyRepP(b.H, k)
-	eq := hr.Verifier()
-	f := newSlotFold(b.T)
+	f := newSlotFold(b.T, fn)
 	var first []int32
-	switch {
-	case b.Props.Has(bat.HOrdered):
+	if b.Props.Has(bat.HOrdered) {
 		ctx.chose("ordered-aggr")
 		// An ordered head clusters each group contiguously: a row opens a
 		// new slot exactly when its key differs from its predecessor's.
-		foldRange(f, n, func(i int32) int32 {
+		hr := bat.NewKeyRepP(b.H, workersFor(ctx, n))
+		foldRange(f, n, perRow(func(i int32) int32 {
 			if i == 0 || !(hr.Exact && hr.Rep[i-1] == hr.Rep[i] || !hr.Exact && hr.KeyEqual(i-1, i)) {
 				first = append(first, i)
 			}
 			return int32(len(first) - 1)
-		})
-	case k > 1:
-		ctx.chose("hash-aggr")
-		sched := ctx.sched(n)
-		gs := bat.BuildGroupSlotsPartitionedSched(hr.Rep, eq, sched)
-		first = gs.First
-		// Partitions own disjoint slot sets, so the workers write disjoint
-		// accumulator entries; within a partition rows ascend, so per-group
-		// accumulation order equals the sequential scan's.
-		f.grow(len(first))
-		sched.Dispatch(len(gs.PartRows), func(_, pi int) {
-			foldRows(f, gs.PartRows[pi], func(r int32) int32 { return gs.Slots[r] })
-		})
-	default:
-		ctx.chose("hash-aggr")
-		g := bat.NewGrouper(eq)
-		foldRange(f, n, func(i int32) int32 {
-			s, _ := g.Slot(hr.Rep[i], i)
-			return s
-		})
-		first = g.Rows()
+		}))
+	} else if d := bat.NewDenseGrouper(bat.Vector{Hi: n}, b.H); d != nil {
+		ctx.chose("dense-aggr")
+		foldRange(f, n, d.Slots)
+		first = d.Rows()
+	} else {
+		first = hashAggr(ctx, f, b.H)
 	}
+	return aggrResult(fn, b, f, first)
+}
+
+// aggrResult assembles the aggregate of b: the head of each group's first
+// row, beside the group's result.
+func aggrResult(fn string, b *bat.BAT, f slotFold, first []int32) *bat.BAT {
 	var head bat.Column
 	if v, ok := b.H.(*bat.VoidCol); ok {
 		// a void head is dense and key: every row is its own group, and the
@@ -148,16 +140,40 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	} else {
 		head = bat.Gather(b.H, first)
 	}
-	return bat.Derive(bat.New("{"+fn+"}", head, f.tail(fn, len(first)), 0), bat.Groups, b, nil)
+	return bat.Derive(bat.New("{"+fn+"}", head, f.tail(len(first)), 0), bat.Groups, b, nil)
 }
 
-// slotFold is the grouped-accumulation kernel of one aggregate over one tail
-// column: per-slot accumulators for every aggregate function at once, typed
+// hashAggr folds every row of the unordered head h into f by the head's
+// grouper slot, and returns the first row of every slot.
+func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
+	ctx.chose("hash-aggr")
+	n := h.Len()
+	k := workersFor(ctx, n)
+	hr := bat.NewKeyRepP(h, k)
+	if k > 1 {
+		sched := ctx.sched(n)
+		gs := bat.BuildGroupSlotsPartitionedSched(hr.Rep, hr.Verifier(), sched)
+		// Partitions own disjoint slot sets, so the workers write disjoint
+		// accumulator entries; within a partition rows ascend, so per-group
+		// accumulation order equals the sequential scan's.
+		f.grow(len(gs.First))
+		sched.Dispatch(len(gs.PartRows), func(_, pi int) {
+			foldRows(f, gs.PartRows[pi], perRow(func(r int32) int32 { return gs.Slots[r] }))
+		})
+		return gs.First
+	}
+	g := bat.NewGrouper(hr.Verifier())
+	foldRange(f, n, grouperSlots(g, func(i int32) uint64 { return hr.Rep[i] }))
+	return g.Rows()
+}
+
+// slotFold is the grouped-accumulation kernel of one aggregate function over
+// one tail column: per-slot accumulators of what the function needs, typed
 // for the ordered fixed-width tails (typedFold), boxed for the str, bit and
 // void tails (boxedFold).
-// Aggr's ordered, hash and radix-partitioned scans, the pipeline's aggregate
-// terminal and — with a single slot — the scalar aggregates all fold through
-// it, in ascending row order per slot.
+// Aggr's ordered, dense, hash and radix-partitioned scans, the pipeline's
+// aggregate terminal and — with a single slot — the scalar aggregates all
+// fold through it, in ascending row order per slot.
 type slotFold interface {
 	// grow extends the accumulators to G slots.
 	grow(G int)
@@ -166,94 +182,164 @@ type slotFold interface {
 	// ascend). The slots must have been grown; concurrent folds must touch
 	// disjoint slots.
 	fold(v bat.Vector, slots []int32)
-	// tail builds the G-row result column of aggregate fn.
-	tail(fn string, G int) bat.Column
+	// tail builds the G-row result column of the aggregate.
+	tail(G int) bat.Column
 }
 
-func newSlotFold(tail bat.Column) slotFold {
+func newSlotFold(tail bat.Column, fn string) slotFold {
 	switch t := tail.(type) {
 	case *bat.IntCol:
-		return &typedFold[int64]{col: t.V, sumI: []int64{}, sumF: []float64{}}
+		return newTypedFold(t.V, fn)
 	case *bat.FltCol:
-		return &typedFold[float64]{col: t.V, sumF: []float64{}}
+		return newTypedFold(t.V, fn)
 	case *bat.DateCol:
-		return &typedFold[int32]{col: t.V}
+		return newTypedFold(t.V, fn)
 	case *bat.OIDCol:
-		return &typedFold[bat.OID]{col: t.V}
+		return newTypedFold(t.V, fn)
 	case *bat.ChrCol:
-		return &typedFold[byte]{col: t.V}
+		return newTypedFold(t.V, fn)
 	}
-	return &boxedFold{col: tail}
+	return &boxedFold{fn: fn, col: tail}
+}
+
+// A slotter resolves the head rows of one batch, in the batch's order, to
+// group slots and reports how many slots it has handed out so far (slot ids
+// are dense, so that bounds them). bat.DenseGrouper.Slots is one.
+type slotter func(hv bat.Vector, slots []int32) int
+
+// perRow is the slotter of a per-row slot function that hands out slots in
+// ascending order.
+func perRow(slot func(row int32) int32) slotter {
+	return func(hv bat.Vector, slots []int32) int {
+		top := int32(-1)
+		for k := range slots {
+			slots[k] = slot(batchRow(hv, k))
+			top = max(top, slots[k])
+		}
+		return int(top) + 1
+	}
+}
+
+// grouperSlots is the slotter of the bucket+link grouper g over the per-row
+// key reps rep.
+func grouperSlots(g *bat.Grouper, rep func(row int32) uint64) slotter {
+	return func(hv bat.Vector, slots []int32) int {
+		for k := range slots {
+			r := batchRow(hv, k)
+			slots[k], _ = g.Slot(rep(r), r)
+		}
+		return g.Len()
+	}
+}
+
+// batchRow is the k-th row of v.
+func batchRow(v bat.Vector, k int) int32 {
+	if v.Sel != nil {
+		return v.Sel[k]
+	}
+	return int32(v.Lo + k)
 }
 
 // foldBlock is the accumulation batch of the materializing scans: slots
 // resolve for a block of rows, then the block folds in one typed loop.
 const foldBlock = 1024
 
-// foldVec folds one batch into f: the group of the k-th tail row of tv is
-// slot(k-th head row of hv) — f grows as slot hands out new slots; slot ids
-// are dense, so the highest seen bounds them — or slot 0 throughout when slot
-// is nil (a scalar aggregate: one slot, grown up front). slots is scratch,
-// at least as long as the batch and all zero when slot is nil.
-func foldVec(f slotFold, hv, tv bat.Vector, slots []int32, slot func(row int32) int32) {
-	slots = slots[:tv.Rows()]
-	if slot != nil {
-		top, k := int32(-1), 0
-		for r := range hv.All() {
-			slots[k] = slot(r)
-			top = max(top, slots[k])
-			k++
-		}
-		f.grow(int(top) + 1)
+// foldVec folds one batch into f: the group of the k-th tail row of tv is the
+// slot slots resolves the k-th head row of hv to — f grows as it hands out
+// new ones — or slot 0 throughout when slots is nil (a scalar aggregate: one
+// slot, grown up front). buf is scratch, at least as long as the batch and
+// all zero when slots is nil.
+func foldVec(f slotFold, hv, tv bat.Vector, buf []int32, slots slotter) {
+	buf = buf[:tv.Rows()]
+	if slots != nil {
+		f.grow(slots(hv, buf))
 	}
-	f.fold(tv, slots)
+	f.fold(tv, buf)
 }
 
 // foldRows folds the given ascending rows of a BAT (head and tail row
 // alike) into f, a block at a time.
-func foldRows(f slotFold, rows []int32, slot func(row int32) int32) {
-	slots := make([]int32, min(len(rows), foldBlock))
+func foldRows(f slotFold, rows []int32, slots slotter) {
+	buf := make([]int32, min(len(rows), foldBlock))
 	for len(rows) > 0 {
 		v := bat.Vector{Sel: rows[:min(len(rows), foldBlock)]}
-		foldVec(f, v, v, slots, slot)
+		foldVec(f, v, v, buf, slots)
 		rows = rows[len(v.Sel):]
 	}
 }
 
 // foldRange is foldRows over the identity selection [0, n): each block is a
 // window with no position list, which the typed fold reads sequentially.
-func foldRange(f slotFold, n int, slot func(row int32) int32) {
-	slots := make([]int32, min(n, foldBlock))
+func foldRange(f slotFold, n int, slots slotter) {
+	buf := make([]int32, min(n, foldBlock))
 	for lo := 0; lo < n; lo += foldBlock {
 		v := bat.Vector{Lo: lo, Hi: min(n, lo+foldBlock)}
-		foldVec(f, v, v, slots, slot)
+		foldVec(f, v, v, buf, slots)
 	}
 }
 
-// typedFold accumulates a fixed-width tail unboxed. Integer tails keep an
-// exact int64 sum beside the float sum avg divides; date, oid and chr tails
-// keep no sums (sum and avg over them are zero, as the boxed accumulator has
-// it). A sum the tail kind does not keep is a nil slice; one it keeps is
-// non-nil from construction on.
+// typedFold accumulates a fixed-width tail unboxed, keeping only what its
+// function needs: count the counts; sum an exact int64 sum over integer
+// tails, a float sum over float tails; avg the float sum and the counts; min
+// and max the extreme and the counts (a slot's first row sets the extreme).
+// Date, oid and chr tails keep no sums: sum and avg over them are zero, as
+// the boxed accumulator has it. An array the fold does not keep is nil; one
+// it keeps is non-nil from construction on.
 type typedFold[E bat.Ordered] struct {
-	col      []E
-	count    []int64
-	sumI     []int64
-	sumF     []float64
-	min, max []E
+	fn    string
+	col   []E
+	n     int // slots grown
+	count []int64
+	sumI  []int64
+	sumF  []float64
+	ext   []E // min or max
+}
+
+// newTypedFold returns the fold of fn over col.
+func newTypedFold[E bat.Ordered](col []E, fn string) *typedFold[E] {
+	a := &typedFold[E]{fn: fn, col: col}
+	_, isInt := any(col).([]int64)
+	_, isFlt := any(col).([]float64)
+	sums := isInt || isFlt
+	switch fn {
+	case "count":
+		a.count = []int64{}
+	case "sum":
+		switch {
+		case sums && isInt:
+			a.sumI = []int64{}
+		case sums:
+			a.sumF = []float64{}
+		}
+	case "avg":
+		a.count = []int64{}
+		if sums {
+			a.sumF = []float64{}
+		}
+	case "min", "max":
+		a.count, a.ext = []int64{}, []E{}
+	default:
+		panic(fmt.Sprintf("mil: unknown aggregate %q", fn))
+	}
+	return a
 }
 
 func (a *typedFold[E]) grow(G int) {
-	if G <= len(a.count) {
+	if G <= a.n {
 		return
 	}
-	a.count = growTo(a.count, G)
-	a.min, a.max = growTo(a.min, G), growTo(a.max, G)
-	if a.sumF != nil {
-		a.sumF = growTo(a.sumF, G)
+	a.n = G
+	if a.count != nil {
+		a.count = growTo(a.count, G)
 	}
 	if a.sumI != nil {
 		a.sumI = growTo(a.sumI, G)
+	}
+	if a.sumF != nil {
+		a.sumF = growTo(a.sumF, G)
+	}
+	if a.ext != nil {
+		a.ext = growTo(a.ext, G)
 	}
 }
 
@@ -264,66 +350,71 @@ func growTo[T any](s []T, n int) []T {
 	return slices.Grow(s, n-len(s))[:n]
 }
 
+// fold runs one loop per kind of accumulator, each updating only the arrays
+// its function keeps. Slice headers live in locals: through a, every store
+// would force a reload.
 func (a *typedFold[E]) fold(rows bat.Vector, slots []int32) {
-	// Slice headers in locals: through a, every store would force a reload.
-	col, count, sumF, sumI, lo, hi := a.col, a.count, a.sumF, a.sumI, a.min, a.max
-	sel := rows.Sel
-	if sel == nil {
-		col = col[rows.Lo:rows.Hi] // the identity selection: batch row k is col[k]
-	}
-	for k, s := range slots {
-		r := k
+	all, sel := a.col, rows.Sel
+	col := all[rows.Lo:rows.Hi] // the identity selection: batch row k is col[k]
+	at := func(k int) E {
 		if sel != nil {
-			r = int(sel[k])
+			return all[sel[k]]
 		}
-		v := col[r]
-		if count[s] == 0 {
-			lo[s], hi[s] = v, v
+		return col[k]
+	}
+	count, sumI, sumF, ext := a.count, a.sumI, a.sumF, a.ext
+	switch {
+	case sumI != nil:
+		for k, s := range slots {
+			sumI[s] += int64(at(k))
 		}
-		count[s]++
-		if sumF != nil {
-			sumF[s] += float64(v)
+	case sumF != nil: // sum, or avg with its counts
+		for k, s := range slots {
+			sumF[s] += float64(at(k))
+			if count != nil {
+				count[s]++
+			}
 		}
-		if sumI != nil {
-			sumI[s] += int64(v)
+	case ext != nil: // min or max; a slot's first row sets the extreme
+		isMin := a.fn == "min"
+		for k, s := range slots {
+			if v := at(k); count[s] == 0 || isMin && v < ext[s] || !isMin && v > ext[s] {
+				ext[s] = v
+			}
+			count[s]++
 		}
-		if v < lo[s] {
-			lo[s] = v
-		}
-		if v > hi[s] {
-			hi[s] = v
+	case count != nil: // count, or avg over a tail without sums
+		for _, s := range slots {
+			count[s]++
 		}
 	}
 }
 
-func (a *typedFold[E]) tail(fn string, G int) bat.Column {
-	switch fn {
+func (a *typedFold[E]) tail(G int) bat.Column {
+	switch a.fn {
 	case "count":
-		return bat.NewIntCol(a.count)
+		return bat.NewIntCol(growTo(a.count, G))
 	case "sum":
 		if a.sumI != nil {
-			return bat.NewIntCol(a.sumI)
+			return bat.NewIntCol(growTo(a.sumI, G))
 		}
 		return bat.NewFltCol(growTo(a.sumF, G))
 	case "avg":
-		sum := growTo(a.sumF, G)
+		sum, count := growTo(a.sumF, G), growTo(a.count, G)
 		vals := make([]float64, G)
 		for i := range vals {
-			if a.count[i] > 0 { // only a scalar aggregate's slot can be empty
-				vals[i] = sum[i] / float64(a.count[i])
+			if count[i] > 0 { // only a scalar aggregate's slot can be empty
+				vals[i] = sum[i] / float64(count[i])
 			}
 		}
 		return bat.NewFltCol(vals)
-	case "min":
-		return &bat.FixedCol[E]{V: a.min}
-	case "max":
-		return &bat.FixedCol[E]{V: a.max}
 	}
-	panic(fmt.Sprintf("mil: unknown aggregate %q", fn))
+	return &bat.FixedCol[E]{V: growTo(a.ext, G)} // min, max
 }
 
 // boxedFold accumulates the remaining tail kinds through boxed values.
 type boxedFold struct {
+	fn   string
 	col  bat.Column
 	accs []aggAcc
 }
@@ -342,11 +433,11 @@ func (a *boxedFold) fold(v bat.Vector, slots []int32) {
 	}
 }
 
-func (a *boxedFold) tail(fn string, G int) bat.Column {
+func (a *boxedFold) tail(G int) bat.Column {
 	kind := a.col.Kind()
-	b := bat.NewBuilder(aggResultKind(fn, kind), G)
+	b := bat.NewBuilder(aggResultKind(a.fn, kind), G)
 	for i := 0; i < G; i++ {
-		b.Set(i, a.accs[i].result(fn, kind))
+		b.Set(i, a.accs[i].result(a.fn, kind))
 	}
 	return b.Column()
 }
@@ -357,7 +448,7 @@ func (a *boxedFold) tail(fn string, G int) bat.Column {
 func AggrScalar(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	ctx.chose("scalar-aggr")
 	b.T.TouchAll(ctx.pager())
-	f := newScalarFold(b.T)
+	f := newScalarFold(b.T, fn)
 	foldRange(f, b.Len(), nil)
 	return scalarResult(fn, f)
 }
@@ -365,14 +456,14 @@ func AggrScalar(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 // A scalar aggregate is the grouped fold with one slot (a nil slot resolver
 // to foldVec). Over no rows the slot stays empty and every function yields
 // the zero value of its result kind.
-func newScalarFold(tail bat.Column) slotFold {
-	f := newSlotFold(tail)
+func newScalarFold(tail bat.Column, fn string) slotFold {
+	f := newSlotFold(tail, fn)
 	f.grow(1)
 	return f
 }
 
 func scalarResult(fn string, f slotFold) *bat.BAT {
-	return bat.Derive(bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}), f.tail(fn, 1), 0), bat.One, nil, nil)
+	return bat.Derive(bat.New("{"+fn+"}all", bat.NewOIDCol([]bat.OID{0}), f.tail(1), 0), bat.One, nil, nil)
 }
 
 // ScalarOf extracts the single value of a one-BUN BAT produced by

@@ -1,6 +1,8 @@
 package mil
 
 import (
+	"slices"
+
 	"repro/internal/bat"
 )
 
@@ -20,19 +22,36 @@ func oidGetter(c bat.Column) (func(int) bat.OID, bool) {
 }
 
 // sameOIDs reports whether a and b are equal-length, non-empty oid columns
-// holding the same oid at every position. The scan bails at the first
+// holding the same oid at every position: in O(1) for one backing array at
+// one offset or two voids, by slices.Equal for two oid columns, and
+// arithmetically against a void column. The scans bail at the first
 // mismatch.
 func sameOIDs(a, b bat.Column) bool {
-	if a.Len() != b.Len() || a.Len() == 0 {
+	n := a.Len()
+	if b.Len() != n || n == 0 {
 		return false
 	}
-	ga, aok := oidGetter(a)
-	gb, bok := oidGetter(b)
-	if !aok || !bok {
-		return false
+	ao, aOID := a.(*bat.OIDCol)
+	bo, bOID := b.(*bat.OIDCol)
+	av, aVoid := a.(*bat.VoidCol)
+	bv, bVoid := b.(*bat.VoidCol)
+	switch {
+	case aOID && bOID:
+		return &ao.V[0] == &bo.V[0] || slices.Equal(ao.V, bo.V)
+	case aOID && bVoid:
+		return isSeq(ao.V, bv.Seq)
+	case aVoid && bOID:
+		return isSeq(bo.V, av.Seq)
+	case aVoid && bVoid:
+		return av.Seq == bv.Seq
 	}
-	for i := range a.Len() {
-		if ga(i) != gb(i) {
+	return false
+}
+
+// isSeq reports whether v holds seq, seq+1, … position by position.
+func isSeq(v []bat.OID, seq bat.OID) bool {
+	for i, o := range v {
+		if o != seq+bat.OID(i) {
 			return false
 		}
 	}

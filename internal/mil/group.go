@@ -4,14 +4,34 @@ import (
 	"repro/internal/bat"
 )
 
+// The grouping operators hand out slots in first-occurrence order through
+// one of two kernels. Exact keys of small span (group ids, characters,
+// flags, narrow integers and dates) take slots by direct index
+// (bat.DenseGrouper: the dense-* variants, sequential at any worker count);
+// every other key — wide, float, string or un-synced — hashes through the
+// bucket+link grouper, radix-partitioned over large inputs (the hash-*
+// variants). Both number the same keys identically, so the variant never
+// shows in a result.
+
 // Unique implements AB.unique: it removes duplicate BUNs, keeping first
-// occurrences, so order properties of the operand are preserved. It dedupes
-// composite (head, tail) key reps through the bucket+link grouper.
+// occurrences, so order properties of the operand are preserved.
 func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
-	ctx.chose("hash-unique")
 	p := ctx.pager()
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
+	n := b.Len()
+	if d := bat.NewDenseGrouper(bat.Vector{Hi: n}, b.H, b.T); d != nil {
+		ctx.chose("dense-unique")
+		denseScan(d, n, nil)
+		return gatherPositions(ctx, b.Name+".uniq", b, d.Rows())
+	}
+	return hashUnique(ctx, b)
+}
+
+// hashUnique dedupes b's composite (head, tail) key reps through the
+// grouper.
+func hashUnique(ctx *Ctx, b *bat.BAT) *bat.BAT {
+	ctx.chose("hash-unique")
 	n := b.Len()
 	k := workersFor(ctx, n)
 	hr := bat.NewKeyRepP(b.H, k)
@@ -32,6 +52,21 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	return gatherPositions(ctx, b.Name+".uniq", b, g.Rows())
 }
 
+// denseScan resolves rows [0, n) to d's slots a block at a time, writing
+// them to out as group oids when out is non-nil.
+func denseScan(d *bat.DenseGrouper, n int, out []bat.OID) {
+	buf := make([]int32, min(n, foldBlock))
+	for lo := 0; lo < n; lo += foldBlock {
+		v := bat.Vector{Lo: lo, Hi: min(n, lo+foldBlock)}
+		d.Slots(v, buf)
+		if out != nil {
+			for i, s := range buf[:v.Rows()] {
+				out[lo+i] = bat.OID(s)
+			}
+		}
+	}
+}
+
 // mixedReps materializes the composite key reps Mix(a[i], b[i]) in
 // parallel; partitioned groupings need the vector up front for the radix
 // scatter.
@@ -50,28 +85,52 @@ func mixedReps(ctx *Ctx, a, b *bat.KeyRep, n int) []uint64 {
 // result has the same head (at the same positions) as the operand and is
 // positionally synced with it; its tail identifies the group of each BUN.
 // This is the primitive behind SQL GROUP BY and MOA nest (Section 4.2,
-// "grouping"). Grouper slots are handed out in first-occurrence order, so
-// group oids are identical to the boxed implementation's.
+// "grouping"). Group oids are identical to the boxed implementation's.
 func GroupUnary(ctx *Ctx, b *bat.BAT) *bat.BAT {
+	b.T.TouchAll(ctx.pager())
+	out := make([]bat.OID, b.Len())
+	if !denseGroup(ctx, out, b.T) {
+		hashGroup(ctx, out, b.T)
+	}
+	return groupResult(b, out)
+}
+
+// groupResult is the grouping of b: b's head, positionally synced with the
+// group oids out.
+func groupResult(b *bat.BAT, out []bat.OID) *bat.BAT {
+	return bat.Derive(bat.New(b.Name+".grp", b.H, bat.NewOIDCol(out), 0), bat.NewTail, b, nil)
+}
+
+// denseGroup writes the group oids of the composite key cols (outer key
+// first) over rows [0, len(out)) to out by direct index, and reports false,
+// writing nothing, when the key's span is not small.
+func denseGroup(ctx *Ctx, out []bat.OID, cols ...bat.Column) bool {
+	d := bat.NewDenseGrouper(bat.Vector{Hi: len(out)}, cols...)
+	if d == nil {
+		return false
+	}
+	ctx.chose("dense-group")
+	denseScan(d, len(out), out)
+	return true
+}
+
+// hashGroup writes the group oids of column t to out through the grouper.
+func hashGroup(ctx *Ctx, out []bat.OID, t bat.Column) {
 	ctx.chose("hash-group")
-	p := ctx.pager()
-	b.T.TouchAll(p)
-	n := b.Len()
-	out := make([]bat.OID, n)
+	n := len(out)
 	k := workersFor(ctx, n)
-	tr := bat.NewKeyRepP(b.T, k)
+	tr := bat.NewKeyRepP(t, k)
 	eq := tr.Verifier()
 	if k > 1 {
 		gs := bat.BuildGroupSlotsPartitionedSched(tr.Rep, eq, ctx.sched(n))
 		slotsToOIDs(ctx, gs.Slots, out)
-	} else {
-		g := bat.NewGrouper(eq)
-		for i := 0; i < n; i++ {
-			s, _ := g.Slot(tr.Rep[i], int32(i))
-			out[i] = bat.OID(s)
-		}
+		return
 	}
-	return bat.Derive(bat.New(b.Name+".grp", b.H, bat.NewOIDCol(out), 0), bat.NewTail, b, nil)
+	g := bat.NewGrouper(eq)
+	for i := 0; i < n; i++ {
+		s, _ := g.Slot(tr.Rep[i], int32(i))
+		out[i] = bat.OID(s)
+	}
 }
 
 // slotsToOIDs widens group slots into the result oid vector in parallel.
@@ -90,43 +149,52 @@ func slotsToOIDs(ctx *Ctx, slots []int32, out []bat.OID) {
 // (Section 4.2). g and b must be positionally synced (the rewriter
 // guarantees this); if they are not known-synced, b's rows are aligned to
 // g's heads (alignHeads), and the rows of g whose head b lacks form one more
-// class per group.
+// class per group. Synced (group, value) keys of small span pack into one
+// direct index; wider ones and every un-synced pair go through the grouper.
 func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
-	ctx.chose("hash-group")
 	p := ctx.pager()
 	g.T.TouchAll(p)
 	b.T.TouchAll(p)
-	n := g.Len()
-	out := make([]bat.OID, n)
+	out := make([]bat.OID, g.Len())
+	synced := bat.Synced(g, b)
+	if !synced || !denseGroup(ctx, out, g.T, b.T) {
+		hashGroup2(ctx, out, g, b, synced)
+	}
+	return groupResult(g, out)
+}
 
+// hashGroup2 writes the group oids of the (g tail, b tail) keys to out
+// through the grouper.
+func hashGroup2(ctx *Ctx, out []bat.OID, g, b *bat.BAT, synced bool) {
+	ctx.chose("hash-group")
+	n := len(out)
 	k := workersFor(ctx, n)
 	gr := bat.NewKeyRepP(g.T, k)
 	br := bat.NewKeyRepP(b.T, k)
-	if bat.Synced(g, b) {
+	if synced {
 		eq := &bat.KeysEq{gr, br}
 		if k > 1 {
 			gs := bat.BuildGroupSlotsPartitionedSched(mixedReps(ctx, gr, br, n), eq, ctx.sched(n))
 			slotsToOIDs(ctx, gs.Slots, out)
-		} else {
-			gp := bat.NewGrouper(eq)
-			for i := 0; i < n; i++ {
-				s, _ := gp.Slot(bat.Mix(gr.Rep[i], br.Rep[i]), int32(i))
-				out[i] = bat.OID(s)
-			}
+			return
 		}
-	} else {
-		eq := &alignedEq{g: gr, b: br, at: alignHeads(ctx, g, b)}
 		gp := bat.NewGrouper(eq)
 		for i := 0; i < n; i++ {
-			var v uint64 // a missing value's rep; the verifier tells it apart
-			if j := eq.at[i]; j >= 0 {
-				v = br.Rep[j]
-			}
-			s, _ := gp.Slot(bat.Mix(gr.Rep[i], v), int32(i))
+			s, _ := gp.Slot(bat.Mix(gr.Rep[i], br.Rep[i]), int32(i))
 			out[i] = bat.OID(s)
 		}
+		return
 	}
-	return bat.Derive(bat.New(g.Name+".grp", g.H, bat.NewOIDCol(out), 0), bat.NewTail, g, nil)
+	eq := &alignedEq{g: gr, b: br, at: alignHeads(ctx, g, b)}
+	gp := bat.NewGrouper(eq)
+	for i := 0; i < n; i++ {
+		var v uint64 // a missing value's rep; the verifier tells it apart
+		if j := eq.at[i]; j >= 0 {
+			v = br.Rep[j]
+		}
+		s, _ := gp.Slot(bat.Mix(gr.Rep[i], v), int32(i))
+		out[i] = bat.OID(s)
+	}
 }
 
 // alignedEq verifies un-synced GroupBinary keys (group, b's value at the

@@ -154,8 +154,9 @@ func colBits(c bat.Column) string {
 
 // TestSlotFoldFeeds: the one accumulation body yields the identical
 // count/sum/avg/min/max columns whether it is fed the identity range, the
-// equivalent position list, or the radix partitions of a partitioned
-// grouping — and those equal the boxed reference.
+// equivalent position list, the radix partitions of a partitioned grouping
+// or the direct-index slots of a dense grouping — and those equal the boxed
+// reference.
 func TestSlotFoldFeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
 	const n = 3000 // several fold blocks
@@ -168,30 +169,33 @@ func TestSlotFoldFeeds(t *testing.T) {
 		b := bat.New("b", bat.FromValues(bat.KInt, heads), tails, 0)
 		hr := bat.NewKeyRep(b.H)
 		all := bat.Vector{Hi: n}.AppendRows(nil)
-		grouped := func(fold func(f slotFold, slot func(int32) int32)) (slotFold, int) {
-			g := bat.NewGrouper(nil)
-			f := newSlotFold(b.T)
-			fold(f, func(i int32) int32 {
-				s, _ := g.Slot(hr.Rep[i], i)
-				return s
-			})
-			return f, g.Len()
-		}
-		fRange, G := grouped(func(f slotFold, slot func(int32) int32) { foldRange(f, n, slot) })
-		fList, _ := grouped(func(f slotFold, slot func(int32) int32) { foldRows(f, all, slot) })
 		gs := bat.BuildGroupSlotsPartitioned(hr.Rep, nil, 4)
-		fPart := newSlotFold(b.T)
-		fPart.grow(len(gs.First))
-		for _, part := range gs.PartRows {
-			foldRows(fPart, part, func(r int32) int32 { return gs.Slots[r] })
-		}
-		if len(gs.First) != G {
-			t.Fatalf("%s: partitioned grouping found %d groups, sequential %d", tk, len(gs.First), G)
-		}
 		for _, fn := range []string{"count", "sum", "avg", "min", "max"} {
+			grouped := func(fold func(f slotFold, slots slotter)) (slotFold, int) {
+				g := bat.NewGrouper(nil)
+				f := newSlotFold(b.T, fn)
+				fold(f, grouperSlots(g, func(i int32) uint64 { return hr.Rep[i] }))
+				return f, g.Len()
+			}
+			fRange, G := grouped(func(f slotFold, slots slotter) { foldRange(f, n, slots) })
+			fList, _ := grouped(func(f slotFold, slots slotter) { foldRows(f, all, slots) })
+			fPart := newSlotFold(b.T, fn)
+			fPart.grow(len(gs.First))
+			for _, part := range gs.PartRows {
+				foldRows(fPart, part, perRow(func(r int32) int32 { return gs.Slots[r] }))
+			}
+			if len(gs.First) != G {
+				t.Fatalf("%s: partitioned grouping found %d groups, sequential %d", tk, len(gs.First), G)
+			}
+			d := bat.NewDenseGrouper(bat.Vector{Hi: n}, b.H)
+			if d == nil {
+				t.Fatalf("%s: 16 distinct int heads are not dense", tk)
+			}
+			fDense := newSlotFold(b.T, fn)
+			foldRange(fDense, n, d.Slots)
 			want := colBits(aggrBoxed(nil, fn, b).T)
-			for feed, f := range map[string]slotFold{"range": fRange, "list": fList, "partitions": fPart} {
-				if got := colBits(f.tail(fn, G)); got != want {
+			for feed, f := range map[string]slotFold{"range": fRange, "list": fList, "partitions": fPart, "dense": fDense} {
+				if got := colBits(f.tail(G)); got != want {
 					t.Fatalf("%s/%s fed %s: %s, boxed reference %s", tk, fn, feed, got, want)
 				}
 			}

@@ -317,6 +317,38 @@ func TestSyncSemijoinReturnsLeft(t *testing.T) {
 	}
 }
 
+// TestSameOIDs: the sync prechecks' positional oid comparison — shared
+// backing at one offset, equal copies, a void sequence against oids and
+// against a void — and its refusals: a view one row further on the same
+// backing, a single differing oid, different lengths, no rows, non-oid
+// kinds.
+func TestSameOIDs(t *testing.T) {
+	oids := bat.NewOIDCol([]bat.OID{5, 6, 7, 8})
+	cases := []struct {
+		name string
+		a, b bat.Column
+		want bool
+	}{
+		{"same backing", oids, bat.SliceView(oids, 0, 4), true},
+		{"shifted view", bat.SliceView(oids, 0, 3), bat.SliceView(oids, 1, 3), false},
+		{"equal copy", oids, bat.NewOIDCol([]bat.OID{5, 6, 7, 8}), true},
+		{"one differs", oids, bat.NewOIDCol([]bat.OID{5, 6, 9, 8}), false},
+		{"oid vs void", oids, bat.NewVoid(5, 4), true},
+		{"void vs oid", bat.NewVoid(5, 4), oids, true},
+		{"oid vs shifted void", oids, bat.NewVoid(4, 4), false},
+		{"void vs void", bat.NewVoid(3, 4), bat.NewVoid(3, 4), true},
+		{"void vs other void", bat.NewVoid(3, 4), bat.NewVoid(2, 4), false},
+		{"lengths", oids, bat.NewVoid(5, 3), false},
+		{"empty", bat.NewOIDCol(nil), bat.NewVoid(0, 0), false},
+		{"int", bat.NewIntCol([]int64{5, 6, 7, 8}), oids, false},
+	}
+	for _, c := range cases {
+		if got := sameOIDs(c.a, c.b); got != c.want {
+			t.Errorf("%s: sameOIDs = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestDatavectorSemijoinMemoReuse(t *testing.T) {
 	attr1 := bat.AttachDatavector(bat.New("a1", bat.NewVoid(0, 100), mkInts(100, 1), 0))
 	attr2 := bat.AttachDatavector(bat.New("a2", bat.NewVoid(0, 100), mkInts(100, 2), 0))

@@ -654,10 +654,10 @@ func (pl *pplan) syncJoined(lpos, rpos []int32) bool {
 // scalar aggregate), tail rows trows (into pl.aggTail) — into f,
 // sequentially and vector-at-a-time so order-sensitive accumulators
 // (floating-point sums) add rows in exactly the materialized scan's order.
-func (pl *pplan) foldStream(ctx *Ctx, f slotFold, hrows, trows []int32, slot func(hr int32) int32) error {
+func (pl *pplan) foldStream(ctx *Ctx, f slotFold, hrows, trows []int32, slots slotter) error {
 	p := ctx.pager()
 	vr := ctx.vectorRows()
-	slots := make([]int32, min(vr, len(trows)))
+	buf := make([]int32, min(vr, len(trows)))
 	for w := 0; w < len(trows); w += vr {
 		if ctx.Cancelled() {
 			return ctx.CtxErr()
@@ -669,35 +669,40 @@ func (pl *pplan) foldStream(ctx *Ctx, f slotFold, hrows, trows []int32, slot fun
 			pl.b.H.TouchPositions(p, hv.Sel)
 		}
 		pl.aggTail.TouchPositions(p, trows[w:we])
-		foldVec(f, hv, bat.Vector{Sel: trows[w:we]}, slots, slot)
+		foldVec(f, hv, bat.Vector{Sel: trows[w:we]}, buf, slots)
 	}
 	return nil
 }
 
 // aggrTerminal folds the stream into the grouped aggregate: groups form over
-// the head rows in first-occurrence order, as in Aggr's hash scan.
+// the head rows in first-occurrence order, as in Aggr's unordered scan — by
+// direct index over the streamed head rows when their keys span few values
+// (dense-aggr), through the bucket+link grouper otherwise.
 func (pl *pplan) aggrTerminal(ctx *Ctx, hrows, trows []int32) (*bat.BAT, error) {
-	fn := pl.aggFn
 	headCol := pl.b.H
-	rep, eq := bat.RowRep(headCol)
-	g := bat.NewGrouper(eq)
-	f := newSlotFold(pl.aggTail)
-	err := pl.foldStream(ctx, f, hrows, trows, func(hr int32) int32 {
-		s, _ := g.Slot(rep(hr), hr)
-		return s
-	})
-	if err != nil {
+	f := newSlotFold(pl.aggTail, pl.aggFn)
+	var slots slotter
+	var first func() []int32
+	if d := bat.NewDenseGrouper(bat.Vector{Sel: hrows}, headCol); d != nil {
+		ctx.chose("dense-aggr")
+		slots, first = d.Slots, d.Rows
+	} else {
+		rep, eq := bat.RowRep(headCol)
+		g := bat.NewGrouper(eq)
+		slots, first = grouperSlots(g, rep), g.Rows
+	}
+	if err := pl.foldStream(ctx, f, hrows, trows, slots); err != nil {
 		return nil, err
 	}
-	first := g.Rows()
+	rows := first()
 	// The grouped heads are b's (a join carries them over in b's order).
-	return bat.Derive(bat.New("{"+fn+"}", bat.Gather(headCol, first), f.tail(fn, len(first)), 0), bat.Groups, pl.b, nil), nil
+	return bat.Derive(bat.New("{"+pl.aggFn+"}", bat.Gather(headCol, rows), f.tail(len(rows)), 0), bat.Groups, pl.b, nil), nil
 }
 
 // scalarTerminal folds the stream's tail rows into the whole-BAT aggregate:
 // AggrScalar's one-slot fold over the stream.
 func (pl *pplan) scalarTerminal(ctx *Ctx, trows []int32) (*bat.BAT, error) {
-	f := newScalarFold(pl.aggTail)
+	f := newScalarFold(pl.aggTail, pl.aggFn)
 	if err := pl.foldStream(ctx, f, nil, trows, nil); err != nil {
 		return nil, err
 	}
@@ -740,7 +745,11 @@ func execChain(ctx *Ctx, p *Program, ch pchain, scope *Scope, keep map[string]bo
 	ctx.Account(out)
 	accounted[out] = true
 	scope.Vars[term.Dst] = out
-	if ctx != nil {
+	// The terminal names the chain and, after a slash, a variant its
+	// kernel chose (pipeline/dense-aggr).
+	termAlgo := "pipeline"
+	if a := ctx.LastAlgo(); a != "" {
+		termAlgo += "/" + a
 		ctx.lastAlgo = ""
 	}
 	traces := make([]StmtTrace, 0, ch.terminal-ch.head+1)
@@ -756,7 +765,7 @@ func execChain(ctx *Ctx, p *Program, ch pchain, scope *Scope, keep map[string]bo
 	// only their stream row counts.
 	tr := StmtTrace{
 		Index: ch.terminal, Text: term.String(),
-		Rows: int(rows[len(rows)-1]), Algo: "pipeline",
+		Rows: int(rows[len(rows)-1]), Algo: termAlgo,
 		Elapsed: elapsed, Faults: faults, Hits: hits,
 		OutBytes: out.OwnedByteSize(), Props: out.Props,
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bat"
@@ -188,7 +190,22 @@ func TestAllocationBounds(t *testing.T) {
 	}
 	ints, flts, flts2, dates, dates2, oids, strs, bits, bits2 :=
 		col(bat.KInt), col(bat.KFlt), col(bat.KFlt), col(bat.KDate), col(bat.KDate), col(bat.KOID), col(bat.KStr), col(bat.KBit), col(bat.KBit)
-	grouped := func(tail *bat.BAT) *bat.BAT { return bat.New("g", oids.T, tail.T, 0) } // 16 groups
+	// 16 groups whose ids lie 2^24 apart: a span far beyond the rows keeps
+	// the grouper variants on the path
+	wideIDs := make([]bat.OID, n)
+	for i, o := range oids.T.(*bat.OIDCol).V {
+		wideIDs[i] = o << 24
+	}
+	grouped := func(tail *bat.BAT) *bat.BAT { return bat.New("g", bat.NewOIDCol(wideIDs), tail.T, 0) }
+	// 4 groups of Q01's shape for the direct-index variants: group ids and
+	// three flag characters
+	gids, flags := make([]bat.OID, n), make([]byte, n)
+	for i := range gids {
+		gids[i], flags[i] = bat.OID(rng.Intn(4)), "ANR"[rng.Intn(3)]
+	}
+	gid := bat.New("gid", bat.NewVoid(0, n), bat.NewOIDCol(gids), 0)
+	flag := bat.New("flag", bat.NewVoid(0, n), bat.NewChrCol(flags), 0)
+	flag.SyncWith(gid)
 	// semijoin operands: a persistent-style attribute BAT with a datavector,
 	// a plain BAT for the hash variant, and a selection of half the oids
 	attr := bat.AttachDatavector(bat.New("attr", bat.NewVoid(0, n), flts.T, 0))
@@ -237,6 +254,9 @@ func TestAllocationBounds(t *testing.T) {
 	mx := func(fn string, args ...Operand) func() { return func() { Multiplex(ctx, fn, args) } }
 	cases := map[string]func(){
 		"Unique":                func() { Unique(ctx, grouped(ints)) },
+		"Unique/dense":          func() { Unique(ctx, bat.New("u", gid.T, flag.T, 0)) },
+		"GroupBinary/dense":     func() { GroupBinary(ctx, gid, flag) },
+		"Aggr/dense":            func() { Aggr(ctx, "sum", bat.New("a", gid.T, flts.T, 0)) },
 		"GroupUnary":            func() { GroupUnary(ctx, strs) },
 		"GroupBinary":           func() { GroupBinary(ctx, oids, strs) },
 		"Aggr/int":              func() { Aggr(ctx, "sum", grouped(ints)) },
@@ -261,7 +281,12 @@ func TestAllocationBounds(t *testing.T) {
 		"adapter [length]":      mx("length", BATArg(strs)),
 		"adapter [snd](…, str)": mx("snd", BATArg(ints), ConstArg(bat.S("x"))),
 	}
-	algo := map[string]string{"Join/merge": "merge-join", "Semijoin/merge": "merge-semijoin", "GroupBinary/unsynced": "hash-group"}
+	algo := map[string]string{
+		"Join/merge": "merge-join", "Semijoin/merge": "merge-semijoin", "GroupBinary/unsynced": "hash-group",
+		"Unique": "hash-unique", "GroupUnary": "hash-group", "GroupBinary": "hash-group",
+		"Aggr/int": "hash-aggr", "Aggr/flt": "hash-aggr", "Aggr/date": "hash-aggr", "Aggr/oid": "hash-aggr",
+		"Unique/dense": "dense-unique", "GroupBinary/dense": "dense-group", "Aggr/dense": "dense-aggr",
+	}
 	for name, run := range cases {
 		run() // build accelerators and memoized lookups outside the measurement
 		if want, ok := algo[name]; ok && ctx.LastAlgo() != want {
@@ -270,7 +295,25 @@ func TestAllocationBounds(t *testing.T) {
 		if got := testing.AllocsPerRun(3, run); got > maxAllocs {
 			t.Errorf("%s over %d rows: %.0f allocations per call, bound %d", name, n, got, maxAllocs)
 		}
+		// The direct index reads the key columns in place: no n-sized
+		// uint64 key-rep vector (only group2's n-entry result is n-sized).
+		if strings.HasSuffix(name, "/dense") {
+			if got := bytesPerRun(3, run); got >= 8*n {
+				t.Errorf("%s over %d rows: %d B per call, bound %d", name, n, got, 8*n)
+			}
+		}
 	}
+}
+
+// bytesPerRun reports the bytes f allocates per call, averaged over runs.
+func bytesPerRun(runs int, f func()) int {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return int(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // shuffledOIDs returns the oids 0..n-1 in random order, boxed.
