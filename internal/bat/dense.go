@@ -155,17 +155,13 @@ func packRows(v Vector, lo, span int32, acc []int32) {
 	}
 }
 
-// spanBlock is how many rows fixedSpan scans between checks of the span
-// against its limit: a wide key gives up early.
-const spanBlock = 4096
-
-// fixedSpan is keySpan over a fixed-width column. The difference of two
-// sign-extended reps is the true distance of the values whenever it is
-// below 2^64, so it is compared before adding one: a span of 2^64 (int64's
-// whole range) cannot wrap to zero and pass as small.
+// fixedSpan reports the lowest value of col over the rows of v and the
+// span of its values there, or false when that span exceeds limit. The
+// difference of two sign-extended reps is the true distance of the values
+// whenever it is below 2^64, so it is compared before adding one: a span of
+// 2^64 (int64's whole range) cannot wrap to zero and pass as small.
 func fixedSpan[E denseElem](col []E, v Vector, limit uint64) (lo, span uint64, ok bool) {
-	n := v.Rows()
-	if n == 0 {
+	if v.Rows() == 0 {
 		return 0, 1, true
 	}
 	first := v.Lo
@@ -173,35 +169,18 @@ func fixedSpan[E denseElem](col []E, v Vector, limit uint64) (lo, span uint64, o
 		first = int(v.Sel[0])
 	}
 	mn, mx := col[first], col[first]
-	for b := 0; b < n; b += spanBlock {
-		if v.Sel == nil {
-			mn, mx = minMax(col[v.Lo+b:v.Lo+min(n, b+spanBlock)], mn, mx)
-		} else {
-			for _, r := range v.Sel[b:min(n, b+spanBlock)] {
-				x := col[r]
-				mn, mx = min(mn, x), max(mx, x)
-			}
+	if v.Sel == nil {
+		for _, x := range col[v.Lo:v.Hi] {
+			mn, mx = min(mn, x), max(mx, x)
 		}
-		if uint64(mx)-uint64(mn) >= limit {
-			return 0, 0, false
+	} else {
+		for _, r := range v.Sel {
+			x := col[r]
+			mn, mx = min(mn, x), max(mx, x)
 		}
+	}
+	if uint64(mx)-uint64(mn) >= limit {
+		return 0, 0, false
 	}
 	return uint64(mn), uint64(mx) - uint64(mn) + 1, true
-}
-
-// minMax folds the values of w into the extremes mn and mx over four
-// independent lanes, so that no compare waits for the previous one.
-func minMax[E denseElem](w []E, mn, mx E) (E, E) {
-	mn1, mx1, mn2, mx2, mn3, mx3 := mn, mx, mn, mx, mn, mx
-	for len(w) >= 4 {
-		mn, mx = min(mn, w[0]), max(mx, w[0])
-		mn1, mx1 = min(mn1, w[1]), max(mx1, w[1])
-		mn2, mx2 = min(mn2, w[2]), max(mx2, w[2])
-		mn3, mx3 = min(mn3, w[3]), max(mx3, w[3])
-		w = w[4:]
-	}
-	for _, x := range w {
-		mn, mx = min(mn, x), max(mx, x)
-	}
-	return min(mn, mn1, mn2, mn3), max(mx, mx1, mx2, mx3)
 }

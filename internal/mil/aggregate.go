@@ -257,25 +257,32 @@ func foldVec(f slotFold, hv, tv bat.Vector, buf []int32, slots slotter) {
 	f.fold(tv, buf)
 }
 
+// forBlocks calls fn on the rows of v in v's order, foldBlock rows at a time
+// — a window in windows, a position list in slices of it — with scratch for
+// as many slots. Every materializing scan that resolves slots runs on it.
+func forBlocks(v bat.Vector, fn func(w bat.Vector, buf []int32)) {
+	n := v.Rows()
+	buf := make([]int32, min(n, foldBlock))
+	for lo := 0; lo < n; lo += foldBlock {
+		hi := min(n, lo+foldBlock)
+		w := bat.Vector{Lo: v.Lo + lo, Hi: v.Lo + hi}
+		if v.Sel != nil {
+			w = bat.Vector{Sel: v.Sel[lo:hi]}
+		}
+		fn(w, buf[:hi-lo])
+	}
+}
+
 // foldRows folds the given ascending rows of a BAT (head and tail row
 // alike) into f, a block at a time.
 func foldRows(f slotFold, rows []int32, slots slotter) {
-	buf := make([]int32, min(len(rows), foldBlock))
-	for len(rows) > 0 {
-		v := bat.Vector{Sel: rows[:min(len(rows), foldBlock)]}
-		foldVec(f, v, v, buf, slots)
-		rows = rows[len(v.Sel):]
-	}
+	forBlocks(bat.Vector{Sel: rows}, func(v bat.Vector, buf []int32) { foldVec(f, v, v, buf, slots) })
 }
 
 // foldRange is foldRows over the identity selection [0, n): each block is a
 // window with no position list, which the typed fold reads sequentially.
 func foldRange(f slotFold, n int, slots slotter) {
-	buf := make([]int32, min(n, foldBlock))
-	for lo := 0; lo < n; lo += foldBlock {
-		v := bat.Vector{Lo: lo, Hi: min(n, lo+foldBlock)}
-		foldVec(f, v, v, buf, slots)
-	}
+	forBlocks(bat.Vector{Hi: n}, func(v bat.Vector, buf []int32) { foldVec(f, v, v, buf, slots) })
 }
 
 // typedFold accumulates a fixed-width tail unboxed, keeping only what its

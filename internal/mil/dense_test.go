@@ -219,8 +219,7 @@ func TestDenseGroupingParity(t *testing.T) {
 						want = "ordered-aggr"
 					}
 					check(fmt.Sprintf("{%s}", fn), want)
-					f := newSlotFold(tail, fn)
-					sameBUNs(t, l2+" vs grouper", got, aggrResult(fn, a, f, hashAggr(ctx, f, a.H)))
+					sameBUNs(t, l2+" vs grouper", got, hashAggrBAT(ctx, fn, a))
 					sameBUNs(t, l2+" vs boxed", got, aggrBoxed(nil, fn, a))
 
 					// The fused terminal streams a join into the

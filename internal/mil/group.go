@@ -55,16 +55,14 @@ func hashUnique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 // denseScan resolves rows [0, n) to d's slots a block at a time, writing
 // them to out as group oids when out is non-nil.
 func denseScan(d *bat.DenseGrouper, n int, out []bat.OID) {
-	buf := make([]int32, min(n, foldBlock))
-	for lo := 0; lo < n; lo += foldBlock {
-		v := bat.Vector{Lo: lo, Hi: min(n, lo+foldBlock)}
+	forBlocks(bat.Vector{Hi: n}, func(v bat.Vector, buf []int32) {
 		d.Slots(v, buf)
 		if out != nil {
-			for i, s := range buf[:v.Rows()] {
-				out[lo+i] = bat.OID(s)
+			for i, s := range buf {
+				out[v.Lo+i] = bat.OID(s)
 			}
 		}
-	}
+	})
 }
 
 // mixedReps materializes the composite key reps Mix(a[i], b[i]) in

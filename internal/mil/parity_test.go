@@ -420,21 +420,34 @@ func TestParityParallelBitIdentical(t *testing.T) {
 	parS := hashSemijoin(NewCtx(nil, Options{Workers: 8}), l, r)
 	batsEqual(t, "parallel hash-semijoin", parS, seqS)
 
-	grp := bat.New("g", bat.NewOIDCol(lh), bat.NewIntCol(ht), 0)
-	for _, fn := range []string{"sum", "count", "min", "max", "avg"} {
-		seqA := Aggr(NewCtx(nil, Options{Workers: 1}), fn, grp)
-		parA := Aggr(NewCtx(nil, Options{Workers: 8}), fn, grp)
-		batsEqual(t, "parallel aggr "+fn, parA, seqA)
-	}
 	fvals := make([]float64, n)
 	for i := range fvals {
 		fvals[i] = rng.Float64() * 100
 	}
-	fgrp := bat.New("fg", bat.NewOIDCol(lh), bat.NewFltCol(fvals), 0)
-	for _, fn := range []string{"sum", "count", "avg", "min", "max"} {
-		seqA := Aggr(NewCtx(nil, Options{Workers: 1}), fn, fgrp)
-		parA := Aggr(NewCtx(nil, Options{Workers: 8}), fn, fgrp)
-		batsEqual(t, "parallel flt aggr "+fn, parA, seqA)
+	// The group heads span n values, so they take the direct index; spread
+	// 2^16 apart they run the radix-partitioned grouper.
+	wide := make([]bat.OID, n)
+	for i, h := range lh {
+		wide[i] = h << 16
+	}
+	for _, heads := range []struct {
+		name, algo string
+		col        []bat.OID
+	}{{"dense", "dense-aggr", lh}, {"wide", "hash-aggr", wide}} {
+		grp := bat.New("g", bat.NewOIDCol(heads.col), bat.NewIntCol(ht), 0)
+		fgrp := bat.New("fg", bat.NewOIDCol(heads.col), bat.NewFltCol(fvals), 0)
+		for _, fn := range []string{"sum", "count", "min", "max", "avg"} {
+			for _, b := range []*bat.BAT{grp, fgrp} {
+				label := fmt.Sprintf("parallel aggr %s/%s(%s)", heads.name, fn, b.T.Kind())
+				seqA := Aggr(NewCtx(nil, Options{Workers: 1}), fn, b)
+				par := NewCtx(nil, Options{Workers: 8})
+				parA := Aggr(par, fn, b)
+				if par.LastAlgo() != heads.algo {
+					t.Fatalf("%s: ran %q, want %q", label, par.LastAlgo(), heads.algo)
+				}
+				batsEqual(t, label, parA, seqA)
+			}
+		}
 	}
 }
 
@@ -444,26 +457,6 @@ func TestParityParallelBitIdentical(t *testing.T) {
 // for every worker count. Groups never span radix partitions, so per-group
 // accumulation order is ascending row order in both regimes.
 func TestParityPartitionedGroupOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	n := parallelMinRows + parallelMinRows/2
-	heads := make([]bat.OID, n)
-	ints := make([]int64, n)
-	flts := make([]float64, n)
-	strs := make([]bat.Value, n)
-	for i := 0; i < n; i++ {
-		heads[i] = bat.OID(rng.Intn(n / 8))
-		ints[i] = int64(rng.Intn(256))
-		flts[i] = rng.Float64() * 1000
-		strs[i] = bat.S(fmt.Sprintf("s%03d", rng.Intn(64)))
-	}
-	flts[0], flts[n/2], flts[n-1] = math.NaN(), math.Copysign(0, -1), 0
-
-	seqCtx, parCtx := NewCtx(nil, Options{Workers: 1}), NewCtx(nil, Options{Workers: 8})
-
-	gInt := bat.New("gi", bat.NewOIDCol(heads), bat.NewIntCol(ints), 0)
-	gFlt := bat.New("gf", bat.NewOIDCol(heads), bat.NewFltCol(flts), 0)
-	gStr := bat.New("gs", bat.NewOIDCol(heads), bat.FromValues(bat.KStr, strs), 0)
-
 	// NaN-tolerant BUN equality: Unique results carry the NaN tails through,
 	// and boxed Value comparison would treat equal-position NaNs as unequal.
 	valEq := func(a, b bat.Value) bool {
@@ -485,25 +478,78 @@ func TestParityPartitionedGroupOps(t *testing.T) {
 		}
 	}
 
-	for _, b := range []*bat.BAT{gInt, gFlt, gStr} {
-		batsEqualNaN("partitioned group "+b.Name, GroupUnary(parCtx, b), GroupUnary(seqCtx, b))
-		batsEqualNaN("partitioned unique "+b.Name, Unique(parCtx, b), Unique(seqCtx, b))
-	}
+	// Narrow heads and int keys take the direct index wherever their span
+	// is small; spread far apart ("wide") every exact key runs the
+	// radix-partitioned grouper, which the variant checks pin.
+	for _, wide := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(109))
+		n := parallelMinRows + parallelMinRows/2
+		heads := make([]bat.OID, n)
+		ints := make([]int64, n)
+		flts := make([]float64, n)
+		strs := make([]bat.Value, n)
+		for i := 0; i < n; i++ {
+			heads[i] = bat.OID(rng.Intn(n / 8))
+			ints[i] = int64(rng.Intn(256))
+			flts[i] = rng.Float64() * 1000
+			strs[i] = bat.S(fmt.Sprintf("s%03d", rng.Intn(64)))
+			if wide {
+				heads[i] <<= 16
+				ints[i] <<= 32
+			}
+		}
+		flts[0], flts[n/2], flts[n-1] = math.NaN(), math.Copysign(0, -1), 0
 
-	grp := GroupUnary(seqCtx, gInt)
-	refine := bat.New("rf", bat.NewVoid(0, n), bat.NewIntCol(ints), 0)
-	refine.SyncWith(grp)
-	batsEqual(t, "partitioned binary group", GroupBinary(parCtx, grp, refine), GroupBinary(seqCtx, grp, refine))
+		seqCtx, parCtx := NewCtx(nil, Options{Workers: 1}), NewCtx(nil, Options{Workers: 8})
+		ran := func(label, want string) {
+			t.Helper()
+			if wide && parCtx.LastAlgo() != want {
+				t.Fatalf("wide %s: ran %q, want %q", label, parCtx.LastAlgo(), want)
+			}
+		}
 
-	// float sum/avg are order-sensitive; the partitioned path must still be
-	// bit-identical because groups never span partitions
-	for _, fn := range []string{"sum", "count", "avg", "min", "max"} {
-		batsEqualNaN("partitioned aggr(flt) "+fn, Aggr(parCtx, fn, gFlt), Aggr(seqCtx, fn, gFlt))
-		batsEqual(t, "partitioned aggr(int) "+fn, Aggr(parCtx, fn, gInt), Aggr(seqCtx, fn, gInt))
-	}
-	// boxed accumulator kinds (string tails) through the partitioned path
-	for _, fn := range []string{"count", "min", "max"} {
-		batsEqual(t, "partitioned aggr(str) "+fn, Aggr(parCtx, fn, gStr), Aggr(seqCtx, fn, gStr))
+		gInt := bat.New("gi", bat.NewOIDCol(heads), bat.NewIntCol(ints), 0)
+		gFlt := bat.New("gf", bat.NewOIDCol(heads), bat.NewFltCol(flts), 0)
+		gStr := bat.New("gs", bat.NewOIDCol(heads), bat.FromValues(bat.KStr, strs), 0)
+
+		for _, b := range []*bat.BAT{gInt, gFlt, gStr} {
+			label := fmt.Sprintf("partitioned group %s (wide=%v)", b.Name, wide)
+			par := GroupUnary(parCtx, b)
+			ran(label, "hash-group")
+			batsEqualNaN(label, par, GroupUnary(seqCtx, b))
+			label = fmt.Sprintf("partitioned unique %s (wide=%v)", b.Name, wide)
+			par = Unique(parCtx, b)
+			ran(label, "hash-unique")
+			batsEqualNaN(label, par, Unique(seqCtx, b))
+		}
+
+		grp := GroupUnary(seqCtx, gInt)
+		refine := bat.New("rf", bat.NewVoid(0, n), bat.NewIntCol(ints), 0)
+		refine.SyncWith(grp)
+		label := fmt.Sprintf("partitioned binary group (wide=%v)", wide)
+		par := GroupBinary(parCtx, grp, refine)
+		ran(label, "hash-group")
+		batsEqual(t, label, par, GroupBinary(seqCtx, grp, refine))
+
+		// float sum/avg are order-sensitive; the partitioned path must still be
+		// bit-identical because groups never span partitions
+		for _, fn := range []string{"sum", "count", "avg", "min", "max"} {
+			label := fmt.Sprintf("partitioned aggr(flt) %s (wide=%v)", fn, wide)
+			par := Aggr(parCtx, fn, gFlt)
+			ran(label, "hash-aggr")
+			batsEqualNaN(label, par, Aggr(seqCtx, fn, gFlt))
+			label = fmt.Sprintf("partitioned aggr(int) %s (wide=%v)", fn, wide)
+			par = Aggr(parCtx, fn, gInt)
+			ran(label, "hash-aggr")
+			batsEqual(t, label, par, Aggr(seqCtx, fn, gInt))
+		}
+		// boxed accumulator kinds (string tails) through the partitioned path
+		for _, fn := range []string{"count", "min", "max"} {
+			label := fmt.Sprintf("partitioned aggr(str) %s (wide=%v)", fn, wide)
+			par := Aggr(parCtx, fn, gStr)
+			ran(label, "hash-aggr")
+			batsEqual(t, label, par, Aggr(seqCtx, fn, gStr))
+		}
 	}
 }
 

@@ -122,6 +122,14 @@ func TestSkewParityOperators(t *testing.T) {
 			{"aggr-sum", func(c *Ctx) *bat.BAT { return Aggr(c, "sum", gb) }},
 			{"aggr-avg", func(c *Ctx) *bat.BAT { return Aggr(c, "avg", gb) }},
 			{"aggr-min", func(c *Ctx) *bat.BAT { return Aggr(c, "min", gb) }},
+			// Keys of small span group by direct index, sequentially, in the
+			// operators above; these run the radix-partitioned grouper on
+			// every shape.
+			{"hash-group", func(c *Ctx) *bat.BAT { return hashGroupBAT(c, l) }},
+			{"hash-unique", func(c *Ctx) *bat.BAT { return hashUnique(c, lh) }},
+			{"hash-aggr-sum", func(c *Ctx) *bat.BAT { return hashAggrBAT(c, "sum", gb) }},
+			{"hash-aggr-avg", func(c *Ctx) *bat.BAT { return hashAggrBAT(c, "avg", gb) }},
+			{"hash-aggr-min", func(c *Ctx) *bat.BAT { return hashAggrBAT(c, "min", gb) }},
 		}
 		for _, op := range ops {
 			want := op.run(NewCtx(nil, Options{Workers: 1}))
@@ -131,6 +139,20 @@ func TestSkewParityOperators(t *testing.T) {
 			}
 		}
 	}
+}
+
+// hashGroupBAT is GroupUnary(b) through the grouper, whatever b's key span.
+func hashGroupBAT(ctx *Ctx, b *bat.BAT) *bat.BAT {
+	out := make([]bat.OID, b.Len())
+	hashGroup(ctx, out, b.T)
+	return groupResult(b, out)
+}
+
+// hashAggrBAT is Aggr(fn, b) over b's unordered head through the grouper,
+// whatever the head's span.
+func hashAggrBAT(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
+	f := newSlotFold(b.T, fn)
+	return aggrResult(fn, b, f, hashAggr(ctx, f, b.H))
 }
 
 // TestSkewParitySelect covers the parallelCollect32 path (scan-select) on the
