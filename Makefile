@@ -103,7 +103,8 @@ outofcore-smoke:
 ## the property writes outside internal/bat/props.go (a .Props assignment, a
 ## bat.New in internal/mil declaring props, a SyncWith in internal/mil — the
 ## one expected is the sync-semijoin precheck recording a discovered fact),
-## the flags moaserve declares and the fields of server.Config.
+## the flags moaserve declares, the fields of server.Config and the fields
+## of mil.Options (the execution settings every query carries).
 loc:
 	@gofmt -l . | sed 's/^/not gofmt-clean: /'
 	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
@@ -115,6 +116,7 @@ loc:
 		$$(grep -rn 'SyncWith(' --include=*.go internal/mil | grep -v _test | wc -l) ))
 	@printf 'moaserve flags: '; grep -cE 'flag\.(String|Int|Int64|Float64|Bool|Duration|Uint64|StringVar)\(' cmd/moaserve/main.go
 	@printf 'server.Config fields: '; awk '/^type Config struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/server/server.go
+	@printf 'mil.Options fields: '; awk '/^type Options struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/mil/ctx.go
 
 ## ci: everything the CI workflow runs, reproducible without pushing.
 ci: verify chaos crash bench-smoke repo-bench-smoke server-smoke outofcore-smoke

@@ -252,76 +252,6 @@ func dedupe(in []bat.OID) []bat.OID {
 	return out
 }
 
-// BenchmarkAblationPipeline measures the PR 8 tentpole on its canonical
-// shape: a fusable three-operator chain (range select → hash join →
-// grouped sum) over ~1M rows, executed fully materialized (Pipeline < 0,
-// the parity reference — every statement allocates a whole-column BAT)
-// versus vectorized (cache-resident windows with selection vectors stream
-// through the chain; only the terminal aggregate materializes). The
-// peak_interm_mb metric is the query's accounted peak intermediate
-// footprint — the pipeline's headline win — alongside the usual ns/op.
-func BenchmarkAblationPipeline(b *testing.B) {
-	const n = 1 << 20
-	const m = 1 << 11
-	const groups = 64
-	rng := rand.New(rand.NewSource(8))
-
-	keys := make([]int64, n)
-	for i := range keys {
-		keys[i] = rng.Int63n(m)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	grp := make([]bat.OID, n)
-	for i := range grp {
-		grp[i] = bat.OID(i % groups)
-	}
-	dk := make([]int64, m)
-	dv := make([]float64, m)
-	for j := range dk {
-		dk[j] = int64(j)
-		dv[j] = float64(j) * 0.5
-	}
-	env := mil.Env{
-		"fact": bat.New("fact", bat.NewOIDCol(grp), bat.NewIntCol(keys), bat.TOrdered),
-		"dim":  bat.New("dim", bat.NewIntCol(dk), bat.NewFltCol(dv), bat.HKey),
-	}
-	// A 50% cut of the sorted key range, joined to the dimension, summed
-	// per group — the select → join → aggregate chain of Section 4.2.
-	prog, err := mil.ParseProgram(`
-cut := select(fact, 512, 1535)
-jn  := join(cut, dim)
-res := {sum}(jn)
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	for _, mode := range []struct {
-		name     string
-		pipeline int
-		workers  int
-	}{
-		{"materialized", -1, 1},
-		{"pipeline", 0, 1},
-		{"materialized-w4", -1, 4},
-		{"pipeline-w4", 0, 4},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var peak int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctx := mil.NewCtx(nil, mil.Options{Pipeline: mode.pipeline, Workers: mode.workers})
-				if _, _, err := mil.Exec(ctx, prog, env); err != nil {
-					b.Fatal(err)
-				}
-				peak = ctx.PeakBytes
-			}
-			b.ReportMetric(float64(peak)/1e6, "peak_interm_mb")
-		})
-	}
-}
-
 // BenchmarkAblationPropertyJoin quantifies the property machinery of
 // Section 5.1: the same join executed via the merge variant (ordered
 // operands, detected through properties) versus the hash fallback (same
@@ -566,7 +496,7 @@ func BenchmarkAblationMorselProbe(b *testing.B) {
 		}
 		maxN, total := 0, 0
 		for _, rg := range rs {
-			lp, _ := idx.JoinVec(pr, bat.Vector{Lo: rg[0], Hi: rg[1]}, nil, nil)
+			lp, _ := idx.JoinVec(pr, rg[0], rg[1], nil, nil)
 			if len(lp) > maxN {
 				maxN = len(lp)
 			}

@@ -28,7 +28,6 @@ func main() {
 	sf := flag.Float64("sf", 0.005, "TPC-D scale factor")
 	seed := flag.Int64("seed", 42, "generator seed")
 	maxRows := flag.Int("rows", 10, "max BUNs to print per result BAT")
-	pipeline := flag.Int("pipeline", 0, "fusable-chain execution: >=0 = vectorized pipeline, <0 = full materialization")
 	flag.Parse()
 
 	var src string
@@ -58,7 +57,7 @@ func main() {
 
 	gen := tpcd.Generate(*sf, *seed)
 	env, _ := tpcd.Load(gen)
-	ctx := mil.NewCtx(nil, mil.Options{Pager: storage.NewPager(4096, 0), Pipeline: *pipeline})
+	ctx := mil.NewCtx(nil, mil.Options{Pager: storage.NewPager(4096, 0)})
 
 	scope, traces, err := mil.Exec(ctx, prog, env)
 	if err != nil {

@@ -27,7 +27,6 @@ func main() {
 	profile := flag.Bool("profile", false, "print the full per-statement profile (trace + output bytes, accelerator builds, dispatch stats)")
 	noResult := flag.Bool("noresult", false, "suppress result printing")
 	workers := flag.Int("workers", engine.AutoWorkers(), "parallel iteration degree for bulk operators (1 = sequential)")
-	pipeline := flag.Int("pipeline", 0, "fusable-chain execution: >=0 = vectorized pipeline (default), <0 = full materialization (parity reference)")
 	flag.Parse()
 
 	gen := tpcd.Generate(*sf, *seed)
@@ -35,7 +34,6 @@ func main() {
 	db := engine.New(tpcd.Schema(), env)
 	db.Pager = storage.NewPager(4096, 0)
 	db.Workers = *workers
-	db.Pipeline = *pipeline
 
 	src := ""
 	if *q != 0 {

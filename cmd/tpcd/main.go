@@ -26,7 +26,6 @@ func main() {
 	validate := flag.Bool("validate", false, "validate both engines against the reference evaluator")
 	only := flag.Int("q", 0, "run a single query (1-15)")
 	workers := flag.Int("workers", engine.AutoWorkers(), "parallel iteration degree for bulk operators (1 = sequential)")
-	pipeline := flag.Int("pipeline", 0, "fusable-chain execution: >=0 = vectorized pipeline (default), <0 = full materialization (parity reference)")
 	flag.Parse()
 
 	start := time.Now()
@@ -46,7 +45,6 @@ func main() {
 	db := engine.New(tpcd.Schema(), env)
 	db.Pager = storage.NewPager(4096, *pool)
 	db.Workers = *workers
-	db.Pipeline = *pipeline
 
 	store := relational.Load(gen)
 	store.Pager = storage.NewPager(4096, *pool)

@@ -53,14 +53,13 @@ type Column interface {
 	// it are fault-accounted. Idempotent; transient columns never fault.
 	Persist()
 
-	// The per-layout halves of SliceView, Gather, Concat, UnshareColumn and
-	// RowRep. Being unexported they also seal the interface.
+	// The per-layout halves of SliceView, Gather, Concat and UnshareColumn.
+	// Being unexported they also seal the interface.
 	sliceView(lo, n int) Column
 	gather(perm []int32) Column
 	concat(b Column) Column
 	isView() bool
 	unshare() Column
-	keyRepAt(i int32) uint64
 }
 
 // ---------------------------------------------------------------------------
@@ -114,7 +113,6 @@ func (c *VoidCol) gather(perm []int32) Column { return NewOIDCol(gatherSeq(c.Seq
 func (c *VoidCol) concat(b Column) Column     { return c.oids().concat(b) }
 func (c *VoidCol) isView() bool               { return false }
 func (c *VoidCol) unshare() Column            { return c }
-func (c *VoidCol) keyRepAt(i int32) uint64    { return uint64(c.Seq) + uint64(i) }
 
 // oids materializes the dense sequence as an oid column.
 func (c *VoidCol) oids() *OIDCol {
@@ -314,29 +312,6 @@ func (c *FixedCol[T]) unshare() Column {
 	return &FixedCol[T]{V: append([]T(nil), c.V...)}
 }
 
-// keyRepAt is the key representation of entry i (see kernel.go): the value
-// itself for the exact kinds, the bit pattern for floats.
-func (c *FixedCol[T]) keyRepAt(i int32) uint64 {
-	switch x := any(c.V[i]).(type) {
-	case OID:
-		return uint64(x)
-	case int64:
-		return uint64(x)
-	case int32:
-		return uint64(x)
-	case byte:
-		return uint64(x)
-	case bool:
-		if x {
-			return 1
-		}
-		return 0
-	case float64:
-		return fltKeyRep(x)
-	}
-	panic("unreachable")
-}
-
 func gatherElems[T Fixed](v []T, perm []int32) []T {
 	out := make([]T, len(perm))
 	for i, p := range perm {
@@ -518,8 +493,6 @@ func (c *StrCol) unshare() Column {
 	}
 	return NewStrColFromStrings(out)
 }
-
-func (c *StrCol) keyRepAt(i int32) uint64 { return hashString(c.At(int(i))) }
 
 // ---------------------------------------------------------------------------
 

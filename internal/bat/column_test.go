@@ -253,14 +253,6 @@ func TestColumnLayouts(t *testing.T) {
 				t.Fatalf("unshared string view kept %d bytes, want the %d of its own rows", un.ByteSize(), (vn+1)*4+vn*4)
 			}
 
-			// The per-row key rep is the vector fill's, bit for bit.
-			rowRep, _ := RowRep(col)
-			for i, want := range NewKeyRep(col).Rep {
-				if got := rowRep(int32(i)); got != want {
-					t.Fatalf("RowRep(%d) = %#x, NewKeyRep gives %#x", i, got, want)
-				}
-			}
-
 			// Boxing never allocates, for any kind.
 			for _, c := range []Column{col, view} {
 				if a := testing.AllocsPerRun(100, func() { sinkValue = c.Get(7) }); a != 0 {

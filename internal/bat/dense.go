@@ -28,23 +28,24 @@ type DenseGrouper struct {
 }
 
 // denseKey is one key column read as offsets value−lo ∈ [0, span), lo and
-// span taken over the grouped rows. pack appends the offsets of a batch's
-// rows as the next digit of their packed keys: acc = acc·span + (value−lo).
+// span taken over the grouped rows. pack appends the offsets of the rows
+// [lo, lo+len(acc)) as the next digit of their packed keys:
+// acc = acc·span + (value−lo).
 type denseKey struct {
 	span uint64
-	pack func(v Vector, acc []int32)
+	pack func(lo int, acc []int32)
 }
 
 // NewDenseGrouper returns a DenseGrouper for the composite key of cols
-// (outer key first) over the rows of v, or nil when a column is not of an
+// (outer key first) over rows [0, n), or nil when a column is not of an
 // exact fixed-width kind (oid, void, int, date, chr, bit) or the product of
 // the keys' spans over those rows exceeds denseMaxSpan.
-func NewDenseGrouper(v Vector, cols ...Column) *DenseGrouper {
-	limit := denseMaxSpan(v.Rows())
+func NewDenseGrouper(n int, cols ...Column) *DenseGrouper {
+	limit := denseMaxSpan(n)
 	keys := make([]denseKey, len(cols))
 	prod := uint64(1)
 	for i, c := range cols {
-		k, ok := newDenseKey(c, v, limit)
+		k, ok := newDenseKey(c, n, limit)
 		if !ok || k.span > limit/prod { // the division keeps the product from wrapping
 			return nil
 		}
@@ -57,25 +58,20 @@ func NewDenseGrouper(v Vector, cols ...Column) *DenseGrouper {
 // Rows returns the first-occurrence row of every slot, in slot order.
 func (d *DenseGrouper) Rows() []int32 { return d.rows }
 
-// Slots resolves the rows of v, in v's order, to the slots of their keys,
-// handing out the next slot id to each key not seen before, and reports the
-// number of slots handed out so far. v must be among the rows the grouper
-// was built for; slots must hold v.Rows() entries.
-func (d *DenseGrouper) Slots(v Vector, slots []int32) int {
-	slots = slots[:v.Rows()]
+// Slots resolves the rows [lo, lo+len(slots)), in order, to the slots of
+// their keys, handing out the next slot id to each key not seen before, and
+// reports the number of slots handed out so far. The rows must be among
+// those the grouper was built for.
+func (d *DenseGrouper) Slots(lo int, slots []int32) int {
 	clear(slots)
 	for _, k := range d.keys {
-		k.pack(v, slots)
+		k.pack(lo, slots)
 	}
 	tab := d.tab
 	for i, o := range slots {
 		s := tab[o]
 		if s == 0 {
-			r := int32(v.Lo + i)
-			if v.Sel != nil {
-				r = v.Sel[i]
-			}
-			d.rows = append(d.rows, r)
+			d.rows = append(d.rows, int32(lo+i))
 			s = int32(len(d.rows))
 			tab[o] = s
 		}
@@ -84,34 +80,33 @@ func (d *DenseGrouper) Slots(v Vector, slots []int32) int {
 	return len(d.rows)
 }
 
-// newDenseKey reads c as a key over the rows of v, or reports false when c
-// is not of an exact fixed-width kind or spans more than limit values there.
-// A bit column spans its two values; no rows span one.
-func newDenseKey(c Column, v Vector, limit uint64) (denseKey, bool) {
+// newDenseKey reads c as a key over rows [0, n), or reports false when c is
+// not of an exact fixed-width kind or spans more than limit values there. A
+// void column's offset is the row itself; a bit column spans its two values.
+func newDenseKey(c Column, n int, limit uint64) (denseKey, bool) {
 	switch c := c.(type) {
-	case *VoidCol: // value−lo is a row's distance from the lowest row
-		lo, span, ok := uint64(v.Lo), uint64(max(v.Rows(), 1)), true
-		if v.Sel != nil {
-			lo, span, ok = fixedSpan(v.Sel, Vector{Hi: len(v.Sel)}, limit)
-		}
-		return denseKey{span, func(w Vector, acc []int32) { packRows(w, int32(lo), int32(span), acc) }}, ok
+	case *VoidCol:
+		span := int32(max(n, 1))
+		return denseKey{uint64(span), func(lo int, acc []int32) {
+			for i := range acc {
+				acc[i] = acc[i]*span + int32(lo+i)
+			}
+		}}, true
 	case *OIDCol:
-		return fixedKey(c.V, v, limit)
+		return fixedKey(c.V[:n], limit)
 	case *IntCol:
-		return fixedKey(c.V, v, limit)
+		return fixedKey(c.V[:n], limit)
 	case *DateCol:
-		return fixedKey(c.V, v, limit)
+		return fixedKey(c.V[:n], limit)
 	case *ChrCol:
-		return fixedKey(c.V, v, limit)
+		return fixedKey(c.V[:n], limit)
 	case *BitCol:
-		return denseKey{2, func(w Vector, acc []int32) {
-			i := 0
-			for r := range w.All() {
+		return denseKey{2, func(lo int, acc []int32) {
+			for i, x := range c.V[lo : lo+len(acc)] {
 				acc[i] *= 2
-				if c.V[r] {
+				if x {
 					acc[i]++
 				}
-				i++
 			}
 		}}, true
 	}
@@ -124,60 +119,30 @@ type denseElem interface {
 	OID | int64 | int32 | byte
 }
 
-func fixedKey[E denseElem](col []E, v Vector, limit uint64) (denseKey, bool) {
-	lo, span, ok := fixedSpan(col, v, limit)
-	return denseKey{span, func(w Vector, acc []int32) { packFixed(col, lo, int32(span), w, acc) }}, ok
-}
-
-func packFixed[E denseElem](col []E, lo uint64, span int32, v Vector, acc []int32) {
-	if v.Sel == nil {
-		col = col[v.Lo:v.Hi]
-		acc = acc[:len(col)]
-		for i, x := range col {
-			acc[i] = acc[i]*span + int32(uint64(x)-lo)
+func fixedKey[E denseElem](col []E, limit uint64) (denseKey, bool) {
+	lo, span, ok := fixedSpan(col, limit)
+	sp := int32(span)
+	return denseKey{span, func(r int, acc []int32) {
+		w := col[r : r+len(acc)]
+		acc = acc[:len(w)] // one bounds check for the loop
+		for i, x := range w {
+			acc[i] = acc[i]*sp + int32(uint64(x)-lo)
 		}
-		return
-	}
-	for i, r := range v.Sel {
-		acc[i] = acc[i]*span + int32(uint64(col[r])-lo)
-	}
+	}}, ok
 }
 
-func packRows(v Vector, lo, span int32, acc []int32) {
-	if v.Sel == nil {
-		for i := range acc {
-			acc[i] = acc[i]*span + int32(v.Lo+i) - lo
-		}
-		return
-	}
-	for i, r := range v.Sel {
-		acc[i] = acc[i]*span + r - lo
-	}
-}
-
-// fixedSpan reports the lowest value of col over the rows of v and the
-// span of its values there, or false when that span exceeds limit. The
-// difference of two sign-extended reps is the true distance of the values
-// whenever it is below 2^64, so it is compared before adding one: a span of
-// 2^64 (int64's whole range) cannot wrap to zero and pass as small.
-func fixedSpan[E denseElem](col []E, v Vector, limit uint64) (lo, span uint64, ok bool) {
-	if v.Rows() == 0 {
+// fixedSpan reports the lowest value of col and the span of its values, or
+// false when that span exceeds limit. The difference of two sign-extended
+// reps is the true distance of the values whenever it is below 2^64, so it
+// is compared before adding one: a span of 2^64 (int64's whole range)
+// cannot wrap to zero and pass as small.
+func fixedSpan[E denseElem](col []E, limit uint64) (lo, span uint64, ok bool) {
+	if len(col) == 0 {
 		return 0, 1, true
 	}
-	first := v.Lo
-	if v.Sel != nil {
-		first = int(v.Sel[0])
-	}
-	mn, mx := col[first], col[first]
-	if v.Sel == nil {
-		for _, x := range col[v.Lo:v.Hi] {
-			mn, mx = min(mn, x), max(mx, x)
-		}
-	} else {
-		for _, r := range v.Sel {
-			x := col[r]
-			mn, mx = min(mn, x), max(mx, x)
-		}
+	mn, mx := col[0], col[0]
+	for _, x := range col {
+		mn, mx = min(mn, x), max(mx, x)
 	}
 	if uint64(mx)-uint64(mn) >= limit {
 		return 0, 0, false

@@ -471,56 +471,40 @@ type fixedElem interface {
 }
 
 // probeBlock is the software-pipelining batch of the probe kernels: a block
-// of rows is loaded (positions and key reps), its bucket ranges are resolved
+// of rows is loaded (its key reps), its bucket ranges are resolved
 // (independent loads the CPU overlaps), then the entries are walked. On
 // out-of-cache indexes this turns one dependent miss chain per probe into
-// batches of parallel misses — for every probe kind and both row-addressing
-// modes, since they differ only in the load step.
+// batches of parallel misses, for every probe kind.
 const probeBlock = 256
 
-// load is the bucket-walk kernels' only row-addressing step: it returns rows
-// [k, k+m) of v as positions — a subslice of v.Sel, or the identity
-// positions written into rbuf — and fills keys[t] with the key rep of
-// row rows[t].
-func (p *Probe) load(v Vector, k, m int, rbuf *[probeBlock]int32, keys *[probeBlock]uint64) []int32 {
-	rows, lo := rbuf[:m], v.Lo+k
-	if v.Sel != nil {
-		rows, lo = v.Sel[k:k+m], -1
-	}
+// load is the bucket-walk kernels' only row-addressing step: it fills
+// keys[t] with the key rep of row lo+t, for the m rows of a block, and
+// returns them.
+func (p *Probe) load(lo, m int, keys *[probeBlock]uint64) []uint64 {
 	switch {
 	case p.oidV != nil:
-		loadFixed(p.oidV, lo, rows, keys)
+		loadFixed(p.oidV[lo:lo+m], keys)
 	case p.intV != nil:
-		loadFixed(p.intV, lo, rows, keys)
+		loadFixed(p.intV[lo:lo+m], keys)
 	case p.dateV != nil:
-		loadFixed(p.dateV, lo, rows, keys)
+		loadFixed(p.dateV[lo:lo+m], keys)
 	case p.chrV != nil:
-		loadFixed(p.chrV, lo, rows, keys)
+		loadFixed(p.chrV[lo:lo+m], keys)
 	case p.rep != nil:
-		loadFixed(p.rep, lo, rows, keys)
+		loadFixed(p.rep[lo:lo+m], keys)
 	default: // void: row r holds Seq + r
-		for t := range rows {
-			if lo >= 0 {
-				rows[t] = int32(lo + t)
-			}
-			keys[t] = uint64(p.void.Seq) + uint64(rows[t])
+		for t := range m {
+			keys[t] = uint64(p.void.Seq) + uint64(lo+t)
 		}
 	}
-	return rows
+	return keys[:m]
 }
 
-// loadFixed reads the key reps of a block from a fixed-width backing slice:
-// a range block (lo >= 0, rows to be filled with its identity positions) in
-// one sequential pass, a selection block by position.
-func loadFixed[E fixedElem](v []E, lo int, rows []int32, keys *[probeBlock]uint64) {
-	if lo >= 0 {
-		for t, x := range v[lo : lo+len(rows)] {
-			rows[t], keys[t] = int32(lo+t), uint64(x)
-		}
-		return
-	}
-	for t, r := range rows {
-		keys[t] = uint64(v[r])
+// loadFixed reads the key reps of a block from a fixed-width backing slice
+// in one sequential pass.
+func loadFixed[E fixedElem](v []E, keys *[probeBlock]uint64) {
+	for t, x := range v {
+		keys[t] = uint64(x)
 	}
 }
 
@@ -536,48 +520,31 @@ func (h *HashIndex) resolve(keys []uint64, sbuf, ebuf *[probeBlock]int32) {
 
 // joinDense and filterDense are the kernels over a dense index. It is
 // arithmetic on the key, so there is no block to load and no bucket to
-// resolve: they read the probe source directly, by window or by selection.
-// Such probes are oid-kinded — an oid column or, rarely, a void one.
-func (h *HashIndex) joinDense(p Probe, v Vector, lpos, rpos []int32) ([]int32, []int32) {
+// resolve: they read the probe window directly. Such probes are oid-kinded
+// — an oid column or, rarely, a void one.
+func (h *HashIndex) joinDense(p Probe, lo, hi int, lpos, rpos []int32) ([]int32, []int32) {
 	seq, hn := uint64(h.seq), uint64(h.n)
 	if p.void != nil {
-		return h.probeDenseVoid(p.void, v, true, true, lpos, rpos)
+		return h.probeDenseVoid(p.void, lo, hi, true, true, lpos, rpos)
 	}
-	if v.Sel == nil {
-		for i, x := range p.oidV[v.Lo:v.Hi] {
-			if j := uint64(x) - seq; j < hn {
-				lpos = append(lpos, int32(v.Lo+i))
-				rpos = append(rpos, int32(j))
-			}
-		}
-		return lpos, rpos
-	}
-	for _, r := range v.Sel {
-		if j := uint64(p.oidV[r]) - seq; j < hn {
-			lpos = append(lpos, r)
+	for i, x := range p.oidV[lo:hi] {
+		if j := uint64(x) - seq; j < hn {
+			lpos = append(lpos, int32(lo+i))
 			rpos = append(rpos, int32(j))
 		}
 	}
 	return lpos, rpos
 }
 
-func (h *HashIndex) filterDense(p Probe, v Vector, want bool, out []int32) []int32 {
+func (h *HashIndex) filterDense(p Probe, lo, hi int, want bool, out []int32) []int32 {
 	seq, hn := uint64(h.seq), uint64(h.n)
 	if p.void != nil {
-		out, _ = h.probeDenseVoid(p.void, v, want, false, out, nil)
+		out, _ = h.probeDenseVoid(p.void, lo, hi, want, false, out, nil)
 		return out
 	}
-	if v.Sel == nil {
-		for i, x := range p.oidV[v.Lo:v.Hi] {
-			if (uint64(x)-seq < hn) == want {
-				out = append(out, int32(v.Lo+i))
-			}
-		}
-		return out
-	}
-	for _, r := range v.Sel {
-		if (uint64(p.oidV[r])-seq < hn) == want {
-			out = append(out, r)
+	for i, x := range p.oidV[lo:hi] {
+		if (uint64(x)-seq < hn) == want {
+			out = append(out, int32(lo+i))
 		}
 	}
 	return out
@@ -586,9 +553,9 @@ func (h *HashIndex) filterDense(p Probe, v Vector, want bool, out []int32) []int
 // probeDenseVoid is both dense kernels for a void probe, whose row r holds
 // Seq + r: the rows whose key lies (want) or does not lie in the indexed
 // range and, for a join, the positions matched.
-func (h *HashIndex) probeDenseVoid(c *VoidCol, v Vector, want, join bool, lpos, rpos []int32) ([]int32, []int32) {
+func (h *HashIndex) probeDenseVoid(c *VoidCol, lo, hi int, want, join bool, lpos, rpos []int32) ([]int32, []int32) {
 	d := uint64(c.Seq) - uint64(h.seq)
-	for r := range v.All() {
+	for r := int32(lo); r < int32(hi); r++ {
 		if j := uint64(r) + d; (j < uint64(h.n)) == want {
 			lpos = append(lpos, r)
 			if join {
@@ -599,21 +566,21 @@ func (h *HashIndex) probeDenseVoid(c *VoidCol, v Vector, want, join bool, lpos, 
 	return lpos, rpos
 }
 
-// JoinVec probes the rows selected by v and appends every (probe position,
+// JoinVec probes the rows [lo, hi) and appends every (probe position,
 // indexed position) match pair — the hash-join inner loop. Pairs follow
 // probe order; per probe row, indexed positions ascend.
-func (h *HashIndex) JoinVec(p Probe, v Vector, lpos, rpos []int32) ([]int32, []int32) {
+func (h *HashIndex) JoinVec(p Probe, lo, hi int, lpos, rpos []int32) ([]int32, []int32) {
 	if h.dense {
-		return h.joinDense(p, v, lpos, rpos)
+		return h.joinDense(p, lo, hi, lpos, rpos)
 	}
 	var keys [probeBlock]uint64
-	var rbuf, sbuf, ebuf [probeBlock]int32
+	var sbuf, ebuf [probeBlock]int32
 	ents, n0 := h.ents, len(lpos)
-	for k, n := 0, v.Rows(); k < n; k += probeBlock {
-		rows := p.load(v, k, min(n-k, probeBlock), &rbuf, &keys)
-		h.resolve(keys[:len(rows)], &sbuf, &ebuf)
-		for t, r := range rows {
-			x := keys[t]
+	for k := lo; k < hi; k += probeBlock {
+		ks := p.load(k, min(hi-k, probeBlock), &keys)
+		h.resolve(ks, &sbuf, &ebuf)
+		for t, x := range ks {
+			r := int32(k + t)
 			for e := sbuf[t]; e < ebuf[t]; e++ {
 				if ents[e].rep == x {
 					lpos = append(lpos, r)
@@ -643,29 +610,29 @@ func verifyPairs(eq func(pi, bi int32) bool, n0 int, lpos, rpos []int32) ([]int3
 	return lpos[:w], rpos[:w]
 }
 
-// FilterVec probes the rows selected by v and appends the probe positions
+// FilterVec probes the rows [lo, hi) and appends the probe positions
 // having at least one match (want=true: semijoin, intersection) or none
 // (want=false: difference), in probe order. A row is settled by its first
 // match, so the cost is one bucket walk per row and nothing is allocated
 // beyond out.
-func (h *HashIndex) FilterVec(p Probe, v Vector, want bool, out []int32) []int32 {
+func (h *HashIndex) FilterVec(p Probe, lo, hi int, want bool, out []int32) []int32 {
 	if h.dense {
-		return h.filterDense(p, v, want, out)
+		return h.filterDense(p, lo, hi, want, out)
 	}
 	var keys [probeBlock]uint64
-	var rbuf, sbuf, ebuf [probeBlock]int32
+	var sbuf, ebuf [probeBlock]int32
 	ents, eq := h.ents, p.eq
-	for k, n := 0, v.Rows(); k < n; k += probeBlock {
-		rows := p.load(v, k, min(n-k, probeBlock), &rbuf, &keys)
-		h.resolve(keys[:len(rows)], &sbuf, &ebuf)
+	for k := lo; k < hi; k += probeBlock {
+		ks := p.load(k, min(hi-k, probeBlock), &keys)
+		h.resolve(ks, &sbuf, &ebuf)
 		if eq == nil {
-			for t, r := range rows {
-				x, e, end := keys[t], sbuf[t], ebuf[t]
+			for t, x := range ks {
+				e, end := sbuf[t], ebuf[t]
 				for e < end && ents[e].rep != x {
 					e++
 				}
 				if (e < end) == want {
-					out = append(out, r)
+					out = append(out, int32(k+t))
 				}
 			}
 			continue
@@ -673,8 +640,8 @@ func (h *HashIndex) FilterVec(p Probe, v Vector, want bool, out []int32) []int32
 		// Inexact reps (float, string): the first match eq confirms settles
 		// the row. A loop of its own, so the exact walk stays free of calls
 		// (a call anywhere in that loop costs it half again in cache).
-		for t, r := range rows {
-			x, e, end := keys[t], sbuf[t], ebuf[t]
+		for t, x := range ks {
+			r, e, end := int32(k+t), sbuf[t], ebuf[t]
 			for e < end && !(ents[e].rep == x && eq(r, ents[e].pos)) {
 				e++
 			}

@@ -14,8 +14,8 @@ import (
 //     loader's columns — which is what keeps a store served from a mapped
 //     checkpoint bit-identical in logical faults to one built in memory;
 //   - they carry a storage.Hinter, and the column's own TouchRange/TouchAll
-//     spans — the spans the zero-copy pipeline and vectorized windows
-//     already compute for fault accounting — are additionally routed into
+//     spans — the spans views and scans already compute for fault
+//     accounting — are additionally routed into
 //     madvise-style advice on the mapping. Hinting is therefore free at
 //     every call site: no operator changed for out-of-core storage;
 //   - their backing memory is read-only at the MMU level. That is safe

@@ -117,8 +117,8 @@ func fltKeyRep(v float64) uint64 {
 	return math.Float64bits(v)
 }
 
-// fillKeyReps computes rep[i] = c.keyRepAt(i) for rows [lo, hi) of c as a
-// direct loop over the layout's backing, without a dynamic call per row.
+// fillKeyReps computes the key reps of rows [lo, hi) of c as a direct loop
+// over the layout's backing, without a dynamic call per row.
 func fillKeyReps(c Column, rep []uint64, lo, hi int) {
 	switch cc := c.(type) {
 	case *VoidCol:
@@ -142,8 +142,11 @@ func fillKeyReps(c Column, rep []uint64, lo, hi int) {
 			rep[i] = hashString(cc.At(i))
 		}
 	default: // *BitCol, never a hot key
-		for i := lo; i < hi; i++ {
-			rep[i] = c.keyRepAt(int32(i))
+		for i, x := range c.(*BitCol).V[lo:hi] {
+			rep[lo+i] = 0
+			if x {
+				rep[lo+i] = 1
+			}
 		}
 	}
 }
@@ -152,19 +155,6 @@ func fillFixedReps[E fixedElem](v []E, rep []uint64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		rep[i] = uint64(v[i])
 	}
-}
-
-// RowRep returns a per-row key-rep accessor over c — the vector-granular
-// counterpart of NewKeyRep: rep(i) equals NewKeyRep(c).Rep[i] bit for bit,
-// without materializing the O(n) vector. eq settles rep collisions and is
-// nil when rep equality is conclusive.
-func RowRep(c Column) (rep func(i int32) uint64, eq KeyEq) {
-	if !repExact(c) {
-		// KeyEqual on inexact kinds reads the column directly; no Rep
-		// vector is needed.
-		eq = &KeyRep{col: c}
-	}
-	return c.keyRepAt, eq
 }
 
 // KeyEqual implements KeyEq on a single column under map-key semantics.

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/storage"
@@ -142,7 +141,7 @@ func TestHashIndexProbeKindMismatch(t *testing.T) {
 	}
 }
 
-// TestProbeKernelsEqualLookup: over every vector shape, FilterVec (both
+// TestProbeKernelsEqualLookup: over every window shape, FilterVec (both
 // polarities) and JoinVec emit exactly what a per-row boxed Lookup loop
 // emits, in the same order — for every probe kind against every index it can
 // probe (the six fixed kinds, strings, void; bucketed and dense indexes;
@@ -178,27 +177,17 @@ func TestProbeKernelsEqualLookup(t *testing.T) {
 	}
 	pairs = append(pairs, pair{"flt-special", NewFltCol([]float64{nan, 0, 1.5, negZero, 1.5, nan, 9}), NewFltCol(special)})
 
-	sparse := func(keep int) []int32 { // keep ascending rows out of m
-		sel := make([]int32, 0, keep)
-		for _, i := range rng.Perm(m)[:keep] {
-			sel = append(sel, int32(i))
-		}
-		sort.Slice(sel, func(a, b int) bool { return sel[a] < sel[b] })
-		return sel
-	}
 	shapes := []struct {
-		name string
-		v    Vector
+		name   string
+		lo, hi int
 	}{
-		{"empty-range", Vector{Lo: 9, Hi: 9}},
-		{"empty-sel", Vector{Lo: 0, Hi: m, Sel: []int32{}}},
-		{"full", Vector{Lo: 0, Hi: m}},
-		{"window", Vector{Lo: 130, Hi: 130 + 300}},
-		{"single", Vector{Lo: 41, Hi: 42}},
-		{"single-sel", Vector{Lo: 0, Hi: m, Sel: []int32{699}}},
-		{"sparse", Vector{Lo: 0, Hi: m, Sel: sparse(90)}},
-		{"sel-257", Vector{Lo: 0, Hi: m, Sel: sparse(257)}},
-		{"sel-513", Vector{Lo: 0, Hi: m, Sel: sparse(513)}},
+		{"empty", 9, 9},
+		{"full", 0, m},
+		{"window", 130, 130 + 300},
+		{"single", 41, 42},
+		{"last", m - 1, m},
+		{"window-257", 101, 358},
+		{"window-513", m - 513, m},
 	}
 	for _, pc := range pairs {
 		idx := BuildHashIndex(pc.build)
@@ -208,7 +197,7 @@ func TestProbeKernelsEqualLookup(t *testing.T) {
 		}
 		for _, sh := range shapes {
 			var hits, misses, wantL, wantR []int32
-			for _, i := range sh.v.AppendRows(nil) {
+			for i := int32(sh.lo); i < int32(sh.hi); i++ {
 				js := idx.Lookup(pc.probe.Get(int(i)))
 				if len(js) > 0 {
 					hits = append(hits, i)
@@ -221,13 +210,13 @@ func TestProbeKernelsEqualLookup(t *testing.T) {
 				}
 			}
 			label := pc.name + "/" + sh.name
-			if got := idx.FilterVec(pr, sh.v, true, nil); fmt.Sprint(got) != fmt.Sprint(hits) {
+			if got := idx.FilterVec(pr, sh.lo, sh.hi, true, nil); fmt.Sprint(got) != fmt.Sprint(hits) {
 				t.Fatalf("%s: FilterVec(true) = %v, want %v", label, got, hits)
 			}
-			if got := idx.FilterVec(pr, sh.v, false, nil); fmt.Sprint(got) != fmt.Sprint(misses) {
+			if got := idx.FilterVec(pr, sh.lo, sh.hi, false, nil); fmt.Sprint(got) != fmt.Sprint(misses) {
 				t.Fatalf("%s: FilterVec(false) = %v, want %v", label, got, misses)
 			}
-			if gotL, gotR := idx.JoinVec(pr, sh.v, nil, nil); fmt.Sprint(gotL, gotR) != fmt.Sprint(wantL, wantR) {
+			if gotL, gotR := idx.JoinVec(pr, sh.lo, sh.hi, nil, nil); fmt.Sprint(gotL, gotR) != fmt.Sprint(wantL, wantR) {
 				t.Fatalf("%s: JoinVec = %v/%v, want %v/%v", label, gotL, gotR, wantL, wantR)
 			}
 		}
@@ -259,17 +248,17 @@ func TestFilterVecSettlesOnFirstMatch(t *testing.T) {
 		}
 		calls, eq := 0, pr.eq
 		pr.eq = func(pi, bi int32) bool { calls++; return eq(pi, bi) }
-		v, out := Vector{Lo: 0, Hi: n}, make([]int32, 0, n)
-		if got := idx.FilterVec(pr, v, true, out); len(got) != n {
+		out := make([]int32, 0, n)
+		if got := idx.FilterVec(pr, 0, n, true, out); len(got) != n {
 			t.Fatalf("%s: semijoin kept %d of %d rows", name, len(got), n)
 		}
 		if calls > n {
 			t.Fatalf("%s: %d verifications for %d rows: a settled row was walked on", name, calls, n)
 		}
-		if got := idx.FilterVec(pr, v, false, out); len(got) != 0 {
+		if got := idx.FilterVec(pr, 0, n, false, out); len(got) != 0 {
 			t.Fatalf("%s: difference kept %d rows, want 0", name, len(got))
 		}
-		if a := testing.AllocsPerRun(3, func() { idx.FilterVec(pr, v, true, out) }); a != 0 {
+		if a := testing.AllocsPerRun(3, func() { idx.FilterVec(pr, 0, n, true, out) }); a != 0 {
 			t.Fatalf("%s: FilterVec allocates %.0f times per call, want 0", name, a)
 		}
 	}

@@ -3,14 +3,17 @@ package engine
 import (
 	"testing"
 
+	"repro/internal/mil"
 	"repro/internal/storage"
 	"repro/internal/tpcd"
 )
 
 // TestQueryMatrix runs the whole TPC-D suite under every execution
 // configuration the engine supports — sequential/parallel × unbounded/
-// bounded buffer pool — and validates every result against the reference
-// evaluator: the configurations must never change answers, only costs.
+// bounded buffer pool, default and 7-row probe morsels — and validates every
+// result against the reference evaluator: the configurations must never
+// change answers, only costs. Every query drains the memory gauge, and every
+// fault and hit of the pool belongs to exactly one query.
 func TestQueryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow")
@@ -22,11 +25,13 @@ func TestQueryMatrix(t *testing.T) {
 		name    string
 		workers int
 		pool    int
+		morsel  int
 	}{
-		{"sequential/unbounded", 1, 0},
-		{"parallel8/unbounded", 8, 0},
-		{"sequential/512pages", 1, 512},
-		{"parallel8/64pages", 8, 64},
+		{"sequential/unbounded", 1, 0, 0},
+		{"parallel8/unbounded", 8, 0, 0},
+		{"sequential/512pages", 1, 512, 0},
+		{"parallel8/64pages", 8, 64, 0},
+		{"parallel3/morsel7", 3, 0, 7},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -34,11 +39,19 @@ func TestQueryMatrix(t *testing.T) {
 			db := New(tpcd.Schema(), env)
 			db.Pager = storage.NewPager(4096, cfg.pool)
 			db.Workers = cfg.workers
+			db.MorselRows = cfg.morsel
+			db.Gauge = &mil.MemGauge{}
+			var faults, hits uint64
 			for _, q := range tpcd.Queries(gen) {
 				res, err := db.Query(q.MOA)
 				if err != nil {
 					t.Fatalf("Q%d: %v", q.Num, err)
 				}
+				if live := db.Gauge.Live(); live != 0 {
+					t.Fatalf("Q%d: gauge not drained: %d bytes live", q.Num, live)
+				}
+				faults += res.Stats.Faults
+				hits += res.Stats.Hits
 				want, err := tpcd.Reference(gen, q.Num)
 				if err != nil {
 					t.Fatal(err)
@@ -46,6 +59,9 @@ func TestQueryMatrix(t *testing.T) {
 				if err := tpcd.CompareResults(res.Set, want, q.Ordered); err != nil {
 					t.Fatalf("Q%d under %s: %v", q.Num, cfg.name, err)
 				}
+			}
+			if db.Pager.Faults() != faults || db.Pager.Hits() != hits {
+				t.Errorf("pool %d faults, %d hits; queries %d, %d", db.Pager.Faults(), db.Pager.Hits(), faults, hits)
 			}
 		})
 	}

@@ -119,7 +119,7 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 			}
 			return int32(len(first) - 1)
 		}))
-	} else if d := bat.NewDenseGrouper(bat.Vector{Hi: n}, b.H); d != nil {
+	} else if d := bat.NewDenseGrouper(n, b.H); d != nil {
 		ctx.chose("dense-aggr")
 		foldRange(f, n, d.Slots)
 		first = d.Rows()
@@ -158,7 +158,7 @@ func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
 		// accumulation order equals the sequential scan's.
 		f.grow(len(gs.First))
 		sched.Dispatch(len(gs.PartRows), func(_, pi int) {
-			foldRows(f, gs.PartRows[pi], perRow(func(r int32) int32 { return gs.Slots[r] }))
+			foldRows(f, gs.PartRows[pi], gs.Slots)
 		})
 		return gs.First
 	}
@@ -171,17 +171,17 @@ func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
 // one tail column: per-slot accumulators of what the function needs, typed
 // for the ordered fixed-width tails (typedFold), boxed for the str, bit and
 // void tails (boxedFold).
-// Aggr's ordered, dense, hash and radix-partitioned scans, the pipeline's
-// aggregate terminal and — with a single slot — the scalar aggregates all
-// fold through it, in ascending row order per slot.
+// Aggr's ordered, dense, hash and radix-partitioned scans and — with a
+// single slot — the scalar aggregates all fold through it, in ascending row
+// order per slot.
 type slotFold interface {
 	// grow extends the accumulators to G slots.
 	grow(G int)
-	// fold accumulates the k-th tail row of v into slot slots[k], for every
-	// k, in v's order (a stream's position list travels as v.Sel and need not
-	// ascend). The slots must have been grown; concurrent folds must touch
-	// disjoint slots.
-	fold(v bat.Vector, slots []int32)
+	// fold accumulates the k-th of a batch of tail rows into slot slots[k],
+	// for every k in order: the rows are the window [lo, lo+len(slots)), or
+	// the positions sel when sel is non-nil (a partition's rows). The slots
+	// must have been grown; concurrent folds must touch disjoint slots.
+	fold(lo int, sel, slots []int32)
 	// tail builds the G-row result column of the aggregate.
 	tail(G int) bat.Column
 }
@@ -202,18 +202,18 @@ func newSlotFold(tail bat.Column, fn string) slotFold {
 	return &boxedFold{fn: fn, col: tail}
 }
 
-// A slotter resolves the head rows of one batch, in the batch's order, to
-// group slots and reports how many slots it has handed out so far (slot ids
-// are dense, so that bounds them). bat.DenseGrouper.Slots is one.
-type slotter func(hv bat.Vector, slots []int32) int
+// A slotter resolves the head rows [lo, lo+len(slots)) to group slots and
+// reports how many slots it has handed out so far (slot ids are dense, so
+// that bounds them). bat.DenseGrouper.Slots is one.
+type slotter func(lo int, slots []int32) int
 
 // perRow is the slotter of a per-row slot function that hands out slots in
 // ascending order.
 func perRow(slot func(row int32) int32) slotter {
-	return func(hv bat.Vector, slots []int32) int {
+	return func(lo int, slots []int32) int {
 		top := int32(-1)
 		for k := range slots {
-			slots[k] = slot(batchRow(hv, k))
+			slots[k] = slot(int32(lo + k))
 			top = max(top, slots[k])
 		}
 		return int(top) + 1
@@ -223,66 +223,51 @@ func perRow(slot func(row int32) int32) slotter {
 // grouperSlots is the slotter of the bucket+link grouper g over the per-row
 // key reps rep.
 func grouperSlots(g *bat.Grouper, rep func(row int32) uint64) slotter {
-	return func(hv bat.Vector, slots []int32) int {
+	return func(lo int, slots []int32) int {
 		for k := range slots {
-			r := batchRow(hv, k)
+			r := int32(lo + k)
 			slots[k], _ = g.Slot(rep(r), r)
 		}
 		return g.Len()
 	}
 }
 
-// batchRow is the k-th row of v.
-func batchRow(v bat.Vector, k int) int32 {
-	if v.Sel != nil {
-		return v.Sel[k]
-	}
-	return int32(v.Lo + k)
-}
-
 // foldBlock is the accumulation batch of the materializing scans: slots
 // resolve for a block of rows, then the block folds in one typed loop.
 const foldBlock = 1024
 
-// foldVec folds one batch into f: the group of the k-th tail row of tv is the
-// slot slots resolves the k-th head row of hv to — f grows as it hands out
-// new ones — or slot 0 throughout when slots is nil (a scalar aggregate: one
-// slot, grown up front). buf is scratch, at least as long as the batch and
-// all zero when slots is nil.
-func foldVec(f slotFold, hv, tv bat.Vector, buf []int32, slots slotter) {
-	buf = buf[:tv.Rows()]
-	if slots != nil {
-		f.grow(slots(hv, buf))
-	}
-	f.fold(tv, buf)
-}
-
-// forBlocks calls fn on the rows of v in v's order, foldBlock rows at a time
-// — a window in windows, a position list in slices of it — with scratch for
-// as many slots. Every materializing scan that resolves slots runs on it.
-func forBlocks(v bat.Vector, fn func(w bat.Vector, buf []int32)) {
-	n := v.Rows()
+// forBlocks calls fn on rows [0, n), foldBlock rows at a time, with scratch
+// for as many slots. Every scan that resolves slots runs on it.
+func forBlocks(n int, fn func(lo int, buf []int32)) {
 	buf := make([]int32, min(n, foldBlock))
 	for lo := 0; lo < n; lo += foldBlock {
-		hi := min(n, lo+foldBlock)
-		w := bat.Vector{Lo: v.Lo + lo, Hi: v.Lo + hi}
-		if v.Sel != nil {
-			w = bat.Vector{Sel: v.Sel[lo:hi]}
-		}
-		fn(w, buf[:hi-lo])
+		fn(lo, buf[:min(n-lo, foldBlock)])
 	}
 }
 
-// foldRows folds the given ascending rows of a BAT (head and tail row
-// alike) into f, a block at a time.
-func foldRows(f slotFold, rows []int32, slots slotter) {
-	forBlocks(bat.Vector{Sel: rows}, func(v bat.Vector, buf []int32) { foldVec(f, v, v, buf, slots) })
+// foldRange folds rows [0, n) of a BAT (head and tail row alike) into f, a
+// block at a time: slots resolves each block's head rows — f grows as it
+// hands out new ones — or, when nil (a scalar aggregate: one slot, grown up
+// front), every row folds into slot 0.
+func foldRange(f slotFold, n int, slots slotter) {
+	forBlocks(n, func(lo int, buf []int32) {
+		if slots != nil {
+			f.grow(slots(lo, buf))
+		}
+		f.fold(lo, nil, buf)
+	})
 }
 
-// foldRange is foldRows over the identity selection [0, n): each block is a
-// window with no position list, which the typed fold reads sequentially.
-func foldRange(f slotFold, n int, slots slotter) {
-	forBlocks(bat.Vector{Hi: n}, func(v bat.Vector, buf []int32) { foldVec(f, v, v, buf, slots) })
+// foldRows folds the given ascending rows of a BAT into f, a block at a
+// time, row r into slot slotOf[r]. f must have been grown to every slot.
+func foldRows(f slotFold, rows, slotOf []int32) {
+	forBlocks(len(rows), func(lo int, buf []int32) {
+		sel := rows[lo : lo+len(buf)]
+		for k, r := range sel {
+			buf[k] = slotOf[r]
+		}
+		f.fold(0, sel, buf)
+	})
 }
 
 // typedFold accumulates a fixed-width tail unboxed, keeping only what its
@@ -360,9 +345,9 @@ func growTo[T any](s []T, n int) []T {
 // fold runs one loop per kind of accumulator, each updating only the arrays
 // its function keeps. Slice headers live in locals: through a, every store
 // would force a reload.
-func (a *typedFold[E]) fold(rows bat.Vector, slots []int32) {
-	all, sel := a.col, rows.Sel
-	col := all[rows.Lo:rows.Hi] // the identity selection: batch row k is col[k]
+func (a *typedFold[E]) fold(lo int, sel, slots []int32) {
+	all := a.col
+	col := all[lo : lo+len(slots)] // the window: batch row k is col[k]
 	at := func(k int) E {
 		if sel != nil {
 			return all[sel[k]]
@@ -432,11 +417,13 @@ func (a *boxedFold) grow(G int) {
 	}
 }
 
-func (a *boxedFold) fold(v bat.Vector, slots []int32) {
-	k := 0
-	for r := range v.All() {
-		a.accs[slots[k]].add(a.col.Get(int(r)))
-		k++
+func (a *boxedFold) fold(lo int, sel, slots []int32) {
+	for k, s := range slots {
+		r := lo + k
+		if sel != nil {
+			r = int(sel[k])
+		}
+		a.accs[s].add(a.col.Get(r))
 	}
 }
 
@@ -461,7 +448,7 @@ func AggrScalar(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 }
 
 // A scalar aggregate is the grouped fold with one slot (a nil slot resolver
-// to foldVec). Over no rows the slot stays empty and every function yields
+// to foldRange). Over no rows the slot stays empty and every function yields
 // the zero value of its result kind.
 func newScalarFold(tail bat.Column, fn string) slotFold {
 	f := newSlotFold(tail, fn)

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bat"
 	"repro/internal/storage"
 )
 
@@ -68,8 +67,8 @@ type Ctx struct {
 	canceled atomic.Bool
 
 	// IntermBytes accumulates the owned size of every intermediate BAT
-	// created ("total MB" column in Fig. 9). Zero-copy views are counted
-	// at their owned (shared-backing-excluded) size, so view-heavy plans
+	// created ("total MB" column in Fig. 9). Zero-copy views, and operand
+	// columns a result holds unchanged, count nothing, so view-heavy plans
 	// report the memory they actually allocate.
 	IntermBytes int64
 	// LiveBytes tracks currently-live intermediate bytes and PeakBytes its
@@ -104,7 +103,7 @@ type Ctx struct {
 // engine.Session and engine.Database embed them, so a database's settings
 // flow to each session and from there into each query's Ctx. The zero value
 // is a fully usable default (sequential, no paging simulation, no
-// accounting, pipeline on).
+// accounting).
 type Options struct {
 	// Pager, when non-nil, is the shared paged-storage pool the query
 	// touches. The pool may be shared with any number of concurrent
@@ -123,19 +122,6 @@ type Options struct {
 	// chunks, whole partitions for builds), > 0 forces an explicit probe
 	// morsel length in rows. Every setting is bit-identical.
 	MorselRows int
-
-	// Pipeline selects the execution strategy for fusable statement chains
-	// (select → semijoin/diff/join → aggregate): 0 (the default) and > 0
-	// stream cache-resident vectors with selection vectors through the
-	// chain, materializing only the chain's final result; < 0 executes the
-	// chain statement-at-a-time — the same kernels over full columns, every
-	// intermediate materialized: the parity reference the fused plan shape
-	// is tested against. Every setting is bit-identical.
-	Pipeline int
-
-	// VectorRows tunes the pipeline's vector length in rows; 0 picks
-	// bat.DefaultVectorRows (~L1-sized windows).
-	VectorRows int
 
 	// Gauge, when non-nil, receives every Account/Release delta: the
 	// process-wide live-bytes feed of the server's admission control.
@@ -162,20 +148,6 @@ func NewCtx(cx context.Context, o Options) *Ctx {
 		c.Context = cx
 	}
 	return c
-}
-
-// pipelineOn reports whether fusable chains run vectorized. A nil Ctx runs
-// the default strategy.
-func (c *Ctx) pipelineOn() bool {
-	return c == nil || c.Pipeline >= 0
-}
-
-// vectorRows reports the pipeline vector length to use.
-func (c *Ctx) vectorRows() int {
-	if c == nil || c.VectorRows <= 0 {
-		return bat.DefaultVectorRows
-	}
-	return c.VectorRows
 }
 
 // Cancelled performs the cheap amortized cancellation check: one atomic
@@ -267,14 +239,14 @@ func (c *Ctx) PageHits() uint64 {
 	return c.tracker.Hits()
 }
 
-// Account records the creation of an intermediate BAT, charging the bytes
-// its columns own: a zero-copy view's shared backing was charged once when
-// the owning column was created, so views add (close to) nothing.
-func (c *Ctx) Account(b *bat.BAT) {
-	if c == nil || b == nil {
+// Account records the creation of an intermediate BAT that newly owns sz
+// bytes of backing storage (see chargedBytes): a zero-copy view's shared
+// backing, and an operand column the result holds unchanged, were charged
+// once when their owner was created, so they add nothing.
+func (c *Ctx) Account(sz int64) {
+	if c == nil {
 		return
 	}
-	sz := b.OwnedByteSize()
 	c.IntermBytes += sz
 	c.LiveBytes += sz
 	if c.LiveBytes > c.PeakBytes {
@@ -283,19 +255,18 @@ func (c *Ctx) Account(b *bat.BAT) {
 	c.Gauge.Add(sz)
 }
 
-// Release records that an intermediate BAT is no longer live. It debits the
-// same owned-byte measure Account credited, so credits and debits always
-// balance. Known approximation: a zero-copy view that outlives its owning
-// intermediate keeps the owner's backing alive after the owner's release
-// debited it, so LiveBytes (and the gauge) can under-count within a query;
-// the window closes at query end (DrainGauge), and views of base BATs —
-// the common case — are unaffected (base data is never accounted). The
-// admission budget is a load-shedding heuristic, not an allocator.
-func (c *Ctx) Release(b *bat.BAT) {
-	if c == nil || b == nil {
+// Release records that an intermediate BAT is no longer live, debiting the
+// sz bytes Account credited for it, so credits and debits always balance.
+// Known approximation: a zero-copy view or shared column that outlives its
+// owning intermediate keeps the owner's backing alive after the owner's
+// release debited it, so LiveBytes (and the gauge) can under-count within a
+// query; the window closes at query end (DrainGauge), and views of base
+// BATs — the common case — are unaffected (base data is never accounted).
+// The admission budget is a load-shedding heuristic, not an allocator.
+func (c *Ctx) Release(sz int64) {
+	if c == nil {
 		return
 	}
-	sz := b.OwnedByteSize()
 	c.LiveBytes -= sz
 	if c.LiveBytes < 0 {
 		c.LiveBytes = 0
@@ -329,34 +300,6 @@ func (c *Ctx) ResetStats() {
 	c.tracker = c.Pager.NewTracker()
 	c.profBuilds, c.profBuildNs = 0, 0
 	c.profWorkers, c.profMorsels, c.profShare = 0, 0, 0
-}
-
-// AccountScratch charges transient working memory that no BAT owns — the
-// pipeline's position scratch — to the live/peak accounting and the
-// admission gauge for the duration of its use. Scratch is working set, not
-// a created intermediate, so IntermBytes (the Fig. 9 "total MB" column) is
-// unaffected. Pair with ReleaseScratch.
-func (c *Ctx) AccountScratch(sz int64) {
-	if c == nil || sz <= 0 {
-		return
-	}
-	c.LiveBytes += sz
-	if c.LiveBytes > c.PeakBytes {
-		c.PeakBytes = c.LiveBytes
-	}
-	c.Gauge.Add(sz)
-}
-
-// ReleaseScratch returns scratch charged by AccountScratch.
-func (c *Ctx) ReleaseScratch(sz int64) {
-	if c == nil || sz <= 0 {
-		return
-	}
-	c.LiveBytes -= sz
-	if c.LiveBytes < 0 {
-		c.LiveBytes = 0
-	}
-	c.Gauge.Add(-sz)
 }
 
 // noteBuild records one accelerator construction this query triggered (and

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/bat"
@@ -123,13 +122,13 @@ func sameBUNs(t *testing.T, label string, got, want *bat.BAT) {
 func isOIDKind(k bat.Kind) bool { return k == bat.KOID || k == bat.KVoid }
 
 // TestDenseGroupingParity: the direct-index variants of group, group2,
-// unique, the set aggregates and the fused aggregate terminal answer exactly
+// unique and the set aggregates (alone and fed by a join) answer exactly
 // what the grouper variants and the boxed references answer — group oids,
 // kept BUNs, heads, float sums bit for bit — over keys of every exact kind,
 // spans around the 2·rows bound, kind extremes, void keys, 0 and 1 rows and
 // all-equal keys, composites whose span product lies beyond the bound or
-// beyond 64 bits, at workers {1,4} and pipeline {0,-1}. Each operator must
-// take the direct index exactly when wantDense says so.
+// beyond 64 bits, at workers {1,4}. Each operator must take the direct
+// index exactly when wantDense says so.
 func TestDenseGroupingParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(701))
 	pool := denseKeyPool(rng)
@@ -200,12 +199,9 @@ func TestDenseGroupingParity(t *testing.T) {
 				sameBUNs(t, l2+"/unique vs grouper", got, hashUnique(ctx, u))
 
 				// the kernel itself: slot ids and first rows equal the
-				// grouper's, over every row and over a stream's position
-				// list (out of order, with repeats)
+				// grouper's
 				if wantDense(key.col, sec.col) {
-					for _, v := range []bat.Vector{{Hi: n}, {Sel: streamRows(rng, n)}} {
-						sameSlots(t, fmt.Sprintf("%s/sel=%v", l2, v.Sel != nil), v, key.col, sec.col)
-					}
+					sameSlots(t, l2, n, key.col, sec.col)
 				}
 			}
 
@@ -222,25 +218,15 @@ func TestDenseGroupingParity(t *testing.T) {
 					sameBUNs(t, l2+" vs grouper", got, hashAggrBAT(ctx, fn, a))
 					sameBUNs(t, l2+" vs boxed", got, aggrBoxed(nil, fn, a))
 
-					// The fused terminal streams a join into the
-					// aggregate, grouping over the key; -1 materializes.
+					// A join into the aggregate, as a plan has it, groups
+					// over the key the same way.
 					env := Env{"k": bat.New("k", key.col, bat.NewVoid(0, n), 0), "v": bat.New("v", bat.NewVoid(0, n), tail, 0)}
-					for _, pipeline := range []int{0, -1} {
-						src := fmt.Sprintf("x := join(k, v)\nRES := {%s}(x)", fn)
-						scope, traces := runPipelineProgram(t, l2, src, env, Options{Workers: workers, Pipeline: pipeline})
-						res, _ := scope.Lookup("RES")
-						sameBUNs(t, fmt.Sprintf("%s/pipeline=%d", l2, pipeline), res, got)
-						term := traces[len(traces)-1].Algo
-						if fused := strings.HasPrefix(term, "pipeline"); fused != (pipeline == 0) {
-							t.Fatalf("%s/pipeline=%d: terminal ran %q", l2, pipeline, term)
-						}
-						want := "pipeline" // the grouper terminal names no variant
-						if wantDense(key.col) {
-							want = "pipeline/dense-aggr"
-						}
-						if pipeline == 0 && term != want {
-							t.Fatalf("%s: terminal ran %q, want %q", l2, term, want)
-						}
+					src := fmt.Sprintf("x := join(k, v)\nRES := {%s}(x)", fn)
+					scope, traces := runProgram(t, l2, src, env, Options{Workers: workers})
+					res, _ := scope.Lookup("RES")
+					sameBUNs(t, l2+"/join", res, got)
+					if term := traces[len(traces)-1].Algo; term != want {
+						t.Fatalf("%s: after a join ran %q, want %q", l2, term, want)
 					}
 				}
 			}
@@ -248,25 +234,26 @@ func TestDenseGroupingParity(t *testing.T) {
 	}
 }
 
-// streamRows is a position list over n rows as a join streams them: runs
-// of repeated rows, not ascending.
-func streamRows(rng *rand.Rand, n int) []int32 {
-	var rows []int32
-	for i := 0; i < 2*n; i++ {
-		r := int32(rng.Intn(n))
-		for k := rng.Intn(3); k >= 0; k-- {
-			rows = append(rows, r)
-		}
+// runProgram parses and executes src over env under o.
+func runProgram(t *testing.T, label, src string, env Env, o Options) (*Scope, []StmtTrace) {
+	t.Helper()
+	prog, err := ParseProgram(src)
+	if err != nil {
+		t.Fatalf("%s: parse: %v", label, err)
 	}
-	return rows
+	scope, traces, err := Exec(NewCtx(nil, o), prog, env)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return scope, traces
 }
 
 // sameSlots requires the DenseGrouper over the composite key cols to hand
-// the rows of v the slots, and to report the first rows, of the grouper
-// over the Mix'ed key reps.
-func sameSlots(t *testing.T, label string, v bat.Vector, cols ...bat.Column) {
+// rows [0, n) the slots, and to report the first rows, of the grouper over
+// the Mix'ed key reps.
+func sameSlots(t *testing.T, label string, n int, cols ...bat.Column) {
 	t.Helper()
-	d := bat.NewDenseGrouper(v, cols...)
+	d := bat.NewDenseGrouper(n, cols...)
 	if d == nil {
 		t.Fatalf("%s: no direct index", label)
 	}
@@ -276,27 +263,20 @@ func sameSlots(t *testing.T, label string, v bat.Vector, cols ...bat.Column) {
 	}
 	eq := bat.KeysEq(reps)
 	g := bat.NewGrouper(&eq)
-	got := make([]int32, v.Rows())
-	for lo := 0; lo < len(got); lo += 7 { // odd batches: slots carry across calls
-		hi := min(lo+7, len(got))
-		w := bat.Vector{Lo: v.Lo + lo, Hi: v.Lo + hi}
-		if v.Sel != nil {
-			w = bat.Vector{Sel: v.Sel[lo:hi]}
-		}
-		if top := d.Slots(w, got[lo:hi]); top != len(d.Rows()) {
+	got := make([]int32, n)
+	for lo := 0; lo < n; lo += 7 { // odd batches: slots carry across calls
+		if top := d.Slots(lo, got[lo:min(lo+7, n)]); top != len(d.Rows()) {
 			t.Fatalf("%s: Slots reports %d slots, %d first rows", label, top, len(d.Rows()))
 		}
 	}
-	k := 0
-	for r := range v.All() {
+	for r := range int32(n) {
 		rep := reps[0].Rep[r]
 		for _, kr := range reps[1:] {
 			rep = bat.Mix(rep, kr.Rep[r])
 		}
-		if s, _ := g.Slot(rep, r); s != got[k] {
-			t.Fatalf("%s: row %d (the %d-th) in slot %d, grouper %d", label, r, k, got[k], s)
+		if s, _ := g.Slot(rep, r); s != got[r] {
+			t.Fatalf("%s: row %d in slot %d, grouper %d", label, r, got[r], s)
 		}
-		k++
 	}
 	if fmt.Sprint(d.Rows()) != fmt.Sprint(g.Rows()) {
 		t.Fatalf("%s: first rows %v, grouper %v", label, d.Rows(), g.Rows())

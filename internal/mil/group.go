@@ -20,7 +20,7 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
 	n := b.Len()
-	if d := bat.NewDenseGrouper(bat.Vector{Hi: n}, b.H, b.T); d != nil {
+	if d := bat.NewDenseGrouper(n, b.H, b.T); d != nil {
 		ctx.chose("dense-unique")
 		denseScan(d, n, nil)
 		return gatherPositions(ctx, b.Name+".uniq", b, d.Rows())
@@ -55,11 +55,11 @@ func hashUnique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 // denseScan resolves rows [0, n) to d's slots a block at a time, writing
 // them to out as group oids when out is non-nil.
 func denseScan(d *bat.DenseGrouper, n int, out []bat.OID) {
-	forBlocks(bat.Vector{Hi: n}, func(v bat.Vector, buf []int32) {
-		d.Slots(v, buf)
+	forBlocks(n, func(lo int, buf []int32) {
+		d.Slots(lo, buf)
 		if out != nil {
 			for i, s := range buf {
-				out[v.Lo+i] = bat.OID(s)
+				out[lo+i] = bat.OID(s)
 			}
 		}
 	})
@@ -103,7 +103,7 @@ func groupResult(b *bat.BAT, out []bat.OID) *bat.BAT {
 // first) over rows [0, len(out)) to out by direct index, and reports false,
 // writing nothing, when the key's span is not small.
 func denseGroup(ctx *Ctx, out []bat.OID, cols ...bat.Column) bool {
-	d := bat.NewDenseGrouper(bat.Vector{Hi: len(out)}, cols...)
+	d := bat.NewDenseGrouper(len(out), cols...)
 	if d == nil {
 		return false
 	}

@@ -109,24 +109,15 @@ func joinCap(l, r *bat.BAT, idx *bat.HashIndex) int {
 	return n
 }
 
-// syncJoinMatch reports whether join(l, r) degenerates to positional
-// pairing: equal-length duplicate-free oid join columns that correspond
-// position by position. The O(n) verification scan bails at the first
-// mismatch. Shared by syncJoin and the pipeline planner (a join head that
-// would sync must not fuse — streaming would replace the zero-copy pairing
-// with a hash build over r).
-func syncJoinMatch(l, r *bat.BAT) bool {
-	// Positional pairing is the complete join only if the join column is
-	// duplicate-free; with duplicates every cross match must be produced.
-	return (l.Props.Has(bat.TKey) || r.Props.Has(bat.HKey)) && sameOIDs(l.T, r.H)
-}
-
 // syncJoin recognizes the case where l's tail and r's head correspond
 // position by position (e.g. join(class.mirror, values) when the grouping
 // and the value set stem from the same candidate): the join degenerates to
-// pairing l's head with r's tail, zero-copy.
+// pairing l's head with r's tail, zero-copy. Positional pairing is the
+// complete join only if the join column is duplicate-free; with duplicates
+// every cross match must be produced. The O(n) verification scan bails at
+// the first mismatch.
 func syncJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
-	if !syncJoinMatch(l, r) {
+	if !(l.Props.Has(bat.TKey) || r.Props.Has(bat.HKey)) || !sameOIDs(l.T, r.H) {
 		return nil, false
 	}
 	ctx.chose("sync-join")
@@ -136,51 +127,37 @@ func syncJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 	return bat.Derive(bat.New(l.Name+".join", l.H, r.T, 0), bat.Positional, l, r), true
 }
 
-// fetchVec is the fetch-join kernel: r's head is the dense oid sequence
-// starting at its first head value, so a tail value of lt matches at most
-// the one position its offset from that base names. It appends the (row,
-// position) pairs of the rows of v in probe order. Non-oid tails coerce
-// through Value.I, as fetch-join always had it.
-func fetchVec(lt bat.Column, r *bat.BAT, v bat.Vector, lpos, rpos []int32) ([]int32, []int32) {
+// fetchJoin is the join whose right head is the dense oid sequence starting
+// at its first head value: a tail value of l matches at most the one
+// position its offset from that base names, so the pairs come out in probe
+// order without an accelerator. Non-oid tails coerce through Value.I.
+func fetchJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
+	ctx.chose("fetch-join")
+	l.T.TouchAll(ctx.pager())
 	var seq int
 	if h, ok := r.H.(*bat.VoidCol); ok {
 		seq = int(h.Seq)
 	} else if r.Len() > 0 {
 		seq = int(r.H.Get(0).OID())
 	}
-	n := r.Len()
-	if oids, ok := lt.(*bat.OIDCol); ok {
-		if v.Sel == nil {
-			for i, o := range oids.V[v.Lo:v.Hi] {
-				if x := int(o) - seq; x >= 0 && x < n {
-					lpos = append(lpos, int32(v.Lo+i))
-					rpos = append(rpos, int32(x))
-				}
-			}
-			return lpos, rpos
-		}
-		for _, i := range v.Sel {
-			if x := int(oids.V[i]) - seq; x >= 0 && x < n {
-				lpos = append(lpos, i)
+	nl, n := l.Len(), r.Len()
+	lpos, rpos := make([]int32, 0, nl), make([]int32, 0, nl)
+	if oids, ok := l.T.(*bat.OIDCol); ok {
+		for i, o := range oids.V {
+			if x := int(o) - seq; x >= 0 && x < n {
+				lpos = append(lpos, int32(i))
 				rpos = append(rpos, int32(x))
 			}
 		}
-		return lpos, rpos
-	}
-	for i := range v.All() {
-		if x := int(lt.Get(int(i)).I) - seq; x >= 0 && x < n {
-			lpos = append(lpos, i)
-			rpos = append(rpos, int32(x))
+	} else {
+		lt := l.T
+		for i := 0; i < nl; i++ {
+			if x := int(lt.Get(i).I) - seq; x >= 0 && x < n {
+				lpos = append(lpos, int32(i))
+				rpos = append(rpos, int32(x))
+			}
 		}
 	}
-	return lpos, rpos
-}
-
-func fetchJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
-	ctx.chose("fetch-join")
-	l.T.TouchAll(ctx.pager())
-	nl := l.Len()
-	lpos, rpos := fetchVec(l.T, r, bat.Vector{Hi: nl}, make([]int32, 0, nl), make([]int32, 0, nl))
 	return joinResult(ctx, l, r, lpos, rpos)
 }
 
@@ -215,7 +192,7 @@ func hashJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	}
 	lpos, rpos := parallelPairs(ctx, l.Len(), joinCap(l, r, idx),
 		func(lo, hi int, lp, rp []int32) ([]int32, []int32) {
-			return idx.JoinVec(pr, bat.Vector{Lo: lo, Hi: hi}, lp, rp)
+			return idx.JoinVec(pr, lo, hi, lp, rp)
 		})
 	return joinResult(ctx, l, r, lpos, rpos)
 }

@@ -4,39 +4,27 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/bat"
 )
 
 // Tests of the single kernels: each operator has one kernel that takes its
-// rows as a bat.Vector, so each is compared once — over every vector shape —
-// against a per-row boxed oracle (oracle_test.go).
+// rows as a window [lo, hi) of a base column, so each is compared once —
+// over every window shape — against a per-row boxed oracle (oracle_test.go).
 
-// kernelShapes are the vector shapes every kernel is driven over, for a base
-// column of n >= 700 rows: empty, the identity selection, a window with
-// Lo > 0, a single row, and selections — sparse, and of 257 and 513 rows
-// (one past the probe and fold block boundaries).
-func kernelShapes(rng *rand.Rand, n int) map[string]bat.Vector {
-	sparse := func(keep int) []int32 {
-		sel := make([]int32, 0, keep)
-		for _, i := range rng.Perm(n)[:keep] {
-			sel = append(sel, int32(i))
-		}
-		sort.Slice(sel, func(a, b int) bool { return sel[a] < sel[b] })
-		return sel
-	}
-	return map[string]bat.Vector{
-		"empty-range": {Lo: 9, Hi: 9},
-		"empty-sel":   {Lo: 0, Hi: n, Sel: []int32{}},
-		"full":        {Lo: 0, Hi: n},
-		"window":      {Lo: 130, Hi: 430},
-		"single":      {Lo: 41, Hi: 42},
-		"single-sel":  {Lo: 0, Hi: n, Sel: []int32{int32(n - 1)}},
-		"sparse":      {Lo: 0, Hi: n, Sel: sparse(90)},
-		"sel-257":     {Lo: 0, Hi: n, Sel: sparse(257)},
-		"sel-513":     {Lo: 0, Hi: n, Sel: sparse(513)},
+// kernelShapes are the windows every kernel is driven over, for a base
+// column of n >= 700 rows: empty, every row, a window with lo > 0, a single
+// row, and windows of 257 and 513 rows (one past the probe block
+// boundaries).
+func kernelShapes(n int) map[string][2]int {
+	return map[string][2]int{
+		"empty":      {9, 9},
+		"full":       {0, n},
+		"window":     {130, 430},
+		"single":     {41, 42},
+		"window-257": {101, 358},
+		"window-513": {n - 513, n},
 	}
 }
 
@@ -67,11 +55,11 @@ func edgeColumn(rng *rand.Rand, k bat.Kind, n int) bat.Column {
 
 // TestSelectKernelEqualsInRange: the compiled select kernel keeps exactly
 // the rows the boxed predicate inRange(b.T.Get(i), …) keeps, for every tail
-// kind, bound shape and vector shape.
+// kind, bound shape and window shape.
 func TestSelectKernelEqualsInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	const n = 700
-	shapes := kernelShapes(rng, n)
+	shapes := kernelShapes(n)
 	for _, k := range append([]bat.Kind{bat.KVoid}, parityKinds...) {
 		var col bat.Column = bat.NewVoid(40, n)
 		if k != bat.KVoid {
@@ -108,14 +96,14 @@ func TestSelectKernelEqualsInRange(t *testing.T) {
 			for hi_, hi := range bounds {
 				for _, incl := range [][2]bool{{true, true}, {false, true}, {true, false}, {false, false}} {
 					kern := tailKernel(b, lo, hi, incl[0], incl[1])
-					for shape, v := range shapes {
+					for shape, w := range shapes {
 						var want []int32
-						for _, i := range v.AppendRows(nil) {
-							if inRange(col.Get(int(i)), lo, hi, incl[0], incl[1]) {
-								want = append(want, i)
+						for i := w[0]; i < w[1]; i++ {
+							if inRange(col.Get(i), lo, hi, incl[0], incl[1]) {
+								want = append(want, int32(i))
 							}
 						}
-						if got := kern(v, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+						if got := kern(w[0], w[1], nil); fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("%s lo#%d hi#%d incl=%v %s: kernel kept %v, inRange keeps %v",
 								k, li, hi_, incl, shape, got, want)
 						}
@@ -127,14 +115,14 @@ func TestSelectKernelEqualsInRange(t *testing.T) {
 	// the bit kernel, typed and boxed
 	for _, col := range []bat.Column{edgeColumn(rng, bat.KBit, n), edgeColumn(rng, bat.KInt, n)} {
 		kern := bitKernel(bat.New("b", bat.NewVoid(0, n), col, 0))
-		for shape, v := range shapes {
+		for shape, w := range shapes {
 			var want []int32
-			for _, i := range v.AppendRows(nil) {
-				if col.Get(int(i)).Bool() {
-					want = append(want, i)
+			for i := w[0]; i < w[1]; i++ {
+				if col.Get(i).Bool() {
+					want = append(want, int32(i))
 				}
 			}
-			if got := kern(v, nil); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := kern(w[0], w[1], nil); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("bit/%s %s: kernel kept %v, want %v", col.Kind(), shape, got, want)
 			}
 		}
@@ -168,7 +156,7 @@ func TestSlotFoldFeeds(t *testing.T) {
 		}
 		b := bat.New("b", bat.FromValues(bat.KInt, heads), tails, 0)
 		hr := bat.NewKeyRep(b.H)
-		all := bat.Vector{Hi: n}.AppendRows(nil)
+		all := allRows(n)
 		gs := bat.BuildGroupSlotsPartitioned(hr.Rep, nil, 4)
 		for _, fn := range []string{"count", "sum", "avg", "min", "max"} {
 			grouped := func(fold func(f slotFold, slots slotter)) (slotFold, int) {
@@ -178,16 +166,20 @@ func TestSlotFoldFeeds(t *testing.T) {
 				return f, g.Len()
 			}
 			fRange, G := grouped(func(f slotFold, slots slotter) { foldRange(f, n, slots) })
-			fList, _ := grouped(func(f slotFold, slots slotter) { foldRows(f, all, slots) })
+			slotOf := make([]int32, n)
+			grouperSlots(bat.NewGrouper(nil), func(i int32) uint64 { return hr.Rep[i] })(0, slotOf)
+			fList := newSlotFold(b.T, fn)
+			fList.grow(G)
+			foldRows(fList, all, slotOf)
 			fPart := newSlotFold(b.T, fn)
 			fPart.grow(len(gs.First))
 			for _, part := range gs.PartRows {
-				foldRows(fPart, part, perRow(func(r int32) int32 { return gs.Slots[r] }))
+				foldRows(fPart, part, gs.Slots)
 			}
 			if len(gs.First) != G {
 				t.Fatalf("%s: partitioned grouping found %d groups, sequential %d", tk, len(gs.First), G)
 			}
-			d := bat.NewDenseGrouper(bat.Vector{Hi: n}, b.H)
+			d := bat.NewDenseGrouper(n, b.H)
 			if d == nil {
 				t.Fatalf("%s: 16 distinct int heads are not dense", tk)
 			}
@@ -203,9 +195,9 @@ func TestSlotFoldFeeds(t *testing.T) {
 	}
 }
 
-// TestScalarFoldEqualsTerminal: AggrScalar, the pipeline's scalar terminal
-// and the boxed reference agree bit for bit — on empty, one-row and
-// NaN-carrying inputs, for every function and tail kind.
+// TestScalarFoldEqualsTerminal: AggrScalar and the boxed reference agree
+// bit for bit — on empty, one-row and NaN-carrying inputs, for every
+// function and tail kind.
 func TestScalarFoldEqualsTerminal(t *testing.T) {
 	nan := math.NaN()
 	inputs := map[string]bat.Column{
@@ -231,23 +223,6 @@ func TestScalarFoldEqualsTerminal(t *testing.T) {
 				t.Fatalf("%s/%s: AggrScalar = %s (%s), boxed %s (%s)", name, fn,
 					colBits(got.T), got.T.Kind(), colBits(want.T), want.T.Kind())
 			}
-			// fused: an all-pass scan select streaming into the scalar terminal
-			prog := &Program{Keep: []string{"RES"}, Stmts: []Stmt{
-				{Dst: "x", Op: OpSelectRange, Args: []StmtArg{VarArg("b"), None(), None()}, LoIncl: true, HiIncl: true},
-				{Dst: "RES", Op: OpAggrScalar, Fn: fn, Args: []StmtArg{VarArg("x")}},
-			}}
-			scope, traces, err := Exec(NewCtx(nil, Options{VectorRows: 2}), prog, Env{"b": b})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, fn, err)
-			}
-			if traces[1].Algo != "pipeline" {
-				t.Fatalf("%s/%s: chain did not fuse (%s)", name, fn, traces[1].Algo)
-			}
-			got, _ := scope.Lookup("RES")
-			if colBits(got.T) != colBits(want.T) || got.T.Kind() != want.T.Kind() {
-				t.Fatalf("%s/%s: scalar terminal = %s (%s), boxed %s (%s)", name, fn,
-					colBits(got.T), got.T.Kind(), colBits(want.T), want.T.Kind())
-			}
 		}
 	}
 }
@@ -256,9 +231,9 @@ func TestScalarFoldEqualsTerminal(t *testing.T) {
 // cannot occur in the indexed head (an int column against a str-headed or a
 // dense-oid-headed BAT), nothing can match, and the operators answer without
 // probing — join and semijoin empty, diff every BUN — under the usual
-// variant names, fused and statement-at-a-time alike.
+// variant names, sequential and over many small morsels alike.
 func TestMismatchedProbeKindConstantAnswers(t *testing.T) {
-	const n = 600
+	const n = parallelMinRows
 	rng := rand.New(rand.NewSource(303))
 	ints := make([]int64, n)
 	for i := range ints {
@@ -290,18 +265,14 @@ func TestMismatchedProbeKindConstantAnswers(t *testing.T) {
 				{Dst: "RES", Op: op.code, Args: []StmtArg{VarArg("x"), VarArg("r")}},
 			}}
 			var results []*bat.BAT
-			for _, o := range []Options{{Pipeline: -1}, {}, {Workers: 4, VectorRows: 7}} {
-				label := fmt.Sprintf("%s/%s/pipeline=%d/w=%d", rname, op.code, o.Pipeline, o.Workers)
+			for _, o := range []Options{{}, {Workers: 4, MorselRows: 7}} {
+				label := fmt.Sprintf("%s/%s/w=%d", rname, op.code, o.Workers)
 				scope, traces, err := Exec(NewCtx(nil, o), prog, Env{"l": op.l, "r": r})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				wantAlgo := "pipeline"
-				if o.Pipeline < 0 {
-					wantAlgo = op.algo
-				}
-				if traces[1].Algo != wantAlgo {
-					t.Fatalf("%s: variant %q, want %q", label, traces[1].Algo, wantAlgo)
+				if traces[1].Algo != op.algo {
+					t.Fatalf("%s: variant %q, want %q", label, traces[1].Algo, op.algo)
 				}
 				res, _ := scope.Lookup("RES")
 				if res.Len() != op.wantLen {
@@ -310,7 +281,10 @@ func TestMismatchedProbeKindConstantAnswers(t *testing.T) {
 				results = append(results, res)
 			}
 			for _, res := range results[1:] {
-				assertPipelineBAT(t, rname+"/"+op.code, res, results[0])
+				assertSameBAT(t, rname+"/"+op.code, res, results[0])
+				if res.Props != results[0].Props {
+					t.Fatalf("%s/%s: props %v, sequential %v", rname, op.code, res.Props, results[0].Props)
+				}
 			}
 		}
 	}

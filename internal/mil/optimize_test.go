@@ -191,7 +191,7 @@ func TestOptimizeLiteralKeys(t *testing.T) {
 // TestSameOperandKernels: CSE turns op(x, y) with y ≡ x into op(x, x), one
 // *bat.BAT in both operand slots. Every binary operator must then answer
 // exactly as it does over an unshared twin of x, sequentially and in
-// parallel, fused and materialized, and claim only true properties.
+// parallel, and claim only true properties.
 func TestSameOperandKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const n = 5000
@@ -219,49 +219,40 @@ func TestSameOperandKernels(t *testing.T) {
 		"group2":          "g := group(x)\nh := group(X)\nR := group(g, h)\nG2 := group(x, X)",
 		"multiplex":       "R := [=](x, X)",
 	}
-	run := func(label, src string, env Env, o Options) (*Scope, []StmtTrace) {
+	run := func(label, src string, env Env, o Options) *Scope {
 		t.Helper()
 		p, err := ParseProgram(src)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		p, _ = Optimize(p) // shares group(x) between both group2 operands
-		scope, traces, err := Exec(NewCtx(nil, o), p, env)
+		scope, _, err := Exec(NewCtx(nil, o), p, env)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		return scope, traces
+		return scope
 	}
 	for _, workers := range []int{1, 4} {
-		for _, pipeline := range []int{0, -1} {
-			o := Options{Workers: workers, Pipeline: pipeline, MorselRows: 512}
-			for name, tmpl := range programs {
-				label := fmt.Sprintf("%s/w%d/p%d", name, workers, pipeline)
-				x := mk()
-				got, traces := run(label+"/shared", strings.ReplaceAll(tmpl, "X", "x"), Env{"x": x}, o)
-				want, wtraces := run(label+"/twin", strings.ReplaceAll(tmpl, "X", "y"), Env{"x": mk(), "y": mk()}, o)
-				// The planner declines to stream a synced head (x is synced
-				// with itself), so of the shared chains only diff fuses.
-				chain := pipeline >= 0 && strings.HasSuffix(name, "-chain")
-				if chain && wtraces[0].Algo != "pipeline" ||
-					(traces[0].Algo == "pipeline") != (chain && name == "diff-chain") {
-					t.Fatalf("%s: ran as %q (twin %q)", label, traces[0].Algo, wtraces[0].Algo)
+		o := Options{Workers: workers, MorselRows: 512}
+		for name, tmpl := range programs {
+			label := fmt.Sprintf("%s/w%d", name, workers)
+			x := mk()
+			got := run(label+"/shared", strings.ReplaceAll(tmpl, "X", "x"), Env{"x": x}, o)
+			want := run(label+"/twin", strings.ReplaceAll(tmpl, "X", "y"), Env{"x": mk(), "y": mk()}, o)
+			for _, v := range []string{"R", "G2"} {
+				g, ok := got.Lookup(v)
+				if !ok && v == "R" {
+					t.Fatalf("%s: no result", label)
 				}
-				for _, v := range []string{"R", "G2"} {
-					g, ok := got.Lookup(v)
-					if !ok && v == "R" {
-						t.Fatalf("%s: no result", label)
-					}
-					if !ok {
-						continue
-					}
-					w, _ := want.Lookup(v)
-					assertSameBAT(t, label+"/"+v, g, w)
-					checkClaims(t, label+"/"+v, g)
+				if !ok {
+					continue
 				}
-				if x.Len() != n || !reflect.DeepEqual(x.H.(*bat.OIDCol).V, heads) {
-					t.Fatalf("%s: operand modified", label)
-				}
+				w, _ := want.Lookup(v)
+				assertSameBAT(t, label+"/"+v, g, w)
+				checkClaims(t, label+"/"+v, g)
+			}
+			if x.Len() != n || !reflect.DeepEqual(x.H.(*bat.OIDCol).V, heads) {
+				t.Fatalf("%s: operand modified", label)
 			}
 		}
 	}

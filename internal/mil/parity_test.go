@@ -619,7 +619,7 @@ func TestParitySelectEqHashDirect(t *testing.T) {
 
 // TestParitySelectExtremeBounds: a range select whose bound is absent, or
 // exclusive at the extreme of the tail's domain, keeps what the boxed
-// predicate keeps — under both execution strategies. (The typed scan once
+// predicate keeps — called directly and as a program. (The typed scan once
 // modelled an absent bound as ±2^62 and stepped exclusive bounds with ±1,
 // dropping values beyond ±2^62 and wrapping at the extremes.)
 func TestParitySelectExtremeBounds(t *testing.T) {
@@ -664,17 +664,12 @@ func TestParitySelectExtremeBounds(t *testing.T) {
 				{Dst: "x", Op: OpSelectRange, Args: []StmtArg{VarArg("b"), arg(c.lo), arg(c.hi)}, LoIncl: c.loIncl, HiIncl: c.hiIncl},
 				{Dst: "RES", Op: OpSelectRange, Args: []StmtArg{VarArg("x"), None(), None()}, LoIncl: true, HiIncl: true},
 			}}
-			for _, pipeline := range []int{0, -1} {
-				scope, traces, err := Exec(NewCtx(nil, Options{Pipeline: pipeline, VectorRows: 2}), prog, Env{"b": b})
-				if err != nil {
-					t.Fatalf("%s/%s: %v", kind, c.name, err)
-				}
-				if fused := traces[0].Algo == "pipeline"; fused != (pipeline >= 0) {
-					t.Fatalf("%s/%s/pipeline=%d: ran %q", kind, c.name, pipeline, traces[0].Algo)
-				}
-				got, _ := scope.Lookup("RES")
-				assertSameBAT(t, fmt.Sprintf("%s/%s/pipeline=%d", kind, c.name, pipeline), got, want)
+			scope, _, err := Exec(NewCtx(nil, Options{}), prog, Env{"b": b})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, c.name, err)
 			}
+			got, _ := scope.Lookup("RES")
+			assertSameBAT(t, kind+"/"+c.name+"/program", got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package mil
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -177,8 +178,8 @@ type StmtTrace struct {
 	Rows    int
 	Algo    string
 
-	// OutBytes is the accounted owned size of the statement's result (zero
-	// for mirrors and other zero-copy results).
+	// OutBytes is the accounted size of the statement's result: the bytes
+	// it newly owns (zero for mirrors, views and shared operand columns).
 	OutBytes int64
 	// AccelBuilds counts accelerator constructions this statement triggered
 	// (hash-index slots, datavector lookup memos) and AccelBuildNs the wall
@@ -193,8 +194,7 @@ type StmtTrace struct {
 	Workers  int
 	Morsels  int
 	MaxShare float64
-	// Props are the properties the statement's result claims (zero for the
-	// inner statements of a fused chain, which materialize nothing).
+	// Props are the properties the statement's result claims.
 	Props bat.Props
 }
 
@@ -254,42 +254,21 @@ func runScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
 		}
 	}
 
-	// Results this run accounted: releasing must debit exactly what was
-	// credited, no more. Mirror results are never accounted (mirror is
-	// free — and mirroring a mirror returns the original, possibly
-	// accounted, BAT), and a BAT bound under two names is released once.
-	accounted := make(map[*bat.BAT]bool)
-
-	// With the pipeline enabled, fusable statement chains execute
-	// vector-at-a-time as one unit; everything else (and every chain the
-	// planner or plan builder rejects) takes the materializing path below.
-	var chains map[int]pchain
-	if ctx.pipelineOn() {
-		chains = planPipeline(p, keep)
-	}
+	// Results this run accounted, with the bytes charged: releasing must
+	// debit exactly what was credited, no more. Mirror results are never
+	// accounted (mirror is free — and mirroring a mirror returns the
+	// original, possibly accounted, BAT), and a BAT bound under two names is
+	// charged and released once.
+	accounted := make(map[*bat.BAT]int64)
 
 	traces := make([]StmtTrace, 0, len(p.Stmts))
-	for i := 0; i < len(p.Stmts); i++ {
-		s := p.Stmts[i]
+	for i, s := range p.Stmts {
 		// Operator-boundary cancellation check: between statements, one
 		// amortized poll. Mid-statement, parallel dispatch polls per morsel
 		// through the Sched.Stop hook, so a cancelled query stops within
 		// one morsel either way.
 		if ctx.Cancelled() {
 			return traces, fmt.Errorf("stmt %d (%s): %w", i, s, ctx.CtxErr())
-		}
-		if ch, ok := chains[i]; ok {
-			done, ctraces, cerr := execChain(ctx, p, ch, scope, keep, lastUse, accounted)
-			if done {
-				traces = append(traces, ctraces...)
-				if cerr != nil {
-					return traces, cerr
-				}
-				i = ch.terminal
-				continue
-			}
-			// Not fused (plan builder bailed): fall through and run stmt i
-			// materialized; later chain statements execute normally too.
 		}
 		// Statement-boundary tracker snapshot: deltas of this query's own
 		// fault/hit attribution, not the shared pool's aggregate — a
@@ -317,9 +296,11 @@ func runScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
 			if keep[s.Dst] && out.Shared() && out.Len() <= MaterializeRetainRows {
 				out = out.Unshare()
 			}
-			ctx.Account(out)
-			accounted[out] = true
-			tr.OutBytes = out.OwnedByteSize()
+			if _, ok := accounted[out]; !ok {
+				tr.OutBytes = chargedBytes(out, &s, scope)
+				ctx.Account(tr.OutBytes)
+				accounted[out] = tr.OutBytes
+			}
 		}
 		scope.Vars[s.Dst] = out
 		ctx.FillStmtProf(&tr)
@@ -343,14 +324,44 @@ func runScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
 	return traces, nil
 }
 
-func releaseIfDead(ctx *Ctx, scope *Scope, keep map[string]bool, lastUse map[string]int, accounted map[*bat.BAT]bool, v string, i int) {
+// chargedBytes reports the backing bytes out newly owns as the result of s:
+// its columns' owned bytes, less any column that is the very column object
+// of an operand — a sync-join's head and tail, a group's or multiplex's
+// head, a mark's tail. Such a column is base data or was charged when its
+// operand was created, so, like a zero-copy view, it is charged nothing.
+func chargedBytes(out *bat.BAT, s *Stmt, scope *Scope) int64 {
+	var sz int64
+	for _, c := range []bat.Column{out.H, out.T} {
+		if !operandColumn(c, s, scope) {
+			sz += c.OwnedBytes()
+		}
+	}
+	return sz
+}
+
+// operandColumn reports whether c is a head or tail column of an operand of
+// s.
+func operandColumn(c bat.Column, s *Stmt, scope *Scope) bool {
+	holds := func(v string) bool {
+		b, ok := scope.Lookup(v)
+		return ok && (b.H == c || b.T == c)
+	}
+	for _, a := range s.Args {
+		if a.Var != "" && holds(a.Var) {
+			return true
+		}
+	}
+	return slices.ContainsFunc(s.LKeys, holds) || slices.ContainsFunc(s.RKeys, holds)
+}
+
+func releaseIfDead(ctx *Ctx, scope *Scope, keep map[string]bool, lastUse map[string]int, accounted map[*bat.BAT]int64, v string, i int) {
 	if v == "" || keep[v] {
 		return
 	}
 	if lastUse[v] == i {
 		if b, ok := scope.Vars[v]; ok {
-			if accounted[b] {
-				ctx.Release(b)
+			if sz, ok := accounted[b]; ok {
+				ctx.Release(sz)
 				delete(accounted, b)
 			}
 			delete(scope.Vars, v)

@@ -1,6 +1,7 @@
 package mil
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -129,11 +130,8 @@ func TestRunLivenessReleasesIntermediates(t *testing.T) {
 
 func TestRunDatavectorReuseVisibleInTrace(t *testing.T) {
 	env := buildQ13Env()
-	// Runs with the pipeline on (the default): a semijoin head whose
-	// stream operand carries a datavector must NOT fuse — the materialized
-	// datavector variant is driven by the small right operand, and fusing
-	// would replace it with a full scan. The algo assertions below double
-	// as that no-pessimization guard.
+	// A semijoin whose left operand carries a datavector takes the
+	// datavector variant, driven by the small right operand.
 	ctx := NewCtx(nil, Options{Pager: storage.NewPager(64, 0)}) // tiny pages to force faults
 	_, traces, err := Exec(ctx, q13Program(), env)
 	if err != nil {
@@ -291,5 +289,50 @@ func TestFuncRegistry(t *testing.T) {
 	}
 	if got := CallFunc("or", []bat.Value{bat.B(false), bat.B(true)}); !got.Bool() {
 		t.Fatalf("or = %v", got)
+	}
+}
+
+// TestSharedColumnsChargedOnce: a result holding an operand's very column
+// object is charged nothing for it — a group for the head it keeps, a
+// sync-join for both of its columns — so the intermediates count each
+// column once, and the memory gauge drains to zero.
+func TestSharedColumnsChargedOnce(t *testing.T) {
+	const n = 5000
+	rng := rand.New(rand.NewSource(11))
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = rng.Int63n(100)
+	}
+	env := Env{"x": bat.New("x", bat.NewVoid(0, n), bat.NewIntCol(vals), 0)}
+	src := "s := select(x, 10, 60)\nc := group(s)\ni := c.mirror\nRES := join(i, s)"
+	prog, err := ParseProgram(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := &MemGauge{}
+	ctx := NewCtx(nil, Options{Gauge: gauge})
+	_, traces, err := Exec(ctx, prog, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, c, join := traces[0], traces[1], traces[3]
+	if join.Algo != "sync-join" {
+		t.Fatalf("join ran %q, want sync-join", join.Algo)
+	}
+	oids := int64(s.Rows) * 4 // the select's gathered head, the group ids
+	if s.OutBytes != oids+int64(s.Rows)*8 || c.OutBytes != oids || join.OutBytes != 0 {
+		t.Fatalf("charged select %d, group %d, sync-join %d bytes; want %d, %d, 0",
+			s.OutBytes, c.OutBytes, join.OutBytes, oids+int64(s.Rows)*8, oids)
+	}
+	var sum int64
+	for _, tr := range traces {
+		sum += tr.OutBytes
+	}
+	if ctx.IntermBytes != sum {
+		t.Fatalf("intermediates %d, statements charged %d", ctx.IntermBytes, sum)
+	}
+	ctx.DrainGauge()
+	if live := gauge.Live(); live != 0 || ctx.LiveBytes != 0 {
+		t.Fatalf("gauge %d, live %d after drain, want 0", live, ctx.LiveBytes)
 	}
 }

@@ -71,15 +71,12 @@ func SelectBit(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	return scanSelect(ctx, b, bitKernel(b))
 }
 
-// scanSelect is the materializing scan select: the kernel runs over the
-// identity selection of every morsel range of b.
+// scanSelect is the scan select: the kernel runs over every morsel range of
+// b.
 func scanSelect(ctx *Ctx, b *bat.BAT, keep selKernel) *bat.BAT {
 	ctx.chose("scan-select")
 	b.T.TouchAll(ctx.pager())
-	pos := parallelCollect32(ctx, b.Len(), 0, func(lo, hi int, out []int32) []int32 {
-		return keep(bat.Vector{Lo: lo, Hi: hi}, out)
-	})
-	return gatherPositions(ctx, b.Name+".sel", b, pos)
+	return gatherPositions(ctx, b.Name+".sel", b, parallelCollect32(ctx, b.Len(), 0, keep))
 }
 
 // workersFor reports the parallel degree for an operator over n rows:
@@ -93,28 +90,19 @@ func workersFor(ctx *Ctx, n int) int {
 }
 
 // selKernel is a compiled select predicate over one BAT's tail: it appends
-// the rows of v that qualify to out, in v's order (the kernel contract of
-// bat.Vector). The materializing selects call it once per morsel range, the
-// pipeline's scan source and select stages once per vector.
-type selKernel func(v bat.Vector, out []int32) []int32
+// the rows of [lo, hi) that qualify to out, ascending. The scan select calls
+// it once per morsel range.
+type selKernel func(lo, hi int, out []int32) []int32
 
 // fixedKernel is the typed range kernel over a fixed-width tail: the rows
 // whose value is neither below lo nor above hi. (Phrased by exclusion so a
 // NaN — which bat.Compare holds equal to every bound — qualifies, as it
 // does under inRange with inclusive bounds.)
 func fixedKernel[E bat.Ordered](col []E, lo, hi E) selKernel {
-	return func(v bat.Vector, out []int32) []int32 {
-		if v.Sel == nil {
-			for i, x := range col[v.Lo:v.Hi] {
-				if !(x < lo) && !(x > hi) {
-					out = append(out, int32(v.Lo+i))
-				}
-			}
-			return out
-		}
-		for _, i := range v.Sel {
-			if x := col[i]; !(x < lo) && !(x > hi) {
-				out = append(out, i)
+	return func(from, to int, out []int32) []int32 {
+		for i, x := range col[from:to] {
+			if !(x < lo) && !(x > hi) {
+				out = append(out, int32(from+i))
 			}
 		}
 		return out
@@ -124,8 +112,8 @@ func fixedKernel[E bat.Ordered](col []E, lo, hi E) selKernel {
 // rowKernel lifts a per-row predicate into a kernel: the path of the tails
 // without a typed loop (bits, and bounds the typed kernels cannot express).
 func rowKernel(keep func(i int32) bool) selKernel {
-	return func(v bat.Vector, out []int32) []int32 {
-		for i := range v.All() {
+	return func(lo, hi int, out []int32) []int32 {
+		for i := int32(lo); i < int32(hi); i++ {
 			if keep(i) {
 				out = append(out, i)
 			}
@@ -185,7 +173,7 @@ func closedFlts(lo, hi *bat.Value, loIncl, hiIncl bool) (l, h float64, ok bool) 
 
 // strKernel is the range kernel over a string tail, its bounds string-typed
 // or nil (absent): one loop over the offsets and the character heap per
-// vector. The closed point range [s, s] — SelectEq — is one string equality
+// range. The closed point range [s, s] — SelectEq — is one string equality
 // per row, which compares lengths before bytes.
 func strKernel(t *bat.StrCol, lo, hi *bat.Value, loIncl, hiIncl bool) selKernel {
 	var l, h string
@@ -204,13 +192,9 @@ func strKernel(t *bat.StrCol, lo, hi *bat.Value, loIncl, hiIncl bool) selKernel 
 		hiMax = 0
 	}
 	point := lo != nil && hi != nil && loIncl && hiIncl && l == h
-	return func(v bat.Vector, out []int32) []int32 {
+	return func(from, to int, out []int32) []int32 {
 		off, chars := t.Off, t.Chars
-		for k, n := 0, v.Rows(); k < n; k++ {
-			i := int32(v.Lo + k)
-			if v.Sel != nil {
-				i = v.Sel[k]
-			}
+		for i := int32(from); i < int32(to); i++ {
 			switch s := chars[off[i]:off[i+1]]; {
 			case point:
 				if s != l {
@@ -287,10 +271,10 @@ func inRange(v bat.Value, lo, hi *bat.Value, loIncl, hiIncl bool) bool {
 	return true
 }
 
-// binSearchRun locates the qualifying run [start, end) of a range select on
-// a tail-ordered BAT. Shared by the materializing select and the pipeline
-// source, so both cut the bit-identical window.
-func binSearchRun(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) (int, int) {
+// selectBinSearch is the range select on a tail-ordered BAT: it locates the
+// qualifying run [start, end) by binary search.
+func selectBinSearch(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *bat.BAT {
+	ctx.chose("binsearch-select")
 	n := b.Len()
 	start := 0
 	if lo != nil {
@@ -315,12 +299,6 @@ func binSearchRun(b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) (int, int)
 	if end < start {
 		end = start
 	}
-	return start, end
-}
-
-func selectBinSearch(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *bat.BAT {
-	ctx.chose("binsearch-select")
-	start, end := binSearchRun(b, lo, hi, loIncl, hiIncl)
 	// The qualifying positions are exactly [start, end): gather the run as
 	// zero-copy views without materializing a position vector at all.
 	return gatherRun(ctx, b.Name+".sel", b, start, end-start)

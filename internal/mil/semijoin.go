@@ -157,7 +157,7 @@ func hashSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	}
 	pos := parallelCollect32(ctx, l.Len(), semijoinCap(l, r),
 		func(lo, hi int, out []int32) []int32 {
-			return idx.FilterVec(pr, bat.Vector{Lo: lo, Hi: hi}, true, out)
+			return idx.FilterVec(pr, lo, hi, true, out)
 		})
 	return gatherPositions(ctx, l.Name+".sel", l, pos)
 }

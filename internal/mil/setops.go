@@ -26,7 +26,7 @@ func alignHeads(ctx *Ctx, first, other *bat.BAT) []int32 {
 		return at // a head kind that cannot occur there matches nothing
 	}
 	// A row's matches ascend: written back to front, the first one stays.
-	lp, rp := idx.JoinVec(pr, bat.Vector{Hi: n}, make([]int32, 0, n), make([]int32, 0, n))
+	lp, rp := idx.JoinVec(pr, 0, n, make([]int32, 0, n), make([]int32, 0, n))
 	for k := len(lp) - 1; k >= 0; k-- {
 		at[lp[k]] = rp[k]
 	}
@@ -37,7 +37,7 @@ func alignHeads(ctx *Ctx, first, other *bat.BAT) []int32 {
 // alignment in at (from alignHeads; nil entries skipped) matches, ascending,
 // and compacts each alignment in place to those rows' matches.
 func alignedRows(n int, at [][]int32) []int32 {
-	rows := bat.Vector{Hi: n}.AppendRows(make([]int32, 0, n))
+	rows := allRows(n)
 	for _, a := range at {
 		if a != nil {
 			rows = slices.DeleteFunc(rows, func(r int32) bool { return a[r] < 0 })
@@ -95,11 +95,11 @@ func Diff(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 	pr, ok := idx.NewProbe(a.H)
 	if !ok {
 		// a's head kind cannot occur in b's head: every BUN survives.
-		return gatherPositions(ctx, a.Name+".diff", a, bat.Vector{Hi: n}.AppendRows(nil))
+		return gatherPositions(ctx, a.Name+".diff", a, allRows(n))
 	}
 	pos := parallelCollect32(ctx, n, n,
 		func(lo, hi int, out []int32) []int32 {
-			return idx.FilterVec(pr, bat.Vector{Lo: lo, Hi: hi}, false, out)
+			return idx.FilterVec(pr, lo, hi, false, out)
 		})
 	return gatherPositions(ctx, a.Name+".diff", a, pos)
 }
@@ -123,4 +123,13 @@ func SortTail(ctx *Ctx, b *bat.BAT, desc bool) *bat.BAT {
 	b.T.TouchAll(p)
 	b.H.TouchAll(p)
 	return bat.ReorderOnTail(b.Name+".sort", b, bat.SortedPerm(b.T, desc), desc)
+}
+
+// allRows returns the positions 0..n-1.
+func allRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
 }

@@ -65,7 +65,7 @@ type diffRun struct {
 
 // TestOptimizeDifferential runs every query twice — as translated and as
 // optimized — over the 15 Figure-9 queries and random well-typed selections,
-// sequentially and in parallel, fused and materialized. The optimized plan
+// sequentially and in parallel. The optimized plan
 // must render a byte-identical answer, fault on exactly the same pages
 // (it only drops re-reads), touch no more pages, peak at most 2x the memory,
 // and return every byte it accounted to the gauge.
@@ -130,25 +130,23 @@ func TestOptimizeDifferential(t *testing.T) {
 		return out
 	}
 	for _, workers := range []int{1, 4} {
-		for _, pipeline := range []int{0, -1} {
-			o := mil.Options{Workers: workers, Pipeline: pipeline}
-			cell := fmt.Sprintf("w%d/p%d", workers, pipeline)
-			want := runAll(cell+"/translated", raws, o)
-			got := runAll(cell+"/optimized", opts, o)
-			for i := range queries {
-				w, g := want[i], got[i]
-				if g.render != w.render {
-					t.Fatalf("%s %s: answers differ\noptimized:\n%s\ntranslated:\n%s", cell, queries[i], g.render, w.render)
-				}
-				// A shared result lives until its last reader: peak may rise
-				// (Q07 by 1.6x), bounded at 2x.
-				if g.peak > 2*w.peak {
-					t.Errorf("%s %s: optimized peak %d B, translated %d B", cell, queries[i], g.peak, w.peak)
-				}
-				if g.faults != w.faults || g.hits > w.hits {
-					t.Errorf("%s %s: optimized faults/hits %d/%d, translated %d/%d",
-						cell, queries[i], g.faults, g.hits, w.faults, w.hits)
-				}
+		o := mil.Options{Workers: workers}
+		cell := fmt.Sprintf("w%d", workers)
+		want := runAll(cell+"/translated", raws, o)
+		got := runAll(cell+"/optimized", opts, o)
+		for i := range queries {
+			w, g := want[i], got[i]
+			if g.render != w.render {
+				t.Fatalf("%s %s: answers differ\noptimized:\n%s\ntranslated:\n%s", cell, queries[i], g.render, w.render)
+			}
+			// A shared result lives until its last reader: peak may rise
+			// (Q07 by 1.6x), bounded at 2x.
+			if g.peak > 2*w.peak {
+				t.Errorf("%s %s: optimized peak %d B, translated %d B", cell, queries[i], g.peak, w.peak)
+			}
+			if g.faults != w.faults || g.hits > w.hits {
+				t.Errorf("%s %s: optimized faults/hits %d/%d, translated %d/%d",
+					cell, queries[i], g.faults, g.hits, w.faults, w.hits)
 			}
 		}
 	}

@@ -245,67 +245,55 @@ func testServicePaged(t *testing.T, cfg Config) (*Service, []string) {
 // TestStatementDeltasConserve pins the profiler's central claim: the
 // per-statement fault and hit deltas (tracker snapshots at statement
 // boundaries) sum bit-exactly to the query's own totals — nothing a query
-// touched escapes its statement attribution. Checked in both execution
-// regimes (vectorized pipeline and full materialization) and with the
-// profile on and off (the deltas are always-on observables).
+// touched escapes its statement attribution — and so do the bytes each
+// statement's result was charged, to the query's intermediates.
 func TestStatementDeltasConserve(t *testing.T) {
-	for _, mode := range []struct {
-		name     string
-		pipeline int
-	}{
-		{"pipeline", 0},
-		{"materialized", -1},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			svc, mix := testServicePaged(t, Config{MaxConcurrent: 4})
-			svc.db.Pipeline = mode.pipeline // sessions inherit the database's strategy
-			for round := 0; round < 2; round++ {
-				for qi, src := range mix {
-					res, prof, err := svc.QueryProfiled(context.Background(), src, QueryOpts{Profile: true})
-					if err != nil {
-						t.Fatalf("Q%d: %v", qi, err)
-					}
-					if prof == nil {
-						t.Fatalf("Q%d: no profile returned", qi)
-					}
-					var faults, hits uint64
-					var outBytes int64
-					for _, st := range prof.Statements {
-						faults += st.Faults
-						hits += st.Hits
-						outBytes += st.OutBytes
-					}
-					if faults != res.Stats.Faults {
-						t.Errorf("Q%d round %d: statement faults sum %d != query total %d",
-							qi, round, faults, res.Stats.Faults)
-					}
-					if hits != res.Stats.Hits {
-						t.Errorf("Q%d round %d: statement hits sum %d != query total %d",
-							qi, round, hits, res.Stats.Hits)
-					}
-					if outBytes <= 0 {
-						t.Errorf("Q%d round %d: no accounted output bytes in any statement", qi, round)
-					}
-					var builds int
-					var buildNs int64
-					for _, st := range prof.Statements {
-						builds += st.AccelBuilds
-						buildNs += st.AccelBuildNs
-					}
-					if builds != prof.AccelBuilds || buildNs != prof.AccelBuildNs {
-						t.Errorf("Q%d round %d: statement builds %d/%dns != profile totals %d/%dns",
-							qi, round, builds, buildNs, prof.AccelBuilds, prof.AccelBuildNs)
-					}
-				}
+	svc, mix := testServicePaged(t, Config{MaxConcurrent: 4})
+	for round := 0; round < 2; round++ {
+		for qi, src := range mix {
+			res, prof, err := svc.QueryProfiled(context.Background(), src, QueryOpts{Profile: true})
+			if err != nil {
+				t.Fatalf("Q%d: %v", qi, err)
 			}
-		})
+			if prof == nil {
+				t.Fatalf("Q%d: no profile returned", qi)
+			}
+			var faults, hits uint64
+			var outBytes int64
+			for _, st := range prof.Statements {
+				faults += st.Faults
+				hits += st.Hits
+				outBytes += st.OutBytes
+			}
+			if faults != res.Stats.Faults {
+				t.Errorf("Q%d round %d: statement faults sum %d != query total %d",
+					qi, round, faults, res.Stats.Faults)
+			}
+			if hits != res.Stats.Hits {
+				t.Errorf("Q%d round %d: statement hits sum %d != query total %d",
+					qi, round, hits, res.Stats.Hits)
+			}
+			if outBytes <= 0 || outBytes != res.Stats.IntermBytes {
+				t.Errorf("Q%d round %d: statements charged %d bytes, query intermediates %d",
+					qi, round, outBytes, res.Stats.IntermBytes)
+			}
+			var builds int
+			var buildNs int64
+			for _, st := range prof.Statements {
+				builds += st.AccelBuilds
+				buildNs += st.AccelBuildNs
+			}
+			if builds != prof.AccelBuilds || buildNs != prof.AccelBuildNs {
+				t.Errorf("Q%d round %d: statement builds %d/%dns != profile totals %d/%dns",
+					qi, round, builds, buildNs, prof.AccelBuilds, prof.AccelBuildNs)
+			}
+		}
 	}
 }
 
-// TestProfileShape exercises the profile across the two execution regimes:
-// both must carry a complete phase breakdown and statement table, the
-// pipeline's fused chains reporting through their terminal statement. The
-// second identical request must read as a plan-cache hit.
+// TestProfileShape exercises the profile: it must carry a complete phase
+// breakdown and one statement row per trace. The second identical request
+// must read as a plan-cache hit.
 func TestProfileShape(t *testing.T) {
 	svc, mix := testServicePaged(t, Config{MaxConcurrent: 2})
 	src := mix[2] // Q3: selects, joins, accelerator builds — a rich trace

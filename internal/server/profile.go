@@ -60,7 +60,7 @@ type StmtProfile struct {
 	Workers      int     `json:"workers,omitempty"`
 	Morsels      int     `json:"morsels,omitempty"`
 	MaxShare     float64 `json:"max_share,omitempty"`
-	Props        string  `json:"props"` // "none" for a fused chain's inner statements
+	Props        string  `json:"props"`
 }
 
 // stmtProfiles converts statement traces into profile rows.

@@ -1,7 +1,7 @@
 package storage
 
 // Advice is a storage access hint in the style of posix_madvise: the upper
-// layers (bat columns, the vectorized pipeline) announce the access pattern
+// layers (bat columns and their operators) announce the access pattern
 // they are about to execute, and a mapping-backed heap translates the hint
 // into the platform's paging advice. On the simulator the hints are inert —
 // the logical fault model depends only on the touches themselves — so the
