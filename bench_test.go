@@ -629,7 +629,11 @@ func BenchmarkAblationMorselGroup(b *testing.B) {
 // shape of TPC-D Q01 — 120,229 rows into 4 groups. The grouper side holds
 // the same classes with each key value shifted left by 24 bits: the span is
 // then far beyond the rows, so the operator hashes, and the same rows fall
-// into the same groups in the same order. Sequential, as Q01 runs served.
+// into the same groups in the same order. The by-id and by-extent cases run
+// over the ids of a grouping of the same classes, which read the fact the
+// grouping published instead of grouping again; count/by-id reads the
+// histogram, counted once on first use, so its timed runs measure the O(G)
+// read. Sequential, as Q01 runs served.
 func BenchmarkAblationDenseGroup(b *testing.B) {
 	const n = 120_229
 	rng := rand.New(rand.NewSource(41))
@@ -665,6 +669,14 @@ func BenchmarkAblationDenseGroup(b *testing.B) {
 			variant{"group/" + side.name, side.algo + "-group", func(ctx *mil.Ctx) { mil.GroupUnary(ctx, flag) }},
 			variant{"unique/" + side.name, side.algo + "-unique", func(ctx *mil.Ctx) { mil.Unique(ctx, key) }})
 	}
+	gidCol := bat.NewOIDCol(gids)
+	ids := mil.GroupUnary(mil.NewCtx(nil, mil.Options{Workers: 1}), bat.New("gid", vh, gidCol, 0)).T
+	per := bat.New("per", ids, bat.NewFltCol(prices), 0)
+	key := bat.New("key", ids, gidCol, 0)
+	cases = append(cases,
+		variant{"sum/by-id", "id-aggr", func(ctx *mil.Ctx) { mil.Aggr(ctx, "sum", per) }},
+		variant{"count/by-id", "id-aggr", func(ctx *mil.Ctx) { mil.Aggr(ctx, "count", per) }},
+		variant{"unique/by-extent", "extent-unique", func(ctx *mil.Ctx) { mil.Unique(ctx, key) }})
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			ctx := mil.NewCtx(nil, mil.Options{Workers: 1})

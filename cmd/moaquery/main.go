@@ -22,7 +22,7 @@ func main() {
 	sf := flag.Float64("sf", 0.005, "TPC-D scale factor")
 	seed := flag.Int64("seed", 42, "generator seed")
 	q := flag.Int("q", 0, "run the built-in TPC-D query 1-15 instead of reading stdin")
-	plan := flag.Bool("plan", false, "print the translated MIL program and structure function")
+	plan := flag.Bool("plan", false, "print the MIL program as translated and as optimized, and the structure function")
 	trace := flag.Bool("trace", false, "print the Fig. 10-style execution trace")
 	profile := flag.Bool("profile", false, "print the full per-statement profile (trace + output bytes, accelerator builds, dispatch stats)")
 	noResult := flag.Bool("noresult", false, "suppress result printing")
@@ -63,6 +63,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		fmt.Println("-- MIL program as translated:")
+		fmt.Print(prep.Raw.String())
 		fmt.Println("-- MIL program:")
 		fmt.Printf("-- optimized: %d → %d statements\n", prep.Translated, len(prep.Prog.Stmts))
 		fmt.Print(prep.Prog.String())

@@ -150,6 +150,7 @@ type FixedCol[T Fixed] struct {
 	off  int            // heap entry offset of V[0] (non-zero for views)
 	view bool           // shares another column's backing (see SliceView)
 	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
+	grp  *Grouping      // the grouping fact of a group-id column (grouping.go)
 }
 
 // The six fixed-width kinds. OIDCol holds object identifiers, IntCol

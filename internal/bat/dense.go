@@ -93,6 +93,10 @@ func newDenseKey(c Column, n int, limit uint64) (denseKey, bool) {
 			}
 		}}, true
 	case *OIDCol:
+		if g := c.grp; g != nil && uint64(g.Len()) <= limit {
+			// A grouping's ids span exactly its domain [0, G): no scan.
+			return packKey(c.V[:n], 0, uint64(max(g.Len(), 1))), true
+		}
 		return fixedKey(c.V[:n], limit)
 	case *IntCol:
 		return fixedKey(c.V[:n], limit)
@@ -121,6 +125,11 @@ type denseElem interface {
 
 func fixedKey[E denseElem](col []E, limit uint64) (denseKey, bool) {
 	lo, span, ok := fixedSpan(col, limit)
+	return packKey(col, lo, span), ok
+}
+
+// packKey reads col as offsets value−lo ∈ [0, span).
+func packKey[E denseElem](col []E, lo, span uint64) denseKey {
 	sp := int32(span)
 	return denseKey{span, func(r int, acc []int32) {
 		w := col[r : r+len(acc)]
@@ -128,7 +137,7 @@ func fixedKey[E denseElem](col []E, limit uint64) (denseKey, bool) {
 		for i, x := range w {
 			acc[i] = acc[i]*sp + int32(uint64(x)-lo)
 		}
-	}}, ok
+	}}
 }
 
 // fixedSpan reports the lowest value of col and the span of its values, or

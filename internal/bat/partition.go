@@ -188,31 +188,21 @@ func groupPartitions(workers int) int {
 // the stitch renumbers the partition-local slots by global first-occurrence
 // row.
 func BuildGroupSlotsPartitioned(rep []uint64, eq KeyEq, workers int) *GroupSlots {
-	return buildGroupsPartitioned(rep, eq, Sched{Workers: workers}, true)
+	return buildGroupsPartitioned(rep, eq, Sched{Workers: workers})
 }
 
 // BuildGroupSlotsPartitionedSched is BuildGroupSlotsPartitioned under an
 // explicit work schedule (see Sched); every schedule yields the identical
 // grouping.
 func BuildGroupSlotsPartitionedSched(rep []uint64, eq KeyEq, s Sched) *GroupSlots {
-	return buildGroupsPartitioned(rep, eq, s, true)
+	return buildGroupsPartitioned(rep, eq, s)
 }
 
-// BuildGroupFirstRowsPartitionedSched is the dedup-only variant: it returns
-// just the first-occurrence rows (ascending), skipping the per-row slot
-// vector and the rank-remap pass that consumers like Unique never read.
-func BuildGroupFirstRowsPartitionedSched(rep []uint64, eq KeyEq, s Sched) []int32 {
-	return buildGroupsPartitioned(rep, eq, s, false).First
-}
-
-func buildGroupsPartitioned(rep []uint64, eq KeyEq, s Sched, needSlots bool) *GroupSlots {
+func buildGroupsPartitioned(rep []uint64, eq KeyEq, s Sched) *GroupSlots {
 	n := len(rep)
 	p := groupPartitions(s.Workers)
 	sc := scatterByHash(rep, p, ^uint32(0), 32-log2(p), s.Workers)
-	var slots []int32
-	if needSlots {
-		slots = make([]int32, n)
-	}
+	slots := make([]int32, n)
 	firsts := make([][]int32, p)
 	// Partitions are the grouping's morsels: a skewed key distribution
 	// concentrates rows in the hot keys' partitions, and the morsel queue
@@ -223,10 +213,7 @@ func buildGroupsPartitioned(rep []uint64, eq KeyEq, s Sched, needSlots bool) *Gr
 		g := NewGrouper(eq)
 		for k := lo; k < hi; k++ {
 			row := sc.rows[k]
-			slot, _ := g.Slot(sc.reps[k], row)
-			if needSlots {
-				slots[row] = slot
-			}
+			slots[row], _ = g.Slot(sc.reps[k], row)
 		}
 		firsts[pi] = g.Rows()
 	})
@@ -250,9 +237,6 @@ func buildGroupsPartitioned(rep []uint64, eq KeyEq, s Sched, needSlots bool) *Gr
 			rank[row] = int32(len(first))
 			first = append(first, int32(row))
 		}
-	}
-	if !needSlots {
-		return &GroupSlots{First: first}
 	}
 	s.Dispatch(p, func(_, pi int) {
 		lf := firsts[pi]

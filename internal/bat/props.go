@@ -308,14 +308,20 @@ func orderedProps(strict bool) Props {
 }
 
 // CheckProps verifies that every declared property actually holds, ordered
-// and dense in detection's sense (a NaN voids order); it is used by the
-// property-soundness tests, not by the engine.
+// and dense in detection's sense (a NaN voids order), and so does the
+// grouping fact either column carries; it is used by the property-soundness
+// tests, not by the engine.
 func (b *BAT) CheckProps() error {
 	for _, side := range []struct {
 		name  string
 		col   Column
 		claim Props // in head-side bits
 	}{{"head", b.H, b.Props}, {"tail", b.T, b.Props.Swap()}} {
+		if g := GroupingOf(side.col); g != nil {
+			if err := g.check(); err != nil {
+				return fmt.Errorf("bat %s: %s: %v", b.Name, side.name, err)
+			}
+		}
 		found := detectColProps(side.col)
 		for q, what := range map[Props]string{HDense: "dense", HOrdered: "ordered"} {
 			if side.claim.Has(q) && !found.Has(q) {

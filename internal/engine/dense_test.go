@@ -9,10 +9,12 @@ import (
 )
 
 // TestQ01GroupsByDirectIndex: Q01 groups on the return flag and the line
-// status, dedups (group id, flag) pairs and aggregates over the group ids —
-// keys of a few values each — so its 2 groups, 2 uniques and 8 aggregates
-// must all take their direct-index variant, sequential and parallel. A
-// silent fallback to hashing fails here.
+// status — keys of a few values each — by direct index, and every statement
+// after the grouping reads what the grouping published instead of grouping
+// again: its 2 uniques gather the (group id, key) pairs at the extents, the
+// key semijoin aliases its left operand (the key covers every group id), and
+// its 8 aggregates fold by group id — sequential and parallel. A silent
+// fallback to re-grouping fails here.
 func TestQ01GroupsByDirectIndex(t *testing.T) {
 	gen := tpcd.Generate(0.005, 7)
 	env, _ := tpcd.Load(gen)
@@ -32,9 +34,11 @@ func TestQ01GroupsByDirectIndex(t *testing.T) {
 			case strings.HasPrefix(rhs, "group("):
 				class, want = "group", "dense-group"
 			case strings.HasSuffix(rhs, ".unique"):
-				class, want = "unique", "dense-unique"
+				class, want = "unique", "extent-unique"
+			case strings.HasPrefix(rhs, "semijoin(index_"):
+				class, want = "key-semijoin", "alias-semijoin"
 			case strings.HasPrefix(rhs, "{"):
-				class, want = "aggr", "dense-aggr"
+				class, want = "aggr", "id-aggr"
 			default:
 				continue
 			}
@@ -43,8 +47,8 @@ func TestQ01GroupsByDirectIndex(t *testing.T) {
 				t.Errorf("w%d: %s ran %q, want %s", workers, tr.Text, tr.Algo, want)
 			}
 		}
-		if counts["group"] != 2 || counts["unique"] != 2 || counts["aggr"] != 8 {
-			t.Errorf("w%d: %v statements, want 2 groups, 2 uniques, 8 aggregates", workers, counts)
+		if counts["group"] != 2 || counts["unique"] != 2 || counts["key-semijoin"] != 1 || counts["aggr"] != 8 {
+			t.Errorf("w%d: %v statements, want 2 groups, 2 uniques, 1 key semijoin, 8 aggregates", workers, counts)
 		}
 	}
 }

@@ -90,25 +90,36 @@ func aggResultKind(fn string, in bat.Kind) bat.Kind {
 //
 // Execution is slot-based: each row's head resolves to a dense group slot
 // and a block of rows with their slots at a time folds into typed per-slot
-// accumulator arrays (slotFold). The slots come from contiguous runs when
-// the head is ordered; else by direct index when the head is an exact key of
-// small span (group ids, characters, narrow integers: bat.DenseGrouper, the
-// dense-aggr variant, sequential at any worker count); else from the
-// bucket+link grouper. Over large unordered inputs of many distinct keys the
-// grouping runs radix-partitioned: rows are split by key hash, per-partition
-// groupers run concurrently, and accumulation proceeds partition-parallel
-// over disjoint slot sets. Because a group never spans partitions, every
+// accumulator arrays (slotFold). A grouping's id column is its own slots
+// (id-aggr; {count} is the grouping's histogram). Otherwise the slots come
+// from contiguous runs when the head is ordered; else by direct index when
+// the head is an exact key of small span (characters, narrow integers:
+// bat.DenseGrouper, the dense-aggr variant, sequential at any worker count);
+// else from the bucket+link grouper. Over large unordered inputs of many
+// distinct keys the grouping runs radix-partitioned: rows are split by key
+// hash, per-partition groupers run concurrently, and accumulation proceeds
+// partition-parallel over disjoint slot sets. Because a group never spans partitions, every
 // accumulator — including order-sensitive floating-point sums — combines
 // its rows in ascending row order, so every variant's result is
 // bit-identical to sequential execution for all aggregate functions.
 func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
+	g := bat.GroupingOf(b.H)
+	if g != nil && fn == "count" { // no row is read
+		ctx.chose("id-aggr")
+		return aggrResult(fn, b, bat.NewIntCol(slices.Clone(g.Counts())), g.Extents())
+	}
 	p := ctx.pager()
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
 	n := b.Len()
 	f := newSlotFold(b.T, fn)
 	var first []int32
-	if b.Props.Has(bat.HOrdered) {
+	if g != nil {
+		ctx.chose("id-aggr")
+		f.grow(g.Len())
+		f.fold(0, nil, g.Slots())
+		first = g.Extents()
+	} else if b.Props.Has(bat.HOrdered) {
 		ctx.chose("ordered-aggr")
 		// An ordered head clusters each group contiguously: a row opens a
 		// new slot exactly when its key differs from its predecessor's.
@@ -126,12 +137,12 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	} else {
 		first = hashAggr(ctx, f, b.H)
 	}
-	return aggrResult(fn, b, f, first)
+	return aggrResult(fn, b, f.tail(len(first)), first)
 }
 
 // aggrResult assembles the aggregate of b: the head of each group's first
-// row, beside the group's result.
-func aggrResult(fn string, b *bat.BAT, f slotFold, first []int32) *bat.BAT {
+// row, beside the group's result tail.
+func aggrResult(fn string, b *bat.BAT, tail bat.Column, first []int32) *bat.BAT {
 	var head bat.Column
 	if v, ok := b.H.(*bat.VoidCol); ok {
 		// a void head is dense and key: every row is its own group, and the
@@ -140,7 +151,7 @@ func aggrResult(fn string, b *bat.BAT, f slotFold, first []int32) *bat.BAT {
 	} else {
 		head = bat.Gather(b.H, first)
 	}
-	return bat.Derive(bat.New("{"+fn+"}", head, f.tail(len(first)), 0), bat.Groups, b, nil)
+	return bat.Derive(bat.New("{"+fn+"}", head, tail, 0), bat.Groups, b, nil)
 }
 
 // hashAggr folds every row of the unordered head h into f by the head's

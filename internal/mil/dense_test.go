@@ -174,7 +174,7 @@ func TestDenseGroupingParity(t *testing.T) {
 			ref := make([]bat.OID, n)
 			groupTailsBoxed(b, ref)
 			hashed := make([]bat.OID, n)
-			hashGroup(ctx, hashed, key.col)
+			hashRows(ctx, "group", hashed, key.col)
 			sameBUNs(t, label+"/group vs boxed", got, bat.New("ref", vh, bat.NewOIDCol(ref), 0))
 			sameBUNs(t, label+"/group vs grouper", got, bat.New("ref", vh, bat.NewOIDCol(hashed), 0))
 
@@ -187,7 +187,7 @@ func TestDenseGroupingParity(t *testing.T) {
 				got := GroupBinary(ctx, g, b2)
 				check(sec.name+" group2", variant("group", wantDense(key.col, sec.col)))
 				groupBinaryBoxed(g, b2, ref)
-				hashGroup2(ctx, hashed, g, b2, true)
+				hashRows(ctx, "group", hashed, g.T, b2.T)
 				sameBUNs(t, l2+"/group2 vs boxed", got, bat.New("ref", vh, bat.NewOIDCol(ref), 0))
 				sameBUNs(t, l2+"/group2 vs grouper", got, bat.New("ref", vh, bat.NewOIDCol(hashed), 0))
 

@@ -5,64 +5,29 @@ import (
 )
 
 // The grouping operators hand out slots in first-occurrence order through
-// one of two kernels. Exact keys of small span (group ids, characters,
-// flags, narrow integers and dates) take slots by direct index
+// one of two kernels (groupRows). Exact keys of small span (group ids,
+// characters, flags, narrow integers and dates) take slots by direct index
 // (bat.DenseGrouper: the dense-* variants, sequential at any worker count);
 // every other key — wide, float, string or un-synced — hashes through the
 // bucket+link grouper, radix-partitioned over large inputs (the hash-*
 // variants). Both number the same keys identically, so the variant never
-// shows in a result.
+// shows in a result. A group's id column carries the grouping's by-products
+// (bat.Grouping), which Aggr's id-aggr, Unique's extent-unique and
+// Semijoin's alias-semijoin read instead of grouping again.
 
 // Unique implements AB.unique: it removes duplicate BUNs, keeping first
 // occurrences, so order properties of the operand are preserved.
 func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
+	if g := bat.GroupingOf(b.H); g != nil && g.Determines(b.T) {
+		// Every row of an id holds one tail: the id's first row is the BUN's.
+		ctx.chose("extent-unique")
+		return gatherPositions(ctx, b.Name+".uniq", b, g.Extents())
+	}
 	p := ctx.pager()
 	b.H.TouchAll(p)
 	b.T.TouchAll(p)
-	n := b.Len()
-	if d := bat.NewDenseGrouper(n, b.H, b.T); d != nil {
-		ctx.chose("dense-unique")
-		denseScan(d, n, nil)
-		return gatherPositions(ctx, b.Name+".uniq", b, d.Rows())
-	}
-	return hashUnique(ctx, b)
-}
-
-// hashUnique dedupes b's composite (head, tail) key reps through the
-// grouper.
-func hashUnique(ctx *Ctx, b *bat.BAT) *bat.BAT {
-	ctx.chose("hash-unique")
-	n := b.Len()
-	k := workersFor(ctx, n)
-	hr := bat.NewKeyRepP(b.H, k)
-	tr := bat.NewKeyRepP(b.T, k)
-	eq := &bat.KeysEq{hr, tr} // Mix keys always need verifying
-	if k > 1 {
-		// Partitioned dedup: the first-occurrence rows of the partitioned
-		// grouping (ascending by construction) are exactly the BUNs a
-		// sequential scan keeps.
-		first := bat.BuildGroupFirstRowsPartitionedSched(mixedReps(ctx, hr, tr, n), eq, ctx.sched(n))
-		return gatherPositions(ctx, b.Name+".uniq", b, first)
-	}
-	g := bat.NewGrouper(eq)
-	for i := 0; i < n; i++ {
-		g.Slot(bat.Mix(hr.Rep[i], tr.Rep[i]), int32(i))
-	}
-	// The first-occurrence rows, ascending: exactly the BUNs to keep.
-	return gatherPositions(ctx, b.Name+".uniq", b, g.Rows())
-}
-
-// denseScan resolves rows [0, n) to d's slots a block at a time, writing
-// them to out as group oids when out is non-nil.
-func denseScan(d *bat.DenseGrouper, n int, out []bat.OID) {
-	forBlocks(n, func(lo int, buf []int32) {
-		d.Slots(lo, buf)
-		if out != nil {
-			for i, s := range buf {
-				out[lo+i] = bat.OID(s)
-			}
-		}
-	})
+	// The BUNs to keep are the first rows of the (head, tail) groups.
+	return gatherPositions(ctx, b.Name+".uniq", b, groupRows(ctx, "unique", nil, b.H, b.T))
 }
 
 // mixedReps materializes the composite key reps Mix(a[i], b[i]) in
@@ -87,48 +52,74 @@ func mixedReps(ctx *Ctx, a, b *bat.KeyRep, n int) []uint64 {
 func GroupUnary(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	b.T.TouchAll(ctx.pager())
 	out := make([]bat.OID, b.Len())
-	if !denseGroup(ctx, out, b.T) {
-		hashGroup(ctx, out, b.T)
-	}
-	return groupResult(b, out)
+	return groupResult(b, bat.NewGroupIDs(out, groupRows(ctx, "group", out, b.T), b.T))
 }
 
 // groupResult is the grouping of b: b's head, positionally synced with the
-// group oids out.
-func groupResult(b *bat.BAT, out []bat.OID) *bat.BAT {
-	return bat.Derive(bat.New(b.Name+".grp", b.H, bat.NewOIDCol(out), 0), bat.NewTail, b, nil)
+// group ids.
+func groupResult(b *bat.BAT, ids *bat.OIDCol) *bat.BAT {
+	return bat.Derive(bat.New(b.Name+".grp", b.H, ids, 0), bat.NewTail, b, nil)
 }
 
-// denseGroup writes the group oids of the composite key cols (outer key
-// first) over rows [0, len(out)) to out by direct index, and reports false,
-// writing nothing, when the key's span is not small.
-func denseGroup(ctx *Ctx, out []bat.OID, cols ...bat.Column) bool {
-	d := bat.NewDenseGrouper(len(out), cols...)
+// groupRows groups the rows of the composite key cols (one column, or two
+// synced ones, outer key first) and returns the first row of every group,
+// writing each row's group oid to out unless out is nil: by direct index
+// when the key's span is small (variant dense-op), else through the grouper
+// (hash-op).
+func groupRows(ctx *Ctx, op string, out []bat.OID, cols ...bat.Column) []int32 {
+	n := cols[0].Len()
+	d := bat.NewDenseGrouper(n, cols...)
 	if d == nil {
-		return false
+		return hashRows(ctx, op, out, cols...)
 	}
-	ctx.chose("dense-group")
-	denseScan(d, len(out), out)
-	return true
+	ctx.chose("dense-" + op)
+	forBlocks(n, func(lo int, buf []int32) {
+		d.Slots(lo, buf)
+		if out != nil {
+			for i, s := range buf {
+				out[lo+i] = bat.OID(s)
+			}
+		}
+	})
+	return d.Rows()
 }
 
-// hashGroup writes the group oids of column t to out through the grouper.
-func hashGroup(ctx *Ctx, out []bat.OID, t bat.Column) {
-	ctx.chose("hash-group")
-	n := len(out)
+// hashRows is groupRows through the grouper, whatever the key's span.
+func hashRows(ctx *Ctx, op string, out []bat.OID, cols ...bat.Column) []int32 {
+	ctx.chose("hash-" + op)
+	n := cols[0].Len()
 	k := workersFor(ctx, n)
-	tr := bat.NewKeyRepP(t, k)
-	eq := tr.Verifier()
+	reps := make(bat.KeysEq, len(cols))
+	for i, c := range cols {
+		reps[i] = bat.NewKeyRepP(c, k)
+	}
+	eq := reps[0].Verifier()
+	if len(cols) == 2 {
+		eq = &reps // Mix keys always need verifying
+	}
 	if k > 1 {
-		gs := bat.BuildGroupSlotsPartitionedSched(tr.Rep, eq, ctx.sched(n))
-		slotsToOIDs(ctx, gs.Slots, out)
-		return
+		rep := reps[0].Rep
+		if len(cols) == 2 {
+			rep = mixedReps(ctx, reps[0], reps[1], n)
+		}
+		gs := bat.BuildGroupSlotsPartitionedSched(rep, eq, ctx.sched(n))
+		if out != nil {
+			slotsToOIDs(ctx, gs.Slots, out)
+		}
+		return gs.First
 	}
 	g := bat.NewGrouper(eq)
+	r0, r1 := reps[0].Rep, reps[len(cols)-1].Rep
 	for i := 0; i < n; i++ {
-		s, _ := g.Slot(tr.Rep[i], int32(i))
-		out[i] = bat.OID(s)
+		r := r0[i]
+		if len(cols) == 2 {
+			r = bat.Mix(r, r1[i])
+		}
+		if s, _ := g.Slot(r, int32(i)); out != nil {
+			out[i] = bat.OID(s)
+		}
 	}
+	return g.Rows()
 }
 
 // slotsToOIDs widens group slots into the result oid vector in parallel.
@@ -154,38 +145,23 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 	g.T.TouchAll(p)
 	b.T.TouchAll(p)
 	out := make([]bat.OID, g.Len())
-	synced := bat.Synced(g, b)
-	if !synced || !denseGroup(ctx, out, g.T, b.T) {
-		hashGroup2(ctx, out, g, b, synced)
+	if !bat.Synced(g, b) {
+		// b's tail is not aligned with the rows: only g's ids key them.
+		return groupResult(g, bat.NewGroupIDs(out, alignedGroup(ctx, out, g, b), g.T))
 	}
-	return groupResult(g, out)
+	return groupResult(g, bat.NewGroupIDs(out, groupRows(ctx, "group", out, g.T, b.T), g.T, b.T))
 }
 
-// hashGroup2 writes the group oids of the (g tail, b tail) keys to out
-// through the grouper.
-func hashGroup2(ctx *Ctx, out []bat.OID, g, b *bat.BAT, synced bool) {
+// alignedGroup writes the group oids of the keys (g tail, b's tail at the row
+// with g's head) to out through the grouper and returns the first row of
+// every group.
+func alignedGroup(ctx *Ctx, out []bat.OID, g, b *bat.BAT) []int32 {
 	ctx.chose("hash-group")
-	n := len(out)
-	k := workersFor(ctx, n)
-	gr := bat.NewKeyRepP(g.T, k)
-	br := bat.NewKeyRepP(b.T, k)
-	if synced {
-		eq := &bat.KeysEq{gr, br}
-		if k > 1 {
-			gs := bat.BuildGroupSlotsPartitionedSched(mixedReps(ctx, gr, br, n), eq, ctx.sched(n))
-			slotsToOIDs(ctx, gs.Slots, out)
-			return
-		}
-		gp := bat.NewGrouper(eq)
-		for i := 0; i < n; i++ {
-			s, _ := gp.Slot(bat.Mix(gr.Rep[i], br.Rep[i]), int32(i))
-			out[i] = bat.OID(s)
-		}
-		return
-	}
+	k := workersFor(ctx, len(out))
+	gr, br := bat.NewKeyRepP(g.T, k), bat.NewKeyRepP(b.T, k)
 	eq := &alignedEq{g: gr, b: br, at: alignHeads(ctx, g, b)}
 	gp := bat.NewGrouper(eq)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		var v uint64 // a missing value's rep; the verifier tells it apart
 		if j := eq.at[i]; j >= 0 {
 			v = br.Rep[j]
@@ -193,6 +169,7 @@ func hashGroup2(ctx *Ctx, out []bat.OID, g, b *bat.BAT, synced bool) {
 		s, _ := gp.Slot(bat.Mix(gr.Rep[i], v), int32(i))
 		out[i] = bat.OID(s)
 	}
+	return gp.Rows()
 }
 
 // alignedEq verifies un-synced GroupBinary keys (group, b's value at the

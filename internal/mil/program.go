@@ -194,15 +194,21 @@ type StmtTrace struct {
 	Workers  int
 	Morsels  int
 	MaxShare float64
-	// Props are the properties the statement's result claims.
+	// Props are the properties the statement's result claims, and Facts
+	// the grouping facts its columns carry ("h-groups=4").
 	Props bat.Props
+	Facts string
 }
 
 func (t StmtTrace) String() string {
 	s := fmt.Sprintf("%8.3fms %6d faults %-8d rows  %-24s %s",
 		float64(t.Elapsed.Microseconds())/1000.0, t.Faults, t.Rows, t.Algo, t.Text)
+	claims := t.Facts
 	if t.Props != 0 {
-		s += "  {" + t.Props.String() + "}"
+		claims = strings.TrimSuffix(t.Props.String()+","+t.Facts, ",")
+	}
+	if claims != "" {
+		s += "  {" + claims + "}"
 	}
 	return s
 }
@@ -284,7 +290,7 @@ func runScope(ctx *Ctx, p *Program, scope *Scope) ([]StmtTrace, error) {
 		tr := StmtTrace{
 			Index: i, Text: s.String(), Elapsed: elapsed,
 			Faults: ctx.PageFaults() - faults0, Hits: ctx.PageHits() - hits0,
-			Rows: out.Len(), Algo: ctx.LastAlgo(), Props: out.Props,
+			Rows: out.Len(), Algo: ctx.LastAlgo(), Props: out.Props, Facts: out.GroupFacts(),
 		}
 		if s.Op != OpMirror { // mirror is free: no materialization
 			// Materialize-on-retain: a kept result that is a small view

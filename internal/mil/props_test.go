@@ -14,12 +14,14 @@ import (
 // adversarial data must never produce a BAT whose declared properties
 // (ordered / key / dense) are violated, every pair of BATs the kernel claims
 // synced must actually correspond position by position, and the bits
-// run-time detection adds (KnownProps) must hold as well.
+// run-time detection adds (KnownProps) must hold as well, and so must every
+// grouping fact a column carries (CheckProps verifies those too).
 func TestPropertyPropagationSoundness(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
 		pool := seedPool(rng)
 		ctx := &Ctx{}
+		checkGroupingCarriage(t, fmt.Sprintf("trial %d", trial), ctx, pool[0])
 		for step := 0; step < 16; step++ {
 			op, b := applyRandomOp(t, rng, ctx, pool)
 			if b == nil {
@@ -34,6 +36,42 @@ func TestPropertyPropagationSoundness(t *testing.T) {
 			for _, p := range pool {
 				checkKnownProps(t, label, p)
 			}
+		}
+	}
+}
+
+// checkGroupingCarriage: the operators that hand a grouping's id column on
+// as the same object at its original positions — mirror, sync-join,
+// sync-semijoin — carry its fact, and CheckProps accepts it there; a select,
+// a row-dropping semijoin, a sort and a slice build new columns, which carry
+// none. base is a void-headed attribute.
+func checkGroupingCarriage(t *testing.T, label string, ctx *Ctx, base *bat.BAT) {
+	t.Helper()
+	g := GroupUnary(ctx, base)
+	ids := g.T
+	sj, _ := syncJoin(ctx, g.Mirror(), base)
+	for what, c := range map[string]bat.Column{
+		"group":         g.T,
+		"mirror":        g.Mirror().H,
+		"sync-join":     sj.H,
+		"sync-semijoin": Semijoin(ctx, g, base).T,
+	} {
+		if c != ids || bat.GroupingOf(c) == nil {
+			t.Fatalf("%s: %s does not carry the grouping's ids", label, what)
+		}
+	}
+	for _, b := range []*bat.BAT{g, g.Mirror(), sj} {
+		checkClaims(t, label, b)
+	}
+	half := Slice(ctx, base, base.Len()/2)
+	for what, b := range map[string]*bat.BAT{
+		"select":   SelectEq(ctx, g, tailValue(rand.New(rand.NewSource(1)), g)),
+		"semijoin": Semijoin(ctx, g, half),
+		"sort":     SortTail(ctx, g, false),
+		"slice":    Slice(ctx, g, g.Len()/2),
+	} {
+		if bat.GroupingOf(b.H) != nil || bat.GroupingOf(b.T) != nil {
+			t.Fatalf("%s: %s carries a grouping fact: %s", label, what, b)
 		}
 	}
 }

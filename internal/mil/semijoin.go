@@ -13,6 +13,9 @@ import (
 //
 //   - sync-semijoin: the operands are positionally synced, so the result is
 //     just (a copy of) the left operand;
+//   - alias-semijoin: the left head is a grouping's ids and the right head
+//     covers their whole domain, so every left BUN qualifies and the result
+//     is a shared view of the left operand;
 //   - datavector-semijoin: the left operand carries a datavector
 //     accelerator (Section 5.2.1 pseudo-code);
 //   - merge-semijoin: both heads are ordered and of one kind;
@@ -22,6 +25,9 @@ func Semijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	switch {
 	case bat.Synced(l, r):
 		return syncSemijoin(ctx, l)
+	case coversGroups(l, r):
+		ctx.chose("alias-semijoin")
+		return bat.Derive(bat.New(l.Name+".sel", l.H, l.T, 0), bat.Run, l, nil)
 	case l.Datavector() != nil && oidHeaded(r):
 		// The datavector probes object identifiers; a right operand whose
 		// head is not oid-typed cannot match any extent entry under value
@@ -35,6 +41,18 @@ func Semijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		}
 	}
 	return hashSemijoin(ctx, l, r)
+}
+
+// coversGroups reports whether l's head is a grouping's ids and r's head
+// provably holds every one of them: it is the dense oid sequence from 0 on,
+// at least as long as the grouping's domain [0, G).
+func coversGroups(l, r *bat.BAT) bool {
+	g := bat.GroupingOf(l.H)
+	if g == nil || r.Len() < g.Len() {
+		return false
+	}
+	at, ok := oidGetter(r.H)
+	return ok && (r.Len() == 0 || at(0) == 0) && r.DetectHeadProps().Has(bat.HDense)
 }
 
 // oidHeaded reports whether b's head column holds object identifiers.

@@ -144,15 +144,20 @@ func TestSkewParityOperators(t *testing.T) {
 // hashGroupBAT is GroupUnary(b) through the grouper, whatever b's key span.
 func hashGroupBAT(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	out := make([]bat.OID, b.Len())
-	hashGroup(ctx, out, b.T)
-	return groupResult(b, out)
+	return groupResult(b, bat.NewGroupIDs(out, hashRows(ctx, "group", out, b.T), b.T))
+}
+
+// hashUnique is Unique(b) through the grouper, whatever b's key span.
+func hashUnique(ctx *Ctx, b *bat.BAT) *bat.BAT {
+	return gatherPositions(ctx, b.Name+".uniq", b, hashRows(ctx, "unique", nil, b.H, b.T))
 }
 
 // hashAggrBAT is Aggr(fn, b) over b's unordered head through the grouper,
 // whatever the head's span.
 func hashAggrBAT(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	f := newSlotFold(b.T, fn)
-	return aggrResult(fn, b, f, hashAggr(ctx, f, b.H))
+	first := hashAggr(ctx, f, b.H)
+	return aggrResult(fn, b, f.tail(len(first)), first)
 }
 
 // TestSkewParitySelect covers the parallelCollect32 path (scan-select) on the

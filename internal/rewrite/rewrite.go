@@ -27,8 +27,9 @@ type Result struct {
 	Prog   *mil.Program
 	Struct moa.Struct
 	Type   moa.Type
-	// Translated is the number of statements the rewriter emitted, before
-	// mil.Optimize computed each value once.
+	// Raw is the program as the rewriter emitted it, before mil.Optimize
+	// computed each value once, and Translated its length.
+	Raw        *mil.Program
 	Translated int
 }
 
@@ -43,7 +44,7 @@ func Translate(ck *moa.Checked) (*Result, error) {
 	}
 	prog, alias := mil.Optimize(res.Prog)
 	return &Result{Prog: prog, Struct: renameStruct(res.Struct, alias), Type: res.Type,
-		Translated: len(res.Prog.Stmts)}, nil
+		Raw: res.Prog, Translated: len(res.Prog.Stmts)}, nil
 }
 
 // translate is the term rewriter proper: the program as the rules of
