@@ -6,8 +6,8 @@ GO ?= go
 .PHONY: verify build vet test test-race chaos crash bench bench-ablation bench-smoke repo-bench-smoke server-smoke outofcore-smoke loc ci
 
 ## verify: the tier-1 gate — build, vet, the full test suite, and the race
-## detector over the parallel kernels (partitioned builds, parallel probes,
-## the morsel claim queue).
+## detector over the one parallel mechanism (the dispatcher's claim queue,
+## the MIL morsel loop, the key-rep fill).
 verify: build vet test test-race
 
 build:
@@ -103,8 +103,11 @@ outofcore-smoke:
 ## the property writes outside internal/bat/props.go (a .Props assignment, a
 ## bat.New in internal/mil declaring props, a SyncWith in internal/mil — the
 ## one expected is the sync-semijoin precheck recording a discovered fact),
-## the flags moaserve declares, the fields of server.Config and the fields
-## of mil.Options (the execution settings every query carries).
+## the flags moaserve declares, the fields of server.Config, the fields of
+## mil.Options (the execution settings every query carries), the goroutine
+## spawn sites in non-test internal/ code (1: the dispatcher) and the parallel
+## lines — the non-test lines of the dispatcher (internal/bat/morsel.go) and
+## of the MIL morsel loop (internal/mil/parallel.go).
 loc:
 	@gofmt -l . | sed 's/^/not gofmt-clean: /'
 	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
@@ -117,6 +120,8 @@ loc:
 	@printf 'moaserve flags: '; grep -cE 'flag\.(String|Int|Int64|Float64|Bool|Duration|Uint64|StringVar)\(' cmd/moaserve/main.go
 	@printf 'server.Config fields: '; awk '/^type Config struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/server/server.go
 	@printf 'mil.Options fields: '; awk '/^type Options struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/mil/ctx.go
+	@printf 'goroutine spawn sites: '; grep -rnE '^\s*go (func|[A-Za-z_.]+\()' --include=*.go internal | grep -v _test | wc -l
+	@printf 'parallel lines: '; cat internal/bat/morsel.go internal/mil/parallel.go | wc -l
 
 ## ci: everything the CI workflow runs, reproducible without pushing.
 ci: verify chaos crash bench-smoke repo-bench-smoke server-smoke outofcore-smoke

@@ -333,12 +333,14 @@ func seq(n int) []bat.OID {
 	return out
 }
 
-// BenchmarkAblationPartitionedBuild sweeps the radix fan-out of the
-// accelerator build: cold constructs the index from scratch every iteration
-// (the build cost the dynamic optimizer pays when it selects a hash variant
-// at run time); warm measures the amortized cached-accelerator access for
-// contrast. Keys are drawn at random so the dense-sequence detection cannot
-// shortcut the build.
+// BenchmarkAblationPartitionedBuild compares the two layouts of the
+// accelerator build across the row count that switches between them: cold
+// constructs the index from scratch every iteration (the build cost the
+// dynamic optimizer pays when it selects a hash variant at run time) over
+// half the rows (one counting sort over a cache-resident bucket array) and
+// over all of them (radix-partitioned, 8 partitions); warm measures the
+// amortized cached-accelerator access for contrast. Keys are drawn at
+// random so the dense-sequence detection cannot shortcut the build.
 func BenchmarkAblationPartitionedBuild(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(7))
@@ -346,13 +348,12 @@ func BenchmarkAblationPartitionedBuild(b *testing.B) {
 	for i := range keys {
 		keys[i] = bat.OID(rng.Intn(n))
 	}
-	col := bat.NewOIDCol(keys)
-	for _, p := range []int{1, 2, 4, 8} {
-		p := p
-		b.Run(fmt.Sprintf("cold/P=%d", p), func(b *testing.B) {
+	for _, rows := range []int{n / 2, n} {
+		col := bat.NewOIDCol(keys[:rows])
+		b.Run(fmt.Sprintf("cold/rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bat.BuildHashIndexSched(col, p, bat.Sched{Workers: 1})
+				bat.BuildHashIndex(col)
 			}
 		})
 	}
@@ -428,12 +429,10 @@ func BenchmarkAblationParallelIteration(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-driven scheduling ablations: the morsel queue on uniform vs skewed
-// key distributions, across worker counts and morsel sizes. On skew the work
-// concentrates — a tail-ordered probe column clusters the hot key's
-// expensive rows contiguously, a Zipf build concentrates rows in the hot
-// keys' radix partitions — and the morsel queue drains the tail across all
-// workers. The ns/op effect appears on multi-core hosts (wall time on a
+// Morsel-driven scheduling ablation: the morsel queue on uniform vs skewed
+// key distributions, across worker counts. On skew the work concentrates —
+// a tail-ordered probe column clusters the hot key's expensive rows
+// contiguously — and the morsel queue drains the tail across all workers. The ns/op effect appears on multi-core hosts (wall time on a
 // 1-vCPU host is work-bound, not critical-path-bound); the reported
 // max_share_pct metric — the heaviest work unit a single worker is stuck
 // with, as a share of total work — is the host-independent statement of it.
@@ -516,16 +515,13 @@ func BenchmarkAblationMorselProbe(b *testing.B) {
 		for _, mode := range []struct {
 			name    string
 			workers int
-			morsel  int
 		}{
-			{"seq", 1, 0},
-			{"morsel-w4", 4, 0},
-			{"morsel-w8", 8, 0},
-			{"morsel-w8-2k", 8, 2048},
-			{"morsel-w8-8k", 8, 8192},
+			{"seq", 1},
+			{"morsel-w4", 4},
+			{"morsel-w8", 8},
 		} {
 			b.Run(dist.name+"/"+mode.name, func(b *testing.B) {
-				ctx := mil.NewCtx(nil, mil.Options{Workers: mode.workers, MorselRows: mode.morsel})
+				ctx := mil.NewCtx(nil, mil.Options{Workers: mode.workers})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -535,90 +531,6 @@ func BenchmarkAblationMorselProbe(b *testing.B) {
 				if mode.workers > 1 {
 					b.ReportMetric(maxSharePct(b, l, r, ctx.ProbeRanges(l.Len())), "max_share_pct")
 				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationMorselBuild: cold radix-partitioned accelerator builds.
-// Zipf keys concentrate rows in the hot keys' partitions; the morsel queue
-// lets the other workers drain the rest while one is on a heavy partition.
-func BenchmarkAblationMorselBuild(b *testing.B) {
-	const n = 1 << 20
-	rng := rand.New(rand.NewSource(29))
-	cols := map[string]*bat.IntCol{
-		"uniform": bat.NewIntCol(func() []int64 {
-			v := make([]int64, n)
-			for i := range v {
-				v[i] = rng.Int63n(n)
-			}
-			return v
-		}()),
-		"zipf": bat.NewIntCol(zipfInts(rng, n, 1.2, 1<<16)),
-	}
-	for _, dist := range []string{"uniform", "zipf"} {
-		col := cols[dist]
-		for _, mode := range []struct {
-			name  string
-			sched bat.Sched
-		}{
-			{"morsel-w8", bat.Sched{Workers: 8}},
-		} {
-			b.Run(dist+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					bat.BuildHashIndexSched(col, 0, mode.sched)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationMorselGroup: partitioned grouping over skewed keys. The
-// reported max_share_pct is the largest radix partition's share of all rows
-// — the unit of work a single worker cannot shed.
-func BenchmarkAblationMorselGroup(b *testing.B) {
-	const n = 1 << 20
-	rng := rand.New(rand.NewSource(37))
-	reps := map[string][]uint64{
-		"uniform": func() []uint64 {
-			v := make([]uint64, n)
-			for i := range v {
-				v[i] = uint64(rng.Int63n(n))
-			}
-			return v
-		}(),
-		"zipf": func() []uint64 {
-			v := make([]uint64, n)
-			z := rand.NewZipf(rng, 1.2, 1, 1<<16)
-			for i := range v {
-				v[i] = z.Uint64()
-			}
-			return v
-		}(),
-	}
-	for _, dist := range []string{"uniform", "zipf"} {
-		rep := reps[dist]
-		for _, mode := range []struct {
-			name  string
-			sched bat.Sched
-		}{
-			{"morsel-w8", bat.Sched{Workers: 8}},
-		} {
-			b.Run(dist+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				var gs *bat.GroupSlots
-				for i := 0; i < b.N; i++ {
-					gs = bat.BuildGroupSlotsPartitionedSched(rep, nil, mode.sched)
-				}
-				maxP, total := 0, 0
-				for _, rows := range gs.PartRows {
-					if len(rows) > maxP {
-						maxP = len(rows)
-					}
-					total += len(rows)
-				}
-				b.ReportMetric(float64(maxP)*100/float64(total), "max_share_pct")
 			})
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -91,6 +92,9 @@ func main() {
 				}
 				if tr.Workers > 0 {
 					extra += fmt.Sprintf(" workers=%d morsels=%d maxshare=%.2f", tr.Workers, tr.Morsels, tr.MaxShare)
+				}
+				if len(tr.Sites) > 0 {
+					extra += " parallel=" + strings.Join(tr.Sites, ",")
 				}
 				fmt.Println(extra)
 			}

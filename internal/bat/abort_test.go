@@ -23,7 +23,7 @@ func TestMorselDoStopAborts(t *testing.T) {
 		var stopped atomic.Bool
 		stop := func() bool { return stopped.Load() }
 		r := recoverValue(func() {
-			MorselDoStop(workers, n, stop, func(_, unit int) {
+			Sched{Workers: workers, Stop: stop}.Dispatch(SiteScan, n, func(_, unit int) {
 				if ran.Add(1) == 5 {
 					stopped.Store(true)
 				}
@@ -44,7 +44,7 @@ func TestMorselDoStopAborts(t *testing.T) {
 // every unit runs and nothing panics.
 func TestMorselDoStopNoStop(t *testing.T) {
 	var ran atomic.Int64
-	MorselDoStop(4, 100, nil, func(_, unit int) { ran.Add(1) })
+	Sched{Workers: 4}.Dispatch(SiteScan, 100, func(_, unit int) { ran.Add(1) })
 	if ran.Load() != 100 {
 		t.Fatalf("ran %d units, want 100", ran.Load())
 	}
@@ -63,7 +63,7 @@ func TestMorselDoWorkerPanicContained(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var ran atomic.Int64
 		r := recoverValue(func() {
-			MorselDoStop(workers, units, nil, func(_, unit int) {
+			Sched{Workers: workers}.Dispatch(SiteScan, units, func(_, unit int) {
 				if ran.Add(1) == 3 {
 					panic("kernel invariant violated")
 				}
@@ -89,14 +89,14 @@ func TestMorselDoWorkerPanicContained(t *testing.T) {
 	}
 }
 
-// TestSchedDispatchStop: partition dispatch honors the stop hook with the
+// TestSchedDispatchStop: dispatch honors the stop hook with the
 // ErrAborted contract.
 func TestSchedDispatchStop(t *testing.T) {
 	var stopped atomic.Bool
 	var ran atomic.Int64
 	s := Sched{Workers: 4, Stop: func() bool { return stopped.Load() }}
 	r := recoverValue(func() {
-		s.Dispatch(1000, func(_, unit int) {
+		s.Dispatch(SiteScan, 1000, func(_, unit int) {
 			if ran.Add(1) == 4 {
 				stopped.Store(true)
 			}
@@ -133,5 +133,40 @@ func TestAbortedBuildNeverPublishes(t *testing.T) {
 	}
 	if d := AccelBuilds() - before; d != 1 {
 		t.Fatalf("retry performed %d builds, want 1 (aborted builds are uncounted)", d)
+	}
+}
+
+// oddCol is a column layout the key-rep fill does not know: filling it
+// panics, standing in for a kernel fault on a worker.
+type oddCol struct{ *IntCol }
+
+// TestKeyRepFillStopsAndContains: the multi-worker key-rep fill runs on the
+// dispatcher, so a stop hook that fires during the fill aborts it with
+// ErrAborted (a build around it publishes nothing), and a panic in the fill
+// surfaces on the caller as *WorkerPanic.
+func TestKeyRepFillStopsAndContains(t *testing.T) {
+	const n = 1 << 16
+	col := NewIntCol(make([]int64, n))
+	var calls atomic.Int64
+	s := Sched{Workers: 4, Stop: func() bool { return calls.Add(1) > 1 }}
+	var slot accelSlot
+	r := recoverValue(func() {
+		slot.getOrBuild(func() *HashIndex {
+			NewKeyRepP(col, s)
+			return BuildHashIndex(col)
+		}, nil)
+	})
+	if r != ErrAborted {
+		t.Fatalf("stopped fill panicked with %v, want ErrAborted", r)
+	}
+	if calls.Load() < 2 {
+		t.Fatalf("stop hook consulted %d times: the fill never checked it", calls.Load())
+	}
+	if slot.load() != nil {
+		t.Fatal("a build whose key-rep fill was stopped published an index")
+	}
+	r = recoverValue(func() { NewKeyRepP(oddCol{col}, Sched{Workers: 4}) })
+	if _, ok := r.(*WorkerPanic); !ok {
+		t.Fatalf("fill panic surfaced as %T %v, want *WorkerPanic", r, r)
 	}
 }

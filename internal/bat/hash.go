@@ -11,13 +11,13 @@ import "sync"
 // in ascending order — the same observable order the classic back-to-front
 // bucket+link chains produced.
 //
-// Construction is a counting sort by bucket. Above radixBuildMinRows it runs
-// radix-partitioned (see partition.go): rows are scattered by the top bits of
-// their bucket into P contiguous bucket ranges, and each range is counted,
-// scattered and deduplicated independently — touching only a cache-sized
-// slice of the table, and in parallel when the caller passes workers > 1.
-// The partitioned build is bit-identical to the sequential one by
-// construction: bucket entries are ascending either way.
+// Construction is a counting sort by bucket. Over a bucket array beyond the
+// caches it runs radix-partitioned (see partition.go): rows are scattered by
+// the top bits of their bucket into P contiguous bucket ranges, and each
+// range is counted and scattered on its own — touching only a cache-sized
+// slice of the table. The partitioned build is bit-identical to the
+// unpartitioned one by construction: bucket entries are ascending either
+// way.
 //
 // Dense (void) columns need no arrays at all: the position of an oid is
 // arithmetic.
@@ -47,10 +47,6 @@ type hashEnt struct {
 	pos int32
 }
 
-// radixBuildMinRows is the smallest build that a multi-worker request
-// partitions; below it goroutine overhead dominates.
-const radixBuildMinRows = 1 << 14
-
 // radixSoloMinBuckets is the bucket-array size past which a single-threaded
 // build partitions too: below it the table is cache-resident and the scatter
 // pass would be pure overhead, above it confining each counting sort to a
@@ -59,42 +55,18 @@ const radixSoloMinBuckets = 1 << 20
 
 // buildPartitions picks the radix fan-out for a build over sz buckets: one
 // partition while the table fits the caches, otherwise ≈512 KB of bucket
-// offsets per partition; a multi-worker build additionally splits enough to
-// feed and load-balance the workers.
-func buildPartitions(n, sz, workers int) int {
-	p := 1
-	if sz >= radixSoloMinBuckets {
-		p = sz >> 17
+// offsets per partition, at most 256.
+func buildPartitions(sz int) int {
+	if sz < radixSoloMinBuckets {
+		return 1
 	}
-	if workers > 1 && n >= radixBuildMinRows {
-		if w := nextPow2(workers * 2); w > p {
-			p = w
-		}
-	}
-	if p > 256 {
-		p = 256
-	}
-	if p > sz {
-		p = sz
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
+	return min(sz>>17, 256)
 }
 
-// BuildHashIndex constructs a hash index over col sequentially.
+// BuildHashIndex constructs a hash index over col, radix-partitioned when
+// the bucket array outgrows the caches. Both layouts yield the identical
+// index.
 func BuildHashIndex(col Column) *HashIndex {
-	return BuildHashIndexSched(col, 0, Sched{Workers: 1})
-}
-
-// BuildHashIndexSched constructs a hash index under an explicit work
-// schedule (see Sched), radix-partitioning large builds and running the
-// per-partition work on the schedule's workers; partitions <= 0 picks the
-// fan-out automatically (an explicit one exists for the partition-sweep
-// ablation). Every schedule and fan-out yields the identical index.
-func BuildHashIndexSched(col Column, partitions int, s Sched) *HashIndex {
-	workers := s.Workers
 	if v, ok := col.(*VoidCol); ok {
 		return &HashIndex{col: col, dense: true, seq: v.Seq, n: v.N, card: v.N}
 	}
@@ -108,9 +80,6 @@ func BuildHashIndexSched(col Column, partitions int, s Sched) *HashIndex {
 			return &HashIndex{col: col, dense: true, seq: OID(seq), n: len(c.V), card: len(c.V)}
 		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	n := col.Len()
 	sz := nextPow2(max(n, 1))
 	h := &HashIndex{
@@ -121,14 +90,7 @@ func BuildHashIndexSched(col Column, partitions int, s Sched) *HashIndex {
 		mask:      uint32(sz - 1),
 		n:         n,
 	}
-	p := partitions
-	if p <= 0 {
-		p = buildPartitions(n, sz, workers)
-	}
-	p = nextPow2(p) // the bucket-range split needs a power-of-two fan-out
-	if p > sz {
-		p = sz
-	}
+	p := buildPartitions(sz)
 	if p <= 1 {
 		// Unpartitioned counting sort, with the key reps computed inline
 		// from the typed backing slice for the fixed-width kinds — no rep
@@ -143,83 +105,21 @@ func BuildHashIndexSched(col Column, partitions int, s Sched) *HashIndex {
 		case *ChrCol:
 			buildClusteredFixed(h, c.V)
 		default:
-			h.buildPartition(scattered{P: 1, off: []int32{0, int32(n)}, reps: NewKeyRep(col).Rep},
+			h.buildPartition(scattered{off: []int32{0, int32(n)}, reps: NewKeyRep(col).Rep},
 				0, 0, make([]int32, sz))
 		}
 		h.bucketOff[sz] = int32(n)
 		return h
 	}
-	sc := scatterByHash(NewKeyRepP(col, workers).Rep, p, h.mask, log2(sz)-log2(p), workers)
+	sc := scatterByHash(NewKeyRep(col).Rep, p, h.mask, log2(sz)-log2(p))
 	nb := sz >> log2(p) // buckets per partition
-	// Hot-partition splitting: a skewed key distribution (the extreme being
-	// all-one-key) can scatter most rows into one partition, and a whole
-	// partition is one morsel — the build would serialize on one worker. A
-	// partition holding more than ~2/workers of the rows is counting-sorted
-	// by all workers instead: per-subrange histograms combine into exact
-	// per-subrange write cursors, so the scatter stays in row order and the
-	// result is bit-identical to the sequential build.
-	hotMin := n + 1
-	if workers > 1 {
-		hotMin = 2 * n / workers
-	}
-	isHot := func(pi int) bool { return int(sc.off[pi+1]-sc.off[pi]) > hotMin }
-	// Whole partitions are the build's morsels: each counting-sorts into a
-	// disjoint bucket span, so claim order cannot affect the result, and a
-	// worker stuck on a skew-heavy partition never strands the rest.
-	counts := make([][]int32, s.workersOver(p))
-	s.Dispatch(p, func(wi, pi int) {
-		if isHot(pi) {
-			return // sub-split below, all workers on it
-		}
-		if counts[wi] == nil {
-			counts[wi] = make([]int32, nb)
-		}
-		h.buildPartition(sc, pi, int32(pi*nb), counts[wi])
-		clear(counts[wi])
-	})
+	counts := make([]int32, nb)
 	for pi := 0; pi < p; pi++ {
-		if isHot(pi) {
-			h.buildPartitionSplit(sc, pi, int32(pi*nb), nb, workers, s)
-		}
+		h.buildPartition(sc, pi, int32(pi*nb), counts)
+		clear(counts)
 	}
 	h.bucketOff[sz] = int32(n)
 	return h
-}
-
-// buildPartitionSplit counting-sorts one oversized partition with every
-// worker cooperating: the partition's row range is cut into per-worker
-// subranges, each histogrammed in parallel; a sequential combine derives
-// bucket offsets and per-subrange write cursors (subrange s' of bucket b
-// writes after all earlier subranges' rows of b); then each subrange
-// scatters through its own cursors. Every bucket's entries end up in
-// globally ascending row order — the invariant buildPartition maintains —
-// so the split build is bit-identical to the unsplit one.
-func (h *HashIndex) buildPartitionSplit(sc scattered, pi int, bLo int32, nb, workers int, s Sched) {
-	lo, hi := sc.off[pi], sc.off[pi+1]
-	rows := int(hi - lo)
-	bounds := splitRange(rows, workers)
-	w := len(bounds)
-	reps := sc.reps
-	counts := make([][]int32, w)
-	s.Dispatch(w, func(_, si int) {
-		c := make([]int32, nb)
-		for k := lo + int32(bounds[si][0]); k < lo+int32(bounds[si][1]); k++ {
-			c[int32(fibHash(reps[k])&h.mask)-bLo]++
-		}
-		counts[si] = c
-	})
-	cur := lo
-	for j := 0; j < nb; j++ {
-		h.bucketOff[bLo+int32(j)] = cur
-		for si := 0; si < w; si++ {
-			c := counts[si][j]
-			counts[si][j] = cur // becomes subrange si's write cursor for bucket j
-			cur += c
-		}
-	}
-	s.Dispatch(w, func(_, si int) {
-		h.scatter(sc, lo+int32(bounds[si][0]), lo+int32(bounds[si][1]), bLo, counts[si])
-	})
 }
 
 // buildClusteredFixed is the unpartitioned counting sort for fixed-width
@@ -267,7 +167,9 @@ func buildClusteredFixed[E fixedElem](h *HashIndex, v []E) {
 }
 
 // buildPartition counting-sorts partition pi's rows into the bucket range
-// starting at bucket bLo (nb buckets wide). counts must be zeroed scratch.
+// starting at bucket bLo, in row order. counts must be zeroed scratch, one
+// entry per bucket of the range. Rows nil means the rows are the positions
+// themselves (the unpartitioned build).
 func (h *HashIndex) buildPartition(sc scattered, pi int, bLo int32, counts []int32) {
 	lo, hi := sc.off[pi], sc.off[pi+1]
 	reps := sc.reps
@@ -280,21 +182,15 @@ func (h *HashIndex) buildPartition(sc scattered, pi int, bLo int32, counts []int
 		cur += counts[j]
 		counts[j] = h.bucketOff[bLo+int32(j)] // becomes the bucket's write cursor
 	}
-	h.scatter(sc, lo, hi, bLo, counts)
-}
-
-// scatter writes the scattered rows [lo, hi) into their buckets, in row
-// order, through per-bucket write cursors indexed from bucket bLo.
-func (h *HashIndex) scatter(sc scattered, lo, hi, bLo int32, cursors []int32) {
 	for k := lo; k < hi; k++ {
-		x := sc.reps[k]
+		x := reps[k]
 		b := int32(fibHash(x)&h.mask) - bLo
 		row := k
 		if sc.rows != nil {
 			row = sc.rows[k]
 		}
-		h.ents[cursors[b]] = hashEnt{rep: x, pos: row}
-		cursors[b]++
+		h.ents[counts[b]] = hashEnt{rep: x, pos: row}
+		counts[b]++
 	}
 }
 
@@ -660,20 +556,20 @@ func (h *HashIndex) FilterVec(p Probe, lo, hi int, want bool, out []int32) []int
 // missing index coalesce onto one build (see accelSlot).
 func (b *BAT) TailHash() *HashIndex { return b.TailHashSched(Sched{Workers: 1}) }
 
-// TailHashSched is TailHash under an explicit work schedule for the first
-// construction; the cached accelerator is identical for every schedule.
+// TailHashSched is TailHash with the first construction reported to
+// s.OnBuild.
 func (b *BAT) TailHashSched(s Sched) *HashIndex {
-	return b.hashT.getOrBuild(func() *HashIndex { return BuildHashIndexSched(b.T, 0, s) }, s.OnBuild)
+	return b.hashT.getOrBuild(func() *HashIndex { return BuildHashIndex(b.T) }, s.OnBuild)
 }
 
 // HeadHash returns (building and caching on first use) the hash accelerator
 // on b's head column.
 func (b *BAT) HeadHash() *HashIndex { return b.HeadHashSched(Sched{Workers: 1}) }
 
-// HeadHashSched is HeadHash under an explicit work schedule for the first
-// construction; the cached accelerator is identical for every schedule.
+// HeadHashSched is HeadHash with the first construction reported to
+// s.OnBuild.
 func (b *BAT) HeadHashSched(s Sched) *HashIndex {
-	return b.hashH.getOrBuild(func() *HashIndex { return BuildHashIndexSched(b.H, 0, s) }, s.OnBuild)
+	return b.hashH.getOrBuild(func() *HashIndex { return BuildHashIndex(b.H) }, s.OnBuild)
 }
 
 // HasTailHash reports whether a tail hash accelerator is already present.

@@ -82,19 +82,19 @@ type KeyRep struct {
 }
 
 // NewKeyRep builds the key representation of col.
-func NewKeyRep(c Column) *KeyRep { return NewKeyRepP(c, 1) }
+func NewKeyRep(c Column) *KeyRep { return NewKeyRepP(c, Sched{Workers: 1}) }
 
-// NewKeyRepP builds the key representation of col, filling the rep vector on
-// up to workers goroutines (the fill is embarrassingly parallel; every
-// worker count yields the identical vector).
-func NewKeyRepP(c Column, workers int) *KeyRep {
+// NewKeyRepP builds the key representation of col, filling the rep vector
+// under s, one row piece per worker (the fill is embarrassingly parallel;
+// every schedule yields the identical vector).
+func NewKeyRepP(c Column, s Sched) *KeyRep {
 	n := c.Len()
 	rep := make([]uint64, n)
-	if workers <= 1 || n < radixBuildMinRows {
+	if s.Workers <= 1 {
 		fillKeyReps(c, rep, 0, n)
 	} else {
-		bounds := splitRange(n, workers)
-		parallelDo(len(bounds), func(w int) {
+		bounds := splitRange(n, s.workersOver(n))
+		s.Dispatch(SiteKeyRep, len(bounds), func(_, w int) {
 			fillKeyReps(c, rep, bounds[w][0], bounds[w][1])
 		})
 	}

@@ -9,18 +9,35 @@ import (
 	"time"
 )
 
-// Morsel-driven work scheduling. Work units (radix partitions for builds,
-// probe ranges for parallel scans) are claimed from a single atomic counter
-// rather than assigned to workers up front: unit costs differ exactly where
-// the bulk operators are hottest — a Zipf-distributed build concentrates
-// most rows in the partitions holding the hot keys — and with a claim queue
-// a worker stuck on an expensive unit simply stops claiming while the rest
-// of the queue drains across the remaining workers.
+// Morsel-driven work scheduling: the one parallel mechanism. Every parallel
+// loop — a MIL operator's scan over its morsels, the key-rep fill — is a
+// set of work units dispatched by Sched.Dispatch, the only place that
+// starts goroutines. Units are claimed from a single atomic counter rather
+// than assigned to workers up front: unit costs differ exactly where the
+// bulk operators are hottest — a tail-ordered probe column clusters a hot
+// key's expensive rows in a few morsels — and with a claim queue a worker
+// stuck on an expensive unit simply stops claiming while the rest of the
+// queue drains across the remaining workers.
 //
-// Claim order is nondeterministic, so morsel-dispatched work must depend
-// only on the unit index — write disjoint output per unit, stitch by unit
-// index, never by completion order. Under that contract every schedule
-// (any worker count) produces bit-identical results.
+// Claim order is nondeterministic, so dispatched work must depend only on
+// the unit index — write disjoint output per unit, stitch by unit index,
+// never by completion order. Under that contract every schedule (any worker
+// count) produces bit-identical results.
+
+// ParallelMinRows is the one engagement rule: an operator over fewer rows
+// runs on one worker, below it goroutine overhead dominates. The MIL layer
+// applies it when it sizes a Sched; the kernels run a Sched as given.
+const ParallelMinRows = 1 << 14
+
+// The parallel sites: every Dispatch names the loop it runs, so a profile
+// can report which loops engaged more than one worker (Sched.OnParallel).
+const (
+	SiteScan   = "scan"   // a MIL operator's morsel loop over its input rows
+	SiteKeyRep = "keyrep" // NewKeyRepP's fill of the key-rep vector
+)
+
+// Sites lists every parallel site.
+var Sites = []string{SiteScan, SiteKeyRep}
 
 // ErrAborted is the panic value raised by morsel dispatch when its stop hook
 // reports cancellation: claimed work cannot be completed, so no (possibly
@@ -44,35 +61,55 @@ func (w *WorkerPanic) Error() string {
 	return fmt.Sprintf("bat: panic on parallel worker: %v", w.Value)
 }
 
-// MorselDo runs fn(worker, unit) for every unit in [0, n), dispatching units
-// to up to `workers` goroutines through an atomic claim counter. The worker
-// id identifies the executing goroutine (0 <= worker < effective workers) so
-// callers can reuse per-worker scratch; a given worker id never runs two
-// units concurrently.
-func MorselDo(workers, n int, fn func(worker, unit int)) {
-	MorselDoStop(workers, n, nil, fn)
+// Sched describes how work units are dispatched: morsel-claimed by up to
+// Workers goroutines. Stop, when non-nil, is the owning query's
+// cancellation check: dispatch consults it once per unit and aborts (panic
+// ErrAborted) instead of completing — a cancelled query's scan or key-rep
+// fill stops within one unit and never yields a partial result. OnBuild,
+// when non-nil, observes every accelerator construction this schedule wins
+// (the singleflight slots invoke it once per actual build, with the build's
+// wall time), attributing build cost to the query whose probe triggered it.
+// OnParallel, when non-nil, observes every dispatch that engages more than
+// one worker, by site.
+type Sched struct {
+	Workers    int
+	Stop       func() bool
+	OnBuild    func(time.Duration)
+	OnParallel func(site string)
 }
 
-// MorselDoStop is MorselDo with a cancellation hook: when stop is non-nil,
-// every worker consults it before claiming its next unit (one amortized
-// check per morsel — the granularity at which a cancelled query stops
-// burning CPU) and stops claiming once it reports true. Because some units
-// then never ran, the dispatch cannot produce a usable result: it panics
-// with ErrAborted after all workers have parked, and the caller's recovery
+// Dispatch runs fn(worker, unit) for every unit in [0, n) on up to
+// s.Workers goroutines. The worker id identifies the executing goroutine
+// (0 <= worker < effective workers) so callers can reuse per-worker
+// scratch; a given worker id never runs two units concurrently. site names
+// the loop (one of Sites).
+//
+// Every worker consults s.Stop before claiming its next unit (one amortized
+// check per unit — the granularity at which a cancelled query stops burning
+// CPU) and stops claiming once it reports true. Because some units then
+// never ran, the dispatch cannot produce a usable result: it panics with
+// ErrAborted after all workers have parked, and the caller's recovery
 // boundary turns that into the query's cancellation error.
 //
 // A panic on a worker goroutine (a kernel bug, or an injected storage fault
 // during a build or probe) is recovered on the worker, stops the remaining
 // workers' claims, and is re-raised on the dispatching goroutine as a
 // *WorkerPanic once every worker has parked — containment without losing
-// the original panic value or stack.
-func MorselDoStop(workers, n int, stop func() bool, fn func(worker, unit int)) {
-	if workers > n {
-		workers = n
-	}
+// the original panic value or stack. On one worker the units run inline and
+// a panic surfaces on the caller as it is.
+func (s Sched) Dispatch(site string, n int, fn func(worker, unit int)) {
+	workers := s.workersOver(n)
 	if workers <= 1 {
-		runUnits(n, stop, fn)
+		for i := 0; i < n; i++ {
+			if s.Stop != nil && s.Stop() {
+				panic(ErrAborted)
+			}
+			fn(0, i)
+		}
 		return
+	}
+	if s.OnParallel != nil {
+		s.OnParallel(site)
 	}
 
 	// aborted stops further claims after a stop signal or a worker panic;
@@ -98,7 +135,7 @@ func MorselDoStop(workers, n int, stop func() bool, fn func(worker, unit int)) {
 		if aborted.Load() {
 			return true
 		}
-		if stop != nil && stop() {
+		if s.Stop != nil && s.Stop() {
 			aborted.Store(true)
 			return true
 		}
@@ -106,34 +143,19 @@ func MorselDoStop(workers, n int, stop func() bool, fn func(worker, unit int)) {
 	}
 
 	var wg sync.WaitGroup
-	if workers == n {
-		// One unit per worker: a fixed assignment is the same schedule the
-		// queue would produce, without the claim traffic.
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				if halted() {
+	var next atomic.Int64
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for !halted() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				runGuarded(i, i)
-			}(i)
-		}
-	} else {
-		var next atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for !halted() {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					runGuarded(w, i)
-				}
-			}(w)
-		}
+				runGuarded(w, i)
+			}
+		}(w)
 	}
 	wg.Wait()
 	if firstPanic != nil {
@@ -144,46 +166,18 @@ func MorselDoStop(workers, n int, stop func() bool, fn func(worker, unit int)) {
 	}
 }
 
-// runUnits is the inline (single-worker) dispatch path: same stop-per-unit
-// contract, no goroutines, so panics already surface on the caller.
-func runUnits(n int, stop func() bool, fn func(worker, unit int)) {
-	for i := 0; i < n; i++ {
-		if stop != nil && stop() {
-			panic(ErrAborted)
-		}
-		fn(0, i)
-	}
-}
-
-// Sched describes how partition-grained work units are dispatched:
-// morsel-claimed by up to Workers goroutines. Stop, when non-nil, is the
-// owning query's cancellation check: dispatch consults it once per unit and
-// aborts (panic ErrAborted) instead of completing — a cancelled query's
-// accelerator build stops within one partition and is never published
-// half-built. OnBuild, when non-nil, observes every accelerator construction
-// this schedule wins (the singleflight slots invoke it once per actual
-// build, with the build's wall time), attributing build cost to the query
-// whose probe triggered it.
-type Sched struct {
-	Workers int
-	Stop    func() bool
-	OnBuild func(time.Duration)
-}
-
-// Dispatch runs fn(worker, unit) for every unit in [0, n) under the
-// schedule s describes.
-func (s Sched) Dispatch(n int, fn func(worker, unit int)) {
-	MorselDoStop(s.Workers, n, s.Stop, fn)
-}
-
 // workersOver reports the effective worker count of s over n units (scratch
 // arrays indexed by worker id are sized with this).
 func (s Sched) workersOver(n int) int {
-	if s.Workers < 1 {
-		return 1
+	return max(1, min(s.Workers, n))
+}
+
+// splitRange cuts [0, n) into k contiguous pieces whose lengths differ by
+// at most one (empty pieces when k > n).
+func splitRange(n, k int) [][2]int {
+	out := make([][2]int, k)
+	for i := range out {
+		out[i] = [2]int{i * n / k, (i + 1) * n / k}
 	}
-	if s.Workers > n {
-		return n
-	}
-	return s.Workers
+	return out
 }

@@ -4,47 +4,75 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/storage"
 )
 
-// The radix-partitioned build backend must be observationally identical to
-// the sequential build for every partition fan-out and worker count: same
-// Lookup results in the same (ascending) order, same cardinality, same
-// group slots in first-occurrence order. These tests force partitioning on
-// small inputs through the internal fan-out knob.
+// The radix-partitioned build layout must be observationally identical to
+// the unpartitioned one: same Lookup results in the same (ascending) order,
+// same cardinality, and the same entries in the same slots — the counting
+// sort by (bucket, position) has exactly one result. Builds partition from
+// radixSoloMinBuckets buckets on, so these tests vary the rows across it.
+
+// partitionedRows is the smallest build that partitions.
+const partitionedRows = radixSoloMinBuckets/2 + 1
+
+// checkClustered asserts the one layout of a clustered index: every bucket
+// holds the entries whose rep hashes to it, positions ascending, and every
+// position appears once.
+func checkClustered(t *testing.T, label string, idx *HashIndex) {
+	t.Helper()
+	seen := make([]bool, idx.n)
+	for b := 0; b <= int(idx.mask); b++ {
+		for k := idx.bucketOff[b]; k < idx.bucketOff[b+1]; k++ {
+			e := idx.ents[k]
+			if int(fibHash(e.rep)&idx.mask) != b || k > idx.bucketOff[b] && idx.ents[k-1].pos >= e.pos || seen[e.pos] {
+				t.Fatalf("%s: entry %d (%+v) breaks the (bucket, position) order", label, k, e)
+			}
+			seen[e.pos] = true
+		}
+	}
+	if int(idx.bucketOff[idx.mask+1]) != idx.n {
+		t.Fatalf("%s: %d entries, want %d", label, idx.bucketOff[idx.mask+1], idx.n)
+	}
+}
 
 func TestBuildHashIndexPartitionedParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, n := range []int{0, 1, 37, 128, 1024} {
+	for _, n := range []int{0, 1, 37, 1024, partitionedRows} {
 		for _, allDup := range []bool{false, true} {
-			for kind, col := range kernelTestColumns(rng, n, allDup) {
+			cols := kernelTestColumns(rng, min(n, 1024), allDup)
+			if n == partitionedRows {
+				// The layouts share everything past the key reps: an exact
+				// and an inexact kind suffice.
+				ints, flts := make([]int64, n), make([]float64, n)
+				for i := range ints {
+					if !allDup {
+						ints[i] = int64(rng.Intn(16))
+					}
+					flts[i] = float64(ints[i]) / 4
+				}
+				cols = map[Kind]Column{KInt: NewIntCol(ints), KFlt: NewFltCol(flts)}
+			}
+			for kind, col := range cols {
+				label := fmt.Sprintf("%s/n=%d/alldup=%v", kind, n, allDup)
 				ref := buildRefIndex(col)
-				seq := BuildHashIndexSched(col, 1, Sched{Workers: 1})
-				for _, parts := range []int{2, 4, 8} {
-					for _, sched := range []Sched{{Workers: 1}, {Workers: 4}} {
-						idx := BuildHashIndexSched(col, parts, sched)
-						label := fmt.Sprintf("%s/n=%d/alldup=%v/p=%d/w=%d", kind, n, allDup, parts, sched.Workers)
-						if idx.Card() != len(ref.pos) {
-							t.Fatalf("%s: card %d != %d", label, idx.Card(), len(ref.pos))
-						}
-						if idx.Card() != seq.Card() {
-							t.Fatalf("%s: card %d != sequential %d", label, idx.Card(), seq.Card())
-						}
-						for i := 0; i < col.Len(); i++ {
-							v := col.Get(i)
-							got := idx.Lookup(v)
-							want := ref.pos[v]
-							if len(got) != len(want) {
-								t.Fatalf("%s: lookup(%s) %v != %v", label, v, got, want)
-							}
-							for j := range got {
-								if got[j] != want[j] {
-									t.Fatalf("%s: lookup(%s) %v != %v (order)", label, v, got, want)
-								}
-							}
-						}
+				idx := BuildHashIndex(col)
+				if idx.dense {
+					continue
+				}
+				if parts := buildPartitions(len(idx.bucketOff) - 1); (parts > 1) != (n == partitionedRows) {
+					t.Fatalf("%s: %d partitions", label, parts)
+				}
+				checkClustered(t, label, idx)
+				if idx.Card() != len(ref.pos) {
+					t.Fatalf("%s: card %d != %d", label, idx.Card(), len(ref.pos))
+				}
+				for v, want := range ref.pos {
+					if got := idx.Lookup(v); !slices.Equal(got, want) {
+						t.Fatalf("%s: lookup(%s) %d hits, want %d (or order differs)", label, v, len(got), len(want))
 					}
 				}
 			}
@@ -53,31 +81,32 @@ func TestBuildHashIndexPartitionedParity(t *testing.T) {
 }
 
 // TestBuildHashIndexPartitionedFloatEdges pins NaN/-0 key semantics across
-// partitioned builds: -0 and +0 share a bucket entry set, NaN never matches.
+// both layouts: -0 and +0 share a bucket entry set, NaN never matches.
 func TestBuildHashIndexPartitionedFloatEdges(t *testing.T) {
 	nan := math.NaN()
-	vals := make([]float64, 64)
-	for i := range vals {
-		switch i % 4 {
-		case 0:
-			vals[i] = 0
-		case 1:
-			vals[i] = math.Copysign(0, -1)
-		case 2:
-			vals[i] = nan
-		default:
-			vals[i] = float64(i)
+	for _, n := range []int{64, partitionedRows} {
+		vals := make([]float64, n)
+		for i := range vals {
+			switch {
+			case i >= 64:
+				vals[i] = float64(i)
+			case i%4 == 0:
+				vals[i] = 0
+			case i%4 == 1:
+				vals[i] = math.Copysign(0, -1)
+			case i%4 == 2:
+				vals[i] = nan
+			default:
+				vals[i] = float64(i)
+			}
 		}
-	}
-	col := NewFltCol(vals)
-	for _, parts := range []int{1, 4} {
-		idx := BuildHashIndexSched(col, parts, Sched{Workers: 2})
+		idx := BuildHashIndex(NewFltCol(vals))
 		zero := idx.Lookup(F(0))
 		if len(zero) != 32 {
-			t.Fatalf("p=%d: zero matches %d, want 32 (-0 and +0 are one key)", parts, len(zero))
+			t.Fatalf("n=%d: zero matches %d, want 32 (-0 and +0 are one key)", n, len(zero))
 		}
 		if got := idx.Lookup(F(nan)); got != nil {
-			t.Fatalf("p=%d: NaN probe matched %v", parts, got)
+			t.Fatalf("n=%d: NaN probe matched %v", n, got)
 		}
 	}
 }
@@ -113,134 +142,6 @@ func TestHashIndexDenseDetection(t *testing.T) {
 	}
 	if got := idx.Lookup(O(52)); len(got) != 1 || got[0] != 11 {
 		t.Fatalf("lookup(52) = %v", got)
-	}
-}
-
-// TestBuildPartitionSplitBitIdentical: adversarially skewed keys route most
-// rows into one radix partition, which the build counting-sorts with every
-// worker cooperating (buildPartitionSplit). That cooperative path must
-// reproduce the sequential build bit for bit — identical bucketOff
-// boundaries and identical (rep, pos) entries in the same slots — not
-// merely equivalent Lookup answers. all-one-key concentrates every row in
-// one partition, so the sub-split is guaranteed to engage for workers >= 3;
-// half-hot and zipf mix hot and ordinary partitions so both build paths run
-// against the same index.
-func TestBuildPartitionSplitBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	const n = 4096
-	one := make([]int64, n)
-	half := make([]int64, n)
-	zipf := make([]int64, n)
-	zg := rand.NewZipf(rng, 1.3, 1, 64)
-	for i := 0; i < n; i++ {
-		one[i] = 42
-		if i%2 == 0 {
-			half[i] = 42
-		} else {
-			half[i] = rng.Int63()
-		}
-		zipf[i] = int64(zg.Uint64())
-	}
-	shapes := []struct {
-		name string
-		keys []int64
-	}{{"all-one-key", one}, {"half-hot", half}, {"zipf", zipf}}
-
-	for _, sh := range shapes {
-		col := NewIntCol(sh.keys)
-		seq := BuildHashIndexSched(col, 1, Sched{Workers: 1})
-		for _, parts := range []int{4, 8} {
-			for _, sched := range []Sched{{Workers: 3}, {Workers: 8}} {
-				idx := BuildHashIndexSched(col, parts, sched)
-				label := fmt.Sprintf("%s/p=%d/w=%d", sh.name, parts, sched.Workers)
-				if len(idx.bucketOff) != len(seq.bucketOff) || len(idx.ents) != len(seq.ents) {
-					t.Fatalf("%s: layout sizes (%d,%d) != sequential (%d,%d)", label,
-						len(idx.bucketOff), len(idx.ents), len(seq.bucketOff), len(seq.ents))
-				}
-				for j := range seq.bucketOff {
-					if idx.bucketOff[j] != seq.bucketOff[j] {
-						t.Fatalf("%s: bucketOff[%d] = %d, want %d", label, j, idx.bucketOff[j], seq.bucketOff[j])
-					}
-				}
-				for j := range seq.ents {
-					if idx.ents[j] != seq.ents[j] {
-						t.Fatalf("%s: ents[%d] = %+v, want %+v", label, j, idx.ents[j], seq.ents[j])
-					}
-				}
-			}
-		}
-	}
-}
-
-// refGroupSlots is the sequential Grouper reference.
-func refGroupSlots(rep []uint64, eq KeyEq) (slots, first []int32) {
-	g := NewGrouper(eq)
-	slots = make([]int32, len(rep))
-	for i := range rep {
-		s, _ := g.Slot(rep[i], int32(i))
-		slots[i] = s
-	}
-	return slots, g.Rows()
-}
-
-func TestBuildGroupSlotsPartitionedParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	for _, n := range []int{0, 1, 37, 128, 2048} {
-		for _, allDup := range []bool{false, true} {
-			for kind, col := range kernelTestColumns(rng, n, allDup) {
-				kr := NewKeyRep(col)
-				wantSlots, wantFirst := refGroupSlots(kr.Rep, kr.Verifier())
-				for _, sched := range []Sched{{Workers: 1}, {Workers: 3}, {Workers: 8}} {
-					gs := BuildGroupSlotsPartitionedSched(kr.Rep, kr.Verifier(), sched)
-					label := fmt.Sprintf("%s/n=%d/alldup=%v/w=%d", kind, n, allDup, sched.Workers)
-					if len(gs.First) != len(wantFirst) {
-						t.Fatalf("%s: %d groups, want %d", label, len(gs.First), len(wantFirst))
-					}
-					for s := range wantFirst {
-						if gs.First[s] != wantFirst[s] {
-							t.Fatalf("%s: first[%d] = %d, want %d", label, s, gs.First[s], wantFirst[s])
-						}
-					}
-					for i := range wantSlots {
-						if gs.Slots[i] != wantSlots[i] {
-							t.Fatalf("%s: slot[%d] = %d, want %d", label, i, gs.Slots[i], wantSlots[i])
-						}
-					}
-					// PartRows must cover every row exactly once, ascending
-					// within each partition.
-					seen := 0
-					for _, rows := range gs.PartRows {
-						for j, r := range rows {
-							if j > 0 && rows[j-1] >= r {
-								t.Fatalf("%s: partition rows not ascending", label)
-							}
-							_ = r
-							seen++
-						}
-					}
-					if seen != n {
-						t.Fatalf("%s: partitions cover %d rows, want %d", label, seen, n)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestBuildGroupSlotsNaN: every NaN row is its own group, in row order,
-// under any worker count (NaN reps collide but never verify equal).
-func TestBuildGroupSlotsNaN(t *testing.T) {
-	nan := math.NaN()
-	col := NewFltCol([]float64{nan, 1, nan, 1, nan})
-	kr := NewKeyRep(col)
-	for _, workers := range []int{1, 4} {
-		gs := BuildGroupSlotsPartitioned(kr.Rep, kr.Verifier(), workers)
-		want := []int32{0, 1, 2, 1, 3}
-		for i := range want {
-			if gs.Slots[i] != want[i] {
-				t.Fatalf("w=%d: slots = %v, want %v", workers, gs.Slots, want)
-			}
-		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestQueryMatrix runs the whole TPC-D suite under every execution
 // configuration the engine supports — sequential/parallel × unbounded/
-// bounded buffer pool, default and 7-row probe morsels — and validates every
+// bounded buffer pool — and validates every
 // result against the reference evaluator: the configurations must never
 // change answers, only costs. Every query drains the memory gauge, and every
 // fault and hit of the pool belongs to exactly one query.
@@ -25,13 +25,12 @@ func TestQueryMatrix(t *testing.T) {
 		name    string
 		workers int
 		pool    int
-		morsel  int
 	}{
-		{"sequential/unbounded", 1, 0, 0},
-		{"parallel8/unbounded", 8, 0, 0},
-		{"sequential/512pages", 1, 512, 0},
-		{"parallel8/64pages", 8, 64, 0},
-		{"parallel3/morsel7", 3, 0, 7},
+		{"sequential/unbounded", 1, 0},
+		{"parallel8/unbounded", 8, 0},
+		{"sequential/512pages", 1, 512},
+		{"parallel8/64pages", 8, 64},
+		{"parallel3/unbounded", 3, 0},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -39,7 +38,6 @@ func TestQueryMatrix(t *testing.T) {
 			db := New(tpcd.Schema(), env)
 			db.Pager = storage.NewPager(4096, cfg.pool)
 			db.Workers = cfg.workers
-			db.MorselRows = cfg.morsel
 			db.Gauge = &mil.MemGauge{}
 			var faults, hits uint64
 			for _, q := range tpcd.Queries(gen) {

@@ -94,14 +94,11 @@ func aggResultKind(fn string, in bat.Kind) bat.Kind {
 // (id-aggr; {count} is the grouping's histogram). Otherwise the slots come
 // from contiguous runs when the head is ordered; else by direct index when
 // the head is an exact key of small span (characters, narrow integers:
-// bat.DenseGrouper, the dense-aggr variant, sequential at any worker count);
-// else from the bucket+link grouper. Over large unordered inputs of many
-// distinct keys the grouping runs radix-partitioned: rows are split by key
-// hash, per-partition groupers run concurrently, and accumulation proceeds
-// partition-parallel over disjoint slot sets. Because a group never spans partitions, every
+// bat.DenseGrouper, the dense-aggr variant); else from the bucket+link
+// grouper (hash-aggr). Every variant folds sequentially, so every
 // accumulator — including order-sensitive floating-point sums — combines
-// its rows in ascending row order, so every variant's result is
-// bit-identical to sequential execution for all aggregate functions.
+// its rows in ascending row order, and the result is the same at any worker
+// count for all aggregate functions.
 func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	g := bat.GroupingOf(b.H)
 	if g != nil && fn == "count" { // no row is read
@@ -117,13 +114,13 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	if g != nil {
 		ctx.chose("id-aggr")
 		f.grow(g.Len())
-		f.fold(0, nil, g.Slots())
+		f.fold(0, g.Slots())
 		first = g.Extents()
 	} else if b.Props.Has(bat.HOrdered) {
 		ctx.chose("ordered-aggr")
 		// An ordered head clusters each group contiguously: a row opens a
 		// new slot exactly when its key differs from its predecessor's.
-		hr := bat.NewKeyRepP(b.H, workersFor(ctx, n))
+		hr := bat.NewKeyRepP(b.H, ctx.sched(n))
 		foldRange(f, n, perRow(func(i int32) int32 {
 			if i == 0 || !(hr.Exact && hr.Rep[i-1] == hr.Rep[i] || !hr.Exact && hr.KeyEqual(i-1, i)) {
 				first = append(first, i)
@@ -159,20 +156,7 @@ func aggrResult(fn string, b *bat.BAT, tail bat.Column, first []int32) *bat.BAT 
 func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
 	ctx.chose("hash-aggr")
 	n := h.Len()
-	k := workersFor(ctx, n)
-	hr := bat.NewKeyRepP(h, k)
-	if k > 1 {
-		sched := ctx.sched(n)
-		gs := bat.BuildGroupSlotsPartitionedSched(hr.Rep, hr.Verifier(), sched)
-		// Partitions own disjoint slot sets, so the workers write disjoint
-		// accumulator entries; within a partition rows ascend, so per-group
-		// accumulation order equals the sequential scan's.
-		f.grow(len(gs.First))
-		sched.Dispatch(len(gs.PartRows), func(_, pi int) {
-			foldRows(f, gs.PartRows[pi], gs.Slots)
-		})
-		return gs.First
-	}
+	hr := bat.NewKeyRepP(h, ctx.sched(n))
 	g := bat.NewGrouper(hr.Verifier())
 	foldRange(f, n, grouperSlots(g, func(i int32) uint64 { return hr.Rep[i] }))
 	return g.Rows()
@@ -182,17 +166,14 @@ func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
 // one tail column: per-slot accumulators of what the function needs, typed
 // for the ordered fixed-width tails (typedFold), boxed for the str, bit and
 // void tails (boxedFold).
-// Aggr's ordered, dense, hash and radix-partitioned scans and — with a
-// single slot — the scalar aggregates all fold through it, in ascending row
-// order per slot.
+// Aggr's id, ordered, dense and hash scans and — with a single slot — the
+// scalar aggregates all fold through it, in ascending row order per slot.
 type slotFold interface {
 	// grow extends the accumulators to G slots.
 	grow(G int)
-	// fold accumulates the k-th of a batch of tail rows into slot slots[k],
-	// for every k in order: the rows are the window [lo, lo+len(slots)), or
-	// the positions sel when sel is non-nil (a partition's rows). The slots
-	// must have been grown; concurrent folds must touch disjoint slots.
-	fold(lo int, sel, slots []int32)
+	// fold accumulates tail row lo+k into slot slots[k], for every k in
+	// order. The slots must have been grown.
+	fold(lo int, slots []int32)
 	// tail builds the G-row result column of the aggregate.
 	tail(G int) bat.Column
 }
@@ -265,19 +246,7 @@ func foldRange(f slotFold, n int, slots slotter) {
 		if slots != nil {
 			f.grow(slots(lo, buf))
 		}
-		f.fold(lo, nil, buf)
-	})
-}
-
-// foldRows folds the given ascending rows of a BAT into f, a block at a
-// time, row r into slot slotOf[r]. f must have been grown to every slot.
-func foldRows(f slotFold, rows, slotOf []int32) {
-	forBlocks(len(rows), func(lo int, buf []int32) {
-		sel := rows[lo : lo+len(buf)]
-		for k, r := range sel {
-			buf[k] = slotOf[r]
-		}
-		f.fold(0, sel, buf)
+		f.fold(lo, buf)
 	})
 }
 
@@ -356,24 +325,17 @@ func growTo[T any](s []T, n int) []T {
 // fold runs one loop per kind of accumulator, each updating only the arrays
 // its function keeps. Slice headers live in locals: through a, every store
 // would force a reload.
-func (a *typedFold[E]) fold(lo int, sel, slots []int32) {
-	all := a.col
-	col := all[lo : lo+len(slots)] // the window: batch row k is col[k]
-	at := func(k int) E {
-		if sel != nil {
-			return all[sel[k]]
-		}
-		return col[k]
-	}
+func (a *typedFold[E]) fold(lo int, slots []int32) {
+	col := a.col[lo : lo+len(slots)] // the window: batch row k is col[k]
 	count, sumI, sumF, ext := a.count, a.sumI, a.sumF, a.ext
 	switch {
 	case sumI != nil:
 		for k, s := range slots {
-			sumI[s] += int64(at(k))
+			sumI[s] += int64(col[k])
 		}
 	case sumF != nil: // sum, or avg with its counts
 		for k, s := range slots {
-			sumF[s] += float64(at(k))
+			sumF[s] += float64(col[k])
 			if count != nil {
 				count[s]++
 			}
@@ -381,7 +343,7 @@ func (a *typedFold[E]) fold(lo int, sel, slots []int32) {
 	case ext != nil: // min or max; a slot's first row sets the extreme
 		isMin := a.fn == "min"
 		for k, s := range slots {
-			if v := at(k); count[s] == 0 || isMin && v < ext[s] || !isMin && v > ext[s] {
+			if v := col[k]; count[s] == 0 || isMin && v < ext[s] || !isMin && v > ext[s] {
 				ext[s] = v
 			}
 			count[s]++
@@ -428,13 +390,9 @@ func (a *boxedFold) grow(G int) {
 	}
 }
 
-func (a *boxedFold) fold(lo int, sel, slots []int32) {
+func (a *boxedFold) fold(lo int, slots []int32) {
 	for k, s := range slots {
-		r := lo + k
-		if sel != nil {
-			r = int(sel[k])
-		}
-		a.accs[s].add(a.col.Get(r))
+		a.accs[s].add(a.col.Get(lo + k))
 	}
 }
 

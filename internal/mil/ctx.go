@@ -11,6 +11,7 @@ package mil
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -85,12 +86,14 @@ type Ctx struct {
 	// the interpreter goroutine: accelerator builds run under the
 	// singleflight slot lock on the goroutine that triggered them, and
 	// dispatch recorders fold their per-worker counters back after
-	// MorselDoStop returns — so plain fields suffice.
+	// Dispatch returns, and a dispatch reports its site before it starts
+	// its workers — so plain fields suffice.
 	profBuilds  int
 	profBuildNs int64
 	profWorkers int
 	profMorsels int
 	profShare   float64
+	profSites   []string
 
 	// tracker attributes this query's touches of the shared Pager pool;
 	// created lazily by pager() on the interpreter goroutine (operators
@@ -116,12 +119,6 @@ type Options struct {
 	// data-parallel operators when > 1; results are bit-identical to
 	// sequential execution.
 	Workers int
-
-	// MorselRows tunes the morsel-driven scheduler that hands parallel work
-	// to the workers: 0 picks the skew-aware default (~L2-sized probe
-	// chunks, whole partitions for builds), > 0 forces an explicit probe
-	// morsel length in rows. Every setting is bit-identical.
-	MorselRows int
 
 	// Gauge, when non-nil, receives every Account/Release delta: the
 	// process-wide live-bytes feed of the server's admission control.
@@ -300,6 +297,7 @@ func (c *Ctx) ResetStats() {
 	c.tracker = c.Pager.NewTracker()
 	c.profBuilds, c.profBuildNs = 0, 0
 	c.profWorkers, c.profMorsels, c.profShare = 0, 0, 0
+	c.profSites = nil
 }
 
 // noteBuild records one accelerator construction this query triggered (and
@@ -322,10 +320,27 @@ func (c *Ctx) buildHook() func(time.Duration) {
 	return c.noteBuild
 }
 
+// parallelHook returns the observer of multi-worker dispatches to thread
+// through bat.Sched, or nil when profiling is off.
+func (c *Ctx) parallelHook() func(string) {
+	if c == nil || !c.Profile {
+		return nil
+	}
+	return c.noteParallel
+}
+
+// noteParallel records that a dispatch at site engaged more than one
+// worker in the current statement.
+func (c *Ctx) noteParallel(site string) {
+	if !slices.Contains(c.profSites, site) {
+		c.profSites = append(c.profSites, site)
+	}
+}
+
 // dispatchRec collects one parallel dispatch's per-worker load when
 // profiling is enabled; a nil recorder (profiling off, the fast path) makes
 // every method a no-op. Workers increment plain counters — safe because a
-// worker id never runs two units concurrently (the MorselDo contract) and
+// worker id never runs two units concurrently (the Dispatch contract) and
 // each worker touches only its own slots.
 type dispatchRec struct {
 	rows    []int64
@@ -396,6 +411,8 @@ func (c *Ctx) FillStmtProf(tr *StmtTrace) {
 	tr.Workers = c.profWorkers
 	tr.Morsels = c.profMorsels
 	tr.MaxShare = c.profShare
+	tr.Sites = c.profSites
 	c.profBuilds, c.profBuildNs = 0, 0
 	c.profWorkers, c.profMorsels, c.profShare = 0, 0, 0
+	c.profSites = nil
 }

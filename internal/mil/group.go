@@ -9,8 +9,8 @@ import (
 // characters, flags, narrow integers and dates) take slots by direct index
 // (bat.DenseGrouper: the dense-* variants, sequential at any worker count);
 // every other key — wide, float, string or un-synced — hashes through the
-// bucket+link grouper, radix-partitioned over large inputs (the hash-*
-// variants). Both number the same keys identically, so the variant never
+// bucket+link grouper (the hash-* variants). Both are sequential: no
+// grouping of the Figure-9 queries reaches bat.ParallelMinRows rows. Both number the same keys identically, so the variant never
 // shows in a result. A group's id column carries the grouping's by-products
 // (bat.Grouping), which Aggr's id-aggr, Unique's extent-unique and
 // Semijoin's alias-semijoin read instead of grouping again.
@@ -28,19 +28,6 @@ func Unique(ctx *Ctx, b *bat.BAT) *bat.BAT {
 	b.T.TouchAll(p)
 	// The BUNs to keep are the first rows of the (head, tail) groups.
 	return gatherPositions(ctx, b.Name+".uniq", b, groupRows(ctx, "unique", nil, b.H, b.T))
-}
-
-// mixedReps materializes the composite key reps Mix(a[i], b[i]) in
-// parallel; partitioned groupings need the vector up front for the radix
-// scatter.
-func mixedReps(ctx *Ctx, a, b *bat.KeyRep, n int) []uint64 {
-	mixed := make([]uint64, n)
-	parallelFill(ctx, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mixed[i] = bat.Mix(a.Rep[i], b.Rep[i])
-		}
-	})
-	return mixed
 }
 
 // GroupUnary implements AB.group: {a·o_b | ab ∈ AB ∧ o_b = unique_oid(b)} —
@@ -88,25 +75,14 @@ func groupRows(ctx *Ctx, op string, out []bat.OID, cols ...bat.Column) []int32 {
 func hashRows(ctx *Ctx, op string, out []bat.OID, cols ...bat.Column) []int32 {
 	ctx.chose("hash-" + op)
 	n := cols[0].Len()
-	k := workersFor(ctx, n)
+	sched := ctx.sched(n)
 	reps := make(bat.KeysEq, len(cols))
 	for i, c := range cols {
-		reps[i] = bat.NewKeyRepP(c, k)
+		reps[i] = bat.NewKeyRepP(c, sched)
 	}
 	eq := reps[0].Verifier()
 	if len(cols) == 2 {
 		eq = &reps // Mix keys always need verifying
-	}
-	if k > 1 {
-		rep := reps[0].Rep
-		if len(cols) == 2 {
-			rep = mixedReps(ctx, reps[0], reps[1], n)
-		}
-		gs := bat.BuildGroupSlotsPartitionedSched(rep, eq, ctx.sched(n))
-		if out != nil {
-			slotsToOIDs(ctx, gs.Slots, out)
-		}
-		return gs.First
 	}
 	g := bat.NewGrouper(eq)
 	r0, r1 := reps[0].Rep, reps[len(cols)-1].Rep
@@ -120,15 +96,6 @@ func hashRows(ctx *Ctx, op string, out []bat.OID, cols ...bat.Column) []int32 {
 		}
 	}
 	return g.Rows()
-}
-
-// slotsToOIDs widens group slots into the result oid vector in parallel.
-func slotsToOIDs(ctx *Ctx, slots []int32, out []bat.OID) {
-	parallelFill(ctx, len(slots), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = bat.OID(slots[i])
-		}
-	})
 }
 
 // GroupBinary implements AB.group(CD): it refines an existing grouping g
@@ -157,8 +124,8 @@ func GroupBinary(ctx *Ctx, g, b *bat.BAT) *bat.BAT {
 // every group.
 func alignedGroup(ctx *Ctx, out []bat.OID, g, b *bat.BAT) []int32 {
 	ctx.chose("hash-group")
-	k := workersFor(ctx, len(out))
-	gr, br := bat.NewKeyRepP(g.T, k), bat.NewKeyRepP(b.T, k)
+	s := ctx.sched(len(out))
+	gr, br := bat.NewKeyRepP(g.T, s), bat.NewKeyRepP(b.T, s)
 	eq := &alignedEq{g: gr, b: br, at: alignHeads(ctx, g, b)}
 	gp := bat.NewGrouper(eq)
 	for i := range out {

@@ -190,11 +190,13 @@ func hashJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		// l's tail kind cannot occur in r's head: nothing joins.
 		return joinResult(ctx, l, r, nil, nil)
 	}
-	lpos, rpos := parallelPairs(ctx, l.Len(), joinCap(l, r, idx),
-		func(lo, hi int, lp, rp []int32) ([]int32, []int32) {
-			return idx.JoinVec(pr, lo, hi, lp, rp)
-		})
-	return joinResult(ctx, l, r, lpos, rpos)
+	n, capHint := l.Len(), joinCap(l, r, idx)
+	jp := morselLoop(ctx, n, func(lo, hi int) (p pairs) {
+		hint := scratchHint(capHint, lo, hi, n)
+		p.l, p.r = idx.JoinVec(pr, lo, hi, make([]int32, 0, hint), make([]int32, 0, hint))
+		return p
+	}, catPairs)
+	return joinResult(ctx, l, r, jp.l, jp.r)
 }
 
 // JoinMulti performs an equi-join on composite keys: lKeys and rKeys are
@@ -239,10 +241,10 @@ func keyPairs(ctx *Ctx, lKeys, rKeys []*bat.BAT) (lp, rp []int32) {
 	lRows, lCols := alignKeys(ctx, lKeys)
 	rRows, rCols := alignKeys(ctx, rKeys)
 	nr := len(rRows)
-	w := workersFor(ctx, nr+len(lRows))
+	s := ctx.sched(nr + len(lRows))
 	eq := make(bat.KeysEq, len(lKeys))
 	for j := range eq {
-		eq[j] = bat.NewKeyRepP(bat.Concat(rCols[j], lCols[j]), w)
+		eq[j] = bat.NewKeyRepP(bat.Concat(rCols[j], lCols[j]), s)
 	}
 	rep := eq[0].Rep
 	if len(eq) > 1 {

@@ -103,7 +103,7 @@ func TestSelectKernelEqualsInRange(t *testing.T) {
 								want = append(want, int32(i))
 							}
 						}
-						if got := kern(w[0], w[1], nil); fmt.Sprint(got) != fmt.Sprint(want) {
+						if got := kern(w[0], w[1]); fmt.Sprint(got) != fmt.Sprint(want) {
 							t.Fatalf("%s lo#%d hi#%d incl=%v %s: kernel kept %v, inRange keeps %v",
 								k, li, hi_, incl, shape, got, want)
 						}
@@ -122,7 +122,7 @@ func TestSelectKernelEqualsInRange(t *testing.T) {
 					want = append(want, int32(i))
 				}
 			}
-			if got := kern(w[0], w[1], nil); fmt.Sprint(got) != fmt.Sprint(want) {
+			if got := kern(w[0], w[1]); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("bit/%s %s: kernel kept %v, want %v", col.Kind(), shape, got, want)
 			}
 		}
@@ -141,9 +141,8 @@ func colBits(c bat.Column) string {
 }
 
 // TestSlotFoldFeeds: the one accumulation body yields the identical
-// count/sum/avg/min/max columns whether it is fed the identity range, the
-// equivalent position list, the radix partitions of a partitioned grouping
-// or the direct-index slots of a dense grouping — and those equal the boxed
+// count/sum/avg/min/max columns whether it is fed the grouper's slots or the
+// direct-index slots of a dense grouping — and those equal the boxed
 // reference.
 func TestSlotFoldFeeds(t *testing.T) {
 	rng := rand.New(rand.NewSource(302))
@@ -156,8 +155,6 @@ func TestSlotFoldFeeds(t *testing.T) {
 		}
 		b := bat.New("b", bat.FromValues(bat.KInt, heads), tails, 0)
 		hr := bat.NewKeyRep(b.H)
-		all := allRows(n)
-		gs := bat.BuildGroupSlotsPartitioned(hr.Rep, nil, 4)
 		for _, fn := range []string{"count", "sum", "avg", "min", "max"} {
 			grouped := func(fold func(f slotFold, slots slotter)) (slotFold, int) {
 				g := bat.NewGrouper(nil)
@@ -166,19 +163,6 @@ func TestSlotFoldFeeds(t *testing.T) {
 				return f, g.Len()
 			}
 			fRange, G := grouped(func(f slotFold, slots slotter) { foldRange(f, n, slots) })
-			slotOf := make([]int32, n)
-			grouperSlots(bat.NewGrouper(nil), func(i int32) uint64 { return hr.Rep[i] })(0, slotOf)
-			fList := newSlotFold(b.T, fn)
-			fList.grow(G)
-			foldRows(fList, all, slotOf)
-			fPart := newSlotFold(b.T, fn)
-			fPart.grow(len(gs.First))
-			for _, part := range gs.PartRows {
-				foldRows(fPart, part, gs.Slots)
-			}
-			if len(gs.First) != G {
-				t.Fatalf("%s: partitioned grouping found %d groups, sequential %d", tk, len(gs.First), G)
-			}
 			d := bat.NewDenseGrouper(n, b.H)
 			if d == nil {
 				t.Fatalf("%s: 16 distinct int heads are not dense", tk)
@@ -186,7 +170,7 @@ func TestSlotFoldFeeds(t *testing.T) {
 			fDense := newSlotFold(b.T, fn)
 			foldRange(fDense, n, d.Slots)
 			want := colBits(aggrBoxed(nil, fn, b).T)
-			for feed, f := range map[string]slotFold{"range": fRange, "list": fList, "partitions": fPart, "dense": fDense} {
+			for feed, f := range map[string]slotFold{"range": fRange, "dense": fDense} {
 				if got := colBits(f.tail(G)); got != want {
 					t.Fatalf("%s/%s fed %s: %s, boxed reference %s", tk, fn, feed, got, want)
 				}
@@ -231,9 +215,12 @@ func TestScalarFoldEqualsTerminal(t *testing.T) {
 // cannot occur in the indexed head (an int column against a str-headed or a
 // dense-oid-headed BAT), nothing can match, and the operators answer without
 // probing — join and semijoin empty, diff every BUN — under the usual
-// variant names, sequential and over many small morsels alike.
+// variant names, sequential and over many morsels alike.
 func TestMismatchedProbeKindConstantAnswers(t *testing.T) {
-	const n = parallelMinRows
+	const n = bat.ParallelMinRows
+	if m := len(probeRanges(n, 4)); m < 4*morselsPerWorker {
+		t.Fatalf("%d rows cut %d morsels on 4 workers, want >= %d", n, m, 4*morselsPerWorker)
+	}
 	rng := rand.New(rand.NewSource(303))
 	ints := make([]int64, n)
 	for i := range ints {
@@ -265,7 +252,7 @@ func TestMismatchedProbeKindConstantAnswers(t *testing.T) {
 				{Dst: "RES", Op: op.code, Args: []StmtArg{VarArg("x"), VarArg("r")}},
 			}}
 			var results []*bat.BAT
-			for _, o := range []Options{{}, {Workers: 4, MorselRows: 7}} {
+			for _, o := range []Options{{}, {Workers: 4}} {
 				label := fmt.Sprintf("%s/%s/w=%d", rname, op.code, o.Workers)
 				scope, traces, err := Exec(NewCtx(nil, o), prog, Env{"l": op.l, "r": r})
 				if err != nil {

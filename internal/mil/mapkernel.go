@@ -9,7 +9,7 @@ import "repro/internal/bat"
 // kinds and shapes, once per statement, and yields nil when none fits.
 
 // mapKernel is one compiled aligned multiplex: it computes the n-row result
-// column, filling parallelFill's ranges of its backing slice directly.
+// column, filling the morsel loop's ranges of its backing slice directly.
 type mapKernel func(ctx *Ctx, n int) bat.Column
 
 // firstKernel returns the first instantiation that accepted the operands.
@@ -70,11 +70,12 @@ func un[A, R bat.Fixed](args []Operand, f func(A) R) mapKernel {
 	}
 	return func(ctx *Ctx, n int) bat.Column {
 		out := make([]R, n)
-		parallelFill(ctx, n, func(lo, hi int) {
+		morselLoop(ctx, n, func(lo, hi int) (_ struct{}) {
 			for i, x := range c.V[lo:hi] {
 				out[lo+i] = f(x)
 			}
-		})
+			return
+		}, nil)
 		return &bat.FixedCol[R]{V: out}
 	}
 }
@@ -89,7 +90,7 @@ func bin[A, B, R bat.Fixed](args []Operand, f func(A, B) R) mapKernel {
 	}
 	return func(ctx *Ctx, n int) bat.Column {
 		out := make([]R, n)
-		parallelFill(ctx, n, func(lo, hi int) {
+		morselLoop(ctx, n, func(lo, hi int) (_ struct{}) {
 			o := out[lo:hi]
 			switch {
 			case x.isConst:
@@ -108,7 +109,8 @@ func bin[A, B, R bat.Fixed](args []Operand, f func(A, B) R) mapKernel {
 					o[i] = f(xs[i], ys[i])
 				}
 			}
-		})
+			return
+		}, nil)
 		return &bat.FixedCol[R]{V: out}
 	}
 }
@@ -212,7 +214,7 @@ func strBin(args []Operand, f func(a, b string) bool) mapKernel {
 	}
 	return func(ctx *Ctx, n int) bat.Column {
 		out := make([]bool, n)
-		parallelFill(ctx, n, func(lo, hi int) {
+		morselLoop(ctx, n, func(lo, hi int) (_ struct{}) {
 			if args[0].B != nil && args[1].B == nil {
 				// Column against literal: straight over the offsets and the
 				// character heap.
@@ -226,7 +228,8 @@ func strBin(args []Operand, f func(a, b string) bool) mapKernel {
 			for i := lo; i < hi; i++ {
 				out[i] = f(x(i), y(i))
 			}
-		})
+			return
+		}, nil)
 		return bat.NewBitCol(out)
 	}
 }
@@ -247,13 +250,14 @@ func choose[E bat.Fixed](args []Operand) mapKernel {
 	}
 	return func(ctx *Ctx, n int) bat.Column {
 		out := make([]E, n)
-		parallelFill(ctx, n, func(lo, hi int) {
+		morselLoop(ctx, n, func(lo, hi int) (_ struct{}) {
 			for i := lo; i < hi; i++ {
 				if out[i] = y.at(i); cond.at(i) {
 					out[i] = x.at(i)
 				}
 			}
-		})
+			return
+		}, nil)
 		return &bat.FixedCol[E]{V: out}
 	}
 }

@@ -10,7 +10,7 @@ import (
 //
 // A multiplex never interprets a row. Once per statement compileMap turns
 // (Func, operand kinds, column/constant shape) into a mapKernel that writes
-// the result column's backing slice over parallelFill's ranges:
+// the result column's backing slice over the morsel loop's ranges:
 //
 //   - the built-in functions carry a typed family (Func.typed; the generic
 //     loops are in mapkernel.go), each operand a column or a broadcast
@@ -139,7 +139,7 @@ func adaptMap(f *Func, args []Operand) mapKernel {
 	kind := resultKind(f, args)
 	return func(ctx *Ctx, n int) bat.Column {
 		b := bat.NewBuilder(kind, n)
-		parallelFill(ctx, n, func(lo, hi int) {
+		morselLoop(ctx, n, func(lo, hi int) (_ struct{}) {
 			buf := make([]bat.Value, len(args))
 			for i := lo; i < hi; i++ {
 				for j, a := range args {
@@ -151,7 +151,8 @@ func adaptMap(f *Func, args []Operand) mapKernel {
 				}
 				b.Set(i, f.Apply(buf))
 			}
-		})
+			return
+		}, nil)
 		return b.Column()
 	}
 }

@@ -218,7 +218,7 @@ func sameMultiplex(t *testing.T, label string, got, want, first *bat.BAT) {
 // Func.Apply over Get(i), for every case, at sizes around a vector and —
 // where a typed primitive runs — at sizes that engage parallel fill (100k
 // rows for the all-column shapes), on one and four workers (below
-// parallelMinRows every worker count runs the one sequential fill).
+// bat.ParallelMinRows every worker count runs the one sequential fill).
 func TestTypedMultiplexEqualsApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	typed := 0
@@ -227,7 +227,7 @@ func TestTypedMultiplexEqualsApply(t *testing.T) {
 		_, probe := c.operands(rng, 1, true, 0)
 		if c.f.typed != nil && c.f.typed(probe) != nil {
 			typed++
-			sizes = append(sizes, parallelMinRows+1000)
+			sizes = append(sizes, bat.ParallelMinRows+1000)
 			if allCols := !slices.Contains(c.consts, true); allCols && !raceEnabled && !testing.Short() {
 				sizes = append(sizes, 100_000)
 			}
@@ -236,7 +236,7 @@ func TestTypedMultiplexEqualsApply(t *testing.T) {
 			first, args := c.operands(rng, n, true, ci)
 			want := multiplexBoxed(c.f, first, args)
 			for _, workers := range []int{1, 4} {
-				if workers > 1 && n < parallelMinRows {
+				if workers > 1 && n < bat.ParallelMinRows {
 					continue
 				}
 				ctx := NewCtx(nil, Options{Workers: workers})

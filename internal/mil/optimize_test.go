@@ -194,7 +194,10 @@ func TestOptimizeLiteralKeys(t *testing.T) {
 // parallel, and claim only true properties.
 func TestSameOperandKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	const n = 5000
+	const n = bat.ParallelMinRows
+	if m := len(probeRanges(n, 4)); m < 4*morselsPerWorker {
+		t.Fatalf("%d rows cut %d morsels on 4 workers, want >= %d", n, m, 4*morselsPerWorker)
+	}
 	heads := make([]bat.OID, n)
 	tails := make([]bat.OID, n)
 	for i := range heads {
@@ -233,7 +236,7 @@ func TestSameOperandKernels(t *testing.T) {
 		return scope
 	}
 	for _, workers := range []int{1, 4} {
-		o := Options{Workers: workers, MorselRows: 512}
+		o := Options{Workers: workers}
 		for name, tmpl := range programs {
 			label := fmt.Sprintf("%s/w%d", name, workers)
 			x := mk()

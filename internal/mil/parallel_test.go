@@ -8,12 +8,14 @@ import (
 	"repro/internal/bat"
 )
 
+// TestRangesPartition: a scan's morsel ranges are contiguous, complete and
+// non-overlapping, and there are at least as many as workers (whenever
+// there are as many rows).
 func TestRangesPartition(t *testing.T) {
 	f := func(nRaw uint16, kRaw uint8) bool {
 		n := int(nRaw)
 		k := int(kRaw)%24 + 1
-		rs := ranges(n, k)
-		// contiguous, complete, non-overlapping
+		rs := probeRanges(n, k)
 		next := 0
 		for _, r := range rs {
 			if r[0] != next || r[1] <= r[0] {
@@ -21,13 +23,13 @@ func TestRangesPartition(t *testing.T) {
 			}
 			next = r[1]
 		}
-		return next == n
+		return next == n && len(rs) >= min(k, n)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := ranges(0, 4); len(got) != 0 {
-		t.Fatalf("ranges(0,4) = %v", got)
+	if got := probeRanges(0, 4); len(got) != 0 {
+		t.Fatalf("probeRanges(0,4) = %v", got)
 	}
 }
 
@@ -36,7 +38,7 @@ func TestRangesPartition(t *testing.T) {
 // preserve efficiency" and deterministic).
 func TestParallelSelectMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	n := parallelMinRows * 2
+	n := bat.ParallelMinRows * 2
 	vals := make([]int64, n)
 	for i := range vals {
 		vals[i] = rng.Int63n(1000)
@@ -59,7 +61,7 @@ func TestParallelSelectMatchesSequential(t *testing.T) {
 
 func TestParallelMultiplexMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	n := parallelMinRows * 2
+	n := bat.ParallelMinRows * 2
 	a := make([]float64, n)
 	c := make([]float64, n)
 	for i := range a {
@@ -89,10 +91,10 @@ func TestSmallInputsStaySequential(t *testing.T) {
 	if got := workersFor(NewCtx(nil, Options{Workers: 8}), 10); got != 1 {
 		t.Fatalf("workersFor(10) = %d", got)
 	}
-	if got := workersFor(NewCtx(nil, Options{Workers: 8}), parallelMinRows); got != 8 {
+	if got := workersFor(NewCtx(nil, Options{Workers: 8}), bat.ParallelMinRows); got != 8 {
 		t.Fatalf("workersFor(min) = %d", got)
 	}
-	if got := workersFor(nil, parallelMinRows); got != 1 {
+	if got := workersFor(nil, bat.ParallelMinRows); got != 1 {
 		t.Fatalf("nil ctx workers = %d", got)
 	}
 }

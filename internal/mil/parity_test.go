@@ -400,7 +400,7 @@ func TestParityFloatEdgeCases(t *testing.T) {
 // aggregates run parallel.
 func TestParityParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(108))
-	n := parallelMinRows + parallelMinRows/3
+	n := bat.ParallelMinRows + bat.ParallelMinRows/3
 	lh := make([]bat.OID, n)
 	lt := make([]bat.OID, n)
 	ht := make([]int64, n)
@@ -425,7 +425,7 @@ func TestParityParallelBitIdentical(t *testing.T) {
 		fvals[i] = rng.Float64() * 100
 	}
 	// The group heads span n values, so they take the direct index; spread
-	// 2^16 apart they run the radix-partitioned grouper.
+	// 2^16 apart they run the grouper, its key reps filled in parallel.
 	wide := make([]bat.OID, n)
 	for i, h := range lh {
 		wide[i] = h << 16
@@ -451,11 +451,11 @@ func TestParityParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParityPartitionedGroupOps: the radix-partitioned grouping paths
-// (group, binary group, unique, and all grouped aggregates — including
-// order-sensitive float sums) must be bit-identical to sequential execution
-// for every worker count. Groups never span radix partitions, so per-group
-// accumulation order is ascending row order in both regimes.
+// TestParityPartitionedGroupOps: the grouping paths at 8 workers (group,
+// binary group, unique, and all grouped aggregates — including
+// order-sensitive float sums) must be bit-identical to sequential
+// execution. The grouping passes are sequential at any worker count; the
+// key-rep fills they read run on the dispatcher.
 func TestParityPartitionedGroupOps(t *testing.T) {
 	// NaN-tolerant BUN equality: Unique results carry the NaN tails through,
 	// and boxed Value comparison would treat equal-position NaNs as unequal.
@@ -480,10 +480,10 @@ func TestParityPartitionedGroupOps(t *testing.T) {
 
 	// Narrow heads and int keys take the direct index wherever their span
 	// is small; spread far apart ("wide") every exact key runs the
-	// radix-partitioned grouper, which the variant checks pin.
+	// grouper, which the variant checks pin.
 	for _, wide := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(109))
-		n := parallelMinRows + parallelMinRows/2
+		n := bat.ParallelMinRows + bat.ParallelMinRows/2
 		heads := make([]bat.OID, n)
 		ints := make([]int64, n)
 		flts := make([]float64, n)

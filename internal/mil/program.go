@@ -194,6 +194,10 @@ type StmtTrace struct {
 	Workers  int
 	Morsels  int
 	MaxShare float64
+	// Sites names the parallel sites (bat.Sites) at which the statement
+	// dispatched on more than one worker, in first-dispatch order. Nil
+	// when it ran sequentially or Profile is off.
+	Sites []string
 	// Props are the properties the statement's result claims, and Facts
 	// the grouping facts its columns carry ("h-groups=4").
 	Props bat.Props

@@ -76,30 +76,20 @@ func SelectBit(ctx *Ctx, b *bat.BAT) *bat.BAT {
 func scanSelect(ctx *Ctx, b *bat.BAT, keep selKernel) *bat.BAT {
 	ctx.chose("scan-select")
 	b.T.TouchAll(ctx.pager())
-	return gatherPositions(ctx, b.Name+".sel", b, parallelCollect32(ctx, b.Len(), 0, keep))
+	return gatherPositions(ctx, b.Name+".sel", b, morselLoop(ctx, b.Len(), keep, catPositions))
 }
 
-// workersFor reports the parallel degree for an operator over n rows:
-// parallel iteration engages only when enabled and the input is large enough
-// to amortize it.
-func workersFor(ctx *Ctx, n int) int {
-	if n < parallelMinRows {
-		return 1
-	}
-	return ctx.workers()
-}
-
-// selKernel is a compiled select predicate over one BAT's tail: it appends
-// the rows of [lo, hi) that qualify to out, ascending. The scan select calls
-// it once per morsel range.
-type selKernel func(lo, hi int, out []int32) []int32
+// selKernel is a compiled select predicate over one BAT's tail: it returns
+// the rows of [lo, hi) that qualify, ascending. The scan select calls it
+// once per morsel range.
+type selKernel func(lo, hi int) []int32
 
 // fixedKernel is the typed range kernel over a fixed-width tail: the rows
 // whose value is neither below lo nor above hi. (Phrased by exclusion so a
 // NaN — which bat.Compare holds equal to every bound — qualifies, as it
 // does under inRange with inclusive bounds.)
 func fixedKernel[E bat.Ordered](col []E, lo, hi E) selKernel {
-	return func(from, to int, out []int32) []int32 {
+	return func(from, to int) (out []int32) {
 		for i, x := range col[from:to] {
 			if !(x < lo) && !(x > hi) {
 				out = append(out, int32(from+i))
@@ -112,7 +102,7 @@ func fixedKernel[E bat.Ordered](col []E, lo, hi E) selKernel {
 // rowKernel lifts a per-row predicate into a kernel: the path of the tails
 // without a typed loop (bits, and bounds the typed kernels cannot express).
 func rowKernel(keep func(i int32) bool) selKernel {
-	return func(lo, hi int, out []int32) []int32 {
+	return func(lo, hi int) (out []int32) {
 		for i := int32(lo); i < int32(hi); i++ {
 			if keep(i) {
 				out = append(out, i)
@@ -192,7 +182,7 @@ func strKernel(t *bat.StrCol, lo, hi *bat.Value, loIncl, hiIncl bool) selKernel 
 		hiMax = 0
 	}
 	point := lo != nil && hi != nil && loIncl && hiIncl && l == h
-	return func(from, to int, out []int32) []int32 {
+	return func(from, to int) (out []int32) {
 		off, chars := t.Off, t.Chars
 		for i := int32(from); i < int32(to); i++ {
 			switch s := chars[off[i]:off[i+1]]; {

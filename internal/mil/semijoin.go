@@ -173,9 +173,9 @@ func hashSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 		// l's head kind cannot occur in r's head: nothing qualifies.
 		return gatherPositions(ctx, l.Name+".sel", l, nil)
 	}
-	pos := parallelCollect32(ctx, l.Len(), semijoinCap(l, r),
-		func(lo, hi int, out []int32) []int32 {
-			return idx.FilterVec(pr, lo, hi, true, out)
-		})
+	n, capHint := l.Len(), semijoinCap(l, r)
+	pos := morselLoop(ctx, n, func(lo, hi int) []int32 {
+		return idx.FilterVec(pr, lo, hi, true, make([]int32, 0, scratchHint(capHint, lo, hi, n)))
+	}, catPositions)
 	return gatherPositions(ctx, l.Name+".sel", l, pos)
 }

@@ -20,7 +20,7 @@ func alignHeads(ctx *Ctx, first, other *bat.BAT) []int32 {
 	for i := range at {
 		at[i] = -1
 	}
-	idx := bat.BuildHashIndexSched(other.H, 0, ctx.sched(other.Len()))
+	idx := bat.BuildHashIndex(other.H)
 	pr, ok := idx.NewProbe(first.H)
 	if !ok {
 		return at // a head kind that cannot occur there matches nothing
@@ -68,7 +68,7 @@ func Union(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 	b.T.TouchAll(p)
 	head, tail := bat.Concat(a.H, b.H), bat.Concat(a.T, b.T)
 	n := head.Len()
-	hr := bat.NewKeyRepP(head, workersFor(ctx, n))
+	hr := bat.NewKeyRepP(head, ctx.sched(n))
 	g := bat.NewGrouper(hr.Verifier())
 	for i, rep := range hr.Rep {
 		g.Slot(rep, int32(i))
@@ -97,10 +97,9 @@ func Diff(ctx *Ctx, a, b *bat.BAT) *bat.BAT {
 		// a's head kind cannot occur in b's head: every BUN survives.
 		return gatherPositions(ctx, a.Name+".diff", a, allRows(n))
 	}
-	pos := parallelCollect32(ctx, n, n,
-		func(lo, hi int, out []int32) []int32 {
-			return idx.FilterVec(pr, lo, hi, false, out)
-		})
+	pos := morselLoop(ctx, n, func(lo, hi int) []int32 {
+		return idx.FilterVec(pr, lo, hi, false, make([]int32, 0, scratchHint(n, lo, hi, n)))
+	}, catPositions)
 	return gatherPositions(ctx, a.Name+".diff", a, pos)
 }
 

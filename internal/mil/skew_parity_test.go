@@ -13,27 +13,27 @@ import (
 // sequential execution exactly on the inputs it exists for — skewed key
 // distributions where one range per worker would leave workers idle. Each
 // input shape runs join, semijoin, diff, group, grouped aggregation and
-// unique under sequential and morsel-claimed schedules (several morsel
-// sizes, including degenerate tiny morsels) and compares
-// results BUN by BUN. `make verify` runs this suite under -race as well,
+// unique under sequential and morsel-claimed schedules (several worker
+// counts, each cutting at least morselsPerWorker morsels per worker) and
+// compares results BUN by BUN. `make verify` runs this suite under -race as well,
 // so claim-counter races would surface here.
 
-// skewCtxs are the schedules under test: the baseline, the skew-aware
-// default, and explicit morsel sizes down to degenerate.
+// skewCtxs are the schedules under test: the baseline and three worker
+// counts; at 16 workers the skew inputs cut into the smallest morsels.
 func skewCtxs() map[string]*Ctx {
 	return map[string]*Ctx{
-		"seq":          NewCtx(nil, Options{Workers: 1}),
-		"morsel-w8":    NewCtx(nil, Options{Workers: 8}),
-		"morsel-w3-1k": NewCtx(nil, Options{Workers: 3, MorselRows: 1024}),
-		"morsel-w8-64": NewCtx(nil, Options{Workers: 8, MorselRows: 64}),
+		"seq":        NewCtx(nil, Options{Workers: 1}),
+		"morsel-w3":  NewCtx(nil, Options{Workers: 3}),
+		"morsel-w8":  NewCtx(nil, Options{Workers: 8}),
+		"morsel-w16": NewCtx(nil, Options{Workers: 16}),
 	}
 }
 
 // skewKeys generates the adversarial key shapes, all sized past
-// parallelMinRows so parallel iteration actually engages.
+// bat.ParallelMinRows so parallel iteration actually engages.
 func skewKeys(t *testing.T) map[string][]int64 {
 	t.Helper()
-	n := parallelMinRows * 2
+	n := bat.ParallelMinRows * 2
 	rng := rand.New(rand.NewSource(71))
 	zipf := rand.NewZipf(rng, 1.2, 1, 1<<12)
 
@@ -122,9 +122,9 @@ func TestSkewParityOperators(t *testing.T) {
 			{"aggr-sum", func(c *Ctx) *bat.BAT { return Aggr(c, "sum", gb) }},
 			{"aggr-avg", func(c *Ctx) *bat.BAT { return Aggr(c, "avg", gb) }},
 			{"aggr-min", func(c *Ctx) *bat.BAT { return Aggr(c, "min", gb) }},
-			// Keys of small span group by direct index, sequentially, in the
-			// operators above; these run the radix-partitioned grouper on
-			// every shape.
+			// Keys of small span group by direct index in the operators
+			// above; these run the grouper, its key reps filled in
+			// parallel, on every shape.
 			{"hash-group", func(c *Ctx) *bat.BAT { return hashGroupBAT(c, l) }},
 			{"hash-unique", func(c *Ctx) *bat.BAT { return hashUnique(c, lh) }},
 			{"hash-aggr-sum", func(c *Ctx) *bat.BAT { return hashAggrBAT(c, "sum", gb) }},
@@ -160,7 +160,7 @@ func hashAggrBAT(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 	return aggrResult(fn, b, f.tail(len(first)), first)
 }
 
-// TestSkewParitySelect covers the parallelCollect32 path (scan-select) on the
+// TestSkewParitySelect covers the morsel loop's scan-select on the
 // clustered shapes.
 func TestSkewParitySelect(t *testing.T) {
 	for shape, keys := range skewKeys(t) {
@@ -174,19 +174,26 @@ func TestSkewParitySelect(t *testing.T) {
 	}
 }
 
-// TestMorselRowsKnob pins the knob semantics: zero = skew-aware default with
-// a stealable tail, positive = explicit.
-func TestMorselRowsKnob(t *testing.T) {
-	n := parallelMinRows * 4
+// TestProbeRangesRule pins the morsel length, a function of rows and
+// workers: a stealable tail of at least morselsPerWorker morsels per worker
+// (the skew suite's schedules included), morsels no longer than
+// defaultMorselRows on large inputs, and never fewer morsels than workers.
+func TestProbeRangesRule(t *testing.T) {
+	n := bat.ParallelMinRows * 4
 	k := 8
-	if got := len(probeRanges(NewCtx(nil, Options{Workers: k}), n, k)); got < k*morselsPerWorker {
-		t.Fatalf("auto ranges = %d, want >= %d (a stealable tail)", got, k*morselsPerWorker)
+	if got := len(probeRanges(n, k)); got < k*morselsPerWorker {
+		t.Fatalf("ranges = %d, want >= %d (a stealable tail)", got, k*morselsPerWorker)
 	}
-	if got := len(probeRanges(NewCtx(nil, Options{Workers: k, MorselRows: 1024}), n, k)); got != n/1024 {
-		t.Fatalf("explicit ranges = %d, want %d", got, n/1024)
+	if got := len(probeRanges(1<<22, 2)); got != (1<<22)/defaultMorselRows {
+		t.Fatalf("large-input ranges = %d, want %d", got, (1<<22)/defaultMorselRows)
 	}
-	// huge explicit morsels still yield one range per worker
-	if got := len(probeRanges(NewCtx(nil, Options{Workers: k, MorselRows: n * 2}), n, k)); got != k {
-		t.Fatalf("oversized-morsel ranges = %d, want %d", got, k)
+	if got := len(probeRanges(bat.ParallelMinRows, 64)); got != 64 {
+		t.Fatalf("many-worker ranges = %d, want 64", got)
+	}
+	skewRows := bat.ParallelMinRows * 2
+	for name, ctx := range skewCtxs() {
+		if k := workersFor(ctx, skewRows); k > 1 && len(ctx.ProbeRanges(skewRows)) < k*morselsPerWorker {
+			t.Fatalf("%s: %d morsels over %d rows, want >= %d", name, len(ctx.ProbeRanges(skewRows)), skewRows, k*morselsPerWorker)
+		}
 	}
 }

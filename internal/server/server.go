@@ -7,7 +7,7 @@
 //   - sessions share base BATs and their accelerators — construction is
 //     singleflight in the kernel (bat.accelSlot, Datavector.LookupOrBuild),
 //     so concurrent probes that need the same missing index coalesce onto
-//     one radix-partitioned build;
+//     one build;
 //   - a prepared-plan cache parses/checks/translates each distinct MOA
 //     source once and executes it many times (preparation is pure);
 //   - admission control gates query start on a global memory budget fed by
