@@ -100,6 +100,8 @@ outofcore-smoke:
 ## lines outside bench/ (on a gofmt-clean tree), per-kind fixed-width column
 ## switch arms in non-test code, the places internal/mil still boxes a
 ## bat.Value per row (a per-row Get, a map keyed by Value, a []Value buffer),
+## the same boxing on the result path of internal/moa, internal/server and
+## internal/engine (0: only Materialize's *SetVal boxes, one Get per leaf),
 ## the property writes outside internal/bat/props.go (a .Props assignment, a
 ## bat.New in internal/mil declaring props, a SyncWith in internal/mil — the
 ## one expected is the sync-semijoin precheck recording a discovered fact),
@@ -113,6 +115,7 @@ loc:
 	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 	@printf 'per-kind column arms: '; grep -rn 'case \*\(bat\.\)\?\(OID\|Int\|Flt\|Chr\|Bit\|Date\)Col' --include=*.go internal | grep -v _test | wc -l
 	@printf 'boxed per-row sites: '; grep -rnE '\.(H|T)\.Get\(|map\[bat\.Value\]|make\(\[\]bat\.Value' --include=*.go internal/mil | grep -v _test | wc -l
+	@printf 'result-path boxed sites: '; grep -rnE 'TailValue\(|HeadValue\(|Vector\.Get\(|map\[bat\.Value\]|\[\]bat\.Value' --include=*.go internal/moa internal/server internal/engine | grep -v _test | wc -l
 	@printf 'property writes outside props.go: %d\n' $$(( \
 		$$(grep -rnE '\.Props\s*(\|=|&=|=[^=])' --include=*.go internal cmd | grep -v -e _test -e internal/bat/props.go | wc -l) + \
 		$$(grep -rn 'bat\.New(' --include=*.go internal/mil | grep -v _test | grep -v ', 0)' | wc -l) + \

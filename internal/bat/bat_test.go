@@ -2,10 +2,13 @@ package bat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -62,6 +65,98 @@ func TestDateRoundTrip(t *testing.T) {
 	}
 	if _, err := DateFromString("not-a-date"); err == nil {
 		t.Error("expected error for invalid date")
+	}
+}
+
+// TestAppendDateMatchesTimeFormat checks the arithmetic date formatter
+// against time.Format for every day from 1900-01-01 to 2100-12-31, for every
+// negative day number back to year -221, and at both ends of the 4-digit
+// year field.
+func TestAppendDateMatchesTimeFormat(t *testing.T) {
+	check := func(days int64) {
+		want := time.Unix(days*86400, 0).UTC().Format("2006-01-02")
+		if got := string(AppendDate(nil, days)); got != want {
+			t.Fatalf("day %d: got %s, want %s", days, got, want)
+		}
+	}
+	lo, hi := MustDate("1900-01-01").I, MustDate("2100-12-31").I
+	for d := lo; d <= hi; d++ {
+		check(d)
+	}
+	for d := int64(-1); d >= -800000; d-- {
+		check(d)
+	}
+	for _, d := range []int64{-719528, -719529, 2932896, 2932897, -3000000, 3000000} {
+		check(d)
+	}
+}
+
+// TestAppendFltMatchesStrconv checks the four-decimal float formatter
+// against strconv's 'f' format: random bit patterns over every exponent,
+// exact ties (k/2^n) and their neighbours, decimals in the answers' ranges,
+// and the edges of the 64-bit fast path.
+func TestAppendFltMatchesStrconv(t *testing.T) {
+	check := func(f float64) {
+		if got, want := string(appendFlt(nil, f)), strconv.FormatFloat(f, 'f', 4, 64); got != want {
+			t.Fatalf("%v (%#x): got %s, want %s", f, math.Float64bits(f), got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 200000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+		check(float64(rng.Int63n(1e12)) / 1e4 * float64(1-2*rng.Intn(2)))
+		check(rng.Float64() * math.Pow(10, float64(rng.Intn(36)-18)))
+	}
+	for n := 0; n <= 70; n++ {
+		for k := int64(0); k < 300; k++ {
+			f := math.Ldexp(float64(k), -n)
+			for _, g := range []float64{f, math.Nextafter(f, 0), math.Nextafter(f, 1e300), -f} {
+				check(g)
+			}
+		}
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1.8e15, 1.8446744073709e15, 1.9e15, 1e300,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.Ldexp(1, 63), math.Ldexp(3, 64), math.Inf(1), math.NaN(), 0.00005, 0.00015} {
+		check(f)
+		check(-f)
+	}
+}
+
+// TestAppendValueForms: the canonical rendering of every kind, from every
+// column layout, is the form answers have always been compared in.
+func TestAppendValueForms(t *testing.T) {
+	cols := []Column{
+		NewVoid(7, 3),
+		NewOIDCol([]OID{0, 9, 1 << 31}),
+		NewIntCol([]int64{-5, 0, 1 << 40}),
+		NewFltCol([]float64{0.00005, -0.0, 2.5, 1e21, math.NaN(), math.Inf(-1)}),
+		NewChrCol([]byte{'R', '\'', 0, 0xe9}),
+		NewBitCol([]bool{true, false}),
+		NewDateCol([]int32{0, -1, 10592}),
+		NewStrColFromStrings([]string{"", "a\"b", "née", "\x00<&>", "\xff"}),
+	}
+	for _, c := range cols {
+		for i := 0; i < c.Len(); i++ {
+			v := c.Get(i)
+			var want string
+			switch v.K {
+			case KOID:
+				want = fmt.Sprintf("%d@0", v.I)
+			case KFlt:
+				want = fmt.Sprintf("%.4f", v.F)
+			case KChr:
+				want = "'" + string(rune(v.I)) + "'"
+			case KStr:
+				want = strconv.Quote(v.S)
+			case KDate:
+				want = time.Unix(v.I*86400, 0).UTC().Format("2006-01-02")
+			default:
+				want = v.String()
+			}
+			if got := string(AppendValue(nil, v)); got != want {
+				t.Errorf("%s[%d]: %q, want %q", c.Kind(), i, got, want)
+			}
+		}
 	}
 }
 

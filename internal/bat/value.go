@@ -11,8 +11,11 @@ package bat
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"time"
+	"unicode/utf8"
 )
 
 // OID is a Monet object identifier. The paper's oids are dense small
@@ -108,8 +111,113 @@ func MustDate(s string) Value {
 }
 
 // DateString renders a date value as "YYYY-MM-DD".
-func DateString(days int64) string {
-	return time.Unix(days*86400, 0).UTC().Format("2006-01-02")
+func DateString(days int64) string { return string(AppendDate(nil, days)) }
+
+// AppendDate appends the date days after 1970-01-01 as "YYYY-MM-DD", exactly
+// as time.Format("2006-01-02") prints it, by civil-from-days arithmetic on
+// the proleptic Gregorian calendar (eras of 400 years, years starting in
+// March so that the leap day ends them).
+func AppendDate(buf []byte, days int64) []byte {
+	z := days + 719468 // days since 0000-03-01
+	era := z / 146097
+	if z%146097 < 0 {
+		era--
+	}
+	doe := uint32(z - era*146097)                          // [0, 146096]
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365 // [0, 399]
+	doy := doe - (365*yoe + yoe/4 - yoe/100)               // [0, 365]
+	mp := (5*doy + 2) / 153                                // March = 0
+	d, m, y := doy-(153*mp+2)/5+1, (mp+2)%12+1, int64(yoe)+era*400
+	if m <= 2 {
+		y++
+	}
+	if y < 0 {
+		buf = append(buf, '-')
+		y = -y
+	}
+	if y < 10000 {
+		u := uint32(y)
+		buf = append(buf, byte('0'+u/1000), byte('0'+u/100%10), byte('0'+u/10%10), byte('0'+u%10))
+	} else {
+		buf = strconv.AppendInt(buf, y, 10)
+	}
+	return append(buf, '-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d/10), byte('0'+d%10))
+}
+
+// AppendValue appends v's canonical rendering, the form answers are served
+// and compared in: oids as N@0, floats to four decimals, strings quoted,
+// characters in single quotes, dates as YYYY-MM-DD.
+func AppendValue(buf []byte, v Value) []byte {
+	switch v.K {
+	case KVoid:
+		return append(buf, "nil"...)
+	case KOID:
+		return append(strconv.AppendInt(buf, v.I, 10), "@0"...)
+	case KInt:
+		return strconv.AppendInt(buf, v.I, 10)
+	case KFlt:
+		return appendFlt(buf, v.F)
+	case KStr:
+		return strconv.AppendQuote(buf, v.S)
+	case KChr:
+		return append(utf8.AppendRune(append(buf, '\''), rune(v.I)), '\'')
+	case KBit:
+		return strconv.AppendBool(buf, v.I != 0)
+	case KDate:
+		return AppendDate(buf, v.I)
+	}
+	return append(buf, '?')
+}
+
+// appendFlt appends f rounded to four decimals, byte for byte
+// strconv.AppendFloat(buf, f, 'f', 4, 64), which takes its slow
+// arbitrary-precision path for every 'f' format. A finite f is m·2^e
+// exactly, so f·10⁴ is the 128-bit product m·10⁴ shifted by e: its
+// quotient, rounded half to even on the remainder, is the answer whenever
+// it fits 64 bits (|f| < 1.8e15).
+func appendFlt(buf []byte, f float64) []byte {
+	b := math.Float64bits(f)
+	exp, m := int(b>>52&0x7ff), b&(1<<52-1)
+	if exp == 0x7ff {
+		return strconv.AppendFloat(buf, f, 'f', 4, 64) // NaN, ±Inf
+	}
+	if exp == 0 {
+		exp = 1 // subnormal
+	} else {
+		m |= 1 << 52
+	}
+	hi, lo := bits.Mul64(m, 10000) // below 2^68
+	var q uint64
+	switch k := 1075 - exp; {
+	case k <= 0:
+		if hi != 0 || k < -63 || lo>>(64+k) != 0 {
+			return strconv.AppendFloat(buf, f, 'f', 4, 64)
+		}
+		q = lo << -k
+	case k < 64:
+		if hi>>k != 0 {
+			return strconv.AppendFloat(buf, f, 'f', 4, 64)
+		}
+		q = hi<<(64-k) | lo>>k
+		if r, half := lo&(1<<k-1), uint64(1)<<(k-1); r > half || r == half && q&1 == 1 {
+			q++
+		}
+	case k == 64:
+		if q = hi; lo > 1<<63 || lo == 1<<63 && q&1 == 1 {
+			q++
+		}
+	case k < 128: // the remainder is (hi mod 2^(k-64), lo), half is 2^(k-1)
+		q = hi >> (k - 64)
+		if rh, half := hi&(1<<(k-64)-1), uint64(1)<<(k-65); rh > half || rh == half && (lo > 0 || q&1 == 1) {
+			q++
+		}
+	}
+	if b>>63 != 0 {
+		buf = append(buf, '-')
+	}
+	d := q % 10000
+	buf = strconv.AppendUint(buf, q/10000, 10)
+	return append(buf, '.', byte('0'+d/1000), byte('0'+d/100%10), byte('0'+d/10%10), byte('0'+d%10))
 }
 
 // OID returns the value as an OID; the caller must know the kind.
@@ -129,30 +237,13 @@ func (v Value) AsFloat() float64 {
 	return float64(v.I)
 }
 
-// String renders the value for display and MIL listings.
+// String renders the value for display and MIL listings: the canonical
+// rendering, except that floats print in full.
 func (v Value) String() string {
-	switch v.K {
-	case KVoid:
-		return "nil"
-	case KOID:
-		return fmt.Sprintf("%d@0", v.I)
-	case KInt:
-		return strconv.FormatInt(v.I, 10)
-	case KFlt:
+	if v.K == KFlt {
 		return strconv.FormatFloat(v.F, 'g', -1, 64)
-	case KStr:
-		return strconv.Quote(v.S)
-	case KChr:
-		return "'" + string(rune(v.I)) + "'"
-	case KBit:
-		if v.I != 0 {
-			return "true"
-		}
-		return "false"
-	case KDate:
-		return DateString(v.I)
 	}
-	return "?"
+	return string(AppendValue(nil, v))
 }
 
 // Compare orders two values of the same kind: -1, 0 or +1. Values of

@@ -79,11 +79,19 @@ type Stats struct {
 	// statement traces; zero on error paths that produced no traces.
 	AccelBuilds  int
 	AccelBuildNs int64
+	// Materialize is the part of Elapsed spent after the MIL program ran:
+	// binding the structure function to the result BATs and, on Query's
+	// path, materializing Set.
+	Materialize time.Duration
 }
 
 // Result is a fully executed query.
 type Result struct {
-	Set    *moa.SetVal
+	// Set is the materialized answer: Query fills it, Execute leaves it nil.
+	Set *moa.SetVal
+	// Bound is the answer bound to the query's BATs: Bound.Len elements,
+	// each rendered by Bound.AppendElem without being materialized.
+	Bound  *moa.Bound
 	Plan   *mil.Program
 	Struct moa.Struct
 	Type   moa.Type
@@ -138,21 +146,23 @@ func (db *Database) NewSession() *Session {
 	return &Session{db: db, Options: db.Options}
 }
 
-// Query prepares and executes a MOA query on this session. qctx is the
-// query's lifecycle: cancellation or deadline expiry stops execution within
-// one morsel and surfaces as *CanceledError. context.Background() disables
-// the lifecycle entirely (no per-morsel polling).
+// Query prepares and executes a MOA query on this session, materializing
+// Result.Set. qctx is the query's lifecycle: cancellation or deadline expiry
+// stops execution within one morsel and surfaces as *CanceledError.
+// context.Background() disables the lifecycle entirely (no per-morsel
+// polling).
 func (s *Session) Query(qctx context.Context, src string) (*Result, error) {
 	prep, err := s.db.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	return s.Execute(qctx, prep)
+	return s.execute(qctx, prep, true)
 }
 
-// Execute runs a prepared query under qctx's lifecycle. The preparation is
-// immutable and may be shared: many sessions can Execute the same
-// *rewrite.Result concurrently (the server's plan cache relies on this).
+// Execute runs a prepared query under qctx's lifecycle and binds its answer
+// (Result.Bound) without materializing it into Result.Set. The preparation is immutable and may be shared: many
+// sessions can Execute the same *rewrite.Result concurrently (the server's
+// plan cache relies on this).
 //
 // Failure modes are typed: a cancelled or expired qctx yields
 // *CanceledError, a contained panic yields *InternalError (both carry the
@@ -160,7 +170,11 @@ func (s *Session) Query(qctx context.Context, src string) (*Result, error) {
 // with a wrapped *mil.UserError. On every path — success, cancel, panic —
 // the deferred DrainGauge folds the query's live intermediate bytes back to
 // the shared gauge, so admission control never leaks budget to dead queries.
-func (s *Session) Execute(qctx context.Context, prep *rewrite.Result) (res *Result, err error) {
+func (s *Session) Execute(qctx context.Context, prep *rewrite.Result) (*Result, error) {
+	return s.execute(qctx, prep, false)
+}
+
+func (s *Session) execute(qctx context.Context, prep *rewrite.Result, materialize bool) (res *Result, err error) {
 	// qctx binds the query lifecycle at construction: NewCtx retains only a
 	// cancellable context, so Background/TODO (nil Done channel) keep the
 	// uncancellable fast path free of even the amortized per-morsel poll.
@@ -179,9 +193,10 @@ func (s *Session) Execute(qctx context.Context, prep *rewrite.Result) (res *Resu
 		epochID = ep.ID
 		defer ep.Release()
 	}
-	// Whatever stays live at the end (kept results) becomes garbage once
-	// the result set is materialized; return it to the shared gauge. Runs
-	// on every exit path, including the panic recovery below.
+	// Whatever stays live at the end (kept results) is only read by the
+	// bound answer's rendering, which allocates no intermediates; return it
+	// to the shared gauge. Runs on every exit path, including the panic
+	// recovery below.
 	defer ctx.DrainGauge()
 	start := time.Now()
 	statsAt := func() Stats {
@@ -195,8 +210,8 @@ func (s *Session) Execute(qctx context.Context, prep *rewrite.Result) (res *Resu
 		}
 	}
 	// Outermost containment: the interpreter already recovers per-statement
-	// panics (mil.PanicError), but materialization and the engine's own
-	// bookkeeping run outside that boundary. Nothing may unwind into the
+	// panics (mil.PanicError), but binding, materialization and the
+	// engine's own bookkeeping run outside that boundary. Nothing may unwind into the
 	// caller's serving loop.
 	defer func() {
 		if r := recover(); r != nil {
@@ -223,34 +238,24 @@ func (s *Session) Execute(qctx context.Context, prep *rewrite.Result) (res *Resu
 		}
 		return nil, fmt.Errorf("execute: %w", rerr)
 	}
-	set, merr := moa.Materialize(scope, prep.Struct)
-	if merr != nil {
-		return nil, fmt.Errorf("materialize: %w", merr)
+	bound0 := time.Now()
+	bound, berr := prep.Resolver.Bind(scope)
+	if berr != nil {
+		return nil, fmt.Errorf("materialize: %w", berr)
 	}
-	elapsed := time.Since(start)
-
+	res = &Result{Bound: bound, Plan: prep.Prog, Struct: prep.Struct, Type: prep.Type, Traces: traces}
+	if materialize {
+		res.Set = bound.Materialize()
+	}
 	// Per-query attribution: the ctx's private tracker counted exactly the
 	// touches this query made against the (possibly shared) pool. The old
 	// before/after delta on the pool's aggregate counter would interleave
 	// concurrent sessions' faults into each other's stats.
-	st := Stats{
-		Elapsed:     elapsed,
-		Faults:      ctx.PageFaults(),
-		Hits:        ctx.PageHits(),
-		IntermBytes: ctx.IntermBytes,
-		PeakBytes:   ctx.PeakBytes,
-		Epoch:       epochID,
-	}
+	res.Stats = statsAt()
+	res.Stats.Materialize = res.Stats.Elapsed - bound0.Sub(start)
 	for i := range traces {
-		st.AccelBuilds += traces[i].AccelBuilds
-		st.AccelBuildNs += traces[i].AccelBuildNs
+		res.Stats.AccelBuilds += traces[i].AccelBuilds
+		res.Stats.AccelBuildNs += traces[i].AccelBuildNs
 	}
-	return &Result{
-		Set:    set,
-		Plan:   prep.Prog,
-		Struct: prep.Struct,
-		Type:   prep.Type,
-		Traces: traces,
-		Stats:  st,
-	}, nil
+	return res, nil
 }

@@ -13,13 +13,18 @@ import (
 // bounded buffer pool — and validates every
 // result against the reference evaluator: the configurations must never
 // change answers, only costs. Every query drains the memory gauge, and every
-// fault and hit of the pool belongs to exactly one query.
+// fault and hit of the pool belongs to exactly one query. The parallel
+// configurations run over SF 0.02: at SF 0.002 no operand reaches
+// bat.ParallelMinRows, so they would validate parallel execution in name
+// only; each must dispatch at least one statement.
 func TestQueryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix is slow")
 	}
 	gen, _ := testDB(t)
 	env, _ := tpcd.Load(gen)
+	bigGen := tpcd.Generate(0.02, 7)
+	bigEnv, _ := tpcd.Load(bigGen)
 
 	configs := []struct {
 		name    string
@@ -35,11 +40,17 @@ func TestQueryMatrix(t *testing.T) {
 	for _, cfg := range configs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
+			gen, env := gen, env
+			if cfg.workers > 1 {
+				gen, env = bigGen, bigEnv
+			}
 			db := New(tpcd.Schema(), env)
 			db.Pager = storage.NewPager(4096, cfg.pool)
 			db.Workers = cfg.workers
 			db.Gauge = &mil.MemGauge{}
+			db.Profile = true
 			var faults, hits uint64
+			dispatched := 0
 			for _, q := range tpcd.Queries(gen) {
 				res, err := db.Query(q.MOA)
 				if err != nil {
@@ -50,6 +61,11 @@ func TestQueryMatrix(t *testing.T) {
 				}
 				faults += res.Stats.Faults
 				hits += res.Stats.Hits
+				for _, tr := range res.Traces {
+					if len(tr.Sites) > 0 {
+						dispatched++
+					}
+				}
 				want, err := tpcd.Reference(gen, q.Num)
 				if err != nil {
 					t.Fatal(err)
@@ -60,6 +76,9 @@ func TestQueryMatrix(t *testing.T) {
 			}
 			if db.Pager.Faults() != faults || db.Pager.Hits() != hits {
 				t.Errorf("pool %d faults, %d hits; queries %d, %d", db.Pager.Faults(), db.Pager.Hits(), faults, hits)
+			}
+			if cfg.workers > 1 && dispatched == 0 {
+				t.Errorf("%s: no statement dispatched", cfg.name)
 			}
 		})
 	}

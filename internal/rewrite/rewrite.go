@@ -26,7 +26,10 @@ import (
 type Result struct {
 	Prog   *mil.Program
 	Struct moa.Struct
-	Type   moa.Type
+	// Resolver is Struct compiled, bound per execution to the program's
+	// result BATs.
+	Resolver *moa.Resolver
+	Type     moa.Type
 	// Raw is the program as the rewriter emitted it, before mil.Optimize
 	// computed each value once, and Translated its length.
 	Raw        *mil.Program
@@ -43,7 +46,12 @@ func Translate(ck *moa.Checked) (*Result, error) {
 		return nil, err
 	}
 	prog, alias := mil.Optimize(res.Prog)
-	return &Result{Prog: prog, Struct: renameStruct(res.Struct, alias), Type: res.Type,
+	st := renameStruct(res.Struct, alias)
+	rv, err := moa.Compile(st)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Prog: prog, Struct: st, Resolver: rv, Type: res.Type,
 		Raw: res.Prog, Translated: len(res.Prog.Stmts)}, nil
 }
 

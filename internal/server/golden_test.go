@@ -2,9 +2,11 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/engine"
 	"repro/internal/tpcd"
@@ -91,4 +94,74 @@ func TestResponseBytesGolden(t *testing.T) {
 			t.Fatalf("response bytes moved at line %d:\ngot  %.400s\nwant %.400s", i+1, g, w)
 		}
 	}
+}
+
+// TestAppendJSONStringIsEncodingJSON: the response writer's string escaping
+// equals encoding/json's (HTML escaping on) for every byte, the two line
+// separators, invalid and truncated UTF-8, and random mixes of them.
+func TestAppendJSONStringIsEncodingJSON(t *testing.T) {
+	cases := []string{"", "plain", "<a href=\"x\">&amp;</a>", "\u2028\u2029", "\xff\xfe", "é\xe2\x82", "ü\x80"}
+	for b := 0; b < 256; b++ {
+		cases = append(cases, string([]byte{byte(b)}), "x"+string(rune(b))+"y")
+	}
+	rng := rand.New(rand.NewSource(3))
+	alphabet := []string{"a", "\"", "\\", "<", ">", "&", "\n", "\x01", "\x7f", "é", "\u2028", "\xc3", "\xff", string(utf8.RuneError), "𝄞"}
+	for i := 0; i < 2000; i++ {
+		var sb strings.Builder
+		for n := rng.Intn(12); n > 0; n-- {
+			sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		cases = append(cases, sb.String())
+	}
+	for _, c := range cases {
+		want, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONString(nil, []byte(c)); !bytes.Equal(got, want) {
+			t.Fatalf("%q: got %s, want %s", c, got, want)
+		}
+	}
+}
+
+// TestResultPathAllocations bounds what serving an answer allocates: a
+// clerk-returns query of 1,600-odd Items of 14 fields each, rendered and
+// encoded, allocates a constant number of times per query — the difference
+// to the same request under ?noresult=1 is the rendering — and the whole
+// request allocates fewer times than it returns elements.
+func TestResultPathAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	gen := tpcd.Generate(0.002, 7)
+	env, _ := tpcd.Load(gen)
+	h := New(engine.New(tpcd.Schema(), env), Config{}).Handler()
+	src := fmt.Sprintf(`select[=(order.clerk, %q), =(returnflag, 'R')](Item)`, gen.Clerk())
+	var rec *httptest.ResponseRecorder
+	serve := func(path string) func() {
+		return func() {
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(src)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+			}
+		}
+	}
+	serve("/query")() // plan cache, accelerators and the pooled buffer warm up
+	var qr QueryResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+		t.Fatal(err)
+	}
+	if qr.Count < 1000 || len(qr.Elems) != qr.Count {
+		t.Fatalf("%d elements (%d rendered), want over 1000", qr.Count, len(qr.Elems))
+	}
+	full := testing.AllocsPerRun(5, serve("/query"))
+	bare := testing.AllocsPerRun(5, serve("/query?noresult=1"))
+	if render := full - bare; render > 64 {
+		t.Errorf("rendering %d elements allocated %.0f times per query, want O(1)", qr.Count, render)
+	}
+	if full >= float64(qr.Count) {
+		t.Errorf("serving %d elements allocated %.0f times per query", qr.Count, full)
+	}
+	t.Logf("%d elements: %.0f allocations served, %.0f under ?noresult=1", qr.Count, full, bare)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,12 +11,13 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/bat"
 	"repro/internal/engine"
 	"repro/internal/epoch"
-	"repro/internal/moa"
 	"repro/internal/obs"
 )
 
@@ -58,8 +60,9 @@ type ErrorResponse struct {
 // Handler returns the service's HTTP front end:
 //
 //	POST /query        MOA source in the body (or ?q=), result as JSON;
-//	                   ?noresult=1 suppresses element rendering,
+//	                   ?noresult=1 counts the elements without rendering,
 //	                   ?trace=1 adds the Fig. 10-style statement trace,
+//	                   ?profile=1 adds the phase and statement profile,
 //	                   ?timeout=DUR caps this query's wall clock (Go
 //	                   duration; tightens but never loosens the server's
 //	                   -query-timeout default);
@@ -68,8 +71,8 @@ type ErrorResponse struct {
 //	                   504 on deadline expiry, 499 on client disconnect,
 //	                   500 on a contained internal error.
 //	GET  /metrics      service counters, text format (one "name value" line
-//	                   each, Prometheus-scrapable) plus the latency/wait
-//	                   histograms and Go runtime stats.
+//	                   each, Prometheus-scrapable) plus the latency, wait
+//	                   and result-phase histograms and Go runtime stats.
 //	GET  /healthz      liveness probe.
 //
 // With Config.Pprof set, the standard net/http/pprof endpoints are mounted
@@ -106,6 +109,15 @@ func requestID(w http.ResponseWriter, r *http.Request) string {
 	return rid
 }
 
+// handleQuery serves POST /query. The answer is bound, never materialized:
+// each element renders from the result's columns and is JSON-escaped into
+// one pooled buffer, written once, byte for byte what encoding/json writes
+// for QueryResponse. ?noresult=1 counts the elements and renders none.
+// ?profile=1 adds the Profile: the phases slot_wait_ns, admission_ns,
+// plan_ns, exec_ns (the MIL program), materialize_ns (binding the structure
+// function to its result) and render_ns (rendering and encoding the
+// elements) sum exactly to total_ns, which ends when the elements are
+// encoded; materialize_ns + render_ns feed moaserve_result_seconds.
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(w, r)
 	src := r.URL.Query().Get("q")
@@ -137,10 +149,8 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	res, prof, err := s.QueryProfiled(ctx, src, QueryOpts{
-		Profile:   boolParam(r, "profile"),
-		RequestID: rid,
-	})
+	opts := QueryOpts{Profile: boolParam(r, "profile"), RequestID: rid}
+	res, ph, err := s.execute(ctx, src, opts)
 	if err != nil {
 		var oe *OverloadedError
 		var ce *engine.CanceledError
@@ -165,20 +175,30 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// The body is QueryResponse as encoding/json writes it, built in one
+	// pooled buffer and written once: each element renders straight from
+	// the bound answer's columns and is JSON-escaped into the body; the
+	// fields after the elements are encoding/json's own.
+	rb := respBufs.Get().(*respBuf)
+	buf := appendJSONString(append(rb.out[:0], `{"request_id":`...), []byte(rid))
+	n := res.Bound.Len()
+	buf = strconv.AppendInt(append(buf, `,"count":`...), int64(n), 10)
+	if n > 0 && !boolParam(r, "noresult") {
+		buf = append(buf, `,"elems":[`...)
+		for i := 0; i < n; i++ {
+			rb.elem = res.Bound.AppendElem(rb.elem[:0], i)
+			buf = append(appendJSONString(buf, rb.elem), ',')
+		}
+		buf[len(buf)-1] = ']'
+	}
+	ph.renderWait = ph.mark()
+	s.histResult.Observe(ph.matWait + ph.renderWait)
 	resp := QueryResponse{
-		RequestID:   rid,
-		Count:       len(res.Set.Elems),
 		ElapsedUS:   res.Stats.Elapsed.Microseconds(),
 		Faults:      res.Stats.Faults,
 		IntermBytes: res.Stats.IntermBytes,
 		PeakBytes:   res.Stats.PeakBytes,
-		Profile:     prof,
-	}
-	if !boolParam(r, "noresult") {
-		resp.Elems = make([]string, len(res.Set.Elems))
-		for i, e := range res.Set.Elems {
-			resp.Elems[i] = moa.RenderVal(e.V)
-		}
+		Profile:     s.finish(ph, opts, src, res),
 	}
 	if boolParam(r, "trace") {
 		resp.Trace = make([]string, len(res.Traces))
@@ -186,9 +206,71 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 			resp.Trace[i] = tr.String()
 		}
 	}
+	rest, err := json.Marshal(resp)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err, "internal", rid)
+		return
+	}
+	rb.out = append(append(buf, rest[bytes.Index(rest, []byte(`,"elapsed_us":`)):]...), '\n')
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	w.Write(rb.out)
+	if cap(rb.out)+cap(rb.elem) <= maxPooledResponse {
+		respBufs.Put(rb)
+	}
 }
+
+// respBuf is a pooled response: the body, and the scratch one element
+// renders into before it is escaped into the body.
+type respBuf struct{ out, elem []byte }
+
+var respBufs = sync.Pool{New: func() any { return new(respBuf) }}
+
+// maxPooledResponse caps the buffers kept for reuse: one huge answer's
+// memory goes back to the collector instead of staying pinned in the pool.
+const maxPooledResponse = 4 << 20
+
+// appendJSONString appends s as a JSON string exactly as encoding/json
+// writes it with HTML escaping on (its default): the escapes of jsonEscapes,
+// U+2028 and U+2029 escaped, and each byte of invalid UTF-8 as \ufffd.
+func appendJSONString(dst, s []byte) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		var esc string
+		size := 1
+		if c := s[i]; c < utf8.RuneSelf {
+			esc = jsonEscapes[c]
+		} else {
+			var r rune
+			switch r, size = utf8.DecodeRune(s[i:]); {
+			case r == utf8.RuneError && size == 1:
+				esc = `\ufffd`
+			case r == '\u2028':
+				esc = `\u2028`
+			case r == '\u2029':
+				esc = `\u2029`
+			}
+		}
+		if esc != "" {
+			dst = append(append(dst, s[start:i]...), esc...)
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(dst, s[start:]...), '"')
+}
+
+// jsonEscapes holds encoding/json's escape of each ASCII byte it escapes:
+// control characters, the quote, the backslash, and <, > and &.
+var jsonEscapes = func() (t [utf8.RuneSelf]string) {
+	for c := range t {
+		if c < ' ' || c == '<' || c == '>' || c == '&' {
+			t[c] = fmt.Sprintf(`\u%04x`, c)
+		}
+	}
+	t['\b'], t['\f'], t['\n'], t['\r'], t['\t'], t['"'], t['\\'] = `\b`, `\f`, `\n`, `\r`, `\t`, `\"`, `\\`
+	return t
+}()
 
 // IngestResponse is the JSON body of a successful /ingest call.
 type IngestResponse struct {
@@ -347,6 +429,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.histLatency.Snapshot().WriteProm(w, "moaserve_query_seconds")
 	s.histSlot.Snapshot().WriteProm(w, "moaserve_slot_wait_seconds")
 	s.histAdmit.Snapshot().WriteProm(w, "moaserve_admission_wait_seconds")
+	s.histResult.Snapshot().WriteProm(w, "moaserve_result_seconds")
 	// Write path: the ingest histogram's _count equals moaserve_ingests_total
 	// at quiesce; checkpoints are the ingest tail once the apply is cheap.
 	s.histIngest.Snapshot().WriteProm(w, "moaserve_ingest_seconds")

@@ -79,6 +79,7 @@ func TestHistogramConservation(t *testing.T) {
 		"moaserve_query_seconds_count ",
 		"moaserve_slot_wait_seconds_count ",
 		"moaserve_admission_wait_seconds_count ",
+		"moaserve_result_seconds_count ",
 		"moaserve_goroutines ",
 		"moaserve_heap_alloc_bytes ",
 	} {
@@ -308,11 +309,11 @@ func TestProfileShape(t *testing.T) {
 		if prof.PlanCacheHit != wantHit {
 			t.Errorf("query %d: plan_cache_hit=%v, want %v", i, prof.PlanCacheHit, wantHit)
 		}
-		if prof.TotalNs <= 0 || prof.ExecNs <= 0 {
+		if prof.TotalNs <= 0 || prof.ExecNs <= 0 || prof.MaterializeNs <= 0 {
 			t.Errorf("query %d: degenerate phase breakdown %+v", i, prof)
 		}
-		if prof.ExecNs > prof.TotalNs {
-			t.Errorf("query %d: exec %dns exceeds total %dns", i, prof.ExecNs, prof.TotalNs)
+		if sum := phaseSum(prof); sum != prof.TotalNs {
+			t.Errorf("query %d: phases sum to %dns, total %dns", i, sum, prof.TotalNs)
 		}
 		if len(prof.Statements) == 0 || len(prof.Statements) != len(res.Traces) {
 			t.Errorf("query %d: %d profile statements, %d traces", i, len(prof.Statements), len(res.Traces))
@@ -337,9 +338,16 @@ func TestProfileShape(t *testing.T) {
 	}
 }
 
+// phaseSum adds a profile's six phases.
+func phaseSum(p *Profile) int64 {
+	return p.SlotWaitNs + p.AdmissionNs + p.PlanNs + p.ExecNs + p.MaterializeNs + p.RenderNs
+}
+
 // TestProfileHTTP round-trips ?profile=1 through the HTTP front end: the
 // JSON response must embed the profile, echo the request id in body and
-// header, and keep the statement table intact.
+// header, and keep the statement table intact; its phases, the render
+// phase included, sum exactly to its total, and every served answer is one
+// observation of the result-phase histogram.
 func TestProfileHTTP(t *testing.T) {
 	svc, mix := testServicePaged(t, Config{MaxConcurrent: 2})
 	ts := httptest.NewServer(svc.Handler())
@@ -405,6 +413,22 @@ func TestProfileHTTP(t *testing.T) {
 	}
 	if qr2.RequestID == "" || resp2.Header.Get("X-Request-Id") == "" {
 		t.Error("no server-generated request id")
+	}
+
+	resp3, err := http.Post(ts.URL+"/query?profile=1", "text/plain", strings.NewReader(mix[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp3.Body.Close()
+	var qr3 QueryResponse
+	if err := json.NewDecoder(resp3.Body).Decode(&qr3); err != nil {
+		t.Fatal(err)
+	}
+	if p := qr3.Profile; p == nil || len(qr3.Elems) == 0 || p.RenderNs <= 0 || phaseSum(p) != p.TotalNs {
+		t.Errorf("rendered answer's profile: %d elements, %+v", len(qr3.Elems), p)
+	}
+	if c := svc.histResult.Snapshot().Count; c != 3 {
+		t.Errorf("result-phase histogram observed %d answers, want 3", c)
 	}
 }
 

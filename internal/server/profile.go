@@ -20,14 +20,19 @@ type Profile struct {
 	RequestID string `json:"request_id,omitempty"`
 	Query     string `json:"query,omitempty"`
 
-	// Phase breakdown, nanoseconds. TotalNs covers slot wait through
-	// execution; the phases sum to (almost) TotalNs, the remainder being
-	// session setup and error typing.
-	SlotWaitNs  int64 `json:"slot_wait_ns"`
-	AdmissionNs int64 `json:"admission_ns"`
-	PlanNs      int64 `json:"plan_ns"`
-	ExecNs      int64 `json:"exec_ns"`
-	TotalNs     int64 `json:"total_ns"`
+	// Phase breakdown, nanoseconds, cut from one chain of timestamps, so
+	// the six phases sum to TotalNs exactly. ExecNs is the MIL program,
+	// MaterializeNs binding the structure function to its result, RenderNs
+	// rendering and JSON-encoding the answer's elements (zero outside the
+	// HTTP front end). TotalNs ends there: the write, and the encoding of
+	// the trace and of this profile, fall outside it.
+	SlotWaitNs    int64 `json:"slot_wait_ns"`
+	AdmissionNs   int64 `json:"admission_ns"`
+	PlanNs        int64 `json:"plan_ns"`
+	ExecNs        int64 `json:"exec_ns"`
+	MaterializeNs int64 `json:"materialize_ns"`
+	RenderNs      int64 `json:"render_ns"`
+	TotalNs       int64 `json:"total_ns"`
 
 	PlanCacheHit bool   `json:"plan_cache_hit"`
 	Epoch        uint64 `json:"epoch"`
@@ -87,30 +92,43 @@ func stmtProfiles(traces []mil.StmtTrace) []StmtProfile {
 	return out
 }
 
-// phases carries the request-path timestamps Query measures for every query
-// (the always-on wait histograms need them); a Profile is assembled from
-// them only when profiling or the slow-query log asks for one.
+// phases carries the request-path phases measured for every query (the
+// always-on histograms need them), each the distance between two
+// consecutive timestamps of one chain; a Profile is assembled from them
+// only when profiling or the slow-query log asks for one.
 type phases struct {
-	start     time.Time
-	slotWait  time.Duration
-	admitWait time.Duration
-	planWait  time.Duration
-	execWait  time.Duration
-	planHit   bool
+	start, last time.Time // the chain's first and latest timestamps
+	slotWait    time.Duration
+	admitWait   time.Duration
+	planWait    time.Duration
+	execWait    time.Duration
+	matWait     time.Duration
+	renderWait  time.Duration
+	planHit     bool
+}
+
+// mark takes the chain's next timestamp and returns the phase it ends.
+func (ph *phases) mark() time.Duration {
+	now := time.Now()
+	d := now.Sub(ph.last)
+	ph.last = now
+	return d
 }
 
 // assemble builds the full Profile from the measured phases and the query's
 // result.
 func (ph *phases) assemble(rid, src string, res *engine.Result) *Profile {
 	p := &Profile{
-		RequestID:    rid,
-		Query:        src,
-		SlotWaitNs:   ph.slotWait.Nanoseconds(),
-		AdmissionNs:  ph.admitWait.Nanoseconds(),
-		PlanNs:       ph.planWait.Nanoseconds(),
-		ExecNs:       ph.execWait.Nanoseconds(),
-		TotalNs:      time.Since(ph.start).Nanoseconds(),
-		PlanCacheHit: ph.planHit,
+		RequestID:     rid,
+		Query:         src,
+		SlotWaitNs:    ph.slotWait.Nanoseconds(),
+		AdmissionNs:   ph.admitWait.Nanoseconds(),
+		PlanNs:        ph.planWait.Nanoseconds(),
+		ExecNs:        ph.execWait.Nanoseconds(),
+		MaterializeNs: ph.matWait.Nanoseconds(),
+		RenderNs:      ph.renderWait.Nanoseconds(),
+		TotalNs:       ph.last.Sub(ph.start).Nanoseconds(),
+		PlanCacheHit:  ph.planHit,
 	}
 	if res != nil {
 		p.Epoch = res.Stats.Epoch

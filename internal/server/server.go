@@ -103,6 +103,9 @@ type Service struct {
 	histLatency obs.Hist
 	histSlot    obs.Hist
 	histAdmit   obs.Hist
+	// histResult observes the result phase of every answer the HTTP front
+	// end serves: binding the structure function, rendering and encoding.
+	histResult obs.Hist
 	// histIngest observes exactly the ingests counted in `ingests`, end to
 	// end (validate, WAL, apply, publish, any checkpoint).
 	histIngest obs.Hist
@@ -214,24 +217,40 @@ type QueryOpts struct {
 }
 
 // Query admits, prepares (through the plan cache) and executes one MOA
-// query on a fresh session over the shared database, under ctx's lifecycle:
-// cancellation or deadline expiry — the caller's or the server default
-// (Config.QueryTimeout) — stops the query within one morsel and surfaces as
-// *engine.CanceledError. A contained panic surfaces as an ExecError
-// wrapping *engine.InternalError, and the cached plan that produced it is
-// quarantined (evicted) so a plan-correlated defect cannot keep recurring
-// from the cache. nil ctx means no lifecycle.
+// query on a fresh session over the shared database, under ctx's lifecycle,
+// and materializes Result.Set: cancellation or deadline expiry — the
+// caller's or the server default (Config.QueryTimeout) — stops the query
+// within one morsel and surfaces as *engine.CanceledError. A contained
+// panic surfaces as an ExecError wrapping *engine.InternalError, and the
+// cached plan that produced it is quarantined (evicted) so a
+// plan-correlated defect cannot keep recurring from the cache. nil ctx
+// means no lifecycle.
 func (s *Service) Query(ctx context.Context, src string) (*engine.Result, error) {
 	res, _, err := s.QueryProfiled(ctx, src, QueryOpts{})
-	return res, err
+	if err != nil {
+		return nil, err
+	}
+	res.Set = res.Bound.Materialize()
+	return res, nil
 }
 
-// QueryProfiled is Query plus the observability path: every query's phase
-// wall times feed the service histograms (always-on, a handful of
-// time.Now() calls), and a structured Profile is assembled when the caller
-// asks (opts.Profile) or the slow-query log is armed. The returned Profile
-// is nil otherwise, and on every error path.
+// QueryProfiled is Query plus the observability path, and leaves the answer
+// bound (Result.Bound), not materialized: every query's phase wall times
+// feed the service histograms (always-on, a handful of time.Now() calls),
+// and a structured Profile is assembled when the caller asks (opts.Profile)
+// or the slow-query log is armed. The returned Profile is nil otherwise,
+// and on every error path.
 func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts) (*engine.Result, *Profile, error) {
+	res, ph, err := s.execute(ctx, src, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, s.finish(ph, opts, src, res), nil
+}
+
+// execute runs one query through slot, admission, plan cache and engine,
+// timing each phase on one chain of timestamps.
+func (s *Service) execute(ctx context.Context, src string, opts QueryOpts) (*engine.Result, *phases, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -240,8 +259,8 @@ func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts)
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	var ph phases
-	ph.start = time.Now()
+	ph := &phases{start: time.Now()}
+	ph.last = ph.start
 
 	// A bounded slot pool: a burst beyond MaxConcurrent queues here
 	// instead of oversubscribing the CPU with competing morsel workers. A
@@ -253,28 +272,26 @@ func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts)
 		return nil, nil, s.refuseCtx(ctx.Err())
 	}
 	defer func() { <-s.slots }()
-	ph.slotWait = time.Since(ph.start)
+	ph.slotWait = ph.mark()
 	s.histSlot.Observe(ph.slotWait)
 
 	// Admission: gate query start on the global memory budget. The gauge
 	// is fed by every running query's Account/Release deltas, so shedding
 	// reacts to actual intermediate pressure, not a static session count.
-	admit0 := time.Now()
 	if b := s.cfg.MemBudgetBytes; b > 0 {
 		if live := s.gauge.Live(); live >= b {
 			s.shed.Add(1)
 			return nil, nil, &OverloadedError{Live: live, Budget: b, RetryAfter: time.Second}
 		}
 	}
-	ph.admitWait = time.Since(admit0)
+	ph.admitWait = ph.mark()
 	s.histAdmit.Observe(ph.admitWait)
 
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	plan0 := time.Now()
 	prep, hit, err := s.plans.lookup(src)
-	ph.planWait, ph.planHit = time.Since(plan0), hit
+	ph.planWait, ph.planHit = ph.mark(), hit
 	if err != nil {
 		s.errors.Add(1)
 		return nil, nil, err
@@ -282,11 +299,8 @@ func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts)
 	sess := s.db.NewSession()
 	sess.Workers = s.cfg.Workers
 	sess.Gauge = s.gauge
-	wantProfile := opts.Profile || s.cfg.SlowQuery > 0
-	sess.Profile = wantProfile
-	exec0 := time.Now()
+	sess.Profile = opts.Profile || s.cfg.SlowQuery > 0
 	res, err := sess.Execute(ctx, prep)
-	ph.execWait = time.Since(exec0)
 	if err != nil {
 		var ce *engine.CanceledError
 		var ie *engine.InternalError
@@ -315,25 +329,36 @@ func (s *Service) QueryProfiled(ctx context.Context, src string, opts QueryOpts)
 		s.errors.Add(1)
 		return nil, nil, &ExecError{Err: err}
 	}
+	ph.execWait = ph.mark() - res.Stats.Materialize
+	ph.matWait = res.Stats.Materialize
 	s.queries.Add(1)
 	// The latency histogram observes exactly the successful queries, right
 	// where they are counted: Σ buckets == moaserve_queries_total holds at
 	// every scrape (both adds happen-before the response; a scrape between
 	// them can read count ahead by in-flight completions, never behind).
-	total := time.Since(ph.start)
-	s.histLatency.Observe(total)
+	s.histLatency.Observe(ph.last.Sub(ph.start))
 	s.accelBuildNs.Add(res.Stats.AccelBuildNs)
-	var prof *Profile
-	if wantProfile {
-		prof = ph.assemble(opts.RequestID, src, res)
-		if d := s.cfg.SlowQuery; d > 0 && total >= d {
-			s.logSlowQuery(prof)
-		}
-		if !opts.Profile {
-			prof = nil
-		}
+	return res, ph, nil
+}
+
+// finish closes a successful query's phase chain and assembles its Profile
+// when the caller asked for one, or when the slow-query log is armed and
+// the query reached its threshold (then logged, and returned only if
+// asked).
+func (s *Service) finish(ph *phases, opts QueryOpts, src string, res *engine.Result) *Profile {
+	total := ph.last.Sub(ph.start)
+	slow := s.cfg.SlowQuery > 0 && total >= s.cfg.SlowQuery
+	if !opts.Profile && !slow {
+		return nil
 	}
-	return res, prof, nil
+	prof := ph.assemble(opts.RequestID, src, res)
+	if slow {
+		s.logSlowQuery(prof)
+	}
+	if !opts.Profile {
+		return nil
+	}
+	return prof
 }
 
 // refuseCtx types a context death observed before execution started (while
