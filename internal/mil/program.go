@@ -207,14 +207,19 @@ type StmtTrace struct {
 func (t StmtTrace) String() string {
 	s := fmt.Sprintf("%8.3fms %6d faults %-8d rows  %-24s %s",
 		float64(t.Elapsed.Microseconds())/1000.0, t.Faults, t.Rows, t.Algo, t.Text)
-	claims := t.Facts
-	if t.Props != 0 {
-		claims = strings.TrimSuffix(t.Props.String()+","+t.Facts, ",")
-	}
-	if claims != "" {
+	if claims := t.Claims(); claims != "" {
 		s += "  {" + claims + "}"
 	}
 	return s
+}
+
+// Claims renders the properties and grouping facts the result claims
+// ("h-key,t-groups=4"), or "" when it claims none.
+func (t StmtTrace) Claims() string {
+	if t.Props == 0 {
+		return t.Facts
+	}
+	return strings.TrimSuffix(t.Props.String()+","+t.Facts, ",")
 }
 
 // Exec is the single execution entry point: it runs the program in a fresh
