@@ -110,6 +110,10 @@ outofcore-smoke:
 ## spawn sites in non-test internal/ code (1: the dispatcher) and the parallel
 ## lines — the non-test lines of the dispatcher (internal/bat/morsel.go) and
 ## of the MIL morsel loop (internal/mil/parallel.go).
+# VARIANT_NAMES counts the names in mil.Variants; the golden trace's census
+# lists the ones some statement reaches.
+VARIANT_NAMES = awk '/^var Variants = /{c=1} c{n+=gsub(/"[^"]*"/, "")} c && /^}/{c=0} END{print n}' internal/mil/ctx.go
+
 loc:
 	@gofmt -l . | sed 's/^/not gofmt-clean: /'
 	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
@@ -125,6 +129,8 @@ loc:
 	@printf 'mil.Options fields: '; awk '/^type Options struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/mil/ctx.go
 	@printf 'goroutine spawn sites: '; grep -rnE '^\s*go (func|[A-Za-z_.]+\()' --include=*.go internal | grep -v _test | wc -l
 	@printf 'parallel lines: '; cat internal/bat/morsel.go internal/mil/parallel.go | wc -l
+	@printf 'variant names: %d\n' $$($(VARIANT_NAMES))
+	@printf 'unreached variants: %d\n' $$(( $$($(VARIANT_NAMES)) - $$(awk '/^== census/{c=1; next} /^==/{c=0} c{n++} END{print n}' internal/engine/testdata/fig9.trace) ))
 
 ## ci: everything the CI workflow runs, reproducible without pushing.
 ci: verify chaos crash bench-smoke repo-bench-smoke server-smoke outofcore-smoke

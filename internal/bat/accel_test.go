@@ -21,9 +21,11 @@ func shuffledOIDCol(n int) *OIDCol {
 
 // TestAccelSingleflight drives many goroutines at the same missing hash
 // accelerator: exactly one build may run, and every caller must observe the
-// same fully built index.
+// same fully built index. They build through a mirror, whose head slot is
+// its original's tail slot.
 func TestAccelSingleflight(t *testing.T) {
 	b := New("t", NewVoid(0, 1<<15), shuffledOIDCol(1<<15), 0)
+	m := b.Mirror()
 	before := AccelBuilds()
 
 	const g = 16
@@ -33,36 +35,33 @@ func TestAccelSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i] = b.TailHashSched(Sched{Workers: 2})
+			got[i] = m.HeadHashSched(Sched{Workers: 2})
 		}(i)
 	}
 	wg.Wait()
 
 	if d := AccelBuilds() - before; d != 1 {
-		t.Fatalf("concurrent TailHashSched ran %d builds, want 1", d)
+		t.Fatalf("concurrent HeadHashSched ran %d builds, want 1", d)
 	}
 	for i := 1; i < g; i++ {
 		if got[i] != got[0] {
 			t.Fatalf("goroutine %d observed a different index", i)
 		}
 	}
-	if !b.HasTailHash() {
+	if !m.HasHeadHash() || m.HeadHash() != got[0] {
 		t.Fatal("accelerator not published")
 	}
-	// The mirror shares the slot: no further build through the other view.
-	if b.Mirror().HeadHash() != got[0] {
-		t.Fatal("mirror does not share the built accelerator")
-	}
 	if d := AccelBuilds() - before; d != 1 {
-		t.Fatalf("mirror access rebuilt the index (%d builds)", d)
+		t.Fatalf("a second access rebuilt the index (%d builds)", d)
 	}
 
-	// Dropping unpublishes through both views; the next use rebuilds once.
+	// Dropping through the original unpublishes the mirror's view; the next
+	// use rebuilds once.
 	b.DropHashes()
-	if b.HasTailHash() || b.Mirror().HasHeadHash() {
+	if m.HasHeadHash() {
 		t.Fatal("DropHashes left a published accelerator")
 	}
-	b.TailHash()
+	m.HeadHash()
 	if d := AccelBuilds() - before; d != 2 {
 		t.Fatalf("rebuild after drop ran %d builds total, want 2", d)
 	}

@@ -549,21 +549,12 @@ func (h *HashIndex) FilterVec(p Probe, lo, hi int, want bool, out []int32) []int
 	return out
 }
 
-// TailHash returns (building and caching on first use) the hash accelerator
-// on b's tail column. Building an accelerator at run time is exactly what
+// HeadHash returns (building and caching on first use) the hash accelerator
+// on b's head column. Building an accelerator at run time is exactly what
 // Monet's dynamic optimization does when a hash variant is selected.
 // Construction is singleflight: concurrent sessions that need the same
-// missing index coalesce onto one build (see accelSlot).
-func (b *BAT) TailHash() *HashIndex { return b.TailHashSched(Sched{Workers: 1}) }
-
-// TailHashSched is TailHash with the first construction reported to
-// s.OnBuild.
-func (b *BAT) TailHashSched(s Sched) *HashIndex {
-	return b.hashT.getOrBuild(func() *HashIndex { return BuildHashIndex(b.T) }, s.OnBuild)
-}
-
-// HeadHash returns (building and caching on first use) the hash accelerator
-// on b's head column.
+// missing index coalesce onto one build (see accelSlot). A mirror swaps the
+// slots, so the mirror of b finds b's head hash as its tail's.
 func (b *BAT) HeadHash() *HashIndex { return b.HeadHashSched(Sched{Workers: 1}) }
 
 // HeadHashSched is HeadHash with the first construction reported to
@@ -571,9 +562,6 @@ func (b *BAT) HeadHash() *HashIndex { return b.HeadHashSched(Sched{Workers: 1}) 
 func (b *BAT) HeadHashSched(s Sched) *HashIndex {
 	return b.hashH.getOrBuild(func() *HashIndex { return BuildHashIndex(b.H) }, s.OnBuild)
 }
-
-// HasTailHash reports whether a tail hash accelerator is already present.
-func (b *BAT) HasTailHash() bool { return b.hashT.load() != nil }
 
 // HasHeadHash reports whether a head hash accelerator is already present.
 func (b *BAT) HasHeadHash() bool { return b.hashH.load() != nil }

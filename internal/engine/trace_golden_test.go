@@ -32,10 +32,8 @@ const traceGoldenPath = "testdata/fig9.trace"
 // unreachedVariants are the mil.Variants no statement of the golden reaches,
 // each with why it stays.
 var unreachedVariants = map[string]string{
-	"hash-aggr":    "the only Aggr of a wide unordered head with no grouping",
-	"hash-diff":    "the only diff",
-	"ordered-aggr": "reached by no statement at SF 0.002, 0.005 or 0.02, nor after ingest",
-	"hash-select":  "reached by no statement at SF 0.002, 0.005 or 0.02, nor after ingest",
+	"hash-aggr": "the only Aggr of a wide unordered head with no grouping",
+	"hash-diff": "the only diff",
 }
 
 // traceQuery is one query of the golden.

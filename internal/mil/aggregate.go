@@ -92,10 +92,10 @@ func aggResultKind(fn string, in bat.Kind) bat.Kind {
 // and a block of rows with their slots at a time folds into typed per-slot
 // accumulator arrays (slotFold). A grouping's id column is its own slots
 // (id-aggr; {count} is the grouping's histogram). Otherwise the slots come
-// from contiguous runs when the head is ordered; else by direct index when
-// the head is an exact key of small span (characters, narrow integers:
-// bat.DenseGrouper, the dense-aggr variant); else from the bucket+link
-// grouper (hash-aggr). Every variant folds sequentially, so every
+// by direct index when the head is an exact key of small span (characters,
+// narrow integers: bat.DenseGrouper, the dense-aggr variant), else from the
+// bucket+link grouper (hash-aggr), ordered head or not. Every variant
+// numbers slots by first occurrence and folds sequentially, so every
 // accumulator — including order-sensitive floating-point sums — combines
 // its rows in ascending row order, and the result is the same at any worker
 // count for all aggregate functions.
@@ -116,17 +116,6 @@ func Aggr(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 		f.grow(g.Len())
 		f.fold(0, g.Slots())
 		first = g.Extents()
-	} else if b.Props.Has(bat.HOrdered) {
-		ctx.chose("ordered-aggr")
-		// An ordered head clusters each group contiguously: a row opens a
-		// new slot exactly when its key differs from its predecessor's.
-		hr := bat.NewKeyRepP(b.H, ctx.sched(n))
-		foldRange(f, n, perRow(func(i int32) int32 {
-			if i == 0 || !(hr.Exact && hr.Rep[i-1] == hr.Rep[i] || !hr.Exact && hr.KeyEqual(i-1, i)) {
-				first = append(first, i)
-			}
-			return int32(len(first) - 1)
-		}))
 	} else if d := bat.NewDenseGrouper(n, b.H); d != nil {
 		ctx.chose("dense-aggr")
 		foldRange(f, n, d.Slots)
@@ -151,7 +140,7 @@ func aggrResult(fn string, b *bat.BAT, tail bat.Column, first []int32) *bat.BAT 
 	return bat.Derive(bat.New("{"+fn+"}", head, tail, 0), bat.Groups, b, nil)
 }
 
-// hashAggr folds every row of the unordered head h into f by the head's
+// hashAggr folds every row of the head h into f by the head's
 // grouper slot, and returns the first row of every slot.
 func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
 	ctx.chose("hash-aggr")
@@ -166,7 +155,7 @@ func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
 // one tail column: per-slot accumulators of what the function needs, typed
 // for the ordered fixed-width tails (typedFold), boxed for the str, bit and
 // void tails (boxedFold).
-// Aggr's id, ordered, dense and hash scans and — with a single slot — the
+// Aggr's id, dense and hash scans and — with a single slot — the
 // scalar aggregates all fold through it, in ascending row order per slot.
 type slotFold interface {
 	// grow extends the accumulators to G slots.
@@ -198,19 +187,6 @@ func newSlotFold(tail bat.Column, fn string) slotFold {
 // reports how many slots it has handed out so far (slot ids are dense, so
 // that bounds them). bat.DenseGrouper.Slots is one.
 type slotter func(lo int, slots []int32) int
-
-// perRow is the slotter of a per-row slot function that hands out slots in
-// ascending order.
-func perRow(slot func(row int32) int32) slotter {
-	return func(lo int, slots []int32) int {
-		top := int32(-1)
-		for k := range slots {
-			slots[k] = slot(int32(lo + k))
-			top = max(top, slots[k])
-		}
-		return int(top) + 1
-	}
-}
 
 // grouperSlots is the slotter of the bucket+link grouper g over the per-row
 // key reps rep.

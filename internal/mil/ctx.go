@@ -204,11 +204,11 @@ func (c *Ctx) LastAlgo() string {
 // Variants lists every algorithm variant an operator reports through
 // LastAlgo (Intersect appends " (intersect)" to its semijoin's).
 var Variants = []string{
-	"id-aggr", "ordered-aggr", "dense-aggr", "hash-aggr", "scalar-aggr",
+	"id-aggr", "dense-aggr", "hash-aggr", "scalar-aggr",
 	"extent-unique", "dense-unique", "hash-unique", "dense-group", "hash-group",
 	"datavector-join", "sync-join", "fetch-join", "merge-join", "hash-join",
 	"aligned-multiplex", "hash-multiplex", "mirror", "calc", "mark",
-	"hash-select", "scan-select", "binsearch-select", "slice",
+	"scan-select", "binsearch-select", "slice",
 	"alias-semijoin", "sync-semijoin", "datavector-semijoin", "merge-semijoin", "hash-semijoin",
 	"hash-union", "hash-diff", "sort",
 }

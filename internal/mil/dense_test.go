@@ -211,9 +211,6 @@ func TestDenseGroupingParity(t *testing.T) {
 					l2 := fmt.Sprintf("%s/{%s}(%s)", label, fn, tail.Kind())
 					got := Aggr(ctx, fn, a)
 					want := variant("aggr", wantDense(key.col))
-					if a.Props.Has(bat.HOrdered) {
-						want = "ordered-aggr"
-					}
 					check(fmt.Sprintf("{%s}", fn), want)
 					sameBUNs(t, l2+" vs grouper", got, hashAggrBAT(ctx, fn, a))
 					sameBUNs(t, l2+" vs boxed", got, aggrBoxed(nil, fn, a))

@@ -1,6 +1,7 @@
 package mil
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -56,19 +57,6 @@ func TestSelectEqScanAndBinsearchAgree(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("scan %v != binsearch %v", a, b)
 		}
-	}
-}
-
-func TestSelectEqUsesExistingHash(t *testing.T) {
-	b := oidIntBAT("u", []bat.OID{1, 2, 3}, []int64{7, 8, 7}, 0)
-	b.TailHash() // pre-built accelerator
-	ctx := &Ctx{}
-	out := SelectEq(ctx, b, bat.I(7))
-	if ctx.LastAlgo() != "hash-select" {
-		t.Fatalf("algo = %s", ctx.LastAlgo())
-	}
-	if out.Len() != 2 {
-		t.Fatalf("len = %d", out.Len())
 	}
 }
 
@@ -767,22 +755,30 @@ func TestAggrAllFunctions(t *testing.T) {
 	check("max", map[bat.OID]float64{1: 20, 2: 15})
 }
 
+// TestAggrOrderedFastPath: an ordered head has no variant of its own — a
+// narrow one takes dense-aggr, a wide one hash-aggr — and still gives an
+// ordered, key result head, equal to the boxed reference's.
 func TestAggrOrderedFastPath(t *testing.T) {
-	b := bat.New("g", bat.NewOIDCol([]bat.OID{1, 1, 2, 3, 3}),
-		bat.NewIntCol([]int64{1, 2, 3, 4, 5}), bat.HOrdered)
-	ctx := &Ctx{}
-	out := Aggr(ctx, "sum", b)
-	if ctx.LastAlgo() != "ordered-aggr" {
-		t.Fatalf("algo = %s", ctx.LastAlgo())
-	}
-	want := map[bat.OID]int64{1: 3, 2: 3, 3: 9}
-	for i := 0; i < out.Len(); i++ {
-		if got := out.TailValue(i).I; got != want[out.HeadValue(i).OID()] {
-			t.Fatalf("sum[%d] = %d", out.HeadValue(i).OID(), got)
+	for _, c := range []struct {
+		algo  string
+		heads []bat.OID
+	}{
+		{"dense-aggr", []bat.OID{1, 1, 2, 3, 3}},
+		{"hash-aggr", []bat.OID{1, 1, 1 << 20, 1 << 30, 1 << 30}},
+	} {
+		b := oidIntBAT("g", c.heads, []int64{1, 2, 3, 4, 5}, bat.HOrdered)
+		for _, fn := range []string{"sum", "count", "avg", "min", "max"} {
+			label := fmt.Sprintf("%s {%s}", c.algo, fn)
+			ctx := &Ctx{}
+			out := Aggr(ctx, fn, b)
+			if ctx.LastAlgo() != c.algo {
+				t.Fatalf("%s: algo = %s", label, ctx.LastAlgo())
+			}
+			if !out.Props.Has(bat.HOrdered | bat.HKey) {
+				t.Fatalf("%s: ordered input gave result props %s, want an ordered, key head", label, out.Props)
+			}
+			sameBUNs(t, label, out, aggrBoxed(nil, fn, b))
 		}
-	}
-	if !out.Props.Has(bat.HOrdered) {
-		t.Fatal("ordered input must give ordered aggregate")
 	}
 }
 

@@ -68,7 +68,6 @@ func aggrBoxed(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
 // aggrOrderedBoxed exploits an ordered head: groups are contiguous runs, no
 // hash table needed.
 func aggrOrderedBoxed(ctx *Ctx, fn string, b *bat.BAT) *bat.BAT {
-	ctx.chose("ordered-aggr")
 	var order []bat.Value
 	var accs []*aggAcc
 	for i := 0; i < b.Len(); i++ {

@@ -595,28 +595,6 @@ func TestParityViewGather(t *testing.T) {
 	}
 }
 
-// TestParitySelectEqHashDirect: the hash-select path hands the accelerator's
-// int32 hits straight to the gather; results must match the scan path.
-func TestParitySelectEqHashDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(110))
-	n := 512
-	tails := make([]int64, n)
-	for i := range tails {
-		tails[i] = int64(rng.Intn(16))
-	}
-	b := bat.New("x", bat.NewVoid(0, n), bat.NewIntCol(tails), 0)
-	b.TailHash()
-	for probe := int64(0); probe < 16; probe++ {
-		ctx := &Ctx{}
-		got := SelectEq(ctx, b, bat.I(probe))
-		if ctx.LastAlgo() != "hash-select" {
-			t.Fatalf("algo = %s", ctx.LastAlgo())
-		}
-		want := scanSelect(nil, b, tailKernel(b, ptr(bat.I(probe)), ptr(bat.I(probe)), true, true))
-		batsEqual(t, fmt.Sprintf("hash-select v=%d", probe), got, want)
-	}
-}
-
 // TestParitySelectExtremeBounds: a range select whose bound is absent, or
 // exclusive at the extreme of the tail's domain, keeps what the boxed
 // predicate keeps — called directly and as a program. (The typed scan once

@@ -49,17 +49,11 @@ func SelectRange(ctx *Ctx, b *bat.BAT, lo, hi *bat.Value, loIncl, hiIncl bool) *
 	return scanSelect(ctx, b, tailKernel(b, lo, hi, loIncl, hiIncl))
 }
 
-// SelectEq implements AB.select(T): {ab ∈ AB | b = T}. It prefers binary
-// search on ordered tails, then an existing hash accelerator, then a scan.
+// SelectEq implements AB.select(T): {ab ∈ AB | b = T}: binary search on
+// ordered tails, else a scan.
 func SelectEq(ctx *Ctx, b *bat.BAT, v bat.Value) *bat.BAT {
 	if b.Props.Has(bat.TOrdered) {
 		return selectBinSearch(ctx, b, &v, &v, true, true)
-	}
-	if b.HasTailHash() {
-		ctx.chose("hash-select")
-		// Lookup yields positions in ascending order (bucket entries are
-		// clustered ascending), so the hits gather directly.
-		return gatherPositions(ctx, b.Name+".sel", b, b.TailHash().Lookup(v))
 	}
 	return scanSelect(ctx, b, tailKernel(b, &v, &v, true, true))
 }
