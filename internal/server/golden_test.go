@@ -127,8 +127,10 @@ func TestAppendJSONStringIsEncodingJSON(t *testing.T) {
 // TestResultPathAllocations bounds what serving an answer allocates: a
 // clerk-returns query of 1,600-odd Items of 14 fields each, rendered and
 // encoded, allocates a constant number of times per query — the difference
-// to the same request under ?noresult=1 is the rendering — and the whole
-// request allocates fewer times than it returns elements.
+// between ?noresult=0 and ?noresult=1 is the rendering, and turning it off
+// never allocates more — the whole request allocates fewer times than it
+// returns elements, and its query string is parsed once: a parameter costs
+// the rendered request at most one parse over bare /query.
 func TestResultPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")
@@ -155,13 +157,20 @@ func TestResultPathAllocations(t *testing.T) {
 	if qr.Count < 1000 || len(qr.Elems) != qr.Count {
 		t.Fatalf("%d elements (%d rendered), want over 1000", qr.Count, len(qr.Elems))
 	}
-	full := testing.AllocsPerRun(5, serve("/query"))
-	bare := testing.AllocsPerRun(5, serve("/query?noresult=1"))
+	plain := testing.AllocsPerRun(20, serve("/query"))
+	full := testing.AllocsPerRun(20, serve("/query?noresult=0"))
+	bare := testing.AllocsPerRun(20, serve("/query?noresult=1"))
+	if bare > full {
+		t.Errorf("?noresult=1 allocated %.0f times per query, more than the %.0f of ?noresult=0", bare, full)
+	}
+	if parse := full - plain; parse > 3 {
+		t.Errorf("?noresult=0 allocated %.0f times more than /query, want one parse of the query string", parse)
+	}
 	if render := full - bare; render > 64 {
 		t.Errorf("rendering %d elements allocated %.0f times per query, want O(1)", qr.Count, render)
 	}
 	if full >= float64(qr.Count) {
 		t.Errorf("serving %d elements allocated %.0f times per query", qr.Count, full)
 	}
-	t.Logf("%d elements: %.0f allocations served, %.0f under ?noresult=1", qr.Count, full, bare)
+	t.Logf("%d elements: %.0f allocations served (%.0f under ?noresult=0), %.0f under ?noresult=1", qr.Count, plain, full, bare)
 }

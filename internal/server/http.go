@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync"
@@ -120,7 +121,8 @@ func requestID(w http.ResponseWriter, r *http.Request) string {
 // encoded; materialize_ns + render_ns feed moaserve_result_seconds.
 func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rid := requestID(w, r)
-	src := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	src := params.Get("q")
 	if src == "" {
 		body, ok := readBody(w, r, maxQueryBytes, rid)
 		if !ok {
@@ -138,7 +140,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// server-wide default deadline (Config.QueryTimeout) is applied inside
 	// Query, so ?timeout= can only tighten it, never escape it.
 	ctx := r.Context()
-	if ts := r.URL.Query().Get("timeout"); ts != "" {
+	if ts := params.Get("timeout"); ts != "" {
 		d, err := time.ParseDuration(ts)
 		if err != nil || d <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("bad timeout %q: want a positive Go duration (e.g. 250ms)", ts), "bad_request", rid)
@@ -149,7 +151,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	opts := QueryOpts{Profile: boolParam(r, "profile"), RequestID: rid}
+	opts := QueryOpts{Profile: boolParam(params, "profile"), RequestID: rid}
 	res, ph, err := s.execute(ctx, src, opts)
 	if err != nil {
 		var oe *OverloadedError
@@ -183,7 +185,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	buf := appendJSONString(append(rb.out[:0], `{"request_id":`...), []byte(rid))
 	n := res.Bound.Len()
 	buf = strconv.AppendInt(append(buf, `,"count":`...), int64(n), 10)
-	if n > 0 && !boolParam(r, "noresult") {
+	if n > 0 && !boolParam(params, "noresult") {
 		buf = append(buf, `,"elems":[`...)
 		for i := 0; i < n; i++ {
 			rb.elem = res.Bound.AppendElem(rb.elem[:0], i)
@@ -200,7 +202,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		PeakBytes:   res.Stats.PeakBytes,
 		Profile:     s.finish(ph, opts, src, res),
 	}
-	if boolParam(r, "trace") {
+	if boolParam(params, "trace") {
 		resp.Trace = make([]string, len(res.Traces))
 		for i, tr := range res.Traces {
 			resp.Trace[i] = tr.String()
@@ -345,8 +347,8 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, rid string) (
 
 // boolParam reads a flag-style query parameter: set and not one of the
 // explicit "off" spellings ("0", "false", "no") means on.
-func boolParam(r *http.Request, name string) bool {
-	switch r.URL.Query().Get(name) {
+func boolParam(params url.Values, name string) bool {
+	switch params.Get(name) {
 	case "", "0", "false", "no":
 		return false
 	}
