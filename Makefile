@@ -96,6 +96,9 @@ server-smoke:
 outofcore-smoke:
 	./scripts/outofcore_smoke.sh
 
+# VARIANT_NAMES counts the names in mil.Variants.
+VARIANT_NAMES = awk '/^var Variants = /{c=1} c{n+=gsub(/"[^"]*"/, "")} c && /^}/{c=0} END{print n}' internal/mil/ctx.go
+
 ## loc: the counts simplification and un-boxing PRs quote — non-test Go
 ## lines outside bench/ (on a gofmt-clean tree), per-kind fixed-width column
 ## switch arms in non-test code, the places internal/mil still boxes a
@@ -107,13 +110,11 @@ outofcore-smoke:
 ## one expected is the sync-semijoin precheck recording a discovered fact),
 ## the flags moaserve declares, the fields of server.Config, the fields of
 ## mil.Options (the execution settings every query carries), the goroutine
-## spawn sites in non-test internal/ code (1: the dispatcher) and the parallel
+## spawn sites in non-test internal/ code (1: the dispatcher), the parallel
 ## lines — the non-test lines of the dispatcher (internal/bat/morsel.go) and
-## of the MIL morsel loop (internal/mil/parallel.go).
-# VARIANT_NAMES counts the names in mil.Variants; the golden trace's census
-# lists the ones some statement reaches.
-VARIANT_NAMES = awk '/^var Variants = /{c=1} c{n+=gsub(/"[^"]*"/, "")} c && /^}/{c=0} END{print n}' internal/mil/ctx.go
-
+## of the MIL morsel loop (internal/mil/parallel.go) — and the variant names
+## in mil.Variants, with how many of them the census of the Figure-9 trace
+## golden (internal/engine/testdata/fig9.trace) does not list.
 loc:
 	@gofmt -l . | sed 's/^/not gofmt-clean: /'
 	@printf 'non-test go lines: '; find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l

@@ -195,7 +195,7 @@ func either[T comparable](cold, warm T) string {
 // worker, so the table is deterministic; a site that no statement reaches
 // fails, and goes rather than stay untested.
 func renderSites(t *testing.T) string {
-	gen := tpcd.Generate(0.02, 42)
+	gen := tpcd.Generate(traceScales[1].sf, traceScales[1].seed)
 	fig9, lookups := traceQueries(gen)
 	var first string
 	reached := map[string]bool{}

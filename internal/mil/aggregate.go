@@ -140,8 +140,8 @@ func aggrResult(fn string, b *bat.BAT, tail bat.Column, first []int32) *bat.BAT 
 	return bat.Derive(bat.New("{"+fn+"}", head, tail, 0), bat.Groups, b, nil)
 }
 
-// hashAggr folds every row of the head h into f by the head's
-// grouper slot, and returns the first row of every slot.
+// hashAggr folds every row of the head h into f by the head's grouper
+// slot, and returns the first row of every slot.
 func hashAggr(ctx *Ctx, f slotFold, h bat.Column) []int32 {
 	ctx.chose("hash-aggr")
 	n := h.Len()
