@@ -68,11 +68,11 @@ bench:
 bench-ablation:
 	$(GO) test -run '^$$' -bench 'BenchmarkAblation|BenchmarkServerThroughput' -benchmem -benchtime=3s .
 
-## bench-smoke: one iteration of every ablation and server-throughput
-## variant — proves the bench harness itself still builds and runs (the CI
-## bench job). No timing value.
+## bench-smoke: one iteration of every paper-figure benchmark (Figures 8,
+## 9 and 10), ablation and server-throughput variant — proves the bench
+## harness itself still builds and runs (the CI bench job). No timing value.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkAblation|BenchmarkServerThroughput' -benchmem -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkFigure|BenchmarkAblation|BenchmarkServerThroughput' -benchmem -benchtime=1x .
 
 ## repo-bench-smoke: the repo benchmark's own tests (bench/ is a module of
 ## its own, so `go test ./...` at the root never reaches it): every

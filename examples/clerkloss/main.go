@@ -1,8 +1,8 @@
 // Clerkloss reproduces the paper's running example end to end: TPC-D query
 // 13 ("analyzes the quality of work of a certain clerk", Section 4.1),
 // showing the MOA text, the translated MIL program (the Fig. 5 tree as a
-// listing), the Fig. 10-style per-statement execution trace with the
-// datavector-semijoin LOOKUP reuse, and the final <year, loss> result set.
+// listing), the Fig. 10-style per-statement execution trace with its
+// datavector semijoins, and the final <year, loss> result set.
 package main
 
 import (
@@ -52,8 +52,8 @@ project[<date : year, sum(project[revenue](%%2)) : loss>](
 			dvCount++
 		}
 	}
-	fmt.Printf("\n%d datavector semijoins; after the first blazes the trail into\n", dvCount)
-	fmt.Println("the extent, the rest reuse the memoized LOOKUP array (Section 5.2.1).")
+	fmt.Printf("\n%d datavector statements; each probes a dense extent by subtraction,\n", dvCount)
+	fmt.Println("so none pays a pass into the extent for a later one to reuse (Section 5.2.1).")
 
 	fmt.Printf("\nloss per year for %s:\n", clerk)
 	for _, e := range res.Set.Elems {

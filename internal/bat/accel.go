@@ -56,11 +56,11 @@ func (s *accelSlot) getOrBuild(build func() *HashIndex, onBuild func(time.Durati
 func (s *accelSlot) drop() { s.idx.Store(nil) }
 
 // accelBuilds counts every accelerator construction that went through a
-// publication point: hash-index slot builds and datavector LOOKUP memo
-// builds. The singleflight tests assert on deltas of this counter — under
-// concurrent sessions each missing accelerator must be built exactly once.
+// publication point: the hash-index slot builds. The singleflight tests
+// assert on deltas of this counter — under concurrent sessions each missing
+// accelerator must be built exactly once.
 var accelBuilds atomic.Int64
 
-// AccelBuilds reports the cumulative number of published accelerator
-// builds (hash indexes and datavector lookup memos) in this process.
+// AccelBuilds reports the cumulative number of published hash-index builds
+// in this process.
 func AccelBuilds() int64 { return accelBuilds.Load() }

@@ -3,7 +3,6 @@ package bat
 import (
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -64,41 +63,6 @@ func TestAccelSingleflight(t *testing.T) {
 	m.HeadHash()
 	if d := AccelBuilds() - before; d != 2 {
 		t.Fatalf("rebuild after drop ran %d builds total, want 2", d)
-	}
-}
-
-// TestDatavectorLookupSingleflight: concurrent semijoins against the same
-// right operand coalesce onto one LOOKUP build.
-func TestDatavectorLookupSingleflight(t *testing.T) {
-	dv := NewDenseDatavector(0, NewIntCol([]int64{5, 6, 7, 8}))
-	r := New("r", NewOIDCol([]OID{3, 1}), NewVoid(0, 2), 0)
-
-	var builds atomic.Int64
-	build := func() []int32 {
-		builds.Add(1)
-		return []int32{3, 1}
-	}
-	const g = 16
-	got := make([][]int32, g)
-	var wg sync.WaitGroup
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i] = dv.LookupOrBuild(r, build)
-		}(i)
-	}
-	wg.Wait()
-	if builds.Load() != 1 {
-		t.Fatalf("LookupOrBuild ran %d builds, want 1", builds.Load())
-	}
-	for i := 0; i < g; i++ {
-		if len(got[i]) != 2 || got[i][0] != 3 || got[i][1] != 1 {
-			t.Fatalf("goroutine %d lookup = %v", i, got[i])
-		}
-	}
-	if got := dv.Lookup(r); len(got) != 2 {
-		t.Fatalf("memo not published: %v", got)
 	}
 }
 

@@ -361,79 +361,8 @@ func TestDatavectorProbeDense(t *testing.T) {
 	if _, ok := dv.Probe(103); ok {
 		t.Fatal("probe past end must miss")
 	}
-	if dv.OIDAt(2) != 102 {
-		t.Fatalf("OIDAt(2) = %d", dv.OIDAt(2))
-	}
-}
-
-func TestDatavectorProbeSparse(t *testing.T) {
-	dv := NewDatavector([]OID{3, 7, 11, 19}, NewIntCol([]int64{1, 2, 3, 4}))
-	for i, oid := range []OID{3, 7, 11, 19} {
-		if pos, ok := dv.Probe(oid); !ok || pos != i {
-			t.Fatalf("probe(%d) = %d,%v, want %d", oid, pos, ok, i)
-		}
-	}
-	for _, oid := range []OID{0, 4, 12, 25} {
-		if _, ok := dv.Probe(oid); ok {
-			t.Fatalf("probe(%d) must miss", oid)
-		}
-	}
-	if dv.OIDAt(1) != 7 {
-		t.Fatalf("OIDAt(1) = %d", dv.OIDAt(1))
-	}
-}
-
-// TestDatavectorProbeTouchesOnlyExtentEntries: a probe pass charges each
-// binary search the extent entry it ended on, and only an entry that
-// exists. The extent here fills its 4 KB page exactly, so a touch of "entry
-// 1024" — where the search for an oid above every extent oid ends — would
-// show as a phantom second page.
-func TestDatavectorProbeTouchesOnlyExtentEntries(t *testing.T) {
-	extent := make([]OID, 1024)
-	for i := range extent {
-		extent[i] = OID(2 * i)
-	}
-	dv := NewDatavector(extent, NewVoid(0, len(extent)))
-	probe := func(p *storage.Tracker, oids ...OID) (hits []int) {
-		dv.ProbeEach(p, len(oids), func(i int) OID { return oids[i] }, func(_, pos int) { hits = append(hits, pos) })
-		return hits
-	}
-
-	p := storage.NewPager(4096, 0).NewTracker()
-	if hits := probe(p, 5000); hits != nil {
-		t.Fatalf("probe above the extent hit %v", hits)
-	}
-	if p.Faults()+p.Hits() != 0 || p.Pool().Resident() != 0 {
-		t.Fatalf("out-of-range probe charged %d touches, %d pages resident; want none",
-			p.Faults()+p.Hits(), p.Pool().Resident())
-	}
-	// A hit on the last entry, a miss ending on entry 2, and the
-	// out-of-range probe again: two touches, one page.
-	if hits := probe(p, 2046, 3, 5000); len(hits) != 1 || hits[0] != 1023 {
-		t.Fatalf("probe hits = %v, want [1023]", hits)
-	}
-	if p.Faults()+p.Hits() != 2 || p.Pool().Resident() != 1 {
-		t.Fatalf("three probes charged %d touches, %d pages resident; want 2 and 1",
-			p.Faults()+p.Hits(), p.Pool().Resident())
-	}
-	if hits := probe(nil, 2046, 3, 5000); len(hits) != 1 {
-		t.Fatalf("untracked probe hits = %v", hits)
-	}
-}
-
-func TestDatavectorLookupMemo(t *testing.T) {
-	dv := NewDenseDatavector(0, NewIntCol([]int64{5, 6, 7}))
-	r := New("sel", NewOIDCol([]OID{2, 0}), NewVoid(0, 2), 0)
-	if dv.Lookup(r) != nil {
-		t.Fatal("memo must start empty")
-	}
-	dv.Memoize(r, []int32{2, 0})
-	if got := dv.Lookup(r); len(got) != 2 || got[0] != 2 {
-		t.Fatalf("memo = %v", got)
-	}
-	dv.DropLookups()
-	if dv.Lookup(r) != nil {
-		t.Fatal("DropLookups must clear memo")
+	if dv.Len() != 3 || dv.ByteSize() != 24 {
+		t.Fatalf("extent of %d oids, %d bytes; want 3 and 24 (the vector's)", dv.Len(), dv.ByteSize())
 	}
 }
 
@@ -485,8 +414,8 @@ func TestAppendAttrEqualsResort(t *testing.T) {
 					continue
 				}
 				gdv, wdv := got.Datavector(), want.Datavector()
-				if gdv.Base != wdv.Base || gdv.N != wdv.N {
-					t.Errorf("%s: datavector %d+%d, want %d+%d", where, gdv.Base, gdv.N, wdv.Base, wdv.N)
+				if gdv.Base != wdv.Base || gdv.Len() != wdv.Len() {
+					t.Errorf("%s: datavector %d+%d, want %d+%d", where, gdv.Base, gdv.Len(), wdv.Base, wdv.Len())
 				}
 				for i := 0; i < want.Len(); i++ {
 					if got.HeadValue(i) != want.HeadValue(i) || got.TailValue(i) != want.TailValue(i) ||

@@ -4,243 +4,46 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"sync"
-
-	"repro/internal/storage"
 )
 
 // Datavector is the search-accelerator extension of Section 5.2. For an
 // attribute BAT that is stored ordered on tail (to favour value→oid access),
 // the datavector supplies the opposite oid→value direction: the class extent
-// (kept sorted on oid) plus a value vector positionally synced with it.
-//
-// The LOOKUP memo implements lines 5–15 of the paper's pseudo-code: the
-// first datavector semijoin against a given right operand performs
-// probe-based binary search of each oid into the extent and records the hit
-// positions; subsequent semijoins against the same operand reuse the array
-// and only pay for fetching values out of the vector.
+// plus a value vector positionally synced with it. Every extent is dense —
+// bulk load, AppendAttr and checkpoint recovery all number a class's objects
+// Base, Base+1, … — so, like a void column, it occupies no space, and the
+// paper's probedlookup(EXTENT, X) is the subtraction X − Base, bounds-checked.
+// With probes that cheap there is no LOOKUP array worth memoizing: each
+// datavector semijoin computes its own.
 type Datavector struct {
-	// Extent holds the class oids in ascending order. When the extent is
-	// dense (the common case straight after bulk load) Extent is nil and
-	// Base/N describe the sequence Base .. Base+N-1, occupying zero space
-	// like a void column.
-	Extent []OID
-	Base   OID
-	N      int
-
+	// Base is the extent's first oid: the extent is Base .. Base+Len()-1.
+	Base OID
 	// Vector holds the attribute values in extent position order.
 	Vector Column
-
-	extHeap storage.HeapID
-
-	// LOOKUP memo, keyed by right operand. Shared across concurrent
-	// sessions, so the map is lock-guarded and each entry is a
-	// singleflight publication point. memoBytes tracks the bytes the memo
-	// pins (keys reference whole BATs, entries hold lookup arrays) for
-	// the eviction budget.
-	mu        sync.Mutex
-	lookups   map[*BAT]*dvMemo
-	memoBytes int64
 }
-
-// dvMemo is one memoized LOOKUP array; construction is singleflight per
-// right operand (the entry lock is held for the build, so concurrent
-// semijoins against the same operand coalesce onto one probe pass).
-type dvMemo struct {
-	mu     sync.Mutex
-	built  bool
-	lookup []int32
-}
-
-// dvMemoMax and dvMemoMaxBytes bound the memo: the map is keyed by
-// right-operand identity, and under a long-running multi-session server
-// most right operands are per-query intermediates that never recur — each
-// key strongly references its whole (possibly dead) BAT, invisible to the
-// engine's live-bytes accounting. Past either cap — entry count, or bytes
-// pinned by keys plus lookup arrays — the whole memo is dropped: it is a
-// pure optimization, and the stable keys (base BATs, cached mirrors)
-// repopulate on the next probe.
-const (
-	dvMemoMax      = 256
-	dvMemoMaxBytes = 4 << 20
-)
 
 // NewDenseDatavector builds a datavector over the dense extent
 // base..base+vector.Len()-1.
 func NewDenseDatavector(base OID, vector Column) *Datavector {
-	return &Datavector{Base: base, N: vector.Len(), Vector: vector,
-		lookups: make(map[*BAT]*dvMemo)}
-}
-
-// NewDatavector builds a datavector over an explicit sorted extent.
-func NewDatavector(extent []OID, vector Column) *Datavector {
-	if len(extent) != vector.Len() {
-		panic("bat: datavector extent/vector length mismatch")
-	}
-	return &Datavector{Extent: extent, N: len(extent), Vector: vector,
-		extHeap: storage.NextHeapID(), lookups: make(map[*BAT]*dvMemo)}
+	return &Datavector{Base: base, Vector: vector}
 }
 
 // Len reports the extent size.
-func (dv *Datavector) Len() int { return dv.N }
+func (dv *Datavector) Len() int { return dv.Vector.Len() }
 
-// ByteSize reports the accelerator's storage footprint.
-func (dv *Datavector) ByteSize() int64 {
-	return int64(len(dv.Extent))*4 + dv.Vector.ByteSize()
-}
+// ByteSize reports the accelerator's storage footprint: the vector's, the
+// extent being dense.
+func (dv *Datavector) ByteSize() int64 { return dv.Vector.ByteSize() }
 
 // Probe locates oid x in the extent, returning its position and whether it
-// exists. It is "probedlookup(EXTENT, X)" from the pseudo-code: O(1) for a
-// dense extent, binary search otherwise. Probe accounts nothing; operators
-// probe through ProbeEach.
+// exists: "probedlookup(EXTENT, X)" from the pseudo-code. Probe accounts
+// nothing.
 func (dv *Datavector) Probe(x OID) (int, bool) {
-	if dv.Extent == nil {
-		i := int(x) - int(dv.Base)
-		if i < 0 || i >= dv.N {
-			return 0, false
-		}
-		return i, true
+	i := int(x) - int(dv.Base)
+	if i < 0 || i >= dv.Len() {
+		return 0, false
 	}
-	if i := dv.search(x); i < len(dv.Extent) && dv.Extent[i] == x {
-		return i, true
-	}
-	return 0, false
-}
-
-// search returns the position of the first extent oid >= x, len(Extent)
-// when there is none.
-func (dv *Datavector) search(x OID) int {
-	return sort.Search(len(dv.Extent), func(i int) bool { return dv.Extent[i] >= x })
-}
-
-// ProbeEach probes oid(0), ..., oid(n-1) into the extent, calling
-// hit(i, pos) for every oid found, in order. An explicit extent is a stored
-// heap: each binary search is charged the extent entry it ended on — hit or
-// miss, but only an entry that exists (a probe above every extent oid ends
-// past the heap and reads nothing) — and the pass reaches the pager as one
-// batch. A dense extent occupies no storage and is probed by arithmetic.
-func (dv *Datavector) ProbeEach(p *storage.Tracker, n int, oid func(int) OID, hit func(i, pos int)) {
-	if dv.Extent == nil || p == nil {
-		for i := 0; i < n; i++ {
-			if pos, ok := dv.Probe(oid(i)); ok {
-				hit(i, pos)
-			}
-		}
-		return
-	}
-	ended := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		x := oid(i)
-		pos := dv.search(x)
-		if pos == len(dv.Extent) {
-			continue
-		}
-		ended = append(ended, int32(pos))
-		if dv.Extent[pos] == x {
-			hit(i, pos)
-		}
-	}
-	p.TouchPositions(dv.extHeap, 0, 4, ended)
-}
-
-// DenseExtent reports whether the extent is the dense sequence
-// base..base+n-1, in which case probes and oid materialization are pure
-// arithmetic and callers can run them as inline loops.
-func (dv *Datavector) DenseExtent() (dense bool, base OID, n int) {
-	if dv.Extent != nil {
-		return false, 0, 0
-	}
-	return true, dv.Base, dv.N
-}
-
-// OIDAt returns the oid at extent position pos.
-func (dv *Datavector) OIDAt(pos int) OID {
-	if dv.Extent == nil {
-		return dv.Base + OID(pos)
-	}
-	return dv.Extent[pos]
-}
-
-// memo returns the entry for right operand r, creating it when create is
-// set. Creation evicts the whole memo at either cap (see dvMemoMax).
-func (dv *Datavector) memo(r *BAT, create bool) *dvMemo {
-	dv.mu.Lock()
-	defer dv.mu.Unlock()
-	e := dv.lookups[r]
-	if e == nil && create {
-		if len(dv.lookups) >= dvMemoMax || dv.memoBytes >= dvMemoMaxBytes {
-			clear(dv.lookups)
-			dv.memoBytes = 0
-		}
-		e = &dvMemo{}
-		dv.lookups[r] = e
-		dv.memoBytes += memoPinned(r)
-	}
-	return e
-}
-
-// memoPinned estimates the bytes a memo entry for key r pins beyond the
-// base data: the lookup array (~one int32 per r row), plus r's own
-// transient backing — persistent (base) columns stay alive in the database
-// env regardless of the memo, and views own no backing, so charging either
-// would let one large stable key saturate the budget and flush the memo on
-// every insertion.
-func memoPinned(r *BAT) int64 {
-	pinned := int64(r.Len()) * 4
-	for _, c := range []Column{r.H, r.T} {
-		if c.Heap() == 0 {
-			pinned += c.OwnedBytes()
-		}
-	}
-	return pinned
-}
-
-// Lookup returns the memoized LOOKUP array for right operand r, or nil if
-// no semijoin against r has completed yet.
-func (dv *Datavector) Lookup(r *BAT) []int32 {
-	e := dv.memo(r, false)
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.built {
-		return nil
-	}
-	return e.lookup
-}
-
-// LookupOrBuild returns the LOOKUP array for right operand r, running build
-// and memoizing its result on first use. Construction is singleflight:
-// concurrent semijoins against the same r wait for one build instead of
-// duplicating the probe pass (lines 5–15 of the Section 5.2.1 pseudo-code
-// run once; everyone else starts at the fetch phase).
-func (dv *Datavector) LookupOrBuild(r *BAT, build func() []int32) []int32 {
-	e := dv.memo(r, true)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.built {
-		e.lookup = build()
-		e.built = true
-		accelBuilds.Add(1)
-	}
-	return e.lookup
-}
-
-// Memoize records the LOOKUP array for right operand r.
-func (dv *Datavector) Memoize(r *BAT, lookup []int32) {
-	e := dv.memo(r, true)
-	e.mu.Lock()
-	e.lookup, e.built = lookup, true
-	e.mu.Unlock()
-}
-
-// DropLookups clears the memo (used between benchmark repetitions).
-func (dv *Datavector) DropLookups() {
-	dv.mu.Lock()
-	clear(dv.lookups)
-	dv.memoBytes = 0
-	dv.mu.Unlock()
+	return i, true
 }
 
 // SortedPerm returns the stable permutation that orders col's rows

@@ -253,32 +253,6 @@ func (h *HashIndex) bucketRange(x uint64) (int32, int32) {
 	return h.bucketOff[b], h.bucketOff[b+1]
 }
 
-// Lookup returns the positions at which v occurs, in ascending order, or nil.
-func (h *HashIndex) Lookup(v Value) []int32 {
-	if h.dense {
-		if i, ok := h.Lookup1(v); ok {
-			return []int32{i}
-		}
-		return nil
-	}
-	x, ok := h.repOfValue(v)
-	if !ok || h.n == 0 {
-		return nil
-	}
-	var out []int32
-	s, e := h.bucketRange(x)
-	for k := s; k < e; k++ {
-		if h.ents[k].rep != x {
-			continue
-		}
-		if !h.exact && !h.valueEqualAt(v, h.ents[k].pos) {
-			continue
-		}
-		out = append(out, h.ents[k].pos)
-	}
-	return out
-}
-
 // Lookup1 returns the first (lowest) position at which v occurs, without
 // allocating; ok is false when v does not occur. It is the probe for
 // callers that resolve one id at a time (the structure-function resolvers).

@@ -10,6 +10,34 @@ import (
 	"repro/internal/storage"
 )
 
+// Lookup returns the positions at which v occurs, in ascending order, or
+// nil: one value at a time, through the bucket walk and the boxed equality.
+// It is the oracle the typed probe kernels are checked against.
+func (h *HashIndex) Lookup(v Value) []int32 {
+	if h.dense {
+		if i, ok := h.Lookup1(v); ok {
+			return []int32{i}
+		}
+		return nil
+	}
+	x, ok := h.repOfValue(v)
+	if !ok || h.n == 0 {
+		return nil
+	}
+	var out []int32
+	s, e := h.bucketRange(x)
+	for k := s; k < e; k++ {
+		if h.ents[k].rep != x {
+			continue
+		}
+		if !h.exact && !h.valueEqualAt(v, h.ents[k].pos) {
+			continue
+		}
+		out = append(out, h.ents[k].pos)
+	}
+	return out
+}
+
 // refIndex is the boxed map accelerator the bucket+link HashIndex replaced;
 // it is the parity reference for lookup semantics and cardinality.
 type refIndex struct {

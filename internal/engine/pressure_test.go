@@ -69,10 +69,10 @@ func keys(m map[string]bool) []string {
 	return out
 }
 
-// TestWarmDatavectorLookupReuse checks the cross-query effect of the LOOKUP
-// memo: running the same query twice, the second run performs no extra
-// extent probing work (same fault count on a warm pool, and the memo is
-// populated).
+// TestWarmDatavectorLookupReuse: rerunning Q13 on a warm pool faults
+// nothing — its datavector semijoins compute their LOOKUPs over a dense
+// extent, which occupies no pages, and their right operands and value
+// vectors are resident — and the rerun still takes the datavector variant.
 func TestWarmDatavectorLookupReuse(t *testing.T) {
 	gen, _ := testDB(t)
 	env, _ := tpcd.Load(gen)

@@ -21,6 +21,56 @@ func oidGetter(c bat.Column) (func(int) bat.OID, bool) {
 	return nil, false
 }
 
+// denseProbe probes the oids of column c into the dense oid sequence
+// base..base+n-1 — a datavector's extent or a dense right head: it returns,
+// in row order, the position o−base of every oid o of c inside the sequence
+// and, when rows is set, the row holding it. Each probe is a subtraction and
+// a bounds check in a typed loop; a void c holds one run of oids, so its
+// hits are one run of rows and cost no per-row lookup. ok is false when c
+// does not hold oids.
+func denseProbe(c bat.Column, base bat.OID, n int, rows bool) (lpos, pos []int32, ok bool) {
+	if v, void := c.(*bat.VoidCol); void {
+		lo, first, k := voidRun(v, base, n)
+		pos = make([]int32, k)
+		for i := range pos {
+			pos[i] = int32(first + i)
+		}
+		if rows {
+			lpos = make([]int32, k)
+			for i := range lpos {
+				lpos[i] = int32(lo + i)
+			}
+		}
+		return lpos, pos, true
+	}
+	oids, ok := c.(*bat.OIDCol)
+	if !ok {
+		return nil, nil, false
+	}
+	pos = make([]int32, 0, len(oids.V))
+	if rows {
+		lpos = make([]int32, 0, len(oids.V))
+	}
+	for i, o := range oids.V {
+		// o−base wraps past n for an oid below base
+		if x := uint32(o - base); x < uint32(n) {
+			pos = append(pos, int32(x))
+			if rows {
+				lpos = append(lpos, int32(i))
+			}
+		}
+	}
+	return lpos, pos, true
+}
+
+// voidRun returns where void column v meets the dense oid sequence
+// base..base+n-1: its k rows from row lo hold the positions from first on.
+func voidRun(v *bat.VoidCol, base bat.OID, n int) (lo, first, k int) {
+	lo = max(int(base)-int(v.Seq), 0)
+	hi := min(int(base)+n-int(v.Seq), v.N)
+	return lo, int(v.Seq) + lo - int(base), max(hi-lo, 0)
+}
+
 // sameOIDs reports whether a and b are equal-length, non-empty oid columns
 // holding the same oid at every position: in O(1) for one backing array at
 // one offset or two voids, by slices.Equal for two oid columns, and

@@ -56,20 +56,13 @@ func dvJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
 	if dv == nil {
 		return nil, false
 	}
-	lt, ok := oidGetter(l.T)
+	lpos, vpos, ok := denseProbe(l.T, dv.Base, dv.Len(), true)
 	if !ok {
 		return nil, false
 	}
 	ctx.chose("datavector-join")
 	p := ctx.pager()
 	l.T.TouchAll(p)
-	n := l.Len()
-	lpos := make([]int32, 0, n)
-	vpos := make([]int32, 0, n)
-	dv.ProbeEach(p, n, lt, func(i, pos int) {
-		lpos = append(lpos, int32(i))
-		vpos = append(vpos, int32(pos))
-	})
 	dv.Vector.TouchPositions(p, vpos)
 	// r's head, a permutation of the datavector's extent, is declared key,
 	// so each l row matches at most once.
@@ -140,17 +133,11 @@ func fetchJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	} else if r.Len() > 0 {
 		seq = int(r.H.Get(0).OID())
 	}
-	nl, n := l.Len(), r.Len()
-	lpos, rpos := make([]int32, 0, nl), make([]int32, 0, nl)
-	if oids, ok := l.T.(*bat.OIDCol); ok {
-		for i, o := range oids.V {
-			if x := int(o) - seq; x >= 0 && x < n {
-				lpos = append(lpos, int32(i))
-				rpos = append(rpos, int32(x))
-			}
-		}
-	} else {
-		lt := l.T
+	n := r.Len()
+	lpos, rpos, ok := denseProbe(l.T, bat.OID(seq), n, true)
+	if !ok {
+		lt, nl := l.T, l.Len()
+		lpos, rpos = make([]int32, 0, nl), make([]int32, 0, nl)
 		for i := 0; i < nl; i++ {
 			if x := int(lt.Get(i).I) - seq; x >= 0 && x < n {
 				lpos = append(lpos, int32(i))

@@ -3,11 +3,13 @@ package mil
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bat"
+	"repro/internal/storage"
 )
 
 func oidIntBAT(name string, heads []bat.OID, tails []int64, props bat.Props) *bat.BAT {
@@ -337,35 +339,61 @@ func TestSameOIDs(t *testing.T) {
 	}
 }
 
-func TestDatavectorSemijoinMemoReuse(t *testing.T) {
-	attr1 := bat.AttachDatavector(bat.New("a1", bat.NewVoid(0, 100), mkInts(100, 1), 0))
-	attr2 := bat.AttachDatavector(bat.New("a2", bat.NewVoid(0, 100), mkInts(100, 2), 0))
-	r := bat.New("sel", bat.NewOIDCol([]bat.OID{3, 50, 99}), bat.NewVoid(0, 3), bat.HKey)
-
-	ctx := &Ctx{}
-	out1 := Semijoin(ctx, attr1, r)
-	if attr1.Datavector().Lookup(r) == nil {
-		t.Fatal("first semijoin must memoize LOOKUP")
+// TestDenseProbe: denseProbe finds exactly the oids that lie in the dense
+// sequence, wherever the others fall, and a void column's run of hits is
+// the one a per-oid probe finds.
+func TestDenseProbe(t *testing.T) {
+	const base, n = 10, 5 // the sequence 10..14
+	for _, c := range []bat.Column{
+		bat.NewOIDCol([]bat.OID{0, 9, 10, 12, 14, 15, 1 << 31, 11}),
+		bat.NewVoid(0, 3),   // below
+		bat.NewVoid(8, 4),   // across the start
+		bat.NewVoid(11, 2),  // inside
+		bat.NewVoid(12, 10), // across the end
+		bat.NewVoid(15, 3),  // above
+		bat.NewVoid(0, 30),  // around
+	} {
+		var wantRows, wantPos []int32
+		for i := 0; i < c.Len(); i++ {
+			if o := c.Get(i).OID(); o >= base && o < base+n {
+				wantRows, wantPos = append(wantRows, int32(i)), append(wantPos, int32(o-base))
+			}
+		}
+		rows, pos, ok := denseProbe(c, base, n, true)
+		if !ok || !slices.Equal(rows, wantRows) || !slices.Equal(pos, wantPos) {
+			t.Errorf("%v: rows %v at %v (ok %v), want %v at %v", c, rows, pos, ok, wantRows, wantPos)
+		}
+		if rows, pos, _ := denseProbe(c, base, n, false); rows != nil || !slices.Equal(pos, wantPos) {
+			t.Errorf("%v without rows: %v at %v, want none at %v", c, rows, pos, wantPos)
+		}
 	}
-	out2 := Semijoin(ctx, attr1, r) // second: reuses memo
-	if out1.Len() != 3 || out2.Len() != 3 {
-		t.Fatalf("lens = %d, %d", out1.Len(), out2.Len())
-	}
-	// Fully-matched datavector semijoins against the same selection are
-	// synced (Fig. 10: prices and discount).
-	o1 := Semijoin(ctx, attr1, r)
-	o2 := Semijoin(ctx, attr2, r)
-	if !bat.Synced(o1, o2) {
-		t.Fatal("full-match datavector semijoins with same right operand must be synced")
+	if _, _, ok := denseProbe(bat.NewIntCol([]int64{10}), base, n, true); ok {
+		t.Error("an int column probed as oids")
 	}
 }
 
-func mkInts(n int, mul int64) *bat.IntCol {
-	v := make([]int64, n)
-	for i := range v {
-		v[i] = int64(i) * mul
+// TestDatavectorSemijoinVoidHead: against a void right head the datavector
+// semijoin builds its result straight from the run the head meets when
+// nothing is accounted, and through the LOOKUP when a pager is attached;
+// both give the same BUNs and properties.
+func TestDatavectorSemijoinVoidHead(t *testing.T) {
+	l := bat.AttachDatavector(bat.New("a", bat.NewVoid(10, 5), bat.NewIntCol([]int64{5, 3, 9, 1, 7}), 0))
+	for _, h := range []*bat.VoidCol{
+		bat.NewVoid(0, 3), bat.NewVoid(8, 4), bat.NewVoid(10, 5), bat.NewVoid(12, 10), bat.NewVoid(0, 30),
+	} {
+		r := bat.New("r", h, bat.NewVoid(0, h.N), 0)
+		label := fmt.Sprintf("void %d+%d", h.Seq, h.N)
+		run := Semijoin(&Ctx{}, l, r)
+		ctx := NewCtx(nil, Options{Pager: storage.NewPager(4096, 0)})
+		looked := Semijoin(ctx, l, r)
+		if ctx.LastAlgo() != "datavector-semijoin" {
+			t.Fatalf("%s: took %s", label, ctx.LastAlgo())
+		}
+		assertSameBAT(t, label, run, looked)
+		if run.Props != looked.Props {
+			t.Errorf("%s: props %v, through the LOOKUP %v", label, run.Props, looked.Props)
+		}
 	}
-	return bat.NewIntCol(v)
 }
 
 // Property: semijoin result of every variant equals the brute-force filter.

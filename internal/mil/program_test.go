@@ -128,10 +128,12 @@ func TestRunLivenessReleasesIntermediates(t *testing.T) {
 	}
 }
 
+// TestRunDatavectorReuseVisibleInTrace: a semijoin whose left operand
+// carries a datavector takes the datavector variant, and two that fully
+// match one right operand come out synced, so the multiplex over their
+// results reuses the pairing by position (Fig. 10's prices and discount).
 func TestRunDatavectorReuseVisibleInTrace(t *testing.T) {
 	env := buildQ13Env()
-	// A semijoin whose left operand carries a datavector takes the
-	// datavector variant, driven by the small right operand.
 	ctx := NewCtx(nil, Options{Pager: storage.NewPager(64, 0)}) // tiny pages to force faults
 	_, traces, err := Exec(ctx, q13Program(), env)
 	if err != nil {
@@ -147,6 +149,9 @@ func TestRunDatavectorReuseVisibleInTrace(t *testing.T) {
 	}
 	if byDst["prices"].Algo != "datavector-semijoin" {
 		t.Fatalf("prices algo = %s", byDst["prices"].Algo)
+	}
+	if byDst["rlprices"].Algo != "aligned-multiplex" {
+		t.Fatalf("rlprices algo = %s, want aligned-multiplex over synced semijoins", byDst["rlprices"].Algo)
 	}
 }
 

@@ -1,10 +1,6 @@
 package mil
 
-import (
-	"time"
-
-	"repro/internal/bat"
-)
+import "repro/internal/bat"
 
 // Semijoin implements AB.semijoin(CD): {ab ∈ AB | ∃cd ∈ CD : a = c}.
 // It is "heavily used for reassembling vertically partitioned fragments"
@@ -69,61 +65,37 @@ func syncSemijoin(ctx *Ctx, l *bat.BAT) *bat.BAT {
 	return bat.Derive(bat.New(l.Name+".sel", l.H, l.T, 0), bat.Subset, l, nil)
 }
 
-// datavectorSemijoin transcribes the pseudo-code of Section 5.2.1. The
-// LOOKUP array mapping r's oids to extent positions is computed on first use
-// and memoized on the accelerator, so subsequent semijoins with the same
-// right operand only pay for fetching out of the value vector ("the previous
-// datavector-semijoin has already blazed the trail into the extent").
-// Memoization is singleflight: concurrent sessions probing the same right
-// operand coalesce onto one extent-probe pass.
+// datavectorSemijoin transcribes the pseudo-code of Section 5.2.1 over a
+// dense extent: the LOOKUP array mapping r's oids to extent positions is
+// one subtraction per oid (denseProbe), so the semijoin computes its own
+// instead of memoizing it on the accelerator, and the insertion phase
+// fetches the matching values out of the value vector.
 func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	ctx.chose("datavector-semijoin")
 	dv := l.Datavector()
 	p := ctx.pager()
-
-	lookup := dv.LookupOrBuild(r, func() []int32 {
-		// The closure runs only when this query wins the singleflight memo
-		// build, so self-timing here attributes the construction (and only
-		// the construction) to the triggering statement's trace.
-		t0 := time.Now()
-		defer func() { ctx.noteBuild(time.Since(t0)) }()
-		lookup := make([]int32, 0, r.Len())
-		rh := r.H
-		rh.TouchAll(p)
-		if h, ok := rh.(*bat.OIDCol); ok {
-			if dense, base, n := dv.DenseExtent(); dense {
-				// probedlookup against a dense extent is pure arithmetic:
-				// keep the loop free of per-element calls.
-				for _, x := range h.V {
-					if i := uint32(x) - uint32(base); i < uint32(n) {
-						lookup = append(lookup, int32(i))
-					}
-				}
-				return lookup
+	r.H.TouchAll(p)
+	if v, void := r.H.(*bat.VoidCol); void && p == nil {
+		// A void head meets the extent in one run, and with no touches to
+		// account its LOOKUP would be just that run: build the result from
+		// the run directly, its oids and a view of the vector (what Gather
+		// makes of a run), as the identity semijoins of Q09 and Q12 want.
+		if lo, first, k := voidRun(v, dv.Base, dv.Len()); k > 0 {
+			heads := make([]bat.OID, k)
+			for i := range heads {
+				heads[i] = v.Seq + bat.OID(lo+i)
 			}
+			return bat.Derive(bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.SliceView(dv.Vector, first, k), 0), bat.Probed, l, r)
 		}
-		oid, ok := oidGetter(rh)
-		if !ok {
-			oid = func(i int) bat.OID { return rh.Get(i).OID() }
-		}
-		dv.ProbeEach(p, rh.Len(), oid, func(_, pos int) {
-			lookup = append(lookup, int32(pos))
-		})
-		return lookup
-	})
+	}
+	_, lookup, _ := denseProbe(r.H, dv.Base, dv.Len(), false)
 
 	// Insertion phase: fetch matching head and tail values from EXTENT and
 	// VECTOR (pseudo-code lines 17-19). The LOOKUP array doubles as the
 	// gather permutation into the value vector.
 	heads := make([]bat.OID, len(lookup))
-	if dense, base, _ := dv.DenseExtent(); dense {
-		for i, pos := range lookup {
-			heads[i] = base + bat.OID(pos)
-		}
-	} else {
-		for i, pos := range lookup {
-			heads[i] = dv.OIDAt(int(pos))
-		}
+	for i, pos := range lookup {
+		heads[i] = dv.Base + bat.OID(pos)
 	}
 	dv.Vector.TouchPositions(p, lookup)
 	// Result BUNs follow r's order (bat.Probed). If every r element matched,

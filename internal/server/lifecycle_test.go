@@ -200,75 +200,87 @@ func TestPanicContainmentAndQuarantine(t *testing.T) {
 	}
 }
 
-// TestCancelMidBuildRebuildsOnce: cancelling a query as it enters its first
-// join — the point where a shared accelerator build dispatches, consults
-// the stop hook, and aborts unpublished — must not poison or double-build
-// the slot: across the aborted run and the successful retry, every
-// accelerator is built exactly once (abort+retry builds == one clean cold
-// run's builds), and a third run builds only the per-query intermediates.
+// TestCancelMidBuildRebuildsOnce: cancelling a query as it enters the
+// statement that builds a shared accelerator — the hash index on the head
+// of the base BAT Item_shipdate, which a singleflight slot (bat.accelSlot)
+// publishes for every later query over the same env — must not poison or
+// double-build the slot: across the cancelled run and its retry the index
+// is built exactly as often as in one clean cold run, the retry answers as
+// the clean run does, and a third run builds what a warm run builds.
 func TestCancelMidBuildRebuildsOnce(t *testing.T) {
-	found := false
-	for qi := 0; qi < 15 && !found; qi++ {
-		// Clean cold reference: total builds of one cold run, then the
-		// per-pass (intermediate-only) builds of a warm run.
-		ref, mixRef := testService(t, Config{Workers: 2, MaxConcurrent: 2})
-		q := mixRef[qi]
+	prog, err := mil.ParseProgram(`
+		sel := select(Item_returnflag, 'R')
+		sj := semijoin(sel, Item_shipdate)
+		u := sj.unique`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.Keep = []string{"u"}
+	gen := tpcd.Generate(0.002, 7)
+	// run executes prog over env and returns its rendered answer and the
+	// accelerator builds it published.
+	run := func(env mil.Env, cx context.Context) (string, int64, error) {
 		before := bat.AccelBuilds()
-		if _, err := ref.Query(context.Background(), q); err != nil {
-			t.Fatal(err)
+		scope, traces, err := mil.Exec(mil.NewCtx(cx, mil.Options{Workers: 2}), prog, env)
+		builds := bat.AccelBuilds() - before
+		if err != nil {
+			return "", builds, err
 		}
-		buildsCold := bat.AccelBuilds() - before
-		before = bat.AccelBuilds()
-		if _, err := ref.Query(context.Background(), q); err != nil {
-			t.Fatal(err)
+		if algo := traces[1].Algo; algo != "hash-semijoin" {
+			t.Fatalf("semijoin took %s, want hash-semijoin (a build on the base BAT's head)", algo)
 		}
-		buildsWarm := bat.AccelBuilds() - before
-		if buildsCold == buildsWarm {
-			continue // no shared accelerator in this query's cold run
+		var sb strings.Builder
+		u := scope.Vars["u"]
+		for i := 0; i < u.Len(); i++ {
+			fmt.Fprintf(&sb, "%v %v\n", u.HeadValue(i), u.TailValue(i))
 		}
-
-		// Test service: cancel when the first join statement starts.
-		svc, mix := testService(t, Config{Workers: 2, MaxConcurrent: 2})
-		ctx, cancel := context.WithCancel(context.Background())
-		var armed atomic.Bool
-		armed.Store(true)
-		mil.SetExecHook(func(i int, op string) {
-			if (op == mil.OpJoin || op == mil.OpSemijoin || op == mil.OpJoinMulti) &&
-				armed.CompareAndSwap(true, false) {
-				cancel()
-			}
-		})
-		before = bat.AccelBuilds()
-		_, err := svc.Query(ctx, mix[qi])
-		mil.SetExecHook(nil)
-		delta1 := bat.AccelBuilds() - before
-		var ce *engine.CanceledError
-		if !errors.As(err, &ce) {
-			t.Fatalf("Q index %d: cancelled run got %v, want CanceledError", qi, err)
-		}
-
-		before = bat.AccelBuilds()
-		if _, err := svc.Query(context.Background(), mix[qi]); err != nil {
-			t.Fatalf("Q index %d: retry after cancel failed: %v", qi, err)
-		}
-		delta2 := bat.AccelBuilds() - before
-		if delta1+delta2 != buildsCold {
-			t.Fatalf("Q index %d: abort+retry built %d+%d accelerators, clean cold run builds %d: aborted build was double-built or lost",
-				qi, delta1, delta2, buildsCold)
-		}
-		before = bat.AccelBuilds()
-		if _, err := svc.Query(context.Background(), mix[qi]); err != nil {
-			t.Fatal(err)
-		}
-		if delta3 := bat.AccelBuilds() - before; delta3 != buildsWarm {
-			t.Fatalf("Q index %d: post-retry run built %d, warm runs build %d", qi, delta3, buildsWarm)
-		}
-		found = true
+		return sb.String(), builds, nil
 	}
-	if !found {
-		t.Fatal("no mix query exercised a cancellable shared accelerator build")
+
+	// Clean reference: the builds of a cold run, then of a warm one.
+	refEnv, _ := tpcd.Load(gen)
+	want, buildsCold, err := run(refEnv, context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, buildsWarm, err := run(refEnv, context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buildsWarm >= buildsCold {
+		t.Fatalf("warm run built %d, cold run %d: the program builds no shared accelerator", buildsWarm, buildsCold)
+	}
+
+	// Cancel when the semijoin, the statement that builds the index, starts.
+	env, _ := tpcd.Load(gen)
+	cx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var armed atomic.Bool
+	armed.Store(true)
+	mil.SetExecHook(func(i int, op string) {
+		if op == mil.OpSemijoin && armed.CompareAndSwap(true, false) {
+			cancel()
+		}
+	})
+	_, delta1, err := run(env, cx)
 	mil.SetExecHook(nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run got %v, want context.Canceled", err)
+	}
+	got, delta2, err := run(env, context.Background())
+	if err != nil {
+		t.Fatalf("retry after cancel failed: %v", err)
+	}
+	if got != want {
+		t.Fatal("retry after cancel answered differently from a clean run: the cancelled build published a broken index")
+	}
+	if delta1+delta2 != buildsCold {
+		t.Fatalf("cancel+retry built %d+%d accelerators, a clean cold run builds %d: the cancelled build was double-built or lost",
+			delta1, delta2, buildsCold)
+	}
+	if _, delta3, err := run(env, context.Background()); err != nil || delta3 != buildsWarm {
+		t.Fatalf("post-retry run built %d (%v), warm runs build %d", delta3, err, buildsWarm)
+	}
 }
 
 // chaosRun drives sessions over the mix while cancellations, deadlines and

@@ -4,10 +4,10 @@
 // a shared BAT kernel (Section 2); this layer is the reproduction's step
 // from "one fast query" to "a system under load":
 //
-//   - sessions share base BATs and their accelerators — construction is
-//     singleflight in the kernel (bat.accelSlot, Datavector.LookupOrBuild),
-//     so concurrent probes that need the same missing index coalesce onto
-//     one build;
+//   - sessions share base BATs and their accelerators — hash-index
+//     construction is singleflight in the kernel (bat.accelSlot), so
+//     concurrent probes that need the same missing index coalesce onto one
+//     build, and a datavector probe builds nothing;
 //   - a prepared-plan cache parses/checks/translates each distinct MOA
 //     source once and executes it many times (preparation is pure);
 //   - admission control gates query start on a global memory budget fed by

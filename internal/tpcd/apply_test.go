@@ -187,10 +187,8 @@ func sameBAT(g, w *bat.BAT) error {
 	if gdv == nil {
 		return nil
 	}
-	gd, gb, gn := gdv.DenseExtent()
-	wd, wb, wn := wdv.DenseExtent()
-	if gd != wd || gb != wb || gn != wn {
-		return fmt.Errorf("datavector extent dense=%v base=%d n=%d, want %v/%d/%d", gd, gb, gn, wd, wb, wn)
+	if gdv.Base != wdv.Base || gdv.Len() != wdv.Len() {
+		return fmt.Errorf("datavector extent %d+%d, want %d+%d", gdv.Base, gdv.Len(), wdv.Base, wdv.Len())
 	}
 	if err := sameColumn(gdv.Vector, wdv.Vector); err != nil {
 		return fmt.Errorf("datavector vector: %v", err)

@@ -53,15 +53,11 @@ const heapSchema = "tpcd-env/v1"
 // classifyEntry derives the checkpoint shape of one env BAT.
 func classifyEntry(name string, b *bat.BAT) (heapEntry, error) {
 	if dv := b.Datavector(); dv != nil {
-		dense, base, _ := dv.DenseExtent()
-		if !dense {
-			return heapEntry{}, fmt.Errorf("heapstore: %s: sparse datavector extents are not checkpointable", name)
-		}
 		if b.T.Kind() == bat.KVoid {
 			return heapEntry{}, fmt.Errorf("heapstore: %s: void attr tails are not checkpointable", name)
 		}
 		e := heapEntry{Name: name, Kind: "attr", Rows: b.Len(), Tail: b.T.Kind().String(),
-			Props: uint16(b.Props), DVBase: uint32(base)}
+			Props: uint16(b.Props), DVBase: uint32(dv.Base)}
 		switch h := b.H.(type) {
 		case *bat.VoidCol:
 			// Tail was already ordered; the sort kept the dense head.
