@@ -329,15 +329,13 @@ func seq(n int) []bat.OID {
 	return out
 }
 
-// BenchmarkAblationPartitionedBuild compares the two layouts of the
-// accelerator build across the row count that switches between them: cold
+// BenchmarkAblationHashBuild measures the accelerator build: cold
 // constructs the index from scratch every iteration (the build cost the
-// dynamic optimizer pays when it selects a hash variant at run time) over
-// half the rows (one counting sort over a cache-resident bucket array) and
-// over all of them (radix-partitioned, 8 partitions); warm measures the
-// amortized cached-accelerator access for contrast. Keys are drawn at
+// dynamic optimizer pays when it selects a hash variant at run time, one
+// counting sort) over 512k and 1M rows; warm measures the amortized
+// cached-accelerator access, one Lookup1, for contrast. Keys are drawn at
 // random so the dense-sequence detection cannot shortcut the build.
-func BenchmarkAblationPartitionedBuild(b *testing.B) {
+func BenchmarkAblationHashBuild(b *testing.B) {
 	const n = 1 << 20
 	rng := rand.New(rand.NewSource(7))
 	keys := make([]bat.OID, n)
@@ -349,17 +347,16 @@ func BenchmarkAblationPartitionedBuild(b *testing.B) {
 		b.Run(fmt.Sprintf("cold/rows=%d", rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bat.BuildHashIndex(col)
+				bat.BuildHashIndex(col, nil)
 			}
 		})
 	}
 	b.Run("warm", func(b *testing.B) {
 		warm := bat.New("w", bat.NewOIDCol(keys), bat.NewVoid(0, n), 0)
 		warm.HeadHash()
-		probe := bat.O(keys[0])
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			warm.HeadHash().Lookup1(probe)
+			warm.HeadHash().Lookup1(keys[0])
 		}
 	})
 }

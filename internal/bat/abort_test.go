@@ -127,7 +127,7 @@ func TestAbortedBuildNeverPublishes(t *testing.T) {
 	}
 	before := AccelBuilds()
 	col := NewIntCol([]int64{1, 2, 3, 2})
-	idx := slot.getOrBuild(func() *HashIndex { return BuildHashIndex(col) }, nil)
+	idx := slot.getOrBuild(func() *HashIndex { return BuildHashIndex(col, nil) }, nil)
 	if idx == nil || slot.load() != idx {
 		t.Fatal("retry after aborted build did not publish")
 	}
@@ -153,7 +153,7 @@ func TestKeyRepFillStopsAndContains(t *testing.T) {
 	r := recoverValue(func() {
 		slot.getOrBuild(func() *HashIndex {
 			NewKeyRepP(col, s)
-			return BuildHashIndex(col)
+			return BuildHashIndex(col, nil)
 		}, nil)
 	})
 	if r != ErrAborted {
@@ -168,5 +168,22 @@ func TestKeyRepFillStopsAndContains(t *testing.T) {
 	r = recoverValue(func() { NewKeyRepP(oddCol{col}, Sched{Workers: 4}) })
 	if _, ok := r.(*WorkerPanic); !ok {
 		t.Fatalf("fill panic surfaced as %T %v, want *WorkerPanic", r, r)
+	}
+}
+
+// TestHashBuildStops: a hash build consults its stop hook once per block of
+// rows in each of its two passes, and a hook that fires aborts the build
+// with ErrAborted.
+func TestHashBuildStops(t *testing.T) {
+	col := NewIntCol(make([]int64, 5*probeBlock+1))
+	calls := 0
+	BuildHashIndex(col, func() bool { calls++; return false })
+	if calls != 2*6 {
+		t.Fatalf("stop hook consulted %d times over 2 passes of 6 blocks, want 12", calls)
+	}
+	calls = 0
+	r := recoverValue(func() { BuildHashIndex(col, func() bool { calls++; return calls > 8 }) })
+	if r != ErrAborted {
+		t.Fatalf("stopped build panicked with %v, want ErrAborted", r)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // state. accelSlot makes that mutation safe: readers see the accelerator
 // through one atomic pointer load (no lock on the probe fast path), and
 // construction is singleflight — concurrent probes that need the same
-// missing index coalesce onto one build (which itself fans out over the
-// morsel workers) instead of racing or duplicating the work. Distinct slots
+// missing index coalesce onto one (sequential) build instead of racing or
+// duplicating the work. Distinct slots
 // build independently; only callers of the *same* missing accelerator wait.
 type accelSlot struct {
 	mu  sync.Mutex

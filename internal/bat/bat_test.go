@@ -270,7 +270,7 @@ func TestMirrorSharesHashAccelerators(t *testing.T) {
 
 func TestHashIndexDuplicates(t *testing.T) {
 	col := NewIntCol([]int64{5, 7, 5, 5, 7})
-	h := BuildHashIndex(col)
+	h := BuildHashIndex(col, nil)
 	if h.Card() != 2 {
 		t.Fatalf("card = %d", h.Card())
 	}
@@ -485,7 +485,7 @@ func TestCompareIsTotalOrder(t *testing.T) {
 func TestHashIndexComplete(t *testing.T) {
 	f := func(vals []int64) bool {
 		col := NewIntCol(vals)
-		h := BuildHashIndex(col)
+		h := BuildHashIndex(col, nil)
 		for i, v := range vals {
 			found := false
 			for _, p := range h.Lookup(I(v)) {

@@ -2,6 +2,7 @@ package bat
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/storage"
@@ -303,4 +304,106 @@ func TestMappedColHintSpans(t *testing.T) {
 	check("chr", NewMappedCol(make([]byte, n), &hints[3]), &hints[3], 1)
 	check("bit", NewMappedCol(make([]bool, n), &hints[4]), &hints[4], 1)
 	check("date", NewMappedCol(make([]int32, n), &hints[5]), &hints[5], 4)
+}
+
+// TestSliceViewAllKinds: views are value-identical to materialized gathers
+// and share backing storage where one exists.
+func TestSliceViewAllKinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	n := 64
+	for kind, col := range kernelTestColumns(rng, n, false) {
+		v := SliceView(col, 10, 20)
+		if v.Len() != 20 {
+			t.Fatalf("%s: view len %d", kind, v.Len())
+		}
+		for i := 0; i < 20; i++ {
+			if v.Get(i) != col.Get(10+i) {
+				t.Fatalf("%s: view[%d] = %s, want %s", kind, i, v.Get(i), col.Get(10+i))
+			}
+		}
+	}
+	// aliasing: a view of a typed column shares its backing array
+	ic := NewIntCol([]int64{1, 2, 3, 4, 5})
+	v := SliceView(ic, 1, 3).(*IntCol)
+	if &v.V[0] != &ic.V[1] {
+		t.Fatal("int view does not alias the original backing slice")
+	}
+	// a void view stays void (and therefore dense)
+	if vv, ok := SliceView(NewVoid(7, 10), 2, 5).(*VoidCol); !ok || vv.Seq != 9 || vv.N != 5 {
+		t.Fatalf("void view = %#v", SliceView(NewVoid(7, 10), 2, 5))
+	}
+}
+
+func TestPositionRun(t *testing.T) {
+	cases := []struct {
+		pos  []int32
+		lo   int
+		want bool
+	}{
+		{nil, 0, false},
+		{[]int32{5}, 5, true},
+		{[]int32{3, 4, 5, 6}, 3, true},
+		{[]int32{3, 5, 6}, 0, false},
+		{[]int32{3, 1, 2, 6}, 0, false}, // endpoint check alone would pass
+		{[]int32{0, 0, 1}, 0, false},
+	}
+	for i, c := range cases {
+		lo, ok := PositionRun(c.pos)
+		if ok != c.want || (ok && lo != c.lo) {
+			t.Fatalf("case %d: got (%d,%v), want (%d,%v)", i, lo, ok, c.lo, c.want)
+		}
+	}
+}
+
+// TestGatherRunReturnsView: a contiguous permutation gathers as a zero-copy
+// view with identical values.
+func TestGatherRunReturnsView(t *testing.T) {
+	col := NewIntCol([]int64{10, 20, 30, 40, 50})
+	run := Gather(col, []int32{1, 2, 3})
+	iv, ok := run.(*IntCol)
+	if !ok {
+		t.Fatalf("run gather returned %T", run)
+	}
+	if &iv.V[0] != &col.V[1] {
+		t.Fatal("run gather did not return a view")
+	}
+	scattered := Gather(col, []int32{3, 1, 2})
+	sv := scattered.(*IntCol)
+	if len(sv.V) != 3 || sv.V[0] != 40 || &sv.V[0] == &col.V[3] {
+		t.Fatal("non-run gather must materialize a copy")
+	}
+}
+
+// TestColumnTouchRangeSpan: a dense run accounted through TouchRange faults
+// one page span, not one touch per entry (the satellite fix for
+// gatherPositions' per-position accounting).
+func TestColumnTouchRangeSpan(t *testing.T) {
+	const n = 4096 // 32 KB of int64s = 8 pages of 4 KB
+	c := NewIntCol(make([]int64, n))
+	c.Persist()
+	p := storage.NewPager(4096, 0).NewTracker()
+	c.TouchRange(p, 0, n)
+	if got := p.Faults(); got != 8 {
+		t.Fatalf("span faults = %d, want 8", got)
+	}
+	if got := p.Hits(); got != 0 {
+		t.Fatalf("span hits = %d, want 0 (each page touched once)", got)
+	}
+	// per-position touching of the same run costs one access per entry
+	p2 := storage.NewPager(4096, 0).NewTracker()
+	run := make([]int32, n)
+	for i := range run {
+		run[i] = int32(i)
+	}
+	c.TouchPositions(p2, run)
+	if got := p2.Faults() + p2.Hits(); got != n {
+		t.Fatalf("per-position accesses = %d, want %d", got, n)
+	}
+	// a view's touches stay anchored at the original heap offsets
+	v := SliceView(c, 2048, 1024)
+	p3 := storage.NewPager(4096, 0).NewTracker()
+	v.TouchRange(p3, 0, 1024)
+	if got := p3.Faults(); got != 2 {
+		t.Fatalf("view span faults = %d, want 2 (entries 2048-3071 = pages 4-5)", got)
+	}
 }

@@ -11,13 +11,10 @@ import "sync"
 // in ascending order — the same observable order the classic back-to-front
 // bucket+link chains produced.
 //
-// Construction is a counting sort by bucket. Over a bucket array beyond the
-// caches it runs radix-partitioned (see partition.go): rows are scattered by
-// the top bits of their bucket into P contiguous bucket ranges, and each
-// range is counted and scattered on its own — touching only a cache-sized
-// slice of the table. The partitioned build is bit-identical to the
-// unpartitioned one by construction: bucket entries are ascending either
-// way.
+// Construction is one counting sort by bucket: a histogram pass and a
+// scatter pass, each reading the column a block of key reps at a time
+// through fillKeyReps, the one place a row becomes a key rep. Probes read
+// their rows the same way.
 //
 // Dense (void) columns need no arrays at all: the position of an oid is
 // arithmetic.
@@ -47,26 +44,11 @@ type hashEnt struct {
 	pos int32
 }
 
-// radixSoloMinBuckets is the bucket-array size past which a single-threaded
-// build partitions too: below it the table is cache-resident and the scatter
-// pass would be pure overhead, above it confining each counting sort to a
-// cache-sized bucket span wins (measured crossover ≈1M buckets).
-const radixSoloMinBuckets = 1 << 20
-
-// buildPartitions picks the radix fan-out for a build over sz buckets: one
-// partition while the table fits the caches, otherwise ≈512 KB of bucket
-// offsets per partition, at most 256.
-func buildPartitions(sz int) int {
-	if sz < radixSoloMinBuckets {
-		return 1
-	}
-	return min(sz>>17, 256)
-}
-
-// BuildHashIndex constructs a hash index over col, radix-partitioned when
-// the bucket array outgrows the caches. Both layouts yield the identical
-// index.
-func BuildHashIndex(col Column) *HashIndex {
+// BuildHashIndex constructs a hash index over col. stop, when non-nil, is
+// the owning query's cancellation check: the build consults it once per
+// block of rows and, when it reports true, panics with ErrAborted, so the
+// accelerator slot publishes nothing.
+func BuildHashIndex(col Column, stop func() bool) *HashIndex {
 	if v, ok := col.(*VoidCol); ok {
 		return &HashIndex{col: col, dense: true, seq: v.Seq, n: v.N, card: v.N}
 	}
@@ -90,108 +72,36 @@ func BuildHashIndex(col Column) *HashIndex {
 		mask:      uint32(sz - 1),
 		n:         n,
 	}
-	p := buildPartitions(sz)
-	if p <= 1 {
-		// Unpartitioned counting sort, with the key reps computed inline
-		// from the typed backing slice for the fixed-width kinds — no rep
-		// vector is ever materialized.
-		switch c := col.(type) {
-		case *OIDCol:
-			buildClusteredFixed(h, c.V)
-		case *IntCol:
-			buildClusteredFixed(h, c.V)
-		case *DateCol:
-			buildClusteredFixed(h, c.V)
-		case *ChrCol:
-			buildClusteredFixed(h, c.V)
-		default:
-			h.buildPartition(scattered{off: []int32{0, int32(n)}, reps: NewKeyRep(col).Rep},
-				0, 0, make([]int32, sz))
+	var keys [probeBlock]uint64
+	block := func(lo int) []uint64 {
+		if stop != nil && stop() {
+			panic(ErrAborted)
 		}
-		h.bucketOff[sz] = int32(n)
-		return h
+		ks := keys[:min(n-lo, probeBlock)]
+		fillKeyReps(col, ks, lo)
+		return ks
 	}
-	sc := scatterByHash(NewKeyRep(col).Rep, p, h.mask, log2(sz)-log2(p))
-	nb := sz >> log2(p) // buckets per partition
-	counts := make([]int32, nb)
-	for pi := 0; pi < p; pi++ {
-		h.buildPartition(sc, pi, int32(pi*nb), counts)
-		clear(counts)
-	}
-	h.bucketOff[sz] = int32(n)
-	return h
-}
-
-// buildClusteredFixed is the unpartitioned counting sort for fixed-width
-// columns: one histogram pass and one scatter pass, both converting elements
-// to key reps on the fly (the conversion matches NewKeyRep bit for bit).
-// Like the probe loops, both passes resolve a block of buckets up front so
-// the random accesses of a block overlap instead of serializing.
-func buildClusteredFixed[E fixedElem](h *HashIndex, v []E) {
-	counts := make([]int32, h.mask+1)
-	var bbuf [probeBlock]int32
-	n := len(v)
-	for base := 0; base < n; base += probeBlock {
-		m := n - base
-		if m > probeBlock {
-			m = probeBlock
-		}
-		for t := 0; t < m; t++ {
-			bbuf[t] = int32(fibHash(uint64(v[base+t])) & h.mask)
-		}
-		for t := 0; t < m; t++ {
-			counts[bbuf[t]]++
+	counts := make([]int32, sz)
+	for lo := 0; lo < n; lo += probeBlock {
+		for _, x := range block(lo) {
+			counts[fibHash(x)&h.mask]++
 		}
 	}
 	cur := int32(0)
-	for j := range counts {
-		h.bucketOff[j] = cur
-		cur += counts[j]
-		counts[j] = h.bucketOff[j]
+	for b, c := range counts {
+		h.bucketOff[b] = cur
+		counts[b] = cur // becomes the bucket's write cursor
+		cur += c
 	}
-	for base := 0; base < n; base += probeBlock {
-		m := n - base
-		if m > probeBlock {
-			m = probeBlock
-		}
-		for t := 0; t < m; t++ {
-			bbuf[t] = int32(fibHash(uint64(v[base+t])) & h.mask)
-		}
-		for t := 0; t < m; t++ {
-			b := bbuf[t]
-			c := counts[b]
-			h.ents[c] = hashEnt{rep: uint64(v[base+t]), pos: int32(base + t)}
-			counts[b] = c + 1
+	h.bucketOff[sz] = cur
+	for lo := 0; lo < n; lo += probeBlock {
+		for t, x := range block(lo) {
+			b := fibHash(x) & h.mask
+			h.ents[counts[b]] = hashEnt{rep: x, pos: int32(lo + t)}
+			counts[b]++
 		}
 	}
-}
-
-// buildPartition counting-sorts partition pi's rows into the bucket range
-// starting at bucket bLo, in row order. counts must be zeroed scratch, one
-// entry per bucket of the range. Rows nil means the rows are the positions
-// themselves (the unpartitioned build).
-func (h *HashIndex) buildPartition(sc scattered, pi int, bLo int32, counts []int32) {
-	lo, hi := sc.off[pi], sc.off[pi+1]
-	reps := sc.reps
-	for k := lo; k < hi; k++ {
-		counts[int32(fibHash(reps[k])&h.mask)-bLo]++
-	}
-	cur := lo
-	for j := range counts {
-		h.bucketOff[bLo+int32(j)] = cur
-		cur += counts[j]
-		counts[j] = h.bucketOff[bLo+int32(j)] // becomes the bucket's write cursor
-	}
-	for k := lo; k < hi; k++ {
-		x := reps[k]
-		b := int32(fibHash(x)&h.mask) - bLo
-		row := k
-		if sc.rows != nil {
-			row = sc.rows[k]
-		}
-		h.ents[counts[b]] = hashEnt{rep: x, pos: row}
-		counts[b]++
-	}
+	return h
 }
 
 // computeCard counts the distinct keys of a clustered index: within each
@@ -231,79 +141,44 @@ func (h *HashIndex) Card() int {
 	return h.card
 }
 
-// repOfValue condenses a boxed probe value into the indexed column's key
-// space; ok is false when the kind cannot occur in the column (map-key
-// semantics: a probe of a different kind never matches).
-func (h *HashIndex) repOfValue(v Value) (uint64, bool) {
-	if v.K != normKind(h.col.Kind()) {
-		return 0, false
-	}
-	switch v.K {
-	case KFlt:
-		return fltKeyRep(v.F), true
-	case KStr:
-		return hashString(v.S), true
-	}
-	return uint64(v.I), true
-}
-
 // bucketRange returns the clustered entry range holding key rep x.
 func (h *HashIndex) bucketRange(x uint64) (int32, int32) {
 	b := fibHash(x) & h.mask
 	return h.bucketOff[b], h.bucketOff[b+1]
 }
 
-// Lookup1 returns the first (lowest) position at which v occurs, without
-// allocating; ok is false when v does not occur. It is the probe for
-// callers that resolve one id at a time (the structure-function resolvers).
-func (h *HashIndex) Lookup1(v Value) (int32, bool) {
+// Lookup1 returns the first (lowest) position at which oid x occurs,
+// without allocating; ok is false when x does not occur, or when the indexed
+// column does not hold oids. It is the probe for callers that resolve one id
+// at a time (the structure-function resolvers).
+func (h *HashIndex) Lookup1(x OID) (int32, bool) {
+	if normKind(h.col.Kind()) != KOID {
+		return 0, false
+	}
 	if h.dense {
-		if v.K != KOID {
-			return 0, false
-		}
-		i := v.I - int64(h.seq)
+		i := int64(x) - int64(h.seq)
 		if i < 0 || i >= int64(h.n) {
 			return 0, false
 		}
 		return int32(i), true
 	}
-	x, ok := h.repOfValue(v)
-	if !ok || h.n == 0 {
-		return 0, false
-	}
-	s, e := h.bucketRange(x)
+	s, e := h.bucketRange(uint64(x))
 	for k := s; k < e; k++ {
-		if h.ents[k].rep != x {
-			continue
+		if h.ents[k].rep == uint64(x) {
+			return h.ents[k].pos, true
 		}
-		if !h.exact && !h.valueEqualAt(v, h.ents[k].pos) {
-			continue
-		}
-		return h.ents[k].pos, true
 	}
 	return 0, false
 }
 
-// valueEqualAt settles an inexact rep match of boxed v against position j.
-func (h *HashIndex) valueEqualAt(v Value, j int32) bool { return h.col.Get(int(j)) == v }
-
-// Probe is a prepared probe column. For the exact fixed-width kinds the key
-// reps are computed from the column's backing slice as each block is loaded
-// — no per-probe rep array is materialized at all; float, string and bit
-// probes carry a prepared rep vector plus (when needed) a verifier of
+// Probe is a prepared probe column: the column itself, whose key reps are
+// computed a block at a time as the kernels load it (no per-probe rep array
+// is materialized), and, for float and string probes, a verifier of
 // probe-row against indexed-row equality. Probes are read-only and safe to
 // share across parallel range workers.
 type Probe struct {
-	rep []uint64                // prepared key reps (float, string, bit)
+	col Column
 	eq  func(pi, bi int32) bool // nil when rep equality is conclusive
-
-	// inline key sources (at most one non-nil): rep[i] is computed from the
-	// element exactly as NewKeyRep would, saving the O(n) materialization.
-	void  *VoidCol
-	oidV  []OID
-	intV  []int64
-	dateV []int32
-	chrV  []byte
 }
 
 // NewProbe prepares probe for probing into h. It reports false when the
@@ -314,69 +189,20 @@ func (h *HashIndex) NewProbe(probe Column) (Probe, bool) {
 	if normKind(probe.Kind()) != normKind(h.col.Kind()) {
 		return Probe{}, false
 	}
-	switch c := probe.(type) {
-	case *VoidCol:
-		return Probe{void: c}, true
-	case *OIDCol:
-		return Probe{oidV: c.V}, true
-	case *IntCol:
-		return Probe{intV: c.V}, true
-	case *DateCol:
-		return Probe{dateV: c.V}, true
-	case *ChrCol:
-		return Probe{chrV: c.V}, true
-	}
-	kr := NewKeyRep(probe)
-	p := Probe{rep: kr.Rep}
-	if !h.dense && !(kr.Exact && h.exact) {
+	p := Probe{col: probe}
+	if !repExact(probe) { // the kinds agree, so the index is inexact too
 		p.eq = crossEq(probe, h.col)
 	}
 	return p, true
-}
-
-// fixedElem are the element types whose key rep is the plain uint64
-// conversion (matching NewKeyRep), and uint64 for a prepared rep itself.
-type fixedElem interface {
-	~uint8 | ~uint32 | ~int32 | ~int64 | uint64
 }
 
 // probeBlock is the software-pipelining batch of the probe kernels: a block
 // of rows is loaded (its key reps), its bucket ranges are resolved
 // (independent loads the CPU overlaps), then the entries are walked. On
 // out-of-cache indexes this turns one dependent miss chain per probe into
-// batches of parallel misses, for every probe kind.
+// batches of parallel misses, for every probe kind. The build reads its
+// column in blocks of the same size.
 const probeBlock = 256
-
-// load is the bucket-walk kernels' only row-addressing step: it fills
-// keys[t] with the key rep of row lo+t, for the m rows of a block, and
-// returns them.
-func (p *Probe) load(lo, m int, keys *[probeBlock]uint64) []uint64 {
-	switch {
-	case p.oidV != nil:
-		loadFixed(p.oidV[lo:lo+m], keys)
-	case p.intV != nil:
-		loadFixed(p.intV[lo:lo+m], keys)
-	case p.dateV != nil:
-		loadFixed(p.dateV[lo:lo+m], keys)
-	case p.chrV != nil:
-		loadFixed(p.chrV[lo:lo+m], keys)
-	case p.rep != nil:
-		loadFixed(p.rep[lo:lo+m], keys)
-	default: // void: row r holds Seq + r
-		for t := range m {
-			keys[t] = uint64(p.void.Seq) + uint64(lo+t)
-		}
-	}
-	return keys[:m]
-}
-
-// loadFixed reads the key reps of a block from a fixed-width backing slice
-// in one sequential pass.
-func loadFixed[E fixedElem](v []E, keys *[probeBlock]uint64) {
-	for t, x := range v {
-		keys[t] = uint64(x)
-	}
-}
 
 // resolve fills the clustered entry range of every key of a loaded block.
 func (h *HashIndex) resolve(keys []uint64, sbuf, ebuf *[probeBlock]int32) {
@@ -393,11 +219,11 @@ func (h *HashIndex) resolve(keys []uint64, sbuf, ebuf *[probeBlock]int32) {
 // resolve: they read the probe window directly. Such probes are oid-kinded
 // — an oid column or, rarely, a void one.
 func (h *HashIndex) joinDense(p Probe, lo, hi int, lpos, rpos []int32) ([]int32, []int32) {
-	seq, hn := uint64(h.seq), uint64(h.n)
-	if p.void != nil {
-		return h.probeDenseVoid(p.void, lo, hi, true, true, lpos, rpos)
+	if v, ok := p.col.(*VoidCol); ok {
+		return h.probeDenseVoid(v, lo, hi, true, true, lpos, rpos)
 	}
-	for i, x := range p.oidV[lo:hi] {
+	seq, hn := uint64(h.seq), uint64(h.n)
+	for i, x := range p.col.(*OIDCol).V[lo:hi] {
 		if j := uint64(x) - seq; j < hn {
 			lpos = append(lpos, int32(lo+i))
 			rpos = append(rpos, int32(j))
@@ -407,12 +233,12 @@ func (h *HashIndex) joinDense(p Probe, lo, hi int, lpos, rpos []int32) ([]int32,
 }
 
 func (h *HashIndex) filterDense(p Probe, lo, hi int, want bool, out []int32) []int32 {
-	seq, hn := uint64(h.seq), uint64(h.n)
-	if p.void != nil {
-		out, _ = h.probeDenseVoid(p.void, lo, hi, want, false, out, nil)
+	if v, ok := p.col.(*VoidCol); ok {
+		out, _ = h.probeDenseVoid(v, lo, hi, want, false, out, nil)
 		return out
 	}
-	for i, x := range p.oidV[lo:hi] {
+	seq, hn := uint64(h.seq), uint64(h.n)
+	for i, x := range p.col.(*OIDCol).V[lo:hi] {
 		if (uint64(x)-seq < hn) == want {
 			out = append(out, int32(lo+i))
 		}
@@ -447,7 +273,8 @@ func (h *HashIndex) JoinVec(p Probe, lo, hi int, lpos, rpos []int32) ([]int32, [
 	var sbuf, ebuf [probeBlock]int32
 	ents, n0 := h.ents, len(lpos)
 	for k := lo; k < hi; k += probeBlock {
-		ks := p.load(k, min(hi-k, probeBlock), &keys)
+		ks := keys[:min(hi-k, probeBlock)]
+		fillKeyReps(p.col, ks, k)
 		h.resolve(ks, &sbuf, &ebuf)
 		for t, x := range ks {
 			r := int32(k + t)
@@ -493,7 +320,8 @@ func (h *HashIndex) FilterVec(p Probe, lo, hi int, want bool, out []int32) []int
 	var sbuf, ebuf [probeBlock]int32
 	ents, eq := h.ents, p.eq
 	for k := lo; k < hi; k += probeBlock {
-		ks := p.load(k, min(hi-k, probeBlock), &keys)
+		ks := keys[:min(hi-k, probeBlock)]
+		fillKeyReps(p.col, ks, k)
 		h.resolve(ks, &sbuf, &ebuf)
 		if eq == nil {
 			for t, x := range ks {
@@ -532,9 +360,9 @@ func (h *HashIndex) FilterVec(p Probe, lo, hi int, want bool, out []int32) []int
 func (b *BAT) HeadHash() *HashIndex { return b.HeadHashSched(Sched{Workers: 1}) }
 
 // HeadHashSched is HeadHash with the first construction reported to
-// s.OnBuild.
+// s.OnBuild and stopped, publishing nothing, when s.Stop fires.
 func (b *BAT) HeadHashSched(s Sched) *HashIndex {
-	return b.hashH.getOrBuild(func() *HashIndex { return BuildHashIndex(b.H) }, s.OnBuild)
+	return b.hashH.getOrBuild(func() *HashIndex { return BuildHashIndex(b.H, s.Stop) }, s.OnBuild)
 }
 
 // HasHeadHash reports whether a head hash accelerator is already present.

@@ -91,11 +91,11 @@ func NewKeyRepP(c Column, s Sched) *KeyRep {
 	n := c.Len()
 	rep := make([]uint64, n)
 	if s.Workers <= 1 {
-		fillKeyReps(c, rep, 0, n)
+		fillKeyReps(c, rep, 0)
 	} else {
 		bounds := splitRange(n, s.workersOver(n))
 		s.Dispatch(SiteKeyRep, len(bounds), func(_, w int) {
-			fillKeyReps(c, rep, bounds[w][0], bounds[w][1])
+			fillKeyReps(c, rep[bounds[w][0]:bounds[w][1]], bounds[w][0])
 		})
 	}
 	return &KeyRep{Rep: rep, Exact: repExact(c), col: c}
@@ -117,43 +117,53 @@ func fltKeyRep(v float64) uint64 {
 	return math.Float64bits(v)
 }
 
-// fillKeyReps computes the key reps of rows [lo, hi) of c as a direct loop
-// over the layout's backing, without a dynamic call per row.
-func fillKeyReps(c Column, rep []uint64, lo, hi int) {
+// fillKeyReps is the one place a column row becomes a key rep: it sets
+// rep[k] to the key rep of row lo+k of c, for every k of rep, as a direct
+// loop over the layout's backing without a dynamic call per row. The key-rep
+// vectors (NewKeyRepP), the hash build and the probe kernels (one block at a
+// time) all read rows through it.
+func fillKeyReps(c Column, rep []uint64, lo int) {
+	hi := lo + len(rep)
 	switch cc := c.(type) {
 	case *VoidCol:
-		for i := lo; i < hi; i++ {
-			rep[i] = uint64(cc.Seq) + uint64(i)
+		for k := range rep {
+			rep[k] = uint64(cc.Seq) + uint64(lo+k)
 		}
 	case *OIDCol:
-		fillFixedReps(cc.V, rep, lo, hi)
+		fillFixedReps(cc.V[lo:hi], rep)
 	case *IntCol:
-		fillFixedReps(cc.V, rep, lo, hi)
+		fillFixedReps(cc.V[lo:hi], rep)
 	case *DateCol:
-		fillFixedReps(cc.V, rep, lo, hi)
+		fillFixedReps(cc.V[lo:hi], rep)
 	case *ChrCol:
-		fillFixedReps(cc.V, rep, lo, hi)
+		fillFixedReps(cc.V[lo:hi], rep)
 	case *FltCol:
-		for i := lo; i < hi; i++ {
-			rep[i] = fltKeyRep(cc.V[i])
+		for k, x := range cc.V[lo:hi] {
+			rep[k] = fltKeyRep(x)
 		}
 	case *StrCol:
-		for i := lo; i < hi; i++ {
-			rep[i] = hashString(cc.At(i))
+		for k := range rep {
+			rep[k] = hashString(cc.At(lo + k))
 		}
 	default: // *BitCol, never a hot key
-		for i, x := range c.(*BitCol).V[lo:hi] {
-			rep[lo+i] = 0
+		for k, x := range c.(*BitCol).V[lo:hi] {
+			rep[k] = 0
 			if x {
-				rep[lo+i] = 1
+				rep[k] = 1
 			}
 		}
 	}
 }
 
-func fillFixedReps[E fixedElem](v []E, rep []uint64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		rep[i] = uint64(v[i])
+// fixedElem are the element types whose key rep is the plain uint64
+// conversion.
+type fixedElem interface {
+	~uint8 | ~uint32 | ~int32 | ~int64
+}
+
+func fillFixedReps[E fixedElem](v []E, rep []uint64) {
+	for k, x := range v {
+		rep[k] = uint64(x)
 	}
 }
 

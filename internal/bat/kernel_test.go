@@ -11,29 +11,32 @@ import (
 )
 
 // Lookup returns the positions at which v occurs, in ascending order, or
-// nil: one value at a time, through the bucket walk and the boxed equality.
-// It is the oracle the typed probe kernels are checked against.
+// nil: one value at a time, through the bucket walk and the boxed equality,
+// with its own conversion of the boxed value into a key rep. It is the
+// oracle the typed probe kernels are checked against.
 func (h *HashIndex) Lookup(v Value) []int32 {
+	if v.K != normKind(h.col.Kind()) {
+		return nil // map-key semantics: another kind never matches
+	}
 	if h.dense {
-		if i, ok := h.Lookup1(v); ok {
+		if i, ok := h.Lookup1(v.OID()); ok {
 			return []int32{i}
 		}
 		return nil
 	}
-	x, ok := h.repOfValue(v)
-	if !ok || h.n == 0 {
-		return nil
+	x := uint64(v.I)
+	switch v.K {
+	case KFlt:
+		x = fltKeyRep(v.F)
+	case KStr:
+		x = hashString(v.S)
 	}
 	var out []int32
 	s, e := h.bucketRange(x)
 	for k := s; k < e; k++ {
-		if h.ents[k].rep != x {
-			continue
+		if h.ents[k].rep == x && (h.exact || h.col.Get(int(h.ents[k].pos)) == v) {
+			out = append(out, h.ents[k].pos)
 		}
-		if !h.exact && !h.valueEqualAt(v, h.ents[k].pos) {
-			continue
-		}
-		out = append(out, h.ents[k].pos)
 	}
 	return out
 }
@@ -95,7 +98,7 @@ func TestHashIndexParityWithBoxedMap(t *testing.T) {
 	for _, n := range []int{0, 1, 37, 128} {
 		for _, allDup := range []bool{false, true} {
 			for kind, col := range kernelTestColumns(rng, n, allDup) {
-				idx := BuildHashIndex(col)
+				idx := BuildHashIndex(col, nil)
 				ref := buildRefIndex(col)
 				if idx.Card() != len(ref.pos) {
 					t.Fatalf("%s/n=%d: card %d != %d", kind, n, idx.Card(), len(ref.pos))
@@ -131,9 +134,138 @@ func TestHashIndexParityWithBoxedMap(t *testing.T) {
 	}
 }
 
+// blockSizes are build sizes around the block the build and the probe
+// kernels read their rows in: empty, one row, a block less one, one block,
+// one block and one row, and many blocks.
+var blockSizes = []int{0, 1, probeBlock - 1, probeBlock, probeBlock + 1, 5000}
+
+// checkClustered asserts the one layout of a clustered index: every bucket
+// holds the entries whose rep hashes to it, positions ascending, and every
+// position appears once.
+func checkClustered(t *testing.T, label string, idx *HashIndex) {
+	t.Helper()
+	seen := make([]bool, idx.n)
+	for b := 0; b <= int(idx.mask); b++ {
+		for k := idx.bucketOff[b]; k < idx.bucketOff[b+1]; k++ {
+			e := idx.ents[k]
+			if int(fibHash(e.rep)&idx.mask) != b || k > idx.bucketOff[b] && idx.ents[k-1].pos >= e.pos || seen[e.pos] {
+				t.Fatalf("%s: entry %d (%+v) breaks the (bucket, position) order", label, k, e)
+			}
+			seen[e.pos] = true
+		}
+	}
+	if int(idx.bucketOff[idx.mask+1]) != idx.n {
+		t.Fatalf("%s: %d entries, want %d", label, idx.bucketOff[idx.mask+1], idx.n)
+	}
+}
+
+// TestBuildHashIndexClustered: for every kind, distinct and all-duplicate,
+// the counting sort yields the (bucket, position) layout, and its lookups
+// and cardinality equal the boxed map accelerator's.
+func TestBuildHashIndexClustered(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range blockSizes {
+		for _, allDup := range []bool{false, true} {
+			for kind, col := range kernelTestColumns(rng, n, allDup) {
+				label := fmt.Sprintf("%s/n=%d/alldup=%v", kind, n, allDup)
+				ref := buildRefIndex(col)
+				idx := BuildHashIndex(col, nil)
+				if idx.dense {
+					continue
+				}
+				checkClustered(t, label, idx)
+				if idx.Card() != len(ref.pos) {
+					t.Fatalf("%s: card %d != %d", label, idx.Card(), len(ref.pos))
+				}
+				for v, want := range ref.pos {
+					if got := idx.Lookup(v); !slices.Equal(got, want) {
+						t.Fatalf("%s: lookup(%s) %d hits, want %d (or order differs)", label, v, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildHashIndexFloatEdges pins NaN/-0 key semantics: -0 and +0 are one
+// key, NaN matches nothing, in the index and through the probe kernels.
+func TestBuildHashIndexFloatEdges(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	for _, n := range blockSizes {
+		vals := make([]float64, n)
+		var zeros []int32
+		for i := range vals {
+			vals[i] = []float64{0, negZero, nan, float64(i)}[i%4]
+			if i%4 < 2 {
+				zeros = append(zeros, int32(i))
+			}
+		}
+		idx := BuildHashIndex(NewFltCol(vals), nil)
+		checkClustered(t, fmt.Sprintf("n=%d", n), idx)
+		for _, z := range []float64{0, negZero} {
+			if got := idx.Lookup(F(z)); !slices.Equal(got, zeros) {
+				t.Fatalf("n=%d: lookup(%v) matches %d, want %d (-0 and +0 are one key)", n, z, len(got), len(zeros))
+			}
+		}
+		if got := idx.Lookup(F(nan)); got != nil {
+			t.Fatalf("n=%d: NaN probe matched %v", n, got)
+		}
+		pr, _ := idx.NewProbe(NewFltCol([]float64{0, negZero, nan}))
+		want := []int32{0, 1}
+		if n == 0 {
+			want = nil
+		}
+		if got := idx.FilterVec(pr, 0, 3, true, nil); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: semijoin of {0, -0, NaN} kept %v, want %v", n, got, want)
+		}
+	}
+}
+
+// TestHashIndexDenseDetection: an oid column storing a dense ascending
+// sequence gets the arithmetic accelerator even without density properties.
+func TestHashIndexDenseDetection(t *testing.T) {
+	for _, n := range blockSizes {
+		v := make([]OID, n)
+		for i := range v {
+			v[i] = OID(i + 42)
+		}
+		idx := BuildHashIndex(NewOIDCol(v), nil)
+		if idx.dense != (n > 0) {
+			t.Fatalf("n=%d: dense = %v", n, idx.dense)
+		}
+		if idx.Card() != n {
+			t.Fatalf("n=%d: card = %d", n, idx.Card())
+		}
+		if n > 0 {
+			if got := idx.Lookup(O(42)); len(got) != 1 || got[0] != 0 {
+				t.Fatalf("n=%d: lookup(42) = %v", n, got)
+			}
+			if got := idx.Lookup(O(OID(41 + n))); len(got) != 1 || got[0] != int32(n-1) {
+				t.Fatalf("n=%d: lookup(%d) = %v", n, 41+n, got)
+			}
+		}
+		if got := idx.Lookup(O(OID(42 + n))); got != nil {
+			t.Fatalf("n=%d: lookup(%d) = %v", n, 42+n, got)
+		}
+		if n < 2 {
+			continue
+		}
+		// one swapped pair defeats detection and takes the clustered build
+		k := n / 2
+		v[k-1], v[k] = v[k], v[k-1]
+		idx = BuildHashIndex(NewOIDCol(v), nil)
+		if idx.dense {
+			t.Fatalf("n=%d: non-dense sequence mis-detected as dense", n)
+		}
+		if got := idx.Lookup(O(OID(42 + k))); len(got) != 1 || got[0] != int32(k-1) {
+			t.Fatalf("n=%d: lookup(%d) = %v", n, 42+k, got)
+		}
+	}
+}
+
 // TestHashIndexDenseVoid: dense accelerators answer by arithmetic.
 func TestHashIndexDenseVoid(t *testing.T) {
-	idx := BuildHashIndex(NewVoid(100, 5))
+	idx := BuildHashIndex(NewVoid(100, 5), nil)
 	if idx.Card() != 5 {
 		t.Fatalf("card = %d", idx.Card())
 	}
@@ -152,7 +284,7 @@ func TestHashIndexDenseVoid(t *testing.T) {
 // indexed column is refused — no row of it would match (Lookup misses every
 // value of another kind), so callers answer without probing.
 func TestHashIndexProbeKindMismatch(t *testing.T) {
-	idx := BuildHashIndex(NewIntCol([]int64{1, 2, 3}))
+	idx := BuildHashIndex(NewIntCol([]int64{1, 2, 3}), nil)
 	if _, ok := idx.NewProbe(NewFltCol([]float64{1, 2})); ok {
 		t.Fatal("float probe into int index must be refused")
 	}
@@ -163,7 +295,7 @@ func TestHashIndexProbeKindMismatch(t *testing.T) {
 		t.Fatal("int probe into int index must be accepted")
 	}
 	// oid and void share one key space
-	vidx := BuildHashIndex(NewOIDCol([]OID{5, 6}))
+	vidx := BuildHashIndex(NewOIDCol([]OID{5, 6}), nil)
 	if _, ok := vidx.NewProbe(NewVoid(5, 3)); !ok {
 		t.Fatal("void probe into oid index must be accepted")
 	}
@@ -173,10 +305,12 @@ func TestHashIndexProbeKindMismatch(t *testing.T) {
 // polarities) and JoinVec emit exactly what a per-row boxed Lookup loop
 // emits, in the same order — for every probe kind against every index it can
 // probe (the six fixed kinds, strings, void; bucketed and dense indexes;
-// exact, inline and verified inexact reps; NaN, -0.0 and duplicate keys).
+// exact and verified inexact reps; NaN, -0.0 and duplicate keys), and for
+// probes that are views at a non-zero offset, over windows starting mid-block.
 func TestProbeKernelsEqualLookup(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const m = 700 // probe rows: more than two probe blocks
+	const viewOff = 77
 	type pair struct {
 		name         string
 		build, probe Column
@@ -197,6 +331,17 @@ func TestProbeKernelsEqualLookup(t *testing.T) {
 			pair{fmt.Sprintf("void-into-void/n=%d", n), NewVoid(3, n), NewVoid(0, m)},
 			pair{fmt.Sprintf("void-into-dense-oid/n=%d", n), NewOIDCol(denseOIDs), NewVoid(0, m)},
 			pair{fmt.Sprintf("void-into-oid/n=%d", n), builds[KOID], NewVoid(0, m)})
+		// Probes that are views at a non-zero offset: the kernels address a
+		// window's rows relative to the view, never its backing.
+		long := kernelTestColumns(rng, m+viewOff, false)
+		for kind, col := range builds {
+			pairs = append(pairs, pair{fmt.Sprintf("%s-view/n=%d", kind, n), col, SliceView(long[kind], viewOff, m)})
+		}
+		voidView := SliceView(NewVoid(0, m+4), 4, m)
+		pairs = append(pairs,
+			pair{fmt.Sprintf("void-view-into-void/n=%d", n), NewVoid(3, n), voidView},
+			pair{fmt.Sprintf("void-view-into-dense-oid/n=%d", n), NewOIDCol(denseOIDs), voidView},
+			pair{fmt.Sprintf("void-view-into-oid/n=%d", n), builds[KOID], voidView})
 	}
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
 	special := make([]float64, m)
@@ -216,9 +361,10 @@ func TestProbeKernelsEqualLookup(t *testing.T) {
 		{"last", m - 1, m},
 		{"window-257", 101, 358},
 		{"window-513", m - 513, m},
+		{"mid-block-across", probeBlock - 3, 2*probeBlock + 5},
 	}
 	for _, pc := range pairs {
-		idx := BuildHashIndex(pc.build)
+		idx := BuildHashIndex(pc.build, nil)
 		pr, ok := idx.NewProbe(pc.probe)
 		if !ok {
 			t.Fatalf("%s: probe refused", pc.name)
@@ -250,8 +396,8 @@ func TestProbeKernelsEqualLookup(t *testing.T) {
 		}
 	}
 	// the table covers both accelerator layouts
-	if !BuildHashIndex(NewVoid(3, 64)).dense || !BuildHashIndex(NewOIDCol([]OID{5, 6, 7})).dense ||
-		BuildHashIndex(NewOIDCol([]OID{5, 7, 6})).dense {
+	if !BuildHashIndex(NewVoid(3, 64), nil).dense || !BuildHashIndex(NewOIDCol([]OID{5, 6, 7}), nil).dense ||
+		BuildHashIndex(NewOIDCol([]OID{5, 7, 6}), nil).dense {
 		t.Fatal("dense detection changed: the dense/bucketed rows above no longer cover both layouts")
 	}
 }
@@ -269,7 +415,7 @@ func TestFilterVecSettlesOnFirstMatch(t *testing.T) {
 		flts[i] = float64(i%distinct) + 0.5
 	}
 	for name, col := range map[string]Column{"str": NewStrColFromStrings(strs), "flt": NewFltCol(flts)} {
-		idx := BuildHashIndex(col)
+		idx := BuildHashIndex(col, nil)
 		pr, ok := idx.NewProbe(col)
 		if !ok || pr.eq == nil {
 			t.Fatalf("%s: want a verified probe (ok=%v)", name, ok)

@@ -39,11 +39,12 @@ const (
 // Sites lists every parallel site.
 var Sites = []string{SiteScan, SiteKeyRep}
 
-// ErrAborted is the panic value raised by morsel dispatch when its stop hook
-// reports cancellation: claimed work cannot be completed, so no (possibly
-// partial) result may be stitched or published. The interpreter's statement
-// recovery recognizes this sentinel and converts it back into the query's
-// cancellation error; any other panic value is an internal fault.
+// ErrAborted is the panic value raised by morsel dispatch, or a hash build,
+// when its stop hook reports cancellation: claimed work cannot be completed,
+// so no (possibly partial) result may be stitched or published. The
+// interpreter's statement recovery recognizes this sentinel and converts it
+// back into the query's cancellation error; any other panic value is an
+// internal fault.
 var ErrAborted = errors.New("bat: parallel dispatch aborted by stop hook")
 
 // WorkerPanic wraps a panic that occurred on a dispatched worker goroutine.
@@ -63,9 +64,10 @@ func (w *WorkerPanic) Error() string {
 
 // Sched describes how work units are dispatched: morsel-claimed by up to
 // Workers goroutines. Stop, when non-nil, is the owning query's
-// cancellation check: dispatch consults it once per unit and aborts (panic
-// ErrAborted) instead of completing — a cancelled query's scan or key-rep
-// fill stops within one unit and never yields a partial result. OnBuild,
+// cancellation check: dispatch consults it once per unit, and a hash build
+// once per block of rows, and aborts (panic ErrAborted) instead of
+// completing — a cancelled query's scan, key-rep fill or hash build stops
+// within one unit and never yields a partial result. OnBuild,
 // when non-nil, observes every accelerator construction this schedule wins
 // (the singleflight slots invoke it once per actual build, with the build's
 // wall time), attributing build cost to the query whose probe triggered it.

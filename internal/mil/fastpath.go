@@ -89,23 +89,15 @@ func sameOIDs(a, b bat.Column) bool {
 	case aOID && bOID:
 		return &ao.V[0] == &bo.V[0] || slices.Equal(ao.V, bo.V)
 	case aOID && bVoid:
-		return isSeq(ao.V, bv.Seq)
+		lo, run := bat.PositionRun(ao.V)
+		return run && bat.OID(lo) == bv.Seq
 	case aVoid && bOID:
-		return isSeq(bo.V, av.Seq)
+		lo, run := bat.PositionRun(bo.V)
+		return run && bat.OID(lo) == av.Seq
 	case aVoid && bVoid:
 		return av.Seq == bv.Seq
 	}
 	return false
-}
-
-// isSeq reports whether v holds seq, seq+1, … position by position.
-func isSeq(v []bat.OID, seq bat.OID) bool {
-	for i, o := range v {
-		if o != seq+bat.OID(i) {
-			return false
-		}
-	}
-	return true
 }
 
 // syncSemijoinPrecheck detects identical oid head sequences at run time: the

@@ -128,12 +128,10 @@ func fetchJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	ctx.chose("fetch-join")
 	l.T.TouchAll(ctx.pager())
 	var seq int
-	if h, ok := r.H.(*bat.VoidCol); ok {
-		seq = int(h.Seq)
-	} else if r.Len() > 0 {
-		seq = int(r.H.Get(0).OID())
-	}
 	n := r.Len()
+	if get, ok := oidGetter(r.H); ok && n > 0 {
+		seq = int(get(0))
+	}
 	lpos, rpos, ok := denseProbe(l.T, bat.OID(seq), n, true)
 	if !ok {
 		lt, nl := l.T, l.Len()
@@ -168,9 +166,8 @@ func hashJoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	p := ctx.pager()
 	r.H.TouchAll(p)
 	l.T.TouchAll(p)
-	// Accelerator construction radix-partitions above the kernel threshold
-	// and parallelizes across the context's workers (sized by the build
-	// side); every degree builds the identical index.
+	// The accelerator is built once, sequentially; the schedule lends the
+	// build its stop hook and its build timing.
 	idx := r.HeadHashSched(ctx.sched(r.Len()))
 	pr, ok := idx.NewProbe(l.T)
 	if !ok {

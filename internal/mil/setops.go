@@ -20,7 +20,7 @@ func alignHeads(ctx *Ctx, first, other *bat.BAT) []int32 {
 	for i := range at {
 		at[i] = -1
 	}
-	idx := bat.BuildHashIndex(other.H)
+	idx := bat.BuildHashIndex(other.H, nil)
 	pr, ok := idx.NewProbe(first.H)
 	if !ok {
 		return at // a head kind that cannot occur there matches nothing

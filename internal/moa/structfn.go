@@ -390,7 +390,7 @@ func headPositions(x *bat.BAT, ids []bat.OID, ok []bool, pos []int32) {
 			if h == nil {
 				h = x.HeadHash()
 			}
-			pos[i], ok[i] = h.Lookup1(bat.O(id))
+			pos[i], ok[i] = h.Lookup1(id)
 		}
 	}
 }
