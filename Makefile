@@ -47,17 +47,24 @@ chaos:
 	$(GO) test ./internal/rewrite -race -count=1 -run 'TestOptimizeDifferential'
 
 ## crash: the durability crash-injection suite under the race detector —
-## kill the process (simulated via in-test panic at six injection points:
-## around the WAL fsync, the epoch swap, and the checkpoint rename) and
-## require recovery to land bit-identically on the pre- or post-ingest
-## epoch, never a blend, with eight concurrent readers pinned across the
-## kill at the swap point; plus damaged checkpoints (one: fall back a
-## generation; both: refuse to open). CRASH_SEEDS=<s1>,<s2>,... overrides
-## the default deterministic {1,2} seed list; CI runs this with fresh seeds
-## per build.
+## kill the process (simulated via in-test panic at seven injection points:
+## around the WAL fsync, the epoch swap, between the checkpoint pack's
+## fsync and its manifest, and around the checkpoint rename) and require
+## recovery to land bit-identically on the pre- or post-ingest epoch, never
+## a blend, with eight concurrent readers pinned across the kill at the
+## swap point; plus damaged checkpoints (one: fall back a generation; both:
+## refuse to open), the heap-file pack layout and the checkpoint layout and
+## byte counters. CRASH_SEEDS=<s1>,<s2>,... overrides the default
+## deterministic {1,2} seed list; CI runs this with fresh seeds per build.
 crash:
 	$(GO) test ./internal/epoch -race -count=1 \
 		-run 'TestCrashMatrix|TestTornTail|TestConcurrentReadersAcrossCrash|TestColumnarBootstrapAndMap|TestBothCheckpointsDamagedRefused'
+	$(GO) test ./internal/storage/heapfile -race -count=1 \
+		-run 'TestPartsPageAligned|TestWriterCreatesOnePack|TestBorrowLinksPackOnce|TestCommittedBytesConservation|TestOpenMapsEachFileOnce|TestOpenRefusesPartPastEnd|TestClosePartKeepsSiblings|TestPerPartLayoutOpensAndLends|TestOpenRejectsCorruption|TestBorrowSharesBytes|TestBorrowCopyFallback'
+	$(GO) test ./internal/tpcd -race -count=1 \
+		-run 'TestCheckpointPackLayout|TestCheckpointBorrowsUnchangedColumns'
+	$(GO) test ./internal/server -race -count=1 \
+		-run 'TestIngestHistogramConservation'
 
 ## bench: the full benchmark sweep with allocation accounting.
 bench:

@@ -10,16 +10,26 @@ import (
 	"repro/internal/storage/heapfile"
 )
 
-// vandalize flips a byte of a checkpoint's column file, so LoadEnv refuses
-// it on the CRC check.
+// vandalize flips the first byte of a checkpoint's data.tail part, found
+// at the file and offset its manifest names, so LoadEnv refuses it on the
+// CRC check.
 func vandalize(t *testing.T, dir string, epoch uint64) {
 	t.Helper()
-	heapPath := filepath.Join(dir, snapDirName(epoch), "data.tail.heap")
+	snap := filepath.Join(dir, snapDirName(epoch))
+	man, err := heapfile.ReadManifest(snap)
+	if err != nil {
+		t.Fatalf("read manifest: %v", err)
+	}
+	fi, ok := man.Lookup("data.tail")
+	if !ok {
+		t.Fatalf("%s lists no data.tail part", snap)
+	}
+	heapPath := filepath.Join(snap, fi.File)
 	data, err := os.ReadFile(heapPath)
 	if err != nil {
 		t.Fatalf("read heap file: %v", err)
 	}
-	data[0] ^= 0xFF
+	data[fi.Off] ^= 0xFF
 	if err := os.WriteFile(heapPath, data, 0o644); err != nil {
 		t.Fatalf("corrupt heap file: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -94,7 +95,7 @@ func crashApply(base mil.Env, payload []byte) (mil.Env, int64, error) {
 	return env, b.ByteSize(), nil
 }
 
-func crashSaveEnv(tmpDir, _ string, env mil.Env) error {
+func crashSaveEnv(tmpDir string, env mil.Env, hooks *Hooks) error {
 	b := env["data"]
 	vals := make([]int64, b.Len())
 	for i := range vals {
@@ -104,6 +105,8 @@ func crashSaveEnv(tmpDir, _ string, env mil.Env) error {
 	if err != nil {
 		return err
 	}
+	defer w.Abort()
+	w.BeforeManifest = func() { hooks.At(SnapshotBeforeManifest) }
 	if err := w.Put("data.tail", heapfile.BytesOf(vals)); err != nil {
 		return err
 	}
@@ -128,12 +131,14 @@ func crashLoadEnv(dir string) (mil.Env, error) {
 
 func crashOptions(dir string, hooks *Hooks) Options {
 	return Options{
-		Dir:           dir,
-		Meta:          []byte(crashMeta),
-		Genesis:       crashGenesis,
-		Validate:      crashValidate,
-		Apply:         crashApply,
-		SaveEnv:       crashSaveEnv,
+		Dir:      dir,
+		Meta:     []byte(crashMeta),
+		Genesis:  crashGenesis,
+		Validate: crashValidate,
+		Apply:    crashApply,
+		SaveEnv: func(tmpDir, _ string, env mil.Env) error {
+			return crashSaveEnv(tmpDir, env, hooks)
+		},
 		LoadEnv:       crashLoadEnv,
 		SnapshotEvery: 3,
 		Hooks:         hooks,
@@ -174,11 +179,12 @@ var crashPoints = []struct {
 	{"wal:append:after-sync", false, false},
 	{"publish:before-swap", false, false},
 	{"publish:after-swap", false, false},
+	{SnapshotBeforeManifest, false, true},
 	{"snapshot:before-rename", false, true},
 	{"snapshot:after-rename", false, true},
 }
 
-// The kill matrix runs its six protocol points under both states a store
+// The kill matrix runs its seven protocol points under both states a store
 // serves from. Recovery always loads the newest valid snap-<epoch>.d and
 // replays the WAL past it; the two differ in what the crashing store's
 // base env is.
@@ -310,6 +316,11 @@ func runCrashCase(t *testing.T, seed int64, point string, preOK, needSnapshot, r
 	}
 	if r := rec.Recoveries(); r != 1 {
 		t.Errorf("recoveries = %d, want 1", r)
+	}
+	// A kill before the checkpoint rename leaves a .tmp directory (a
+	// durable pack without a manifest, or more); recovery prunes it.
+	if tmps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(tmps) != 0 {
+		t.Errorf("crash at %s: recovery left %v", point, tmps)
 	}
 
 	// The recovered store must be fully functional: one more ingest, one

@@ -12,9 +12,11 @@ import (
 )
 
 // Checkpoints are the durable form of an epoch: a snap-<epoch>.d directory
-// holding the env's columns as heap files, written by the caller's SaveEnv
-// (per-file CRC, temp+rename per column, manifest last) and read back by
-// its LoadEnv. The BATs are the database; nothing else is checkpointed.
+// holding the env's columns as heap-file parts, written by the caller's
+// SaveEnv (per-part CRC, the rewritten parts in one pack that is fsynced
+// and renamed once, unchanged parts hard-linked from the previous
+// checkpoint's files, manifest last) and read back by its LoadEnv. The
+// BATs are the database; nothing else is checkpointed.
 //
 // Durability protocol: assemble snap-<epoch>.d.tmp, fsync it, atomically
 // rename it to snap-<epoch>.d, fsync the parent directory. A crash before
@@ -25,7 +27,11 @@ import (
 // every record past the older one (wal.go keeps the previous segment on
 // rotation). Recovery loads the newest checkpoint whose manifest verifies
 // and replays the WAL past it, so a damaged newest checkpoint falls back
-// one generation and replays a longer tail, losing nothing.
+// one generation and replays a longer tail, losing nothing. A pack stays
+// on disk whole while any retained checkpoint links it, so the disk holds
+// the live bytes plus the superseded parts of packs still lent from —
+// typically the first checkpoint's pack, whose unchanged families every
+// later checkpoint borrows.
 
 const snapDirSuffix = ".d"
 
@@ -33,9 +39,10 @@ func snapDirName(epoch uint64) string { return fmt.Sprintf("snap-%016d%s", epoch
 
 // writeSnapshotDir persists env as the checkpoint of epoch. The whole
 // directory is assembled under a .tmp name and renamed into place, so the
-// six crash points of the protocol hold: a kill before the rename leaves
-// droppings that recovery prunes, a kill after leaves a complete
-// checkpoint. A damaged checkpoint of the same epoch is replaced.
+// protocol's crash points hold: a kill before the rename (the pack durable
+// without a manifest, or the whole directory synced) leaves droppings that
+// recovery prunes, a kill after leaves a complete checkpoint. A damaged
+// checkpoint of the same epoch is replaced.
 func writeSnapshotDir(dir string, epoch uint64, env mil.Env,
 	save func(tmpDir, finalDir string, env mil.Env) error, hooks *Hooks) error {
 	final := filepath.Join(dir, snapDirName(epoch))
@@ -52,7 +59,7 @@ func writeSnapshotDir(dir string, epoch uint64, env mil.Env,
 		os.RemoveAll(tmpPath)
 		return err
 	}
-	hooks.at("snapshot:before-rename")
+	hooks.At("snapshot:before-rename")
 	if err := os.RemoveAll(final); err != nil {
 		return err
 	}
@@ -62,7 +69,7 @@ func writeSnapshotDir(dir string, epoch uint64, env mil.Env,
 	if err := syncDir(dir); err != nil {
 		return err
 	}
-	hooks.at("snapshot:after-rename")
+	hooks.At("snapshot:after-rename")
 	return nil
 }
 
@@ -94,9 +101,10 @@ func listSnapshots(dir string) ([]uint64, error) {
 // pruneSnapshots keeps the newest two checkpoints and removes older ones
 // and stray .tmp droppings (files and half-built checkpoint directories).
 // Best-effort: removal failures are ignored (an extra old checkpoint is
-// harmless). Checkpoints hard-link unchanged heap files between epochs, so
-// removing an older directory never invalidates a newer one — the inodes
-// survive until the last link drops.
+// harmless). Checkpoints hard-link the packs they borrow parts from, so
+// removing an older directory never invalidates a newer one — a pack's
+// inode survives until the last link drops, and with it every part in it,
+// superseded ones included.
 func pruneSnapshots(dir string) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

@@ -23,8 +23,12 @@ import (
 //	wal:append:after-sync    record durable, epoch not yet applied
 //	publish:before-swap      env built, old epoch still current
 //	publish:after-swap       new epoch visible to readers
+//	snapshot:before-manifest checkpoint pack durable, manifest not yet written
 //	snapshot:before-rename   checkpoint temp dir written+synced, not yet live
 //	snapshot:after-rename    checkpoint live, WAL not yet rotated
+//
+// snapshot:before-manifest fires inside SaveEnv (the caller's checkpoint
+// writer, through Hooks.At); the others fire in this package.
 //
 // Under group commit the wal:append hooks fire in the fsync leader only —
 // followers whose records a leader's sync covered never reach the syscall,
@@ -33,7 +37,12 @@ type Hooks struct {
 	Fire func(point string)
 }
 
-func (h *Hooks) at(point string) {
+// SnapshotBeforeManifest is the crash point a SaveEnv fires once its
+// checkpoint's pack is durable and before its manifest is written.
+const SnapshotBeforeManifest = "snapshot:before-manifest"
+
+// At fires point; a nil Hooks or Fire does nothing.
+func (h *Hooks) At(point string) {
 	if h != nil && h.Fire != nil {
 		h.Fire(point)
 	}
@@ -65,8 +74,9 @@ type Options struct {
 	// base. Called for live ingests and for recovery replay; it must be a
 	// deterministic function of base and payload (bit-identical env).
 	Apply func(base mil.Env, payload []byte) (mil.Env, int64, error)
-	// SaveEnv writes env's columns into tmpDir as a checkpoint (per-file
-	// CRC, temp+rename per column, manifest last); finalDir is the name
+	// SaveEnv writes env's columns into tmpDir as a checkpoint (per-part
+	// CRC, the parts' pack fsynced and renamed, SnapshotBeforeManifest
+	// fired through Hooks.At, manifest last); finalDir is the name
 	// tmpDir is about to be renamed to, so the caller can remember where
 	// borrowed (hard-linked) files will live for the next checkpoint's
 	// copy-on-write pass. Required with a Dir.
@@ -353,9 +363,9 @@ func (s *Store) Ingest(payload []byte) (*Epoch, error) {
 		s.applyCond.Broadcast()
 		return nil, fmt.Errorf("apply: %w", err)
 	}
-	s.opts.Hooks.at("publish:before-swap")
+	s.opts.Hooks.At("publish:before-swap")
 	ep := s.mgr.Publish(env, owned)
-	s.opts.Hooks.at("publish:after-swap")
+	s.opts.Hooks.At("publish:after-swap")
 	s.ingests.Add(1)
 	s.applied = id
 	s.applyCond.Broadcast()

@@ -286,7 +286,7 @@ func (w *wal) syncTo(target int64) (led bool, err error) {
 	goal := w.size.Load() // covers every record written so far, not just ours
 	w.syncMu.Unlock()
 
-	w.hooks.at("wal:append:before-sync")
+	w.hooks.At("wal:append:before-sync")
 	serr := w.f.Sync()
 
 	w.syncMu.Lock()
@@ -301,7 +301,7 @@ func (w *wal) syncTo(target int64) (led bool, err error) {
 	if serr != nil {
 		return true, serr
 	}
-	w.hooks.at("wal:append:after-sync")
+	w.hooks.At("wal:append:after-sync")
 	return true, nil
 }
 

@@ -19,7 +19,7 @@ import (
 // that wrap.
 func TestGroupingFactParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(811))
-	const n = 1 << 15 // the hash variants run partitioned at 4 workers
+	const n = 1 << 15 // above bat.ParallelMinRows, so the 4-worker runs may dispatch; every grouping is sequential
 	ints := func(rows int, f func(i int) int64) bat.Column {
 		v := make([]int64, rows)
 		for i := range v {

@@ -297,7 +297,7 @@ func TestParityGroupUnaryAllKinds(t *testing.T) {
 func TestParityGroupBinaryAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(106))
 	for _, tk := range parityKinds {
-		for _, n := range []int{0, 1, 50, 1 << 15} { // the last runs partitioned at 4 workers unless dense
+		for _, n := range []int{0, 1, 50, 1 << 15} { // the last runs the grouper at 4 workers unless dense
 			gv := randKindValues(rng, bat.KOID, n, false)
 			bv := randKindValues(rng, tk, n, false)
 			g := bat.New("g", bat.NewVoid(0, n), bat.FromValues(bat.KOID, gv), 0)
@@ -451,12 +451,12 @@ func TestParityParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestParityPartitionedGroupOps: the grouping paths at 8 workers (group,
+// TestParityGroupOpsAtWorkers: the grouping paths at 8 workers (group,
 // binary group, unique, and all grouped aggregates — including
 // order-sensitive float sums) must be bit-identical to sequential
 // execution. The grouping passes are sequential at any worker count; the
 // key-rep fills they read run on the dispatcher.
-func TestParityPartitionedGroupOps(t *testing.T) {
+func TestParityGroupOpsAtWorkers(t *testing.T) {
 	// NaN-tolerant BUN equality: Unique results carry the NaN tails through,
 	// and boxed Value comparison would treat equal-position NaNs as unequal.
 	valEq := func(a, b bat.Value) bool {
@@ -513,11 +513,11 @@ func TestParityPartitionedGroupOps(t *testing.T) {
 		gStr := bat.New("gs", bat.NewOIDCol(heads), bat.FromValues(bat.KStr, strs), 0)
 
 		for _, b := range []*bat.BAT{gInt, gFlt, gStr} {
-			label := fmt.Sprintf("partitioned group %s (wide=%v)", b.Name, wide)
+			label := fmt.Sprintf("8-worker group %s (wide=%v)", b.Name, wide)
 			par := GroupUnary(parCtx, b)
 			ran(label, "hash-group")
 			batsEqualNaN(label, par, GroupUnary(seqCtx, b))
-			label = fmt.Sprintf("partitioned unique %s (wide=%v)", b.Name, wide)
+			label = fmt.Sprintf("8-worker unique %s (wide=%v)", b.Name, wide)
 			par = Unique(parCtx, b)
 			ran(label, "hash-unique")
 			batsEqualNaN(label, par, Unique(seqCtx, b))
@@ -526,26 +526,27 @@ func TestParityPartitionedGroupOps(t *testing.T) {
 		grp := GroupUnary(seqCtx, gInt)
 		refine := bat.New("rf", bat.NewVoid(0, n), bat.NewIntCol(ints), 0)
 		refine.SyncWith(grp)
-		label := fmt.Sprintf("partitioned binary group (wide=%v)", wide)
+		label := fmt.Sprintf("8-worker binary group (wide=%v)", wide)
 		par := GroupBinary(parCtx, grp, refine)
 		ran(label, "hash-group")
 		batsEqual(t, label, par, GroupBinary(seqCtx, grp, refine))
 
-		// float sum/avg are order-sensitive; the partitioned path must still be
-		// bit-identical because groups never span partitions
+		// float sum/avg are order-sensitive; the 8-worker run must still be
+		// bit-identical because each group folds its rows sequentially, in
+		// row order
 		for _, fn := range []string{"sum", "count", "avg", "min", "max"} {
-			label := fmt.Sprintf("partitioned aggr(flt) %s (wide=%v)", fn, wide)
+			label := fmt.Sprintf("8-worker aggr(flt) %s (wide=%v)", fn, wide)
 			par := Aggr(parCtx, fn, gFlt)
 			ran(label, "hash-aggr")
 			batsEqualNaN(label, par, Aggr(seqCtx, fn, gFlt))
-			label = fmt.Sprintf("partitioned aggr(int) %s (wide=%v)", fn, wide)
+			label = fmt.Sprintf("8-worker aggr(int) %s (wide=%v)", fn, wide)
 			par = Aggr(parCtx, fn, gInt)
 			ran(label, "hash-aggr")
 			batsEqual(t, label, par, Aggr(seqCtx, fn, gInt))
 		}
-		// boxed accumulator kinds (string tails) through the partitioned path
+		// boxed accumulator kinds (string tails) through the grouper
 		for _, fn := range []string{"count", "min", "max"} {
-			label := fmt.Sprintf("partitioned aggr(str) %s (wide=%v)", fn, wide)
+			label := fmt.Sprintf("8-worker aggr(str) %s (wide=%v)", fn, wide)
 			par := Aggr(parCtx, fn, gStr)
 			ran(label, "hash-aggr")
 			batsEqual(t, label, par, Aggr(seqCtx, fn, gStr))

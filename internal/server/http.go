@@ -440,6 +440,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		checkpoints = s.store.CheckpointHist()
 	}
 	checkpoints.WriteProm(w, "moaserve_checkpoint_seconds")
+	// Per checkpoint, written + linked = its manifest's part bytes.
+	fmt.Fprintf(w, "moaserve_checkpoint_bytes_total{how=\"written\"} %d\n", m.CheckpointWritten)
+	fmt.Fprintf(w, "moaserve_checkpoint_bytes_total{how=\"linked\"} %d\n", m.CheckpointLinked)
 
 	// Go runtime health: scheduler and heap, the first things to look at
 	// when service latency moves without a query-mix change.

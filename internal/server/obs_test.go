@@ -19,6 +19,7 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/mil"
 	"repro/internal/storage"
+	"repro/internal/storage/heapfile"
 	"repro/internal/tpcd"
 )
 
@@ -99,6 +100,7 @@ func TestHistogramConservation(t *testing.T) {
 // checkpoints the cadence schedules.
 func TestIngestHistogramConservation(t *testing.T) {
 	svc, _, gen := writableService(t, Config{MaxConcurrent: 4}, t.TempDir()) // SnapshotEvery = 4
+	written0, _ := heapfile.CommittedBytes()
 	const writers, each = 4, 3
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -136,7 +138,13 @@ func TestIngestHistogramConservation(t *testing.T) {
 	rec := httptest.NewRecorder()
 	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
+	written, linked := heapfile.CommittedBytes()
+	if written-written0 <= 0 {
+		t.Errorf("%d checkpoints wrote %d bytes, want > 0", ingests/4, written-written0)
+	}
 	for _, want := range []string{
+		"moaserve_checkpoint_bytes_total{how=\"written\"} " + itoa(written) + "\n",
+		"moaserve_checkpoint_bytes_total{how=\"linked\"} " + itoa(linked) + "\n",
 		"moaserve_ingests_total " + itoa(ingests) + "\n",
 		"moaserve_ingest_seconds_bucket{le=\"+Inf\"} " + itoa(ingests) + "\n",
 		"moaserve_ingest_seconds_count " + itoa(ingests) + "\n",

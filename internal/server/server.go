@@ -33,6 +33,7 @@ import (
 	"repro/internal/mil"
 	"repro/internal/obs"
 	"repro/internal/storage"
+	"repro/internal/storage/heapfile"
 )
 
 // Config tunes a Service.
@@ -406,6 +407,8 @@ type Metrics struct {
 	Recoveries          int64   // 1 if this process recovered durable state at start
 	RecoverySeconds     float64 // wall time of that recovery (0 when fresh)
 	CheckpointFailures  int64   // ingest-time checkpoints that failed (the WAL keeps growing)
+	CheckpointWritten   int64   // checkpoint part bytes written into packs (heapfile.CommittedBytes)
+	CheckpointLinked    int64   // checkpoint part bytes borrowed by linking an earlier pack
 
 	// What the operating system actually paged, sampled from
 	// mincore/getrusage over the registered file mappings (the *_real
@@ -451,6 +454,7 @@ func (s *Service) Snapshot() Metrics {
 		m.Recoveries = st.Recoveries()
 		m.RecoverySeconds = st.RecoveryTime().Seconds()
 		m.CheckpointFailures = st.CheckpointFailures()
+		m.CheckpointWritten, m.CheckpointLinked = heapfile.CommittedBytes()
 	}
 	rs := storage.SampleResidency()
 	m.RealMappedBytes = rs.MappedBytes

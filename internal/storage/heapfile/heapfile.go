@@ -1,26 +1,30 @@
 // Package heapfile is the real, out-of-core storage layer of the
-// reproduction: each persistent column's BUN heap is one file on disk,
-// mapped read-only into the address space, exactly as Monet stores BATs
-// (Boncz, Wilschut & Kersten, ICDE 1998, §5.2 — "BATs live in memory
-// mapped files paged in by the MMU"). Fixed-width columns reinterpret the
-// mapping as a typed slice (View); string heaps map as a byte heap with
-// the offset-anchored views of internal/bat on top.
+// reproduction: each persistent column's BUN heap is a page-aligned range
+// of a file on disk, mapped read-only into the address space, exactly as
+// Monet stores BATs (Boncz, Wilschut & Kersten, ICDE 1998, §5.2 — "BATs
+// live in memory mapped files paged in by the MMU"). Fixed-width columns
+// reinterpret the mapping as a typed slice (View); string heaps map as a
+// byte heap with the offset-anchored views of internal/bat on top.
 //
-// A heap directory holds one file per column part plus a JSON manifest
-// written last (temp+rename), carrying per-file CRC-32C checksums — the
-// manifest's presence is the commit point, so a torn write leaves either
-// the previous complete directory or temp droppings that open ignores.
-// Column files are raw host-endian array bytes with no header: the mapping
-// base is page-aligned, so a zero-offset typed view is always correctly
-// aligned. The manifest records the byte order and refuses a mismatch.
+// A heap directory holds one pack file with every column part its writer
+// wrote, each at a page-aligned offset, hard links to the packs of earlier
+// directories it borrows unchanged parts from, and a JSON manifest written
+// last (temp+rename) that names each part's file, offset, size and CRC-32C
+// checksum. The manifest's presence is the commit point, so a torn write
+// leaves either the previous complete directory or temp droppings that
+// open ignores. Parts are raw host-endian array bytes with no header: the
+// mapping base and every part offset are page-aligned, so a typed view is
+// always correctly aligned. The manifest records the byte order and
+// refuses a mismatch.
 //
-// Platform split: on unix the files are mmap'd (mmap_unix.go) and access
-// hints forward to madvise / residency sampling to mincore. A file is read
-// into aligned anonymous memory instead (readAligned) only where the build
-// has no mmap (mmap_portable.go) or mapping that file fails; the hints are
-// then inert. Either way the bytes exposed to the column layer are
-// identical: the package tests force the read path through an unexported
-// seam and compare it with the mapping byte for byte.
+// Platform split: on unix each file is mmap'd once (mmap_unix.go) and a
+// part's access hints forward to madvise / residency sampling to mincore
+// over its own range. A file is read into aligned anonymous memory instead
+// (readAligned) only where the build has no mmap (mmap_portable.go) or
+// mapping that file fails; the hints are then inert. Either way the bytes
+// exposed to the column layer are identical: the package tests force the
+// read path through an unexported seam and compare it with the mapping
+// byte for byte.
 package heapfile
 
 import (
@@ -39,32 +43,32 @@ import (
 // polynomial as the WAL records of internal/epoch).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Mapping is one column file's read-only byte span: an mmap on unix, an
-// anonymous aligned copy under the portable fallback. It implements
-// storage.Hinter so bat columns can route their touch spans into paging
-// advice without importing this package.
+// Mapping is a read-only byte span: a whole file (an mmap on unix, an
+// anonymous aligned copy under the portable fallback), or one column
+// part's range of such a file. It implements storage.Hinter so bat columns
+// can route their touch spans into paging advice without importing this
+// package.
 type Mapping struct {
 	data   []byte
-	mapped bool // true: munmap on close; false: anonymous memory, GC-owned
+	mapped bool // the span is (part of) a file mapping, not anonymous memory
+	part   bool // a range of its store's file mapping: Close leaves the file mapped
 	closed atomic.Bool
 }
 
-// openMapping maps the file at path, which must be exactly size bytes —
-// the size is checked against the real file first, because mapping past
-// EOF does not fail at mmap time, it SIGBUSes at first access. read
-// forces the portable read-into-memory path (a test seam). After the size
-// check, any mmap failure (unsupported filesystem, no platform support)
-// degrades to the portable read: the bytes served are identical either way.
-func openMapping(path string, size int64, read bool) (*Mapping, error) {
+// openMapping maps the whole file at path; read forces the portable
+// read-into-memory path (a test seam). Any mmap failure (unsupported
+// filesystem, no platform support) degrades to the portable read: the
+// bytes served are identical either way. The size is taken from the file
+// itself, so a part the manifest places past its end is refused before
+// anything touches it (mapping past EOF would SIGBUS at first access).
+func openMapping(path string, read bool) (*Mapping, error) {
 	st, err := os.Stat(path)
 	if err != nil {
 		return nil, err
 	}
-	if st.Size() != size {
-		return nil, fmt.Errorf("heapfile: %s is %d bytes, manifest says %d", filepath.Base(path), st.Size(), size)
-	}
+	size := st.Size()
 	if size == 0 {
-		return &Mapping{data: nil, mapped: false}, nil
+		return &Mapping{}, nil
 	}
 	if !read {
 		if data, err := mmapFile(path, size); err == nil {
@@ -75,7 +79,7 @@ func openMapping(path string, size int64, read bool) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mapping{data: data, mapped: false}, nil
+	return &Mapping{data: data}, nil
 }
 
 // Bytes exposes the mapped span. The bytes are read-only: the file is
@@ -135,12 +139,13 @@ func (m *Mapping) Resident() (mappedBytes, residentBytes int64, probed bool) {
 // Close releases the mapping. Typed views over it must not be used
 // afterwards; the Store keeps every mapping alive until its own Close, and
 // the epoch chain keeps stores alive while any pinned epoch references
-// their columns.
+// their columns. Closing a part only retires it (its hints go inert): the
+// file stays mapped for its sibling parts until Store.Close.
 func (m *Mapping) Close() error {
 	if m == nil || !m.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if m.mapped {
+	if m.mapped && !m.part {
 		// The span is dead to this process: let the OS reclaim frames
 		// eagerly rather than waiting for pressure.
 		madviseSpan(m.data, storage.AdviceDontNeed)
@@ -187,8 +192,8 @@ func readAligned(path string, size int64) ([]byte, error) {
 // View reinterprets the mapping's bytes as a []T without copying. T must
 // be a fixed-width scalar whose in-file layout is the host representation
 // (the manifest's byte-order tag guards cross-host moves). The mapping
-// base is page-aligned and every column file starts its array at offset 0,
-// so alignment always holds; View panics if the byte length is not a
+// base is page-aligned and every part starts its array at a page-aligned
+// offset, so alignment always holds; View panics if the byte length is not a
 // whole number of elements (a corrupt file that CRC verification should
 // already have rejected).
 func View[T any](m *Mapping) []T {
@@ -215,8 +220,8 @@ func ViewString(m *Mapping) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// Bytes returns the raw byte representation of a typed slice, for writing
-// a column file. The inverse of View.
+// BytesOf returns the raw byte representation of a typed slice, for
+// writing a column part. The inverse of View.
 func BytesOf[T any](v []T) []byte {
 	if len(v) == 0 {
 		return nil

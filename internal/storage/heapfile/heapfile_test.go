@@ -97,16 +97,31 @@ func TestRoundtripMappedAndFallback(t *testing.T) {
 	}
 }
 
+// partFile returns the path of the file holding part name in dir and the
+// part's manifest entry.
+func partFile(t *testing.T, dir, name string) (string, FileInfo) {
+	t.Helper()
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, ok := man.Lookup(name)
+	if !ok || fi.File == "" {
+		t.Fatalf("%s: no file holds part %s", dir, name)
+	}
+	return filepath.Join(dir, fi.File), fi
+}
+
 func TestOpenRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	writeDir(t, dir)
-	// Flip one byte in a column file: CRC verification must refuse it.
-	path := filepath.Join(dir, "col.tail.heap")
+	// Flip one byte of a column part: CRC verification must refuse it.
+	path, fi := partFile(t, dir, "col.tail")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[3] ^= 0xFF
+	data[fi.Off+3] ^= 0xFF
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +130,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	}
 	// Truncation is refused by the size check before anything is mapped
 	// (mmap past EOF would SIGBUS).
-	if err := os.Truncate(path, int64(len(data)-8)); err != nil {
+	if err := os.Truncate(path, fi.Off+fi.Bytes-8); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "manifest says") {
@@ -174,8 +189,10 @@ func TestBorrowSharesBytes(t *testing.T) {
 		}
 	}
 	// On link-capable filesystems the inode is shared (page cache CoW).
-	sa, err1 := os.Stat(filepath.Join(a, fi.File))
-	sb, err2 := os.Stat(filepath.Join(b, fi.File))
+	pa, _ := partFile(t, a, "col.tail")
+	pb, _ := partFile(t, b, "col.tail")
+	sa, err1 := os.Stat(pa)
+	sb, err2 := os.Stat(pb)
 	if err1 == nil && err2 == nil && !os.SameFile(sa, sb) {
 		t.Log("borrow fell back to copy (no hard links on this fs)")
 	}
@@ -183,8 +200,8 @@ func TestBorrowSharesBytes(t *testing.T) {
 
 // TestBorrowCopyFallback drives Borrow's copy path: a file already at the
 // destination name makes the hard link fail with EEXIST, so the part is
-// copied through the temp-file publish instead. The copy must verify on
-// Open and leave no temp file behind.
+// copied into the writer's own pack instead. The copy must verify on Open
+// and leave no temp file behind.
 func TestBorrowCopyFallback(t *testing.T) {
 	a := t.TempDir()
 	ints, _, _ := writeDir(t, a)

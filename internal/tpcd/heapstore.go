@@ -6,24 +6,27 @@ import (
 	"sort"
 
 	"repro/internal/bat"
+	"repro/internal/epoch"
 	"repro/internal/mil"
 	"repro/internal/storage/heapfile"
 )
 
 // Checkpoint codec: serializes a served env as a heap-file directory
 // (internal/storage/heapfile) and maps it back into BAT columns — the one
-// durable format, and what a restarted store serves from.
+// durable format, and what a restarted store serves from. Each column is
+// one or more parts; a checkpoint writes the parts it rewrites into its
+// one pack and borrows the rest by linking the packs they already live in.
 // Three entry shapes cover the whole TPC-D env:
 //
 //   - extent     [void,void]         — rows only, no bytes on disk;
 //   - attr       [oid,T] + dv        — the tail-ordered layout Section 5.2
-//     prescribes: head file + tail file (strings add a chars file). The
+//     prescribes: head part + tail part (strings add a chars part). The
 //     datavector is NOT persisted; it is rebuilt at map time by scattering
 //     the tail back into oid order — a deterministic inverse of the
 //     checkpointed sort, so the rebuilt accelerator is bit-identical to the
 //     bulk loader's. The disk format stays raw column bytes, mappable with
 //     no translation;
-//   - setindex   [oid,oid] + props   — head and tail files, no accelerator.
+//   - setindex   [oid,oid] + props   — head and tail parts, no accelerator.
 //
 // The manifest's opaque meta records the entry list, so loading needs no
 // schema knowledge beyond this codec — the epoch store treats both sides
@@ -84,7 +87,7 @@ func classifyEntry(name string, b *bat.BAT) (heapEntry, error) {
 	return heapEntry{Name: name, Kind: "setindex", Rows: b.Len(), Props: uint16(b.Props)}, nil
 }
 
-// columnBlobs returns a column's file-part suffixes and raw bytes.
+// columnBlobs returns a column's part names and raw bytes.
 func columnBlobs(base string, c bat.Column) ([]string, [][]byte, error) {
 	switch t := c.(type) {
 	case *bat.OIDCol:
@@ -101,7 +104,7 @@ func columnBlobs(base string, c bat.Column) ([]string, [][]byte, error) {
 		return []string{base}, [][]byte{heapfile.BytesOf(t.V)}, nil
 	case *bat.StrCol:
 		// A sliced view carries offsets into a larger shared char heap;
-		// compact it so the files hold exactly this column's bytes.
+		// compact it so the parts hold exactly this column's bytes.
 		if len(t.Off) > 0 && (t.Off[0] != 0 || int(t.Off[len(t.Off)-1]) != len(t.Chars)) {
 			v := make([]string, t.Len())
 			for i := range v {
@@ -141,15 +144,16 @@ func entryFiles(e heapEntry, b *bat.BAT) (names []string, blobs [][]byte, err er
 
 // heapCheckpointer writes columnar checkpoints with copy-on-write reuse:
 // a BAT whose pointer is unchanged since the previous checkpoint has
-// unchanged bytes (BAT-algebra immutability), so its files are hard-linked
-// from that checkpoint instead of rewritten. The refresh path replaces
-// exactly the Order/Item families and two set indexes per epoch —
-// everything else is borrowed, which keeps checkpoint cost proportional to
-// the touched data, not the database.
+// unchanged bytes (BAT-algebra immutability), so its parts are borrowed
+// from that checkpoint — the pack holding them is hard-linked — instead of
+// rewritten. The refresh path replaces exactly the Order/Item families and
+// two set indexes per epoch; everything else is borrowed, which keeps
+// checkpoint writes proportional to the touched data, not the database.
 type heapCheckpointer struct {
-	dir  string              // previous committed checkpoint ("" before first)
-	man  *heapfile.Manifest  // its manifest (Borrow source)
-	bats map[string]*bat.BAT // env pointers captured at that checkpoint
+	dir   string              // previous committed checkpoint ("" before first)
+	man   *heapfile.Manifest  // its manifest (Borrow source)
+	bats  map[string]*bat.BAT // env pointers captured at that checkpoint
+	hooks *epoch.Hooks        // fires epoch.SnapshotBeforeManifest
 }
 
 // save implements epoch.Options.SaveEnv. Called by the store with
@@ -178,6 +182,8 @@ func (hc *heapCheckpointer) save(tmpDir, finalDir string, env mil.Env) error {
 	if err != nil {
 		return err
 	}
+	defer w.Abort()
+	w.BeforeManifest = func() { hc.hooks.At(epoch.SnapshotBeforeManifest) }
 	for _, e := range meta.Entries {
 		b := env[e.Name]
 		parts, blobs, err := entryFiles(e, b)
@@ -192,7 +198,8 @@ func (hc *heapCheckpointer) save(tmpDir, finalDir string, env mil.Env) error {
 						continue
 					}
 					// Link and copy both failed (e.g. the source checkpoint
-					// vanished): fall through to a fresh write.
+					// vanished or its bytes no longer verify): fall through
+					// to a fresh write.
 				}
 			}
 			if err := w.Put(part, blobs[i]); err != nil {

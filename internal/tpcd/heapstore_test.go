@@ -1,6 +1,7 @@
 package tpcd
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/mil"
 	"repro/internal/storage"
+	"repro/internal/storage/heapfile"
 )
 
 // envFingerprint renders every BAT in an env, sorted by name — the full
@@ -120,11 +122,27 @@ func TestOpenStoreMmapRecovery(t *testing.T) {
 	}
 }
 
+// partFile returns the path of the file holding part name in checkpoint
+// dir, as its manifest says.
+func partFile(t *testing.T, dir, name string) string {
+	t.Helper()
+	man, err := heapfile.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, ok := man.Lookup(name)
+	if !ok || fi.File == "" {
+		t.Fatalf("%s: no file holds part %s", dir, name)
+	}
+	return filepath.Join(dir, fi.File)
+}
+
 // TestCheckpointBorrowsUnchangedColumns asserts checkpoint copy-on-write
 // at the checkpointer level (the store prunes old snapshots, which drops
 // the observable link count back to one): a second checkpoint over an env
-// whose BAT pointers are unchanged hard-links every file from the first,
-// while a replaced BAT — same bytes, new pointer — is rewritten fresh.
+// whose BAT pointers are unchanged hard-links the pack holding them from
+// the first, while a replaced BAT — same bytes, new pointer — is rewritten
+// fresh into the second checkpoint's own pack.
 func TestCheckpointBorrowsUnchangedColumns(t *testing.T) {
 	db := Generate(testSF, testSeed)
 	env, _ := Load(db)
@@ -149,7 +167,7 @@ func TestCheckpointBorrowsUnchangedColumns(t *testing.T) {
 		t.Fatalf("second checkpoint: %v", err)
 	}
 
-	stable, err := os.Stat(filepath.Join(dirB, "Region_name.tail.heap"))
+	stable, err := os.Stat(partFile(t, dirB, "Region_name.tail"))
 	if err != nil {
 		t.Fatalf("stat stable column: %v", err)
 	}
@@ -159,7 +177,7 @@ func TestCheckpointBorrowsUnchangedColumns(t *testing.T) {
 		}
 		t.Fatalf("unchanged Region_name was rewritten (links=%d), want borrowed", n)
 	}
-	rebuilt, err := os.Stat(filepath.Join(dirB, "Order_cust.tail.heap"))
+	rebuilt, err := os.Stat(partFile(t, dirB, "Order_cust.tail"))
 	if err != nil {
 		t.Fatalf("stat rebuilt column: %v", err)
 	}
@@ -193,5 +211,78 @@ func TestMmapResidencyObservable(t *testing.T) {
 	after := storage.SampleResidency()
 	if after.MappedBytes != before.MappedBytes {
 		t.Fatalf("store close did not release mappings: %d -> %d", before.MappedBytes, after.MappedBytes)
+	}
+}
+
+// TestCheckpointPackLayout pins what a TPC-D checkpoint leaves on disk.
+// Over a store checkpointing every 2nd ingest, each checkpoint directory
+// creates exactly two files — its pack and its manifest — and links the
+// rest from the checkpoint before it; it holds at most three files beside
+// MANIFEST.json; every part starts at a multiple of the page size; and the
+// bytes the checkpoint wrote plus those it linked add up to its manifest's
+// part bytes.
+func TestCheckpointPackLayout(t *testing.T) {
+	dir := t.TempDir()
+	st, db, err := OpenStore(DurableConfig{Dir: dir, SF: testSF, Seed: testSeed, SnapshotEvery: 2})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer st.Close()
+	var prev string
+	for i := 0; i < 8; i++ {
+		w0, l0 := heapfile.CommittedBytes()
+		ingestBatches(t, db, 1, st)
+		w1, l1 := heapfile.CommittedBytes()
+		if (i+1)%2 != 0 {
+			if w1 != w0 || l1 != l0 {
+				t.Fatalf("ingest %d wrote no checkpoint but moved the byte counters", i+1)
+			}
+			continue
+		}
+		snap := filepath.Join(dir, fmt.Sprintf("snap-%016d.d", i+1))
+		man, err := heapfile.ReadManifest(snap)
+		if err != nil {
+			t.Fatalf("checkpoint %d: %v", i+1, err)
+		}
+		var parts int64
+		for _, fi := range man.Files {
+			parts += fi.Bytes
+		}
+		if (w1-w0)+(l1-l0) != parts {
+			t.Fatalf("checkpoint %d: written %d + linked %d != the manifest's %d part bytes", i+1, w1-w0, l1-l0, parts)
+		}
+		if linked := l1 - l0; (prev == "") != (linked == 0) {
+			t.Fatalf("checkpoint %d linked %d bytes; want none for the first, some for every later one", i+1, linked)
+		}
+		for _, fi := range man.Files {
+			if fi.Off%int64(os.Getpagesize()) != 0 {
+				t.Fatalf("checkpoint %d: part %s at offset %d, not page-aligned", i+1, fi.Name, fi.Off)
+			}
+		}
+		entries, err := os.ReadDir(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var created, others []string
+		for _, e := range entries {
+			if e.Name() != "MANIFEST.json" {
+				others = append(others, e.Name())
+			}
+			if prev != "" {
+				a, errA := os.Stat(filepath.Join(snap, e.Name()))
+				b, errB := os.Stat(filepath.Join(prev, e.Name()))
+				if errA == nil && errB == nil && os.SameFile(a, b) {
+					continue
+				}
+			}
+			created = append(created, e.Name())
+		}
+		if len(created) != 2 {
+			t.Fatalf("checkpoint %d created %v, want its pack and MANIFEST.json", i+1, created)
+		}
+		if len(others) > 3 {
+			t.Fatalf("checkpoint %d holds %v beside MANIFEST.json, want at most 3 files", i+1, others)
+		}
+		prev = snap
 	}
 }

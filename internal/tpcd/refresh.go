@@ -356,7 +356,7 @@ func OpenStoreLazy(cfg DurableConfig) (*epoch.Store, func() *DB, error) {
 
 	var loaded []*heapfile.Store
 	if cfg.Dir != "" {
-		hc := &heapCheckpointer{}
+		hc := &heapCheckpointer{hooks: cfg.Hooks}
 		opts.SaveEnv = hc.save
 		opts.LoadEnv = func(dir string) (mil.Env, error) {
 			env, s, err := loadEnvHeap(dir)

@@ -12,6 +12,7 @@
 # moaserve_pager_mapped_bytes_real must be nonzero, the mappings must be
 # mincore-probed on linux (a heap file read into memory is not), and
 # moaserve_pager_faults_real_total nonzero when getrusage is available.
+# The checkpoint directory must hold MANIFEST.json plus pack files only.
 # Knobs: ADDR.
 set -eu
 
@@ -104,6 +105,7 @@ c1=$(count_orders)
 [ "$c1" = 3020 ] || { echo "outofcore-smoke: post-ingest count(Order) = '$c1', want 3020" >&2; exit 1; }
 a1=$(query_elems "$q")
 ls -d "$datadir"/snap-*1.d >/dev/null 2>&1 || { echo "outofcore-smoke: the ingest left no epoch-1 checkpoint" >&2; exit 1; }
+snap=$(ls -d "$datadir"/snap-*1.d)
 
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
@@ -124,6 +126,17 @@ metrics=$(curl -fsS "http://$ADDR/metrics")
 recoveries=$(echo "$metrics" | awk '/^moaserve_recoveries_total /{print $2}')
 [ "$recoveries" = 1 ] || { echo "outofcore-smoke: recoveries_total = '$recoveries', want 1" >&2; exit 1; }
 check_real_pager recovered
+
+# The checkpoint the restart mapped is one pack plus its manifest: no
+# per-part heap files.
+[ -f "$snap/MANIFEST.json" ] || { echo "outofcore-smoke: $snap has no MANIFEST.json" >&2; exit 1; }
+ls "$snap"/*.pack >/dev/null 2>&1 || { echo "outofcore-smoke: $snap holds no pack file: $(ls "$snap")" >&2; exit 1; }
+if ls "$snap"/*.tail.heap "$snap"/*.head.heap >/dev/null 2>&1; then
+	echo "outofcore-smoke: $snap holds per-part heap files: $(ls "$snap")" >&2
+	exit 1
+fi
+stray=$(ls "$snap" | grep -v -e '^MANIFEST\.json$' -e '\.pack$' || true)
+[ -z "$stray" ] || { echo "outofcore-smoke: $snap holds files beside MANIFEST.json and its packs: $stray" >&2; exit 1; }
 
 # A further ingest merges onto the mapped columns.
 resp=$(curl -fsS -X POST -H 'Content-Type: application/json' \
