@@ -17,11 +17,13 @@ build:
 ## not be edited to follow a refactor, so an internal/... signature change
 ## that breaks its frozen imports (README, "The repo benchmark") must fail
 ## here, not in the benchmark pipeline. A tree that is not gofmt-clean fails
-## too, listing the files.
+## too, listing the files, and so does a property write outside
+## internal/bat/props.go (operators claim only through bat.Derive).
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 	@test -z "$$(gofmt -l .)" || { echo 'not gofmt-clean:'; gofmt -l .; exit 1; }
+	@test -z "$$($(PROP_WRITES))" || { echo 'property writes outside internal/bat/props.go:'; $(PROP_WRITES); exit 1; }
 
 test:
 	$(GO) test ./...
@@ -103,6 +105,11 @@ server-smoke:
 outofcore-smoke:
 	./scripts/outofcore_smoke.sh
 
+# PROP_WRITES lists the property writes outside internal/bat/props.go: a
+# .Props assignment, or a bat.New in internal/mil declaring props.
+PROP_WRITES = { grep -rnE '\.Props\s*(\|=|&=|=[^=])' --include=*.go internal cmd | grep -v -e _test -e internal/bat/props.go; \
+	grep -rn 'bat\.New(' --include=*.go internal/mil | grep -v _test | grep -v ', 0)'; }
+
 # VARIANT_NAMES counts the names in mil.Variants.
 VARIANT_NAMES = awk '/^var Variants = /{c=1} c{n+=gsub(/"[^"]*"/, "")} c && /^}/{c=0} END{print n}' internal/mil/ctx.go
 
@@ -112,10 +119,9 @@ VARIANT_NAMES = awk '/^var Variants = /{c=1} c{n+=gsub(/"[^"]*"/, "")} c && /^}/
 ## bat.Value per row (a per-row Get, a map keyed by Value, a []Value buffer),
 ## the same boxing on the result path of internal/moa, internal/server and
 ## internal/engine (0: only Materialize's *SetVal boxes, one Get per leaf),
-## the property writes outside internal/bat/props.go (a .Props assignment, a
-## bat.New in internal/mil declaring props, a SyncWith in internal/mil — the
-## one expected is the sync-semijoin precheck recording a discovered fact),
-## the flags moaserve declares, the fields of server.Config, the fields of
+## the property writes outside internal/bat/props.go (PROP_WRITES; 0, which
+## vet enforces), the Touch* calls in non-test internal/mil code and the
+## files holding them (the touch sites), the flags moaserve declares, the fields of server.Config, the fields of
 ## mil.Options (the execution settings every query carries), the goroutine
 ## spawn sites in non-test internal/ code (1: the dispatcher), the parallel
 ## lines — the non-test lines of the dispatcher (internal/bat/morsel.go) and
@@ -128,10 +134,10 @@ loc:
 	@printf 'per-kind column arms: '; grep -rn 'case \*\(bat\.\)\?\(OID\|Int\|Flt\|Chr\|Bit\|Date\)Col' --include=*.go internal | grep -v _test | wc -l
 	@printf 'boxed per-row sites: '; grep -rnE '\.(H|T)\.Get\(|map\[bat\.Value\]|make\(\[\]bat\.Value' --include=*.go internal/mil | grep -v _test | wc -l
 	@printf 'result-path boxed sites: '; grep -rnE 'TailValue\(|HeadValue\(|Vector\.Get\(|map\[bat\.Value\]|\[\]bat\.Value' --include=*.go internal/moa internal/server internal/engine | grep -v _test | wc -l
-	@printf 'property writes outside props.go: %d\n' $$(( \
-		$$(grep -rnE '\.Props\s*(\|=|&=|=[^=])' --include=*.go internal cmd | grep -v -e _test -e internal/bat/props.go | wc -l) + \
-		$$(grep -rn 'bat\.New(' --include=*.go internal/mil | grep -v _test | grep -v ', 0)' | wc -l) + \
-		$$(grep -rn 'SyncWith(' --include=*.go internal/mil | grep -v _test | wc -l) ))
+	@printf 'property writes outside props.go: '; $(PROP_WRITES) | wc -l
+	@printf 'touch sites: %d in %d files\n' \
+		$$(grep -rn 'Touch[A-Za-z]*(' --include=*.go internal/mil | grep -v _test | wc -l) \
+		$$(grep -rln 'Touch[A-Za-z]*(' --include=*.go internal/mil | grep -v _test | wc -l)
 	@printf 'moaserve flags: '; grep -cE 'flag\.(String|Int|Int64|Float64|Bool|Duration|Uint64|StringVar)\(' cmd/moaserve/main.go
 	@printf 'server.Config fields: '; awk '/^type Config struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/server/server.go
 	@printf 'mil.Options fields: '; awk '/^type Options struct/{c=1; next} c && /^}/{c=0} c && /^\t[A-Z]/{n++} END{print n}' internal/mil/ctx.go

@@ -89,31 +89,3 @@ func TestMirrorConcurrent(t *testing.T) {
 		t.Fatal("mirror of mirror is not the original")
 	}
 }
-
-// TestSyncWithConcurrent: concurrent recorders of verified positional
-// correspondences agree on one group token.
-func TestSyncWithConcurrent(t *testing.T) {
-	o := New("o", NewOIDCol([]OID{5, 3}), NewVoid(0, 2), 0)
-	const g = 16
-	peers := make([]*BAT, g)
-	for i := range peers {
-		peers[i] = New("p", NewOIDCol([]OID{5, 3}), NewVoid(0, 2), 0)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < g; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			peers[i].SyncWith(o)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < g; i++ {
-		if !Synced(peers[i], o) {
-			t.Fatalf("peer %d not synced with o", i)
-		}
-		if !Synced(peers[i], peers[0]) {
-			t.Fatalf("peer %d not in peer 0's group", i)
-		}
-	}
-}

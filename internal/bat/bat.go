@@ -13,20 +13,18 @@ import (
 // "BAT-algebra operations materialize their result and never change their
 // operands"), so sharing columns between BATs — as mirror does — is safe.
 //
-// The mutable residue — lazily built accelerators, the cached mirror view
-// and the sync-group token — is published through atomics (singleflight for
-// the accelerator builds), so BATs are safe to share across concurrent
-// sessions executing read-only queries.
+// BATs that correspond position by position (Section 5.1's "synced") share
+// their head column: an operator that keeps every BUN of an operand hands
+// on that operand's head column or a view of it (see Synced).
+//
+// The mutable residue — lazily built accelerators and the cached mirror
+// view — is published through atomics (singleflight for the accelerator
+// builds), so BATs are safe to share across concurrent sessions executing
+// read-only queries.
 type BAT struct {
 	Name  string
 	H, T  Column
 	Props Props
-
-	// Synced links: BATs whose BUNs correspond by position with this one
-	// (Section 5.1). Stored as a shared group token; two BATs are synced
-	// iff they carry the same non-zero token and equal length. Run-time
-	// sync detection records tokens on operands, so access is atomic.
-	syncGroup atomic.Uint64
 
 	// detected carries run-time re-detected properties (low 16 bits, same
 	// encoding as Props) plus the scanned markers — see props.go.
@@ -92,8 +90,8 @@ func (b *BAT) Mirror() *BAT {
 	if m := b.mirror.Load(); m != nil {
 		return m
 	}
-	// The mirror does NOT inherit the sync group: syncedness asserts
-	// positional head correspondence, which swapping columns breaks.
+	// The mirror's head is b's tail column, so it is synced with exactly
+	// the BATs headed by that column, not with b.
 	m := &BAT{
 		Name:  b.Name + ".mirror",
 		H:     b.T,
@@ -113,41 +111,11 @@ func (b *BAT) HeadValue(i int) Value { return b.H.Get(i) }
 // TailValue returns the boxed tail value at i.
 func (b *BAT) TailValue(i int) Value { return b.T.Get(i) }
 
-// SyncWith marks b and o as positionally synced (Section 5.1), joining o's
-// group or creating a fresh one. Run-time sync detection calls this on
-// shared operands, so group tokens are allocated and published atomically:
-// concurrent recorders agree on one token, and every recorded fact is a
-// verified positional correspondence, so any interleaving stays sound.
-func (b *BAT) SyncWith(o *BAT) {
-	g := o.syncGroup.Load()
-	if g == 0 {
-		g = syncCounter.Add(1)
-		if !o.syncGroup.CompareAndSwap(0, g) {
-			g = o.syncGroup.Load()
-		}
-	}
-	b.syncGroup.Store(g)
-}
-
-var syncCounter atomic.Uint64
-
-// Synced reports whether a and b are known to correspond by position: same
-// sync group, or both head columns are dense with the same seqbase, or they
-// share the identical head column object.
-func Synced(a, b *BAT) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	if g := a.syncGroup.Load(); g != 0 && g == b.syncGroup.Load() {
-		return true
-	}
-	if a.H == b.H {
-		return true
-	}
-	av, aok := a.H.(*VoidCol)
-	bv, bok := b.H.(*VoidCol)
-	return aok && bok && av.Seq == bv.Seq
-}
+// Synced reports whether a and b correspond by position (Section 5.1): they
+// are equally long and their heads are one column (SameColumn). Operators
+// that keep every BUN of an operand in its order hand on its head column or
+// a view of it, so syncedness holds by construction and nothing records it.
+func Synced(a, b *BAT) bool { return a.Len() == b.Len() && SameColumn(a.H, b.H) }
 
 // Persist marks the BAT's columns (and datavector value vector, if any) as
 // persistent storage, enabling page-fault accounting on them. The bulk

@@ -282,6 +282,9 @@ func TestHashIndexDuplicates(t *testing.T) {
 	}
 }
 
+// TestSyncedDetection: synced is head identity — one head column, two voids
+// of one seqbase, or views of one backing array at one offset (of any
+// kind) — and never equal content alone.
 func TestSyncedDetection(t *testing.T) {
 	a := New("a", NewVoid(10, 3), NewIntCol([]int64{1, 2, 3}), 0)
 	b := New("b", NewVoid(10, 3), NewFltCol([]float64{1, 2, 3}), 0)
@@ -292,14 +295,36 @@ func TestSyncedDetection(t *testing.T) {
 	if Synced(a, c) {
 		t.Error("different seqbase must not be synced")
 	}
-	d := New("d", NewOIDCol([]OID{4, 2, 9}), NewIntCol([]int64{1, 2, 3}), 0)
-	e := New("e", NewOIDCol([]OID{4, 2, 9}), NewIntCol([]int64{7, 8, 9}), 0)
+	d := New("d", NewOIDCol([]OID{4, 2, 9, 7}), NewIntCol([]int64{1, 2, 3, 4}), 0)
+	e := New("e", NewOIDCol([]OID{4, 2, 9, 7}), NewIntCol([]int64{7, 8, 9, 0}), 0)
 	if Synced(d, e) {
-		t.Error("distinct oid columns are not known-synced without a group")
+		t.Error("equal-content distinct oid arrays must not be synced")
 	}
-	e.SyncWith(d)
-	if !Synced(d, e) {
-		t.Error("explicit sync group must be detected")
+	if f := New("f", d.H, NewFltCol([]float64{0, 0, 0, 0}), 0); !Synced(d, f) {
+		t.Error("one shared head column must be synced")
+	}
+	view := func(h Column, lo int) *BAT { return New("v", SliceView(h, lo, 3), NewVoid(0, 3), 0) }
+	if !Synced(view(d.H, 0), New("g", SliceView(d.H, 0, 3), NewVoid(5, 3), 0)) {
+		t.Error("views of one backing array at one offset must be synced")
+	}
+	if Synced(view(d.H, 0), view(d.H, 1)) {
+		t.Error("views at different offsets must not be synced")
+	}
+	if Synced(view(d.H, 0), d) {
+		t.Error("a shorter view must not be synced")
+	}
+	s := NewStrColFromStrings([]string{"x", "y", "z", "w"})
+	if !Synced(view(s, 1), view(s, 1)) || Synced(view(s, 0), view(s, 1)) {
+		t.Error("string views are synced exactly at one offset")
+	}
+	// A mirror is headed by its original's tail column: synced with the
+	// BATs headed by that column, not with the original.
+	m := New("m", NewIntCol([]int64{3, 1, 2, 0}), NewOIDCol([]OID{0, 1, 2, 3}), 0).Mirror()
+	if !Synced(m, New("h", m.H, NewIntCol([]int64{0, 0, 0, 0}), 0)) {
+		t.Error("a BAT headed by a mirror's head column must be synced with the mirror")
+	}
+	if Synced(m, m.Mirror()) {
+		t.Error("a mirror must not be synced with its original")
 	}
 }
 

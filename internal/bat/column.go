@@ -53,13 +53,14 @@ type Column interface {
 	// it are fault-accounted. Idempotent; transient columns never fault.
 	Persist()
 
-	// The per-layout halves of SliceView, Gather, Concat and UnshareColumn.
-	// Being unexported they also seal the interface.
+	// The per-layout halves of SliceView, Gather, Concat, UnshareColumn and
+	// SameColumn. Being unexported they also seal the interface.
 	sliceView(lo, n int) Column
 	gather(perm []int32) Column
 	concat(b Column) Column
 	isView() bool
 	unshare() Column
+	first() unsafe.Pointer
 }
 
 // ---------------------------------------------------------------------------
@@ -113,6 +114,7 @@ func (c *VoidCol) gather(perm []int32) Column { return NewOIDCol(gatherSeq(c.Seq
 func (c *VoidCol) concat(b Column) Column     { return c.oids().concat(b) }
 func (c *VoidCol) isView() bool               { return false }
 func (c *VoidCol) unshare() Column            { return c }
+func (c *VoidCol) first() unsafe.Pointer      { return nil }
 
 // oids materializes the dense sequence as an oid column.
 func (c *VoidCol) oids() *OIDCol {
@@ -291,6 +293,7 @@ func (c *FixedCol[T]) sliceView(lo, n int) Column {
 
 func (c *FixedCol[T]) gather(perm []int32) Column { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
 func (c *FixedCol[T]) isView() bool               { return c.view }
+func (c *FixedCol[T]) first() unsafe.Pointer      { return unsafe.Pointer(unsafe.SliceData(c.V)) }
 
 func (c *FixedCol[T]) concat(b Column) Column {
 	if v, ok := b.(*VoidCol); ok {
@@ -460,7 +463,8 @@ func (c *StrCol) gather(perm []int32) Column {
 	return &StrCol{Off: off, Chars: unsafe.String(unsafe.SliceData(buf), len(buf))}
 }
 
-func (c *StrCol) isView() bool { return c.view }
+func (c *StrCol) isView() bool          { return c.view }
+func (c *StrCol) first() unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(c.Off)) }
 
 // concat rebases both offset runs onto one new character heap; a column's
 // strings lie back to back in its heap, so each side's characters copy as
@@ -607,6 +611,31 @@ func PositionRun[I int32 | OID](pos []I) (int, bool) {
 // retain small results past their operand's life should materialize them
 // (see ROADMAP: view-aware accounting / materialize-on-retain).
 func SliceView(col Column, lo, n int) Column { return col.sliceView(lo, n) }
+
+// SameColumn reports whether a and b are one column by identity, so that
+// they hold the same entries without a comparison of any: the same column
+// object, two empty columns of one kind (they trivially correspond; a void
+// counts as oids), two voids of one length and seqbase, or two views of one
+// kind and length over one backing array at one offset (what SliceView and
+// the Gather of a run hand on).
+func SameColumn(a, b Column) bool {
+	if a == b {
+		return true
+	}
+	if a.Len() != b.Len() {
+		return false
+	}
+	if a.Len() == 0 {
+		return normKind(a.Kind()) == normKind(b.Kind())
+	}
+	if a.Kind() != b.Kind() {
+		return false
+	}
+	if v, ok := a.(*VoidCol); ok {
+		return v.Seq == b.(*VoidCol).Seq
+	}
+	return a.first() == b.first()
+}
 
 // Concat returns a new column owning a's entries followed by b's. Both must
 // hold one kind (void entries are oids); an empty side contributes nothing

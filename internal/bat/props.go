@@ -103,17 +103,18 @@ const (
 )
 
 // Derive is the property rule table: it adds to out the properties row rel
-// guarantees given its operands', records the positional correspondence
-// (sync) the row implies, and returns out. "Every BUN kept" means out is as
-// long as d.
+// guarantees given its operands', and returns out. It records no
+// positional correspondence: a row that keeps every BUN of an operand in
+// its order builds out on that operand's head column or a view of it, so
+// out is Synced with it by identity.
 //
-//	row         claims                                          synced with
-//	Subset      d&{HO,TO,HK,TK}                                 d, every BUN kept
-//	Run         d&{HO,TO,HK,TK,HD,TD}                           d, every BUN kept
-//	NewTail     d&{HO,HK}                                       d, every BUN kept
-//	Pairs       d&HO; d&HK if o's head is key                   d, every BUN kept and o's head key
-//	Positional  d&{HO,HK} ∪ o&{TO,TK}                           d, every BUN kept
-//	Probed      o&HK; o&{HO,HK} if every o BUN matched          o, every o BUN matched
+//	row         claims
+//	Subset      d&{HO,TO,HK,TK}
+//	Run         d&{HO,TO,HK,TK,HD,TD}
+//	NewTail     d&{HO,HK}
+//	Pairs       d&HO; d&HK if o's head is key
+//	Positional  d&{HO,HK} ∪ o&{TO,TK}
+//	Probed      o&HK; o&{HO,HK} if every o BUN matched
 //	Groups      HK ∪ d&HO
 //	One         HK, TK
 //	Reordered   d&{HK,TK}
@@ -127,27 +128,24 @@ const (
 // however the key was learnt.
 func Derive(out *BAT, rel Rel, d, o *BAT) *BAT {
 	var p Props
-	sync := false // synced with d
 	switch rel {
 	case Subset:
-		p, sync = d.Props&orderKey, out.Len() == d.Len()
+		p = d.Props & orderKey
 	case Run:
-		p, sync = d.Props&(orderKey|HDense|TDense), out.Len() == d.Len()
+		p = d.Props & (orderKey | HDense | TDense)
 	case NewTail:
-		p, sync = d.Props&(HOrdered|HKey), out.Len() == d.Len()
+		p = d.Props & (HOrdered | HKey)
 	case Pairs:
 		p = d.Props & HOrdered
 		if o.KnownProps().Has(HKey) {
 			p |= d.Props & HKey
-			sync = out.Len() == d.Len()
 		}
 	case Positional:
-		p, sync = d.Props&(HOrdered|HKey)|o.Props&(TOrdered|TKey), out.Len() == d.Len()
+		p = d.Props&(HOrdered|HKey) | o.Props&(TOrdered|TKey)
 	case Probed:
 		p = o.Props & HKey
 		if out.Len() == o.Len() {
 			p |= o.Props & HOrdered
-			out.SyncWith(o)
 		}
 	case Groups:
 		p = HKey | d.Props&HOrdered
@@ -169,9 +167,6 @@ func Derive(out *BAT, rel Rel, d, o *BAT) *BAT {
 		p = d.Props.Swap()
 	}
 	out.Props |= p
-	if sync {
-		out.SyncWith(d)
-	}
 	return out
 }
 

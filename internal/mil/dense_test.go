@@ -180,10 +180,9 @@ func TestDenseGroupingParity(t *testing.T) {
 
 			for _, sec := range seconds {
 				l2 := label + "/" + sec.name
-				// group2, synced
+				// group2, synced: one head column
 				g := bat.New("g", vh, key.col, 0)
-				b2 := bat.New("b2", vh, sec.col, 0)
-				b2.SyncWith(g)
+				b2 := bat.New("b2", g.H, sec.col, 0)
 				got := GroupBinary(ctx, g, b2)
 				check(sec.name+" group2", variant("group", wantDense(key.col, sec.col)))
 				groupBinaryBoxed(g, b2, ref)

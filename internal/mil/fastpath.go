@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"repro/internal/bat"
+	"repro/internal/storage"
 )
 
 // The typed kernels in internal/bat carry the operators' hot loops; the
@@ -72,42 +73,38 @@ func voidRun(v *bat.VoidCol, base bat.OID, n int) (lo, first, k int) {
 }
 
 // sameOIDs reports whether a and b are equal-length, non-empty oid columns
-// holding the same oid at every position: in O(1) for one backing array at
-// one offset or two voids, by slices.Equal for two oid columns, and
-// arithmetically against a void column. The scans bail at the first
-// mismatch.
-func sameOIDs(a, b bat.Column) bool {
+// holding the same oid at every position. It is O(1) when they are one
+// column (bat.SameColumn), which is how the results of operators that keep
+// every BUN are synced; otherwise it detects two independently computed
+// equal sequences by a scan — slices.Equal for two oid columns, arithmetic
+// against a void column — that bails at the first mismatch, and a scan that
+// proves them equal records its reads against p.
+func sameOIDs(p *storage.Tracker, a, b bat.Column) bool {
 	n := a.Len()
-	if b.Len() != n || n == 0 {
+	if b.Len() != n || n == 0 || !oidKind(a.Kind()) || !oidKind(b.Kind()) {
 		return false
+	}
+	if bat.SameColumn(a, b) {
+		return true
 	}
 	ao, aOID := a.(*bat.OIDCol)
 	bo, bOID := b.(*bat.OIDCol)
 	av, aVoid := a.(*bat.VoidCol)
 	bv, bVoid := b.(*bat.VoidCol)
+	var same bool
 	switch {
 	case aOID && bOID:
-		return &ao.V[0] == &bo.V[0] || slices.Equal(ao.V, bo.V)
+		same = slices.Equal(ao.V, bo.V)
 	case aOID && bVoid:
 		lo, run := bat.PositionRun(ao.V)
-		return run && bat.OID(lo) == bv.Seq
+		same = run && bat.OID(lo) == bv.Seq
 	case aVoid && bOID:
 		lo, run := bat.PositionRun(bo.V)
-		return run && bat.OID(lo) == av.Seq
-	case aVoid && bVoid:
-		return av.Seq == bv.Seq
+		same = run && bat.OID(lo) == av.Seq
 	}
-	return false
-}
-
-// syncSemijoinPrecheck detects identical oid head sequences at run time: the
-// semijoin then degenerates to a copy (the sync-semijoin of Section 5.1),
-// and the discovered correspondence is recorded on the operands for later
-// operators.
-func syncSemijoinPrecheck(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
-	if !sameOIDs(l.H, r.H) {
-		return nil, false
+	if same {
+		a.TouchAll(p)
+		b.TouchAll(p)
 	}
-	r.SyncWith(l)
-	return syncSemijoin(ctx, l), true
+	return same
 }

@@ -107,16 +107,14 @@ func joinCap(l, r *bat.BAT, idx *bat.HashIndex) int {
 // and the value set stem from the same candidate): the join degenerates to
 // pairing l's head with r's tail, zero-copy. Positional pairing is the
 // complete join only if the join column is duplicate-free; with duplicates
-// every cross match must be produced. The O(n) verification scan bails at
-// the first mismatch.
+// every cross match must be produced. Two shared columns prove the
+// correspondence without reading either; only sameOIDs' verification scan
+// reads (and touches) them.
 func syncJoin(ctx *Ctx, l, r *bat.BAT) (*bat.BAT, bool) {
-	if !(l.Props.Has(bat.TKey) || r.Props.Has(bat.HKey)) || !sameOIDs(l.T, r.H) {
+	if !(l.Props.Has(bat.TKey) || r.Props.Has(bat.HKey)) || !sameOIDs(ctx.pager(), l.T, r.H) {
 		return nil, false
 	}
 	ctx.chose("sync-join")
-	p := ctx.pager()
-	l.T.TouchAll(p)
-	r.H.TouchAll(p)
 	return bat.Derive(bat.New(l.Name+".join", l.H, r.T, 0), bat.Positional, l, r), true
 }
 

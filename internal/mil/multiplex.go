@@ -190,5 +190,9 @@ func multiplexHash(ctx *Ctx, f *Func, first *bat.BAT, args []Operand) *bat.BAT {
 		}
 	}
 	tail := compileMap(f, matched)(ctx, len(rows))
-	return bat.Derive(bat.New("["+f.Name+"]", bat.Gather(first.H, rows), tail, 0), bat.NewTail, first, nil)
+	head := first.H // every row kept, in order
+	if len(rows) < n {
+		head = bat.Gather(first.H, rows)
+	}
+	return bat.Derive(bat.New("["+f.Name+"]", head, tail, 0), bat.NewTail, first, nil)
 }

@@ -295,7 +295,8 @@ func TestMultiplexHashEqualsBoxed(t *testing.T) {
 				ctx := &Ctx{}
 				got := Multiplex(ctx, tc.fn, tc.args)
 				label := fmt.Sprintf("[%s] %s heads n=%d", tc.fn, hk, n)
-				if wantAlgo := map[bool]string{true: "hash-multiplex", false: "aligned-multiplex"}[len(distinct) > 1]; ctx.LastAlgo() != wantAlgo {
+				// Empty heads of one kind are one column: the operands are synced.
+				if wantAlgo := map[bool]string{true: "hash-multiplex", false: "aligned-multiplex"}[len(distinct) > 1 && n > 0]; ctx.LastAlgo() != wantAlgo {
 					t.Fatalf("%s: ran %s, want %s", label, ctx.LastAlgo(), wantAlgo)
 				}
 				sameMultiplex(t, label, got, want, first)

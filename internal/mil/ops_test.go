@@ -292,8 +292,7 @@ func shuffleOIDs(rng *rand.Rand, in []bat.OID) []bat.OID {
 
 func TestSyncSemijoinReturnsLeft(t *testing.T) {
 	l := oidIntBAT("l", []bat.OID{5, 6, 7}, []int64{1, 2, 3}, 0)
-	r := bat.New("r", bat.NewOIDCol([]bat.OID{5, 6, 7}), bat.NewFltCol([]float64{9, 9, 9}), 0)
-	r.SyncWith(l)
+	r := bat.New("r", l.H, bat.NewFltCol([]float64{9, 9, 9}), 0)
 	ctx := &Ctx{}
 	out := Semijoin(ctx, l, r)
 	if ctx.LastAlgo() != "sync-semijoin" {
@@ -311,30 +310,37 @@ func TestSyncSemijoinReturnsLeft(t *testing.T) {
 // backing at one offset, equal copies, a void sequence against oids and
 // against a void — and its refusals: a view one row further on the same
 // backing, a single differing oid, different lengths, no rows, non-oid
-// kinds.
+// kinds. Only one column by identity (bat.SameColumn, what bat.Synced
+// reads) is proven without a scan: equal copies are not synced, and two
+// empty columns of one kind (void or oid) are one column.
 func TestSameOIDs(t *testing.T) {
 	oids := bat.NewOIDCol([]bat.OID{5, 6, 7, 8})
 	cases := []struct {
-		name string
-		a, b bat.Column
-		want bool
+		name           string
+		a, b           bat.Column
+		want, identity bool
 	}{
-		{"same backing", oids, bat.SliceView(oids, 0, 4), true},
-		{"shifted view", bat.SliceView(oids, 0, 3), bat.SliceView(oids, 1, 3), false},
-		{"equal copy", oids, bat.NewOIDCol([]bat.OID{5, 6, 7, 8}), true},
-		{"one differs", oids, bat.NewOIDCol([]bat.OID{5, 6, 9, 8}), false},
-		{"oid vs void", oids, bat.NewVoid(5, 4), true},
-		{"void vs oid", bat.NewVoid(5, 4), oids, true},
-		{"oid vs shifted void", oids, bat.NewVoid(4, 4), false},
-		{"void vs void", bat.NewVoid(3, 4), bat.NewVoid(3, 4), true},
-		{"void vs other void", bat.NewVoid(3, 4), bat.NewVoid(2, 4), false},
-		{"lengths", oids, bat.NewVoid(5, 3), false},
-		{"empty", bat.NewOIDCol(nil), bat.NewVoid(0, 0), false},
-		{"int", bat.NewIntCol([]int64{5, 6, 7, 8}), oids, false},
+		{"same backing", oids, bat.SliceView(oids, 0, 4), true, true},
+		{"shifted view", bat.SliceView(oids, 0, 3), bat.SliceView(oids, 1, 3), false, false},
+		{"equal copy", oids, bat.NewOIDCol([]bat.OID{5, 6, 7, 8}), true, false},
+		{"one differs", oids, bat.NewOIDCol([]bat.OID{5, 6, 9, 8}), false, false},
+		{"oid vs void", oids, bat.NewVoid(5, 4), true, false},
+		{"void vs oid", bat.NewVoid(5, 4), oids, true, false},
+		{"oid vs shifted void", oids, bat.NewVoid(4, 4), false, false},
+		{"void vs void", bat.NewVoid(3, 4), bat.NewVoid(3, 4), true, true},
+		{"void vs other void", bat.NewVoid(3, 4), bat.NewVoid(2, 4), false, false},
+		{"lengths", oids, bat.NewVoid(5, 3), false, false},
+		{"empty", bat.NewOIDCol(nil), bat.NewVoid(0, 0), false, true},
+		{"empty oids", bat.NewOIDCol(nil), bat.NewOIDCol(nil), false, true},
+		{"empty int", bat.NewIntCol(nil), bat.NewOIDCol(nil), false, false},
+		{"int", bat.NewIntCol([]int64{5, 6, 7, 8}), oids, false, false},
 	}
 	for _, c := range cases {
-		if got := sameOIDs(c.a, c.b); got != c.want {
+		if got := sameOIDs(nil, c.a, c.b); got != c.want {
 			t.Errorf("%s: sameOIDs = %v, want %v", c.name, got, c.want)
+		}
+		if got := bat.SameColumn(c.a, c.b); got != c.identity {
+			t.Errorf("%s: SameColumn = %v, want %v", c.name, got, c.identity)
 		}
 	}
 }
@@ -373,9 +379,10 @@ func TestDenseProbe(t *testing.T) {
 }
 
 // TestDatavectorSemijoinVoidHead: against a void right head the datavector
-// semijoin builds its result straight from the run the head meets when
-// nothing is accounted, and through the LOOKUP when a pager is attached;
-// both give the same BUNs and properties.
+// semijoin's result is a view of the run the head meets, with and without a
+// pager: both give the same BUNs, the same head kind and the same
+// properties, so a traced plan and a served plan read the same claims
+// downstream.
 func TestDatavectorSemijoinVoidHead(t *testing.T) {
 	l := bat.AttachDatavector(bat.New("a", bat.NewVoid(10, 5), bat.NewIntCol([]int64{5, 3, 9, 1, 7}), 0))
 	for _, h := range []*bat.VoidCol{
@@ -390,6 +397,9 @@ func TestDatavectorSemijoinVoidHead(t *testing.T) {
 			t.Fatalf("%s: took %s", label, ctx.LastAlgo())
 		}
 		assertSameBAT(t, label, run, looked)
+		if run.H.Kind() != looked.H.Kind() {
+			t.Errorf("%s: head %s, through the LOOKUP %s", label, run.H.Kind(), looked.H.Kind())
+		}
 		if run.Props != looked.Props {
 			t.Errorf("%s: props %v, through the LOOKUP %v", label, run.Props, looked.Props)
 		}

@@ -144,9 +144,7 @@ func multiplexBoxed(f *Func, first *bat.BAT, args []Operand) *bat.BAT {
 	if len(vals) > 0 {
 		kind = vals[0].K
 	}
-	out := bat.New("["+f.Name+"]", first.H, bat.FromValues(kind, vals), first.Props&(bat.HOrdered|bat.HKey))
-	out.SyncWith(first)
-	return out
+	return bat.New("["+f.Name+"]", first.H, bat.FromValues(kind, vals), first.Props&(bat.HOrdered|bat.HKey))
 }
 
 // multiplexHashBoxed is the boxed-map reference of the hash multiplex: head
@@ -191,12 +189,12 @@ outer:
 	if hk == bat.KVoid {
 		hk = bat.KOID
 	}
-	out := bat.New("["+f.Name+"]", bat.FromValues(hk, heads),
-		bat.FromValues(resultKind(f, args), vals), first.Props&(bat.HOrdered|bat.HKey))
-	if out.Len() == first.Len() {
-		out.SyncWith(first)
+	// Every head kept, in order: they are first's head column.
+	var head bat.Column = first.H
+	if len(heads) < first.Len() {
+		head = bat.FromValues(hk, heads)
 	}
-	return out
+	return bat.New("["+f.Name+"]", head, bat.FromValues(resultKind(f, args), vals), first.Props&(bat.HOrdered|bat.HKey))
 }
 
 // unionBoxed is the boxed-map reference of Union: BUNs of a, then of b, each

@@ -75,35 +75,32 @@ func datavectorSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
 	dv := l.Datavector()
 	p := ctx.pager()
 	r.H.TouchAll(p)
-	if v, void := r.H.(*bat.VoidCol); void && p == nil {
-		// A void head meets the extent in one run, and with no touches to
-		// account its LOOKUP would be just that run: build the result from
-		// the run directly, its oids and a view of the vector (what Gather
-		// makes of a run), as the identity semijoins of Q09 and Q12 want.
-		if lo, first, k := voidRun(v, dv.Base, dv.Len()); k > 0 {
-			heads := make([]bat.OID, k)
-			for i := range heads {
-				heads[i] = v.Seq + bat.OID(lo+i)
-			}
-			return bat.Derive(bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.SliceView(dv.Vector, first, k), 0), bat.Probed, l, r)
-		}
-	}
-	_, lookup, _ := denseProbe(r.H, dv.Base, dv.Len(), false)
-
 	// Insertion phase: fetch matching head and tail values from EXTENT and
 	// VECTOR (pseudo-code lines 17-19). The LOOKUP array doubles as the
 	// gather permutation into the value vector.
-	heads := make([]bat.OID, len(lookup))
-	for i, pos := range lookup {
-		heads[i] = dv.Base + bat.OID(pos)
-	}
+	_, lookup, _ := denseProbe(r.H, dv.Base, dv.Len(), false)
 	dv.Vector.TouchPositions(p, lookup)
 	// Result BUNs follow r's order (bat.Probed). If every r element matched,
-	// the result is positionally synced with r (and with any other
+	// the matched oids are r's head itself, so the result shares that
+	// column and is positionally synced with r (and with any other
 	// full-match datavector semijoin against r) — the effect exploited in
 	// Fig. 10: "Both stem from a semijoin with a 100% match ... so they
 	// again are synced".
-	return bat.Derive(bat.New(l.Name+".sel", bat.NewOIDCol(heads), bat.Gather(dv.Vector, lookup), 0), bat.Probed, l, r)
+	head := r.H
+	switch v, void := r.H.(*bat.VoidCol); {
+	case len(lookup) == r.Len():
+	case void && len(lookup) > 0:
+		// A void head meets the extent in one run: the head is a view of
+		// it, as the tail is of the vector (what Gather makes of a run).
+		head = bat.SliceView(v, int(dv.Base)+int(lookup[0])-int(v.Seq), len(lookup))
+	default:
+		heads := make([]bat.OID, len(lookup))
+		for i, pos := range lookup {
+			heads[i] = dv.Base + bat.OID(pos)
+		}
+		head = bat.NewOIDCol(heads)
+	}
+	return bat.Derive(bat.New(l.Name+".sel", head, bat.Gather(dv.Vector, lookup), 0), bat.Probed, l, r)
 }
 
 // mergeSemijoin reports false for heads without a typed merge (different
@@ -132,8 +129,10 @@ func semijoinCap(l, r *bat.BAT) int {
 }
 
 func hashSemijoin(ctx *Ctx, l, r *bat.BAT) *bat.BAT {
-	if out, ok := syncSemijoinPrecheck(ctx, l, r); ok {
-		return out
+	// Identical oid head sequences found at run time: the semijoin
+	// degenerates to a copy (the sync-semijoin of Section 5.1).
+	if sameOIDs(ctx.pager(), l.H, r.H) {
+		return syncSemijoin(ctx, l)
 	}
 	ctx.chose("hash-semijoin")
 	p := ctx.pager()

@@ -111,9 +111,7 @@ func TestJoinMultiEqualsBoxed(t *testing.T) {
 		keys := []*bat.BAT{base}
 		for _, k := range ks[1:] {
 			if rng.Intn(4) == 0 {
-				kb := bat.New("k", base.H, column(k, n, d), 0)
-				kb.SyncWith(base)
-				keys = append(keys, kb)
+				keys = append(keys, bat.New("k", base.H, column(k, n, d), 0))
 				continue
 			}
 			rng.Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
@@ -204,8 +202,7 @@ func TestAllocationBounds(t *testing.T) {
 		gids[i], flags[i] = bat.OID(rng.Intn(4)), "ANR"[rng.Intn(3)]
 	}
 	gid := bat.New("gid", bat.NewVoid(0, n), bat.NewOIDCol(gids), 0)
-	flag := bat.New("flag", bat.NewVoid(0, n), bat.NewChrCol(flags), 0)
-	flag.SyncWith(gid)
+	flag := bat.New("flag", gid.H, bat.NewChrCol(flags), 0)
 	// semijoin operands: a persistent-style attribute BAT with a datavector,
 	// a plain BAT for the hash variant, and a selection of half the oids
 	attr := bat.AttachDatavector(bat.New("attr", bat.NewVoid(0, n), flts.T, 0))

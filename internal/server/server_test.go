@@ -42,7 +42,7 @@ func testService(t *testing.T, cfg Config) (*Service, []string) {
 // experiment: N sessions executing the mixed Figure-9 suite concurrently
 // over one shared base Env must each produce exactly the result a single
 // sequential session produces. Run under -race, this also sweeps the
-// shared-state paths (accelerator publication, sync groups, plan cache,
+// shared-state paths (accelerator publication, plan cache,
 // memory gauge) for data races.
 func TestConcurrentSessionsBitIdentical(t *testing.T) {
 	// Sequential reference: a private database instance.
