@@ -32,12 +32,14 @@ test-race:
 	$(GO) test -race ./...
 
 ## chaos: the query-lifecycle chaos suite under the race detector, repeated
-## — concurrent sessions run the Figure-9 mix while injected storage faults,
-## latency, cancellations and deadlines fire over a bounded seed list
-## ({1,2,3} plus the no-injector cancellation run); survivors must be
+## — concurrent sessions run the Figure-9 mix while injected statement
+## faults, latency, cancellations and deadlines fire over a seed list (odd
+## seeds over a simulated buffer pool, even seeds without one, as moaserve
+## serves; plus the no-injection cancellation run); survivors must be
 ## bit-identical to the sequential reference and fault/hit/gauge accounting
 ## must balance exactly at quiesce. Already part of `make test`/`test-race`
-## once; this target reruns it with fresh schedules for flake hunting. Then
+## once; this target reruns it for flake hunting. CHAOS_SEEDS=<s1>,<s2>,...
+## overrides the default deterministic {1,2,3} seed list. Then
 ## the plan-optimizer differential under the race detector: every Figure-9
 ## query and random well-typed queries must answer byte-identically as
 ## translated and as mil.Optimize'd. OPTIMIZE_SEEDS=<s1>,<s2>,... overrides

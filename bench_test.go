@@ -757,9 +757,9 @@ func BenchmarkServerThroughput(b *testing.B) {
 // must stay within noise of the pre-PR service (≤2%, checked against the
 // committed BENCH trajectory).
 //
-// on: ?profile=1 on every request — per-statement dispatch recording,
-// profile assembly and the statement table included. This is the price a
-// caller opts into, reported for contrast, not gated.
+// on: ?profile=1 on every request — profile assembly and the statement
+// table included. This is the price a caller opts into, reported for
+// contrast, not gated.
 //
 // slowlog: profiling armed process-wide by -slow-query with a threshold no
 // query reaches: every query pays profile collection + assembly, none pays
@@ -822,7 +822,7 @@ func BenchmarkAblationTouch(b *testing.B) {
 
 	pool := storage.NewPager(4096, 0)
 	h := pool.NewHeap()
-	pool.TouchRange(h, 0, n*width) // warm: every touch below is a hit
+	pool.NewTracker().TouchRange(h, 0, n*width) // warm: every touch below is a hit
 	perTouch := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/touch")
 	}

@@ -75,7 +75,6 @@ func main() {
 	}
 
 	sess := db.NewSession()
-	sess.Profile = *profile
 	res, err := sess.Query(context.Background(), src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

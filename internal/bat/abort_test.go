@@ -111,7 +111,7 @@ func TestSchedDispatchStop(t *testing.T) {
 }
 
 // TestAbortedBuildNeverPublishes: an accelerator build that panics (aborted
-// by cancellation, or an injected storage fault) must leave the slot
+// by cancellation, or a kernel defect) must leave the slot
 // unpublished and retryable — publishing a partial index would corrupt
 // every later query. The retry builds from scratch, exactly once.
 func TestAbortedBuildNeverPublishes(t *testing.T) {

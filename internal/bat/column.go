@@ -149,10 +149,9 @@ type Fixed interface {
 type FixedCol[T Fixed] struct {
 	V    []T
 	heap storage.HeapID
-	off  int            // heap entry offset of V[0] (non-zero for views)
-	view bool           // shares another column's backing (see SliceView)
-	hint storage.Hinter // mapping advice sink for heap-backed columns (heapcol.go)
-	grp  *Grouping      // the grouping fact of a group-id column (grouping.go)
+	off  int       // heap entry offset of V[0] (non-zero for views)
+	view bool      // shares another column's backing (see SliceView)
+	grp  *Grouping // the grouping fact of a group-id column (grouping.go)
 }
 
 // The six fixed-width kinds. OIDCol holds object identifiers, IntCol
@@ -246,27 +245,19 @@ func (c *FixedCol[T]) Get(i int) Value {
 // Heap implements Column.
 func (c *FixedCol[T]) Heap() storage.HeapID { return c.heap }
 
-// TouchPositions implements Column. Position touches never advise: the MMU
-// demand-pages single entries anyway.
+// TouchPositions implements Column.
 func (c *FixedCol[T]) TouchPositions(p *storage.Tracker, pos []int32) {
 	p.TouchPositions(c.heap, int64(c.off), c.width(), pos)
 }
 
-// TouchRange implements Column; the span is also forwarded to the mapping
-// hint (WillNeed) when the column is heap-backed.
+// TouchRange implements Column.
 func (c *FixedCol[T]) TouchRange(p *storage.Tracker, i, n int) {
 	w := c.width()
-	adviseSpan(c.hint, storage.AdviceWillNeed, int64(c.off+i)*w, int64(n)*w)
 	p.TouchRange(c.heap, int64(c.off+i)*w, int64(n)*w)
 }
 
-// TouchAll implements Column; a full scan advises Sequential instead of
-// WillNeed so the pager reads ahead and drops pages behind the cursor.
-func (c *FixedCol[T]) TouchAll(p *storage.Tracker) {
-	w := c.width()
-	adviseSpan(c.hint, storage.AdviceSequential, int64(c.off)*w, int64(len(c.V))*w)
-	p.TouchRange(c.heap, int64(c.off)*w, int64(len(c.V))*w)
-}
+// TouchAll implements Column.
+func (c *FixedCol[T]) TouchAll(p *storage.Tracker) { c.TouchRange(p, 0, len(c.V)) }
 
 // ByteSize implements Column.
 func (c *FixedCol[T]) ByteSize() int64 { return int64(len(c.V)) * c.width() }
@@ -288,7 +279,7 @@ func (c *FixedCol[T]) Persist() {
 }
 
 func (c *FixedCol[T]) sliceView(lo, n int) Column {
-	return &FixedCol[T]{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true, hint: c.hint}
+	return &FixedCol[T]{V: c.V[lo : lo+n], heap: c.heap, off: c.off + lo, view: true}
 }
 
 func (c *FixedCol[T]) gather(perm []int32) Column { return &FixedCol[T]{V: gatherElems(c.V, perm)} }
@@ -337,8 +328,6 @@ type StrCol struct {
 	charHeap storage.HeapID // character heap
 	off      int            // heap entry offset of Off[0] (non-zero for views)
 	view     bool           // shares another column's backing (see SliceView)
-	hint     storage.Hinter // offset-mapping advice sink (heapcol.go)
-	charHint storage.Hinter // character-mapping advice sink
 }
 
 // NewStrColFromStrings builds a string column (and its character heap) from
@@ -391,31 +380,22 @@ func (c *StrCol) TouchPositions(p *storage.Tracker, pos []int32) {
 }
 
 // TouchRange implements Column; the character span is contiguous because
-// offsets ascend. Heap-backed columns advise WillNeed on both the offset
-// and character mappings.
+// offsets ascend.
 func (c *StrCol) TouchRange(p *storage.Tracker, i, n int) {
-	c.touchRange(p, i, n, storage.AdviceWillNeed)
-}
-
-// TouchAll implements Column; routing through touchRange keeps a view's
-// accounting anchored at its heap offset and limited to its character
-// span. Full scans advise Sequential.
-func (c *StrCol) TouchAll(p *storage.Tracker) {
-	c.touchRange(p, 0, c.Len(), storage.AdviceSequential)
-}
-
-func (c *StrCol) touchRange(p *storage.Tracker, i, n int, a storage.Advice) {
 	if n == 0 {
 		return // an empty range reads no offset entry, not even the closing one
 	}
-	adviseSpan(c.hint, a, int64(c.off+i)*4, int64(n+1)*4)
 	p.TouchRange(c.heap, int64(c.off+i)*4, int64(n+1)*4)
 	lo, hi := int64(c.Off[i]), int64(c.Off[i+n])
 	if hi > lo {
-		adviseSpan(c.charHint, a, lo, hi-lo)
 		p.TouchRange(c.charHeap, lo, hi-lo)
 	}
 }
+
+// TouchAll implements Column; routing through TouchRange keeps a view's
+// accounting anchored at its heap offset and limited to its character
+// span.
+func (c *StrCol) TouchAll(p *storage.Tracker) { c.TouchRange(p, 0, c.Len()) }
 
 // ByteSize implements Column.
 func (c *StrCol) ByteSize() int64 { return int64(len(c.Off))*4 + int64(len(c.Chars)) }
@@ -441,8 +421,7 @@ func (c *StrCol) Persist() {
 
 func (c *StrCol) sliceView(lo, n int) Column {
 	return &StrCol{Off: c.Off[lo : lo+n+1], Chars: c.Chars,
-		heap: c.heap, charHeap: c.charHeap, off: c.off + lo, view: true,
-		hint: c.hint, charHint: c.charHint}
+		heap: c.heap, charHeap: c.charHeap, off: c.off + lo, view: true}
 }
 
 // gather copies the selected strings heap to heap: one pass over the offsets

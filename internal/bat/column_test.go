@@ -266,44 +266,37 @@ func TestColumnLayouts(t *testing.T) {
 
 var sinkValue Value
 
-// recHint records the advice a column forwards to its mapping.
-type recHint struct {
-	advice []storage.Advice
-	spans  [][2]int64
-}
-
-func (h *recHint) Advise(a storage.Advice, off, n int64) {
-	h.advice = append(h.advice, a)
-	h.spans = append(h.spans, [2]int64{off, n})
-}
-
-// TestMappedColHintSpans: a heap-backed column is born persistent and
-// forwards its touch spans, in bytes at the element stride and anchored at
-// the view offset, as WillNeed (ranges) and Sequential (full scans).
-func TestMappedColHintSpans(t *testing.T) {
-	const n = 1 << 17 // large enough that every kind's spans pass HintMinBytes
-	check := func(name string, c Column, h *recHint, w int64) {
+// TestMappedColTouchSpans: a heap-backed column is born persistent, and a
+// view's touches are counted in bytes at the element stride, anchored at
+// the view offset: a range faults the pages it spans, a full scan of the
+// view then faults the rest of the view's span and nothing outside it.
+func TestMappedColTouchSpans(t *testing.T) {
+	const n = 1 << 17
+	pages := func(lo, hi int64) uint64 {
+		return uint64((hi-1)/storage.DefaultPageSize - lo/storage.DefaultPageSize + 1)
+	}
+	check := func(name string, c Column, w int64) {
 		t.Helper()
 		if c.Heap() == 0 {
 			t.Fatalf("%s: mapped column is not persistent", name)
 		}
+		tr := storage.NewPager(0, 0).NewTracker()
 		v := SliceView(c, 1000, n-1000)
-		v.TouchRange(nil, 10, n/2)
-		v.TouchAll(nil)
-		c.TouchPositions(nil, []int32{5}) // single entries never advise
-		want := [][2]int64{{1010 * w, int64(n/2) * w}, {1000 * w, int64(n-1000) * w}}
-		if len(h.spans) != 2 || h.spans[0] != want[0] || h.spans[1] != want[1] ||
-			h.advice[0] != storage.AdviceWillNeed || h.advice[1] != storage.AdviceSequential {
-			t.Fatalf("%s: advised %v %v, want %v [WillNeed Sequential]", name, h.spans, h.advice, want)
+		v.TouchRange(tr, 10, n/2)
+		if got, want := tr.Faults(), pages(1010*w, (1010+n/2)*w); got != want {
+			t.Fatalf("%s: range faulted %d pages, want %d", name, got, want)
+		}
+		v.TouchAll(tr)
+		if got, want := tr.Faults(), pages(1000*w, n*w); got != want {
+			t.Fatalf("%s: range and scan faulted %d pages, want %d", name, got, want)
 		}
 	}
-	hints := make([]recHint, 6)
-	check("oid", NewMappedCol(make([]OID, n), &hints[0]), &hints[0], 4)
-	check("int", NewMappedCol(make([]int64, n), &hints[1]), &hints[1], 8)
-	check("flt", NewMappedCol(make([]float64, n), &hints[2]), &hints[2], 8)
-	check("chr", NewMappedCol(make([]byte, n), &hints[3]), &hints[3], 1)
-	check("bit", NewMappedCol(make([]bool, n), &hints[4]), &hints[4], 1)
-	check("date", NewMappedCol(make([]int32, n), &hints[5]), &hints[5], 4)
+	check("oid", NewMappedCol(make([]OID, n)), 4)
+	check("int", NewMappedCol(make([]int64, n)), 8)
+	check("flt", NewMappedCol(make([]float64, n)), 8)
+	check("chr", NewMappedCol(make([]byte, n)), 1)
+	check("bit", NewMappedCol(make([]bool, n)), 1)
+	check("date", NewMappedCol(make([]int32, n)), 4)
 }
 
 // TestSliceViewAllKinds: views are value-identical to materialized gathers

@@ -93,12 +93,12 @@ type Sched struct {
 // ErrAborted after all workers have parked, and the caller's recovery
 // boundary turns that into the query's cancellation error.
 //
-// A panic on a worker goroutine (a kernel bug, or an injected storage fault
-// during a build or probe) is recovered on the worker, stops the remaining
-// workers' claims, and is re-raised on the dispatching goroutine as a
-// *WorkerPanic once every worker has parked — containment without losing
-// the original panic value or stack. On one worker the units run inline and
-// a panic surfaces on the caller as it is.
+// A panic on a worker goroutine (a kernel bug during a build or probe) is
+// recovered on the worker, stops the remaining workers' claims, and is
+// re-raised on the dispatching goroutine as a *WorkerPanic once every
+// worker has parked — containment without losing the original panic value
+// or stack. On one worker the units run inline and a panic surfaces on the
+// caller as it is.
 func (s Sched) Dispatch(site string, n int, fn func(worker, unit int)) {
 	workers := s.workersOver(n)
 	if workers <= 1 {

@@ -33,8 +33,8 @@ func AutoWorkers() int { return runtime.GOMAXPROCS(0) }
 // The base env and its BATs are safe to share between concurrent sessions
 // (see NewSession): queries never write the base env — each session
 // executes in a private scratch level layered over it — and the lazily
-// built accelerators (head hashes, datavector LOOKUP memos) publish
-// atomically with singleflight construction. A Pager, when the caller sets
+// built accelerators (head hashes) publish atomically with singleflight
+// construction. A Pager, when the caller sets
 // one (cmd/tpcd, cmd/moaquery, tests, the benchmark's traced pass; the
 // query service sets none), is inherited by every session and safe to
 // share: every query attributes its own faults through a private
@@ -53,8 +53,8 @@ type Database struct {
 	Epochs *epoch.Manager
 	// Options are the execution defaults every session inherits. A non-nil
 	// Pager simulates paged storage and accounts page faults (the
-	// substitute for Monet's memory-mapped files). Gauge and Profile are
-	// per-session concerns: the server sets them on each session.
+	// substitute for Monet's memory-mapped files). The Gauge is a
+	// per-session concern: the server sets it on each session.
 	mil.Options
 }
 

@@ -48,7 +48,6 @@ func TestQueryMatrix(t *testing.T) {
 			db.Pager = storage.NewPager(4096, cfg.pool)
 			db.Workers = cfg.workers
 			db.Gauge = &mil.MemGauge{}
-			db.Profile = true
 			var faults, hits uint64
 			dispatched := 0
 			for _, q := range tpcd.Queries(gen) {

@@ -203,7 +203,6 @@ func renderSites(t *testing.T) string {
 		env, _ := tpcd.Load(gen)
 		db := New(tpcd.Schema(), env)
 		db.Workers = workers
-		db.Profile = true
 		var sb strings.Builder
 		sb.WriteString("== parallel sites at SF 0.02 seed 42, workers 2, 4 and 8\n")
 		for _, q := range append(fig9, lookups...) {

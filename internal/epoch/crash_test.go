@@ -124,7 +124,7 @@ func crashLoadEnv(dir string) (mil.Env, error) {
 		return nil, os.ErrNotExist
 	}
 	vals := heapfile.View[int64](m)
-	col := bat.NewMappedCol(vals, m)
+	col := bat.NewMappedCol(vals)
 	b := bat.New("data", bat.NewVoid(0, len(vals)), col, 0)
 	return mil.Env{"data": b}, nil
 }

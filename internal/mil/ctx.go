@@ -123,14 +123,6 @@ type Options struct {
 	// Gauge, when non-nil, receives every Account/Release delta: the
 	// process-wide live-bytes feed of the server's admission control.
 	Gauge *MemGauge
-
-	// Profile enables the per-statement dispatch profiling that is not free:
-	// parallel dispatches allocate per-worker share counters so traces can
-	// carry workers engaged / morsels claimed / max worker share (the
-	// runtime skew signal). Everything else in a trace — wall time, tracker
-	// fault/hit deltas, output bytes, accelerator builds — is cheap enough
-	// to stay always-on.
-	Profile bool
 }
 
 // NewCtx returns a query context configured by o and bound to the lifecycle
@@ -333,9 +325,10 @@ func (c *Ctx) buildHook() func(time.Duration) {
 }
 
 // parallelHook returns the observer of multi-worker dispatches to thread
-// through bat.Sched, or nil when profiling is off.
-func (c *Ctx) parallelHook() func(string) {
-	if c == nil || !c.Profile {
+// through a k-worker bat.Sched, or nil when the schedule is sequential (or
+// c is nil): a sequential query pays nothing, not even the closure.
+func (c *Ctx) parallelHook(k int) func(string) {
+	if c == nil || k <= 1 {
 		return nil
 	}
 	return c.noteParallel
@@ -349,20 +342,20 @@ func (c *Ctx) noteParallel(site string) {
 	}
 }
 
-// dispatchRec collects one parallel dispatch's per-worker load when
-// profiling is enabled; a nil recorder (profiling off, the fast path) makes
-// every method a no-op. Workers increment plain counters — safe because a
-// worker id never runs two units concurrently (the Dispatch contract) and
-// each worker touches only its own slots.
+// dispatchRec collects one parallel dispatch's per-worker load; a nil
+// recorder (a nil Ctx) makes every method a no-op. Workers increment plain
+// counters — safe because a worker id never runs two units concurrently
+// (the Dispatch contract) and each worker touches only its own slots.
 type dispatchRec struct {
 	rows    []int64
 	morsels []int64
 }
 
-// dispatchRec returns a recorder for a k-worker dispatch, or nil when
-// profiling is off.
+// dispatchRec returns a recorder for a k-worker dispatch, or nil for a nil
+// Ctx. Only a dispatch over more than one worker asks for one, so the
+// sequential path allocates nothing.
 func (c *Ctx) dispatchRec(k int) *dispatchRec {
-	if c == nil || !c.Profile {
+	if c == nil {
 		return nil
 	}
 	return &dispatchRec{rows: make([]int64, k), morsels: make([]int64, k)}
@@ -411,8 +404,7 @@ func (r *dispatchRec) done(c *Ctx) {
 
 // FillStmtProf drains the statement-scoped profile accumulators into tr and
 // resets them for the next statement. The interpreter calls it at every
-// statement boundary whether or not profiling is enabled — build accounting
-// is always-on, and the reset (a handful of plain stores) keeps one
+// statement boundary — the reset (a handful of plain stores) keeps one
 // statement's events from bleeding into the next.
 func (c *Ctx) FillStmtProf(tr *StmtTrace) {
 	if c == nil {

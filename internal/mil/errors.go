@@ -64,8 +64,8 @@ func (e *PanicError) Error() string {
 
 // execHook is the interpreter's fault-injection point: when set, it runs
 // before every statement (one atomic load per statement when unset). The
-// chaos suite installs hooks that panic or cancel at chosen statements;
-// production code never sets it.
+// chaos suite installs hooks that panic, sleep or cancel at chosen
+// statements; production code never sets it.
 type ExecHookFunc func(index int, op string)
 
 var execHook atomic.Pointer[ExecHookFunc]

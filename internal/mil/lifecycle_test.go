@@ -43,9 +43,9 @@ func TestValidateStmtUserErrors(t *testing.T) {
 }
 
 // TestExecHookPanicContained: a panic during a statement — here injected
-// through the test hook, standing in for a kernel invariant failure or a
-// storage fault — is converted by the interpreter's recovery boundary into
-// a *PanicError carrying the op trace, never an unwound goroutine.
+// through the test hook, standing in for a kernel invariant failure — is
+// converted by the interpreter's recovery boundary into a *PanicError
+// carrying the op trace, never an unwound goroutine.
 func TestExecHookPanicContained(t *testing.T) {
 	SetExecHook(func(i int, op string) {
 		if op == OpJoin {

@@ -49,11 +49,12 @@ func workersFor(c *Ctx, n int) int {
 // dispatch observers. Accelerator builds and key-rep fills triggered by the
 // operator run under it.
 func (c *Ctx) sched(n int) bat.Sched {
+	k := workersFor(c, n)
 	return bat.Sched{
-		Workers:    workersFor(c, n),
+		Workers:    k,
 		Stop:       c.stop(),
 		OnBuild:    c.buildHook(),
-		OnParallel: c.parallelHook(),
+		OnParallel: c.parallelHook(k),
 	}
 }
 

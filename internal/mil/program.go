@@ -165,10 +165,10 @@ type Env map[string]*bat.BAT
 // the paper's Fig. 10 ("elapsed ms / faults / MIL statement") plus the
 // algorithm variant the dynamic optimizer chose and the statement's
 // resource profile. Faults and Hits are this query's own tracker deltas
-// across the statement (never a concurrent query's — the PR 5 attribution
-// discipline at statement granularity), so per-statement deltas sum exactly
-// to the query totals. The dispatch fields (Workers, Morsels, MaxShare) are
-// only populated when Ctx.Profile is set; everything else is always-on.
+// across the statement (never a concurrent query's), so per-statement deltas
+// sum exactly to the query totals. The dispatch fields (Workers, Morsels,
+// MaxShare, Sites) are populated when a dispatch of the statement engages
+// more than one worker.
 type StmtTrace struct {
 	Index   int
 	Text    string
@@ -182,21 +182,21 @@ type StmtTrace struct {
 	// it newly owns (zero for mirrors, views and shared operand columns).
 	OutBytes int64
 	// AccelBuilds counts accelerator constructions this statement triggered
-	// (hash-index slots, datavector lookup memos) and AccelBuildNs the wall
-	// time spent inside those builds.
+	// (hash-index slots) and AccelBuildNs the wall time spent inside those
+	// builds.
 	AccelBuilds  int
 	AccelBuildNs int64
 	// Workers is the largest number of workers engaged by any parallel
 	// dispatch of this statement, Morsels the total morsels claimed, and
 	// MaxShare the largest fraction of one dispatch's rows processed by a
 	// single worker (1/Workers is perfect balance; the runtime skew
-	// signal). Zero when the statement ran sequentially or Profile is off.
+	// signal). Zero when the statement ran sequentially.
 	Workers  int
 	Morsels  int
 	MaxShare float64
 	// Sites names the parallel sites (bat.Sites) at which the statement
 	// dispatched on more than one worker, in first-dispatch order. Nil
-	// when it ran sequentially or Profile is off.
+	// when it ran sequentially.
 	Sites []string
 	// Props are the properties the statement's result claims, and Facts
 	// the grouping facts its columns carry ("h-groups=4").
@@ -393,18 +393,19 @@ func argBAT(scope *Scope, a StmtArg) (*bat.BAT, error) {
 }
 
 // execStmtSafe runs one statement inside the interpreter's recovery
-// boundary. A panic anywhere below — an invariant check in the kernel, an
-// injected storage fault, a bug in an operator, whether on this goroutine
-// or forwarded from a parallel worker (bat.WorkerPanic) — is contained here
-// and converted into a *PanicError carrying the op trace, instead of
-// unwinding the process out from under every concurrent session. The
-// cancellation sentinel bat.ErrAborted, raised by morsel dispatch when the
-// query's stop hook fired, converts back into the context's own error.
+// boundary. A panic anywhere below — an invariant check in the kernel, a
+// fault the chaos suite injects at this seam (SetExecHook), a bug in an
+// operator, whether on this goroutine or forwarded from a parallel worker
+// (bat.WorkerPanic) — is contained here and converted into a *PanicError
+// carrying the op trace, instead of unwinding the process out from under
+// every concurrent session. The cancellation sentinel bat.ErrAborted,
+// raised by morsel dispatch when the query's stop hook fired, converts back
+// into the context's own error.
 //
 // Shared state stays consistent across the unwind by construction: the
 // accelerator singleflight slots unlock by defer and never publish a
-// partial build, the pager records touches under its lock with deferred
-// tracker attribution, and gauge fold-back happens at the session
+// partial build, every touch call books its pool outcomes to the query's
+// tracker before it returns, and gauge fold-back happens at the session
 // boundary (DrainGauge) which runs on every exit path.
 func execStmtSafe(ctx *Ctx, s Stmt, scope *Scope, i int) (out *bat.BAT, err error) {
 	defer func() {

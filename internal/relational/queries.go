@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bat"
 	"repro/internal/moa"
+	"repro/internal/storage"
 	"repro/internal/tpcd"
 )
 
@@ -17,55 +18,55 @@ type Result struct {
 	Faults  uint64
 }
 
+// run is one execution of a query: the store plus the query's own tracker,
+// which attributes its touches of the shared pool (nil without a Pager).
+type run struct {
+	*Store
+	tr *storage.Tracker
+}
+
 // Run executes TPC-D query num on the row store. The result uses the same
 // field layout as the MOA engine so that both validate against the same
 // reference evaluator.
 func (s *Store) Run(db *tpcd.DB, num int) (*Result, error) {
-	var faults0 uint64
-	if s.Pager != nil {
-		faults0 = s.Pager.Faults()
-	}
+	r := &run{Store: s, tr: s.Pager.NewTracker()}
 	start := time.Now()
 	var out *moa.SetVal
 	switch num {
 	case 1:
-		out = s.q1()
+		out = r.q1()
 	case 2:
-		out = s.q2()
+		out = r.q2()
 	case 3:
-		out = s.q3()
+		out = r.q3()
 	case 4:
-		out = s.q4()
+		out = r.q4()
 	case 5:
-		out = s.q5()
+		out = r.q5()
 	case 6:
-		out = s.q6()
+		out = r.q6()
 	case 7:
-		out = s.q7()
+		out = r.q7()
 	case 8:
-		out = s.q8()
+		out = r.q8()
 	case 9:
-		out = s.q9()
+		out = r.q9()
 	case 10:
-		out = s.q10()
+		out = r.q10()
 	case 11:
-		out = s.q11()
+		out = r.q11()
 	case 12:
-		out = s.q12()
+		out = r.q12()
 	case 13:
-		out = s.q13(db.Clerk())
+		out = r.q13(db.Clerk())
 	case 14:
-		out = s.q14()
+		out = r.q14()
 	case 15:
-		out = s.q15()
+		out = r.q15()
 	default:
 		return nil, fmt.Errorf("relational: no query %d", num)
 	}
-	res := &Result{Set: out, Elapsed: time.Since(start)}
-	if s.Pager != nil {
-		res.Faults = s.Pager.Faults() - faults0
-	}
-	return res, nil
+	return &Result{Set: out, Elapsed: time.Since(start), Faults: r.tr.Faults()}, nil
 }
 
 func date(s string) bat.Value { return bat.MustDate(s) }
@@ -80,11 +81,11 @@ func tup(names []string, vals ...moa.Val) *moa.TupleVal {
 
 func setOf(elems []moa.Elem) *moa.SetVal { return &moa.SetVal{Elems: elems} }
 
-func (s *Store) regionName(row []bat.Value) string {
-	return s.Region.Fetch(s.Pager, int(row[NRegion].I))[RName].S
+func (s *run) regionName(row []bat.Value) string {
+	return s.Region.Fetch(s.tr, int(row[NRegion].I))[RName].S
 }
 
-func (s *Store) q1() *moa.SetVal {
+func (s *run) q1() *moa.SetVal {
 	cutoff := date("1998-09-02")
 	type acc struct {
 		qty, cnt                 int64
@@ -92,7 +93,7 @@ func (s *Store) q1() *moa.SetVal {
 	}
 	groups := map[[2]byte]*acc{}
 	var order [][2]byte
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		if r[LShip].I > cutoff.I {
 			return
 		}
@@ -125,7 +126,7 @@ func (s *Store) q1() *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q2() *moa.SetVal {
+func (s *run) q2() *moa.SetVal {
 	// index-assisted: parts of size 15, then partsupp probes
 	sizeIdx := s.Part.IndexOn(PSize)
 	psByPart := s.PartSupp.IndexOn(PSPart)
@@ -134,16 +135,16 @@ func (s *Store) q2() *moa.SetVal {
 	}
 	var quals []qual
 	minCost := map[int64]float64{}
-	for _, pid := range sizeIdx.Lookup(s.Pager, bat.I(15)) {
-		part := s.Part.Fetch(s.Pager, int(pid))
+	for _, pid := range sizeIdx.Lookup(s.tr, bat.I(15)) {
+		part := s.Part.Fetch(s.tr, int(pid))
 		ty := part[PType].S
 		if len(ty) < 5 || ty[len(ty)-5:] != "BRASS" {
 			continue
 		}
-		for _, psID := range psByPart.Lookup(s.Pager, bat.I(int64(pid))) {
-			ps := s.PartSupp.Fetch(s.Pager, int(psID))
-			sup := s.Supplier.Fetch(s.Pager, int(ps[PSSupp].I))
-			nat := s.Nation.Fetch(s.Pager, int(sup[SNation].I))
+		for _, psID := range psByPart.Lookup(s.tr, bat.I(int64(pid))) {
+			ps := s.PartSupp.Fetch(s.tr, int(psID))
+			sup := s.Supplier.Fetch(s.tr, int(ps[PSSupp].I))
+			nat := s.Nation.Fetch(s.tr, int(sup[SNation].I))
 			if s.regionName(nat) != "EUROPE" {
 				continue
 			}
@@ -157,31 +158,31 @@ func (s *Store) q2() *moa.SetVal {
 	names := []string{"s_acctbal", "s_name", "n_name", "p", "cost"}
 	var elems []moa.Elem
 	for _, q := range quals {
-		ps := s.PartSupp.Fetch(s.Pager, int(q.psID))
+		ps := s.PartSupp.Fetch(s.tr, int(q.psID))
 		if ps[PSCost].F != minCost[ps[PSPart].I] {
 			continue
 		}
-		sup := s.Supplier.Fetch(s.Pager, int(ps[PSSupp].I))
-		nat := s.Nation.Fetch(s.Pager, int(sup[SNation].I))
+		sup := s.Supplier.Fetch(s.tr, int(ps[PSSupp].I))
+		nat := s.Nation.Fetch(s.tr, int(sup[SNation].I))
 		elems = append(elems, moa.Elem{ID: bat.OID(q.psID), V: tup(names,
 			sup[SAcct], sup[SName], nat[NName], bat.O(bat.OID(ps[PSPart].I)), ps[PSCost])})
 	}
 	return setOf(elems)
 }
 
-func (s *Store) q3() *moa.SetVal {
+func (s *run) q3() *moa.SetVal {
 	cut := date("1995-03-15")
 	rev := map[int64]float64{}
 	var order []int64
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		if r[LShip].I <= cut.I {
 			return
 		}
-		o := s.Orders.Fetch(s.Pager, int(r[LOrder].I))
+		o := s.Orders.Fetch(s.tr, int(r[LOrder].I))
 		if o[ODate].I >= cut.I {
 			return
 		}
-		c := s.Customer.Fetch(s.Pager, int(o[OCust].I))
+		c := s.Customer.Fetch(s.tr, int(o[OCust].I))
 		if c[CSegment].S != "BUILDING" {
 			return
 		}
@@ -197,25 +198,25 @@ func (s *Store) q3() *moa.SetVal {
 	names := []string{"o", "revenue", "orderdate", "shippriority"}
 	var elems []moa.Elem
 	for _, oid := range order {
-		o := s.Orders.Fetch(s.Pager, int(oid))
+		o := s.Orders.Fetch(s.tr, int(oid))
 		elems = append(elems, moa.Elem{ID: bat.OID(oid), V: tup(names,
 			bat.O(bat.OID(oid)), bat.F(rev[oid]), o[ODate], o[OShipPrio])})
 	}
 	return setOf(elems)
 }
 
-func (s *Store) q4() *moa.SetVal {
+func (s *run) q4() *moa.SetVal {
 	lo, hi := date("1993-07-01"), date("1993-10-01")
 	itemsByOrder := s.Lineitem.IndexOn(LOrder)
 	counts := map[string]int64{}
-	for _, oid := range s.Orders.IndexOn(ODate).LookupRange(s.Pager, &lo, &hi, true, false) {
-		o := s.Orders.Fetch(s.Pager, int(oid))
+	for _, oid := range s.Orders.IndexOn(ODate).LookupRange(s.tr, &lo, &hi, true, false) {
+		o := s.Orders.Fetch(s.tr, int(oid))
 		if o[ODate].I >= hi.I { // exclusive upper bound
 			continue
 		}
 		has := false
-		for _, lid := range itemsByOrder.Lookup(s.Pager, bat.I(int64(oid))) {
-			r := s.Lineitem.Fetch(s.Pager, int(lid))
+		for _, lid := range itemsByOrder.Lookup(s.tr, bat.I(int64(oid))) {
+			r := s.Lineitem.Fetch(s.tr, int(lid))
 			if r[LCommit].I < r[LReceipt].I {
 				has = true
 				break
@@ -235,20 +236,20 @@ func (s *Store) q4() *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q5() *moa.SetVal {
+func (s *run) q5() *moa.SetVal {
 	lo, hi := date("1994-01-01"), date("1995-01-01")
 	rev := map[string]float64{}
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
-		o := s.Orders.Fetch(s.Pager, int(r[LOrder].I))
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
+		o := s.Orders.Fetch(s.tr, int(r[LOrder].I))
 		if o[ODate].I < lo.I || o[ODate].I >= hi.I {
 			return
 		}
-		c := s.Customer.Fetch(s.Pager, int(o[OCust].I))
-		cn := s.Nation.Fetch(s.Pager, int(c[CNation].I))
+		c := s.Customer.Fetch(s.tr, int(o[OCust].I))
+		cn := s.Nation.Fetch(s.tr, int(c[CNation].I))
 		if s.regionName(cn) != "ASIA" {
 			return
 		}
-		sup := s.Supplier.Fetch(s.Pager, int(r[LSupp].I))
+		sup := s.Supplier.Fetch(s.tr, int(r[LSupp].I))
 		if sup[SNation].I != c[CNation].I {
 			return
 		}
@@ -264,10 +265,10 @@ func (s *Store) q5() *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q6() *moa.SetVal {
+func (s *run) q6() *moa.SetVal {
 	lo, hi := date("1994-01-01"), date("1995-01-01")
 	sum := 0.0
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		if r[LShip].I >= lo.I && r[LShip].I < hi.I &&
 			r[LDisc].F >= 0.05 && r[LDisc].F <= 0.07 && r[LQty].I < 24 {
 			sum += r[LPrice].F * r[LDisc].F
@@ -276,22 +277,22 @@ func (s *Store) q6() *moa.SetVal {
 	return setOf([]moa.Elem{{ID: 0, V: bat.F(sum)}})
 }
 
-func (s *Store) q7() *moa.SetVal {
+func (s *run) q7() *moa.SetVal {
 	lo, hi := date("1995-01-01"), date("1996-12-31")
 	type key struct {
 		sn, cn string
 		yr     int64
 	}
 	rev := map[key]float64{}
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		if r[LShip].I < lo.I || r[LShip].I > hi.I {
 			return
 		}
-		sup := s.Supplier.Fetch(s.Pager, int(r[LSupp].I))
-		sn := s.Nation.Fetch(s.Pager, int(sup[SNation].I))[NName].S
-		o := s.Orders.Fetch(s.Pager, int(r[LOrder].I))
-		c := s.Customer.Fetch(s.Pager, int(o[OCust].I))
-		cn := s.Nation.Fetch(s.Pager, int(c[CNation].I))[NName].S
+		sup := s.Supplier.Fetch(s.tr, int(r[LSupp].I))
+		sn := s.Nation.Fetch(s.tr, int(sup[SNation].I))[NName].S
+		o := s.Orders.Fetch(s.tr, int(r[LOrder].I))
+		c := s.Customer.Fetch(s.tr, int(o[OCust].I))
+		cn := s.Nation.Fetch(s.tr, int(c[CNation].I))[NName].S
 		if !(sn == "FRANCE" && cn == "GERMANY") && !(sn == "GERMANY" && cn == "FRANCE") {
 			return
 		}
@@ -308,29 +309,29 @@ func (s *Store) q7() *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q8() *moa.SetVal {
+func (s *run) q8() *moa.SetVal {
 	lo, hi := date("1995-01-01"), date("1996-12-31")
 	tot := map[int64]float64{}
 	bra := map[int64]float64{}
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
-		p := s.Part.Fetch(s.Pager, int(r[LPart].I))
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
+		p := s.Part.Fetch(s.tr, int(r[LPart].I))
 		if p[PType].S != "ECONOMY ANODIZED STEEL" {
 			return
 		}
-		o := s.Orders.Fetch(s.Pager, int(r[LOrder].I))
+		o := s.Orders.Fetch(s.tr, int(r[LOrder].I))
 		if o[ODate].I < lo.I || o[ODate].I > hi.I {
 			return
 		}
-		c := s.Customer.Fetch(s.Pager, int(o[OCust].I))
-		cn := s.Nation.Fetch(s.Pager, int(c[CNation].I))
+		c := s.Customer.Fetch(s.tr, int(o[OCust].I))
+		cn := s.Nation.Fetch(s.tr, int(c[CNation].I))
 		if s.regionName(cn) != "AMERICA" {
 			return
 		}
 		yr := yearOf(o[ODate].I)
 		v := r[LPrice].F * (1 - r[LDisc].F)
 		tot[yr] += v
-		sup := s.Supplier.Fetch(s.Pager, int(r[LSupp].I))
-		if s.Nation.Fetch(s.Pager, int(sup[SNation].I))[NName].S == "BRAZIL" {
+		sup := s.Supplier.Fetch(s.tr, int(r[LSupp].I))
+		if s.Nation.Fetch(s.tr, int(sup[SNation].I))[NName].S == "BRAZIL" {
 			bra[yr] += v
 		}
 	})
@@ -348,19 +349,19 @@ func (s *Store) q8() *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q9() *moa.SetVal {
+func (s *run) q9() *moa.SetVal {
 	type key struct {
 		n  string
 		yr int64
 	}
 	type psKey struct{ sup, part int64 }
 	cost := map[psKey]float64{}
-	s.PartSupp.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.PartSupp.Scan(s.tr, func(_ int, r []bat.Value) {
 		cost[psKey{r[PSSupp].I, r[PSPart].I}] = r[PSCost].F
 	})
 	profit := map[key]float64{}
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
-		p := s.Part.Fetch(s.Pager, int(r[LPart].I))
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
+		p := s.Part.Fetch(s.tr, int(r[LPart].I))
 		if !contains(p[PName].S, "green") {
 			return
 		}
@@ -368,9 +369,9 @@ func (s *Store) q9() *moa.SetVal {
 		if !ok {
 			return
 		}
-		sup := s.Supplier.Fetch(s.Pager, int(r[LSupp].I))
-		n := s.Nation.Fetch(s.Pager, int(sup[SNation].I))[NName].S
-		o := s.Orders.Fetch(s.Pager, int(r[LOrder].I))
+		sup := s.Supplier.Fetch(s.tr, int(r[LSupp].I))
+		n := s.Nation.Fetch(s.tr, int(sup[SNation].I))[NName].S
+		o := s.Orders.Fetch(s.tr, int(r[LOrder].I))
 		profit[key{n, yearOf(o[ODate].I)}] += r[LPrice].F*(1-r[LDisc].F) - c*float64(r[LQty].I)
 	})
 	names := []string{"nation", "o_year", "sum_profit"}
@@ -393,15 +394,15 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func (s *Store) q10() *moa.SetVal {
+func (s *run) q10() *moa.SetVal {
 	lo, hi := date("1993-10-01"), date("1994-01-01")
 	rev := map[int64]float64{}
 	var order []int64
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		if byte(r[LFlag].I) != 'R' {
 			return
 		}
-		o := s.Orders.Fetch(s.Pager, int(r[LOrder].I))
+		o := s.Orders.Fetch(s.tr, int(r[LOrder].I))
 		if o[ODate].I < lo.I || o[ODate].I >= hi.I {
 			return
 		}
@@ -418,20 +419,20 @@ func (s *Store) q10() *moa.SetVal {
 	names := []string{"c", "revenue", "c_name", "c_acctbal", "n_name"}
 	var elems []moa.Elem
 	for _, cid := range order {
-		c := s.Customer.Fetch(s.Pager, int(cid))
-		n := s.Nation.Fetch(s.Pager, int(c[CNation].I))
+		c := s.Customer.Fetch(s.tr, int(cid))
+		n := s.Nation.Fetch(s.tr, int(c[CNation].I))
 		elems = append(elems, moa.Elem{ID: bat.OID(cid), V: tup(names,
 			bat.O(bat.OID(cid)), bat.F(rev[cid]), c[CName], c[CAcct], n[NName])})
 	}
 	return setOf(elems)
 }
 
-func (s *Store) q11() *moa.SetVal {
+func (s *run) q11() *moa.SetVal {
 	value := map[int64]float64{}
 	total := 0.0
-	s.PartSupp.Scan(s.Pager, func(_ int, r []bat.Value) {
-		sup := s.Supplier.Fetch(s.Pager, int(r[PSSupp].I))
-		if s.Nation.Fetch(s.Pager, int(sup[SNation].I))[NName].S != "GERMANY" {
+	s.PartSupp.Scan(s.tr, func(_ int, r []bat.Value) {
+		sup := s.Supplier.Fetch(s.tr, int(r[PSSupp].I))
+		if s.Nation.Fetch(s.tr, int(sup[SNation].I))[NName].S != "GERMANY" {
 			return
 		}
 		v := r[PSCost].F * float64(r[PSAvail].I)
@@ -450,11 +451,11 @@ func (s *Store) q11() *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q12() *moa.SetVal {
+func (s *run) q12() *moa.SetVal {
 	lo, hi := date("1994-01-01"), date("1995-01-01")
 	high := map[string]int64{}
 	low := map[string]int64{}
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		m := r[LMode].S
 		if m != "MAIL" && m != "SHIP" {
 			return
@@ -465,7 +466,7 @@ func (s *Store) q12() *moa.SetVal {
 		if r[LReceipt].I < lo.I || r[LReceipt].I >= hi.I {
 			return
 		}
-		p := s.Orders.Fetch(s.Pager, int(r[LOrder].I))[OPriority].S
+		p := s.Orders.Fetch(s.tr, int(r[LOrder].I))[OPriority].S
 		if p == "1-URGENT" || p == "2-HIGH" {
 			high[m]++
 			low[m] += 0
@@ -485,13 +486,13 @@ func (s *Store) q12() *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q13(clerk string) *moa.SetVal {
+func (s *run) q13(clerk string) *moa.SetVal {
 	itemsByOrder := s.Lineitem.IndexOn(LOrder)
 	loss := map[int64]float64{}
-	for _, oid := range s.Orders.IndexOn(OClerk).Lookup(s.Pager, bat.S(clerk)) {
-		o := s.Orders.Fetch(s.Pager, int(oid))
-		for _, lid := range itemsByOrder.Lookup(s.Pager, bat.I(int64(oid))) {
-			r := s.Lineitem.Fetch(s.Pager, int(lid))
+	for _, oid := range s.Orders.IndexOn(OClerk).Lookup(s.tr, bat.S(clerk)) {
+		o := s.Orders.Fetch(s.tr, int(oid))
+		for _, lid := range itemsByOrder.Lookup(s.tr, bat.I(int64(oid))) {
+			r := s.Lineitem.Fetch(s.tr, int(lid))
 			if byte(r[LFlag].I) != 'R' {
 				continue
 			}
@@ -508,16 +509,16 @@ func (s *Store) q13(clerk string) *moa.SetVal {
 	return setOf(elems)
 }
 
-func (s *Store) q14() *moa.SetVal {
+func (s *run) q14() *moa.SetVal {
 	lo, hi := date("1995-09-01"), date("1995-10-01")
 	promo, total := 0.0, 0.0
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		if r[LShip].I < lo.I || r[LShip].I >= hi.I {
 			return
 		}
 		v := r[LPrice].F * (1 - r[LDisc].F)
 		total += v
-		ty := s.Part.Fetch(s.Pager, int(r[LPart].I))[PType].S
+		ty := s.Part.Fetch(s.tr, int(r[LPart].I))[PType].S
 		if len(ty) >= 5 && ty[:5] == "PROMO" {
 			promo += v
 		}
@@ -528,10 +529,10 @@ func (s *Store) q14() *moa.SetVal {
 	return setOf([]moa.Elem{{ID: 0, V: bat.F(100 * promo / total)}})
 }
 
-func (s *Store) q15() *moa.SetVal {
+func (s *run) q15() *moa.SetVal {
 	lo, hi := date("1996-01-01"), date("1996-04-01")
 	rev := map[int64]float64{}
-	s.Lineitem.Scan(s.Pager, func(_ int, r []bat.Value) {
+	s.Lineitem.Scan(s.tr, func(_ int, r []bat.Value) {
 		if r[LShip].I >= lo.I && r[LShip].I < hi.I {
 			rev[r[LSupp].I] += r[LPrice].F * (1 - r[LDisc].F)
 		}
@@ -546,7 +547,7 @@ func (s *Store) q15() *moa.SetVal {
 	var elems []moa.Elem
 	for sid, v := range rev {
 		if v >= max {
-			sup := s.Supplier.Fetch(s.Pager, int(sid))
+			sup := s.Supplier.Fetch(s.tr, int(sid))
 			elems = append(elems, moa.Elem{ID: bat.OID(sid), V: tup(names,
 				bat.O(bat.OID(sid)), bat.F(v), sup[SName])})
 		}

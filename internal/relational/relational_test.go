@@ -104,7 +104,7 @@ func TestScanTouchesEveryPageOnce(t *testing.T) {
 	s := Load(db)
 	s.Pager = storage.NewPager(4096, 0)
 	n := 0
-	s.Lineitem.Scan(s.Pager, func(int, []bat.Value) { n++ })
+	s.Lineitem.Scan(s.Pager.NewTracker(), func(int, []bat.Value) { n++ })
 	wantPages := (s.Lineitem.ByteSize() + 4095) / 4096
 	if got := int64(s.Pager.Faults()); got != wantPages {
 		t.Fatalf("faults = %d, want %d", got, wantPages)
@@ -119,8 +119,9 @@ func TestUnclusteredFetchFaultsPerPage(t *testing.T) {
 	s := Load(db)
 	s.Pager = storage.NewPager(4096, 0)
 	// two fetches far apart: two distinct pages
-	s.Lineitem.Fetch(s.Pager, 0)
-	s.Lineitem.Fetch(s.Pager, len(s.Lineitem.Rows)-1)
+	tr := s.Pager.NewTracker()
+	s.Lineitem.Fetch(tr, 0)
+	s.Lineitem.Fetch(tr, len(s.Lineitem.Rows)-1)
 	if got := s.Pager.Faults(); got != 2 {
 		t.Fatalf("faults = %d, want 2", got)
 	}

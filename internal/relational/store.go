@@ -50,8 +50,8 @@ func (t *Table) Col(name string) int {
 }
 
 // Scan visits every row sequentially, touching each page once.
-func (t *Table) Scan(p *storage.Pager, visit func(id int, row []bat.Value)) {
-	p.TouchRange(t.heap, 0, int64(len(t.Rows))*t.rowWidth)
+func (t *Table) Scan(tr *storage.Tracker, visit func(id int, row []bat.Value)) {
+	tr.TouchRange(t.heap, 0, int64(len(t.Rows))*t.rowWidth)
 	for i, r := range t.Rows {
 		visit(i, r)
 	}
@@ -59,8 +59,8 @@ func (t *Table) Scan(p *storage.Pager, visit func(id int, row []bat.Value)) {
 
 // Fetch retrieves one row by id — an unclustered access touching the row's
 // page (the second term of E_rel).
-func (t *Table) Fetch(p *storage.Pager, id int) []bat.Value {
-	p.Touch(t.heap, int64(id)*t.rowWidth)
+func (t *Table) Fetch(tr *storage.Tracker, id int) []bat.Value {
+	tr.Touch(t.heap, int64(id)*t.rowWidth)
 	return t.Rows[id]
 }
 
@@ -97,15 +97,15 @@ func (t *Table) IndexOn(col int) *Index {
 
 // Lookup returns the row ids holding v, touching the index pages the entries
 // occupy.
-func (ix *Index) Lookup(p *storage.Pager, v bat.Value) []int32 {
+func (ix *Index) Lookup(tr *storage.Tracker, v bat.Value) []int32 {
 	ids := ix.pos[v]
-	p.TouchRange(ix.heap, 0, int64(len(ids))*8)
+	tr.TouchRange(ix.heap, 0, int64(len(ids))*8)
 	return ids
 }
 
 // LookupRange returns the row ids with lo <= value <= hi (nil bound =
 // unbounded), touching the index pages scanned.
-func (ix *Index) LookupRange(p *storage.Pager, lo, hi *bat.Value, loIncl, hiIncl bool) []int32 {
+func (ix *Index) LookupRange(tr *storage.Tracker, lo, hi *bat.Value, loIncl, hiIncl bool) []int32 {
 	start := 0
 	if lo != nil {
 		start = sort.Search(len(ix.keys), func(i int) bool {
@@ -130,7 +130,7 @@ func (ix *Index) LookupRange(p *storage.Pager, lo, hi *bat.Value, loIncl, hiIncl
 	for _, k := range ix.keys[start:end] {
 		ids = append(ids, ix.pos[k]...)
 	}
-	p.TouchRange(ix.heap, 0, int64(len(ids))*8)
+	tr.TouchRange(ix.heap, 0, int64(len(ids))*8)
 	return ids
 }
 

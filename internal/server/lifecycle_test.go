@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,25 +20,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/mil"
 	"repro/internal/moa"
-	"repro/internal/storage"
 	"repro/internal/tpcd"
 )
-
-// pagerService is testService plus a simulated buffer pool on the database,
-// shared by every session: the configuration the lifecycle and chaos suites
-// run under, so injected storage faults have a pool to attach to.
-func pagerService(t *testing.T, cfg Config, pages int) (*Service, []string) {
-	t.Helper()
-	gen := tpcd.Generate(0.002, 7)
-	env, _ := tpcd.Load(gen)
-	db := engine.New(tpcd.Schema(), env)
-	db.Pager = storage.NewPager(4096, pages)
-	var mix []string
-	for _, q := range tpcd.Queries(gen) {
-		mix = append(mix, q.MOA)
-	}
-	return New(db, cfg), mix
-}
 
 // referenceResults runs the mix sequentially on a private database and
 // renders each result — the bit-identical baseline every survivor of a
@@ -85,7 +70,7 @@ func TestQueryTimeout(t *testing.T) {
 	// Wide margins so the test holds under -race slowdown: the hooked run
 	// needs >10 statements to pass the deadline, the clean run finishes in
 	// a small fraction of it.
-	svc, mix := pagerService(t, Config{MaxConcurrent: 4, QueryTimeout: time.Second}, 0)
+	svc, mix := testServicePaged(t, Config{MaxConcurrent: 4, QueryTimeout: time.Second})
 	mil.SetExecHook(func(i int, op string) { time.Sleep(100 * time.Millisecond) })
 	defer mil.SetExecHook(nil)
 
@@ -111,7 +96,7 @@ func TestQueryTimeout(t *testing.T) {
 // TestQueryCancelWhileQueued: a context that dies while the query waits for
 // an execution slot leaves without wedging the slot pool.
 func TestQueryCancelWhileQueued(t *testing.T) {
-	svc, mix := pagerService(t, Config{MaxConcurrent: 1}, 0)
+	svc, mix := testServicePaged(t, Config{MaxConcurrent: 1})
 
 	// Occupy the only slot.
 	release := make(chan struct{})
@@ -284,18 +269,49 @@ func TestCancelMidBuildRebuildsOnce(t *testing.T) {
 	}
 }
 
+// chaosPlan is the fault schedule of one chaos run, injected at the
+// interpreter's statement seam (mil.SetExecHook), which fires on the served
+// path as on every other: the hook panics before every failEvery-th
+// statement the process executes and sleeps delay before every
+// delayEvery-th, counting from the run's seed. Zero cadences inject
+// nothing. paged puts a simulated buffer pool under the database, so the
+// conservation check has faults and hits to balance; without one the run
+// is the query service's own configuration.
+type chaosPlan struct {
+	failEvery, delayEvery uint64
+	delay                 time.Duration
+	paged                 bool
+}
+
+// chaosFault is the panic value of an injected statement fault.
+type chaosFault struct{ stmt uint64 }
+
 // chaosRun drives sessions over the mix while cancellations, deadlines and
-// (optionally) injected storage faults fire, then asserts the survivors are
-// bit-identical to the sequential reference and the shared state balances
-// exactly: zero live gauge bytes and Σ per-query faults/hits — successes
-// AND failures — equal to the pool's counters.
-func chaosRun(t *testing.T, seed int64, plan storage.FaultPlan, want []string) {
+// the plan's injected panics and delays fire, then asserts the survivors
+// are bit-identical to the sequential reference and the shared state
+// balances exactly: zero live gauge bytes and Σ per-query faults/hits —
+// successes AND failures — equal to the pool's counters.
+func chaosRun(t *testing.T, seed int64, plan chaosPlan, want []string) {
 	t.Helper()
-	svc, mix := pagerService(t, Config{Workers: 2, MaxConcurrent: 8}, 0)
-	var inj *storage.FaultInjector
-	if plan.FailEvery > 0 || plan.DelayEvery > 0 {
-		inj = storage.NewFaultInjector(plan)
-		svc.db.Pager.SetFaultInjector(inj)
+	newService := testService
+	if plan.paged {
+		newService = testServicePaged
+	}
+	svc, mix := newService(t, Config{Workers: 2, MaxConcurrent: 8})
+	var stmts, panics, delays atomic.Uint64
+	stmts.Store(uint64(seed))
+	if plan.failEvery > 0 || plan.delayEvery > 0 {
+		mil.SetExecHook(func(int, string) {
+			n := stmts.Add(1)
+			if plan.delayEvery > 0 && n%plan.delayEvery == 0 {
+				delays.Add(1)
+				time.Sleep(plan.delay)
+			}
+			if plan.failEvery > 0 && n%plan.failEvery == 0 {
+				panics.Add(1)
+				panic(chaosFault{n})
+			}
+		})
 	}
 
 	const sessions = 8
@@ -344,6 +360,12 @@ func chaosRun(t *testing.T, seed int64, plan storage.FaultPlan, want []string) {
 				case errors.Is(err, context.Canceled):
 					tl.canceled++
 				default:
+					var pe *mil.PanicError
+					if !errors.As(err, &pe) {
+						tl.unexpected = append(tl.unexpected, fmt.Sprintf("Q%d: %v", qi, err))
+					} else if _, ok := pe.Value.(chaosFault); !ok {
+						tl.unexpected = append(tl.unexpected, fmt.Sprintf("Q%d: panic not injected: %v", qi, err))
+					}
 					tl.internal++ // contained injected fault
 				}
 				cancel()
@@ -351,6 +373,7 @@ func chaosRun(t *testing.T, seed int64, plan storage.FaultPlan, want []string) {
 		}(s)
 	}
 	wg.Wait()
+	mil.SetExecHook(nil)
 
 	var faults, hits uint64
 	var ok, disrupted, internal int64
@@ -368,6 +391,8 @@ func chaosRun(t *testing.T, seed int64, plan storage.FaultPlan, want []string) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	t.Logf("%d statements: %d panics and %d delays injected; %d ok, %d disrupted, %d internal",
+		stmts.Load()-uint64(seed), panics.Load(), delays.Load(), ok, disrupted, internal)
 	if ok == 0 {
 		t.Fatal("chaos run had no survivors: nothing verified")
 	}
@@ -382,11 +407,12 @@ func chaosRun(t *testing.T, seed int64, plan storage.FaultPlan, want []string) {
 		t.Fatalf("conservation broken: pool %d/%d faults/hits, per-query sums %d/%d (ok=%d disrupted=%d internal=%d)",
 			p.Faults(), p.Hits(), faults, hits, ok, disrupted, internal)
 	}
-	if inj != nil {
-		if injected, _ := inj.Injected(); injected == 0 && disrupted == 0 {
-			t.Fatal("chaos plan injected nothing and nothing was disrupted: the run exercised no failure path")
-		}
-		svc.db.Pager.SetFaultInjector(nil)
+	if plan.failEvery > 0 && panics.Load() == 0 || plan.delayEvery > 0 && delays.Load() == 0 {
+		t.Fatalf("chaos plan injected %d panics and %d delays over %d statements: a cadence never fired",
+			panics.Load(), delays.Load(), stmts.Load()-uint64(seed))
+	}
+	if internal != int64(panics.Load()) {
+		t.Fatalf("%d queries failed internally, %d panics injected", internal, panics.Load())
 	}
 
 	// The server keeps serving: a clean full pass after the storm, on the
@@ -411,21 +437,43 @@ func chaosRun(t *testing.T, seed int64, plan storage.FaultPlan, want []string) {
 // disrupted query unwinds cleanly.
 func TestCancellationCleanliness(t *testing.T) {
 	want := referenceResults(t)
-	chaosRun(t, 11, storage.FaultPlan{}, want)
+	chaosRun(t, 11, chaosPlan{paged: true}, want)
 }
 
-// TestChaosQueryLifecycle: the full chaos suite over a bounded seed list —
-// cancellations, deadlines, injected storage faults (simulated SIGBUS) and
-// injected latency, all at once, under -race via the CI matrix.
+// chaosSeeds reads the chaos seeds from CHAOS_SEEDS (comma-separated
+// int64s); the default keeps `go test` deterministic while CI injects
+// fresh seeds per run.
+func chaosSeeds(t *testing.T) []int64 {
+	t.Helper()
+	env := os.Getenv("CHAOS_SEEDS")
+	if env == "" {
+		return []int64{1, 2, 3}
+	}
+	var seeds []int64
+	for _, s := range strings.Split(env, ",") {
+		v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+		if err != nil {
+			t.Fatalf("CHAOS_SEEDS: bad seed %q: %v", s, err)
+		}
+		seeds = append(seeds, v)
+	}
+	return seeds
+}
+
+// TestChaosQueryLifecycle: the full chaos suite over a seed list —
+// cancellations, deadlines, injected statement panics and injected
+// latency, all at once, under -race via the CI matrix. Odd seeds run over
+// a simulated buffer pool, even seeds on the query service's own
+// configuration, which has none; two consecutive seeds cover both.
 func TestChaosQueryLifecycle(t *testing.T) {
 	want := referenceResults(t)
-	for _, seed := range []int64{1, 2, 3} {
-		seed := seed
+	for _, seed := range chaosSeeds(t) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			chaosRun(t, seed, storage.FaultPlan{
-				FailEvery:  20011,
-				DelayEvery: 997,
-				Delay:      100 * time.Microsecond,
+			chaosRun(t, seed, chaosPlan{
+				failEvery:  199,
+				delayEvery: 11,
+				delay:      200 * time.Microsecond,
+				paged:      seed%2 != 0,
 			}, want)
 		})
 	}
@@ -435,7 +483,7 @@ func TestChaosQueryLifecycle(t *testing.T) {
 // parsing, 504 with kind "timeout", 500 with kind "internal" on a contained
 // panic (server keeps serving), and the new lifecycle metrics.
 func TestHTTPLifecycle(t *testing.T) {
-	svc, mix := pagerService(t, Config{MaxConcurrent: 4}, 0)
+	svc, mix := testServicePaged(t, Config{MaxConcurrent: 4})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
@@ -464,11 +512,12 @@ func TestHTTPLifecycle(t *testing.T) {
 	mil.SetExecHook(nil)
 
 	// Contained panic → 500 internal; the server keeps serving afterwards.
+	type httpFault struct{}
 	var armed atomic.Bool
 	armed.Store(true)
 	mil.SetExecHook(func(i int, op string) {
 		if armed.CompareAndSwap(true, false) {
-			panic(&storage.InjectedFault{N: 1})
+			panic(httpFault{})
 		}
 	})
 	if code, er := post("/query?noresult=1"); code != http.StatusInternalServerError || er.Kind != "internal" {

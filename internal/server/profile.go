@@ -48,9 +48,9 @@ type Profile struct {
 }
 
 // StmtProfile is one statement row of a query profile: the paper's Fig. 10
-// columns (elapsed / faults / rows / MIL text) extended with this PR's
-// per-statement resource deltas. Workers/Morsels/MaxShare are present only
-// when dispatch profiling was enabled for the query.
+// columns (elapsed / faults / rows / MIL text) extended with per-statement
+// resource deltas. Workers/Morsels/MaxShare are present only when a
+// dispatch of the statement engaged more than one worker.
 type StmtProfile struct {
 	Index        int     `json:"index"`
 	Text         string  `json:"text"`

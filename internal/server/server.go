@@ -209,8 +209,7 @@ func (e *ExecError) Unwrap() error { return e.Err }
 
 // QueryOpts selects the per-request observability extras of QueryProfiled.
 type QueryOpts struct {
-	// Profile enables per-statement dispatch profiling for this query and
-	// asks for an assembled *Profile in the return.
+	// Profile asks for an assembled *Profile in the return.
 	Profile bool
 	// RequestID, when set, is echoed into the assembled profile and the
 	// slow-query record (the HTTP layer passes the request's id).
@@ -300,7 +299,6 @@ func (s *Service) execute(ctx context.Context, src string, opts QueryOpts) (*eng
 	sess := s.db.NewSession()
 	sess.Workers = s.cfg.Workers
 	sess.Gauge = s.gauge
-	sess.Profile = opts.Profile || s.cfg.SlowQuery > 0
 	res, err := sess.Execute(ctx, prep)
 	if err != nil {
 		var ce *engine.CanceledError

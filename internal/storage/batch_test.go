@@ -152,22 +152,17 @@ func TestBatchMatchesPerRowTouch(t *testing.T) {
 }
 
 // TestBatchVisitsPoolOncePerPage pins the point of the exercise with the
-// injector's visit-independent touch counter and a heap filter that counts
-// visits: a random gather over an unbounded pool reaches the pool at most
-// once per distinct page, and over an evicting pool once per run.
+// pool's visit counter: a random gather over an unbounded pool reaches the
+// pool at most once per distinct page, and over an evicting pool once per
+// run, while the tracker still counts every touch.
 func TestBatchVisitsPoolOncePerPage(t *testing.T) {
 	const rows, h = 8192, HeapID(3) // 8-byte entries: 16 pages
 	pos := randomPositions(rand.New(rand.NewSource(1)), rows, 50000)
 	for _, capacity := range []int{0, 4} {
 		p := NewPager(4096, capacity)
-		visits := 0
-		inj := NewFaultInjector(FaultPlan{Heap: func(HeapID) bool { visits++; return true }})
-		p.SetFaultInjector(inj)
 		tr := p.NewTracker()
 		tr.TouchPositions(h, 0, 8, pos)
-		if got := inj.touches.Load(); got != uint64(len(pos)) {
-			t.Fatalf("capacity %d: injector saw %d touches, want %d", capacity, got, len(pos))
-		}
+		visits := int(p.visits)
 		if tr.Faults()+tr.Hits() != uint64(len(pos)) {
 			t.Fatalf("capacity %d: tracker counted %d touches, want %d", capacity, tr.Faults()+tr.Hits(), len(pos))
 		}

@@ -155,8 +155,7 @@ func (w *Writer) Put(name string, data []byte) error {
 }
 
 // alignUp rounds off up to the next page boundary, so every part starts on
-// a page of its own: typed views are aligned and madvise/mincore spans are
-// exact.
+// a page of its own: typed views are aligned and mincore spans are exact.
 func alignUp(off int64) int64 {
 	pg := int64(pageSize())
 	return (off + pg - 1) / pg * pg
@@ -345,9 +344,8 @@ func open(dir string, read bool) (*Store, error) {
 		}
 		m := &Mapping{data: f.data[fi.Off : fi.Off+fi.Bytes : fi.Off+fi.Bytes], mapped: f.mapped, part: true}
 		s.maps[fi.Name] = m
-		// Verification streams each part once (with sequential advice),
-		// so it warms the page cache as much as it checks.
-		m.Advise(storage.AdviceSequential, 0, fi.Bytes)
+		// Verification streams each part once, so it warms the page cache
+		// as much as it checks.
 		if got := crc32Of(m.Bytes()); got != fi.CRC {
 			return fail(fmt.Errorf("heapfile: %s: CRC mismatch (file %08x, manifest %08x)", fi.Name, got, fi.CRC))
 		}

@@ -18,12 +18,12 @@
 // refuses a mismatch.
 //
 // Platform split: on unix each file is mmap'd once (mmap_unix.go) and a
-// part's access hints forward to madvise / residency sampling to mincore
-// over its own range. A file is read into aligned anonymous memory instead
-// (readAligned) only where the build has no mmap (mmap_portable.go) or
-// mapping that file fails; the hints are then inert. Either way the bytes
-// exposed to the column layer are identical: the package tests force the
-// read path through an unexported seam and compare it with the mapping
+// part's residency sampling forwards to mincore over its own range; the OS
+// pages the mapping on demand under its default advice. A file is read into
+// aligned anonymous memory instead (readAligned) only where the build has
+// no mmap (mmap_portable.go) or mapping that file fails. Either way the
+// bytes exposed to the column layer are identical: the package tests force
+// the read path through an unexported seam and compare it with the mapping
 // byte for byte.
 package heapfile
 
@@ -35,8 +35,6 @@ import (
 	"path/filepath"
 	"sync/atomic"
 	"unsafe"
-
-	"repro/internal/storage"
 )
 
 // castagnoli is the CRC-32C table used for all heap-file checksums (same
@@ -45,9 +43,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Mapping is a read-only byte span: a whole file (an mmap on unix, an
 // anonymous aligned copy under the portable fallback), or one column
-// part's range of such a file. It implements storage.Hinter so bat columns
-// can route their touch spans into paging advice without importing this
-// package.
+// part's range of such a file.
 type Mapping struct {
 	data   []byte
 	mapped bool // the span is (part of) a file mapping, not anonymous memory
@@ -92,34 +88,6 @@ func (m *Mapping) Bytes() []byte { return m.data }
 // portable fallback, where it is an anonymous copy).
 func (m *Mapping) Mapped() bool { return m.mapped }
 
-// Advise implements storage.Hinter: it clamps [off, off+n) to the mapping
-// and forwards the advice to madvise. Inert on fallback memory and on
-// platforms without madvise. Safe for concurrent use — advice is
-// stateless from the caller's perspective.
-func (m *Mapping) Advise(a storage.Advice, off, n int64) {
-	if m == nil || !m.mapped || m.closed.Load() {
-		return
-	}
-	size := int64(len(m.data))
-	if off < 0 {
-		n += off
-		off = 0
-	}
-	if off >= size || n <= 0 {
-		return
-	}
-	if off+n > size {
-		n = size - off
-	}
-	// madvise wants a page-aligned base; widen the span to page bounds
-	// (over-advising a partial page is harmless — it was being touched
-	// anyway).
-	pg := int64(pageSize())
-	first := off / pg * pg
-	last := off + n
-	madviseSpan(m.data[first:last], a)
-}
-
 // Resident samples how many bytes of the mapping the OS currently holds in
 // RAM (mincore). probed=false when sampling is unsupported; fallback
 // memory reports itself fully resident without probing (it is ordinary
@@ -139,16 +107,13 @@ func (m *Mapping) Resident() (mappedBytes, residentBytes int64, probed bool) {
 // Close releases the mapping. Typed views over it must not be used
 // afterwards; the Store keeps every mapping alive until its own Close, and
 // the epoch chain keeps stores alive while any pinned epoch references
-// their columns. Closing a part only retires it (its hints go inert): the
-// file stays mapped for its sibling parts until Store.Close.
+// their columns. Closing a part only retires it: the file stays mapped for
+// its sibling parts until Store.Close.
 func (m *Mapping) Close() error {
 	if m == nil || !m.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	if m.mapped && !m.part {
-		// The span is dead to this process: let the OS reclaim frames
-		// eagerly rather than waiting for pressure.
-		madviseSpan(m.data, storage.AdviceDontNeed)
 		data := m.data
 		m.data = nil
 		return munmapFile(data)

@@ -81,9 +81,6 @@ func TestRoundtripMappedAndFallback(t *testing.T) {
 		if got := View[int64](s.Mapping("empty.tail")); len(got) != 0 {
 			t.Fatalf("empty part has %d elems", len(got))
 		}
-		// Hints must be safe on both paths, including out-of-range spans.
-		s.Mapping("col.tail").Advise(storage.AdviceSequential, 0, 1<<30)
-		s.Mapping("col.tail").Advise(storage.AdviceWillNeed, -8, 16)
 		mb, rb, _ := s.Resident()
 		if mb != int64(len(ints)*8+len(oids)*4+len(chars)) {
 			t.Fatalf("mapped bytes %d", mb)

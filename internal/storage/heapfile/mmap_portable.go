@@ -2,20 +2,14 @@
 
 package heapfile
 
-import (
-	"errors"
+import "errors"
 
-	"repro/internal/storage"
-)
-
-// Portable fallback: no mmap, no madvise. openMapping degrades to reading
-// the file into aligned anonymous memory; hints are inert and residency
-// reports the anonymous copy as fully resident.
+// Portable fallback: no mmap. openMapping degrades to reading the file into
+// aligned anonymous memory, and residency reports the anonymous copy as
+// fully resident.
 
 func mmapFile(path string, size int64) ([]byte, error) {
 	return nil, errors.New("heapfile: mmap unsupported on this platform")
 }
 
 func munmapFile(b []byte) error { return nil }
-
-func madviseSpan(b []byte, a storage.Advice) {}

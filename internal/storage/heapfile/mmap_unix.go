@@ -5,8 +5,6 @@ package heapfile
 import (
 	"os"
 	"syscall"
-
-	"repro/internal/storage"
 )
 
 // mmapFile maps size bytes of the file read-only and shared — the paper's
@@ -22,23 +20,3 @@ func mmapFile(path string, size int64) ([]byte, error) {
 }
 
 func munmapFile(b []byte) error { return syscall.Munmap(b) }
-
-// madviseSpan forwards a storage.Advice to madvise. Advice is best-effort
-// by definition; errors are deliberately dropped.
-func madviseSpan(b []byte, a storage.Advice) {
-	if len(b) == 0 {
-		return
-	}
-	var adv int
-	switch a {
-	case storage.AdviceSequential:
-		adv = syscall.MADV_SEQUENTIAL
-	case storage.AdviceWillNeed:
-		adv = syscall.MADV_WILLNEED
-	case storage.AdviceDontNeed:
-		adv = syscall.MADV_DONTNEED
-	default:
-		adv = syscall.MADV_NORMAL
-	}
-	_ = syscall.Madvise(b, adv)
-}

@@ -14,9 +14,10 @@
 // query service serves without it — what the OS actually pages is sampled
 // by SampleResidency instead.
 //
-// Accounting is a batch contract. Per-query attribution — "how many faults
-// did THIS query take", the Figure 9/10 observable — is handled by Tracker,
-// a per-query view of the shared pool. An operator hands the tracker what it
+// Touches only count: the Pager shapes no real paging and fails nothing.
+// Every touch goes through a Tracker, a per-query view of the shared pool
+// that carries per-query attribution — "how many faults did THIS query
+// take", the Figure 9/10 observable. An operator hands the tracker what it
 // is about to read as one call — a byte range (TouchRange), a position list
 // over fixed-width entries (TouchPositions) or over an offset-addressed
 // heap (TouchSpans) — and the tracker counts one touch per page of the
@@ -40,8 +41,7 @@
 //     characters — which is the order a gather reads memory in. Bounded-pool
 //     counts are deterministic for one session under that order.
 //
-// Every pool fault and hit is attributed to exactly one tracker, also when
-// an injected fault panics in the middle of a batch (see FaultInjector).
+// Every pool fault and hit is attributed to exactly one tracker.
 //
 // A nil *Pager (or *Tracker) is valid everywhere and disables accounting,
 // which is the "database hot-set fits in main memory" regime the paper
@@ -92,26 +92,13 @@ type Pager struct {
 	shift    uint // log2(pageSize) when it is a power of two above 1, else 0; see pageOf
 	capacity int  // max resident pages; <= 0 unbounded
 
-	// injector, when non-nil, applies a fault-injection plan to every
-	// persistent touch (chaos harness; see fault.go). Checked before the
-	// pool lock so an injected panic never wedges the pool.
-	injector atomic.Pointer[FaultInjector]
-
 	mu     sync.Mutex
 	table  map[pageKey]*pageNode
 	head   *pageNode // most recently used
 	tail   *pageNode // least recently used
 	faults uint64
 	hits   uint64
-}
-
-// SetFaultInjector attaches (or, with nil, removes) a fault injector. Safe
-// to call while other sessions touch the pool.
-func (p *Pager) SetFaultInjector(f *FaultInjector) {
-	if p == nil {
-		return
-	}
-	p.injector.Store(f)
+	visits uint64 // touchRun calls: what the batch entries save
 }
 
 // NewPager returns a Pager with the given page size in bytes and capacity in
@@ -220,43 +207,16 @@ func (p *Pager) Resident() int {
 	return len(p.table)
 }
 
-// Touch records an access to byte offset off in heap h. Exactly one page is
-// touched. Accesses to transient storage (heap 0) are ignored.
-func (p *Pager) Touch(h HeapID, off int64) {
-	if p == nil || h == 0 {
-		return
-	}
-	p.touchRun(p.injector.Load(), pageKey{h, p.pageOf(off)}, 1)
-}
-
-// TouchRange records a sequential access to bytes [off, off+n) of heap h,
-// touching each page in the range once. Accesses to transient storage
-// (heap 0) are ignored.
-func (p *Pager) TouchRange(h HeapID, off, n int64) {
-	if p == nil || h == 0 || n <= 0 {
-		return
-	}
-	inj := p.injector.Load()
-	last := p.pageOf(off + n - 1)
-	for pg := p.pageOf(off); pg <= last; pg++ {
-		p.touchRun(inj, pageKey{h, pg}, 1)
-	}
-}
-
 // touchRun is the one pool visit: n >= 1 touches of page k with no other
 // touch of this caller in between. The first decides fault versus hit; the
 // other n-1 find the page resident at the head of the LRU, so they are hits
 // that move nothing — exactly what n single touches do — and are booked
-// under the same lock. It reports whether the first touch faulted. inj is
-// the caller's one load of the pool's injector, so a batch runs wholly with
-// it or wholly without.
-func (p *Pager) touchRun(inj *FaultInjector, k pageKey, n uint64) bool {
-	if inj != nil {
-		inj.visit(k, n) // may sleep or panic; no locks held, nothing recorded yet
-	}
+// under the same lock. It reports whether the first touch faulted.
+func (p *Pager) touchRun(k pageKey, n uint64) bool {
 	p.mu.Lock()
 	fault := p.touch(k)
 	p.hits += n - 1
+	p.visits++
 	p.mu.Unlock()
 	return fault
 }
@@ -384,7 +344,7 @@ func (t *Tracker) Touch(h HeapID, off int64) {
 	if t == nil || h == 0 {
 		return
 	}
-	if t.pool.touchRun(t.pool.injector.Load(), pageKey{h, t.pool.pageOf(off)}, 1) {
+	if t.pool.touchRun(pageKey{h, t.pool.pageOf(off)}, 1) {
 		t.faults.Add(1)
 	} else {
 		t.hits.Add(1)
@@ -399,10 +359,7 @@ func (t *Tracker) TouchRange(h HeapID, off, n int64) {
 	if t == nil || h == 0 || n <= 0 {
 		return
 	}
-	b := t.begin(h)
-	if b.inj != nil {
-		defer b.book()
-	}
+	b := batch{t: t, heap: h}
 	last := t.pool.pageOf(off + n - 1)
 	for pg := t.pool.pageOf(off); pg <= last; pg++ {
 		b.page(pg)
@@ -420,10 +377,7 @@ func (t *Tracker) TouchPositions(h HeapID, base, width int64, pos []int32) {
 	if t == nil || h == 0 || len(pos) == 0 {
 		return
 	}
-	b := t.begin(h)
-	if b.inj != nil {
-		defer b.book()
-	}
+	b := batch{t: t, heap: h}
 	p := t.pool
 	if b.folds(len(pos)) {
 		lo, hi := extremes(pos)
@@ -450,10 +404,7 @@ func (t *Tracker) TouchSpans(h HeapID, off []uint32, pos []int32) {
 	if t == nil || h == 0 || len(pos) == 0 {
 		return
 	}
-	b := t.begin(h)
-	if b.inj != nil {
-		defer b.book()
-	}
+	b := batch{t: t, heap: h}
 	p := t.pool
 	if b.folds(len(pos)) {
 		lo, hi := extremes(pos)
@@ -483,26 +434,15 @@ func (t *Tracker) TouchSpans(h HeapID, off []uint32, pos []int32) {
 // batch carries one Tracker call through the pool. Touches of the same page
 // that directly follow each other merge into one pending run (heap, pg, n)
 // and reach the pool as a single touchRun; outcomes accumulate locally and
-// are added to the tracker once. The injector is loaded once per batch.
-//
-// With an injector attached a pool visit may panic mid-batch. The runs
-// visited before it are already recorded in the pool, so those calls defer
-// book: losing their tracker counts would break the Σ(trackers) = pool
-// conservation the chaos suite asserts. The run that panicked, and
-// everything after it, is recorded nowhere.
+// are added to the tracker once.
 type batch struct {
 	t    *Tracker
-	inj  *FaultInjector
 	heap HeapID
 
 	pg int64  // page of the pending run
 	n  uint64 // its length; 0 = no run pending
 
 	faults, hits uint64
-}
-
-func (t *Tracker) begin(h HeapID) batch {
-	return batch{t: t, inj: t.pool.injector.Load(), heap: h}
 }
 
 // page appends one touch of page pg to the batch.
@@ -521,16 +461,15 @@ func (b *batch) flush() {
 		return
 	}
 	n := b.n
-	b.n = 0 // a panicking visit leaves no run pending for the deferred book
-	if b.t.pool.touchRun(b.inj, pageKey{b.heap, b.pg}, n) {
+	b.n = 0
+	if b.t.pool.touchRun(pageKey{b.heap, b.pg}, n) {
 		b.faults++
 		n--
 	}
 	b.hits += n
 }
 
-// book adds the accumulated outcomes to the tracker and clears them, so the
-// deferred call of an injected batch adds nothing after a normal end.
+// book adds the accumulated outcomes to the tracker.
 func (b *batch) book() {
 	if b.faults > 0 {
 		b.t.faults.Add(b.faults)
@@ -538,7 +477,6 @@ func (b *batch) book() {
 	if b.hits > 0 {
 		b.t.hits.Add(b.hits)
 	}
-	b.faults, b.hits = 0, 0
 }
 
 func (b *batch) end() {

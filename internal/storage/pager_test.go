@@ -9,8 +9,6 @@ import (
 
 func TestNilPagerIsSafe(t *testing.T) {
 	var p *Pager
-	p.Touch(1, 0)
-	p.TouchRange(1, 0, 1<<20)
 	p.ResetStats()
 	p.DropAll()
 	if p.Faults() != 0 || p.Hits() != 0 || p.Resident() != 0 {
@@ -26,10 +24,11 @@ func TestNilPagerIsSafe(t *testing.T) {
 
 func TestColdSequentialScanFaultsOncePerPage(t *testing.T) {
 	p := NewPager(4096, 0)
+	tr := p.NewTracker()
 	h := p.NewHeap()
 	// 10 pages worth of data, touched byte by byte.
 	for off := int64(0); off < 10*4096; off += 8 {
-		p.Touch(h, off)
+		tr.Touch(h, off)
 	}
 	if got, want := p.Faults(), uint64(10); got != want {
 		t.Fatalf("faults = %d, want %d", got, want)
@@ -37,7 +36,7 @@ func TestColdSequentialScanFaultsOncePerPage(t *testing.T) {
 	// Re-scan: warm, no new faults.
 	before := p.Faults()
 	for off := int64(0); off < 10*4096; off += 8 {
-		p.Touch(h, off)
+		tr.Touch(h, off)
 	}
 	if p.Faults() != before {
 		t.Fatalf("warm scan faulted: %d -> %d", before, p.Faults())
@@ -46,12 +45,13 @@ func TestColdSequentialScanFaultsOncePerPage(t *testing.T) {
 
 func TestTouchRangeCountsPages(t *testing.T) {
 	p := NewPager(4096, 0)
+	tr := p.NewTracker()
 	h := p.NewHeap()
-	p.TouchRange(h, 100, 4096) // spans pages 0 and 1
+	tr.TouchRange(h, 100, 4096) // spans pages 0 and 1
 	if got := p.Faults(); got != 2 {
 		t.Fatalf("faults = %d, want 2", got)
 	}
-	p.TouchRange(h, 0, 0) // empty range
+	tr.TouchRange(h, 0, 0) // empty range
 	if got := p.Faults(); got != 2 {
 		t.Fatalf("empty range faulted: %d", got)
 	}
@@ -59,12 +59,13 @@ func TestTouchRangeCountsPages(t *testing.T) {
 
 func TestDistinctHeapsDoNotShare(t *testing.T) {
 	p := NewPager(4096, 0)
+	tr := p.NewTracker()
 	h1, h2 := p.NewHeap(), p.NewHeap()
 	if h1 == h2 {
 		t.Fatal("heap ids must be distinct")
 	}
-	p.Touch(h1, 0)
-	p.Touch(h2, 0)
+	tr.Touch(h1, 0)
+	tr.Touch(h2, 0)
 	if got := p.Faults(); got != 2 {
 		t.Fatalf("faults = %d, want 2 (one per heap)", got)
 	}
@@ -72,13 +73,14 @@ func TestDistinctHeapsDoNotShare(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	p := NewPager(4096, 2) // room for two pages
+	tr := p.NewTracker()
 	h := p.NewHeap()
-	p.Touch(h, 0*4096) // page 0 faults
-	p.Touch(h, 1*4096) // page 1 faults
-	p.Touch(h, 0*4096) // hit, page 0 becomes MRU
-	p.Touch(h, 2*4096) // page 2 faults, evicts page 1 (LRU)
-	p.Touch(h, 0*4096) // still resident: hit
-	p.Touch(h, 1*4096) // was evicted: faults again
+	tr.Touch(h, 0*4096) // page 0 faults
+	tr.Touch(h, 1*4096) // page 1 faults
+	tr.Touch(h, 0*4096) // hit, page 0 becomes MRU
+	tr.Touch(h, 2*4096) // page 2 faults, evicts page 1 (LRU)
+	tr.Touch(h, 0*4096) // still resident: hit
+	tr.Touch(h, 1*4096) // was evicted: faults again
 	if got, want := p.Faults(), uint64(4); got != want {
 		t.Fatalf("faults = %d, want %d", got, want)
 	}
@@ -92,10 +94,11 @@ func TestLRUEviction(t *testing.T) {
 
 func TestDropAllColdsTheCache(t *testing.T) {
 	p := NewPager(4096, 0)
+	tr := p.NewTracker()
 	h := p.NewHeap()
-	p.Touch(h, 0)
+	tr.Touch(h, 0)
 	p.DropAll()
-	p.Touch(h, 0)
+	tr.Touch(h, 0)
 	if got := p.Faults(); got != 2 {
 		t.Fatalf("faults = %d, want 2 after DropAll", got)
 	}
@@ -103,10 +106,11 @@ func TestDropAllColdsTheCache(t *testing.T) {
 
 func TestResetStatsKeepsPool(t *testing.T) {
 	p := NewPager(4096, 0)
+	tr := p.NewTracker()
 	h := p.NewHeap()
-	p.Touch(h, 0)
+	tr.Touch(h, 0)
 	p.ResetStats()
-	p.Touch(h, 0) // still resident: a hit, not a fault
+	tr.Touch(h, 0) // still resident: a hit, not a fault
 	if p.Faults() != 0 {
 		t.Fatalf("faults = %d, want 0 after reset", p.Faults())
 	}
@@ -120,11 +124,12 @@ func TestResetStatsKeepsPool(t *testing.T) {
 func TestFaultsEqualDistinctPages(t *testing.T) {
 	f := func(offsets []uint32) bool {
 		p := NewPager(4096, 0)
+		tr := p.NewTracker()
 		h := p.NewHeap()
 		distinct := make(map[int64]bool)
 		for _, o := range offsets {
 			off := int64(o)
-			p.Touch(h, off)
+			tr.Touch(h, off)
 			distinct[off/4096] = true
 		}
 		return p.Faults() == uint64(len(distinct)) && p.Resident() == len(distinct)
@@ -171,6 +176,7 @@ func TestBoundedPoolInvariants(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			bounded := NewPager(512, capacity)
 			unbounded := NewPager(512, 0)
+			bt, ut := bounded.NewTracker(), unbounded.NewTracker()
 			heaps := []HeapID{bounded.NewHeap(), bounded.NewHeap()}
 			hu := unbounded.NewHeap()
 			ref := refLRU{capacity: capacity}
@@ -181,8 +187,8 @@ func TestBoundedPoolInvariants(t *testing.T) {
 				h, pg := heaps[rng.Intn(2)], int64(rng.Intn(space))
 				off := pg*512 + rng.Int63n(512)
 				before := bounded.Faults()
-				bounded.Touch(h, off)
-				unbounded.Touch(hu, int64(h)*int64(space)*512+off)
+				bt.Touch(h, off)
+				ut.Touch(hu, int64(h)*int64(space)*512+off)
 				if faulted := bounded.Faults() > before; faulted != ref.touch(pageKey{h, pg}) {
 					t.Logf("capacity %d touch %d (heap %d page %d): fault=%v, reference disagrees", capacity, i, h, pg, faulted)
 					return false
@@ -206,9 +212,10 @@ func TestBoundedPoolInvariants(t *testing.T) {
 // unbounded pool, DropAll empties it, and a re-scan faults afresh.
 func TestResidentAndDropAllAcrossStripes(t *testing.T) {
 	p := NewPager(4096, 0)
+	tr := p.NewTracker()
 	const pages = 1024
 	h := p.NewHeap()
-	p.TouchRange(h, 0, pages*4096)
+	tr.TouchRange(h, 0, pages*4096)
 	if got := p.Resident(); got != pages {
 		t.Fatalf("resident = %d, want %d", got, pages)
 	}
@@ -219,7 +226,7 @@ func TestResidentAndDropAllAcrossStripes(t *testing.T) {
 	if got := p.Resident(); got != 0 {
 		t.Fatalf("resident after DropAll = %d, want 0", got)
 	}
-	p.TouchRange(h, 0, pages*4096)
+	tr.TouchRange(h, 0, pages*4096)
 	if p.Faults() != 2*pages {
 		t.Fatalf("faults after re-scan = %d, want %d", p.Faults(), 2*pages)
 	}

@@ -239,23 +239,23 @@ func mappedColumn(s *heapfile.Store, base, kind string) (bat.Column, error) {
 	}
 	switch kind {
 	case "oid":
-		return bat.NewMappedCol(heapfile.View[bat.OID](m), m), nil
+		return bat.NewMappedCol(heapfile.View[bat.OID](m)), nil
 	case "int":
-		return bat.NewMappedCol(heapfile.View[int64](m), m), nil
+		return bat.NewMappedCol(heapfile.View[int64](m)), nil
 	case "flt":
-		return bat.NewMappedCol(heapfile.View[float64](m), m), nil
+		return bat.NewMappedCol(heapfile.View[float64](m)), nil
 	case "chr":
-		return bat.NewMappedCol(m.Bytes(), m), nil
+		return bat.NewMappedCol(m.Bytes()), nil
 	case "bit":
-		return bat.NewMappedCol(heapfile.View[bool](m), m), nil
+		return bat.NewMappedCol(heapfile.View[bool](m)), nil
 	case "date":
-		return bat.NewMappedCol(heapfile.View[int32](m), m), nil
+		return bat.NewMappedCol(heapfile.View[int32](m)), nil
 	case "str":
 		mc := s.Mapping(base + ".chars")
 		if mc == nil {
 			return nil, fmt.Errorf("heapstore: %s.chars missing from checkpoint", base)
 		}
-		return bat.NewMappedStrCol(heapfile.View[uint32](m), heapfile.ViewString(mc), m, mc), nil
+		return bat.NewMappedStrCol(heapfile.View[uint32](m), heapfile.ViewString(mc)), nil
 	default:
 		return nil, fmt.Errorf("heapstore: unknown column kind %q", kind)
 	}

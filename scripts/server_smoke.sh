@@ -12,7 +12,7 @@
 # data directory across a checkpoint, immediate visibility, SIGKILL (no
 # drain), restart on the same directory, and recovery of the acknowledged
 # ingests from the checkpoint plus the WAL tail with the recovery metrics
-# set. Contained 500s under injected storage faults are covered in
+# set. Contained 500s under injected statement faults are covered in
 # Go (TestHTTPLifecycle, TestChaosQueryLifecycle).
 # Knobs: ADDR.
 set -eu
