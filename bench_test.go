@@ -861,28 +861,44 @@ func BenchmarkAblationTouch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationApply times tpcd.ApplyRefresh alone — one generated
-// refresh batch merged into the Order/Item BATs of a bulk-loaded database —
-// at the ingest.durable (SF 0.002, 10 orders) and mixed.readwrite (SF 0.02,
-// 30 orders) shapes. Batch generation runs outside the timer, and every
-// iteration applies k new rows onto the same loaded env.
+// BenchmarkAblationApply times tpcd.ApplyRefresh alone — generated refresh
+// batches merged into the Order/Item BATs of a bulk-loaded database — at
+// the ingest.durable (SF 0.002, 10 orders) and mixed.readwrite (SF 0.02, 30
+// orders) shapes, and at the ingest.durable shape grown by 1,600 chained
+// ingests first (grown). Iterations chain as the store does: each applies
+// onto the env the previous one built, so the datavector vectors grow in
+// place, and the database grows by b.N batches (-benchtime=1600x: the mean
+// over 1,600 chained batches). Batch generation and the grown point's
+// 1,600 ingests run outside the timer.
 func BenchmarkAblationApply(b *testing.B) {
 	for _, c := range []struct {
 		sf     float64
 		orders int
-	}{{0.002, 10}, {0.02, 30}} {
-		b.Run(fmt.Sprintf("sf%g/orders%d", c.sf, c.orders), func(b *testing.B) {
+		grown  int
+	}{{0.002, 10, 0}, {0.02, 30, 0}, {0.002, 10, 1600}} {
+		name := fmt.Sprintf("sf%g/orders%d", c.sf, c.orders)
+		if c.grown > 0 {
+			name += fmt.Sprintf("/grown%d", c.grown)
+		}
+		b.Run(name, func(b *testing.B) {
 			db := tpcd.Generate(c.sf, 42)
 			env, _ := tpcd.Load(db)
+			apply := func(batch *tpcd.RefreshBatch) {
+				var err error
+				if env, _, err = tpcd.ApplyRefresh(env, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < c.grown; i++ {
+				apply(tpcd.GenRefresh(db, -1-int64(i), c.orders))
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				batch := tpcd.GenRefresh(db, int64(i), c.orders)
 				b.StartTimer()
-				if _, _, err := tpcd.ApplyRefresh(env, batch); err != nil {
-					b.Fatal(err)
-				}
+				apply(batch)
 			}
 		})
 	}

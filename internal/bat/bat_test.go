@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -452,6 +454,84 @@ func TestAppendAttrEqualsResort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAppendAttrGrowsInPlace: a chain of appends grows one vector in place
+// and still builds exactly what AttachDatavector over the concatenated
+// values builds. The first append copies — the loaded vector has cap ==
+// len, as a mapped column has — and leaves spare capacity, which the next
+// three write into. A second append onto a vector already appended to (a
+// fork) loses the claim and copies, and the first append's result stays
+// intact. A caller's array with spare capacity is never written past its
+// length, and every vector AppendAttr hands out is clipped: cap == len.
+func TestAppendAttrGrowsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, allDup := range []bool{false, true} {
+		for kind, col := range kernelTestColumns(rng, 200, allDup) {
+			where := fmt.Sprintf("%s allDup %v", kind, allDup)
+			got := AttachDatavector(New("x", NewVoid(7, col.Len()), col, 0))
+			var prev *BAT
+			all, prevAll := col, col
+			for i := 0; i < 4; i++ {
+				frag := kernelTestColumns(rng, 5, allDup)[kind]
+				prev, got = got, AppendAttr(got, frag)
+				prevAll, all = all, Concat(all, frag)
+				checkAppended(t, fmt.Sprintf("%s append %d", where, i), got, all)
+				if inPlace := sameVectorArray(got, prev); inPlace != (i > 0) {
+					t.Errorf("%s append %d: in place %v, want %v", where, i, inPlace, i > 0)
+				}
+			}
+			frag := kernelTestColumns(rng, 5, allDup)[kind]
+			fork := AppendAttr(prev, frag)
+			if sameVectorArray(fork, prev) {
+				t.Errorf("%s: the fork wrote into the claimed vector", where)
+			}
+			checkAppended(t, where+" fork", fork, Concat(prevAll, frag))
+			checkAppended(t, where+" after the fork", got, all)
+		}
+	}
+
+	owned := make([]int64, 3, 64)
+	got := AppendAttr(AttachDatavector(New("x", NewVoid(7, 3), NewIntCol(owned), 0)), NewIntCol([]int64{5, -1}))
+	checkAppended(t, "caller's spare capacity", got, NewIntCol([]int64{0, 0, 0, 5, -1}))
+	if slices.ContainsFunc(owned[:cap(owned)], func(x int64) bool { return x != 0 }) {
+		t.Error("AppendAttr wrote into its caller's spare capacity")
+	}
+}
+
+// checkAppended compares an AppendAttr result with AttachDatavector over
+// all its values: properties, layouts, byte sizes, rows and datavector;
+// and requires the vector to be clipped.
+func checkAppended(t *testing.T, where string, got *BAT, all Column) {
+	t.Helper()
+	want := AttachDatavector(New("x", NewVoid(7, all.Len()), all, 0))
+	gdv, wdv := got.Datavector(), want.Datavector()
+	for _, c := range [][2]Column{{got.H, want.H}, {got.T, want.T}, {gdv.Vector, wdv.Vector}} {
+		if fmt.Sprintf("%T", c[0]) != fmt.Sprintf("%T", c[1]) || c[0].Len() != c[1].Len() ||
+			c[0].ByteSize() != c[1].ByteSize() || c[0].OwnedBytes() != c[1].OwnedBytes() {
+			t.Errorf("%s: %T of %d rows, %d/%d bytes, want %T of %d rows, %d/%d bytes", where,
+				c[0], c[0].Len(), c[0].ByteSize(), c[0].OwnedBytes(), c[1], c[1].Len(), c[1].ByteSize(), c[1].OwnedBytes())
+			return
+		}
+		for i := 0; i < c[0].Len(); i++ {
+			if c[0].Get(i) != c[1].Get(i) {
+				t.Errorf("%s: row %d: %s, want %s", where, i, c[0].Get(i), c[1].Get(i))
+				return
+			}
+		}
+	}
+	if got.Props != want.Props || gdv.Base != wdv.Base {
+		t.Errorf("%s: props %s base %d, want %s base %d", where, got.Props, gdv.Base, want.Props, wdv.Base)
+	}
+	if v := reflect.ValueOf(gdv.Vector).Elem().Field(0); v.Cap() != v.Len() {
+		t.Errorf("%s: vector cap %d, len %d", where, v.Cap(), v.Len())
+	}
+}
+
+// sameVectorArray reports whether a's datavector vector lies in b's
+// backing array.
+func sameVectorArray(a, b *BAT) bool {
+	return a.Datavector().Vector.first() == b.Datavector().Vector.first()
 }
 
 // Property: SortOnTail output is a permutation of the input and is sorted.

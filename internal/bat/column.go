@@ -1,6 +1,8 @@
 package bat
 
 import (
+	"cmp"
+	"sort"
 	"unsafe"
 
 	"repro/internal/storage"
@@ -53,11 +55,15 @@ type Column interface {
 	// it are fault-accounted. Idempotent; transient columns never fault.
 	Persist()
 
-	// The per-layout halves of SliceView, Gather, Concat, UnshareColumn and
-	// SameColumn. Being unexported they also seal the interface.
+	// The per-layout halves of SliceView, Gather, Concat, UnshareColumn,
+	// SameColumn, MergeAfter and a datavector's growth. Being unexported
+	// they also seal the interface.
 	sliceView(lo, n int) Column
 	gather(perm []int32) Column
 	concat(b Column) Column
+	place(add Column) []int32
+	merge(at []int32, add Column) Column
+	grow(add Column, r *room) (Column, *room)
 	isView() bool
 	unshare() Column
 	first() unsafe.Pointer
@@ -110,11 +116,14 @@ func (c *VoidCol) Persist() {}
 // sequence is dense.
 func (c *VoidCol) sliceView(lo, n int) Column { return NewVoid(c.Seq+OID(lo), n) }
 
-func (c *VoidCol) gather(perm []int32) Column { return NewOIDCol(gatherSeq(c.Seq, perm)) }
-func (c *VoidCol) concat(b Column) Column     { return c.oids().concat(b) }
-func (c *VoidCol) isView() bool               { return false }
-func (c *VoidCol) unshare() Column            { return c }
-func (c *VoidCol) first() unsafe.Pointer      { return nil }
+func (c *VoidCol) gather(perm []int32) Column               { return NewOIDCol(gatherSeq(c.Seq, perm)) }
+func (c *VoidCol) concat(b Column) Column                   { return c.oids().concat(b) }
+func (c *VoidCol) place(add Column) []int32                 { return c.oids().place(add) }
+func (c *VoidCol) merge(at []int32, add Column) Column      { return c.oids().merge(at, add) }
+func (c *VoidCol) grow(add Column, _ *room) (Column, *room) { return c.oids().grow(add, nil) }
+func (c *VoidCol) isView() bool                             { return false }
+func (c *VoidCol) unshare() Column                          { return c }
+func (c *VoidCol) first() unsafe.Pointer                    { return nil }
 
 // oids materializes the dense sequence as an oid column.
 func (c *VoidCol) oids() *OIDCol {
@@ -287,14 +296,45 @@ func (c *FixedCol[T]) isView() bool               { return c.view }
 func (c *FixedCol[T]) first() unsafe.Pointer      { return unsafe.Pointer(unsafe.SliceData(c.V)) }
 
 func (c *FixedCol[T]) concat(b Column) Column {
-	if v, ok := b.(*VoidCol); ok {
-		b = v.oids()
-	}
 	out := append(make([]T, 0, len(c.V)+b.Len()), c.V...)
 	if b.Len() > 0 {
-		out = append(out, b.(*FixedCol[T]).V...)
+		out = append(out, fixedOf[T](b)...)
 	}
 	return &FixedCol[T]{V: out}
+}
+
+// place returns, for each entry of add, how many of c's entries a stable
+// sort of c‖add orders before it — c and add both ascending, each add
+// entry goes after every equal entry of c: k typed binary searches.
+func (c *FixedCol[T]) place(add Column) []int32 {
+	a, less := fixedOf[T](add), ascending[T]()
+	return placeRows(len(c.V), len(a), func(i, j int) bool { return less(a[i], c.V[j]) })
+}
+
+// merge returns c's entries with add's entry i inserted before c's entry
+// at[i] (at ascending): c's entries copy in the runs between.
+func (c *FixedCol[T]) merge(at []int32, add Column) Column {
+	return &FixedCol[T]{V: mergeRuns(c.V, at, fixedOf[T](add))}
+}
+
+// grow returns c's entries followed by add's, clipped so that no append
+// of a reader's can reach past them. When r's backing array is c's and
+// its claim stands at len(c.V), grow takes the claim and writes add into
+// the spare capacity; otherwise it copies c into a new array with spare
+// capacity and returns that array's room.
+func (c *FixedCol[T]) grow(add Column, r *room) (Column, *room) {
+	a, n := fixedOf[T](add), len(c.V)
+	var v []T
+	if r != nil {
+		v, _ = r.entries.([]T)
+	}
+	if n+len(a) <= cap(v) && r.claim(n, len(a)) {
+		v = append(v[:n], a...)
+	} else {
+		v = append(append(make([]T, 0, spare(n+len(a))), c.V...), a...)
+		r = newRoom(len(v), v, nil)
+	}
+	return &FixedCol[T]{V: v[:len(v):len(v)]}, r
 }
 
 // unshare copies a view into a transient column (no heap id): the pager
@@ -313,6 +353,63 @@ func gatherElems[T Fixed](v []T, perm []int32) []T {
 		out[i] = v[p]
 	}
 	return out
+}
+
+// fixedOf returns the entries of col, a FixedCol[T] or (for oids) a void
+// column.
+func fixedOf[T Fixed](col Column) []T {
+	if v, ok := col.(*VoidCol); ok {
+		col = v.oids()
+	}
+	return col.(*FixedCol[T]).V
+}
+
+// ascending is SortedPerm's ascending order on T: cmp.Less's, with a NaN
+// before every other float, and false before true. The switch is over the
+// static element type, as in Get.
+func ascending[T Fixed]() func(a, b T) bool {
+	var less any
+	switch any(*new(T)).(type) {
+	case OID:
+		less = cmp.Less[OID]
+	case int64:
+		less = cmp.Less[int64]
+	case float64:
+		less = cmp.Less[float64]
+	case byte:
+		less = cmp.Less[byte]
+	case int32:
+		less = cmp.Less[int32]
+	case bool:
+		less = func(a, b bool) bool { return !a && b }
+	}
+	return less.(func(a, b T) bool)
+}
+
+// placeRows places k ascending new entries among n ascending old ones:
+// entry i goes after every old entry that does not order after it, where
+// less(i, j) reports that new entry i orders before old entry j. Each
+// search starts where the previous one ended.
+func placeRows(n, k int, less func(i, j int) bool) []int32 {
+	at := make([]int32, k)
+	cut := 0
+	for i := range at {
+		cut += sort.Search(n-cut, func(j int) bool { return less(i, cut+j) })
+		at[i] = int32(cut)
+	}
+	return at
+}
+
+// mergeRuns returns old with add[i] inserted before old[at[i]], copying
+// old in the runs between.
+func mergeRuns[E any](old []E, at []int32, add []E) []E {
+	out := make([]E, 0, len(old)+len(add))
+	cut := 0
+	for i, p := range at {
+		out = append(append(out, old[cut:p]...), add[i])
+		cut = int(p)
+	}
+	return append(out, old[cut:]...)
 }
 
 // ---------------------------------------------------------------------------
@@ -462,6 +559,72 @@ func (c *StrCol) concat(b Column) Column {
 		chars += bb.Chars[bb.Off[0]:bb.Off[bb.Len()]]
 	}
 	return &StrCol{Off: append(off, uint32(len(chars))), Chars: chars}
+}
+
+// place is FixedCol.place over strings.
+func (c *StrCol) place(add Column) []int32 {
+	a := add.(*StrCol)
+	return placeRows(c.Len(), a.Len(), func(i, j int) bool { return a.At(i) < c.At(j) })
+}
+
+// merge is FixedCol.merge over strings: each run's offsets are rebased and
+// its characters copied as one span.
+func (c *StrCol) merge(at []int32, add Column) Column {
+	a := add.(*StrCol)
+	n, k := c.Len(), a.Len()
+	off := make([]uint32, 0, n+k+1)
+	buf := make([]byte, 0, int(c.Off[n]-c.Off[0]+a.Off[k]-a.Off[0]))
+	run := func(s *StrCol, lo, hi int) {
+		shift := uint32(len(buf)) - s.Off[lo] // modular: o+shift = o-s.Off[lo]+len(buf)
+		for _, o := range s.Off[lo:hi] {
+			off = append(off, o+shift)
+		}
+		buf = append(buf, s.Chars[s.Off[lo]:s.Off[hi]]...)
+	}
+	cut := 0
+	for i, p := range at {
+		run(c, cut, int(p))
+		run(a, i, i+1)
+		cut = int(p)
+	}
+	run(c, cut, n)
+	// buf is owned here and never written again.
+	return &StrCol{Off: append(off, uint32(len(buf))), Chars: unsafe.String(unsafe.SliceData(buf), len(buf))}
+}
+
+// grow is FixedCol.grow over strings, as strings.Builder grows a string:
+// the offsets and the character bytes each have spare capacity, and the
+// bytes past the end of Chars belong to the claim, not to any string.
+func (c *StrCol) grow(add Column, r *room) (Column, *room) {
+	a := add.(*StrCol)
+	n, k := c.Len(), a.Len()
+	chars := a.Chars[a.Off[0]:a.Off[k]]
+	var (
+		off []uint32
+		buf []byte
+	)
+	if r != nil {
+		off, _ = r.entries.([]uint32)
+		buf = r.chars
+	}
+	inPlace := n+k+1 <= cap(off) && len(c.Chars)+len(chars) <= cap(buf) && r.claim(n, k)
+	if inPlace {
+		off, buf = off[:n+1], buf[:len(c.Chars)]
+	} else {
+		c = c.unshare().(*StrCol) // a view's offsets do not start at 0
+		off = append(make([]uint32, 0, spare(n+k+1)), c.Off...)
+		buf = append(make([]byte, 0, spare(len(c.Chars)+len(chars))), c.Chars...)
+	}
+	shift := uint32(len(buf)) - a.Off[0]
+	for _, o := range a.Off[1 : k+1] {
+		off = append(off, o+shift)
+	}
+	buf = append(buf, chars...)
+	if !inPlace {
+		r = newRoom(n+k, off, buf)
+	}
+	// Only the claim holder writes past len(buf), and no string reaches there.
+	return &StrCol{Off: off[:len(off):len(off)], Chars: unsafe.String(unsafe.SliceData(buf), len(buf))}, r
 }
 
 // unshare rebuilds the character heap from the referenced substrings only,

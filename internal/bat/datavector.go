@@ -3,7 +3,7 @@ package bat
 import (
 	"cmp"
 	"slices"
-	"sort"
+	"sync/atomic"
 )
 
 // Datavector is the search-accelerator extension of Section 5.2. For an
@@ -20,7 +20,40 @@ type Datavector struct {
 	Base OID
 	// Vector holds the attribute values in extent position order.
 	Vector Column
+	// room is the spare capacity behind Vector's backing array, which
+	// AppendAttr's vector grows into; nil for a vector built elsewhere.
+	room *room
 }
+
+// room is a growable vector's spare capacity: its backing arrays, sliced
+// to their full capacity, and how many entries have been claimed on them.
+// Every vector over those arrays shares the one room, and each holds a
+// prefix of the claimed entries, so the vector whose length equals the
+// claim may append in place — once: a second append onto the same vector
+// finds the claim moved and copies. A vector handed to readers is clipped
+// to its length, so no reader's append can write into the spare capacity.
+type room struct {
+	claimed atomic.Int64
+	entries any    // the entry array: []T, or a string vector's offsets
+	chars   []byte // a string vector's character bytes
+}
+
+func newRoom(claimed int, entries any, chars []byte) *room {
+	r := &room{entries: entries, chars: chars}
+	r.claimed.Store(int64(claimed))
+	return r
+}
+
+// claim moves the claim from n entries to n+k, reporting whether it stood
+// at n: only then may the caller write entries n..n+k-1.
+func (r *room) claim(n, k int) bool {
+	return r != nil && r.claimed.CompareAndSwap(int64(n), int64(n+k))
+}
+
+// spare is the capacity a vector copied to hold n entries gets: a quarter
+// more, as append grows a large slice, so the appends that follow write in
+// place until it fills.
+func spare(n int) int { return n + n/4 }
 
 // NewDenseDatavector builds a datavector over the dense extent
 // base..base+vector.Len()-1.
@@ -123,18 +156,13 @@ func ReorderOnTail(name string, b *BAT, perm []int32, desc bool) *BAT {
 // attaches the accelerator: the two-step construction of Fig. 7 ("(1) Create
 // Datavector, (2) Sort on Tail").
 func AttachDatavector(oidOrdered *BAT) *BAT {
-	return attachDatavector(oidOrdered, SortedPerm(oidOrdered.T, false))
-}
-
-// attachDatavector is AttachDatavector with the tail order already chosen.
-func attachDatavector(oidOrdered *BAT, perm []int32) *BAT {
 	base := OID(0)
 	if v, ok := oidOrdered.H.(*VoidCol); ok {
 		base = v.Seq
 	} else if oidOrdered.Len() > 0 {
 		base = OID(oidOrdered.H.Get(0).I)
 	}
-	sorted := ReorderOnTail(oidOrdered.Name, oidOrdered, perm, false)
+	sorted := ReorderOnTail(oidOrdered.Name, oidOrdered, SortedPerm(oidOrdered.T, false), false)
 	sorted.SetDatavector(NewDenseDatavector(base, oidOrdered.T))
 	return sorted
 }
@@ -146,52 +174,48 @@ func attachDatavector(oidOrdered *BAT, perm []int32) *BAT {
 //	AttachDatavector(New(name, NewVoid(base, n+k), Concat(prev's vector, frag), 0))
 //
 // without re-sorting the n existing rows. Only frag is sorted; each of its
-// k rows is then placed by binary search into prev's tail order (after
-// every equal old row — the order a stable sort of old‖new gives, since new
-// rows sit at higher positions), and the old positions in between are
-// copied from prev's head: O(n + k log k) instead of O((n+k) log(n+k)).
-// prev must carry a dense datavector and be tail-ordered on it, as
+// k rows is placed by a typed binary search into prev's tail order, after
+// every equal old row (the order a stable sort of old‖new gives, since new
+// rows sit at higher positions), and prev's head and tail are copied in
+// the runs between (MergeAfter). A merge that leaves every row where it
+// was keeps the void head, with the tail a view of the vector. The vector
+// grows in place when prev's is the latest over its backing array and the
+// array has room; otherwise it is copied with room to spare. The cost is a
+// copy of the n old entries in runs, O(k log n) typed probes and O(k)
+// vector growth (amortized: a copied vector makes room for a quarter
+// more). prev must carry a dense datavector and be tail-ordered on it, as
 // AttachDatavector and AppendAttr leave it.
 func AppendAttr(prev *BAT, frag Column) *BAT {
 	dv := prev.Datavector()
 	n, k := dv.Len(), frag.Len()
-	vec := Concat(dv.Vector, frag)
-	old := headPositions(prev.H, dv.Base)
-	perm := make([]int32, 0, n+k)
-	cut := 0
-	for _, j := range SortedPerm(frag, false) {
-		// sortLess orders same-kind values exactly as SortedPerm; only the
-		// k log n probes box.
-		x := vec.Get(n + int(j))
-		next := cut + sort.Search(n-cut, func(i int) bool { return sortLess(x, vec.Get(int(old[cut+i]))) })
-		perm = append(append(perm, old[cut:next]...), int32(n)+j)
-		cut = next
+	vec, r := dv.Vector.grow(frag, dv.room)
+	fresh := NewVoid(dv.Base+OID(n), k) // the new rows' oids
+	perm := SortedPerm(frag, false)
+	add := Gather(frag, perm)
+	at := prev.T.place(add)
+	_, inOrder := PositionRun(perm)
+	_, voidHead := prev.H.(*VoidCol)
+	var h, t Column
+	// The merged head is the identity run when prev's is (void, or empty)
+	// and every new row lands after the old ones, in its own order.
+	if n+k > 0 && (n == 0 || voidHead) && (k == 0 || inOrder && at[0] == int32(n)) {
+		h, t = NewVoid(dv.Base, n+k), SliceView(vec, 0, n+k)
+	} else {
+		h, t = prev.H.merge(at, Gather(fresh, perm)), prev.T.merge(at, add)
 	}
-	perm = append(perm, old[cut:]...)
-	return attachDatavector(New(prev.Name, NewVoid(dv.Base, n+k), vec, 0), perm)
+	out := Derive(New(prev.Name, h, t, 0), Merged, prev, New(prev.Name, fresh, frag, 0))
+	out.SetDatavector(&Datavector{Base: dv.Base, Vector: vec, room: r})
+	return out
 }
 
-// sortLess is SortedPerm's ascending order on boxed values of one kind:
-// Compare's, with a NaN before every other float.
-func sortLess(x, y Value) bool {
-	if x.K == KFlt && y.K == KFlt {
-		return cmp.Less(x.F, y.F)
-	}
-	return Compare(x, y) < 0
-}
-
-// headPositions returns the datavector position of each row of a
-// tail-ordered BAT, in row order: its head oid less the extent base.
-func headPositions(h Column, base OID) []int32 {
-	pos := make([]int32, h.Len())
-	if v, ok := h.(*VoidCol); ok {
-		for i := range pos {
-			pos[i] = int32(v.Seq-base) + int32(i)
-		}
-		return pos
-	}
-	for i, o := range h.(*OIDCol).V {
-		pos[i] = int32(o - base)
-	}
-	return pos
+// MergeAfter merges the pairs (addKey[i], addVal[i]) into the pairs
+// (key[j], val[j]), both ascending on key: each new pair goes after every
+// old pair of an equal key, where a stable sort of old‖new puts it. It
+// returns the merged key and value columns, copying the old pairs in the
+// runs between k typed binary searches: O(n + k log n). AppendAttr merges
+// a tail-ordered attribute BAT this way (key = tail), a set index merges
+// its pairs (key = head).
+func MergeAfter(key, val, addKey, addVal Column) (Column, Column) {
+	at := key.place(addKey)
+	return key.merge(at, addKey), val.merge(at, addVal)
 }

@@ -97,6 +97,7 @@ const (
 	One                   // a single BUN: scalar aggregates, calc
 	Reordered             // d's BUNs permuted: a descending sort
 	Sorted                // d's BUNs reordered ascending on tail
+	Merged                // d's BUNs and o's, heads distinct, merged in d's tail order: AppendAttr
 	Marked                // fresh dense heads beside d's heads
 	Union                 // BUNs with distinct heads, drawn from d and o
 	Mirrored              // d with head and tail swapped
@@ -119,6 +120,7 @@ const (
 //	One         HK, TK
 //	Reordered   d&{HK,TK}
 //	Sorted      d&{HK,TK}; TO unless the tail holds a NaN
+//	Merged      HK; d&TO unless o's tail holds a NaN
 //	Marked      d&{HO,HK} moved to the tail
 //	Union       HK
 //	Mirrored    d's bits swapped
@@ -155,9 +157,13 @@ func Derive(out *BAT, rel Rel, d, o *BAT) *BAT {
 		p = d.Props & (HKey | TKey)
 	case Sorted:
 		p = d.Props & (HKey | TKey)
-		// A NaN has no place in an order.
-		if f, ok := out.T.(*FltCol); !ok || !slices.ContainsFunc(f.V, math.IsNaN) {
+		if !holdsNaN(out.T) {
 			p |= TOrdered
+		}
+	case Merged:
+		p = HKey
+		if !holdsNaN(o.T) {
+			p |= d.Props & TOrdered
 		}
 	case Marked:
 		p = (d.Props & (HOrdered | HKey)).Swap()
@@ -168,6 +174,13 @@ func Derive(out *BAT, rel Rel, d, o *BAT) *BAT {
 	}
 	out.Props |= p
 	return out
+}
+
+// holdsNaN reports whether c is a float column holding a NaN, which has no
+// place in an order.
+func holdsNaN(c Column) bool {
+	f, ok := c.(*FltCol)
+	return ok && slices.ContainsFunc(f.V, math.IsNaN)
 }
 
 // Run-time detection recovers the order and keyness the rules above cannot

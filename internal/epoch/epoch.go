@@ -25,6 +25,10 @@ import (
 // predecessor) enter on publish and leave only when the epoch is retired
 // AND its last pinned reader unpins — a live query's snapshot is live
 // memory, whatever the current epoch is. *mil.MemGauge satisfies Gauge.
+// An epoch's owned bytes are the byte sizes of its new columns; a
+// datavector vector grown in place shares its predecessor's entries, so
+// while both epochs are live that shared prefix counts in each: the gauge
+// may over-report then, never under-report.
 type Gauge interface {
 	Add(delta int64)
 }

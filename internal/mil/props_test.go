@@ -77,7 +77,7 @@ func checkGroupingCarriage(t *testing.T, label string, ctx *Ctx, base *bat.BAT) 
 }
 
 // seedPool builds base BATs with honest properties: int, oid, float, string
-// and bit tails, a datavector-carrying attribute, floats holding NaN and
+// and bit tails, datavector-carrying attributes, floats holding NaN and
 // both signed zeros (raw and sorted), empty BATs, all-duplicate heads and
 // tails, and unique unordered int heads.
 func seedPool(rng *rand.Rand) []*bat.BAT {
@@ -128,7 +128,7 @@ func seedPool(rng *rand.Rand) []*bat.BAT {
 	for i, p := range rng.Perm(n) {
 		uniq[i] = int64(p)
 	}
-	return []*bat.BAT{attr, withDV, refs, fattr,
+	return []*bat.BAT{attr, withDV, refs, fattr, bat.AttachDatavector(fattr),
 		nanAttr, bat.SortOnTail(nanAttr), bat.AttachDatavector(nanAttr),
 		bat.New("strs", bat.NewVoid(0, n), bat.NewStrColFromStrings(strs), 0),
 		bat.New("bits", bat.NewVoid(0, n), bat.NewBitCol(bits), 0),
@@ -216,6 +216,30 @@ func applyRandomOp(t *testing.T, rng *rand.Rand, ctx *Ctx, pool []*bat.BAT) (op 
 			return out
 		}},
 		{"hash-join", func() *bat.BAT { return hashJoin(ctx, l, r) }},
+		{"append-attr", func() *bat.BAT {
+			// AppendAttr's Merged row, onto a random datavector-carrying
+			// pool member: values drawn from its own vector (so of its kind,
+			// NaN included where it holds one), and a NaN appended to half
+			// the float fragments. Results join the pool, so later draws
+			// chain appends onto growing vectors.
+			var attrs []*bat.BAT
+			for _, b := range pool {
+				if dv := b.Datavector(); dv != nil && dv.Len() > 0 {
+					attrs = append(attrs, b)
+				}
+			}
+			a := attrs[rng.Intn(len(attrs))]
+			dv := a.Datavector()
+			pos := make([]int32, rng.Intn(6))
+			for i := range pos {
+				pos[i] = int32(rng.Intn(dv.Len()))
+			}
+			frag := bat.Gather(dv.Vector, pos)
+			if frag.Kind() == bat.KFlt && rng.Intn(2) == 0 {
+				frag = bat.Concat(frag, bat.NewFltCol([]float64{math.NaN()}))
+			}
+			return bat.AppendAttr(a, frag)
+		}},
 		{"sync-join", func() *bat.BAT {
 			// join(l.mirror, l) matches l's head against itself, position
 			// by position.

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/epoch"
 	"repro/internal/mil"
+	"repro/internal/moa"
 	"repro/internal/tpcd"
 )
 
@@ -152,6 +153,77 @@ func TestSnapshotIsolationDuringIngest(t *testing.T) {
 	}
 	if a := st.Manager().Alive(); a != 1 {
 		t.Errorf("alive epochs at quiesce = %d, want 1", a)
+	}
+}
+
+// TestPinnedReadersDuringInPlaceGrowth: readers pinned on one epoch read
+// attribute values through its datavectors — a sum over
+// Item_extendedprice, a string projection over Item_shipmode — while later
+// ingests grow that epoch's vectors in place. Every answer must equal the
+// one computed before the ingests; under -race the run also shows that the
+// appends write no byte a reader of the pinned epoch reads.
+func TestPinnedReadersDuringInPlaceGrowth(t *testing.T) {
+	svc, st, gen := writableService(t, Config{MaxConcurrent: 8}, "")
+	// Genesis vectors have no spare capacity; after one ingest they do.
+	ingestOrders(t, svc, gen, 30, 5)
+	ep := st.Manager().Acquire()
+	defer ep.Release()
+	db := engine.New(tpcd.Schema(), ep.Env)
+	queries := []string{
+		"sum(project[extendedprice](Item))",
+		`project[shipmode](select[<(shipdate, date("1992-02-01"))](Item))`,
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want[i] = moa.RenderVal(res.Set)
+	}
+
+	const readers = 4
+	stop := make(chan struct{})
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[i%len(queries)]
+				res, err := db.Query(q)
+				if err == nil && moa.RenderVal(res.Set) != want[i%len(queries)] {
+					err = fmt.Errorf("%s: the pinned epoch's answer changed", q)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(r)
+	}
+	for i := 0; i < 6; i++ {
+		ingestOrders(t, svc, gen, int64(40+i), 5)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	for _, name := range []string{"Item_extendedprice", "Item_shipmode"} {
+		pinned := ep.Env[name].Datavector().Vector
+		cur := st.Manager().Current().Env[name].Datavector().Vector
+		if !bat.SameColumn(bat.SliceView(cur, 0, pinned.Len()), pinned) {
+			t.Errorf("%s: the ingests did not grow the pinned epoch's vector in place", name)
+		}
 	}
 }
 

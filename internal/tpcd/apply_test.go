@@ -149,6 +149,55 @@ func TestApplyEqualsLoad(t *testing.T) {
 	}
 }
 
+// TestApplyForkCopies applies two different batches to the same base env.
+// The first grows the base's datavector vectors in place; the second finds
+// their claims moved and copies. Each result equals a Load of its own
+// database, and the first still does after the second apply.
+func TestApplyForkCopies(t *testing.T) {
+	dbA, dbB := Generate(testSF, testSeed), Generate(testSF, testSeed)
+	env, _ := Load(dbA)
+	// Load's vectors have no spare capacity: this apply copies them into
+	// arrays that do.
+	first := GenRefresh(dbA, 1, 10)
+	env, _, err := ApplyRefresh(env, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyObjects(dbA, first)
+	applyObjects(dbB, first)
+
+	a, b := GenRefresh(dbA, 2, 10), GenRefresh(dbB, 3, 10)
+	envA, ownedA, err := ApplyRefresh(env, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyObjects(dbA, a)
+	envB, ownedB, err := ApplyRefresh(env, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyObjects(dbB, b)
+
+	// grew reports whether next's vector extends base's backing array.
+	grew := func(next mil.Env, name string) bool {
+		v, p := next[name].Datavector().Vector, env[name].Datavector().Vector
+		return bat.SameColumn(bat.SliceView(v, 0, p.Len()), p)
+	}
+	for _, name := range rebuiltNames() {
+		if env[name].Datavector() == nil {
+			continue
+		}
+		if !grew(envA, name) {
+			t.Errorf("%s: the first apply copied the vector", name)
+		}
+		if grew(envB, name) {
+			t.Errorf("%s: the second apply wrote into the claimed vector", name)
+		}
+	}
+	assertEqualsLoad(t, dbB, envB, ownedB)
+	assertEqualsLoad(t, dbA, envA, ownedA)
+}
+
 // assertEqualsLoad compares every entry ApplyRefresh produces against a
 // fresh Load(db).
 func assertEqualsLoad(t *testing.T, db *DB, got mil.Env, owned int64) {

@@ -3,7 +3,6 @@ package tpcd
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/bat"
@@ -215,31 +214,26 @@ func orderItemPairs(orders []Order, first int) []setPair {
 
 // mergeSetIndex is the one builder of a head-ordered set index [owner,
 // member]: it stable-sorts the new pairs by owner and merges each after
-// prev's pairs of the same owner. Load builds over no previous index (prev
-// nil); ApplyRefresh grows the previous epoch's. Either way the result
-// lists owners ascending and each owner's members in insertion order — the
-// order HOrdered asserts, and the same index a from-scratch Load of the
-// grown database builds.
+// prev's pairs of the same owner (bat.MergeAfter, keyed on the head). Load
+// builds over no previous index (prev nil); ApplyRefresh grows the
+// previous epoch's. Either way the result lists owners ascending and each
+// owner's members in insertion order — the order HOrdered asserts, and the
+// same index a from-scratch Load of the grown database builds.
 func mergeSetIndex(name string, prev *bat.BAT, pairs []setPair) *bat.BAT {
 	byOwner := func(a, b setPair) int { return cmp.Compare(a.owner, b.owner) }
 	if !slices.IsSortedFunc(pairs, byOwner) {
 		slices.SortStableFunc(pairs, byOwner)
 	}
-	var po, pm []bat.OID
+	owners, members := make([]bat.OID, len(pairs)), make([]bat.OID, len(pairs))
+	for i, p := range pairs {
+		owners[i], members[i] = p.owner, p.member
+	}
+	h, t := bat.Column(bat.NewOIDCol(nil)), bat.Column(bat.NewOIDCol(nil))
 	if prev != nil {
-		po, pm = prev.H.(*bat.OIDCol).V, prev.T.(*bat.OIDCol).V
+		h, t = prev.H, prev.T
 	}
-	owners := make([]bat.OID, 0, len(po)+len(pairs))
-	members := make([]bat.OID, 0, len(po)+len(pairs))
-	i := 0
-	for _, p := range pairs {
-		j := i + sort.Search(len(po)-i, func(k int) bool { return po[i+k] > p.owner })
-		owners, members = append(owners, po[i:j]...), append(members, pm[i:j]...)
-		owners, members = append(owners, p.owner), append(members, p.member)
-		i = j
-	}
-	owners, members = append(owners, po[i:]...), append(members, pm[i:]...)
-	ix := bat.New(name, bat.NewOIDCol(owners), bat.NewOIDCol(members), bat.HOrdered)
+	h, t = bat.MergeAfter(h, t, bat.NewOIDCol(owners), bat.NewOIDCol(members))
+	ix := bat.New(name, h, t, bat.HOrdered)
 	ix.Persist()
 	return ix
 }

@@ -19,12 +19,12 @@ import (
 // validated against the immutable reference population, and applied to the
 // previous epoch's BATs alone: the Order and Item extents grow, each
 // attribute BAT takes the batch's sorted run into its tail order (never
-// re-sorting the rows it already holds), and the Order_item and
-// Customer_orders set indexes merge in the batch's pairs. Every other env
-// entry is shared pointer-wise with the previous epoch, so warm
-// accelerators on unchanged columns survive swaps. No row-shaped copy of
-// the database takes part: the BATs are the database, and their heap-file
-// checkpoints are its durable form.
+// re-sorting the rows it already holds) and its datavector's vector grows
+// in place, and the Order_item and Customer_orders set indexes merge in the
+// batch's pairs. Every other env entry is shared pointer-wise with the
+// previous epoch, so warm accelerators on unchanged columns survive swaps.
+// No row-shaped copy of the database takes part: the BATs are the
+// database, and their heap-file checkpoints are its durable form.
 
 // RefreshItem is one new line item in a refresh order. Derived fields
 // (return flag, line status) are carried explicitly so a batch is
@@ -192,9 +192,11 @@ func ValidateRefresh(db *DB, b *RefreshBatch) error {
 // and a validated batch: the Order and Item extents grow by the batch's
 // rows (their current lengths number the new oids); every Order_* and
 // Item_* attribute BAT takes the batch's column fragment through
-// bat.AppendAttr, which sorts only the k new rows and merges them into the
-// existing tail order — O(n + k log k) per column; Order_item and
-// Customer_orders grow by merging the batch's pairs (mergeSetIndex). The
+// bat.AppendAttr, which sorts only the k new rows, places them by k typed
+// binary searches and copies the n old rows in runs between them — O(n +
+// k log n) per column, plus O(k) to grow the datavector's vector in place;
+// Order_item and Customer_orders grow by the same merge of the batch's
+// pairs (mergeSetIndex). The
 // result is bit-identical to a from-scratch Load of the grown database.
 // Everything else is shared with base pointer-wise, so unchanged BATs keep
 // their identity (and their warm accelerators) across the swap. Returns the
